@@ -130,10 +130,11 @@ def assign_targets(
     )
 
 
-def select_denoising(all_points: list[Point3], gt_centers: list[Point3]) -> list[int]:
-    """Index of the l1-nearest point for each ground-truth center.
+def select_denoising(all_points: list[Point3], gt_centers: list[Point3], k: int = 1) -> list[int]:
+    """Indices of the k l1-nearest points for each ground-truth center.
 
-    One index per center, ties broken by lower index; the same point may
+    Center by center, each group nearest first with ties broken by lower
+    index, min(k, len(all_points)) indices per center; the same point may
     serve several centers.
     """
     if not all_points:
@@ -142,7 +143,7 @@ def select_denoising(all_points: list[Point3], gt_centers: list[Point3]) -> list
     out: list[int] = []
     for c in gt_centers:
         dist = np.sum(np.abs(pts - np.array([c.x, c.y, c.z])), axis=1)
-        out.append(int(np.argmin(dist)))  # argmin takes the first of equals
+        out.extend(np.argsort(dist, kind="stable")[:k].tolist())
     return out
 
 

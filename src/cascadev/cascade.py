@@ -10,7 +10,8 @@ assignments, detections) so downstream statistics need no re-runs.
 
 Proposals carry an origin_index so a point's trajectory through the
 stages can be followed; denoising proposals keep a fixed ground-truth
-assignment at every stage.
+assignment at every stage. Training walks the stages through the same
+two steps, stage_assignment and hand_off.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ import numpy as np
 
 from .assignment import Assignment, CpaSchedule, assign_targets, cpa_threshold
 from .errors import PredictorOutputError
-from .geometry import Deltas, OrientedBox, Point3, decode_box, update_point
+from .geometry import Deltas, OrientedBox, Point3, decode_box
+# Not called here; perfbench/bench_trace.py patches this name on this module.
+from .geometry import update_point  # noqa: F401
 from .overlap import Detection, nms
 from .voting import ia_voting
 
@@ -41,11 +44,10 @@ class Proposal:
 @dataclass(frozen=True, slots=True)
 class Prediction:
     """One head output: class probabilities (background last), face
-    distances, heading, and predicted centerness."""
+    distances with heading, and predicted centerness."""
 
     class_probs: np.ndarray
     deltas: Deltas
-    heading: float
     centerness: float
 
 
@@ -88,14 +90,13 @@ def _validate_prediction(pred: Prediction, index: int) -> None:
         )
     if not (math.isfinite(pred.centerness) and 0.0 <= pred.centerness <= 1.0):
         raise PredictorOutputError(f"proposal {index}: centerness {pred.centerness} outside [0, 1]")
-    if not all(math.isfinite(v) for v in pred.deltas.faces()) or not math.isfinite(pred.heading):
+    if not all(math.isfinite(v) for v in (*pred.deltas.faces(), pred.deltas.heading)):
         raise PredictorOutputError(f"proposal {index}: non-finite regression output")
 
 
 def prediction_to_detection(proposal: Proposal, pred: Prediction, stage: int) -> Detection:
     """Decode one prediction into a scored, classified box."""
-    d = Deltas(*pred.deltas.faces(), heading=pred.heading)
-    box = decode_box(proposal.point, d)
+    box = decode_box(proposal.point, pred.deltas)
     fg = np.asarray(pred.class_probs)[:-1]
     class_id = int(np.argmax(fg))
     score = float(np.clip(fg[class_id] * pred.centerness, 0.0, 1.0))
@@ -108,6 +109,50 @@ def _stage_predictor(predictor, l: int):
     if callable(predictor):
         return predictor
     return predictor[l - 1]
+
+
+def stage_assignment(
+    proposals: list[Proposal], gts: list[OrientedBox], mu: float
+) -> Assignment:
+    """Positive assignment of one stage's proposals at threshold mu.
+
+    Denoising proposals stay pinned to their ground truth whatever mu is.
+    """
+    fixed = {
+        i: prop.denoising_gt
+        for i, prop in enumerate(proposals)
+        if prop.is_denoising and prop.denoising_gt is not None
+    }
+    return assign_targets([prop.point for prop in proposals], gts, mu, fixed_assignments=fixed)
+
+
+def hand_off(
+    proposals: list[Proposal], boxes: list[OrientedBox], *, weighting: str
+) -> list[Proposal]:
+    """The next stage's proposals: each point moved onto its box center.
+
+    boxes[i] is decoded from proposal i's prediction, so its center is
+    the updated point. Features are re-voted inside each box over the
+    whole current proposal set.
+    """
+    moved = [box.center for box in boxes]
+    voted = ia_voting(
+        moved,
+        boxes,
+        [prop.point for prop in proposals],
+        [prop.feature for prop in proposals],
+        weighting=weighting,
+    )
+    return [
+        Proposal(
+            point=moved[i],
+            feature=voted[i],
+            origin_index=prop.origin_index,
+            is_denoising=prop.is_denoising,
+            denoising_gt=prop.denoising_gt,
+        )
+        for i, prop in enumerate(proposals)
+    ]
 
 
 def run_cascade(
@@ -138,51 +183,20 @@ def run_cascade(
             _validate_prediction(pred, i)
             preds.append(pred)
         dets = [prediction_to_detection(prop, pred, l) for prop, pred in zip(current, preds)]
-        updated = [
-            update_point(prop.point, Deltas(*pred.deltas.faces(), heading=pred.heading))
-            for prop, pred in zip(current, preds)
-        ]
-        assignment: Assignment | None = None
-        mu: float | None = None
-        if gts is not None:
-            mu = cpa_threshold(l, sched)
-            fixed = {
-                i: prop.denoising_gt
-                for i, prop in enumerate(current)
-                if prop.is_denoising and prop.denoising_gt is not None
-            }
-            assignment = assign_targets(
-                [prop.point for prop in current], gts, mu, fixed_assignments=fixed
-            )
+        mu = None if gts is None else cpa_threshold(l, sched)
         records.append(
             StageRecord(
                 stage=l,
                 mu=mu,
                 proposals_in=current,
                 predictions=preds,
-                updated_points=updated,
-                assignment=assignment,
+                updated_points=[det.box.center for det in dets],
+                assignment=None if gts is None else stage_assignment(current, gts, mu),
                 detections=dets,
             )
         )
         if l < L:
-            voted = ia_voting(
-                updated,
-                [det.box for det in dets],
-                [prop.point for prop in current],
-                [prop.feature for prop in current],
-                weighting=weighting,
-            )
-            current = [
-                Proposal(
-                    point=updated[i],
-                    feature=voted[i],
-                    origin_index=prop.origin_index,
-                    is_denoising=prop.is_denoising,
-                    denoising_gt=prop.denoising_gt,
-                )
-                for i, prop in enumerate(current)
-            ]
+            current = hand_off(current, [det.box for det in dets], weighting=weighting)
     return StageTrace(stages=records, gts=list(gts) if gts is not None else None)
 
 

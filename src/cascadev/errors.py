@@ -25,10 +25,6 @@ class InvalidDeltasError(NumericalError):
     """Face distances imply a non-positive box size."""
 
 
-class BehindCameraError(NumericalError):
-    """Projective denominator vanishes; the point has no image."""
-
-
 class WrongVariantError(ConfigError):
     """An axis-aligned routine was called with rotated input."""
 

@@ -238,7 +238,7 @@ def trace_to_doc(trace: StageTrace, scene_seed: int | None = None) -> dict:
                 {
                     "class_probs": np.asarray(pr.class_probs, dtype=np.float64).tolist(),
                     "deltas": _deltas_doc(pr.deltas),
-                    "heading": pr.heading,
+                    "heading": pr.deltas.heading,
                     "centerness": pr.centerness,
                 }
                 for pr in rec.predictions
@@ -275,7 +275,6 @@ def trace_from_doc(doc: dict) -> StageTrace:
                         Prediction(
                             class_probs=np.asarray(pr["class_probs"], dtype=np.float64),
                             deltas=Deltas.from_array(pr["deltas"]),
-                            heading=pr["heading"],
                             centerness=pr["centerness"],
                         )
                         for pr in rec["predictions"]

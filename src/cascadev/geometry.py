@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BehindCameraError, InvalidDeltasError
+from .errors import InvalidDeltasError
 
 EPS = 1e-9
 
@@ -135,25 +135,6 @@ class Deltas:
         return Deltas(*(float(v) for v in a[:6]), heading=float(a[6]) if len(a) > 6 else 0.0)
 
 
-@dataclass(frozen=True, slots=True)
-class CameraMap:
-    """Projective mapping from 3D points to 2D image coordinates.
-
-    Nine parameters (p1..p9): the image of (x, y, z) is
-
-        u = (p1 x + p2 y + p3 z) / (p7 x + p8 y + p9 z)
-        v = (p4 x + p5 y + p6 z) / (p7 x + p8 y + p9 z)
-    """
-
-    psi: tuple[float, float, float, float, float, float, float, float, float]
-
-    def __post_init__(self) -> None:
-        if len(self.psi) != 9:
-            raise ValueError("camera map needs exactly 9 parameters")
-        if self.psi[6] == 0.0 and self.psi[7] == 0.0 and self.psi[8] == 0.0:
-            raise ValueError("degenerate camera map: p7 = p8 = p9 = 0")
-
-
 def _to_canonical(p: Point3, box: OrientedBox) -> tuple[float, float, float]:
     """Coordinates of p in the box's canonical (yaw-derotated) frame."""
     dx = p.x - box.center.x
@@ -250,21 +231,6 @@ def point_in_scaled_box(p: Point3, box: OrientedBox, mu: float) -> bool:
         and abs(qy) <= mu * l + EPS
         and abs(qz) <= mu * h + EPS
     )
-
-
-def project_point(p: Point3, cam: CameraMap) -> tuple[float, float]:
-    """Project a 3D point through the rational camera mapping.
-
-    Raises BehindCameraError when the denominator is within 1e-12 of
-    zero.
-    """
-    p1, p2, p3, p4, p5, p6, p7, p8, p9 = cam.psi
-    den = p7 * p.x + p8 * p.y + p9 * p.z
-    if abs(den) < 1e-12:
-        raise BehindCameraError(f"projective denominator {den} vanishes for {p}")
-    u = (p1 * p.x + p2 * p.y + p3 * p.z) / den
-    v = (p4 * p.x + p5 * p.y + p6 * p.z) / den
-    return u, v
 
 
 # Vectorized helpers. Bulk geometry (voting masks, Monte-Carlo overlap,

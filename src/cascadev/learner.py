@@ -12,8 +12,9 @@ of the centerness against its geometric target over positives.
 Training walks the stages like the inference cascade does: stage l is
 supervised at its own shrinking assignment threshold on the current
 proposal points, takes an SGD step, and then hands the moved points
-and re-voted features to stage l+1. No gradient flows between stages;
-each head sees its inputs as constants.
+and re-voted features to stage l+1. Assignment and hand-off are the
+cascade's own stage_assignment and hand_off. No gradient flows between
+stages; each head sees its inputs as constants.
 """
 
 from __future__ import annotations
@@ -23,12 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import Assignment, CpaSchedule, assign_targets, cpa_threshold
-from .cascade import Prediction, Proposal
+from .assignment import Assignment, CpaSchedule, cpa_threshold
+from .cascade import Prediction, Proposal, hand_off, stage_assignment
 from .errors import InvalidDeltasError, TrainingDivergedError
-from .geometry import Deltas, decode_box, update_point
+from .geometry import Deltas, decode_box
 from .synth import SyntheticScene, scene_proposals
-from .voting import ia_voting
+
+# Not called here since training shares the cascade's stage step;
+# perfbench/bench_trace.py patches these names on this module.
+from .assignment import assign_targets  # noqa: F401
+from .geometry import update_point  # noqa: F401
+from .voting import ia_voting  # noqa: F401
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -291,11 +297,9 @@ def head_predictor(params: HeadParams, stage: int):
         cent, _ = _forward(sp.cent, x)
         probs = _softmax(logits)[0]
         d6 = _softplus(reg[0, :6])
-        heading = float(reg[0, 6])
         return Prediction(
             class_probs=probs,
-            deltas=Deltas(*d6, heading=heading),
-            heading=heading,
+            deltas=Deltas(*d6, heading=float(reg[0, 6])),
             centerness=float(_sigmoid(cent[0, :1])[0]),
         )
 
@@ -376,14 +380,10 @@ def train_cascade(
                 denoising=True,
                 denoising_k=denoising_k,
             )
-            batch.append({
-                "scene": scene,
-                "points": [p.point for p in props],
-                "feats": np.stack([p.feature for p in props]),
-                "fixed": {i: p.denoising_gt for i, p in enumerate(props) if p.is_denoising},
-            })
+            batch.append({"gts": scene.gt_boxes, "props": props})
         for l in range(1, sched.num_stages + 1):
             sp = params.stages[l - 1]
+            mu = cpa_threshold(l, sched)
             acc = {
                 name: [np.zeros_like(a) for a in bp.arrays()]
                 for name, bp in sp.branches().items()
@@ -391,19 +391,14 @@ def train_cascade(
             loss_sums = np.zeros(3)
             positives = 0
             for entry in batch:
-                feats = entry["feats"]
+                feats = np.stack([p.feature for p in entry["props"]])
                 cls_out, cls_h = _forward(sp.cls, feats)
                 reg_out, reg_h = _forward(sp.reg, feats)
                 cent_out, cent_h = _forward(sp.cent, feats)
                 outputs = StageOutputs(
                     cls_logits=cls_out, reg_raw=reg_out, cent_logits=cent_out[:, 0]
                 )
-                assignment = assign_targets(
-                    entry["points"],
-                    entry["scene"].gt_boxes,
-                    cpa_threshold(l, sched),
-                    fixed_assignments=entry["fixed"],
-                )
+                assignment = stage_assignment(entry["props"], entry["gts"], mu)
                 rep, (g_cls, g_reg, g_cent) = compute_losses(
                     outputs, assignment, weights, step=step, stage=l, _with_grads=True
                 )
@@ -433,24 +428,17 @@ def train_cascade(
             if l < sched.num_stages:
                 for entry in batch:
                     reg_out = entry["outputs"].reg_raw
-                    points = entry["points"]
                     d6 = _softplus(reg_out[:, :6])
-                    deltas = [
-                        Deltas(*d6[i], heading=float(reg_out[i, 6]))
-                        for i in range(len(points))
-                    ]
                     try:
-                        boxes = [decode_box(points[i], deltas[i]) for i in range(len(points))]
+                        boxes = [
+                            decode_box(p.point, Deltas(*d6[i], heading=float(reg_out[i, 6])))
+                            for i, p in enumerate(entry["props"])
+                        ]
                     except InvalidDeltasError as exc:
                         # Softplus only hits exact zero when the raw output has
                         # exploded, so a degenerate box here means divergence.
                         raise TrainingDivergedError(
                             f"box decode failed at step {step}, stage {l}: {exc}"
                         ) from exc
-                    moved = [update_point(points[i], deltas[i]) for i in range(len(points))]
-                    voted = ia_voting(
-                        moved, boxes, points, entry["feats"], weighting=weighting
-                    )
-                    entry["points"] = moved
-                    entry["feats"] = np.stack(voted)
+                    entry["props"] = hand_off(entry["props"], boxes, weighting=weighting)
     return params, history

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .assignment import select_denoising, select_top_b
 from .cascade import Prediction, Proposal
 from .errors import PlacementError
 from .geometry import (
@@ -221,7 +222,9 @@ def _clutter_points(cfg: SceneConfig, boxes: list[OrientedBox], rng: np.random.G
     highs = np.array([b for _, b in cfg.workspace])
     out: list[np.ndarray] = []
     need = cfg.num_clutter
-    while need > 0:
+    for _ in range(_PLACEMENT_RETRIES):
+        if need == 0:
+            break
         batch = rng.uniform(lows, highs, size=(max(need * 2, 64), 3))
         inside_any = np.zeros(len(batch), dtype=bool)
         for b in boxes:
@@ -229,6 +232,11 @@ def _clutter_points(cfg: SceneConfig, boxes: list[OrientedBox], rng: np.random.G
         keep = batch[~inside_any][:need]
         out.append(keep)
         need -= len(keep)
+    if need:
+        raise PlacementError(
+            f"placed only {cfg.num_clutter - need} of {cfg.num_clutter} clutter points "
+            f"outside the boxes after {_PLACEMENT_RETRIES} batches; workspace too crowded"
+        )
     return np.concatenate(out) if out else np.zeros((0, 3))
 
 
@@ -344,12 +352,7 @@ def oracle_predictor(scene: SyntheticScene, noise: OracleNoise, seed: int = 0):
         c_pred = c_true
         if noise.centerness_bias > 0.0:
             c_pred = float(np.clip(c_true + noise.centerness_bias * rng.normal(), 0.0, 1.0))
-        return Prediction(
-            class_probs=probs,
-            deltas=Deltas(*d, heading=heading),
-            heading=heading,
-            centerness=c_pred,
-        )
+        return Prediction(class_probs=probs, deltas=Deltas(*d, heading=heading), centerness=c_pred)
 
     return predict
 
@@ -371,19 +374,14 @@ def scene_proposals(
     is the plain nearest-point rule; larger groups give a trainable
     head broader positive coverage during cold start.
     """
-    from .assignment import select_top_b
-
     if denoising_k < 1:
         raise ValueError(f"need denoising_k >= 1, got {denoising_k}")
     group: list[tuple[int, int]] = []
-    taken: set[int] = set()
     if denoising:
-        coords = np.stack([p.as_array() for p in scene.points])
-        for gi, g in enumerate(scene.gt_boxes):
-            dist = np.abs(coords - g.center.as_array()).sum(axis=1)
-            order = np.argsort(dist, kind="stable")[: min(denoising_k, len(dist))]
-            group.extend((gi, int(pi)) for pi in order)
-            taken.update(int(pi) for pi in order)
+        nearest = select_denoising(scene.points, [g.center for g in scene.gt_boxes], denoising_k)
+        per_gt = min(denoising_k, scene.num_points)
+        group = [(j // per_gt, pi) for j, pi in enumerate(nearest)]
+    taken = {pi for _, pi in group}
     chosen = [i for i in select_top_b(list(predicted_centerness), b + len(taken))
               if i not in taken][:b]
     props = [

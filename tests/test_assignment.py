@@ -213,10 +213,12 @@ class TestSelectDenoising:
             pts = [Point3(*rng.uniform(-3, 3, size=3)) for _ in range(80)]
             centers = [Point3(*rng.uniform(-3, 3, size=3)) for _ in range(4)]
             got = select_denoising(pts, centers)
+            got3 = select_denoising(pts, centers, k=3)
             for gi, c in enumerate(centers):
                 dists = [abs(p.x - c.x) + abs(p.y - c.y) + abs(p.z - c.z) for p in pts]
-                best = min(range(len(pts)), key=lambda i: (dists[i], i))
-                assert got[gi] == best
+                ranked = sorted(range(len(pts)), key=lambda i: (dists[i], i))
+                assert got[gi] == ranked[0]
+                assert got3[3 * gi : 3 * gi + 3] == ranked[:3]
 
     def test_permuting_gts_permutes_output(self):
         rng = np.random.default_rng(37)

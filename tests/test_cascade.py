@@ -23,11 +23,12 @@ from cascadev.synth import (
 )
 
 CFG = SceneConfig(num_gt=(2, 3), points_per_box=60, num_clutter=150)
+YAW_CFG = SceneConfig(num_gt=(2, 3), points_per_box=60, num_clutter=150, yaw_enabled=True)
 SCHED = CpaSchedule(0.4, 0.2, 3)
 
 
-def build(seed, noise, b=24, denoising=False):
-    scene = gen_scene(CFG, seed)
+def build(seed, noise, b=24, denoising=False, cfg=CFG):
+    scene = gen_scene(cfg, seed)
     cent = oracle_seed_centerness(scene, noise, seed=1)
     props = scene_proposals(scene, cent, b, denoising=denoising)
     predict = oracle_predictor(scene, noise, seed=1)
@@ -99,12 +100,19 @@ class TestRunCascade:
         assert sum(g > 0 for g in gains) >= 8
 
     def test_origin_index_preserved(self):
-        scene, props, predict = build(6, OracleNoise(sigma_delta=0.1), denoising=True)
+        noise = OracleNoise(sigma_delta=0.1, sigma_heading=0.1)
+        scene, props, predict = build(6, noise, denoising=True, cfg=YAW_CFG)
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes)
         base = [p.origin_index for p in props]
         for rec in trace.stages:
             assert [p.origin_index for p in rec.proposals_in] == base
             assert [p.is_denoising for p in rec.proposals_in] == [p.is_denoising for p in props]
+            # Each point moves onto its decoded box center, and that is the
+            # point the next stage receives.
+            for i, det in enumerate(rec.detections):
+                assert rec.updated_points[i] == det.box.center
+        for prev, nxt in zip(trace.stages, trace.stages[1:]):
+            assert [p.point for p in nxt.proposals_in] == prev.updated_points
 
     def test_recorded_mu_matches_schedule(self):
         scene, props, predict = build(7, OracleNoise())
@@ -171,7 +179,6 @@ class TestRunCascade:
             return Prediction(
                 class_probs=np.array([0.5, 0.2, 0.0, 0.0, 0.0, 0.0]),
                 deltas=Deltas(0.5, 0.5, 0.5, 0.5, 0.5, 0.5),
-                heading=0.0,
                 centerness=0.5,
             )
 
@@ -179,7 +186,6 @@ class TestRunCascade:
             return Prediction(
                 class_probs=np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
                 deltas=Deltas(0.5, 0.5, 0.5, 0.5, 0.5, 0.5),
-                heading=0.0,
                 centerness=1.5,
             )
 

@@ -222,6 +222,15 @@ class TestExitCodes:
         assert main(["run", str(wscenes), "--config", str(wpath),
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_no_room_for_clutter_is_data_error(self, tmp_path):
+        cfg = tmp_path / "full.json"
+        cfg.write_text(json.dumps({
+            "num_scenes": 1,
+            "scene": {"num_gt": [1, 1], "size_range": [[1, 1]] * 3, "num_clutter": 5,
+                      "workspace": [[0, 1]] * 3},
+        }))
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
     def test_bad_thread_env_is_config_error(self, tmp_path, cfg_path, monkeypatch):
         monkeypatch.setenv("CASCADEV_THREADS", "zero")
         assert main(["gen", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cascadev.errors import BehindCameraError, InvalidDeltasError
+from cascadev.errors import InvalidDeltasError
 from cascadev.geometry import (
     EPS,
-    CameraMap,
     Deltas,
     OrientedBox,
     Point3,
@@ -17,7 +16,6 @@ from cascadev.geometry import (
     encode_deltas,
     normalize_yaw,
     point_in_scaled_box,
-    project_point,
     update_point,
 )
 
@@ -238,33 +236,6 @@ class TestScaledMembership:
             point_in_scaled_box(box.center, box, 0.0)
         with pytest.raises(ValueError):
             point_in_scaled_box(box.center, box, -0.1)
-
-
-class TestProjection:
-    def test_known_value(self):
-        cam = CameraMap((1, 0, 0, 0, 1, 0, 0, 0, 1))
-        u, v = project_point(Point3(2.0, 4.0, 2.0), cam)
-        assert u == pytest.approx(1.0, abs=1e-12)
-        assert v == pytest.approx(2.0, abs=1e-12)
-
-    def test_general_map(self):
-        cam = CameraMap((2.0, 0.5, 1.0, -1.0, 3.0, 0.0, 0.1, 0.2, 1.0))
-        p = Point3(1.0, -2.0, 4.0)
-        den = 0.1 * 1.0 + 0.2 * -2.0 + 1.0 * 4.0
-        u, v = project_point(p, cam)
-        assert u == pytest.approx((2.0 - 1.0 + 4.0) / den, abs=1e-12)
-        assert v == pytest.approx((-1.0 - 6.0) / den, abs=1e-12)
-
-    def test_behind_camera_raises(self):
-        cam = CameraMap((1, 0, 0, 0, 1, 0, 0, 0, 1))
-        with pytest.raises(BehindCameraError):
-            project_point(Point3(1.0, 1.0, 0.0), cam)
-        with pytest.raises(BehindCameraError):
-            project_point(Point3(1.0, 1.0, 5e-13), cam)
-
-    def test_degenerate_map_rejected(self):
-        with pytest.raises(ValueError):
-            CameraMap((1, 0, 0, 0, 1, 0, 0, 0, 0))
 
 
 class TestTypesAndHelpers:

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from cascadev import learner
 from cascadev.assignment import CpaSchedule, assign_targets
 from cascadev.cascade import Proposal, run_cascade
 from cascadev.errors import TrainingDivergedError
@@ -12,6 +14,7 @@ from cascadev.learner import (
     StageOutputs,
     _backward,
     _forward,
+    _softmax,
     compute_losses,
     head_predictor,
     head_predictors,
@@ -251,7 +254,6 @@ class TestHeadPredictor:
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
             d = pred.deltas
             assert all(v > 0.0 for v in (d.d1, d.d2, d.d3, d.d4, d.d5, d.d6))
-            assert pred.heading == d.heading
             assert 0.0 < pred.centerness < 1.0
 
     def test_one_predictor_per_stage(self, trained):
@@ -309,6 +311,36 @@ class TestTrainCascade:
             for b1, b2 in zip(s1.branches().values(), s2.branches().values()):
                 for a1, a2 in zip(b1.arrays(), b2.arrays()):
                     assert np.array_equal(a1, a2)
+
+    def test_training_mirrors_inference(self, monkeypatch):
+        # A one-step run supervises every stage with the initial weights,
+        # so each stage must see what run_cascade sees with the untrained
+        # head. The batched and per-row forwards may differ in the last bit.
+        cfg = dataclasses.replace(SMALL_CFG, yaw_enabled=True)
+        scene = gen_scene(cfg, seed=5)
+        recorded = []
+        original = learner.compute_losses
+
+        def record(outputs, assignment, *args, **kwargs):
+            recorded.append((outputs, assignment))
+            return original(outputs, assignment, *args, **kwargs)
+
+        monkeypatch.setattr(learner, "compute_losses", record)
+        train_cascade([scene], SCHED, 1, 1e-2, 3, b=32, denoising_k=2)
+
+        params = init_head_params(cfg.feature_dim, cfg.num_classes, SCHED.num_stages, seed=3)
+        props = scene_proposals(scene, uniform_seed_scores(scene), 32, denoising=True,
+                                denoising_k=2)
+        trace = run_cascade(props, head_predictors(params), SCHED, gts=scene.gt_boxes)
+        assert len(recorded) == trace.num_stages
+        for (outputs, assignment), rec in zip(recorded, trace.stages):
+            assert assignment.matched_gt == rec.assignment.matched_gt
+            probs = np.stack([pred.class_probs for pred in rec.predictions])
+            np.testing.assert_allclose(_softmax(outputs.cls_logits), probs, rtol=0, atol=1e-12)
+            for got, want in zip(assignment.target_deltas, rec.assignment.target_deltas):
+                assert (got is None) == (want is None)
+                if got is not None:
+                    np.testing.assert_allclose(got.as_array(), want.as_array(), rtol=0, atol=1e-12)
 
     def test_batched_scenes_pool_positives(self):
         scenes = [gen_scene(SMALL_CFG, seed=s) for s in range(4)]

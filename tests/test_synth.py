@@ -118,6 +118,15 @@ class TestGenScene:
         )
         with pytest.raises(PlacementError):
             gen_scene(cfg, 0)
+        # A box that fills the workspace leaves no free volume for clutter.
+        full = SceneConfig(
+            num_gt=(1, 1),
+            size_range=((1.0, 1.0),) * 3,
+            num_clutter=5,
+            workspace=((0.0, 1.0),) * 3,
+        )
+        with pytest.raises(PlacementError):
+            gen_scene(full, 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -231,7 +240,6 @@ class TestOracle:
         for a, b in zip(*outs):
             assert np.array_equal(a.class_probs, b.class_probs)
             assert a.deltas == b.deltas
-            assert a.heading == b.heading
             assert a.centerness == b.centerness
 
     def test_centerness_clamped(self):
