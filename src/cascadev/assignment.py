@@ -147,9 +147,9 @@ def select_denoising(all_points: list[Point3], gt_centers: list[Point3], k: int 
     return out
 
 
-def select_top_b(predicted_centerness: list[float], b: int) -> list[int]:
-    """Indices of the b largest values, descending, ties by lower index."""
+def select_top_b(predicted_centerness: list[float] | np.ndarray, b: int) -> list[int]:
+    """Indices of the b largest values, descending, ties (0.0 and -0.0 too) by lower index."""
     if b < 1:
         raise ValueError(f"need b >= 1, got {b}")
-    order = sorted(range(len(predicted_centerness)), key=lambda i: (-predicted_centerness[i], i))
-    return order[: min(b, len(order))]
+    values = np.asarray(predicted_centerness, dtype=np.float64)
+    return np.argsort(-values, kind="stable")[:b].tolist()

@@ -25,9 +25,12 @@ from scipy import stats as _scipy_stats
 
 from .cascade import StageTrace
 from .errors import DataError, WrongVariantError
-from .geometry import OrientedBox, Point3, centerness, encode_deltas
+from .geometry import OrientedBox, points_as_array
 from .overlap import Detection, iou_aabb, iou_rotated
-from .synth import match_point_to_gt
+from .synth import match_points_to_gt, matched_centerness
+
+# Not called here; perfbench/bench_trace.py patches this name on this module.
+from .geometry import encode_deltas  # noqa: F401
 
 IOU_VARIANTS = ("rotated", "aabb")
 AP_MODES = ("continuous", "11point")
@@ -259,16 +262,19 @@ def cascade_stats(traces: list[StageTrace]) -> CascadeStats:
                 mus[si] = rec.mu
             if rec.assignment is not None:
                 per_stage_pos[si] += rec.assignment.num_regular_positives
-            for pi, prop in enumerate(rec.proposals_in):
-                if prop.is_denoising:
-                    continue
-                ref = gts[match_point_to_gt(prop.point, gts)]
-                before = centerness(encode_deltas(prop.point, ref))
-                after = centerness(encode_deltas(rec.updated_points[pi], ref))
-                iou = iou_rotated(rec.detections[pi].box, ref)
-                per_stage_before[si].append(before)
-                per_stage_after[si].append(after)
-                per_stage_pairs[si].append((before, iou))
+            keep = [pi for pi, prop in enumerate(rec.proposals_in) if not prop.is_denoising]
+            pts = points_as_array([rec.proposals_in[pi].point for pi in keep])
+            owner = match_points_to_gt(pts, gts)
+            before = matched_centerness(pts, gts, owner).tolist()
+            after = matched_centerness(
+                [rec.updated_points[pi] for pi in keep], gts, owner
+            ).tolist()
+            per_stage_before[si].extend(before)
+            per_stage_after[si].extend(after)
+            per_stage_pairs[si].extend(
+                (b, iou_rotated(rec.detections[pi].box, gts[gi]))
+                for pi, gi, b in zip(keep, owner.tolist(), before)
+            )
 
     stages = []
     for si in range(num_stages):

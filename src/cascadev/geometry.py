@@ -32,6 +32,7 @@ from any number of threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,7 +235,11 @@ def point_in_scaled_box(p: Point3, box: OrientedBox, mu: float) -> bool:
 
 
 # Vectorized helpers. Bulk geometry (voting masks, Monte-Carlo overlap,
-# scene generation) goes through these instead of the scalar API.
+# scene generation, seed scoring, cascade statistics) goes through these
+# instead of the scalar API: canonical_coords, contains_points,
+# encode_deltas_array and centerness_array. The array kernels repeat the
+# scalar arithmetic operation for operation, so their results are
+# bit-identical to encode_deltas and centerness row by row.
 
 
 def points_as_array(points) -> np.ndarray:
@@ -244,7 +249,10 @@ def points_as_array(points) -> np.ndarray:
         if a.ndim != 2 or a.shape[1] != 3:
             raise ValueError(f"expected an (N, 3) array, got shape {a.shape}")
         return a
-    return np.array([[p.x, p.y, p.z] for p in points], dtype=np.float64)
+    out = np.empty((len(points), 3))
+    for axis, name in enumerate("xyz"):
+        out[:, axis] = np.fromiter(map(operator.attrgetter(name), points), np.float64, len(points))
+    return out
 
 
 def canonical_coords(box: OrientedBox, points) -> np.ndarray:
@@ -259,6 +267,38 @@ def canonical_coords(box: OrientedBox, points) -> np.ndarray:
     out[:, 0] = c * rel[:, 0] + s * rel[:, 1]
     out[:, 1] = -s * rel[:, 0] + c * rel[:, 1]
     out[:, 2] = rel[:, 2]
+    return out
+
+
+def encode_deltas_array(box: OrientedBox, points) -> np.ndarray:
+    """Face distances (d1..d6) of many points against one box, shape (N, 6).
+
+    Row i equals encode_deltas(points[i], box).faces(); the heading is
+    box.yaw for every row and is left out.
+    """
+    q = canonical_coords(box, points)
+    # Built column by column and returned as a transposed view, so the
+    # row-wise min of a caller's containment test is a fast reduction.
+    out = np.empty((6, len(q)))
+    for axis, extent in enumerate(box.size):
+        half = extent / 2.0
+        out[2 * axis] = half - q[:, axis]
+        out[2 * axis + 1] = q[:, axis] + half
+    return out.T
+
+
+def centerness_array(d: np.ndarray) -> np.ndarray:
+    """Row-wise centerness of an (N, 6) face-distance array, shape (N,).
+
+    Row i equals centerness(Deltas(*d[i])): zero where any distance is
+    <= EPS, and only the other rows reach the ratios and the sqrt.
+    """
+    out = np.zeros(len(d))
+    inside = d.min(axis=1) > EPS
+    f = d[inside]
+    r1, r2, r3 = (np.minimum(f[:, a], f[:, a + 1]) / np.maximum(f[:, a], f[:, a + 1])
+                  for a in (0, 2, 4))
+    out[inside] = np.sqrt(r1 * r2 * r3)
     return out
 
 

@@ -31,8 +31,10 @@ from .geometry import (
     OrientedBox,
     Point3,
     centerness,
+    centerness_array,
     contains_points,
     encode_deltas,
+    encode_deltas_array,
     points_as_array,
 )
 from .overlap import iou_rotated
@@ -304,6 +306,48 @@ def match_point_to_gt(p: Point3, gts: list[OrientedBox]) -> int:
     return int(np.argmin(dist))
 
 
+def match_points_to_gt(points, gts: list[OrientedBox]) -> np.ndarray:
+    """match_point_to_gt for every row of an (N, 3) array; returns (N,) indices.
+
+    Same rule, same float operations: a point is inside a box when its
+    smallest face distance is >= -1e-9, the strictly smaller volume wins
+    among containing boxes, and points inside none go to the nearest
+    center (np.linalg.norm), the lower index winning a tie.
+    """
+    # Column-major, so the per-box passes below read contiguous columns.
+    pts = np.asfortranarray(points_as_array(points))
+    if len(pts) and not gts:
+        raise ValueError("cannot match points without ground-truth boxes")
+    owner = np.full(len(pts), -1, dtype=np.int64)
+    best_vol = np.full(len(pts), math.inf)
+    for gi, gt in enumerate(gts):
+        inside = encode_deltas_array(gt, pts).min(axis=1) >= -1e-9
+        better = inside & (gt.volume < best_vol)
+        owner[better] = gi
+        best_vol[better] = gt.volume
+    free = np.flatnonzero(owner < 0)
+    if len(free):
+        rest = pts[free]
+        best_dist = np.full(len(free), math.inf)
+        for gi, gt in enumerate(gts):
+            center = np.array([gt.center.x, gt.center.y, gt.center.z])
+            dist = np.linalg.norm(center - rest, axis=1)
+            closer = dist < best_dist
+            owner[free[closer]] = gi
+            best_dist[closer] = dist[closer]
+    return owner
+
+
+def matched_centerness(points, gts: list[OrientedBox], owner: np.ndarray) -> np.ndarray:
+    """Centerness of each row of an (N, 3) array against gts[owner[row]], shape (N,)."""
+    pts = points_as_array(points)
+    out = np.empty(len(pts))
+    for gi, gt in enumerate(gts):
+        rows = owner == gi
+        out[rows] = centerness_array(encode_deltas_array(gt, pts[rows]))
+    return out
+
+
 def _guard_extents(d: np.ndarray) -> np.ndarray:
     """Shift delta pairs so every implied extent stays decodable."""
     out = d.copy()
@@ -382,7 +426,7 @@ def scene_proposals(
         per_gt = min(denoising_k, scene.num_points)
         group = [(j // per_gt, pi) for j, pi in enumerate(nearest)]
     taken = {pi for _, pi in group}
-    chosen = [i for i in select_top_b(list(predicted_centerness), b + len(taken))
+    chosen = [i for i in select_top_b(predicted_centerness, b + len(taken))
               if i not in taken][:b]
     props = [
         Proposal(point=scene.points[i], feature=scene.features[i].copy(), origin_index=i)
@@ -409,10 +453,8 @@ def oracle_seed_centerness(scene: SyntheticScene, noise: OracleNoise, seed: int 
     noise applied. Draws come from a separate stream keyed alongside
     the oracle's, keeping selection independent of prediction noise.
     """
-    vals = np.empty(scene.num_points)
-    for i, p in enumerate(scene.points):
-        gt = scene.gt_boxes[match_point_to_gt(p, scene.gt_boxes)]
-        vals[i] = centerness(encode_deltas(p, gt))
+    pts = points_as_array(scene.points)
+    vals = matched_centerness(pts, scene.gt_boxes, match_points_to_gt(pts, scene.gt_boxes))
     if noise.centerness_bias > 0.0:
         rng = _rng((scene.seed << 1) ^ seed ^ 0x5EED)
         vals = np.clip(vals + noise.centerness_bias * rng.normal(size=len(vals)), 0.0, 1.0)

@@ -249,6 +249,15 @@ class TestSelectTopB:
             b = int(rng.integers(1, 41))
             ref = sorted(range(40), key=lambda i: (-vals[i], i))[:b]
             assert select_top_b(vals, b) == ref
+            assert select_top_b(np.array(vals), b) == ref
+        # Repeated fractional values, and signed zeros that compare equal.
+        for _ in range(50):
+            vals = [float(v) for v in rng.choice([0.0, -0.0, 0.25, 0.7, 1.0], size=30)]
+            b = int(rng.integers(1, 31))
+            ref = sorted(range(30), key=lambda i: (-vals[i], i))[:b]
+            assert select_top_b(vals, b) == ref
+        assert select_top_b([-0.0, 0.0, -0.0], 3) == [0, 1, 2]
+        assert select_top_b([0.0, -0.0, 0.5], 3) == [2, 0, 1]
 
     def test_invalid_b(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from cascadev.cascade import Proposal
 from cascadev.errors import PlacementError
-from cascadev.geometry import Point3, decode_box, encode_deltas, point_in_scaled_box
+from cascadev.geometry import Point3, centerness, decode_box, encode_deltas, point_in_scaled_box
 from cascadev.overlap import iou_rotated
 from cascadev.synth import (
     OracleNoise,
@@ -261,6 +261,20 @@ class TestOracle:
         )
         with pytest.raises(ValueError):
             oracle_predictor(empty, OracleNoise())
+
+    @pytest.mark.parametrize("yaw", [False, True])
+    @pytest.mark.parametrize("bias", [0.0, 0.1])
+    def test_seed_centerness_equals_per_point_loop(self, yaw, bias):
+        s = gen_scene(SceneConfig(num_gt=(3, 4), yaw_enabled=yaw), 28)
+        gts = s.gt_boxes
+        ref = np.array(
+            [centerness(encode_deltas(p, gts[match_point_to_gt(p, gts)])) for p in s.points]
+        )
+        if bias:
+            rng = np.random.Generator(np.random.Philox(key=(s.seed << 1) ^ 5 ^ 0x5EED))
+            ref = np.clip(ref + bias * rng.normal(size=len(ref)), 0.0, 1.0)
+        got = oracle_seed_centerness(s, OracleNoise(centerness_bias=bias), seed=5)
+        assert np.array_equal(got, ref)
 
     def test_noise_validation(self):
         with pytest.raises(ValueError):
