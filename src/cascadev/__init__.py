@@ -1,9 +1,10 @@
 """Cascade point-voting 3D detection: geometry, simulation, training, evaluation."""
 
+import importlib
+
 from . import (
     assignment,
     cascade,
-    cli,
     errors,
     evaluation,
     formats,
@@ -163,3 +164,11 @@ __all__ = [
     "scene_proposals",
     "ia_voting",
 ]
+
+
+def __getattr__(name: str):
+    # The CLI loads on first use, so `python -m cascadev.cli` runs it once
+    # as __main__ rather than finding it already imported by the package.
+    if name == "cli":
+        return importlib.import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

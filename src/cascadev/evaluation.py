@@ -26,11 +26,12 @@ from scipy import stats as _scipy_stats
 from .cascade import StageTrace
 from .errors import DataError, WrongVariantError
 from .geometry import OrientedBox, points_as_array
-from .overlap import Detection, iou_aabb, iou_rotated
+from .overlap import Detection, footprint_iou, footprints, iou_aabb
 from .synth import match_points_to_gt, matched_centerness
 
-# Not called here; perfbench/bench_trace.py patches this name on this module.
+# Not called here; perfbench/bench_trace.py patches these names on this module.
 from .geometry import encode_deltas  # noqa: F401
+from .overlap import iou_rotated  # noqa: F401
 
 IOU_VARIANTS = ("rotated", "aabb")
 AP_MODES = ("continuous", "11point")
@@ -62,10 +63,16 @@ class ApResult:
         return self.at(iou_threshold).mean_ap
 
 
-def _iou_fn(variant: str):
-    if variant not in IOU_VARIANTS:
-        raise WrongVariantError(f"unknown IoU variant {variant!r}, expected one of {IOU_VARIANTS}")
-    return iou_rotated if variant == "rotated" else iou_aabb
+def _scene_iou(dets: list[Detection], gts: list[OrientedBox], variant: str):
+    """IoU of detection i with ground-truth box gi, as a function of (i, gi).
+
+    The rotated variant builds every box's footprint once per scene.
+    """
+    if variant == "rotated":
+        det_fps = footprints([d.box for d in dets])
+        gt_fps = footprints(gts)
+        return lambda i, gi: footprint_iou(det_fps[i], gt_fps[gi])
+    return lambda i, gi: iou_aabb(dets[i].box, gts[gi])
 
 
 def _check_gt_classes(gts: list[OrientedBox]) -> None:
@@ -75,7 +82,7 @@ def _check_gt_classes(gts: list[OrientedBox]) -> None:
 
 
 def _match_one_scene(
-    dets: list[Detection], gts: list[OrientedBox], iou_threshold: float, iou_fn
+    dets: list[Detection], gts: list[OrientedBox], iou_threshold: float, pair_iou
 ) -> list[tuple[int, float, bool]]:
     """Greedy matching for one scene.
 
@@ -95,7 +102,7 @@ def _match_one_scene(
         for gi, gt in enumerate(gts):
             if gt.class_id != det.class_id or matched[gi]:
                 continue
-            v = iou_fn(det.box, gt)
+            v = pair_iou(i, gi)
             if v > best_iou:
                 best_iou = v
                 best_gi = gi
@@ -166,21 +173,27 @@ def evaluate_scenes(
     """Pooled AP over several (detections, ground truth) scene pairs."""
     if ap not in AP_MODES:
         raise WrongVariantError(f"unknown AP mode {ap!r}, expected one of {AP_MODES}")
-    fn = _iou_fn(iou)
+    if iou not in IOU_VARIANTS:
+        raise WrongVariantError(f"unknown IoU variant {iou!r}, expected one of {IOU_VARIANTS}")
     for _, gts in scene_results:
         _check_gt_classes(gts)
-    results = []
     for thr in iou_thresholds:
         if not (0.0 < thr < 1.0):
             raise ValueError(f"IoU threshold must lie in (0, 1), got {thr}")
-        pooled: list[tuple[int, float, bool, int, int]] = []
-        gt_counts: dict[int, int] = {}
-        for si, (dets, gts) in enumerate(scene_results):
-            for g in gts:
-                gt_counts[g.class_id] = gt_counts.get(g.class_id, 0) + 1
-            for di, (cls, score, is_tp) in enumerate(_match_one_scene(dets, gts, thr, fn)):
-                pooled.append((cls, score, is_tp, si, di))
-        results.append(_evaluate_pooled(pooled, gt_counts, thr, ap))
+    # Scene by scene, so one scene's footprints serve every threshold and
+    # are dropped before the next scene's are built.
+    pooled: list[list[tuple[int, float, bool, int, int]]] = [[] for _ in iou_thresholds]
+    gt_counts: dict[int, int] = {}
+    for si, (dets, gts) in enumerate(scene_results):
+        for g in gts:
+            gt_counts[g.class_id] = gt_counts.get(g.class_id, 0) + 1
+        pair_iou = _scene_iou(dets, gts, iou)
+        for rows, thr in zip(pooled, iou_thresholds):
+            for di, (cls, score, is_tp) in enumerate(_match_one_scene(dets, gts, thr, pair_iou)):
+                rows.append((cls, score, is_tp, si, di))
+    results = [
+        _evaluate_pooled(rows, gt_counts, thr, ap) for rows, thr in zip(pooled, iou_thresholds)
+    ]
     return ApResult(results=results)
 
 
@@ -257,6 +270,7 @@ def cascade_stats(traces: list[StageTrace]) -> CascadeStats:
 
     for trace in traces:
         gts = trace.gts
+        gt_fps = footprints(gts)
         for si, rec in enumerate(trace.stages):
             if rec.mu is not None:
                 mus[si] = rec.mu
@@ -271,9 +285,10 @@ def cascade_stats(traces: list[StageTrace]) -> CascadeStats:
             ).tolist()
             per_stage_before[si].extend(before)
             per_stage_after[si].extend(after)
+            det_fps = footprints([rec.detections[pi].box for pi in keep])
             per_stage_pairs[si].extend(
-                (b, iou_rotated(rec.detections[pi].box, gts[gi]))
-                for pi, gi, b in zip(keep, owner.tolist(), before)
+                (b, footprint_iou(fp, gt_fps[gi]))
+                for fp, gi, b in zip(det_fps, owner.tolist(), before)
             )
 
     stages = []

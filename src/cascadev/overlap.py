@@ -3,7 +3,9 @@
 Rotated IoU is computed as BEV polygon intersection area times vertical
 extent overlap: the two footprints are convex quadrilaterals, so the
 intersection comes from Sutherland-Hodgman clipping. Near-zero BEV
-intersection areas (< 1e-12) are treated as empty.
+intersection areas (< 1e-12) are treated as empty. Callers that compare
+many boxes build each box's `Footprint` once and apply `footprint_iou`
+per pair; `iou_rotated` is the one-pair case of the same rule.
 
 All functions are pure and thread-safe.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,92 +63,142 @@ def iou_aabb(a: OrientedBox, b: OrientedBox) -> float:
     return inter / union
 
 
+class Footprint(NamedTuple):
+    """What rotated IoU needs of one box, computed once per box.
+
+    key is the box's (x, y, z, size, yaw), for the identical-box shortcut;
+    corners are the bev_corners rows as Python floats, so clipping runs
+    on plain floats rather than NumPy scalars.
+    """
+
+    key: tuple
+    corners: list[list[float]]
+    x: float
+    y: float
+    z_lo: float
+    z_hi: float
+    radius: float
+    volume: float
+
+
+# Corner order of a footprint: counterclockwise from (+w/2, +l/2).
+_CORNER_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+
+
+def _corner_array(boxes: Sequence[OrientedBox]) -> np.ndarray:
+    """(N, 4, 2) footprint corners of N >= 1 boxes, counterclockwise.
+
+    One stacked matmul runs the same per-box product as a single (4, 2)
+    @ (2, 2), so every row is bit-equal to the one-box case.
+    """
+    half = np.array([box.size[:2] for box in boxes], dtype=np.float64) / 2.0
+    local = half[:, None, :] * _CORNER_SIGNS
+    c = np.array([math.cos(box.yaw) for box in boxes])
+    s = np.array([math.sin(box.yaw) for box in boxes])
+    rot = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
+    centers = np.array([(box.center.x, box.center.y) for box in boxes], dtype=np.float64)
+    return local @ rot.transpose(0, 2, 1) + centers[:, None, :]
+
+
 def bev_corners(box: OrientedBox) -> np.ndarray:
     """The box footprint as a (4, 2) array of corners, counterclockwise."""
-    w, l, _ = box.size
-    c = math.cos(box.yaw)
-    s = math.sin(box.yaw)
-    local = np.array(
-        [
-            [w / 2.0, l / 2.0],
-            [-w / 2.0, l / 2.0],
-            [-w / 2.0, -l / 2.0],
-            [w / 2.0, -l / 2.0],
-        ]
-    )
-    rot = np.array([[c, -s], [s, c]])
-    return local @ rot.T + np.array([box.center.x, box.center.y])
+    return _corner_array([box])[0]
 
 
-def _polygon_area(poly: list[tuple[float, float]]) -> float:
+def footprints(boxes: Sequence[OrientedBox]) -> list[Footprint]:
+    """Footprints of boxes, with all corners from one batched product."""
+    if not boxes:
+        return []
+    out = []
+    for box, corners in zip(boxes, _corner_array(boxes).tolist()):
+        c = box.center
+        w, l, h = box.size
+        out.append(
+            Footprint(
+                key=(c.x, c.y, c.z, box.size, box.yaw),
+                corners=corners,
+                x=c.x,
+                y=c.y,
+                z_lo=c.z - h / 2.0,
+                z_hi=c.z + h / 2.0,
+                radius=math.hypot(w, l) / 2.0,
+                volume=box.volume,
+            )
+        )
+    return out
+
+
+def _polygon_area(poly: list) -> float:
     """Shoelace area; positive for counterclockwise vertex order."""
-    n = len(poly)
-    if n < 3:
+    if len(poly) < 3:
         return 0.0
     acc = 0.0
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
+    for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
         acc += x1 * y2 - x2 * y1
     return acc / 2.0
 
 
-def _clip_convex(subject: list[tuple[float, float]], clip: np.ndarray) -> list[tuple[float, float]]:
+def _clip_convex(subject: list, clip: list) -> list:
     """Sutherland-Hodgman: clip a polygon against a counterclockwise convex one."""
     output = subject
-    n = len(clip)
-    for i in range(n):
+    for (ax, ay), (bx, by) in zip(clip, clip[1:] + clip[:1]):
         if not output:
             break
-        ax, ay = clip[i]
-        bx, by = clip[(i + 1) % n]
         ex, ey = bx - ax, by - ay
         input_list = output
         output = []
-        prev = input_list[-1]
-        prev_side = ex * (prev[1] - ay) - ey * (prev[0] - ax)
+        px, py = input_list[-1]
+        prev_side = ex * (py - ay) - ey * (px - ax)
         for cur in input_list:
-            cur_side = ex * (cur[1] - ay) - ey * (cur[0] - ax)
+            cx, cy = cur
+            cur_side = ex * (cy - ay) - ey * (cx - ax)
             if cur_side >= 0.0:
                 if prev_side < 0.0:
                     t = prev_side / (prev_side - cur_side)
-                    output.append(
-                        (prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1]))
-                    )
+                    output.append((px + t * (cx - px), py + t * (cy - py)))
                 output.append(cur)
             elif prev_side >= 0.0:
                 t = prev_side / (prev_side - cur_side)
-                output.append(
-                    (prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1]))
-                )
-            prev, prev_side = cur, cur_side
+                output.append((px + t * (cx - px), py + t * (cy - py)))
+            px, py, prev_side = cx, cy, cur_side
     return output
+
+
+def _intersection_area(a: Footprint, b: Footprint) -> float:
+    area = abs(_polygon_area(_clip_convex(a.corners, b.corners)))
+    return 0.0 if area < _AREA_EPS else area
 
 
 def bev_intersection_area(a: OrientedBox, b: OrientedBox) -> float:
     """Footprint intersection area of two boxes; < 1e-12 collapses to 0."""
-    poly = _clip_convex([tuple(p) for p in bev_corners(a)], bev_corners(b))
-    area = abs(_polygon_area(poly))
-    return 0.0 if area < _AREA_EPS else area
+    return _intersection_area(*footprints([a, b]))
 
 
-def iou_rotated(a: OrientedBox, b: OrientedBox) -> float:
-    """Yaw-aware 3D IoU: BEV polygon intersection times z-extent overlap."""
-    if a.center == b.center and a.size == b.size and a.yaw == b.yaw:
+def footprint_iou(a: Footprint, b: Footprint) -> float:
+    """Yaw-aware 3D IoU of two footprints: BEV intersection times z overlap."""
+    if a.key == b.key:
         return 1.0
-    oz = _axis_overlap(a.center.z, a.size[2], b.center.z, b.size[2])
-    if oz <= 0.0:
+    oz = min(a.z_hi, b.z_hi) - max(a.z_lo, b.z_lo)
+    if not oz > 0.0:
         return 0.0
     # Footprints cannot meet when the center gap exceeds both circumradii.
-    gap = math.hypot(a.center.x - b.center.x, a.center.y - b.center.y)
-    if gap > (math.hypot(*a.size[:2]) + math.hypot(*b.size[:2])) / 2.0:
+    if math.hypot(a.x - b.x, a.y - b.y) > a.radius + b.radius:
         return 0.0
-    area = bev_intersection_area(a, b)
+    area = _intersection_area(a, b)
     if area <= 0.0:
         return 0.0
     inter = area * oz
     union = a.volume + b.volume - inter
     return inter / union
+
+
+def iou_rotated(a: OrientedBox, b: OrientedBox) -> float:
+    """Yaw-aware 3D IoU: BEV polygon intersection times z-extent overlap.
+
+    The one-pair case of footprint_iou; callers comparing many boxes
+    should build their footprints once instead.
+    """
+    return footprint_iou(*footprints([a, b]))
 
 
 def iou_mc(a: OrientedBox, b: OrientedBox, n_samples: int, seed: int = 0) -> tuple[float, float]:
@@ -199,15 +252,12 @@ def nms(dets: list[Detection], iou_threshold: float) -> list[int]:
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {iou_threshold}")
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    fps = footprints([d.box for d in dets])
     kept: list[int] = []
+    kept_by_class: dict[int, list[Footprint]] = {}
     for i in order:
-        suppressed = False
-        for k in kept:
-            if dets[k].class_id != dets[i].class_id:
-                continue
-            if iou_rotated(dets[k].box, dets[i].box) > iou_threshold:
-                suppressed = True
-                break
-        if not suppressed:
+        same_class = kept_by_class.setdefault(dets[i].class_id, [])
+        if not any(footprint_iou(k, fps[i]) > iou_threshold for k in same_class):
+            same_class.append(fps[i])
             kept.append(i)
     return kept

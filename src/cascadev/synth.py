@@ -37,7 +37,10 @@ from .geometry import (
     encode_deltas_array,
     points_as_array,
 )
-from .overlap import iou_rotated
+from .overlap import Footprint, footprint_iou, footprints
+
+# Not called here; perfbench/bench_trace.py patches this name on this module.
+from .overlap import iou_rotated  # noqa: F401
 
 # Gap enforced between placed boxes so pairwise rotated IoU is robustly zero.
 _PLACEMENT_GAP = 0.04
@@ -133,9 +136,14 @@ class OracleNoise:
         )
 
 
+def _grow(size: tuple[float, float, float]) -> tuple[float, float, float]:
+    return tuple(s + _PLACEMENT_GAP for s in size)
+
+
 def _place_boxes(cfg: SceneConfig, rng: np.random.Generator) -> list[OrientedBox]:
     count = int(rng.integers(cfg.num_gt[0], cfg.num_gt[1] + 1))
     boxes: list[OrientedBox] = []
+    grown_placed: list[Footprint] = []
     (x0, x1), (y0, y1), (z0, z1) = cfg.workspace
     for _ in range(count):
         placed = False
@@ -159,21 +167,13 @@ def _place_boxes(cfg: SceneConfig, rng: np.random.Generator) -> list[OrientedBox
             cand = OrientedBox(center, size, yaw=yaw, class_id=int(rng.integers(cfg.num_classes)))
             # Checking slightly inflated boxes keeps a real gap between
             # neighbors, so the zero-IoU invariant survives any epsilon.
-            grown = OrientedBox(
-                center,
-                tuple(s + _PLACEMENT_GAP for s in size),
-                yaw=yaw,
-            )
-            ok = all(
-                iou_rotated(
-                    grown,
-                    OrientedBox(b.center, tuple(s + _PLACEMENT_GAP for s in b.size), yaw=b.yaw),
-                )
-                == 0.0
-                for b in boxes
-            )
+            grown = footprints([OrientedBox(center, _grow(size), yaw=yaw)])[0]
+            ok = all(footprint_iou(grown, g) == 0.0 for g in grown_placed)
             if ok:
                 boxes.append(cand)
+                grown_placed += footprints(
+                    [OrientedBox(cand.center, _grow(cand.size), yaw=cand.yaw)]
+                )
                 placed = True
                 break
         if not placed:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cascadev import cascade
 from cascadev.assignment import CpaSchedule, cpa_threshold
 from cascadev.cascade import (
     Prediction,
@@ -220,6 +221,23 @@ class TestEnsemble:
                 if iou_rotated(det.box, gt) > 0.99:
                     covered.add(gi)
         assert covered == set(range(len(scene.gt_boxes)))
+
+    def test_pools_through_the_module_nms(self, monkeypatch):
+        # The traced benchmark times the stage ensemble by patching
+        # cascade.nms, so ensemble_stages must look the name up there.
+        scene, props, predict = build(17, OracleNoise(sigma_delta=0.1))
+        trace = run_cascade(props, predict, SCHED, scene.gt_boxes)
+        calls = []
+
+        def spy(dets, iou_threshold):
+            calls.append((len(dets), iou_threshold))
+            return nms(dets, iou_threshold)
+
+        monkeypatch.setattr(cascade, "nms", spy)
+        out = ensemble_stages(trace, (1, 3), 0.25)
+        assert calls == [(3 * len(props), 0.25)]
+        pooled = [d for rec in trace.stages for d in rec.detections]
+        assert out == [pooled[k] for k in nms(pooled, 0.25)]
 
     def test_invalid_range(self):
         scene, props, predict = build(16, OracleNoise())

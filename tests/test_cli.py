@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -148,6 +150,18 @@ class TestDeterminism:
 
 
 class TestExitCodes:
+    def test_module_entry_point_runs_without_runtime_warning(self):
+        # `python -m cascadev.cli` must not find cascadev.cli already imported
+        # by the package; runpy warns about that with a RuntimeWarning.
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "cascadev.cli", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["gen", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2

@@ -162,7 +162,7 @@ class TestMonteCarlo:
         assert se == 0.0
 
 
-def reference_nms(dets, thr):
+def reference_nms(dets, thr, iou=iou_rotated):
     # Straightforward restatement of the greedy rule, kept independent of
     # the implementation under test.
     remaining = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
@@ -173,7 +173,7 @@ def reference_nms(dets, thr):
         survivors = []
         for j in remaining:
             same_class = dets[j].class_id == dets[best].class_id
-            if same_class and iou_rotated(dets[best].box, dets[j].box) > thr:
+            if same_class and iou(dets[best].box, dets[j].box) > thr:
                 continue
             survivors.append(j)
         remaining = survivors
