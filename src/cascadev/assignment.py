@@ -16,7 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Deltas, OrientedBox, Point3, centerness, contains_points, encode_deltas, points_as_array
+from .geometry import Deltas, OrientedBox, Point3, contains_points, matched_faces, points_as_array
+
+# Not called here; perfbench/bench_trace.py patches this name on this module.
+from .geometry import encode_deltas  # noqa: F401
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,10 +94,10 @@ def assign_targets(
     """
     if mu <= 0.0:
         raise ValueError(f"assignment threshold must be positive, got {mu}")
-    n = len(points)
+    pts = points_as_array(points)
+    n = len(pts)
     matched = np.full(n, -1, dtype=np.int64)
     if gts and n:
-        pts = points_as_array(points)
         best_vol = np.full(n, np.inf)
         for gi, gt in enumerate(gts):
             inside = contains_points(gt, pts, mu=mu)
@@ -111,15 +114,13 @@ def assign_targets(
     target_deltas: list[Deltas | None] = [None] * n
     target_centerness: list[float | None] = [None] * n
     target_class: list[int | None] = [None] * n
-    for i in range(n):
-        gi = int(matched[i])
-        if gi < 0:
-            continue
-        gt = gts[gi]
-        d = encode_deltas(points[i], gt)
-        target_deltas[i] = d
-        target_centerness[i] = centerness(d)
-        target_class[i] = gt.class_id
+    pos = np.flatnonzero(matched >= 0)
+    owner = matched[pos]
+    faces, cent = matched_faces(gts, pts[pos], owner)
+    for i, gi, row, c in zip(pos.tolist(), owner.tolist(), faces.tolist(), cent.tolist()):
+        target_deltas[i] = Deltas(*row, heading=gts[gi].yaw)
+        target_centerness[i] = c
+        target_class[i] = gts[gi].class_id
     return Assignment(
         mu=mu,
         matched_gt=[int(g) for g in matched],

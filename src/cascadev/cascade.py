@@ -1,9 +1,9 @@
 """The multi-stage decoding loop.
 
-Each stage runs the predictor on the current proposals, decodes scored
-detections, moves every proposal point onto its predicted box center,
-and re-aggregates features by instance-aware voting over the full
-current proposal set. The moved points and voted features become the
+Each stage calls the predictor once on all current proposals, decodes
+scored detections, moves every proposal point onto its predicted box
+center, and re-aggregates features by instance-aware voting over the
+full current proposal set. The moved points and voted features become the
 next stage's proposals; the last stage's outputs are final. Stage
 traces record everything (inputs, predictions, moved points, training
 assignments, detections) so downstream statistics need no re-runs.
@@ -104,13 +104,6 @@ def prediction_to_detection(proposal: Proposal, pred: Prediction, stage: int) ->
                      class_id=class_id, stage=stage)
 
 
-def _stage_predictor(predictor, l: int):
-    """Accept either one callable for all stages or a per-stage sequence."""
-    if callable(predictor):
-        return predictor
-    return predictor[l - 1]
-
-
 def stage_assignment(
     proposals: list[Proposal], gts: list[OrientedBox], mu: float
 ) -> Assignment:
@@ -165,23 +158,28 @@ def run_cascade(
 ) -> StageTrace:
     """Run the L-stage decode loop over one scene's proposals.
 
-    predictor is a callable Proposal -> Prediction, or a sequence of L
-    such callables (one per stage). When gts is given, each stage also
-    records the positive assignment at that stage's threshold, with
-    denoising proposals pinned to their ground truth. Proposal points
-    and features advance between stages; the moved points of the last
-    stage are recorded but feed nothing.
+    predictor is a callable list[Proposal] -> list[Prediction], or a
+    sequence of L such callables (one per stage). Each stage calls it
+    once with all of its proposals and expects one prediction per
+    proposal, in order; a wrong count or an invalid prediction raises
+    PredictorOutputError. When gts is given, each stage also records
+    the positive assignment at that stage's threshold, with denoising
+    proposals pinned to their ground truth. Proposal points and features
+    advance between stages; the moved points of the last stage are
+    recorded but feed nothing.
     """
     L = sched.num_stages
     records: list[StageRecord] = []
     current = list(proposals)
     for l in range(1, L + 1):
-        pred_fn = _stage_predictor(predictor, l)
-        preds: list[Prediction] = []
-        for i, prop in enumerate(current):
-            pred = pred_fn(prop)
+        stage_predictor = predictor if callable(predictor) else predictor[l - 1]
+        preds = list(stage_predictor(current))
+        if len(preds) != len(current):
+            raise PredictorOutputError(
+                f"stage {l}: {len(preds)} predictions for {len(current)} proposals"
+            )
+        for i, pred in enumerate(preds):
             _validate_prediction(pred, i)
-            preds.append(pred)
         dets = [prediction_to_detection(prop, pred, l) for prop, pred in zip(current, preds)]
         mu = None if gts is None else cpa_threshold(l, sched)
         records.append(

@@ -32,6 +32,7 @@ from .evaluation import (
 from .formats import (
     RNG_FAMILY,
     SCHEMA_VERSION,
+    ap_to_doc,
     config_hash,
     detection_doc,
     loss_csv,
@@ -193,28 +194,17 @@ def _max_workers() -> int:
     return n
 
 
-def _load_scenes(dirpath: str) -> list[tuple[str, SyntheticScene]]:
+def _load(dirpath: str, kind: str) -> list:
+    """(file name, decoded artifact) for every {kind}_*.json in dirpath, by name."""
     if not os.path.isdir(dirpath):
-        raise DataError(f"scene directory {dirpath!r} does not exist")
+        raise DataError(f"{kind} directory {dirpath!r} does not exist")
     names = sorted(
-        n for n in os.listdir(dirpath) if n.startswith("scene_") and n.endswith(".json")
+        n for n in os.listdir(dirpath) if n.startswith(f"{kind}_") and n.endswith(".json")
     )
     if not names:
-        raise DataError(f"no scene_*.json files in {dirpath!r}")
-    return [
-        (n, scene_from_doc(read_json(os.path.join(dirpath, n), "scene"))) for n in names
-    ]
-
-
-def _load_traces(dirpath: str):
-    if not os.path.isdir(dirpath):
-        raise DataError(f"trace directory {dirpath!r} does not exist")
-    names = sorted(
-        n for n in os.listdir(dirpath) if n.startswith("trace_") and n.endswith(".json")
-    )
-    if not names:
-        raise DataError(f"no trace_*.json files in {dirpath!r}")
-    return [trace_from_doc(read_json(os.path.join(dirpath, n), "trace")) for n in names]
+        raise DataError(f"no {kind}_*.json files in {dirpath!r}")
+    from_doc = scene_from_doc if kind == "scene" else trace_from_doc
+    return [(n, from_doc(read_json(os.path.join(dirpath, n), kind))) for n in names]
 
 
 def cmd_gen(cfg: RunConfig, out: str) -> None:
@@ -249,17 +239,16 @@ def cmd_gen(cfg: RunConfig, out: str) -> None:
 
 
 def cmd_run(cfg: RunConfig, scenes_dir: str, out: str) -> None:
-    scenes = _load_scenes(scenes_dir)
+    scenes = _load(scenes_dir, "scene")
     params = None
     if cfg.predictor == "head":
         if cfg.model is None:
             raise ConfigError("predictor 'head' requires a model path in the config")
         params = model_from_doc(read_json(cfg.model, "model"))
-        feature_dim = scenes[0][1].features.shape[1]
-        if params.feature_dim != feature_dim:
-            raise DataError(
-                f"model expects feature_dim {params.feature_dim}, scenes have {feature_dim}"
-            )
+        for name, scene in scenes:
+            if scene.features.shape[1] != params.feature_dim:
+                raise DataError(f"model expects feature_dim {params.feature_dim}, "
+                                f"{name} has {scene.features.shape[1]}")
         if params.num_stages != cfg.schedule.num_stages:
             raise DataError(
                 f"model has {params.num_stages} stages, schedule expects "
@@ -307,7 +296,7 @@ def cmd_run(cfg: RunConfig, scenes_dir: str, out: str) -> None:
 
 
 def cmd_eval(cfg: RunConfig, traces_dir: str, out: str) -> None:
-    traces = _load_traces(traces_dir)
+    traces = [trace for _, trace in _load(traces_dir, "trace")]
     for t in traces:
         if t.gts is None:
             raise DataError("evaluation needs traces recorded with ground truth")
@@ -319,8 +308,6 @@ def cmd_eval(cfg: RunConfig, traces_dir: str, out: str) -> None:
     )
     stats = cascade_stats(traces)
     os.makedirs(out, exist_ok=True)
-    from .formats import ap_to_doc
-
     write_json(os.path.join(out, "ap.json"), ap_to_doc(ap))
     with open(os.path.join(out, "stats.csv"), "w", encoding="utf-8") as fh:
         fh.write(stats_csv(stats))
@@ -330,7 +317,11 @@ def cmd_eval(cfg: RunConfig, traces_dir: str, out: str) -> None:
 
 
 def cmd_train(cfg: RunConfig, scenes_dir: str, out: str) -> None:
-    scenes = [scene for _, scene in _load_scenes(scenes_dir)]
+    scenes = [scene for _, scene in _load(scenes_dir, "scene")]
+    shapes = sorted({(s.features.shape[1], s.config.num_classes) for s in scenes})
+    if len(shapes) > 1:
+        raise DataError("all training scenes must share feature_dim and num_classes, "
+                        f"found (feature_dim, num_classes) {shapes}")
     params, history = train_cascade(
         scenes,
         cfg.schedule,

@@ -25,9 +25,9 @@ from scipy import stats as _scipy_stats
 
 from .cascade import StageTrace
 from .errors import DataError, WrongVariantError
-from .geometry import OrientedBox, points_as_array
+from .geometry import OrientedBox, matched_faces, points_as_array
 from .overlap import Detection, footprint_iou, footprints, iou_aabb
-from .synth import match_points_to_gt, matched_centerness
+from .synth import match_points_to_gt
 
 # Not called here; perfbench/bench_trace.py patches these names on this module.
 from .geometry import encode_deltas  # noqa: F401
@@ -279,10 +279,8 @@ def cascade_stats(traces: list[StageTrace]) -> CascadeStats:
             keep = [pi for pi, prop in enumerate(rec.proposals_in) if not prop.is_denoising]
             pts = points_as_array([rec.proposals_in[pi].point for pi in keep])
             owner = match_points_to_gt(pts, gts)
-            before = matched_centerness(pts, gts, owner).tolist()
-            after = matched_centerness(
-                [rec.updated_points[pi] for pi in keep], gts, owner
-            ).tolist()
+            before = matched_faces(gts, pts, owner)[1].tolist()
+            after = matched_faces(gts, [rec.updated_points[pi] for pi in keep], owner)[1].tolist()
             per_stage_before[si].extend(before)
             per_stage_after[si].extend(after)
             det_fps = footprints([rec.detections[pi].box for pi in keep])

@@ -235,9 +235,10 @@ def point_in_scaled_box(p: Point3, box: OrientedBox, mu: float) -> bool:
 
 
 # Vectorized helpers. Bulk geometry (voting masks, Monte-Carlo overlap,
-# scene generation, seed scoring, cascade statistics) goes through these
-# instead of the scalar API: canonical_coords, contains_points,
-# encode_deltas_array and centerness_array. The array kernels repeat the
+# scene generation, seed scoring, the oracle predictor, target
+# assignment, cascade statistics) goes through these instead of the
+# scalar API: canonical_coords, contains_points, encode_deltas_array,
+# centerness_array and matched_faces. The array kernels repeat the
 # scalar arithmetic operation for operation, so their results are
 # bit-identical to encode_deltas and centerness row by row.
 
@@ -300,6 +301,21 @@ def centerness_array(d: np.ndarray) -> np.ndarray:
                   for a in (0, 2, 4))
     out[inside] = np.sqrt(r1 * r2 * r3)
     return out
+
+
+def matched_faces(boxes: list[OrientedBox], points, owner: np.ndarray):
+    """Face distances of each row against boxes[owner[row]], and their centerness.
+
+    Returns an (N, 6) array and an (N,) array; every owner entry must
+    index boxes. Row i equals encode_deltas(points[i], boxes[owner[i]])
+    and its centerness.
+    """
+    pts = points_as_array(points)
+    faces = np.empty((len(pts), 6))
+    for bi, box in enumerate(boxes):
+        rows = owner == bi
+        faces[rows] = encode_deltas_array(box, pts[rows])
+    return faces, centerness_array(faces)
 
 
 def contains_points(box: OrientedBox, points, mu: float = 0.5, eps: float = EPS) -> np.ndarray:

@@ -153,6 +153,29 @@ class StageOutputs:
     reg_raw: np.ndarray  # (n, 7); first six pass through softplus downstream
     cent_logits: np.ndarray  # (n,)
 
+    def predictions(self) -> list[Prediction]:
+        """One Prediction per row: softmax probabilities, softplus'd
+        face distances with the raw heading, sigmoid centerness."""
+        probs = _softmax(self.cls_logits)
+        d6 = _softplus(self.reg_raw[:, :6]).tolist()
+        heading = self.reg_raw[:, 6].tolist()
+        cent = _sigmoid(self.cent_logits).tolist()
+        return [
+            Prediction(class_probs=p, deltas=Deltas(*d, heading=h), centerness=c)
+            for p, d, h, c in zip(probs, d6, heading, cent)
+        ]
+
+
+def _stage_forward(sp: StageParams, proposals: list[Proposal]):
+    """One stage's batched forward over its proposals: returns the (B, F)
+    features, the raw StageOutputs and the three branches' hidden
+    activations (cls, reg, cent) for backprop."""
+    feats = np.stack([p.feature for p in proposals]) if proposals else np.zeros((0, len(sp.cls.w1)))
+    cls_out, cls_h = _forward(sp.cls, feats)
+    reg_out, reg_h = _forward(sp.reg, feats)
+    cent_out, cent_h = _forward(sp.cent, feats)
+    return feats, StageOutputs(cls_out, reg_out, cent_out[:, 0]), (cls_h, reg_h, cent_h)
+
 
 @dataclass(frozen=True, slots=True)
 class LossReport:
@@ -287,21 +310,15 @@ def compute_losses(
 
 
 def head_predictor(params: HeadParams, stage: int):
-    """Proposal -> Prediction callable for one stage's trained head."""
+    """list[Proposal] -> list[Prediction] predictor for one stage's head.
+
+    Runs the same batched forward and output conversion that training
+    uses, over all of a stage's proposal features at once.
+    """
     sp = params.stages[stage - 1]
 
-    def predict(proposal: Proposal) -> Prediction:
-        x = np.asarray(proposal.feature, dtype=np.float64)[None, :]
-        logits, _ = _forward(sp.cls, x)
-        reg, _ = _forward(sp.reg, x)
-        cent, _ = _forward(sp.cent, x)
-        probs = _softmax(logits)[0]
-        d6 = _softplus(reg[0, :6])
-        return Prediction(
-            class_probs=probs,
-            deltas=Deltas(*d6, heading=float(reg[0, 6])),
-            centerness=float(_sigmoid(cent[0, :1])[0]),
-        )
+    def predict(proposals: list[Proposal]) -> list[Prediction]:
+        return _stage_forward(sp, proposals)[1].predictions()
 
     return predict
 
@@ -391,25 +408,17 @@ def train_cascade(
             loss_sums = np.zeros(3)
             positives = 0
             for entry in batch:
-                feats = np.stack([p.feature for p in entry["props"]])
-                cls_out, cls_h = _forward(sp.cls, feats)
-                reg_out, reg_h = _forward(sp.reg, feats)
-                cent_out, cent_h = _forward(sp.cent, feats)
-                outputs = StageOutputs(
-                    cls_logits=cls_out, reg_raw=reg_out, cent_logits=cent_out[:, 0]
-                )
+                feats, outputs, hidden = _stage_forward(sp, entry["props"])
                 assignment = stage_assignment(entry["props"], entry["gts"], mu)
                 rep, (g_cls, g_reg, g_cent) = compute_losses(
                     outputs, assignment, weights, step=step, stage=l, _with_grads=True
                 )
                 loss_sums += (rep.classification_loss, rep.regression_loss, rep.centerness_loss)
                 positives += rep.positive_count
-                for name, x, h, g in (
-                    ("cls", feats, cls_h, g_cls),
-                    ("reg", feats, reg_h, g_reg),
-                    ("cent", feats, cent_h, g_cent[:, None]),
+                for (name, bp), h, g in zip(
+                    sp.branches().items(), hidden, (g_cls, g_reg, g_cent[:, None])
                 ):
-                    for a, ga in zip(acc[name], _backward(sp.branches()[name], x, h, g)):
+                    for a, ga in zip(acc[name], _backward(bp, feats, h, g)):
                         a += ga
                 entry["outputs"] = outputs
             report = LossReport(
@@ -427,12 +436,10 @@ def train_cascade(
                     arr -= lr * ga / len(batch)
             if l < sched.num_stages:
                 for entry in batch:
-                    reg_out = entry["outputs"].reg_raw
-                    d6 = _softplus(reg_out[:, :6])
                     try:
                         boxes = [
-                            decode_box(p.point, Deltas(*d6[i], heading=float(reg_out[i, 6])))
-                            for i, p in enumerate(entry["props"])
+                            decode_box(p.point, pred.deltas)
+                            for p, pred in zip(entry["props"], entry["outputs"].predictions())
                         ]
                     except InvalidDeltasError as exc:
                         # Softplus only hits exact zero when the raw output has

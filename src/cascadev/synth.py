@@ -30,11 +30,10 @@ from .geometry import (
     Deltas,
     OrientedBox,
     Point3,
-    centerness,
-    centerness_array,
     contains_points,
     encode_deltas,
     encode_deltas_array,
+    matched_faces,
     points_as_array,
 )
 from .overlap import Footprint, footprint_iou, footprints
@@ -125,15 +124,6 @@ class OracleNoise:
             raise ValueError("noise magnitudes must be >= 0")
         if not (0.0 <= self.p_class_flip < 1.0):
             raise ValueError(f"p_class_flip must lie in [0, 1), got {self.p_class_flip}")
-
-    @property
-    def is_exact(self) -> bool:
-        return (
-            self.sigma_delta == 0.0
-            and self.sigma_heading == 0.0
-            and self.p_class_flip == 0.0
-            and self.centerness_bias == 0.0
-        )
 
 
 def _grow(size: tuple[float, float, float]) -> tuple[float, float, float]:
@@ -338,16 +328,6 @@ def match_points_to_gt(points, gts: list[OrientedBox]) -> np.ndarray:
     return owner
 
 
-def matched_centerness(points, gts: list[OrientedBox], owner: np.ndarray) -> np.ndarray:
-    """Centerness of each row of an (N, 3) array against gts[owner[row]], shape (N,)."""
-    pts = points_as_array(points)
-    out = np.empty(len(pts))
-    for gi, gt in enumerate(gts):
-        rows = owner == gi
-        out[rows] = centerness_array(encode_deltas_array(gt, pts[rows]))
-    return out
-
-
 def _guard_extents(d: np.ndarray) -> np.ndarray:
     """Shift delta pairs so every implied extent stays decodable."""
     out = d.copy()
@@ -362,41 +342,47 @@ def _guard_extents(d: np.ndarray) -> np.ndarray:
 
 
 def oracle_predictor(scene: SyntheticScene, noise: OracleNoise, seed: int = 0):
-    """A Proposal -> Prediction callable built from the scene's ground truth.
+    """A list[Proposal] -> list[Prediction] predictor built from the scene's ground truth.
 
-    Looks up the proposal point's box (containing, else nearest center)
-    and emits the true targets under the configured noise. Class
-    probabilities carry a trailing background entry, always zero here.
-    Noise draws come from a generator keyed by (scene seed, seed), so
-    call order is the only thing that must stay fixed for
-    reproducibility; the cascade calls predictors sequentially.
+    Matches every proposal point to its box at once (containing, else
+    nearest center) and emits the true targets under the configured
+    noise. Class probabilities carry a trailing background entry, always
+    zero here. Noise draws come from a generator keyed by (scene seed,
+    seed) and are taken proposal by proposal in list order, so only the
+    sequence of proposals across calls must stay fixed for
+    reproducibility; the cascade calls its predictors stage by stage.
     """
-    if not scene.gt_boxes:
+    gts = scene.gt_boxes
+    if not gts:
         raise ValueError("oracle needs at least one ground-truth box")
     rng = _rng((scene.seed << 1) ^ seed)
     n_classes = scene.config.num_classes
 
-    def predict(proposal: Proposal) -> Prediction:
-        gt = scene.gt_boxes[match_point_to_gt(proposal.point, scene.gt_boxes)]
-        true = encode_deltas(proposal.point, gt)
-        d = np.array(true.faces())
-        if noise.sigma_delta > 0.0:
-            d = d * rng.normal(1.0, noise.sigma_delta, size=6)
-            d = _guard_extents(d)
-        heading = gt.yaw
-        if noise.sigma_heading > 0.0:
-            heading += float(rng.normal(0.0, noise.sigma_heading))
-        cls = gt.class_id
-        if noise.p_class_flip > 0.0 and n_classes > 1 and rng.random() < noise.p_class_flip:
-            others = [c for c in range(n_classes) if c != cls]
-            cls = int(others[rng.integers(len(others))])
-        probs = np.zeros(n_classes + 1)
-        probs[cls] = 1.0
-        c_true = centerness(true)
-        c_pred = c_true
-        if noise.centerness_bias > 0.0:
-            c_pred = float(np.clip(c_true + noise.centerness_bias * rng.normal(), 0.0, 1.0))
-        return Prediction(class_probs=probs, deltas=Deltas(*d, heading=heading), centerness=c_pred)
+    def predict(proposals: list[Proposal]) -> list[Prediction]:
+        pts = points_as_array([prop.point for prop in proposals])
+        owner = match_points_to_gt(pts, gts)
+        faces, cent = matched_faces(gts, pts, owner)
+        preds = []
+        for gi, d, c_true in zip(owner.tolist(), faces, cent.tolist()):
+            gt = gts[gi]
+            if noise.sigma_delta > 0.0:
+                d = d * rng.normal(1.0, noise.sigma_delta, size=6)
+                d = _guard_extents(d)
+            heading = gt.yaw
+            if noise.sigma_heading > 0.0:
+                heading += float(rng.normal(0.0, noise.sigma_heading))
+            cls = gt.class_id
+            if noise.p_class_flip > 0.0 and n_classes > 1 and rng.random() < noise.p_class_flip:
+                others = [c for c in range(n_classes) if c != cls]
+                cls = int(others[rng.integers(len(others))])
+            probs = np.zeros(n_classes + 1)
+            probs[cls] = 1.0
+            c_pred = c_true
+            if noise.centerness_bias > 0.0:
+                c_pred = float(np.clip(c_true + noise.centerness_bias * rng.normal(), 0.0, 1.0))
+            preds.append(Prediction(class_probs=probs, deltas=Deltas(*d, heading=heading),
+                                    centerness=c_pred))
+        return preds
 
     return predict
 
@@ -454,7 +440,7 @@ def oracle_seed_centerness(scene: SyntheticScene, noise: OracleNoise, seed: int 
     the oracle's, keeping selection independent of prediction noise.
     """
     pts = points_as_array(scene.points)
-    vals = matched_centerness(pts, scene.gt_boxes, match_points_to_gt(pts, scene.gt_boxes))
+    _, vals = matched_faces(scene.gt_boxes, pts, match_points_to_gt(pts, scene.gt_boxes))
     if noise.centerness_bias > 0.0:
         rng = _rng((scene.seed << 1) ^ seed ^ 0x5EED)
         vals = np.clip(vals + noise.centerness_bias * rng.normal(size=len(vals)), 0.0, 1.0)

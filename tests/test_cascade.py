@@ -11,6 +11,7 @@ from cascadev.cascade import (
     run_cascade,
 )
 from cascadev.errors import PredictorOutputError
+from cascadev.learner import head_predictors, init_head_params
 from cascadev.geometry import Deltas, Point3, centerness, encode_deltas
 from cascadev.overlap import iou_rotated, nms
 from cascadev.synth import (
@@ -176,24 +177,49 @@ class TestRunCascade:
     def test_bad_predictor_outputs_rejected(self):
         scene, props, _ = build(13, OracleNoise())
 
-        def bad_probs(prop):
-            return Prediction(
-                class_probs=np.array([0.5, 0.2, 0.0, 0.0, 0.0, 0.0]),
-                deltas=Deltas(0.5, 0.5, 0.5, 0.5, 0.5, 0.5),
-                centerness=0.5,
-            )
+        def bad_probs(batch):
+            return [
+                Prediction(
+                    class_probs=np.array([0.5, 0.2, 0.0, 0.0, 0.0, 0.0]),
+                    deltas=Deltas(0.5, 0.5, 0.5, 0.5, 0.5, 0.5),
+                    centerness=0.5,
+                )
+                for _ in batch
+            ]
 
-        def bad_centerness(prop):
-            return Prediction(
-                class_probs=np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
-                deltas=Deltas(0.5, 0.5, 0.5, 0.5, 0.5, 0.5),
-                centerness=1.5,
-            )
+        def bad_centerness(batch):
+            return [
+                Prediction(
+                    class_probs=np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+                    deltas=Deltas(0.5, 0.5, 0.5, 0.5, 0.5, 0.5),
+                    centerness=1.5,
+                )
+                for _ in batch
+            ]
+
+        exact = oracle_predictor(scene, OracleNoise(), seed=1)
+
+        def one_short(batch):
+            return exact(batch)[:-1]
 
         with pytest.raises(PredictorOutputError):
             run_cascade(props[:4], bad_probs, SCHED, scene.gt_boxes)
         with pytest.raises(PredictorOutputError):
             run_cascade(props[:4], bad_centerness, SCHED, scene.gt_boxes)
+        with pytest.raises(PredictorOutputError, match="3 predictions for 4 proposals"):
+            run_cascade(props[:4], one_short, SCHED, scene.gt_boxes)
+
+    def test_empty_proposals_give_empty_stage_records(self):
+        # Both shipped predictors take an empty batch and return no predictions.
+        scene, _, oracle = build(16, OracleNoise(sigma_delta=0.1, p_class_flip=0.1))
+        params = init_head_params(CFG.feature_dim, CFG.num_classes, SCHED.num_stages, seed=0)
+        for predictor in (oracle, head_predictors(params)):
+            trace = run_cascade([], predictor, SCHED, scene.gt_boxes)
+            assert [rec.stage for rec in trace.stages] == [1, 2, 3]
+            for rec in trace.stages:
+                assert rec.proposals_in == rec.predictions == rec.detections == []
+                assert rec.updated_points == []
+                assert rec.assignment.matched_gt == []
 
 
 class TestEnsemble:

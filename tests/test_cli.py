@@ -236,6 +236,41 @@ class TestExitCodes:
         assert main(["run", str(wscenes), "--config", str(wpath),
                      "--out", str(tmp_path / "o")]) == 3
 
+    def _mixed_scenes(self, tmp_path, cfg_path):
+        """Default-width scenes plus one scene_0003.json with feature_dim 20."""
+        scenes = tmp_path / "scenes"
+        main(["gen", "--config", cfg_path, "--out", str(scenes)])
+        wide = dict(SMALL, num_scenes=1, scene=dict(SMALL["scene"], feature_dim=20))
+        wpath = tmp_path / "wide.json"
+        wpath.write_text(json.dumps(wide))
+        main(["gen", "--config", str(wpath), "--out", str(tmp_path / "wscenes")])
+        (scenes / "scene_0003.json").write_bytes(
+            (tmp_path / "wscenes" / "scene_0000.json").read_bytes()
+        )
+        return scenes
+
+    def test_mixed_feature_dims_in_train_is_data_error(self, tmp_path, cfg_path, capsys):
+        scenes = self._mixed_scenes(tmp_path, cfg_path)
+        capsys.readouterr()
+        assert main(["train", str(scenes), "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "data error: all training scenes must share" in capsys.readouterr().err
+
+    def test_mixed_feature_dims_in_head_run_is_data_error(self, tmp_path, cfg_path, capsys):
+        model = tmp_path / "model"
+        scenes = self._mixed_scenes(tmp_path, cfg_path)
+        (scenes / "scene_0003.json").rename(tmp_path / "held.json")
+        main(["train", str(scenes), "--config", cfg_path, "--out", str(model)])
+        (tmp_path / "held.json").rename(scenes / "scene_0003.json")
+        head = dict(SMALL, predictor="head", model=str(model / "model.json"))
+        hpath = tmp_path / "head.json"
+        hpath.write_text(json.dumps(head))
+        capsys.readouterr()
+        assert main(["run", str(scenes), "--config", str(hpath),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: model expects feature_dim 16, scene_0003.json has 20")
+
     def test_no_room_for_clutter_is_data_error(self, tmp_path):
         cfg = tmp_path / "full.json"
         cfg.write_text(json.dumps({

@@ -128,8 +128,8 @@ class TestModelDocs:
                     assert np.array_equal(x, y)
         scene = gen_scene(SceneConfig(num_gt=(2, 2), points_per_box=12, num_clutter=20), seed=2)
         prop = scene_proposals(scene, np.zeros(scene.num_points), 1)[0]
-        a = head_predictor(params, 2)(prop)
-        b = head_predictor(loaded, 2)(prop)
+        [a] = head_predictor(params, 2)([prop])
+        [b] = head_predictor(loaded, 2)([prop])
         assert np.array_equal(a.class_probs, b.class_probs)
         assert a.deltas == b.deltas and a.centerness == b.centerness
 

@@ -245,9 +245,9 @@ class TestHeadPredictor:
     def test_prediction_contract(self, trained):
         scenes, params, _ = trained
         props = scene_proposals(scenes[0], uniform_seed_scores(scenes[0]), 8)
-        predict = head_predictor(params, 1)
-        for p in props:
-            pred = predict(p)
+        preds = head_predictor(params, 1)(props)
+        assert len(preds) == len(props) == 8
+        for pred in preds:
             probs = np.asarray(pred.class_probs)
             assert probs.shape == (SMALL_CFG.num_classes + 1,)
             assert np.all(probs >= 0.0)
@@ -262,7 +262,7 @@ class TestHeadPredictor:
         assert len(preds) == params.num_stages
         feat = np.zeros(params.feature_dim)
         prop = Proposal(point=Point3(0.0, 0.0, 1.0), feature=feat, origin_index=0)
-        outs = [pr(prop) for pr in preds]
+        outs = [pr([prop])[0] for pr in preds]
         # Stages hold independent weights, so their outputs differ.
         assert len({float(o.centerness) for o in outs}) > 1
 
@@ -314,8 +314,8 @@ class TestTrainCascade:
 
     def test_training_mirrors_inference(self, monkeypatch):
         # A one-step run supervises every stage with the initial weights,
-        # so each stage must see what run_cascade sees with the untrained
-        # head. The batched and per-row forwards may differ in the last bit.
+        # so each stage must see exactly what run_cascade sees with the
+        # untrained head: both run the same batched forward.
         cfg = dataclasses.replace(SMALL_CFG, yaw_enabled=True)
         scene = gen_scene(cfg, seed=5)
         recorded = []
@@ -336,11 +336,11 @@ class TestTrainCascade:
         for (outputs, assignment), rec in zip(recorded, trace.stages):
             assert assignment.matched_gt == rec.assignment.matched_gt
             probs = np.stack([pred.class_probs for pred in rec.predictions])
-            np.testing.assert_allclose(_softmax(outputs.cls_logits), probs, rtol=0, atol=1e-12)
-            for got, want in zip(assignment.target_deltas, rec.assignment.target_deltas):
-                assert (got is None) == (want is None)
-                if got is not None:
-                    np.testing.assert_allclose(got.as_array(), want.as_array(), rtol=0, atol=1e-12)
+            assert np.array_equal(_softmax(outputs.cls_logits), probs)
+            assert [p.deltas for p in outputs.predictions()] == [
+                p.deltas for p in rec.predictions
+            ]
+            assert assignment.target_deltas == rec.assignment.target_deltas
 
     def test_batched_scenes_pool_positives(self):
         scenes = [gen_scene(SMALL_CFG, seed=s) for s in range(4)]

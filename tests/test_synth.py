@@ -157,9 +157,10 @@ class TestOracle:
     def test_exact_oracle_reproduces_gt(self):
         s = gen_scene(SMALL, 21)
         predict = oracle_predictor(s, OracleNoise())
-        for i in range(0, s.num_points, 37):
-            prop = Proposal(point=s.points[i], feature=s.features[i], origin_index=i)
-            pred = predict(prop)
+        idx = range(0, s.num_points, 37)
+        preds = predict([Proposal(point=s.points[i], feature=s.features[i], origin_index=i)
+                         for i in idx])
+        for i, pred in zip(idx, preds):
             gi = match_point_to_gt(s.points[i], s.gt_boxes)
             gt = s.gt_boxes[gi]
             box = decode_box(s.points[i], pred.deltas)
@@ -174,25 +175,24 @@ class TestOracle:
     def test_exact_oracle_class_accuracy(self):
         s = gen_scene(SMALL, 22)
         predict = oracle_predictor(s, OracleNoise(p_class_flip=0.0))
-        hits = 0
-        n = 0
-        for i, gi in enumerate(s.point_gt_labels):
-            if gi < 0:
-                continue
-            pred = predict(Proposal(point=s.points[i], feature=s.features[i], origin_index=i))
-            hits += int(np.argmax(pred.class_probs[:-1])) == s.gt_boxes[gi].class_id
-            n += 1
-        assert hits == n
+        idx = [i for i, gi in enumerate(s.point_gt_labels) if gi >= 0]
+        preds = predict([Proposal(point=s.points[i], feature=s.features[i], origin_index=i)
+                         for i in idx])
+        assert len(preds) == len(idx) > 0
+        for i, pred in zip(idx, preds):
+            gi = s.point_gt_labels[i]
+            assert int(np.argmax(pred.class_probs[:-1])) == s.gt_boxes[gi].class_id
 
     def test_class_flip_rate(self):
         s = gen_scene(SMALL, 23)
         predict = oracle_predictor(s, OracleNoise(p_class_flip=0.3), seed=7)
         flips = 0
         n = 2000
-        for k in range(n):
-            i = k % s.num_points
+        idx = [k % s.num_points for k in range(n)]
+        preds = predict([Proposal(point=s.points[i], feature=s.features[i], origin_index=i)
+                         for i in idx])
+        for i, pred in zip(idx, preds):
             gi = match_point_to_gt(s.points[i], s.gt_boxes)
-            pred = predict(Proposal(point=s.points[i], feature=s.features[i], origin_index=i))
             flips += int(np.argmax(pred.class_probs[:-1])) != s.gt_boxes[gi].class_id
         assert 0.25 < flips / n < 0.35
 
@@ -204,11 +204,13 @@ class TestOracle:
             for seed in range(15):
                 s = gen_scene(SMALL, 100 + seed)
                 predict = oracle_predictor(s, OracleNoise(sigma_delta=sigma), seed=1)
-                for i in range(0, s.num_points, 23):
+                idx = range(0, s.num_points, 23)
+                preds = predict(
+                    [Proposal(point=s.points[i], feature=s.features[i], origin_index=i)
+                     for i in idx]
+                )
+                for i, pred in zip(idx, preds):
                     gi = match_point_to_gt(s.points[i], s.gt_boxes)
-                    pred = predict(
-                        Proposal(point=s.points[i], feature=s.features[i], origin_index=i)
-                    )
                     box = decode_box(s.points[i], pred.deltas)
                     total += iou_rotated(box, s.gt_boxes[gi])
                     count += 1
@@ -220,8 +222,10 @@ class TestOracle:
         # Large relative noise on far-away points must still produce legal sizes.
         s = gen_scene(SMALL, 24)
         predict = oracle_predictor(s, OracleNoise(sigma_delta=0.5), seed=3)
-        for i in range(0, s.num_points, 11):
-            pred = predict(Proposal(point=s.points[i], feature=s.features[i], origin_index=i))
+        idx = range(0, s.num_points, 11)
+        preds = predict([Proposal(point=s.points[i], feature=s.features[i], origin_index=i)
+                         for i in idx])
+        for i, pred in zip(idx, preds):
             box = decode_box(s.points[i], pred.deltas)  # must not raise
             assert min(box.size) >= 0.01 - 1e-12
 
@@ -232,11 +236,12 @@ class TestOracle:
         for _ in range(2):
             predict = oracle_predictor(s, noise, seed=9)
             outs.append(
-                [
-                    predict(Proposal(point=s.points[i], feature=s.features[i], origin_index=i))
-                    for i in range(50)
-                ]
+                predict(
+                    [Proposal(point=s.points[i], feature=s.features[i], origin_index=i)
+                     for i in range(50)]
+                )
             )
+        assert len(outs[0]) == len(outs[1]) == 50
         for a, b in zip(*outs):
             assert np.array_equal(a.class_probs, b.class_probs)
             assert a.deltas == b.deltas
@@ -245,9 +250,9 @@ class TestOracle:
     def test_centerness_clamped(self):
         s = gen_scene(SMALL, 26)
         predict = oracle_predictor(s, OracleNoise(centerness_bias=2.0), seed=4)
-        for i in range(0, s.num_points, 13):
-            pred = predict(Proposal(point=s.points[i], feature=s.features[i], origin_index=i))
-            assert 0.0 <= pred.centerness <= 1.0
+        preds = predict([Proposal(point=s.points[i], feature=s.features[i], origin_index=i)
+                         for i in range(0, s.num_points, 13)])
+        assert preds and all(0.0 <= pred.centerness <= 1.0 for pred in preds)
 
     def test_oracle_requires_gts(self):
         s = gen_scene(SMALL, 27)
