@@ -12,7 +12,7 @@ exist so every stage always has at least one positive per object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

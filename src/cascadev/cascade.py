@@ -16,39 +16,46 @@ two steps, stage_assignment and hand_off.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .assignment import Assignment, CpaSchedule, assign_targets, cpa_threshold
 from .errors import PredictorOutputError
-from .geometry import Deltas, OrientedBox, Point3, decode_box
-# Not called here; perfbench/bench_trace.py patches this name on this module.
-from .geometry import update_point  # noqa: F401
+from .geometry import OrientedBox, Point3, decode_boxes, points_as_array
+# Not called here; perfbench/bench_trace.py patches these names on this module.
+from .geometry import decode_box, update_point  # noqa: F401
 from .overlap import Detection, nms
 from .voting import ia_voting
 
 
-@dataclass(frozen=True, slots=True)
-class Proposal:
-    """A candidate object location: a point plus its feature vector."""
+@dataclass(frozen=True, slots=True, eq=False)
+class Proposals:
+    """One stage's candidate object locations, row i being proposal i.
 
-    point: Point3
-    feature: np.ndarray
-    origin_index: int
-    is_denoising: bool = False
-    denoising_gt: int | None = None
+    points (B, 3) and features (B, F) are float arrays; origin_index (B,)
+    is each proposal's scene point index, and denoising_gt (B,) the
+    ground truth a denoising proposal is pinned to, -1 for a regular one.
+    """
+
+    points: np.ndarray
+    features: np.ndarray
+    origin_index: np.ndarray
+    denoising_gt: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.points)
 
 
-@dataclass(frozen=True, slots=True)
-class Prediction:
-    """One head output: class probabilities (background last), face
-    distances with heading, and predicted centerness."""
+@dataclass(frozen=True, slots=True, eq=False)
+class Predictions:
+    """A predictor's output for B proposals, row i answering proposal i:
+    class probabilities (B, C+1) with background last, deltas (B, 7)
+    holding the six face distances then the heading, and centerness (B,)."""
 
     class_probs: np.ndarray
-    deltas: Deltas
-    centerness: float
+    deltas: np.ndarray
+    centerness: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,9 +64,9 @@ class StageRecord:
 
     stage: int
     mu: float | None
-    proposals_in: list[Proposal]
-    predictions: list[Prediction]
-    updated_points: list[Point3]
+    proposals_in: Proposals
+    predictions: Predictions
+    updated_points: np.ndarray
     assignment: Assignment | None
     detections: list[Detection]
 
@@ -76,80 +83,53 @@ class StageTrace:
         return len(self.stages)
 
 
-def _validate_prediction(pred: Prediction, index: int) -> None:
-    probs = np.asarray(pred.class_probs, dtype=np.float64)
-    if probs.ndim != 1 or probs.size < 2:
-        raise PredictorOutputError(
-            f"proposal {index}: class_probs must be a 1-D vector with a background entry"
-        )
-    if not np.all(np.isfinite(probs)) or np.any(probs < -1e-6):
-        raise PredictorOutputError(f"proposal {index}: class probabilities invalid: {probs}")
-    if abs(float(probs.sum()) - 1.0) > 1e-6:
-        raise PredictorOutputError(
-            f"proposal {index}: class probabilities sum to {probs.sum()}, not 1"
-        )
-    if not (math.isfinite(pred.centerness) and 0.0 <= pred.centerness <= 1.0):
-        raise PredictorOutputError(f"proposal {index}: centerness {pred.centerness} outside [0, 1]")
-    if not all(math.isfinite(v) for v in (*pred.deltas.faces(), pred.deltas.heading)):
-        raise PredictorOutputError(f"proposal {index}: non-finite regression output")
+def _reject(bad: np.ndarray, describe) -> None:
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise PredictorOutputError(f"proposal {i}: {describe(i)}")
 
 
-def prediction_to_detection(proposal: Proposal, pred: Prediction, stage: int) -> Detection:
-    """Decode one prediction into a scored, classified box."""
-    box = decode_box(proposal.point, pred.deltas)
-    fg = np.asarray(pred.class_probs)[:-1]
-    class_id = int(np.argmax(fg))
-    score = float(np.clip(fg[class_id] * pred.centerness, 0.0, 1.0))
-    return Detection(box=box.with_meta(class_id=class_id, score=score), score=score,
-                     class_id=class_id, stage=stage)
+def _validate(preds: Predictions, n: int, stage: int) -> None:
+    """Raise PredictorOutputError unless preds holds n valid rows."""
+    probs, deltas, cent = preds.class_probs, preds.deltas, preds.centerness
+    if len(cent) != n:
+        raise PredictorOutputError(f"stage {stage}: {len(cent)} predictions for {n} proposals")
+    if not (probs.ndim == 2 and probs.shape[0] == n and probs.shape[1] >= 2
+            and deltas.shape == (n, 7) and cent.shape == (n,)):
+        raise PredictorOutputError(f"stage {stage}: prediction shapes {probs.shape}, "
+                                   f"{deltas.shape}, {cent.shape} do not fit {n} proposals")
+    _reject(~(np.isfinite(probs) & (probs >= -1e-6)).all(axis=1),
+            lambda i: f"class probabilities invalid: {probs[i]}")
+    sums = probs.sum(axis=1)
+    _reject(np.abs(sums - 1.0) > 1e-6, lambda i: f"class probabilities sum to {sums[i]}, not 1")
+    _reject(~((cent >= 0.0) & (cent <= 1.0)), lambda i: f"centerness {cent[i]} outside [0, 1]")
+    _reject(~np.isfinite(deltas).all(axis=1), lambda i: "non-finite regression output")
 
 
-def stage_assignment(
-    proposals: list[Proposal], gts: list[OrientedBox], mu: float
-) -> Assignment:
+def stage_assignment(proposals: Proposals, gts: list[OrientedBox], mu: float) -> Assignment:
     """Positive assignment of one stage's proposals at threshold mu.
 
     Denoising proposals stay pinned to their ground truth whatever mu is.
     """
-    fixed = {
-        i: prop.denoising_gt
-        for i, prop in enumerate(proposals)
-        if prop.is_denoising and prop.denoising_gt is not None
-    }
-    return assign_targets([prop.point for prop in proposals], gts, mu, fixed_assignments=fixed)
+    rows = np.flatnonzero(proposals.denoising_gt >= 0)
+    fixed = dict(zip(rows.tolist(), proposals.denoising_gt[rows].tolist()))
+    return assign_targets(proposals.points, gts, mu, fixed_assignments=fixed)
 
 
-def hand_off(
-    proposals: list[Proposal], boxes: list[OrientedBox], *, weighting: str
-) -> list[Proposal]:
+def hand_off(proposals: Proposals, boxes: list[OrientedBox], *, weighting: str) -> Proposals:
     """The next stage's proposals: each point moved onto its box center.
 
     boxes[i] is decoded from proposal i's prediction, so its center is
     the updated point. Features are re-voted inside each box over the
     whole current proposal set.
     """
-    moved = [box.center for box in boxes]
-    voted = ia_voting(
-        moved,
-        boxes,
-        [prop.point for prop in proposals],
-        [prop.feature for prop in proposals],
-        weighting=weighting,
-    )
-    return [
-        Proposal(
-            point=moved[i],
-            feature=voted[i],
-            origin_index=prop.origin_index,
-            is_denoising=prop.is_denoising,
-            denoising_gt=prop.denoising_gt,
-        )
-        for i, prop in enumerate(proposals)
-    ]
+    moved = points_as_array([box.center for box in boxes])
+    voted = ia_voting(moved, boxes, proposals.points, proposals.features, weighting=weighting)
+    return replace(proposals, points=moved, features=np.reshape(voted, proposals.features.shape))
 
 
 def run_cascade(
-    proposals: list[Proposal],
+    proposals: Proposals,
     predictor,
     sched: CpaSchedule,
     gts: list[OrientedBox] | None = None,
@@ -158,29 +138,35 @@ def run_cascade(
 ) -> StageTrace:
     """Run the L-stage decode loop over one scene's proposals.
 
-    predictor is a callable list[Proposal] -> list[Prediction], or a
-    sequence of L such callables (one per stage). Each stage calls it
-    once with all of its proposals and expects one prediction per
-    proposal, in order; a wrong count or an invalid prediction raises
-    PredictorOutputError. When gts is given, each stage also records
-    the positive assignment at that stage's threshold, with denoising
-    proposals pinned to their ground truth. Proposal points and features
-    advance between stages; the moved points of the last stage are
-    recorded but feed nothing.
+    predictor is a callable Proposals -> Predictions, or a sequence of L
+    such callables (one per stage). Each stage calls it once with all of
+    its proposals and expects one prediction row per proposal, in order;
+    a wrong count or shape or an invalid row raises PredictorOutputError.
+    The rows are decoded into boxes in one decode_boxes pass. When gts is
+    given, each stage also records the positive assignment at that
+    stage's threshold, with denoising proposals pinned to their ground
+    truth. Proposal points and features advance between stages; the
+    moved points of the last stage are recorded but feed nothing.
     """
     L = sched.num_stages
     records: list[StageRecord] = []
-    current = list(proposals)
+    current = proposals
     for l in range(1, L + 1):
         stage_predictor = predictor if callable(predictor) else predictor[l - 1]
-        preds = list(stage_predictor(current))
-        if len(preds) != len(current):
-            raise PredictorOutputError(
-                f"stage {l}: {len(preds)} predictions for {len(current)} proposals"
-            )
-        for i, pred in enumerate(preds):
-            _validate_prediction(pred, i)
-        dets = [prediction_to_detection(prop, pred, l) for prop, pred in zip(current, preds)]
+        preds = stage_predictor(current)
+        _validate(preds, len(current), l)
+        centers, sizes, yaws = decode_boxes(current.points, preds.deltas)
+        fg = preds.class_probs[:, :-1]
+        class_ids = np.argmax(fg, axis=1)
+        scores = np.clip(fg[np.arange(len(fg)), class_ids] * preds.centerness, 0.0, 1.0)
+        # Each box takes the decoded yaw and normalizes it again, as the
+        # classified copy of a decoded box always has.
+        dets = [
+            Detection(box=OrientedBox(Point3(*c), tuple(size), yaw, class_id=k, score=score),
+                      score=score, class_id=k, stage=l)
+            for c, size, yaw, k, score in zip(centers.tolist(), sizes.tolist(), yaws.tolist(),
+                                              class_ids.tolist(), scores.tolist())
+        ]
         mu = None if gts is None else cpa_threshold(l, sched)
         records.append(
             StageRecord(
@@ -188,7 +174,7 @@ def run_cascade(
                 mu=mu,
                 proposals_in=current,
                 predictions=preds,
-                updated_points=[det.box.center for det in dets],
+                updated_points=centers,
                 assignment=None if gts is None else stage_assignment(current, gts, mu),
                 detections=dets,
             )

@@ -164,8 +164,8 @@ def run_config_from_doc(doc: dict) -> RunConfig:
     if "scene" in kwargs:
         try:
             kwargs["scene"] = scene_config_from_doc(kwargs["scene"])
-        except DataError as exc:
-            raise ConfigError(str(exc)) from exc
+        except (DataError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid scene config: {exc}") from exc
     if "schedule" in kwargs:
         kwargs["schedule"] = _build(CpaSchedule, kwargs["schedule"], "schedule config")
     if "noise" in kwargs:
@@ -177,7 +177,7 @@ def run_config_from_doc(doc: dict) -> RunConfig:
             kwargs[key] = tuple(kwargs[key])
     try:
         return RunConfig(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid run config: {exc}") from exc
 
 
@@ -241,7 +241,12 @@ def cmd_gen(cfg: RunConfig, out: str) -> None:
 def cmd_run(cfg: RunConfig, scenes_dir: str, out: str) -> None:
     scenes = _load(scenes_dir, "scene")
     params = None
-    if cfg.predictor == "head":
+    if cfg.predictor == "oracle":
+        for name, scene in scenes:
+            if not scene.gt_boxes or any(g.class_id is None for g in scene.gt_boxes):
+                raise DataError("the oracle predictor needs ground-truth boxes with class "
+                                f"ids, which {name} lacks")
+    else:
         if cfg.model is None:
             raise ConfigError("predictor 'head' requires a model path in the config")
         params = model_from_doc(read_json(cfg.model, "model"))
@@ -298,8 +303,12 @@ def cmd_run(cfg: RunConfig, scenes_dir: str, out: str) -> None:
 def cmd_eval(cfg: RunConfig, traces_dir: str, out: str) -> None:
     traces = [trace for _, trace in _load(traces_dir, "trace")]
     for t in traces:
-        if t.gts is None:
-            raise DataError("evaluation needs traces recorded with ground truth")
+        if not t.gts:
+            raise DataError("evaluation needs traces recorded with ground-truth boxes")
+        if cfg.ensemble[1] > t.num_stages:
+            raise ConfigError(
+                f"stage range {cfg.ensemble} invalid for a {t.num_stages}-stage trace"
+            )
     scene_results = [
         (ensemble_stages(t, cfg.ensemble, cfg.nms_iou), t.gts) for t in traces
     ]
@@ -432,9 +441,6 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

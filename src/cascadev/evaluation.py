@@ -25,7 +25,7 @@ from scipy import stats as _scipy_stats
 
 from .cascade import StageTrace
 from .errors import DataError, WrongVariantError
-from .geometry import OrientedBox, matched_faces, points_as_array
+from .geometry import OrientedBox, matched_faces
 from .overlap import Detection, footprint_iou, footprints, iou_aabb
 from .synth import match_points_to_gt
 
@@ -226,9 +226,7 @@ class StageStats:
     mu: float | None
     positives: int
     mean_centerness_before: float
-    median_centerness_before: float
     mean_centerness_after: float
-    median_centerness_after: float
     spearman_rho: float
     pairs: list[tuple[float, float]]
 
@@ -276,14 +274,14 @@ def cascade_stats(traces: list[StageTrace]) -> CascadeStats:
                 mus[si] = rec.mu
             if rec.assignment is not None:
                 per_stage_pos[si] += rec.assignment.num_regular_positives
-            keep = [pi for pi, prop in enumerate(rec.proposals_in) if not prop.is_denoising]
-            pts = points_as_array([rec.proposals_in[pi].point for pi in keep])
+            keep = np.flatnonzero(rec.proposals_in.denoising_gt < 0)
+            pts = rec.proposals_in.points[keep]
             owner = match_points_to_gt(pts, gts)
             before = matched_faces(gts, pts, owner)[1].tolist()
-            after = matched_faces(gts, [rec.updated_points[pi] for pi in keep], owner)[1].tolist()
+            after = matched_faces(gts, rec.updated_points[keep], owner)[1].tolist()
             per_stage_before[si].extend(before)
             per_stage_after[si].extend(after)
-            det_fps = footprints([rec.detections[pi].box for pi in keep])
+            det_fps = footprints([rec.detections[pi].box for pi in keep.tolist()])
             per_stage_pairs[si].extend(
                 (b, footprint_iou(fp, gt_fps[gi]))
                 for fp, gi, b in zip(det_fps, owner.tolist(), before)
@@ -300,9 +298,7 @@ def cascade_stats(traces: list[StageTrace]) -> CascadeStats:
                 mu=mus[si],
                 positives=per_stage_pos[si],
                 mean_centerness_before=float(np.mean(before)) if before else float("nan"),
-                median_centerness_before=float(np.median(before)) if before else float("nan"),
                 mean_centerness_after=float(np.mean(after)) if after else float("nan"),
-                median_centerness_after=float(np.median(after)) if after else float("nan"),
                 spearman_rho=_spearman([p[0] for p in pairs], [p[1] for p in pairs]),
                 pairs=pairs,
             )

@@ -17,11 +17,12 @@ from dataclasses import asdict
 import numpy as np
 
 from .assignment import Assignment
-from .cascade import Prediction, Proposal, StageRecord, StageTrace
+from .cascade import Predictions, Proposals, StageRecord, StageTrace
 from .errors import DataError, SchemaVersionError
 from .evaluation import ApResult, CascadeStats, ThresholdResult
 from .geometry import Deltas, OrientedBox, Point3
 from .learner import BranchParams, HeadParams, LossReport, StageParams
+from .overlap import Detection
 from .synth import SceneConfig, SyntheticScene
 
 SCHEMA_VERSION = "1.0"
@@ -119,6 +120,17 @@ def _box_from(doc: dict) -> OrientedBox:
     )
 
 
+def _rows(values: list, width: int | None = None) -> np.ndarray:
+    """values as a (len(values), width) float array, width None taking the first
+    row's; ValueError when the rows are ragged, of another width or not finite."""
+    if width is None:
+        width = len(values[0]) if values else 0
+    a = np.array(values, dtype=np.float64).reshape(len(values), width)
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite values")
+    return a
+
+
 def scene_config_doc(cfg: SceneConfig) -> dict:
     return asdict(cfg)
 
@@ -156,7 +168,7 @@ def scene_from_doc(doc: dict) -> SyntheticScene:
         return SyntheticScene(
             gt_boxes=[_box_from(b) for b in doc["gt_boxes"]],
             points=[Point3(*p) for p in doc["points"]],
-            features=np.asarray(doc["features"], dtype=np.float64),
+            features=_rows(doc["features"]),
             point_gt_labels=list(doc["point_gt_labels"]),
             seed=doc["seed"],
             config=scene_config_from_doc(doc["config"]),
@@ -165,16 +177,12 @@ def scene_from_doc(doc: dict) -> SyntheticScene:
         raise DataError(f"malformed scene document: {exc}") from exc
 
 
-def _deltas_doc(d: Deltas) -> list[float]:
-    return [float(v) for v in d.as_array()]
-
-
 def _assignment_doc(a: Assignment) -> dict:
     return {
         "mu": a.mu,
         "matched_gt": list(a.matched_gt),
         "target_deltas": [
-            None if d is None else _deltas_doc(d) for d in a.target_deltas
+            None if d is None else d.as_array().tolist() for d in a.target_deltas
         ],
         "target_centerness": list(a.target_centerness),
         "target_class": list(a.target_class),
@@ -204,9 +212,7 @@ def detection_doc(d) -> dict:
     }
 
 
-def detection_from_doc(doc: dict):
-    from .overlap import Detection
-
+def detection_from_doc(doc: dict) -> Detection:
     return Detection(
         box=_box_from(doc["box"]),
         score=doc["score"],
@@ -215,77 +221,66 @@ def detection_from_doc(doc: dict):
     )
 
 
+def _stage_doc(rec: StageRecord) -> dict:
+    props, preds = rec.proposals_in, rec.predictions
+    deltas = preds.deltas.tolist()
+    return {
+        "stage": rec.stage,
+        "mu": rec.mu,
+        "proposals_in": [
+            {"point": p, "feature": f, "origin_index": o, "is_denoising": g >= 0,
+             "denoising_gt": None if g < 0 else g}
+            for p, f, o, g in zip(props.points.tolist(), props.features.tolist(),
+                                  props.origin_index.tolist(), props.denoising_gt.tolist())
+        ],
+        "predictions": [
+            {"class_probs": p, "deltas": d, "heading": d[6], "centerness": c}
+            for p, d, c in zip(preds.class_probs.tolist(), deltas, preds.centerness.tolist())
+        ],
+        "updated_points": rec.updated_points.tolist(),
+        "assignment": None if rec.assignment is None else _assignment_doc(rec.assignment),
+        "detections": [detection_doc(d) for d in rec.detections],
+    }
+
+
 def trace_to_doc(trace: StageTrace, scene_seed: int | None = None) -> dict:
     doc = _envelope("trace")
     if scene_seed is not None:
         doc["scene_seed"] = scene_seed
     doc["gts"] = None if trace.gts is None else [_box_doc(b) for b in trace.gts]
-    doc["stages"] = [
-        {
-            "stage": rec.stage,
-            "mu": rec.mu,
-            "proposals_in": [
-                {
-                    "point": _point_doc(p.point),
-                    "feature": np.asarray(p.feature, dtype=np.float64).tolist(),
-                    "origin_index": p.origin_index,
-                    "is_denoising": p.is_denoising,
-                    "denoising_gt": p.denoising_gt,
-                }
-                for p in rec.proposals_in
-            ],
-            "predictions": [
-                {
-                    "class_probs": np.asarray(pr.class_probs, dtype=np.float64).tolist(),
-                    "deltas": _deltas_doc(pr.deltas),
-                    "heading": pr.deltas.heading,
-                    "centerness": pr.centerness,
-                }
-                for pr in rec.predictions
-            ],
-            "updated_points": [_point_doc(p) for p in rec.updated_points],
-            "assignment": None if rec.assignment is None else _assignment_doc(rec.assignment),
-            "detections": [detection_doc(d) for d in rec.detections],
-        }
-        for rec in trace.stages
-    ]
+    doc["stages"] = [_stage_doc(rec) for rec in trace.stages]
     return doc
+
+
+def _stage_from(rec: dict) -> StageRecord:
+    props, preds = rec["proposals_in"], rec["predictions"]
+    denoising_gt = [-1 if p["denoising_gt"] is None else p["denoising_gt"] for p in props]
+    if [p["is_denoising"] for p in props] != [g >= 0 for g in denoising_gt]:
+        raise DataError("is_denoising disagrees with denoising_gt")
+    return StageRecord(
+        stage=rec["stage"],
+        mu=rec["mu"],
+        proposals_in=Proposals(
+            points=_rows([p["point"] for p in props], 3),
+            features=_rows([p["feature"] for p in props]),
+            origin_index=np.array([p["origin_index"] for p in props], dtype=np.int64),
+            denoising_gt=np.array(denoising_gt, dtype=np.int64),
+        ),
+        predictions=Predictions(
+            class_probs=_rows([pr["class_probs"] for pr in preds]),
+            deltas=_rows([pr["deltas"] for pr in preds], 7),
+            centerness=np.array([pr["centerness"] for pr in preds], dtype=np.float64),
+        ),
+        updated_points=_rows(rec["updated_points"], 3),
+        assignment=None if rec["assignment"] is None else _assignment_from(rec["assignment"]),
+        detections=[detection_from_doc(d) for d in rec["detections"]],
+    )
 
 
 def trace_from_doc(doc: dict) -> StageTrace:
     check_schema(doc, "trace")
     try:
-        stages = []
-        for rec in doc["stages"]:
-            stages.append(
-                StageRecord(
-                    stage=rec["stage"],
-                    mu=rec["mu"],
-                    proposals_in=[
-                        Proposal(
-                            point=Point3(*p["point"]),
-                            feature=np.asarray(p["feature"], dtype=np.float64),
-                            origin_index=p["origin_index"],
-                            is_denoising=p["is_denoising"],
-                            denoising_gt=p["denoising_gt"],
-                        )
-                        for p in rec["proposals_in"]
-                    ],
-                    predictions=[
-                        Prediction(
-                            class_probs=np.asarray(pr["class_probs"], dtype=np.float64),
-                            deltas=Deltas.from_array(pr["deltas"]),
-                            centerness=pr["centerness"],
-                        )
-                        for pr in rec["predictions"]
-                    ],
-                    updated_points=[Point3(*p) for p in rec["updated_points"]],
-                    assignment=(
-                        None if rec["assignment"] is None else _assignment_from(rec["assignment"])
-                    ),
-                    detections=[detection_from_doc(d) for d in rec["detections"]],
-                )
-            )
+        stages = [_stage_from(rec) for rec in doc["stages"]]
         gts = doc["gts"]
         return StageTrace(
             stages=stages, gts=None if gts is None else [_box_from(b) for b in gts]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,9 +99,6 @@ class OrientedBox:
     def volume(self) -> float:
         w, l, h = self.size
         return w * l * h
-
-    def with_meta(self, class_id: int | None = None, score: float | None = None) -> "OrientedBox":
-        return OrientedBox(self.center, self.size, self.yaw, class_id=class_id, score=score)
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,11 +233,12 @@ def point_in_scaled_box(p: Point3, box: OrientedBox, mu: float) -> bool:
 
 # Vectorized helpers. Bulk geometry (voting masks, Monte-Carlo overlap,
 # scene generation, seed scoring, the oracle predictor, target
-# assignment, cascade statistics) goes through these instead of the
-# scalar API: canonical_coords, contains_points, encode_deltas_array,
-# centerness_array and matched_faces. The array kernels repeat the
-# scalar arithmetic operation for operation, so their results are
-# bit-identical to encode_deltas and centerness row by row.
+# assignment, cascade statistics, stage decoding) goes through these
+# instead of the scalar API: canonical_coords, contains_points,
+# encode_deltas_array, centerness_array, matched_faces and decode_boxes.
+# The array kernels repeat the scalar arithmetic operation for
+# operation, so their results are bit-identical to encode_deltas,
+# centerness and decode_box row by row.
 
 
 def points_as_array(points) -> np.ndarray:
@@ -277,14 +275,18 @@ def encode_deltas_array(box: OrientedBox, points) -> np.ndarray:
     Row i equals encode_deltas(points[i], box).faces(); the heading is
     box.yaw for every row and is left out.
     """
-    q = canonical_coords(box, points)
+    return _face_distances(canonical_coords(box, points), np.array(box.size) / 2.0)
+
+
+def _face_distances(q: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """(N, 6) face distances from canonical coordinates q and half extents,
+    one (3,) triple for all rows or an (N, 3) array with one per row."""
     # Built column by column and returned as a transposed view, so the
     # row-wise min of a caller's containment test is a fast reduction.
     out = np.empty((6, len(q)))
-    for axis, extent in enumerate(box.size):
-        half = extent / 2.0
-        out[2 * axis] = half - q[:, axis]
-        out[2 * axis + 1] = q[:, axis] + half
+    for axis in range(3):
+        out[2 * axis] = half[..., axis] - q[:, axis]
+        out[2 * axis + 1] = q[:, axis] + half[..., axis]
     return out.T
 
 
@@ -308,14 +310,48 @@ def matched_faces(boxes: list[OrientedBox], points, owner: np.ndarray):
 
     Returns an (N, 6) array and an (N,) array; every owner entry must
     index boxes. Row i equals encode_deltas(points[i], boxes[owner[i]])
-    and its centerness.
+    and its centerness. Each row gathers its box's center, half extents
+    and cos/sin, so all rows are computed together whatever the box count.
     """
     pts = points_as_array(points)
-    faces = np.empty((len(pts), 6))
-    for bi, box in enumerate(boxes):
-        rows = owner == bi
-        faces[rows] = encode_deltas_array(box, pts[rows])
+    centers = np.array([[b.center.x, b.center.y, b.center.z] for b in boxes]).reshape(-1, 3)
+    halves = np.array([b.size for b in boxes]).reshape(-1, 3) / 2.0
+    q = pts - centers[owner]
+    rot = np.flatnonzero(np.array([b.yaw != 0.0 for b in boxes], dtype=bool)[owner])
+    c = np.array([math.cos(b.yaw) for b in boxes])[owner[rot]]
+    s = np.array([math.sin(b.yaw) for b in boxes])[owner[rot]]
+    x, y = q[rot, 0], q[rot, 1]
+    q[rot, 0] = c * x + s * y
+    q[rot, 1] = -s * x + c * y
+    faces = _face_distances(q, halves[owner])
     return faces, centerness_array(faces)
+
+
+def decode_boxes(points, deltas: np.ndarray):
+    """decode_box over rows: (B, 3) centers, (B, 3) sizes and (B,) yaws.
+
+    Row i equals decode_box(points[i], Deltas(*deltas[i])). Raises
+    InvalidDeltasError naming the first row whose implied size is not positive.
+    """
+    pts = points_as_array(points)
+    d = np.asarray(deltas, dtype=np.float64).reshape(len(pts), 7)
+    sizes = d[:, 0:6:2] + d[:, 1:6:2]
+    bad = np.flatnonzero(~(sizes > 0.0).all(axis=1))
+    if len(bad):
+        raise InvalidDeltasError(f"proposal {bad[0]}: implied box size not positive: "
+                                 f"{tuple(sizes[bad[0]].tolist())}")
+    q = (d[:, 1:6:2] - d[:, 0:6:2]) / 2.0
+    centers = pts - q
+    # update_point rotates the offset only for a non-zero heading.
+    rot = np.flatnonzero(d[:, 6] != 0.0)
+    c = np.array([math.cos(h) for h in d[rot, 6].tolist()])
+    s = np.array([math.sin(h) for h in d[rot, 6].tolist()])
+    centers[rot, 0] = pts[rot, 0] - (c * q[rot, 0] - s * q[rot, 1])
+    centers[rot, 1] = pts[rot, 1] - (s * q[rot, 0] + c * q[rot, 1])
+    # normalize_yaw, row by row.
+    yaws = np.remainder(d[:, 6] + math.pi, _TWO_PI) - math.pi
+    yaws[yaws >= math.pi] -= _TWO_PI
+    return centers, sizes, yaws
 
 
 def contains_points(box: OrientedBox, points, mu: float = 0.5, eps: float = EPS) -> np.ndarray:

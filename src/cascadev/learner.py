@@ -20,20 +20,20 @@ stages; each head sees its inputs as constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .assignment import Assignment, CpaSchedule, cpa_threshold
-from .cascade import Prediction, Proposal, hand_off, stage_assignment
+from .cascade import Predictions, Proposals, hand_off, stage_assignment
 from .errors import InvalidDeltasError, TrainingDivergedError
-from .geometry import Deltas, decode_box
+from .geometry import OrientedBox, Point3, decode_boxes
 from .synth import SyntheticScene, scene_proposals
 
 # Not called here since training shares the cascade's stage step;
 # perfbench/bench_trace.py patches these names on this module.
 from .assignment import assign_targets  # noqa: F401
-from .geometry import update_point  # noqa: F401
+from .geometry import decode_box, update_point  # noqa: F401
 from .voting import ia_voting  # noqa: F401
 
 
@@ -68,9 +68,6 @@ class BranchParams:
     def arrays(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
 
-    def copy(self) -> "BranchParams":
-        return BranchParams(*(a.copy() for a in self.arrays()))
-
 
 @dataclass
 class StageParams:
@@ -80,9 +77,6 @@ class StageParams:
 
     def branches(self) -> dict[str, BranchParams]:
         return {"cls": self.cls, "reg": self.reg, "cent": self.cent}
-
-    def copy(self) -> "StageParams":
-        return StageParams(self.cls.copy(), self.reg.copy(), self.cent.copy())
 
 
 @dataclass
@@ -97,14 +91,6 @@ class HeadParams:
     @property
     def num_stages(self) -> int:
         return len(self.stages)
-
-    def copy(self) -> "HeadParams":
-        return HeadParams(
-            stages=[s.copy() for s in self.stages],
-            feature_dim=self.feature_dim,
-            num_classes=self.num_classes,
-            hidden=self.hidden,
-        )
 
 
 def init_head_params(
@@ -153,24 +139,21 @@ class StageOutputs:
     reg_raw: np.ndarray  # (n, 7); first six pass through softplus downstream
     cent_logits: np.ndarray  # (n,)
 
-    def predictions(self) -> list[Prediction]:
-        """One Prediction per row: softmax probabilities, softplus'd
-        face distances with the raw heading, sigmoid centerness."""
-        probs = _softmax(self.cls_logits)
-        d6 = _softplus(self.reg_raw[:, :6]).tolist()
-        heading = self.reg_raw[:, 6].tolist()
-        cent = _sigmoid(self.cent_logits).tolist()
-        return [
-            Prediction(class_probs=p, deltas=Deltas(*d, heading=h), centerness=c)
-            for p, d, h, c in zip(probs, d6, heading, cent)
-        ]
+    def predictions(self) -> Predictions:
+        """Softmax probabilities, softplus'd face distances with the raw
+        heading, and sigmoid centerness."""
+        return Predictions(
+            class_probs=_softmax(self.cls_logits),
+            deltas=np.concatenate([_softplus(self.reg_raw[:, :6]), self.reg_raw[:, 6:]], axis=1),
+            centerness=_sigmoid(self.cent_logits),
+        )
 
 
-def _stage_forward(sp: StageParams, proposals: list[Proposal]):
+def _stage_forward(sp: StageParams, proposals: Proposals):
     """One stage's batched forward over its proposals: returns the (B, F)
     features, the raw StageOutputs and the three branches' hidden
     activations (cls, reg, cent) for backprop."""
-    feats = np.stack([p.feature for p in proposals]) if proposals else np.zeros((0, len(sp.cls.w1)))
+    feats = proposals.features
     cls_out, cls_h = _forward(sp.cls, feats)
     reg_out, reg_h = _forward(sp.reg, feats)
     cent_out, cent_h = _forward(sp.cent, feats)
@@ -201,6 +184,12 @@ class LossWeights:
     reg: float = 1.0
     cent: float = 1.0
     focal_gamma: float = 0.0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{f.name} must be a finite number >= 0, got {v!r}")
 
 
 def _smooth_l1(x: np.ndarray) -> np.ndarray:
@@ -310,14 +299,14 @@ def compute_losses(
 
 
 def head_predictor(params: HeadParams, stage: int):
-    """list[Proposal] -> list[Prediction] predictor for one stage's head.
+    """Proposals -> Predictions predictor for one stage's head.
 
     Runs the same batched forward and output conversion that training
     uses, over all of a stage's proposal features at once.
     """
     sp = params.stages[stage - 1]
 
-    def predict(proposals: list[Proposal]) -> list[Prediction]:
+    def predict(proposals: Proposals) -> Predictions:
         return _stage_forward(sp, proposals)[1].predictions()
 
     return predict
@@ -436,16 +425,17 @@ def train_cascade(
                     arr -= lr * ga / len(batch)
             if l < sched.num_stages:
                 for entry in batch:
+                    props, deltas = entry["props"], entry["outputs"].predictions().deltas
                     try:
-                        boxes = [
-                            decode_box(p.point, pred.deltas)
-                            for p, pred in zip(entry["props"], entry["outputs"].predictions())
-                        ]
+                        centers, sizes, _ = decode_boxes(props.points, deltas)
                     except InvalidDeltasError as exc:
                         # Softplus only hits exact zero when the raw output has
                         # exploded, so a degenerate box here means divergence.
                         raise TrainingDivergedError(
                             f"box decode failed at step {step}, stage {l}: {exc}"
                         ) from exc
-                    entry["props"] = hand_off(entry["props"], boxes, weighting=weighting)
+                    # Given the raw heading, each box normalizes its yaw once, as decode_box does.
+                    boxes = [OrientedBox(Point3(*c), tuple(size), h) for c, size, h
+                             in zip(centers.tolist(), sizes.tolist(), deltas[:, 6].tolist())]
+                    entry["props"] = hand_off(props, boxes, weighting=weighting)
     return params, history

@@ -19,15 +19,14 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .assignment import select_denoising, select_top_b
-from .cascade import Prediction, Proposal
+from .cascade import Predictions, Proposals
 from .errors import PlacementError
 from .geometry import (
-    Deltas,
     OrientedBox,
     Point3,
     contains_points,
@@ -342,13 +341,13 @@ def _guard_extents(d: np.ndarray) -> np.ndarray:
 
 
 def oracle_predictor(scene: SyntheticScene, noise: OracleNoise, seed: int = 0):
-    """A list[Proposal] -> list[Prediction] predictor built from the scene's ground truth.
+    """A Proposals -> Predictions predictor built from the scene's ground truth.
 
     Matches every proposal point to its box at once (containing, else
     nearest center) and emits the true targets under the configured
     noise. Class probabilities carry a trailing background entry, always
     zero here. Noise draws come from a generator keyed by (scene seed,
-    seed) and are taken proposal by proposal in list order, so only the
+    seed) and are taken proposal by proposal in row order, so only the
     sequence of proposals across calls must stay fixed for
     reproducibility; the cascade calls its predictors stage by stage.
     """
@@ -357,32 +356,27 @@ def oracle_predictor(scene: SyntheticScene, noise: OracleNoise, seed: int = 0):
         raise ValueError("oracle needs at least one ground-truth box")
     rng = _rng((scene.seed << 1) ^ seed)
     n_classes = scene.config.num_classes
+    yaws = np.array([gt.yaw for gt in gts])
+    gt_classes = np.array([gt.class_id for gt in gts], dtype=np.int64)
 
-    def predict(proposals: list[Proposal]) -> list[Prediction]:
-        pts = points_as_array([prop.point for prop in proposals])
-        owner = match_points_to_gt(pts, gts)
-        faces, cent = matched_faces(gts, pts, owner)
-        preds = []
-        for gi, d, c_true in zip(owner.tolist(), faces, cent.tolist()):
-            gt = gts[gi]
+    def predict(proposals: Proposals) -> Predictions:
+        owner = match_points_to_gt(proposals.points, gts)
+        faces, cent = matched_faces(gts, proposals.points, owner)
+        deltas = np.column_stack([faces, yaws[owner]])
+        classes = gt_classes[owner]
+        for i in range(len(owner)):
             if noise.sigma_delta > 0.0:
-                d = d * rng.normal(1.0, noise.sigma_delta, size=6)
-                d = _guard_extents(d)
-            heading = gt.yaw
+                d = faces[i] * rng.normal(1.0, noise.sigma_delta, size=6)
+                deltas[i, :6] = _guard_extents(d)
             if noise.sigma_heading > 0.0:
-                heading += float(rng.normal(0.0, noise.sigma_heading))
-            cls = gt.class_id
+                deltas[i, 6] += float(rng.normal(0.0, noise.sigma_heading))
             if noise.p_class_flip > 0.0 and n_classes > 1 and rng.random() < noise.p_class_flip:
-                others = [c for c in range(n_classes) if c != cls]
-                cls = int(others[rng.integers(len(others))])
-            probs = np.zeros(n_classes + 1)
-            probs[cls] = 1.0
-            c_pred = c_true
+                others = [c for c in range(n_classes) if c != classes[i]]
+                classes[i] = others[rng.integers(len(others))]
             if noise.centerness_bias > 0.0:
-                c_pred = float(np.clip(c_true + noise.centerness_bias * rng.normal(), 0.0, 1.0))
-            preds.append(Prediction(class_probs=probs, deltas=Deltas(*d, heading=heading),
-                                    centerness=c_pred))
-        return preds
+                cent[i] = np.clip(cent[i] + noise.centerness_bias * rng.normal(), 0.0, 1.0)
+        probs = np.eye(n_classes + 1)[classes]
+        return Predictions(class_probs=probs, deltas=deltas, centerness=cent)
 
     return predict
 
@@ -394,7 +388,7 @@ def scene_proposals(
     *,
     denoising: bool = False,
     denoising_k: int = 1,
-) -> list[Proposal]:
+) -> Proposals:
     """Top-b scene points by predicted centerness, as stage-1 proposals.
 
     With denoising=True, the denoising_k points nearest each
@@ -414,21 +408,13 @@ def scene_proposals(
     taken = {pi for _, pi in group}
     chosen = [i for i in select_top_b(predicted_centerness, b + len(taken))
               if i not in taken][:b]
-    props = [
-        Proposal(point=scene.points[i], feature=scene.features[i].copy(), origin_index=i)
-        for i in chosen
-    ]
-    for gi, pi in group:
-        props.append(
-            Proposal(
-                point=scene.points[pi],
-                feature=scene.features[pi].copy(),
-                origin_index=pi,
-                is_denoising=True,
-                denoising_gt=gi,
-            )
-        )
-    return props
+    rows = chosen + [pi for _, pi in group]
+    return Proposals(
+        points=points_as_array([scene.points[i] for i in rows]),
+        features=scene.features[rows],
+        origin_index=np.array(rows, dtype=np.int64),
+        denoising_gt=np.array([-1] * len(chosen) + [gi for gi, _ in group], dtype=np.int64),
+    )
 
 
 def oracle_seed_centerness(scene: SyntheticScene, noise: OracleNoise, seed: int = 0) -> np.ndarray:

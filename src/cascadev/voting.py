@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import WrongVariantError
-from .geometry import OrientedBox, Point3, contains_points, points_as_array
+from .geometry import OrientedBox, contains_points, points_as_array
 
 WEIGHTINGS = ("exp_neg_dist", "literal")
 
@@ -28,7 +28,7 @@ def _as_feature_matrix(features) -> np.ndarray:
     if len(features) == 0:
         return np.zeros((0, 0))
     try:
-        mat = np.array([np.asarray(f, dtype=np.float64) for f in features])
+        mat = np.asarray(features, dtype=np.float64)
     except ValueError as e:
         raise ValueError(f"feature dimensions inconsistent: {e}") from None
     if mat.ndim != 2:
@@ -39,9 +39,9 @@ def _as_feature_matrix(features) -> np.ndarray:
 
 
 def ia_voting(
-    updated_points: list[Point3],
+    updated_points,
     predicted_boxes: list[OrientedBox],
-    source_points: list[Point3],
+    source_points,
     source_features,
     *,
     weighting: str = "exp_neg_dist",
@@ -50,7 +50,8 @@ def ia_voting(
     """Aggregate source features inside each proposal's predicted box.
 
     updated_points and predicted_boxes align 1:1 (proposal i), as do
-    source_points and source_features (source j). A proposal whose box
+    source_points and source_features (source j); points come as lists
+    of Point3 or (N, 3) arrays. A proposal whose box
     contains no source point keeps its prior feature: prior_features[i]
     when given, else source_features[i] when sources align positionally
     with proposals.
@@ -69,10 +70,11 @@ def ia_voting(
         raise ValueError(
             f"prior feature dimension {priors.shape[1]} != source dimension {feats.shape[1]}"
         )
-    src = points_as_array(source_points) if source_points else np.zeros((0, 3))
+    src = points_as_array(source_points)
+    upd = points_as_array(updated_points)
 
     out: list[np.ndarray] = []
-    for i, (p, box) in enumerate(zip(updated_points, predicted_boxes)):
+    for i, box in enumerate(predicted_boxes):
         mask = contains_points(box, src, mu=0.5) if len(src) else np.zeros(0, dtype=bool)
         if not mask.any():
             if priors is not None:
@@ -84,7 +86,7 @@ def ia_voting(
                     f"proposal {i} has an empty vote mask and no prior feature to fall back to"
                 )
             continue
-        dist = np.linalg.norm(src[mask] - np.array([p.x, p.y, p.z]), axis=1)
+        dist = np.linalg.norm(src[mask] - upd[i], axis=1)
         # Shift before exponentiating; the normalization cancels the shift.
         if weighting == "exp_neg_dist":
             w = np.exp(-(dist - dist.min()))

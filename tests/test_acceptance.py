@@ -361,11 +361,9 @@ def test_criterion_7_exact_oracle_cascade():
         )
         results.append((ensemble_stages(trace, (1, 3), 0.25), scene.gt_boxes))
         for rec in trace.stages[1:]:
-            for prop in rec.proposals_in:
-                gt = scene.gt_boxes[match_point_to_gt(prop.point, scene.gt_boxes)]
-                worst_dev = max(
-                    worst_dev, abs(centerness(encode_deltas(prop.point, gt)) - 1.0)
-                )
+            for p in map(Point3.from_array, rec.proposals_in.points):
+                gt = scene.gt_boxes[match_point_to_gt(p, scene.gt_boxes)]
+                worst_dev = max(worst_dev, abs(centerness(encode_deltas(p, gt)) - 1.0))
     map50 = evaluate_scenes(results, [0.5]).at(0.5).mean_ap
     ok = map50 == 1.0 and worst_dev < 1e-9
     _record(

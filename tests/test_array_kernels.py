@@ -1,8 +1,9 @@
 """Array kernels against their scalar oracles, by exact equality.
 
-encode_deltas_array, centerness_array and match_points_to_gt replace
-per-point loops over encode_deltas, centerness and match_point_to_gt on
-the seed-scoring and cascade-statistics paths. Pipeline artifacts stay
+encode_deltas_array, centerness_array, matched_faces, decode_boxes and
+match_points_to_gt replace per-point loops over encode_deltas,
+centerness, decode_box and match_point_to_gt on the seed-scoring,
+assignment, oracle, stage-decoding and cascade-statistics paths. Pipeline artifacts stay
 byte-identical only if every row is bit-equal to the scalar result, so
 these properties use ==, never a tolerance. The kernels run with
 warnings raised as errors: a stray RuntimeWarning (say, sqrt of a
@@ -14,17 +15,20 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cascadev.errors import InvalidDeltasError
 from cascadev.geometry import (
     Deltas,
     OrientedBox,
     Point3,
     centerness,
     centerness_array,
+    decode_boxes,
     encode_deltas,
     encode_deltas_array,
+    matched_faces,
 )
 from cascadev.synth import match_point_to_gt, match_points_to_gt
 
@@ -160,3 +164,92 @@ def test_match_points_to_gt_empty_inputs():
     assert match_points_to_gt(np.zeros((0, 3)), []).shape == (0,)
     with pytest.raises(ValueError):
         match_points_to_gt([box.center], [])
+
+
+@SETTINGS
+@given(st.data())
+def test_matched_faces_equals_scalar(data):
+    # Many boxes, some at yaw 0 and some yawed, owning rows in any order.
+    gts = data.draw(st.lists(boxes(), min_size=1, max_size=12))
+    gts += [OrientedBox(g.center, g.size, yaw=0.0 if g.yaw else 0.7) for g in gts[:3]]
+    rows = data.draw(st.lists(
+        st.integers(0, len(gts) - 1).flatmap(lambda gi: st.tuples(st.just(gi), probes(gts[gi]))),
+        min_size=0, max_size=40,
+    ))
+    owner = np.array([gi for gi, _ in rows], dtype=np.int64)
+    pts = [p for _, p in rows]
+    faces, cent = raising(matched_faces, gts, pts, owner)
+    assert faces.shape == (len(rows), 6) and cent.shape == (len(rows),)
+    for i, (gi, p) in enumerate(rows):
+        ref = encode_deltas(p, gts[gi])
+        assert tuple(faces[i].tolist()) == ref.faces()
+        assert cent[i] == centerness(ref)
+
+
+# --- decode_boxes against a copy of the scalar decode_box/update_point -----
+
+
+def reference_decode(p: Point3, d: Deltas):
+    """(center, size, yaw) of decode_box(p, d), spelled out."""
+    w, l, h = d.d1 + d.d2, d.d3 + d.d4, d.d5 + d.d6
+    if not (w > 0.0 and l > 0.0 and h > 0.0):
+        raise InvalidDeltasError(f"implied box size not positive: {(w, l, h)}")
+    qx, qy, qz = (d.d2 - d.d1) / 2.0, (d.d4 - d.d3) / 2.0, (d.d6 - d.d5) / 2.0
+    if d.heading == 0.0:
+        center = (p.x - qx, p.y - qy, p.z - qz)
+    else:
+        c, s = math.cos(d.heading), math.sin(d.heading)
+        center = (p.x - (c * qx - s * qy), p.y - (s * qx + c * qy), p.z - qz)
+    yaw = (d.heading + math.pi) % (2.0 * math.pi) - math.pi
+    if yaw >= math.pi:
+        yaw -= 2.0 * math.pi
+    return center, (w, l, h), yaw
+
+
+# Face distances, including tiny and negative ones whose pair still sums > 0.
+faces_st = st.one_of(st.floats(-1.0, 3.0), st.sampled_from([1e-300, 5e-324, 1e-12, 0.0, -0.0]))
+headings = st.one_of(
+    # nextafter(-pi, -4) wraps onto +pi and must come back to -pi.
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -3.0 * math.pi,
+                     math.nextafter(-math.pi, -4.0)]),
+    st.floats(-math.pi, math.pi, exclude_max=True),
+    st.floats(-50.0, 50.0),
+)
+
+
+@st.composite
+def decodable_rows(draw):
+    d = [draw(faces_st) for _ in range(6)]
+    for a in (0, 2, 4):
+        if not d[a] + d[a + 1] > 0.0:
+            d[a + 1] = draw(st.sampled_from([5e-324, 1e-9, 0.5])) - d[a]
+            assume(d[a] + d[a + 1] > 0.0)
+    return Point3(draw(coords), draw(coords), draw(coords)), Deltas(*d, heading=draw(headings))
+
+
+@SETTINGS
+@given(st.lists(decodable_rows(), min_size=0, max_size=24))
+def test_decode_boxes_equals_scalar(rows):
+    pts = [p for p, _ in rows]
+    deltas = np.array([d.as_array() for _, d in rows]).reshape(len(rows), 7)
+    centers, sizes, yaws = raising(decode_boxes, pts, deltas)
+    assert centers.shape == sizes.shape == (len(rows), 3) and yaws.shape == (len(rows),)
+    for i, (p, d) in enumerate(rows):
+        center, size, yaw = reference_decode(p, d)
+        assert tuple(centers[i].tolist()) == center
+        assert tuple(sizes[i].tolist()) == size
+        assert yaws[i] == yaw
+        assert -math.pi <= yaws[i] < math.pi
+
+
+@SETTINGS
+@given(st.lists(decodable_rows(), min_size=1, max_size=12), st.data())
+def test_decode_boxes_rejects_first_non_positive_extent(rows, data):
+    deltas = np.array([d.as_array() for _, d in rows])
+    bad = sorted(data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1)))
+    for i in bad:
+        axis = data.draw(st.integers(0, 2))
+        gap = data.draw(st.sampled_from([0.0, 1e-9, 2.0]))
+        deltas[i, 2 * axis + 1] = -deltas[i, 2 * axis] - gap
+    with pytest.raises(InvalidDeltasError, match=f"^proposal {bad[0]}: implied box size"):
+        decode_boxes([p for p, _ in rows], deltas)

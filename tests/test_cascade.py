@@ -4,15 +4,15 @@ import pytest
 from cascadev import cascade
 from cascadev.assignment import CpaSchedule, cpa_threshold
 from cascadev.cascade import (
-    Prediction,
-    Proposal,
+    Predictions,
+    Proposals,
     StageTrace,
     ensemble_stages,
     run_cascade,
 )
 from cascadev.errors import PredictorOutputError
 from cascadev.learner import head_predictors, init_head_params
-from cascadev.geometry import Deltas, Point3, centerness, encode_deltas
+from cascadev.geometry import Point3, centerness, encode_deltas
 from cascadev.overlap import iou_rotated, nms
 from cascadev.synth import (
     OracleNoise,
@@ -27,6 +27,12 @@ from cascadev.synth import (
 CFG = SceneConfig(num_gt=(2, 3), points_per_box=60, num_clutter=150)
 YAW_CFG = SceneConfig(num_gt=(2, 3), points_per_box=60, num_clutter=150, yaw_enabled=True)
 SCHED = CpaSchedule(0.4, 0.2, 3)
+
+
+def first_rows(props, n):
+    """The first n proposals."""
+    return Proposals(props.points[:n], props.features[:n], props.origin_index[:n],
+                     props.denoising_gt[:n])
 
 
 def build(seed, noise, b=24, denoising=False, cfg=CFG):
@@ -46,33 +52,33 @@ class TestRunCascade:
         assert rec.stage == 1
         assert rec.mu == pytest.approx(0.2)
         assert len(rec.detections) == len(props)
-        assert len(rec.updated_points) == len(props)
-        assert rec.proposals_in == props
+        assert rec.updated_points.shape == (len(props), 3)
+        assert rec.proposals_in is props
 
     def test_exact_oracle_stage1_detections_match_gt(self):
         scene, props, predict = build(2, OracleNoise())
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes)
-        for prop, det in zip(props, trace.stages[0].detections):
-            gt = scene.gt_boxes[match_point_to_gt(prop.point, scene.gt_boxes)]
+        for p, det in zip(props.points, trace.stages[0].detections):
+            gt = scene.gt_boxes[match_point_to_gt(Point3(*p), scene.gt_boxes)]
             assert iou_rotated(det.box, gt) == pytest.approx(1.0, abs=1e-9)
             assert det.class_id == gt.class_id
 
     def test_exact_oracle_updated_points_hit_centers(self):
         scene, props, predict = build(3, OracleNoise())
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes)
-        for prop, up in zip(props, trace.stages[0].updated_points):
-            gt = scene.gt_boxes[match_point_to_gt(prop.point, scene.gt_boxes)]
-            assert up.x == pytest.approx(gt.center.x, abs=1e-9)
-            assert up.y == pytest.approx(gt.center.y, abs=1e-9)
-            assert up.z == pytest.approx(gt.center.z, abs=1e-9)
+        for p, up in zip(props.points, trace.stages[0].updated_points):
+            gt = scene.gt_boxes[match_point_to_gt(Point3(*p), scene.gt_boxes)]
+            assert up[0] == pytest.approx(gt.center.x, abs=1e-9)
+            assert up[1] == pytest.approx(gt.center.y, abs=1e-9)
+            assert up[2] == pytest.approx(gt.center.z, abs=1e-9)
 
     def test_exact_oracle_stage2_centerness_is_one(self):
         scene, props, predict = build(4, OracleNoise())
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes)
         for rec in trace.stages[1:]:
-            for prop in rec.proposals_in:
-                gt = scene.gt_boxes[match_point_to_gt(prop.point, scene.gt_boxes)]
-                c = centerness(encode_deltas(prop.point, gt))
+            for p in rec.proposals_in.points:
+                gt = scene.gt_boxes[match_point_to_gt(Point3(*p), scene.gt_boxes)]
+                c = centerness(encode_deltas(Point3(*p), gt))
                 assert c == pytest.approx(1.0, abs=1e-9)
 
     def test_exact_oracle_fixed_point_after_stage2(self):
@@ -81,9 +87,9 @@ class TestRunCascade:
         s2, s3 = trace.stages[1], trace.stages[2]
         for d2, d3 in zip(s2.detections, s3.detections):
             assert iou_rotated(d2.box, d3.box) == pytest.approx(1.0, abs=1e-9)
-        for p2, p3 in zip(s2.proposals_in, s3.proposals_in):
-            assert p2.point.x == pytest.approx(p3.point.x, abs=1e-9)
-            assert p2.point.z == pytest.approx(p3.point.z, abs=1e-9)
+        for p2, p3 in zip(s2.proposals_in.points, s3.proposals_in.points):
+            assert p2[0] == pytest.approx(p3[0], abs=1e-9)
+            assert p2[2] == pytest.approx(p3[2], abs=1e-9)
 
     def test_noisy_updates_raise_mean_centerness(self):
         gains = []
@@ -93,10 +99,10 @@ class TestRunCascade:
             rec = trace.stages[0]
             before = []
             after = []
-            for prop, up in zip(rec.proposals_in, rec.updated_points):
-                gt = scene.gt_boxes[match_point_to_gt(prop.point, scene.gt_boxes)]
-                before.append(centerness(encode_deltas(prop.point, gt)))
-                after.append(centerness(encode_deltas(up, gt)))
+            for p, up in zip(rec.proposals_in.points, rec.updated_points):
+                gt = scene.gt_boxes[match_point_to_gt(Point3(*p), scene.gt_boxes)]
+                before.append(centerness(encode_deltas(Point3(*p), gt)))
+                after.append(centerness(encode_deltas(Point3(*up), gt)))
             gains.append(np.mean(after) - np.mean(before))
         assert np.mean(gains) > 0.0
         assert sum(g > 0 for g in gains) >= 8
@@ -105,16 +111,15 @@ class TestRunCascade:
         noise = OracleNoise(sigma_delta=0.1, sigma_heading=0.1)
         scene, props, predict = build(6, noise, denoising=True, cfg=YAW_CFG)
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes)
-        base = [p.origin_index for p in props]
         for rec in trace.stages:
-            assert [p.origin_index for p in rec.proposals_in] == base
-            assert [p.is_denoising for p in rec.proposals_in] == [p.is_denoising for p in props]
+            assert np.array_equal(rec.proposals_in.origin_index, props.origin_index)
+            assert np.array_equal(rec.proposals_in.denoising_gt, props.denoising_gt)
             # Each point moves onto its decoded box center, and that is the
             # point the next stage receives.
             for i, det in enumerate(rec.detections):
-                assert rec.updated_points[i] == det.box.center
+                assert Point3(*rec.updated_points[i]) == det.box.center
         for prev, nxt in zip(trace.stages, trace.stages[1:]):
-            assert [p.point for p in nxt.proposals_in] == prev.updated_points
+            assert np.array_equal(nxt.proposals_in.points, prev.updated_points)
 
     def test_recorded_mu_matches_schedule(self):
         scene, props, predict = build(7, OracleNoise())
@@ -149,10 +154,10 @@ class TestRunCascade:
             scene, props, predict = build(10, OracleNoise(sigma_delta=0.1, p_class_flip=0.1))
             traces.append(run_cascade(props, predict, SCHED, scene.gt_boxes))
         for ra, rb in zip(traces[0].stages, traces[1].stages):
-            for pa, pb in zip(ra.predictions, rb.predictions):
-                assert np.array_equal(pa.class_probs, pb.class_probs)
-                assert pa.deltas == pb.deltas
-                assert pa.centerness == pb.centerness
+            pa, pb = ra.predictions, rb.predictions
+            assert np.array_equal(pa.class_probs, pb.class_probs)
+            assert np.array_equal(pa.deltas, pb.deltas)
+            assert np.array_equal(pa.centerness, pb.centerness)
             for da, db in zip(ra.detections, rb.detections):
                 assert da.box == db.box and da.score == db.score
 
@@ -162,63 +167,73 @@ class TestRunCascade:
         noisy = oracle_predictor(scene, OracleNoise(sigma_delta=0.3), seed=1)
         trace = run_cascade(props, [noisy, exact, exact], SCHED, scene.gt_boxes)
         # Stage 2 runs the exact head, so its detections are perfect.
-        for prop, det in zip(trace.stages[1].proposals_in, trace.stages[1].detections):
-            gt = scene.gt_boxes[match_point_to_gt(prop.point, scene.gt_boxes)]
+        for p, det in zip(trace.stages[1].proposals_in.points, trace.stages[1].detections):
+            gt = scene.gt_boxes[match_point_to_gt(Point3(*p), scene.gt_boxes)]
             assert iou_rotated(det.box, gt) == pytest.approx(1.0, abs=1e-9)
 
     def test_detection_scores_combine_prob_and_centerness(self):
         scene, props, predict = build(12, OracleNoise(centerness_bias=0.2))
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes)
-        for pred, det in zip(trace.stages[0].predictions, trace.stages[0].detections):
-            fg = pred.class_probs[:-1]
-            assert det.score == pytest.approx(float(fg.max()) * pred.centerness, abs=1e-12)
+        preds = trace.stages[0].predictions
+        for i, det in enumerate(trace.stages[0].detections):
+            fg = preds.class_probs[i, :-1]
+            assert det.score == pytest.approx(float(fg.max()) * preds.centerness[i], abs=1e-12)
             assert det.stage == 1
 
     def test_bad_predictor_outputs_rejected(self):
         scene, props, _ = build(13, OracleNoise())
-
-        def bad_probs(batch):
-            return [
-                Prediction(
-                    class_probs=np.array([0.5, 0.2, 0.0, 0.0, 0.0, 0.0]),
-                    deltas=Deltas(0.5, 0.5, 0.5, 0.5, 0.5, 0.5),
-                    centerness=0.5,
-                )
-                for _ in batch
-            ]
-
-        def bad_centerness(batch):
-            return [
-                Prediction(
-                    class_probs=np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
-                    deltas=Deltas(0.5, 0.5, 0.5, 0.5, 0.5, 0.5),
-                    centerness=1.5,
-                )
-                for _ in batch
-            ]
-
         exact = oracle_predictor(scene, OracleNoise(), seed=1)
 
-        def one_short(batch):
-            return exact(batch)[:-1]
+        def faulty(**columns):
+            # The exact oracle's columns with the given ones swapped in.
+            def predict(batch):
+                good = exact(batch)
+                return Predictions(**{name: columns.get(name, getattr(good, name))
+                                      for name in ("class_probs", "deltas", "centerness")})
+            return predict
 
-        with pytest.raises(PredictorOutputError):
-            run_cascade(props[:4], bad_probs, SCHED, scene.gt_boxes)
-        with pytest.raises(PredictorOutputError):
-            run_cascade(props[:4], bad_centerness, SCHED, scene.gt_boxes)
+        def with_rows(name, rows, value):
+            good = getattr(exact(first_rows(props, 4)), name).copy()
+            good[rows] = value
+            return good
+
+        cases = [
+            (faulty(deltas=np.full((4, 6), 0.5)), r"stage 1: prediction shapes"),
+            (faulty(class_probs=np.full((4, 1), 1.0)), r"stage 1: prediction shapes"),
+            (faulty(deltas=with_rows("deltas", [2, 3], np.nan)),
+             r"proposal 2: non-finite regression output"),
+            (faulty(class_probs=with_rows("class_probs", [1, 2], [0.5, 0.2, 0.0, 0.0, 0.0, 0.0])),
+             r"proposal 1: class probabilities sum to 0.7"),
+            (faulty(class_probs=with_rows("class_probs", [3], np.nan)),
+             r"proposal 3: class probabilities invalid"),
+            (faulty(centerness=with_rows("centerness", [2, 3], 1.5)),
+             r"proposal 2: centerness 1.5 outside \[0, 1\]"),
+            (faulty(centerness=with_rows("centerness", [0, 1], -0.25)),
+             r"proposal 0: centerness -0.25 outside \[0, 1\]"),
+        ]
+        for predictor, message in cases:
+            with pytest.raises(PredictorOutputError, match=message):
+                run_cascade(first_rows(props, 4), predictor, SCHED, scene.gt_boxes)
+
+        def one_short(batch):
+            return exact(first_rows(batch, len(batch) - 1))
+
         with pytest.raises(PredictorOutputError, match="3 predictions for 4 proposals"):
-            run_cascade(props[:4], one_short, SCHED, scene.gt_boxes)
+            run_cascade(first_rows(props, 4), one_short, SCHED, scene.gt_boxes)
 
     def test_empty_proposals_give_empty_stage_records(self):
         # Both shipped predictors take an empty batch and return no predictions.
-        scene, _, oracle = build(16, OracleNoise(sigma_delta=0.1, p_class_flip=0.1))
+        scene, props, oracle = build(16, OracleNoise(sigma_delta=0.1, p_class_flip=0.1))
         params = init_head_params(CFG.feature_dim, CFG.num_classes, SCHED.num_stages, seed=0)
         for predictor in (oracle, head_predictors(params)):
-            trace = run_cascade([], predictor, SCHED, scene.gt_boxes)
+            trace = run_cascade(first_rows(props, 0), predictor, SCHED, scene.gt_boxes)
             assert [rec.stage for rec in trace.stages] == [1, 2, 3]
             for rec in trace.stages:
-                assert rec.proposals_in == rec.predictions == rec.detections == []
-                assert rec.updated_points == []
+                assert len(rec.proposals_in) == len(rec.detections) == 0
+                assert rec.predictions.centerness.shape == (0,)
+                assert rec.proposals_in.features.shape == (0, CFG.feature_dim)
+                assert rec.predictions.class_probs.shape == (0, CFG.num_classes + 1)
+                assert rec.updated_points.shape == (0, 3)
                 assert rec.assignment.matched_gt == []
 
 

@@ -179,6 +179,58 @@ class TestExitCodes:
         bad.write_text(json.dumps({"schedule": {"mu_max": 0.1, "mu_min": 0.4}}))
         assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command, section", [
+        ("gen", {"scene": {"size_range": 5}}),
+        ("gen", {"scene": {"num_gt": "ab"}}),
+        ("train", {"loss_weights": {"cls": "x"}}),
+        ("train", {"loss_weights": {"focal_gamma": "x"}}),
+        ("train", {"loss_weights": {"reg": -1.0}}),
+    ])
+    def test_malformed_section_is_config_error(self, tmp_path, command, section, capsys):
+        # train reads no scenes before the config passes, so the absent
+        # directory would give exit 3 if the section slipped through.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(section))
+        argv = [command] + ([str(tmp_path / "absent")] if command == "train" else [])
+        capsys.readouterr()
+        assert main(argv + ["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: invalid ")
+
+    def test_scene_without_boxes_is_data_error(self, tmp_path, cfg_path, capsys):
+        scenes = tmp_path / "scenes"
+        main(["gen", "--config", cfg_path, "--out", str(scenes)])
+        path = scenes / "scene_0001.json"
+        doc = json.loads(path.read_text())
+        doc["gt_boxes"] = []
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["run", str(scenes), "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "scene_0001.json" in capsys.readouterr().err
+
+    def test_non_finite_scene_feature_is_data_error(self, tmp_path, cfg_path, capsys):
+        scenes = tmp_path / "scenes"
+        main(["gen", "--config", cfg_path, "--out", str(scenes)])
+        path = scenes / "scene_0002.json"
+        doc = json.loads(path.read_text())
+        doc["features"][5][2] = float("nan")
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["run", str(scenes), "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("data error: malformed scene document")
+
+    def test_ensemble_beyond_trace_stages_is_config_error(self, tmp_path, cfg_path, capsys):
+        scenes, traces = tmp_path / "scenes", tmp_path / "traces"
+        main(["gen", "--config", cfg_path, "--out", str(scenes)])
+        main(["run", str(scenes), "--config", cfg_path, "--out", str(traces)])
+        capsys.readouterr()
+        assert main(["eval", str(traces), "--config", cfg_path, "--stages", "5",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: stage range (1, 5) invalid for a 3-stage trace\n"
+        )
+
     def test_missing_scenes_is_data_error(self, tmp_path, cfg_path):
         assert main(["run", str(tmp_path / "absent"), "--config", cfg_path,
                      "--out", str(tmp_path / "o")]) == 3

@@ -80,7 +80,8 @@ class TestAveragePrecision:
 
     def test_det_class_absent_from_gt_excluded(self):
         g1 = OrientedBox(Point3(0, 0, 0), (1, 1, 1), class_id=0)
-        dets = [det(g1, 0.9, 0), det(g1.with_meta(class_id=4), 0.95, 4)]
+        g1_as_4 = OrientedBox(g1.center, g1.size, class_id=4)
+        dets = [det(g1, 0.9, 0), det(g1_as_4, 0.95, 4)]
         res = average_precision(dets, [g1], 0.5)
         assert list(res.at(0.5).ap_per_class) == [0]
         assert res.mean_ap(0.5) == pytest.approx(1.0)

@@ -280,10 +280,11 @@ def test_cascade_stats_ious_equal_scalar_iou():
     stats = new_code(cascade_stats, traces)
     for si, stage in enumerate(stats.stages):
         want = [
-            scalar_iou_rotated(rec.detections[pi].box, t.gts[match_point_to_gt(p.point, t.gts)])
+            scalar_iou_rotated(rec.detections[pi].box,
+                               t.gts[match_point_to_gt(Point3.from_array(p), t.gts)])
             for t in traces
             for rec in [t.stages[si]]
-            for pi, p in enumerate(rec.proposals_in)
-            if not p.is_denoising
+            for pi, p in enumerate(rec.proposals_in.points)
+            if rec.proposals_in.denoising_gt[pi] < 0
         ]
         assert [iou for _, iou in stage.pairs] == want

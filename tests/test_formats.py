@@ -95,17 +95,42 @@ class TestTraceDocs:
         assert loaded.num_stages == trace.num_stages
         for ra, rb in zip(trace.stages, loaded.stages):
             assert ra.stage == rb.stage and ra.mu == rb.mu
-            assert ra.updated_points == rb.updated_points
+            assert np.array_equal(ra.updated_points, rb.updated_points)
             assert ra.detections == rb.detections
-            assert [p.point for p in ra.proposals_in] == [p.point for p in rb.proposals_in]
-            assert [p.is_denoising for p in ra.proposals_in] == [
-                p.is_denoising for p in rb.proposals_in
-            ]
-            for pa, pb in zip(ra.predictions, rb.predictions):
-                assert np.array_equal(pa.class_probs, pb.class_probs)
-                assert pa.deltas == pb.deltas
+            for name in ("points", "features", "origin_index", "denoising_gt"):
+                assert np.array_equal(getattr(ra.proposals_in, name),
+                                      getattr(rb.proposals_in, name))
+            for name in ("class_probs", "deltas", "centerness"):
+                assert np.array_equal(getattr(ra.predictions, name), getattr(rb.predictions, name))
             assert ra.assignment.matched_gt == rb.assignment.matched_gt
             assert ra.assignment.target_centerness == rb.assignment.target_centerness
+
+    def test_malformed_stage_columns_rejected(self):
+        _, trace = _oracle_trace()
+        doc = json.loads(canonical_dumps(trace_to_doc(trace)))
+
+        def broken(edit):
+            bad = json.loads(json.dumps(doc))
+            edit(bad["stages"][1])
+            return bad
+
+        def nan_point(rec):
+            rec["proposals_in"][3]["point"][1] = float("nan")
+
+        def ragged_features(rec):
+            rec["proposals_in"][2]["feature"].pop()
+
+        def disagreeing_pin(rec):
+            rec["proposals_in"][0]["is_denoising"] = True
+
+        def unpinned_denoising(rec):
+            rec["proposals_in"][-1]["denoising_gt"] = None
+
+        for edit in (nan_point, ragged_features, disagreeing_pin, unpinned_denoising):
+            with pytest.raises(DataError):
+                trace_from_doc(broken(edit))
+        assert doc["stages"][1]["proposals_in"][-1]["is_denoising"]
+        trace_from_doc(doc)
 
     def test_bytes_stable(self):
         _, trace = _oracle_trace()
@@ -127,11 +152,11 @@ class TestModelDocs:
                 for x, y in zip(ba.arrays(), bb.arrays()):
                     assert np.array_equal(x, y)
         scene = gen_scene(SceneConfig(num_gt=(2, 2), points_per_box=12, num_clutter=20), seed=2)
-        prop = scene_proposals(scene, np.zeros(scene.num_points), 1)[0]
-        [a] = head_predictor(params, 2)([prop])
-        [b] = head_predictor(loaded, 2)([prop])
+        prop = scene_proposals(scene, np.zeros(scene.num_points), 1)
+        a = head_predictor(params, 2)(prop)
+        b = head_predictor(loaded, 2)(prop)
         assert np.array_equal(a.class_probs, b.class_probs)
-        assert a.deltas == b.deltas and a.centerness == b.centerness
+        assert np.array_equal(a.deltas, b.deltas) and np.array_equal(a.centerness, b.centerness)
 
     def test_stage_count_mismatch_rejected(self):
         doc = model_to_doc(init_head_params(6, 2, 2, hidden=4, seed=0))

@@ -6,7 +6,7 @@ import pytest
 
 from cascadev import learner
 from cascadev.assignment import CpaSchedule, assign_targets
-from cascadev.cascade import Proposal, run_cascade
+from cascadev.cascade import Proposals, run_cascade
 from cascadev.errors import TrainingDivergedError
 from cascadev.geometry import OrientedBox, Point3
 from cascadev.learner import (
@@ -246,25 +246,24 @@ class TestHeadPredictor:
         scenes, params, _ = trained
         props = scene_proposals(scenes[0], uniform_seed_scores(scenes[0]), 8)
         preds = head_predictor(params, 1)(props)
-        assert len(preds) == len(props) == 8
-        for pred in preds:
-            probs = np.asarray(pred.class_probs)
-            assert probs.shape == (SMALL_CFG.num_classes + 1,)
+        assert len(preds.centerness) == len(props) == 8
+        assert preds.class_probs.shape == (8, SMALL_CFG.num_classes + 1)
+        assert preds.deltas.shape == (8, 7) and preds.centerness.shape == (8,)
+        for probs, d, c in zip(preds.class_probs, preds.deltas, preds.centerness):
             assert np.all(probs >= 0.0)
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
-            d = pred.deltas
-            assert all(v > 0.0 for v in (d.d1, d.d2, d.d3, d.d4, d.d5, d.d6))
-            assert 0.0 < pred.centerness < 1.0
+            assert all(v > 0.0 for v in d[:6])
+            assert 0.0 < c < 1.0
 
     def test_one_predictor_per_stage(self, trained):
         _, params, _ = trained
         preds = head_predictors(params)
         assert len(preds) == params.num_stages
-        feat = np.zeros(params.feature_dim)
-        prop = Proposal(point=Point3(0.0, 0.0, 1.0), feature=feat, origin_index=0)
-        outs = [pr([prop])[0] for pr in preds]
+        prop = Proposals(np.array([[0.0, 0.0, 1.0]]), np.zeros((1, params.feature_dim)),
+                         np.array([0]), np.array([-1]))
+        outs = [pr(prop) for pr in preds]
         # Stages hold independent weights, so their outputs differ.
-        assert len({float(o.centerness) for o in outs}) > 1
+        assert len({float(o.centerness[0]) for o in outs}) > 1
 
     def test_uniform_seed_scores_are_zero(self):
         scene = gen_scene(SMALL_CFG, seed=9)
@@ -335,11 +334,8 @@ class TestTrainCascade:
         assert len(recorded) == trace.num_stages
         for (outputs, assignment), rec in zip(recorded, trace.stages):
             assert assignment.matched_gt == rec.assignment.matched_gt
-            probs = np.stack([pred.class_probs for pred in rec.predictions])
-            assert np.array_equal(_softmax(outputs.cls_logits), probs)
-            assert [p.deltas for p in outputs.predictions()] == [
-                p.deltas for p in rec.predictions
-            ]
+            assert np.array_equal(_softmax(outputs.cls_logits), rec.predictions.class_probs)
+            assert np.array_equal(outputs.predictions().deltas, rec.predictions.deltas)
             assert assignment.target_deltas == rec.assignment.target_deltas
 
     def test_batched_scenes_pool_positives(self):

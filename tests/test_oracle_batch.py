@@ -3,10 +3,11 @@
 `oracle_predictor` is called once per cascade stage with all of that
 stage's proposals: it matches their points with one `match_points_to_gt`
 call and takes true face distances and centerness from `matched_faces`.
-Oracle traces stay byte-identical only if every prediction is bit-equal
-to the per-proposal path copied below (scalar `match_point_to_gt`,
-`encode_deltas` and `centerness`, noise drawn proposal by proposal in
-the same order), so these checks use ==, never a tolerance.
+Oracle traces stay byte-identical only if every prediction row is
+bit-equal to the per-proposal path copied below (scalar
+`match_point_to_gt`, `encode_deltas` and `centerness`, noise drawn
+proposal by proposal in the same order), so these checks compare the
+returned columns with ==, never a tolerance.
 """
 
 import dataclasses
@@ -17,8 +18,8 @@ import math
 import numpy as np
 import pytest
 
-from cascadev.cascade import Prediction, Proposal
-from cascadev.geometry import Deltas, Point3, centerness, encode_deltas
+from cascadev.cascade import Proposals
+from cascadev.geometry import Deltas, Point3, centerness, encode_deltas, points_as_array
 from cascadev.synth import (
     OracleNoise,
     SceneConfig,
@@ -35,9 +36,10 @@ def reference_oracle(scene, noise, seed=0):
     rng = np.random.Generator(np.random.Philox(key=(scene.seed << 1) ^ seed))
     n_classes = scene.config.num_classes
 
-    def predict(proposal):
-        gt = scene.gt_boxes[match_point_to_gt(proposal.point, scene.gt_boxes)]
-        true = encode_deltas(proposal.point, gt)
+    def predict(point):
+        """(class probabilities, Deltas, centerness) for one proposal point."""
+        gt = scene.gt_boxes[match_point_to_gt(point, scene.gt_boxes)]
+        true = encode_deltas(point, gt)
         d = np.array(true.faces())
         if noise.sigma_delta > 0.0:
             d = d * rng.normal(1.0, noise.sigma_delta, size=6)
@@ -55,7 +57,7 @@ def reference_oracle(scene, noise, seed=0):
         c_pred = c_true
         if noise.centerness_bias > 0.0:
             c_pred = float(np.clip(c_true + noise.centerness_bias * rng.normal(), 0.0, 1.0))
-        return Prediction(class_probs=probs, deltas=Deltas(*d, heading=heading), centerness=c_pred)
+        return probs, Deltas(*d, heading=heading), c_pred
 
     return predict
 
@@ -83,19 +85,27 @@ def scene_and_proposals(yaw):
         points.append(_world(box, (-0.2 * w, l / 2.0, -h / 2.0)))  # on an edge
         points.append(_world(box, (w, 0.0, 0.0)))  # just outside
     points += [Point3(9.0, -9.0, 5.0), Point3(-7.5, 0.0, -3.0)]  # outside the workspace
-    props = [
-        Proposal(point=p, feature=np.zeros(CFG.feature_dim), origin_index=i)
-        for i, p in enumerate(points)
-    ]
-    return scene, props
+    return scene, points, proposals_at(points)
+
+
+def proposals_at(points):
+    return Proposals(
+        points=points_as_array(points),
+        features=np.zeros((len(points), CFG.feature_dim)),
+        origin_index=np.arange(len(points)),
+        denoising_gt=np.full(len(points), -1),
+    )
 
 
 def assert_same(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert np.array_equal(a.class_probs, b.class_probs)
-        assert a.deltas == b.deltas
-        assert a.centerness == b.centerness
+    """got: Predictions columns; want: the reference's per-proposal triples."""
+    assert len(got.centerness) == len(want)
+    assert got.class_probs.shape == (len(want), CFG.num_classes + 1)
+    assert got.deltas.shape == (len(want), 7) and got.centerness.shape == (len(want),)
+    for i, (probs, deltas, c) in enumerate(want):
+        assert np.array_equal(got.class_probs[i], probs)
+        assert got.deltas[i].tolist() == [*deltas.faces(), deltas.heading]
+        assert got.centerness[i] == c
 
 
 KNOBS = list(itertools.product((0.0, 0.2), (0.0, 0.15), (0.0, 0.3), (0.0, 0.1)))
@@ -103,9 +113,9 @@ KNOBS = list(itertools.product((0.0, 0.2), (0.0, 0.15), (0.0, 0.3), (0.0, 0.1)))
 
 def test_proposals_cover_inside_face_and_outside():
     for yaw in (False, True):
-        scene, props = scene_and_proposals(yaw)
-        faces = [min(encode_deltas(p.point, gt).faces()) for p in props for gt in scene.gt_boxes]
-        per_point = np.array(faces).reshape(len(props), len(scene.gt_boxes)).max(axis=1)
+        scene, points, _ = scene_and_proposals(yaw)
+        faces = [min(encode_deltas(p, gt).faces()) for p in points for gt in scene.gt_boxes]
+        per_point = np.array(faces).reshape(len(points), len(scene.gt_boxes)).max(axis=1)
         assert (per_point > 1e-9).sum() >= 2 * len(scene.gt_boxes)  # strictly inside one
         assert (abs(per_point) <= 1e-9).sum() >= 2 * len(scene.gt_boxes)  # on a face
         assert (per_point < -1e-9).sum() >= 10  # outside every box
@@ -114,23 +124,20 @@ def test_proposals_cover_inside_face_and_outside():
 @pytest.mark.parametrize("yaw", [False, True])
 @pytest.mark.parametrize("knobs", KNOBS)
 def test_batch_oracle_equals_per_proposal_oracle(yaw, knobs):
-    scene, props = scene_and_proposals(yaw)
+    scene, points, props = scene_and_proposals(yaw)
     noise = OracleNoise(*knobs)
     ref = reference_oracle(scene, noise, seed=3)
-    want = [ref(p) for p in props]
+    want = [ref(p) for p in points]
     assert_same(oracle_predictor(scene, noise, seed=3)(props), want)
 
 
 @pytest.mark.parametrize("yaw", [False, True])
 def test_chunked_calls_continue_the_draw_order(yaw):
-    scene, props = scene_and_proposals(yaw)
+    scene, points, _ = scene_and_proposals(yaw)
     noise = OracleNoise(sigma_delta=0.2, sigma_heading=0.15, p_class_flip=0.3,
                         centerness_bias=0.1)
     ref = reference_oracle(scene, noise, seed=5)
-    want = [ref(p) for p in props] + [ref(p) for p in props[:9]]
     predict = oracle_predictor(scene, noise, seed=5)
-    got = []
-    for lo, hi in ((0, 1), (1, 1), (1, 8), (8, 50), (50, len(props))):
-        got += predict(props[lo:hi])
-    got += predict(props[:9])
-    assert_same(got, want)
+    for lo, hi in ((0, 1), (1, 1), (1, 8), (8, 50), (50, len(points))):
+        assert_same(predict(proposals_at(points[lo:hi])), [ref(p) for p in points[lo:hi]])
+    assert_same(predict(proposals_at(points[:9])), [ref(p) for p in points[:9]])

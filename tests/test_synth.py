@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from cascadev.cascade import Proposal
+from cascadev.cascade import Proposals
 from cascadev.errors import PlacementError
-from cascadev.geometry import Point3, centerness, decode_box, encode_deltas, point_in_scaled_box
+from cascadev.geometry import (
+    Deltas,
+    Point3,
+    centerness,
+    decode_box,
+    encode_deltas,
+    point_in_scaled_box,
+    points_as_array,
+)
 from cascadev.overlap import iou_rotated
 from cascadev.synth import (
     OracleNoise,
@@ -153,35 +161,40 @@ class TestMatching:
         assert match_point_to_gt(p, s.gt_boxes) == int(np.argmin(dists))
 
 
+def proposals_at(s, idx):
+    """Regular proposals on the scene points idx, with their features."""
+    idx = list(idx)
+    return Proposals(points_as_array([s.points[i] for i in idx]), s.features[idx],
+                     np.array(idx, dtype=np.int64), np.full(len(idx), -1))
+
+
 class TestOracle:
     def test_exact_oracle_reproduces_gt(self):
         s = gen_scene(SMALL, 21)
         predict = oracle_predictor(s, OracleNoise())
         idx = range(0, s.num_points, 37)
-        preds = predict([Proposal(point=s.points[i], feature=s.features[i], origin_index=i)
-                         for i in idx])
-        for i, pred in zip(idx, preds):
+        preds = predict(proposals_at(s, idx))
+        for i, probs, d in zip(idx, preds.class_probs, preds.deltas):
             gi = match_point_to_gt(s.points[i], s.gt_boxes)
             gt = s.gt_boxes[gi]
-            box = decode_box(s.points[i], pred.deltas)
+            box = decode_box(s.points[i], Deltas(*d))
             assert box.center.x == pytest.approx(gt.center.x, abs=1e-9)
             assert box.center.y == pytest.approx(gt.center.y, abs=1e-9)
             assert box.center.z == pytest.approx(gt.center.z, abs=1e-9)
             assert box.size == pytest.approx(gt.size, abs=1e-9)
-            assert int(np.argmax(pred.class_probs[:-1])) == gt.class_id
-            assert pred.class_probs[-1] == 0.0
-            assert pred.class_probs.sum() == pytest.approx(1.0, abs=1e-12)
+            assert int(np.argmax(probs[:-1])) == gt.class_id
+            assert probs[-1] == 0.0
+            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_oracle_class_accuracy(self):
         s = gen_scene(SMALL, 22)
         predict = oracle_predictor(s, OracleNoise(p_class_flip=0.0))
         idx = [i for i, gi in enumerate(s.point_gt_labels) if gi >= 0]
-        preds = predict([Proposal(point=s.points[i], feature=s.features[i], origin_index=i)
-                         for i in idx])
-        assert len(preds) == len(idx) > 0
-        for i, pred in zip(idx, preds):
+        preds = predict(proposals_at(s, idx))
+        assert len(preds.centerness) == len(idx) > 0
+        for i, probs in zip(idx, preds.class_probs):
             gi = s.point_gt_labels[i]
-            assert int(np.argmax(pred.class_probs[:-1])) == s.gt_boxes[gi].class_id
+            assert int(np.argmax(probs[:-1])) == s.gt_boxes[gi].class_id
 
     def test_class_flip_rate(self):
         s = gen_scene(SMALL, 23)
@@ -189,11 +202,10 @@ class TestOracle:
         flips = 0
         n = 2000
         idx = [k % s.num_points for k in range(n)]
-        preds = predict([Proposal(point=s.points[i], feature=s.features[i], origin_index=i)
-                         for i in idx])
-        for i, pred in zip(idx, preds):
+        preds = predict(proposals_at(s, idx))
+        for i, probs in zip(idx, preds.class_probs):
             gi = match_point_to_gt(s.points[i], s.gt_boxes)
-            flips += int(np.argmax(pred.class_probs[:-1])) != s.gt_boxes[gi].class_id
+            flips += int(np.argmax(probs[:-1])) != s.gt_boxes[gi].class_id
         assert 0.25 < flips / n < 0.35
 
     def test_iou_degrades_with_delta_noise(self):
@@ -205,13 +217,10 @@ class TestOracle:
                 s = gen_scene(SMALL, 100 + seed)
                 predict = oracle_predictor(s, OracleNoise(sigma_delta=sigma), seed=1)
                 idx = range(0, s.num_points, 23)
-                preds = predict(
-                    [Proposal(point=s.points[i], feature=s.features[i], origin_index=i)
-                     for i in idx]
-                )
-                for i, pred in zip(idx, preds):
+                preds = predict(proposals_at(s, idx))
+                for i, d in zip(idx, preds.deltas):
                     gi = match_point_to_gt(s.points[i], s.gt_boxes)
-                    box = decode_box(s.points[i], pred.deltas)
+                    box = decode_box(s.points[i], Deltas(*d))
                     total += iou_rotated(box, s.gt_boxes[gi])
                     count += 1
             mean_ious.append(total / count)
@@ -223,10 +232,9 @@ class TestOracle:
         s = gen_scene(SMALL, 24)
         predict = oracle_predictor(s, OracleNoise(sigma_delta=0.5), seed=3)
         idx = range(0, s.num_points, 11)
-        preds = predict([Proposal(point=s.points[i], feature=s.features[i], origin_index=i)
-                         for i in idx])
-        for i, pred in zip(idx, preds):
-            box = decode_box(s.points[i], pred.deltas)  # must not raise
+        preds = predict(proposals_at(s, idx))
+        for i, d in zip(idx, preds.deltas):
+            box = decode_box(s.points[i], Deltas(*d))  # must not raise
             assert min(box.size) >= 0.01 - 1e-12
 
     def test_predictor_deterministic(self):
@@ -235,24 +243,19 @@ class TestOracle:
         outs = []
         for _ in range(2):
             predict = oracle_predictor(s, noise, seed=9)
-            outs.append(
-                predict(
-                    [Proposal(point=s.points[i], feature=s.features[i], origin_index=i)
-                     for i in range(50)]
-                )
-            )
-        assert len(outs[0]) == len(outs[1]) == 50
-        for a, b in zip(*outs):
-            assert np.array_equal(a.class_probs, b.class_probs)
-            assert a.deltas == b.deltas
-            assert a.centerness == b.centerness
+            outs.append(predict(proposals_at(s, range(50))))
+        a, b = outs
+        assert len(a.centerness) == len(b.centerness) == 50
+        assert np.array_equal(a.class_probs, b.class_probs)
+        assert np.array_equal(a.deltas, b.deltas)
+        assert np.array_equal(a.centerness, b.centerness)
 
     def test_centerness_clamped(self):
         s = gen_scene(SMALL, 26)
         predict = oracle_predictor(s, OracleNoise(centerness_bias=2.0), seed=4)
-        preds = predict([Proposal(point=s.points[i], feature=s.features[i], origin_index=i)
-                         for i in range(0, s.num_points, 13)])
-        assert preds and all(0.0 <= pred.centerness <= 1.0 for pred in preds)
+        preds = predict(proposals_at(s, range(0, s.num_points, 13)))
+        c = preds.centerness
+        assert len(c) and np.all((c >= 0.0) & (c <= 1.0))
 
     def test_oracle_requires_gts(self):
         s = gen_scene(SMALL, 27)
@@ -294,16 +297,11 @@ class TestProposalSelection:
         cent = oracle_seed_centerness(s, OracleNoise(centerness_bias=0.1), seed=2)
         props = scene_proposals(s, cent, 32, denoising=True)
         assert len(props) == 32 + len(s.gt_boxes)
-        regular = props[:32]
-        assert all(not p.is_denoising for p in regular)
-        pinned = props[32:]
-        for gi, p in enumerate(pinned):
-            assert p.is_denoising
-            assert p.denoising_gt == gi
+        assert props.denoising_gt.tolist() == [-1] * 32 + list(range(len(s.gt_boxes)))
         # Denoising points are the l1-nearest scene points to each center.
-        for gi, p in enumerate(pinned):
+        for gi, p in enumerate(props.points[32:]):
             c = s.gt_boxes[gi].center
-            d_choice = abs(p.point.x - c.x) + abs(p.point.y - c.y) + abs(p.point.z - c.z)
+            d_choice = abs(p[0] - c.x) + abs(p[1] - c.y) + abs(p[2] - c.z)
             for q in s.points:
                 d_other = abs(q.x - c.x) + abs(q.y - c.y) + abs(q.z - c.z)
                 assert d_choice <= d_other + 1e-12
@@ -312,6 +310,7 @@ class TestProposalSelection:
         s = gen_scene(SMALL, 32)
         cent = np.zeros(s.num_points)
         props = scene_proposals(s, cent, 16)
-        for p in props:
-            assert np.array_equal(p.feature, s.features[p.origin_index])
-            assert p.point == s.points[p.origin_index]
+        assert len(props) == 16
+        for p, f, i in zip(props.points, props.features, props.origin_index):
+            assert np.array_equal(f, s.features[i])
+            assert Point3(*p) == s.points[i]
