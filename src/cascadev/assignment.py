@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Deltas, OrientedBox, Point3, contains_points, matched_faces, points_as_array
+from .geometry import OrientedBox, Point3, contains_points, matched_faces, points_as_array
 
 # Not called here; perfbench/bench_trace.py patches this name on this module.
 from .geometry import encode_deltas  # noqa: F401
@@ -48,35 +48,35 @@ def cpa_threshold(l: int, sched: CpaSchedule) -> float:
     return sched.mu_max - frac * (sched.mu_max - sched.mu_min)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Assignment:
-    """Per-proposal match results at one threshold.
+    """Match results at one threshold, row i answering point i.
 
-    matched_gt holds the ground-truth index or -1; the three target
-    lists hold None exactly where matched_gt is -1. Denoising entries
-    are always matched (to their fixed ground truth).
+    matched_gt (B,) int64: ground-truth index, -1 when unmatched.
+    target_deltas (B, 7): the matched box's six face distances, then its
+    yaw; target_centerness (B,): their centerness; both NaN when unmatched.
+    target_class (B,) int64: the box's class id, -1 when unmatched or
+    class-less. is_denoising (B,) bool: pinned rows, always matched.
     """
 
     mu: float
-    matched_gt: list[int]
-    target_deltas: list[Deltas | None]
-    target_centerness: list[float | None]
-    target_class: list[int | None]
-    is_denoising: list[bool]
+    matched_gt: np.ndarray
+    target_deltas: np.ndarray
+    target_centerness: np.ndarray
+    target_class: np.ndarray
+    is_denoising: np.ndarray
 
     def positive_indices(self) -> list[int]:
-        return [i for i, g in enumerate(self.matched_gt) if g >= 0]
+        return np.flatnonzero(self.matched_gt >= 0).tolist()
 
     @property
     def num_positives(self) -> int:
-        return sum(1 for g in self.matched_gt if g >= 0)
+        return int(np.count_nonzero(self.matched_gt >= 0))
 
     @property
     def num_regular_positives(self) -> int:
         """Positives that earned their match through the mu rule (no denoising)."""
-        return sum(
-            1 for g, dn in zip(self.matched_gt, self.is_denoising) if g >= 0 and not dn
-        )
+        return int(np.count_nonzero((self.matched_gt >= 0) & ~self.is_denoising))
 
 
 def assign_targets(
@@ -90,7 +90,8 @@ def assign_targets(
 
     A point inside several scaled boxes goes to the smallest-volume one.
     fixed_assignments maps point index -> gt index for denoising
-    proposals; those are matched unconditionally and flagged.
+    proposals; those are matched unconditionally and flagged. Returns
+    the Assignment columns, filled in one matched_faces pass.
     """
     if mu <= 0.0:
         raise ValueError(f"assignment threshold must be positive, got {mu}")
@@ -104,41 +105,42 @@ def assign_targets(
             better = inside & (gt.volume < best_vol)
             matched[better] = gi
             best_vol[better] = gt.volume
-    is_denoising = [False] * n
+    is_denoising = np.zeros(n, dtype=bool)
     for pi, gi in (fixed_assignments or {}).items():
         if not (0 <= pi < n and 0 <= gi < len(gts)):
             raise ValueError(f"fixed assignment ({pi} -> {gi}) out of range")
         matched[pi] = gi
         is_denoising[pi] = True
 
-    target_deltas: list[Deltas | None] = [None] * n
-    target_centerness: list[float | None] = [None] * n
-    target_class: list[int | None] = [None] * n
     pos = np.flatnonzero(matched >= 0)
-    owner = matched[pos]
-    faces, cent = matched_faces(gts, pts[pos], owner)
-    for i, gi, row, c in zip(pos.tolist(), owner.tolist(), faces.tolist(), cent.tolist()):
-        target_deltas[i] = Deltas(*row, heading=gts[gi].yaw)
-        target_centerness[i] = c
-        target_class[i] = gts[gi].class_id
+    faces, cent = matched_faces(gts, pts[pos], matched[pos])
+    # A trailing entry answers matched_gt == -1 in the per-box gathers.
+    yaws = np.array([gt.yaw for gt in gts] + [np.nan])
+    classes = np.array([-1 if gt.class_id is None else gt.class_id for gt in gts] + [-1],
+                       dtype=np.int64)
+    target_deltas = np.full((n, 7), np.nan)
+    target_deltas[pos, :6] = faces
+    target_deltas[:, 6] = yaws[matched]
+    target_centerness = np.full(n, np.nan)
+    target_centerness[pos] = cent
     return Assignment(
         mu=mu,
-        matched_gt=[int(g) for g in matched],
+        matched_gt=matched,
         target_deltas=target_deltas,
         target_centerness=target_centerness,
-        target_class=target_class,
+        target_class=classes[matched],
         is_denoising=is_denoising,
     )
 
 
-def select_denoising(all_points: list[Point3], gt_centers: list[Point3], k: int = 1) -> list[int]:
-    """Indices of the k l1-nearest points for each ground-truth center.
+def select_denoising(all_points, gt_centers: list[Point3], k: int = 1) -> list[int]:
+    """Indices of the k l1-nearest rows of the (N, 3) all_points for each center.
 
     Center by center, each group nearest first with ties broken by lower
     index, min(k, len(all_points)) indices per center; the same point may
     serve several centers.
     """
-    if not all_points:
+    if len(all_points) == 0:
         raise ValueError("cannot pick denoising points from an empty point set")
     pts = points_as_array(all_points)
     out: list[int] = []

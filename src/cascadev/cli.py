@@ -109,6 +109,10 @@ class RunConfig:
     loss_weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self) -> None:
+        for name in ("num_scenes", "b", "seed", "steps", "hidden", "denoising_k", "batch_scenes"):
+            v = getattr(self, name)
+            if type(v) is not int:
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
         if self.num_scenes < 1:
             raise ConfigError(f"need num_scenes >= 1, got {self.num_scenes}")
         if self.b < 1:
@@ -326,7 +330,11 @@ def cmd_eval(cfg: RunConfig, traces_dir: str, out: str) -> None:
 
 
 def cmd_train(cfg: RunConfig, scenes_dir: str, out: str) -> None:
-    scenes = [scene for _, scene in _load(scenes_dir, "scene")]
+    named = _load(scenes_dir, "scene")
+    for name, scene in named:
+        if any(g.class_id is None for g in scene.gt_boxes):
+            raise DataError(f"training needs a class id on every box, which {name} lacks")
+    scenes = [scene for _, scene in named]
     shapes = sorted({(s.features.shape[1], s.config.num_classes) for s in scenes})
     if len(shapes) > 1:
         raise DataError("all training scenes must share feature_dim and num_classes, "

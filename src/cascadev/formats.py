@@ -20,7 +20,7 @@ from .assignment import Assignment
 from .cascade import Predictions, Proposals, StageRecord, StageTrace
 from .errors import DataError, SchemaVersionError
 from .evaluation import ApResult, CascadeStats, ThresholdResult
-from .geometry import Deltas, OrientedBox, Point3
+from .geometry import OrientedBox, Point3
 from .learner import BranchParams, HeadParams, LossReport, StageParams
 from .overlap import Detection
 from .synth import SceneConfig, SyntheticScene
@@ -94,13 +94,9 @@ def read_json(path, kind: str) -> dict:
     return doc
 
 
-def _point_doc(p: Point3) -> list[float]:
-    return [p.x, p.y, p.z]
-
-
 def _box_doc(b: OrientedBox) -> dict:
     doc = {
-        "center": _point_doc(b.center),
+        "center": [b.center.x, b.center.y, b.center.z],
         "size": list(b.size),
         "yaw": b.yaw,
         "class_id": b.class_id,
@@ -155,9 +151,9 @@ def scene_to_doc(scene: SyntheticScene) -> dict:
         rng=RNG_FAMILY,
         config=scene_config_doc(scene.config),
         gt_boxes=[_box_doc(b) for b in scene.gt_boxes],
-        points=[_point_doc(p) for p in scene.points],
+        points=scene.points.tolist(),
         features=scene.features.tolist(),
-        point_gt_labels=list(scene.point_gt_labels),
+        point_gt_labels=scene.point_gt_labels.tolist(),
     )
     return doc
 
@@ -165,41 +161,63 @@ def scene_to_doc(scene: SyntheticScene) -> dict:
 def scene_from_doc(doc: dict) -> SyntheticScene:
     check_schema(doc, "scene")
     try:
-        return SyntheticScene(
+        scene = SyntheticScene(
             gt_boxes=[_box_from(b) for b in doc["gt_boxes"]],
-            points=[Point3(*p) for p in doc["points"]],
+            points=_rows(doc["points"], 3),
             features=_rows(doc["features"]),
-            point_gt_labels=list(doc["point_gt_labels"]),
+            point_gt_labels=np.array(doc["point_gt_labels"], dtype=np.int64),
             seed=doc["seed"],
             config=scene_config_from_doc(doc["config"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed scene document: {exc}") from exc
+    lengths = (len(scene.points), len(scene.features), len(scene.point_gt_labels))
+    if len(set(lengths)) > 1:
+        raise DataError(f"scene points, features and point_gt_labels differ in length: {lengths}")
+    num_classes = scene.config.num_classes
+    for b in scene.gt_boxes:
+        c = b.class_id
+        if c is not None and not (type(c) is int and 0 <= c < num_classes):
+            raise DataError(f"ground-truth class_id {c!r} is not an int in [0, {num_classes})")
+    return scene
 
 
 def _assignment_doc(a: Assignment) -> dict:
+    matched = (a.matched_gt >= 0).tolist()
     return {
         "mu": a.mu,
-        "matched_gt": list(a.matched_gt),
-        "target_deltas": [
-            None if d is None else d.as_array().tolist() for d in a.target_deltas
-        ],
-        "target_centerness": list(a.target_centerness),
-        "target_class": list(a.target_class),
-        "is_denoising": list(a.is_denoising),
+        "matched_gt": a.matched_gt.tolist(),
+        "target_deltas": [d if m else None for m, d in zip(matched, a.target_deltas.tolist())],
+        "target_centerness": [c if m else None
+                              for m, c in zip(matched, a.target_centerness.tolist())],
+        "target_class": [None if c < 0 else c for c in a.target_class.tolist()],
+        "is_denoising": a.is_denoising.tolist(),
     }
 
 
-def _assignment_from(doc: dict) -> Assignment:
+def _assignment_from(doc: dict, n: int) -> Assignment:
+    """A stage's assignment columns for n rows; null targets read as NaN, a null class as -1."""
+    cols = [doc[k] for k in ("matched_gt", "target_deltas", "target_centerness",
+                             "target_class", "is_denoising")]
+    if any(len(c) != n for c in cols):
+        raise DataError(f"assignment columns of lengths {[len(c) for c in cols]} for {n} rows")
+    matched_gt, deltas, cent, classes, is_denoising = cols
+    matched = np.array(matched_gt, dtype=np.int64)
+    target_deltas = np.array([[np.nan] * 7 if d is None else d for d in deltas],
+                             dtype=np.float64).reshape(n, 7)
+    target_centerness = np.array([np.nan if c is None else c for c in cent], dtype=np.float64)
+    target_class = np.array([-1 if c is None else c for c in classes], dtype=np.int64)
+    finite = np.isfinite(target_deltas).all(axis=1) & np.isfinite(target_centerness)
+    null = np.isnan(target_deltas).all(axis=1) & np.isnan(target_centerness) & (target_class == -1)
+    if not np.where(matched >= 0, finite, null).all():
+        raise DataError("assignment targets must be finite where matched_gt >= 0, null elsewhere")
     return Assignment(
         mu=doc["mu"],
-        matched_gt=list(doc["matched_gt"]),
-        target_deltas=[
-            None if d is None else Deltas.from_array(d) for d in doc["target_deltas"]
-        ],
-        target_centerness=list(doc["target_centerness"]),
-        target_class=list(doc["target_class"]),
-        is_denoising=list(doc["is_denoising"]),
+        matched_gt=matched,
+        target_deltas=target_deltas,
+        target_centerness=target_centerness,
+        target_class=target_class,
+        is_denoising=np.array(is_denoising, dtype=bool),
     )
 
 
@@ -272,7 +290,8 @@ def _stage_from(rec: dict) -> StageRecord:
             centerness=np.array([pr["centerness"] for pr in preds], dtype=np.float64),
         ),
         updated_points=_rows(rec["updated_points"], 3),
-        assignment=None if rec["assignment"] is None else _assignment_from(rec["assignment"]),
+        assignment=(None if rec["assignment"] is None
+                    else _assignment_from(rec["assignment"], len(props))),
         detections=[detection_from_doc(d) for d in rec["detections"]],
     )
 

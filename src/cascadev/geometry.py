@@ -128,10 +128,6 @@ class Deltas:
             dtype=np.float64,
         )
 
-    @staticmethod
-    def from_array(a) -> "Deltas":
-        return Deltas(*(float(v) for v in a[:6]), heading=float(a[6]) if len(a) > 6 else 0.0)
-
 
 def _to_canonical(p: Point3, box: OrientedBox) -> tuple[float, float, float]:
     """Coordinates of p in the box's canonical (yaw-derotated) frame."""

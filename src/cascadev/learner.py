@@ -222,10 +222,10 @@ def compute_losses(
     num_bg = outputs.cls_logits.shape[1] - 1
 
     # Classification: softmax cross-entropy, optional focal modulation.
-    targets = np.array(
-        [assignment.target_class[i] if assignment.matched_gt[i] >= 0 else num_bg
-         for i in range(n)]
-    )
+    matched = assignment.matched_gt >= 0
+    targets = np.where(matched, assignment.target_class, num_bg)
+    if (targets < 0).any():
+        raise ValueError("a positive proposal is matched to a box without a class id")
     shifted = outputs.cls_logits - outputs.cls_logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     probs = np.exp(log_probs)
@@ -238,15 +238,14 @@ def compute_losses(
     else:
         cls_loss = float(np.mean(-log_p_t))
 
-    pos = assignment.positive_indices()
+    pos = np.flatnonzero(matched)
     n_pos = len(pos)
 
     # Regression: smooth-L1 on (softplus'd distances, raw heading).
     if n_pos:
         raw = outputs.reg_raw[pos]
         pred = np.concatenate([_softplus(raw[:, :6]), raw[:, 6:7]], axis=1)
-        targ = np.stack([assignment.target_deltas[i].as_array() for i in pos])
-        diff = pred - targ
+        diff = pred - assignment.target_deltas[pos]
         reg_loss = float(_smooth_l1(diff).sum() / n_pos)
     else:
         reg_loss = 0.0
@@ -254,7 +253,7 @@ def compute_losses(
     # Centerness: binary cross-entropy against the geometric target.
     if n_pos:
         c_logit = outputs.cent_logits[pos]
-        c_targ = np.array([assignment.target_centerness[i] for i in pos])
+        c_targ = assignment.target_centerness[pos]
         cent_loss = float(
             np.mean(c_targ * _softplus(-c_logit) + (1.0 - c_targ) * _softplus(c_logit))
         )

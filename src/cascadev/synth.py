@@ -89,18 +89,18 @@ class SceneConfig:
             )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SyntheticScene:
     """Ground truth, points, features, and per-point ownership labels.
 
-    point_gt_labels[i] is the owning box index for surface points and
-    -1 for clutter.
+    Row i of points (N, 3), features (N, F) and point_gt_labels (N,) int64
+    is scene point i; its label is the owning box index, or -1 for clutter.
     """
 
     gt_boxes: list[OrientedBox]
-    points: list[Point3]
+    points: np.ndarray
     features: np.ndarray
-    point_gt_labels: list[int]
+    point_gt_labels: np.ndarray
     seed: int
     config: SceneConfig
 
@@ -235,19 +235,14 @@ def gen_scene(cfg: SceneConfig, seed: int) -> SyntheticScene:
     """Generate one scene deterministically from (cfg, seed)."""
     rng = _rng(seed)
     boxes = _place_boxes(cfg, rng)
-    pts_blocks: list[np.ndarray] = []
-    labels: list[int] = []
-    for gi, box in enumerate(boxes):
-        pts_blocks.append(_surface_points(box, cfg.points_per_box, rng))
-        labels.extend([gi] * cfg.points_per_box)
-    clutter = _clutter_points(cfg, boxes, rng)
-    pts_blocks.append(clutter)
-    labels.extend([-1] * len(clutter))
-    pts = np.concatenate(pts_blocks)
+    blocks = [_surface_points(box, cfg.points_per_box, rng) for box in boxes]
+    blocks.append(_clutter_points(cfg, boxes, rng))
+    pts = np.concatenate(blocks)
     n = len(pts)
+    # One surface block per box, then the clutter block, labelled -1.
+    label_arr = np.repeat(np.append(np.arange(len(boxes)), -1), [len(b) for b in blocks])
 
     feats = np.empty((n, cfg.feature_dim))
-    label_arr = np.array(labels)
     for gi, box in enumerate(boxes):
         rows = label_arr == gi
         k = int(rows.sum())
@@ -266,14 +261,11 @@ def gen_scene(cfg: SceneConfig, seed: int) -> SyntheticScene:
     feats[clutter_rows] = rng.normal(0.0, 1.0, size=(int(clutter_rows.sum()), cfg.feature_dim))
 
     perm = rng.permutation(n)
-    pts = pts[perm]
-    feats = feats[perm]
-    label_list = [int(label_arr[i]) for i in perm]
     return SyntheticScene(
         gt_boxes=boxes,
-        points=[Point3.from_array(p) for p in pts],
-        features=feats,
-        point_gt_labels=label_list,
+        points=pts[perm],
+        features=feats[perm],
+        point_gt_labels=label_arr[perm],
         seed=seed,
         config=cfg,
     )
@@ -410,7 +402,7 @@ def scene_proposals(
               if i not in taken][:b]
     rows = chosen + [pi for _, pi in group]
     return Proposals(
-        points=points_as_array([scene.points[i] for i in rows]),
+        points=scene.points[rows],
         features=scene.features[rows],
         origin_index=np.array(rows, dtype=np.int64),
         denoising_gt=np.array([-1] * len(chosen) + [gi for gi, _ in group], dtype=np.int64),
@@ -425,8 +417,8 @@ def oracle_seed_centerness(scene: SyntheticScene, noise: OracleNoise, seed: int 
     noise applied. Draws come from a separate stream keyed alongside
     the oracle's, keeping selection independent of prediction noise.
     """
-    pts = points_as_array(scene.points)
-    _, vals = matched_faces(scene.gt_boxes, pts, match_points_to_gt(pts, scene.gt_boxes))
+    gts = scene.gt_boxes
+    _, vals = matched_faces(gts, scene.points, match_points_to_gt(scene.points, gts))
     if noise.centerness_bias > 0.0:
         rng = _rng((scene.seed << 1) ^ seed ^ 0x5EED)
         vals = np.clip(vals + noise.centerness_bias * rng.normal(size=len(vals)), 0.0, 1.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadev.assignment import (
     Assignment,
@@ -11,7 +13,17 @@ from cascadev.assignment import (
     select_denoising,
     select_top_b,
 )
-from cascadev.geometry import OrientedBox, Point3, centerness, encode_deltas, point_in_scaled_box
+from cascadev.geometry import (
+    Deltas,
+    OrientedBox,
+    Point3,
+    centerness,
+    contains_points,
+    encode_deltas,
+    matched_faces,
+    point_in_scaled_box,
+    points_as_array,
+)
 
 
 class TestSchedule:
@@ -73,28 +85,30 @@ class TestAssignTargets:
     def test_center_point_positive_with_unit_centerness(self):
         gt = OrientedBox(Point3(1.0, 1.0, 1.0), (1.0, 1.0, 1.0), class_id=2)
         a = assign_targets([gt.center], [gt], 0.5)
-        assert a.matched_gt == [0]
+        assert a.matched_gt.tolist() == [0]
         assert a.target_centerness[0] == pytest.approx(1.0, abs=1e-12)
         assert a.target_class[0] == 2
-        assert a.is_denoising == [False]
+        assert a.is_denoising.tolist() == [False]
 
     def test_far_point_negative(self):
         gt = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
         a = assign_targets([Point3(5, 5, 5)], [gt], 0.5)
-        assert a.matched_gt == [-1]
-        assert a.target_deltas[0] is None
-        assert a.target_centerness[0] is None
+        assert a.matched_gt.tolist() == [-1]
+        assert np.isnan(a.target_deltas[0]).all()
+        assert np.isnan(a.target_centerness[0])
+        assert a.target_class[0] == -1
         assert a.num_positives == 0
 
     def test_empty_gts_all_negative(self):
         a = assign_targets([Point3(0, 0, 0), Point3(1, 1, 1)], [], 0.3)
-        assert a.matched_gt == [-1, -1]
+        assert a.matched_gt.tolist() == [-1, -1]
+        assert a.target_deltas.shape == (2, 7) and np.isnan(a.target_deltas).all()
 
     def test_nested_boxes_prefer_smaller(self):
         big = OrientedBox(Point3(0, 0, 0), (4.0, 4.0, 4.0), class_id=0)
         small = OrientedBox(Point3(0.2, 0.0, 0.0), (1.0, 1.0, 1.0), class_id=1)
         a = assign_targets([Point3(0.2, 0.0, 0.0)], [big, small], 0.5)
-        assert a.matched_gt == [1]
+        assert a.matched_gt.tolist() == [1]
         assert a.target_class[0] == 1
 
     def test_matches_brute_force(self):
@@ -112,7 +126,7 @@ class TestAssignTargets:
             points = [Point3(*rng.uniform(-3, 3, size=3)) for _ in range(120)]
             mu = float(rng.uniform(0.1, 0.6))
             a = assign_targets(points, gts, mu)
-            assert a.matched_gt == brute_force_assign(points, gts, mu)
+            assert a.matched_gt.tolist() == brute_force_assign(points, gts, mu)
 
     def test_targets_computed_against_matched_box(self):
         rng = np.random.default_rng(33)
@@ -122,11 +136,11 @@ class TestAssignTargets:
         ]
         points = [Point3(*rng.uniform(-1, 4, size=3)) for _ in range(200)]
         a = assign_targets(points, gts, 0.5)
-        for i, gi in enumerate(a.matched_gt):
+        for i, gi in enumerate(a.matched_gt.tolist()):
             if gi < 0:
                 continue
             d = encode_deltas(points[i], gts[gi])
-            assert a.target_deltas[i].as_array() == pytest.approx(d.as_array(), abs=1e-12)
+            assert a.target_deltas[i] == pytest.approx(d.as_array(), abs=1e-12)
             assert a.target_centerness[i] == pytest.approx(centerness(d), abs=1e-12)
 
     def test_positive_centerness_strictly_positive_below_half(self):
@@ -151,7 +165,7 @@ class TestAssignTargets:
             points = [Point3(*rng.uniform(-2, 2, size=3)) for _ in range(300)]
             prev = None
             for mu in (0.5, 0.4, 0.3, 0.2, 0.1):
-                cur = {i for i, g in enumerate(assign_targets(points, gts, mu).matched_gt) if g >= 0}
+                cur = set(assign_targets(points, gts, mu).positive_indices())
                 if prev is not None:
                     assert cur <= prev
                 prev = cur
@@ -160,8 +174,8 @@ class TestAssignTargets:
         gt = OrientedBox(Point3(0, 0, 0), (1, 1, 1), class_id=3)
         far = Point3(4.0, 4.0, 4.0)
         a = assign_targets([far], [gt], 0.2, fixed_assignments={0: 0})
-        assert a.matched_gt == [0]
-        assert a.is_denoising == [True]
+        assert a.matched_gt.tolist() == [0]
+        assert a.is_denoising.tolist() == [True]
         assert a.target_class[0] == 3
         # Outside the box, so the forced target has zero centerness.
         assert a.target_centerness[0] == 0.0
@@ -178,6 +192,104 @@ class TestAssignTargets:
     def test_invalid_mu(self):
         with pytest.raises(ValueError):
             assign_targets([Point3(0, 0, 0)], [], 0.0)
+
+
+def per_row_assign_targets(points, gts, mu, *, fixed_assignments=None):
+    """assign_targets as it was before its targets became columns: one list
+    entry per point, a Deltas object per positive and None where unmatched.
+    Returns (matched_gt, target_deltas, target_centerness, target_class,
+    is_denoising)."""
+    pts = points_as_array(points)
+    n = len(pts)
+    matched = np.full(n, -1, dtype=np.int64)
+    if gts and n:
+        best_vol = np.full(n, np.inf)
+        for gi, gt in enumerate(gts):
+            inside = contains_points(gt, pts, mu=mu)
+            better = inside & (gt.volume < best_vol)
+            matched[better] = gi
+            best_vol[better] = gt.volume
+    is_denoising = [False] * n
+    for pi, gi in (fixed_assignments or {}).items():
+        matched[pi] = gi
+        is_denoising[pi] = True
+    target_deltas = [None] * n
+    target_centerness = [None] * n
+    target_class = [None] * n
+    pos = np.flatnonzero(matched >= 0)
+    owner = matched[pos]
+    faces, cent = matched_faces(gts, pts[pos], owner)
+    for i, gi, row, c in zip(pos.tolist(), owner.tolist(), faces.tolist(), cent.tolist()):
+        target_deltas[i] = Deltas(*row, heading=gts[gi].yaw)
+        target_centerness[i] = c
+        target_class[i] = gts[gi].class_id
+    return [int(g) for g in matched], target_deltas, target_centerness, target_class, is_denoising
+
+
+@st.composite
+def assignment_cases(draw):
+    """Boxes at yaw 0 or yawed, some without a class id, and points at a box
+    center, inside it, on a face (within the 1e-9 band or just past it) or
+    anywhere; plus a mu and a few pinned rows."""
+    coord, extent = st.floats(-2.0, 2.0), st.floats(0.2, 2.0)
+    gts = [
+        OrientedBox(
+            Point3(draw(coord), draw(coord), draw(coord)),
+            (draw(extent), draw(extent), draw(extent)),
+            yaw=draw(st.one_of(st.just(0.0), st.floats(-math.pi, math.pi, exclude_max=True))),
+            class_id=draw(st.one_of(st.none(), st.integers(0, 4))),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    mu = draw(st.floats(0.05, 0.6))
+    points = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["center", "inside", "face", "free"] if gts else ["free"]))
+        if kind == "free":
+            points.append(Point3(draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0)),
+                                 draw(st.floats(-4.0, 4.0))))
+            continue
+        box = draw(st.sampled_from(gts))
+        q = [0.0, 0.0, 0.0] if kind == "center" else [draw(st.floats(-mu, mu)) * e
+                                                      for e in box.size]
+        if kind == "face":
+            axis = draw(st.integers(0, 2))
+            q[axis] = draw(st.sampled_from([-1.0, 1.0])) * (
+                box.size[axis] * mu + draw(st.sampled_from([0.0, 1e-9, -1e-9, 2e-9, -2e-9])))
+        c, s = math.cos(box.yaw), math.sin(box.yaw)
+        points.append(Point3(box.center.x + c * q[0] - s * q[1],
+                             box.center.y + s * q[0] + c * q[1], box.center.z + q[2]))
+    fixed = {}
+    if gts and points:
+        fixed = draw(st.dictionaries(st.integers(0, len(points) - 1),
+                                     st.integers(0, len(gts) - 1), max_size=3))
+    return points, gts, mu, fixed
+
+
+class TestColumnsAgainstPerRowOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(assignment_cases(), st.booleans())
+    def test_columns_equal_per_row_lists(self, case, as_array):
+        points, gts, mu, fixed = case
+        pts = points_as_array(points) if as_array else points
+        a = assign_targets(pts, gts, mu, fixed_assignments=fixed)
+        matched, deltas, cent, classes, dn = per_row_assign_targets(
+            points, gts, mu, fixed_assignments=fixed)
+        n = len(points)
+        assert a.matched_gt.dtype == np.int64 and a.matched_gt.tolist() == matched
+        assert a.target_deltas.shape == (n, 7) and a.target_centerness.shape == (n,)
+        assert a.target_class.dtype == np.int64 and a.is_denoising.dtype == bool
+        assert a.is_denoising.tolist() == dn
+        assert a.target_class.tolist() == [-1 if c is None else c for c in classes]
+        for i in range(n):
+            if deltas[i] is None:
+                assert np.isnan(a.target_deltas[i]).all() and np.isnan(a.target_centerness[i])
+            else:
+                assert a.target_deltas[i].tolist() == deltas[i].as_array().tolist()
+                assert a.target_centerness[i] == cent[i]
+        assert a.positive_indices() == [i for i, g in enumerate(matched) if g >= 0]
+        assert a.num_positives == sum(g >= 0 for g in matched)
+        assert a.num_regular_positives == sum(g >= 0 and not d for g, d in zip(matched, dn))
 
 
 class TestSelectDenoising:
@@ -214,6 +326,7 @@ class TestSelectDenoising:
             centers = [Point3(*rng.uniform(-3, 3, size=3)) for _ in range(4)]
             got = select_denoising(pts, centers)
             got3 = select_denoising(pts, centers, k=3)
+            assert select_denoising(points_as_array(pts), centers, k=3) == got3
             for gi, c in enumerate(centers):
                 dists = [abs(p.x - c.x) + abs(p.y - c.y) + abs(p.z - c.z) for p in pts]
                 ranked = sorted(range(len(pts)), key=lambda i: (dists[i], i))
@@ -231,6 +344,8 @@ class TestSelectDenoising:
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
             select_denoising([], [Point3(0, 0, 0)])
+        with pytest.raises(ValueError, match="empty point set"):
+            select_denoising(np.zeros((0, 3)), [Point3(0, 0, 0)])
 
 
 class TestSelectTopB:

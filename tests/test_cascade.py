@@ -234,7 +234,8 @@ class TestRunCascade:
                 assert rec.proposals_in.features.shape == (0, CFG.feature_dim)
                 assert rec.predictions.class_probs.shape == (0, CFG.num_classes + 1)
                 assert rec.updated_points.shape == (0, 3)
-                assert rec.assignment.matched_gt == []
+                assert rec.assignment.matched_gt.shape == (0,)
+                assert rec.assignment.target_deltas.shape == (0, 7)
 
 
 class TestEnsemble:

@@ -196,6 +196,63 @@ class TestExitCodes:
         assert main(argv + ["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error: invalid ")
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("gen", "num_scenes", 1.5),
+        ("gen", "b", 2.5),
+        ("gen", "seed", 1.5),
+        ("gen", "b", True),
+        ("gen", "num_scenes", "3"),
+        ("train", "steps", 2.5),
+        ("train", "hidden", 2.5),
+        ("train", "denoising_k", 2.0),
+        ("train", "batch_scenes", False),
+    ])
+    def test_non_integer_count_is_config_error(self, tmp_path, command, key, value, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL, key: value}))
+        argv = [command] + ([str(tmp_path / "absent")] if command == "train" else [])
+        capsys.readouterr()
+        assert main(argv + ["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be an integer")
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    @pytest.mark.parametrize("key, message", [
+        ("features", "differ in length"),
+        ("class_id", "class_id 9 is not an int in [0, 5)"),
+    ])
+    def test_inconsistent_scene_is_data_error(self, tmp_path, command, key, message, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL, "noise": {"sigma_delta": 0.25, "sigma_heading": 0.2,
+                                                      "p_class_flip": 0.1,
+                                                      "centerness_bias": 0.15}}))
+        scenes = tmp_path / "scenes"
+        main(["gen", "--config", str(cfg), "--out", str(scenes)])
+        path = scenes / "scene_0001.json"
+        doc = json.loads(path.read_text())
+        if key == "features":
+            doc["features"] = doc["features"][:10]
+        else:
+            doc["gt_boxes"][0]["class_id"] = 9
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command, str(scenes), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
+
+    def test_class_less_box_in_train_is_data_error(self, tmp_path, cfg_path, capsys):
+        scenes = tmp_path / "scenes"
+        main(["gen", "--config", cfg_path, "--out", str(scenes)])
+        path = scenes / "scene_0002.json"
+        doc = json.loads(path.read_text())
+        doc["gt_boxes"][1]["class_id"] = None
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["train", str(scenes), "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: training needs a class id") and "scene_0002.json" in err
+
     def test_scene_without_boxes_is_data_error(self, tmp_path, cfg_path, capsys):
         scenes = tmp_path / "scenes"
         main(["gen", "--config", cfg_path, "--out", str(scenes)])

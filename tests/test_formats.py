@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,11 +57,30 @@ class TestSceneDocs:
         scene = gen_scene(CFG, seed=3)
         loaded = scene_from_doc(scene_to_doc(scene))
         assert loaded.gt_boxes == scene.gt_boxes
-        assert loaded.points == scene.points
-        assert np.array_equal(loaded.features, scene.features)
-        assert loaded.point_gt_labels == scene.point_gt_labels
+        for name in ("points", "features", "point_gt_labels"):
+            a, b = getattr(loaded, name), getattr(scene, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert loaded.point_gt_labels.dtype == np.int64
         assert loaded.seed == scene.seed
         assert loaded.config == scene.config
+
+    def test_arrays_of_other_lengths_rejected(self):
+        doc = scene_to_doc(gen_scene(CFG, seed=3))
+        for key in ("points", "features", "point_gt_labels"):
+            bad = json.loads(json.dumps(doc))
+            bad[key] = bad[key][:10]
+            with pytest.raises(DataError, match="differ in length"):
+                scene_from_doc(bad)
+
+    @pytest.mark.parametrize("class_id", [5, -1, 1.0, True, "2"])
+    def test_class_id_outside_config_classes_rejected(self, class_id):
+        doc = scene_to_doc(gen_scene(CFG, seed=3))
+        doc["gt_boxes"][1]["class_id"] = class_id
+        with pytest.raises(DataError, match="class_id"):
+            scene_from_doc(doc)
+        doc["gt_boxes"][1]["class_id"] = None
+        assert scene_from_doc(doc).gt_boxes[1].class_id is None
 
     def test_serialization_stable(self):
         scene = gen_scene(CFG, seed=3)
@@ -102,8 +122,74 @@ class TestTraceDocs:
                                       getattr(rb.proposals_in, name))
             for name in ("class_probs", "deltas", "centerness"):
                 assert np.array_equal(getattr(ra.predictions, name), getattr(rb.predictions, name))
-            assert ra.assignment.matched_gt == rb.assignment.matched_gt
-            assert ra.assignment.target_centerness == rb.assignment.target_centerness
+            for name in ("matched_gt", "target_deltas", "target_centerness", "target_class",
+                         "is_denoising"):
+                a, b = getattr(ra.assignment, name), getattr(rb.assignment, name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            assert ra.assignment.mu == rb.assignment.mu
+
+    def test_class_less_box_round_trips_as_null(self):
+        scene = gen_scene(CFG, seed=7)
+        gts = [replace(scene.gt_boxes[0], class_id=None)] + scene.gt_boxes[1:]
+        props = scene_proposals(scene, np.zeros(scene.num_points), 12, denoising=True)
+        pred = oracle_predictor(scene, OracleNoise(), seed=7)
+        trace = run_cascade(props, pred, SCHED, gts=gts)
+        doc = trace_to_doc(trace)
+        a = trace.stages[0].assignment
+        rows = doc["stages"][0]["assignment"]
+        assert (a.target_class[a.matched_gt == 0] == -1).all() and (a.matched_gt == 0).any()
+        assert [c is None for c in rows["target_class"]] == (a.target_class < 0).tolist()
+        loaded = trace_from_doc(doc)
+        assert np.array_equal(loaded.stages[0].assignment.target_class, a.target_class)
+        assert canonical_dumps(trace_to_doc(loaded)) == canonical_dumps(doc)
+
+    def test_malformed_assignment_columns_rejected(self):
+        _, trace = _oracle_trace()
+        doc = json.loads(canonical_dumps(trace_to_doc(trace)))
+        # Stage 1 holds both kinds of row: only its denoising proposals match.
+        a = doc["stages"][0]["assignment"]
+        pos = a["matched_gt"].index(next(g for g in a["matched_gt"] if g >= 0))
+        neg = a["matched_gt"].index(-1)
+
+        def broken(edit):
+            bad = json.loads(json.dumps(doc))
+            edit(bad["stages"][0]["assignment"])
+            return bad
+
+        def null_delta_on_positive(rec):
+            rec["target_deltas"][pos] = None
+
+        def centerness_on_negative(rec):
+            rec["target_centerness"][neg] = 0.5
+
+        def class_on_negative(rec):
+            rec["target_class"][neg] = 1
+
+        def unmatched_positive(rec):
+            rec["matched_gt"][pos] = -1
+
+        def short_column(rec):
+            rec["is_denoising"].pop()
+
+        def long_column(rec):
+            rec["target_class"].append(None)
+
+        def nan_delta(rec):
+            rec["target_deltas"][pos][2] = float("nan")
+
+        def infinite_centerness(rec):
+            rec["target_centerness"][pos] = float("inf")
+
+        def short_delta_row(rec):
+            rec["target_deltas"][pos].pop()
+
+        for edit in (null_delta_on_positive, centerness_on_negative, class_on_negative,
+                     unmatched_positive, short_column, long_column, nan_delta,
+                     infinite_centerness, short_delta_row):
+            with pytest.raises(DataError):
+                trace_from_doc(broken(edit))
+        trace_from_doc(doc)
 
     def test_malformed_stage_columns_rejected(self):
         _, trace = _oracle_trace()
@@ -212,7 +298,7 @@ class TestSchemaEnvelope:
         path = tmp_path / "scene.json"
         write_json(path, scene_to_doc(scene))
         doc = read_json(path, "scene")
-        assert scene_from_doc(doc).points == scene.points
+        assert np.array_equal(scene_from_doc(doc).points, scene.points)
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(DataError):

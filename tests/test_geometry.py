@@ -255,7 +255,8 @@ class TestTypesAndHelpers:
 
     def test_deltas_array_roundtrip(self):
         d = Deltas(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, heading=0.7)
-        assert Deltas.from_array(d.as_array()) == d
+        assert d.as_array().tolist() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+        assert Deltas(*d.as_array().tolist()) == d
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(19)

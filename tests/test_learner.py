@@ -85,7 +85,7 @@ class TestGradientsAgainstFiniteDifferences:
         pos = assignment.positive_indices()
         raw = outputs.reg_raw[pos]
         pred6 = np.logaddexp(0.0, raw[:, :6])
-        targ = np.stack([assignment.target_deltas[i].as_array() for i in pos])
+        targ = assignment.target_deltas[pos]
         diff = np.concatenate([pred6, raw[:, 6:7]], axis=1) - targ
         assert np.all(np.abs(np.abs(diff) - 1.0) > 1e-3)
 
@@ -137,7 +137,7 @@ class TestComputeLosses:
         assert assignment.positive_indices() == [0, 1]
         assert assignment.target_centerness[0] == pytest.approx(1.0, abs=1e-12)
 
-        targ = np.stack([d.as_array() for d in assignment.target_deltas])
+        targ = assignment.target_deltas
         raw = np.empty((2, 7))
         raw[:, :6] = np.log(np.expm1(targ[:, :6]))  # softplus inverse
         raw[:, 6] = targ[:, 6]
@@ -152,6 +152,15 @@ class TestComputeLosses:
         assert rep.regression_loss < 1e-12
         assert rep.centerness_loss < 1e-12
         assert rep.total == rep.classification_loss + rep.regression_loss + rep.centerness_loss
+
+    def test_positive_on_class_less_box_rejected(self):
+        gt = OrientedBox(Point3(0.0, 0.0, 1.0), (1.0, 1.0, 1.0))
+        assignment = assign_targets([gt.center, Point3(5.0, 5.0, 0.2)], [gt], 0.2)
+        assert assignment.target_class.tolist() == [-1, -1]
+        outputs = StageOutputs(cls_logits=np.zeros((2, 3)), reg_raw=np.zeros((2, 7)),
+                               cent_logits=np.zeros(2))
+        with pytest.raises(ValueError, match="without a class id"):
+            compute_losses(outputs, assignment)
 
     def test_no_positives_zeroes_reg_and_cent(self):
         gt = OrientedBox(Point3(0.0, 0.0, 1.0), (1.0, 1.0, 1.0), class_id=0)
@@ -333,10 +342,10 @@ class TestTrainCascade:
         trace = run_cascade(props, head_predictors(params), SCHED, gts=scene.gt_boxes)
         assert len(recorded) == trace.num_stages
         for (outputs, assignment), rec in zip(recorded, trace.stages):
-            assert assignment.matched_gt == rec.assignment.matched_gt
+            assert np.array_equal(assignment.matched_gt, rec.assignment.matched_gt)
             assert np.array_equal(_softmax(outputs.cls_logits), rec.predictions.class_probs)
             assert np.array_equal(outputs.predictions().deltas, rec.predictions.deltas)
-            assert assignment.target_deltas == rec.assignment.target_deltas
+            assert assignment.target_deltas.tobytes() == rec.assignment.target_deltas.tobytes()
 
     def test_batched_scenes_pool_positives(self):
         scenes = [gen_scene(SMALL_CFG, seed=s) for s in range(4)]

@@ -76,7 +76,7 @@ def _world(box, local):
 @functools.lru_cache(maxsize=None)
 def scene_and_proposals(yaw):
     scene = gen_scene(dataclasses.replace(CFG, yaw_enabled=yaw), 41)
-    points = list(scene.points)  # sampled surface points and clutter
+    points = list(map(Point3.from_array, scene.points))  # sampled surface points and clutter
     for box in scene.gt_boxes:
         w, l, h = box.size
         points.append(box.center)

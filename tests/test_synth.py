@@ -12,7 +12,6 @@ from cascadev.geometry import (
     decode_box,
     encode_deltas,
     point_in_scaled_box,
-    points_as_array,
 )
 from cascadev.overlap import iou_rotated
 from cascadev.synth import (
@@ -35,10 +34,8 @@ def scene_equal(a: SyntheticScene, b: SyntheticScene) -> bool:
     for ba, bb in zip(a.gt_boxes, b.gt_boxes):
         if ba != bb:
             return False
-    for pa, pb in zip(a.points, b.points):
-        if pa != pb:
-            return False
-    return bool(np.array_equal(a.features, b.features)) and a.point_gt_labels == b.point_gt_labels
+    return bool(np.array_equal(a.points, b.points) and np.array_equal(a.features, b.features)
+                and np.array_equal(a.point_gt_labels, b.point_gt_labels))
 
 
 class TestGenScene:
@@ -74,7 +71,7 @@ class TestGenScene:
         cfg = SceneConfig(num_gt=(2, 2), points_per_box=80, num_clutter=30, yaw_enabled=True)
         for seed in range(10):
             s = gen_scene(cfg, seed)
-            for p, gi in zip(s.points, s.point_gt_labels):
+            for p, gi in zip(map(Point3.from_array, s.points), s.point_gt_labels.tolist()):
                 if gi < 0:
                     continue
                 d = encode_deltas(p, s.gt_boxes[gi])
@@ -85,7 +82,7 @@ class TestGenScene:
     def test_clutter_outside_all_boxes(self):
         for seed in range(10):
             s = gen_scene(SMALL, seed)
-            for p, gi in zip(s.points, s.point_gt_labels):
+            for p, gi in zip(map(Point3.from_array, s.points), s.point_gt_labels.tolist()):
                 if gi >= 0:
                     continue
                 for b in s.gt_boxes:
@@ -95,24 +92,27 @@ class TestGenScene:
         s = gen_scene(SMALL, 5)
         expected = len(s.gt_boxes) * SMALL.points_per_box + SMALL.num_clutter
         assert s.num_points == expected
+        assert s.points.shape == (expected, 3) and s.points.dtype == np.float64
         assert s.features.shape == (expected, SMALL.feature_dim)
-        assert len(s.point_gt_labels) == expected
+        assert s.point_gt_labels.shape == (expected,) and s.point_gt_labels.dtype == np.int64
+        counts = np.bincount(s.point_gt_labels + 1)
+        assert counts.tolist() == [SMALL.num_clutter] + [SMALL.points_per_box] * len(s.gt_boxes)
 
     def test_point_order_shuffled(self):
         # Owning-box labels must not come out grouped by box.
         s = gen_scene(SMALL, 9)
         labels = s.point_gt_labels
-        runs = sum(1 for a, b in zip(labels, labels[1:]) if a != b)
+        runs = int(np.count_nonzero(labels[1:] != labels[:-1]))
         assert runs > len(s.gt_boxes) + 1
 
     def test_noiseless_offset_feature_recovers_center(self):
         cfg = SceneConfig(num_gt=(2, 2), points_per_box=40, num_clutter=20, sigma_feature=0.0)
         s = gen_scene(cfg, 3)
-        for i, (p, gi) in enumerate(zip(s.points, s.point_gt_labels)):
+        for i, (p, gi) in enumerate(zip(s.points, s.point_gt_labels.tolist())):
             if gi < 0:
                 continue
             c = s.gt_boxes[gi].center
-            rec = np.array([p.x, p.y, p.z]) + s.features[i, :3]
+            rec = p + s.features[i, :3]
             assert rec == pytest.approx([c.x, c.y, c.z], abs=1e-9)
             assert s.features[i, 3 + s.gt_boxes[gi].class_id] == 1.0
 
@@ -164,7 +164,7 @@ class TestMatching:
 def proposals_at(s, idx):
     """Regular proposals on the scene points idx, with their features."""
     idx = list(idx)
-    return Proposals(points_as_array([s.points[i] for i in idx]), s.features[idx],
+    return Proposals(s.points[idx], s.features[idx],
                      np.array(idx, dtype=np.int64), np.full(len(idx), -1))
 
 
@@ -175,9 +175,10 @@ class TestOracle:
         idx = range(0, s.num_points, 37)
         preds = predict(proposals_at(s, idx))
         for i, probs, d in zip(idx, preds.class_probs, preds.deltas):
-            gi = match_point_to_gt(s.points[i], s.gt_boxes)
+            p = Point3.from_array(s.points[i])
+            gi = match_point_to_gt(p, s.gt_boxes)
             gt = s.gt_boxes[gi]
-            box = decode_box(s.points[i], Deltas(*d))
+            box = decode_box(p, Deltas(*d))
             assert box.center.x == pytest.approx(gt.center.x, abs=1e-9)
             assert box.center.y == pytest.approx(gt.center.y, abs=1e-9)
             assert box.center.z == pytest.approx(gt.center.z, abs=1e-9)
@@ -189,7 +190,7 @@ class TestOracle:
     def test_exact_oracle_class_accuracy(self):
         s = gen_scene(SMALL, 22)
         predict = oracle_predictor(s, OracleNoise(p_class_flip=0.0))
-        idx = [i for i, gi in enumerate(s.point_gt_labels) if gi >= 0]
+        idx = np.flatnonzero(s.point_gt_labels >= 0).tolist()
         preds = predict(proposals_at(s, idx))
         assert len(preds.centerness) == len(idx) > 0
         for i, probs in zip(idx, preds.class_probs):
@@ -204,7 +205,7 @@ class TestOracle:
         idx = [k % s.num_points for k in range(n)]
         preds = predict(proposals_at(s, idx))
         for i, probs in zip(idx, preds.class_probs):
-            gi = match_point_to_gt(s.points[i], s.gt_boxes)
+            gi = match_point_to_gt(Point3.from_array(s.points[i]), s.gt_boxes)
             flips += int(np.argmax(probs[:-1])) != s.gt_boxes[gi].class_id
         assert 0.25 < flips / n < 0.35
 
@@ -219,8 +220,9 @@ class TestOracle:
                 idx = range(0, s.num_points, 23)
                 preds = predict(proposals_at(s, idx))
                 for i, d in zip(idx, preds.deltas):
-                    gi = match_point_to_gt(s.points[i], s.gt_boxes)
-                    box = decode_box(s.points[i], Deltas(*d))
+                    p = Point3.from_array(s.points[i])
+                    gi = match_point_to_gt(p, s.gt_boxes)
+                    box = decode_box(p, Deltas(*d))
                     total += iou_rotated(box, s.gt_boxes[gi])
                     count += 1
             mean_ious.append(total / count)
@@ -234,7 +236,7 @@ class TestOracle:
         idx = range(0, s.num_points, 11)
         preds = predict(proposals_at(s, idx))
         for i, d in zip(idx, preds.deltas):
-            box = decode_box(s.points[i], Deltas(*d))  # must not raise
+            box = decode_box(Point3.from_array(s.points[i]), Deltas(*d))  # must not raise
             assert min(box.size) >= 0.01 - 1e-12
 
     def test_predictor_deterministic(self):
@@ -263,7 +265,7 @@ class TestOracle:
             gt_boxes=[],
             points=s.points,
             features=s.features,
-            point_gt_labels=[-1] * s.num_points,
+            point_gt_labels=np.full(s.num_points, -1),
             seed=0,
             config=SMALL,
         )
@@ -276,7 +278,8 @@ class TestOracle:
         s = gen_scene(SceneConfig(num_gt=(3, 4), yaw_enabled=yaw), 28)
         gts = s.gt_boxes
         ref = np.array(
-            [centerness(encode_deltas(p, gts[match_point_to_gt(p, gts)])) for p in s.points]
+            [centerness(encode_deltas(p, gts[match_point_to_gt(p, gts)]))
+             for p in map(Point3.from_array, s.points)]
         )
         if bias:
             rng = np.random.Generator(np.random.Philox(key=(s.seed << 1) ^ 5 ^ 0x5EED))
@@ -303,7 +306,7 @@ class TestProposalSelection:
             c = s.gt_boxes[gi].center
             d_choice = abs(p[0] - c.x) + abs(p[1] - c.y) + abs(p[2] - c.z)
             for q in s.points:
-                d_other = abs(q.x - c.x) + abs(q.y - c.y) + abs(q.z - c.z)
+                d_other = abs(q[0] - c.x) + abs(q[1] - c.y) + abs(q[2] - c.z)
                 assert d_choice <= d_other + 1e-12
 
     def test_proposals_carry_scene_features(self):
@@ -313,4 +316,4 @@ class TestProposalSelection:
         assert len(props) == 16
         for p, f, i in zip(props.points, props.features, props.origin_index):
             assert np.array_equal(f, s.features[i])
-            assert Point3(*p) == s.points[i]
+            assert np.array_equal(p, s.points[i])
