@@ -4,9 +4,11 @@ Each stage calls the predictor once on all current proposals, decodes
 scored detections, moves every proposal point onto its predicted box
 center, and re-aggregates features by instance-aware voting over the
 full current proposal set. The moved points and voted features become the
-next stage's proposals; the last stage's outputs are final. Stage
-traces record everything (inputs, predictions, moved points, training
-assignments, detections) so downstream statistics need no re-runs.
+next stage's proposals; the last stage's outputs are final. A stage's
+moved points, training assignment and detections follow from its
+inputs and predictions through stage_record, which run_cascade calls
+and the trace reader calls again, so trace files store only a stage's
+inputs and predictions and downstream statistics need no re-runs.
 
 Proposals carry an origin_index so a point's trajectory through the
 stages can be followed; denoising proposals keep a fixed ground-truth
@@ -128,6 +130,45 @@ def hand_off(proposals: Proposals, boxes: list[OrientedBox], *, weighting: str) 
     return replace(proposals, points=moved, features=np.reshape(voted, proposals.features.shape))
 
 
+def stage_record(
+    l: int,
+    mu: float | None,
+    proposals: Proposals,
+    predictions: Predictions,
+    gts: list[OrientedBox] | None,
+) -> StageRecord:
+    """Stage l's record from its proposals and their predictions.
+
+    Checks the predictions (PredictorOutputError on a wrong count, shape
+    or row; InvalidDeltasError on a non-positive implied extent), decodes
+    every row in one decode_boxes pass into the moved points and scored
+    detections, and, when gts is given, assigns positives at threshold mu
+    with denoising proposals pinned to their ground truth.
+    """
+    _validate(predictions, len(proposals), l)
+    centers, sizes, yaws = decode_boxes(proposals.points, predictions.deltas)
+    fg = predictions.class_probs[:, :-1]
+    class_ids = np.argmax(fg, axis=1)
+    scores = np.clip(fg[np.arange(len(fg)), class_ids] * predictions.centerness, 0.0, 1.0)
+    # Each box takes the decoded yaw and normalizes it again, as the
+    # classified copy of a decoded box always has.
+    dets = [
+        Detection(box=OrientedBox(Point3(*c), tuple(size), yaw, class_id=k, score=score),
+                  score=score, class_id=k, stage=l)
+        for c, size, yaw, k, score in zip(centers.tolist(), sizes.tolist(), yaws.tolist(),
+                                          class_ids.tolist(), scores.tolist())
+    ]
+    return StageRecord(
+        stage=l,
+        mu=mu,
+        proposals_in=proposals,
+        predictions=predictions,
+        updated_points=centers,
+        assignment=None if gts is None else stage_assignment(proposals, gts, mu),
+        detections=dets,
+    )
+
+
 def run_cascade(
     proposals: Proposals,
     predictor,
@@ -141,46 +182,22 @@ def run_cascade(
     predictor is a callable Proposals -> Predictions, or a sequence of L
     such callables (one per stage). Each stage calls it once with all of
     its proposals and expects one prediction row per proposal, in order;
-    a wrong count or shape or an invalid row raises PredictorOutputError.
-    The rows are decoded into boxes in one decode_boxes pass. When gts is
+    stage_record turns the rows into the stage's record. When gts is
     given, each stage also records the positive assignment at that
-    stage's threshold, with denoising proposals pinned to their ground
-    truth. Proposal points and features advance between stages; the
-    moved points of the last stage are recorded but feed nothing.
+    stage's threshold. Proposal points and features advance between
+    stages; the moved points of the last stage are recorded but feed
+    nothing.
     """
     L = sched.num_stages
     records: list[StageRecord] = []
     current = proposals
     for l in range(1, L + 1):
         stage_predictor = predictor if callable(predictor) else predictor[l - 1]
-        preds = stage_predictor(current)
-        _validate(preds, len(current), l)
-        centers, sizes, yaws = decode_boxes(current.points, preds.deltas)
-        fg = preds.class_probs[:, :-1]
-        class_ids = np.argmax(fg, axis=1)
-        scores = np.clip(fg[np.arange(len(fg)), class_ids] * preds.centerness, 0.0, 1.0)
-        # Each box takes the decoded yaw and normalizes it again, as the
-        # classified copy of a decoded box always has.
-        dets = [
-            Detection(box=OrientedBox(Point3(*c), tuple(size), yaw, class_id=k, score=score),
-                      score=score, class_id=k, stage=l)
-            for c, size, yaw, k, score in zip(centers.tolist(), sizes.tolist(), yaws.tolist(),
-                                              class_ids.tolist(), scores.tolist())
-        ]
         mu = None if gts is None else cpa_threshold(l, sched)
-        records.append(
-            StageRecord(
-                stage=l,
-                mu=mu,
-                proposals_in=current,
-                predictions=preds,
-                updated_points=centers,
-                assignment=None if gts is None else stage_assignment(current, gts, mu),
-                detections=dets,
-            )
-        )
+        rec = stage_record(l, mu, current, stage_predictor(current), gts)
+        records.append(rec)
         if l < L:
-            current = hand_off(current, [det.box for det in dets], weighting=weighting)
+            current = hand_off(current, [det.box for det in rec.detections], weighting=weighting)
     return StageTrace(stages=records, gts=list(gts) if gts is not None else None)
 
 

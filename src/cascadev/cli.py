@@ -198,6 +198,16 @@ def _max_workers() -> int:
     return n
 
 
+def _read(path: str, kind: str, from_doc):
+    """The {kind} artifact at path, decoded by from_doc; a DataError names the file."""
+    try:
+        return from_doc(read_json(path, kind))
+    except DataError as exc:
+        if path not in str(exc):
+            exc.args = (f"{exc} (in {path})",)
+        raise
+
+
 def _load(dirpath: str, kind: str) -> list:
     """(file name, decoded artifact) for every {kind}_*.json in dirpath, by name."""
     if not os.path.isdir(dirpath):
@@ -208,7 +218,7 @@ def _load(dirpath: str, kind: str) -> list:
     if not names:
         raise DataError(f"no {kind}_*.json files in {dirpath!r}")
     from_doc = scene_from_doc if kind == "scene" else trace_from_doc
-    return [(n, from_doc(read_json(os.path.join(dirpath, n), kind))) for n in names]
+    return [(n, _read(os.path.join(dirpath, n), kind, from_doc)) for n in names]
 
 
 def cmd_gen(cfg: RunConfig, out: str) -> None:
@@ -253,7 +263,7 @@ def cmd_run(cfg: RunConfig, scenes_dir: str, out: str) -> None:
     else:
         if cfg.model is None:
             raise ConfigError("predictor 'head' requires a model path in the config")
-        params = model_from_doc(read_json(cfg.model, "model"))
+        params = _read(cfg.model, "model", model_from_doc)
         for name, scene in scenes:
             if scene.features.shape[1] != params.feature_dim:
                 raise DataError(f"model expects feature_dim {params.feature_dim}, "
@@ -305,14 +315,16 @@ def cmd_run(cfg: RunConfig, scenes_dir: str, out: str) -> None:
 
 
 def cmd_eval(cfg: RunConfig, traces_dir: str, out: str) -> None:
-    traces = [trace for _, trace in _load(traces_dir, "trace")]
-    for t in traces:
+    named = _load(traces_dir, "trace")
+    for name, t in named:
         if not t.gts:
-            raise DataError("evaluation needs traces recorded with ground-truth boxes")
+            raise DataError(f"evaluation needs traces recorded with ground-truth boxes, which "
+                            f"{name} lacks")
         if cfg.ensemble[1] > t.num_stages:
             raise ConfigError(
                 f"stage range {cfg.ensemble} invalid for a {t.num_stages}-stage trace"
             )
+    traces = [t for _, t in named]
     scene_results = [
         (ensemble_stages(t, cfg.ensemble, cfg.nms_iou), t.gts) for t in traces
     ]

@@ -6,6 +6,12 @@ reject the rest. Dumps are canonical (sorted keys, fixed indentation,
 shortest-roundtrip floats), so rerunning a command with the same config
 and seeds reproduces files byte for byte. CSV numbers use repr for the
 same reason.
+
+A trace stores each stage's inputs and predictions only. The reader
+rebuilds the moved points, the assignment and the detections with
+cascade.stage_record, the step run_cascade took, so floats that
+round-trip exactly give back the records the run computed, and a trace
+whose predictions break the predictor contract does not read.
 """
 
 from __future__ import annotations
@@ -16,13 +22,11 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .assignment import Assignment
-from .cascade import Predictions, Proposals, StageRecord, StageTrace
-from .errors import DataError, SchemaVersionError
+from .cascade import Predictions, Proposals, StageRecord, StageTrace, stage_record
+from .errors import DataError, InvalidDeltasError, PredictorOutputError, SchemaVersionError
 from .evaluation import ApResult, CascadeStats, ThresholdResult
 from .geometry import OrientedBox, Point3
 from .learner import BranchParams, HeadParams, LossReport, StageParams
-from .overlap import Detection
 from .synth import SceneConfig, SyntheticScene
 
 SCHEMA_VERSION = "1.0"
@@ -127,6 +131,14 @@ def _rows(values: list, width: int | None = None) -> np.ndarray:
     return a
 
 
+def _labels(values: list, num_boxes: int) -> np.ndarray:
+    """values as an int64 column; ValueError unless each is an int in [-1, num_boxes)."""
+    for v in values:
+        if not (type(v) is int and -1 <= v < num_boxes):
+            raise ValueError(f"point_gt_label {v!r} is not an int in [-1, {num_boxes})")
+    return np.array(values, dtype=np.int64)
+
+
 def scene_config_doc(cfg: SceneConfig) -> dict:
     return asdict(cfg)
 
@@ -161,11 +173,12 @@ def scene_to_doc(scene: SyntheticScene) -> dict:
 def scene_from_doc(doc: dict) -> SyntheticScene:
     check_schema(doc, "scene")
     try:
+        gt_boxes = [_box_from(b) for b in doc["gt_boxes"]]
         scene = SyntheticScene(
-            gt_boxes=[_box_from(b) for b in doc["gt_boxes"]],
+            gt_boxes=gt_boxes,
             points=_rows(doc["points"], 3),
             features=_rows(doc["features"]),
-            point_gt_labels=np.array(doc["point_gt_labels"], dtype=np.int64),
+            point_gt_labels=_labels(doc["point_gt_labels"], len(gt_boxes)),
             seed=doc["seed"],
             config=scene_config_from_doc(doc["config"]),
         )
@@ -182,45 +195,6 @@ def scene_from_doc(doc: dict) -> SyntheticScene:
     return scene
 
 
-def _assignment_doc(a: Assignment) -> dict:
-    matched = (a.matched_gt >= 0).tolist()
-    return {
-        "mu": a.mu,
-        "matched_gt": a.matched_gt.tolist(),
-        "target_deltas": [d if m else None for m, d in zip(matched, a.target_deltas.tolist())],
-        "target_centerness": [c if m else None
-                              for m, c in zip(matched, a.target_centerness.tolist())],
-        "target_class": [None if c < 0 else c for c in a.target_class.tolist()],
-        "is_denoising": a.is_denoising.tolist(),
-    }
-
-
-def _assignment_from(doc: dict, n: int) -> Assignment:
-    """A stage's assignment columns for n rows; null targets read as NaN, a null class as -1."""
-    cols = [doc[k] for k in ("matched_gt", "target_deltas", "target_centerness",
-                             "target_class", "is_denoising")]
-    if any(len(c) != n for c in cols):
-        raise DataError(f"assignment columns of lengths {[len(c) for c in cols]} for {n} rows")
-    matched_gt, deltas, cent, classes, is_denoising = cols
-    matched = np.array(matched_gt, dtype=np.int64)
-    target_deltas = np.array([[np.nan] * 7 if d is None else d for d in deltas],
-                             dtype=np.float64).reshape(n, 7)
-    target_centerness = np.array([np.nan if c is None else c for c in cent], dtype=np.float64)
-    target_class = np.array([-1 if c is None else c for c in classes], dtype=np.int64)
-    finite = np.isfinite(target_deltas).all(axis=1) & np.isfinite(target_centerness)
-    null = np.isnan(target_deltas).all(axis=1) & np.isnan(target_centerness) & (target_class == -1)
-    if not np.where(matched >= 0, finite, null).all():
-        raise DataError("assignment targets must be finite where matched_gt >= 0, null elsewhere")
-    return Assignment(
-        mu=doc["mu"],
-        matched_gt=matched,
-        target_deltas=target_deltas,
-        target_centerness=target_centerness,
-        target_class=target_class,
-        is_denoising=np.array(is_denoising, dtype=bool),
-    )
-
-
 def detection_doc(d) -> dict:
     return {
         "box": _box_doc(d.box),
@@ -230,34 +204,21 @@ def detection_doc(d) -> dict:
     }
 
 
-def detection_from_doc(doc: dict) -> Detection:
-    return Detection(
-        box=_box_from(doc["box"]),
-        score=doc["score"],
-        class_id=doc["class_id"],
-        stage=doc["stage"],
-    )
-
-
 def _stage_doc(rec: StageRecord) -> dict:
     props, preds = rec.proposals_in, rec.predictions
-    deltas = preds.deltas.tolist()
     return {
         "stage": rec.stage,
         "mu": rec.mu,
         "proposals_in": [
-            {"point": p, "feature": f, "origin_index": o, "is_denoising": g >= 0,
-             "denoising_gt": None if g < 0 else g}
+            {"point": p, "feature": f, "origin_index": o, "denoising_gt": None if g < 0 else g}
             for p, f, o, g in zip(props.points.tolist(), props.features.tolist(),
                                   props.origin_index.tolist(), props.denoising_gt.tolist())
         ],
         "predictions": [
-            {"class_probs": p, "deltas": d, "heading": d[6], "centerness": c}
-            for p, d, c in zip(preds.class_probs.tolist(), deltas, preds.centerness.tolist())
+            {"class_probs": p, "deltas": d, "centerness": c}
+            for p, d, c in zip(preds.class_probs.tolist(), preds.deltas.tolist(),
+                               preds.centerness.tolist())
         ],
-        "updated_points": rec.updated_points.tolist(),
-        "assignment": None if rec.assignment is None else _assignment_doc(rec.assignment),
-        "detections": [detection_doc(d) for d in rec.detections],
     }
 
 
@@ -270,42 +231,35 @@ def trace_to_doc(trace: StageTrace, scene_seed: int | None = None) -> dict:
     return doc
 
 
-def _stage_from(rec: dict) -> StageRecord:
+def _stage_from(rec: dict, gts: list[OrientedBox] | None) -> StageRecord:
+    """The stage's record, rebuilt from its inputs and predictions by stage_record."""
     props, preds = rec["proposals_in"], rec["predictions"]
-    denoising_gt = [-1 if p["denoising_gt"] is None else p["denoising_gt"] for p in props]
-    if [p["is_denoising"] for p in props] != [g >= 0 for g in denoising_gt]:
-        raise DataError("is_denoising disagrees with denoising_gt")
-    return StageRecord(
-        stage=rec["stage"],
-        mu=rec["mu"],
-        proposals_in=Proposals(
-            points=_rows([p["point"] for p in props], 3),
-            features=_rows([p["feature"] for p in props]),
-            origin_index=np.array([p["origin_index"] for p in props], dtype=np.int64),
-            denoising_gt=np.array(denoising_gt, dtype=np.int64),
-        ),
-        predictions=Predictions(
-            class_probs=_rows([pr["class_probs"] for pr in preds]),
-            deltas=_rows([pr["deltas"] for pr in preds], 7),
-            centerness=np.array([pr["centerness"] for pr in preds], dtype=np.float64),
-        ),
-        updated_points=_rows(rec["updated_points"], 3),
-        assignment=(None if rec["assignment"] is None
-                    else _assignment_from(rec["assignment"], len(props))),
-        detections=[detection_from_doc(d) for d in rec["detections"]],
+    proposals = Proposals(
+        points=_rows([p["point"] for p in props], 3),
+        features=_rows([p["feature"] for p in props]),
+        origin_index=np.array([p["origin_index"] for p in props], dtype=np.int64),
+        denoising_gt=np.array([-1 if p["denoising_gt"] is None else p["denoising_gt"]
+                               for p in props], dtype=np.int64),
     )
+    predictions = Predictions(
+        # An empty stage has no row to take the class count from; one class
+        # plus background is the narrowest width the predictor contract allows.
+        class_probs=_rows([pr["class_probs"] for pr in preds], None if preds else 2),
+        deltas=_rows([pr["deltas"] for pr in preds], 7),
+        centerness=np.array([pr["centerness"] for pr in preds], dtype=np.float64),
+    )
+    return stage_record(rec["stage"], rec["mu"], proposals, predictions, gts)
 
 
 def trace_from_doc(doc: dict) -> StageTrace:
     check_schema(doc, "trace")
     try:
-        stages = [_stage_from(rec) for rec in doc["stages"]]
-        gts = doc["gts"]
-        return StageTrace(
-            stages=stages, gts=None if gts is None else [_box_from(b) for b in gts]
-        )
+        gts = None if doc["gts"] is None else [_box_from(b) for b in doc["gts"]]
+        return StageTrace(stages=[_stage_from(rec, gts) for rec in doc["stages"]], gts=gts)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed trace document: {exc}") from exc
+    except (PredictorOutputError, InvalidDeltasError) as exc:
+        raise DataError(f"trace predictions break the predictor contract: {exc}") from exc
 
 
 def _branch_doc(bp: BranchParams) -> dict:

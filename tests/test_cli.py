@@ -5,7 +5,19 @@ import sys
 
 import pytest
 
+from cascadev.assignment import CpaSchedule
+from cascadev.cascade import ensemble_stages, run_cascade
 from cascadev.cli import main
+from cascadev.evaluation import cascade_stats, evaluate_scenes
+from cascadev.formats import ap_to_doc, canonical_dumps, stats_csv
+from cascadev.synth import (
+    OracleNoise,
+    SceneConfig,
+    gen_scene,
+    oracle_predictor,
+    oracle_seed_centerness,
+    scene_proposals,
+)
 
 SMALL = {
     "num_scenes": 3,
@@ -14,6 +26,7 @@ SMALL = {
     "steps": 25,
     "denoising_k": 2,
 }
+NOISE = {"sigma_delta": 0.25, "sigma_heading": 0.2, "p_class_flip": 0.1, "centerness_bias": 0.15}
 
 
 @pytest.fixture()
@@ -64,6 +77,31 @@ class TestPipeline:
         assert doc["kind"] == "model" and doc["num_stages"] == 3
         loss = (model / "loss.csv").read_text().strip().split("\n")
         assert len(loss) == 1 + SMALL["steps"]
+
+    def test_cli_metrics_equal_api_metrics(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        yawed = {**SMALL["scene"], "yaw_enabled": True}
+        cfg.write_text(json.dumps({**SMALL, "seed": 5, "scene": yawed, "noise": NOISE}))
+        scenes, traces, metrics = (tmp_path / d for d in ("scenes", "traces", "metrics"))
+        assert main(["gen", "--config", str(cfg), "--out", str(scenes)]) == 0
+        assert main(["run", str(scenes), "--config", str(cfg), "--out", str(traces)]) == 0
+        assert main(["eval", str(traces), "--config", str(cfg), "--out", str(metrics)]) == 0
+
+        scene_cfg = SceneConfig(num_gt=(2, 2), points_per_box=20, num_clutter=50, yaw_enabled=True)
+        noise = OracleNoise(**NOISE)
+        api_traces = []
+        for seed in (5, 6, 7):
+            scene = gen_scene(scene_cfg, seed)
+            props = scene_proposals(scene, oracle_seed_centerness(scene, noise, seed=seed),
+                                    SMALL["b"])
+            api_traces.append(run_cascade(props, oracle_predictor(scene, noise, seed=seed),
+                                          CpaSchedule(), gts=scene.gt_boxes))
+        ap = evaluate_scenes([(ensemble_stages(t, (1, 3), 0.25), t.gts) for t in api_traces],
+                             [0.25, 0.5])
+        assert 0.0 < ap.at(0.5).mean_ap < 1.0
+        assert (metrics / "ap.json").read_bytes() == canonical_dumps(ap_to_doc(ap)).encode()
+        stats = stats_csv(cascade_stats(api_traces))
+        assert (metrics / "stats.csv").read_bytes() == stats.encode()
 
     def test_trained_head_runs_and_evaluates(self, tmp_path, cfg_path):
         scenes = tmp_path / "scenes"
@@ -222,9 +260,7 @@ class TestExitCodes:
     ])
     def test_inconsistent_scene_is_data_error(self, tmp_path, command, key, message, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**SMALL, "noise": {"sigma_delta": 0.25, "sigma_heading": 0.2,
-                                                      "p_class_flip": 0.1,
-                                                      "centerness_bias": 0.15}}))
+        cfg.write_text(json.dumps({**SMALL, "noise": NOISE}))
         scenes = tmp_path / "scenes"
         main(["gen", "--config", str(cfg), "--out", str(scenes)])
         path = scenes / "scene_0001.json"
@@ -239,6 +275,32 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and message in err
+        assert err.count("scene_0001.json") == 1
+
+    @pytest.mark.parametrize("edit", ["probabilities", "centerness", "extent", "row"])
+    def test_trace_breaking_predictor_contract_is_data_error(self, tmp_path, cfg_path, edit,
+                                                             capsys):
+        scenes, traces = tmp_path / "scenes", tmp_path / "traces"
+        main(["gen", "--config", cfg_path, "--out", str(scenes)])
+        main(["run", str(scenes), "--config", cfg_path, "--out", str(traces)])
+        path = traces / "trace_0002.json"
+        doc = json.loads(path.read_text())
+        rows = doc["stages"][1]["predictions"]
+        if edit == "probabilities":
+            rows[0]["class_probs"] = [p * 0.7 for p in rows[0]["class_probs"]]
+        elif edit == "centerness":
+            rows[0]["centerness"] = 1.5
+        elif edit == "extent":
+            rows[0]["deltas"][0] = -rows[0]["deltas"][1]
+        else:
+            rows.pop()
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", str(traces), "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: trace predictions break the predictor contract")
+        assert err.count("trace_0002.json") == 1
 
     def test_class_less_box_in_train_is_data_error(self, tmp_path, cfg_path, capsys):
         scenes = tmp_path / "scenes"

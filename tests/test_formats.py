@@ -11,11 +11,13 @@ from cascadev.evaluation import cascade_stats, evaluate_scenes
 from cascadev.formats import (
     SCHEMA_VERSION,
     STATS_CSV_COLUMNS,
+    _box_doc,
     ap_from_doc,
     ap_to_doc,
     canonical_dumps,
     check_schema,
     config_hash,
+    detection_doc,
     loss_csv,
     model_from_doc,
     model_to_doc,
@@ -52,6 +54,105 @@ def _oracle_trace(seed=7, sigma=0.05):
     return scene, run_cascade(props, pred, SCHED, gts=scene.gt_boxes)
 
 
+def _class_less_trace():
+    """A trace whose first ground truth has no class id."""
+    scene = gen_scene(CFG, seed=7)
+    gts = [replace(scene.gt_boxes[0], class_id=None)] + scene.gt_boxes[1:]
+    props = scene_proposals(scene, np.zeros(scene.num_points), 12, denoising=True)
+    pred = oracle_predictor(scene, OracleNoise(), seed=7)
+    return run_cascade(props, pred, SCHED, gts=gts)
+
+
+def _through_json(doc):
+    return json.loads(canonical_dumps(doc))
+
+
+def _assert_same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def _assert_same_records(trace, loaded):
+    """Arrays bytewise, detections with ==, assignment columns bytewise."""
+    assert loaded.gts == trace.gts
+    assert loaded.num_stages == trace.num_stages
+    for ra, rb in zip(trace.stages, loaded.stages):
+        assert ra.stage == rb.stage and ra.mu == rb.mu
+        _assert_same_bytes(ra.updated_points, rb.updated_points)
+        assert ra.detections == rb.detections
+        for name in ("points", "features", "origin_index", "denoising_gt"):
+            _assert_same_bytes(getattr(ra.proposals_in, name), getattr(rb.proposals_in, name))
+        for name in ("class_probs", "deltas", "centerness"):
+            _assert_same_bytes(getattr(ra.predictions, name), getattr(rb.predictions, name))
+        for name in ("matched_gt", "target_deltas", "target_centerness", "target_class",
+                     "is_denoising"):
+            _assert_same_bytes(getattr(ra.assignment, name), getattr(rb.assignment, name))
+        assert ra.assignment.mu == rb.assignment.mu
+
+
+def _assignment_doc_v1_0(a):
+    matched = (a.matched_gt >= 0).tolist()
+    return {
+        "mu": a.mu,
+        "matched_gt": a.matched_gt.tolist(),
+        "target_deltas": [d if m else None for m, d in zip(matched, a.target_deltas.tolist())],
+        "target_centerness": [c if m else None
+                              for m, c in zip(matched, a.target_centerness.tolist())],
+        "target_class": [None if c < 0 else c for c in a.target_class.tolist()],
+        "is_denoising": a.is_denoising.tolist(),
+    }
+
+
+def _stage_doc_v1_0(rec):
+    """The first 1.0 stage layout, which also stored every derived value:
+    moved points, assignment, detections, and per-row is_denoising and
+    heading copies."""
+    props, preds = rec.proposals_in, rec.predictions
+    deltas = preds.deltas.tolist()
+    return {
+        "stage": rec.stage,
+        "mu": rec.mu,
+        "proposals_in": [
+            {"point": p, "feature": f, "origin_index": o, "is_denoising": g >= 0,
+             "denoising_gt": None if g < 0 else g}
+            for p, f, o, g in zip(props.points.tolist(), props.features.tolist(),
+                                  props.origin_index.tolist(), props.denoising_gt.tolist())
+        ],
+        "predictions": [
+            {"class_probs": p, "deltas": d, "heading": d[6], "centerness": c}
+            for p, d, c in zip(preds.class_probs.tolist(), deltas, preds.centerness.tolist())
+        ],
+        "updated_points": rec.updated_points.tolist(),
+        "assignment": None if rec.assignment is None else _assignment_doc_v1_0(rec.assignment),
+        "detections": [detection_doc(d) for d in rec.detections],
+    }
+
+
+def _trace_doc_v1_0(trace):
+    return {"kind": "trace", "schema_version": "1.0",
+            "gts": [_box_doc(b) for b in trace.gts],
+            "stages": [_stage_doc_v1_0(rec) for rec in trace.stages]}
+
+
+def _scale_probs(rows):
+    rows[0]["class_probs"] = [p * 0.7 for p in rows[0]["class_probs"]]
+
+
+def _centerness_above_one(rows):
+    rows[0]["centerness"] = 1.5
+
+
+def _zero_width(rows):
+    rows[0]["deltas"][0] = -rows[0]["deltas"][1]
+
+
+def _one_row_short(rows):
+    rows.pop()
+
+
+PREDICTION_EDITS = [_scale_probs, _centerness_above_one, _zero_width, _one_row_short]
+
+
 class TestSceneDocs:
     def test_roundtrip_exact(self):
         scene = gen_scene(CFG, seed=3)
@@ -82,6 +183,15 @@ class TestSceneDocs:
         doc["gt_boxes"][1]["class_id"] = None
         assert scene_from_doc(doc).gt_boxes[1].class_id is None
 
+    @pytest.mark.parametrize("label", [0.7, True, 2, -2, "1", None])
+    def test_point_label_outside_boxes_rejected(self, label):
+        doc = scene_to_doc(gen_scene(CFG, seed=3))
+        doc["point_gt_labels"][4] = label
+        with pytest.raises(DataError, match=r"point_gt_label .* is not an int in \[-1, 2\)"):
+            scene_from_doc(doc)
+        doc["point_gt_labels"][4] = 1
+        assert scene_from_doc(doc).point_gt_labels[4] == 1
+
     def test_serialization_stable(self):
         scene = gen_scene(CFG, seed=3)
         once = canonical_dumps(scene_to_doc(scene))
@@ -110,86 +220,52 @@ class TestTraceDocs:
 
     def test_roundtrip_exact_fields(self):
         _, trace = _oracle_trace()
-        loaded = trace_from_doc(trace_to_doc(trace))
-        assert loaded.gts == trace.gts
-        assert loaded.num_stages == trace.num_stages
-        for ra, rb in zip(trace.stages, loaded.stages):
-            assert ra.stage == rb.stage and ra.mu == rb.mu
-            assert np.array_equal(ra.updated_points, rb.updated_points)
-            assert ra.detections == rb.detections
-            for name in ("points", "features", "origin_index", "denoising_gt"):
-                assert np.array_equal(getattr(ra.proposals_in, name),
-                                      getattr(rb.proposals_in, name))
-            for name in ("class_probs", "deltas", "centerness"):
-                assert np.array_equal(getattr(ra.predictions, name), getattr(rb.predictions, name))
-            for name in ("matched_gt", "target_deltas", "target_centerness", "target_class",
-                         "is_denoising"):
-                a, b = getattr(ra.assignment, name), getattr(rb.assignment, name)
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
-            assert ra.assignment.mu == rb.assignment.mu
+        _assert_same_records(trace, trace_from_doc(_through_json(trace_to_doc(trace))))
+
+    @pytest.mark.parametrize("make", [lambda: _oracle_trace(sigma=0.2)[1], _class_less_trace])
+    def test_v1_0_layout_reads_to_same_records(self, make):
+        trace = make()
+        doc = _through_json(_trace_doc_v1_0(trace))
+        assert doc["stages"][0]["assignment"] is not None
+        _assert_same_records(trace, trace_from_doc(doc))
+
+    def test_stage_holds_only_inputs_and_predictions(self):
+        _, trace = _oracle_trace()
+        for rec in trace_to_doc(trace)["stages"]:
+            assert sorted(rec) == ["mu", "predictions", "proposals_in", "stage"]
+            assert sorted(rec["proposals_in"][0]) == [
+                "denoising_gt", "feature", "origin_index", "point"]
+            assert sorted(rec["predictions"][0]) == ["centerness", "class_probs", "deltas"]
 
     def test_class_less_box_round_trips_as_null(self):
-        scene = gen_scene(CFG, seed=7)
-        gts = [replace(scene.gt_boxes[0], class_id=None)] + scene.gt_boxes[1:]
-        props = scene_proposals(scene, np.zeros(scene.num_points), 12, denoising=True)
-        pred = oracle_predictor(scene, OracleNoise(), seed=7)
-        trace = run_cascade(props, pred, SCHED, gts=gts)
+        trace = _class_less_trace()
         doc = trace_to_doc(trace)
         a = trace.stages[0].assignment
-        rows = doc["stages"][0]["assignment"]
         assert (a.target_class[a.matched_gt == 0] == -1).all() and (a.matched_gt == 0).any()
-        assert [c is None for c in rows["target_class"]] == (a.target_class < 0).tolist()
-        loaded = trace_from_doc(doc)
-        assert np.array_equal(loaded.stages[0].assignment.target_class, a.target_class)
+        assert doc["gts"][0]["class_id"] is None
+        loaded = trace_from_doc(_through_json(doc))
+        assert loaded.gts[0].class_id is None
+        _assert_same_records(trace, loaded)
         assert canonical_dumps(trace_to_doc(loaded)) == canonical_dumps(doc)
 
-    def test_malformed_assignment_columns_rejected(self):
+    def test_empty_stages_read_back(self):
+        scene = gen_scene(CFG, seed=7)
+        props = scene_proposals(scene, np.zeros(scene.num_points), 4)
+        props = replace(props, points=props.points[:0], features=props.features[:0],
+                        origin_index=props.origin_index[:0], denoising_gt=props.denoising_gt[:0])
+        trace = run_cascade(props, oracle_predictor(scene, OracleNoise(), seed=7), SCHED,
+                            gts=scene.gt_boxes)
+        loaded = trace_from_doc(_through_json(trace_to_doc(trace)))
+        assert [len(rec.detections) for rec in loaded.stages] == [0, 0, 0]
+        assert [rec.assignment.matched_gt.shape for rec in loaded.stages] == [(0,)] * 3
+
+    @pytest.mark.parametrize("edit", PREDICTION_EDITS)
+    def test_predictions_breaking_contract_rejected(self, edit):
         _, trace = _oracle_trace()
-        doc = json.loads(canonical_dumps(trace_to_doc(trace)))
-        # Stage 1 holds both kinds of row: only its denoising proposals match.
-        a = doc["stages"][0]["assignment"]
-        pos = a["matched_gt"].index(next(g for g in a["matched_gt"] if g >= 0))
-        neg = a["matched_gt"].index(-1)
-
-        def broken(edit):
-            bad = json.loads(json.dumps(doc))
-            edit(bad["stages"][0]["assignment"])
-            return bad
-
-        def null_delta_on_positive(rec):
-            rec["target_deltas"][pos] = None
-
-        def centerness_on_negative(rec):
-            rec["target_centerness"][neg] = 0.5
-
-        def class_on_negative(rec):
-            rec["target_class"][neg] = 1
-
-        def unmatched_positive(rec):
-            rec["matched_gt"][pos] = -1
-
-        def short_column(rec):
-            rec["is_denoising"].pop()
-
-        def long_column(rec):
-            rec["target_class"].append(None)
-
-        def nan_delta(rec):
-            rec["target_deltas"][pos][2] = float("nan")
-
-        def infinite_centerness(rec):
-            rec["target_centerness"][pos] = float("inf")
-
-        def short_delta_row(rec):
-            rec["target_deltas"][pos].pop()
-
-        for edit in (null_delta_on_positive, centerness_on_negative, class_on_negative,
-                     unmatched_positive, short_column, long_column, nan_delta,
-                     infinite_centerness, short_delta_row):
-            with pytest.raises(DataError):
-                trace_from_doc(broken(edit))
-        trace_from_doc(doc)
+        doc = _through_json(trace_to_doc(trace))
+        edit(doc["stages"][1]["predictions"])
+        with pytest.raises(DataError, match="predictor contract"):
+            trace_from_doc(doc)
 
     def test_malformed_stage_columns_rejected(self):
         _, trace = _oracle_trace()
@@ -206,16 +282,9 @@ class TestTraceDocs:
         def ragged_features(rec):
             rec["proposals_in"][2]["feature"].pop()
 
-        def disagreeing_pin(rec):
-            rec["proposals_in"][0]["is_denoising"] = True
-
-        def unpinned_denoising(rec):
-            rec["proposals_in"][-1]["denoising_gt"] = None
-
-        for edit in (nan_point, ragged_features, disagreeing_pin, unpinned_denoising):
+        for edit in (nan_point, ragged_features):
             with pytest.raises(DataError):
                 trace_from_doc(broken(edit))
-        assert doc["stages"][1]["proposals_in"][-1]["is_denoising"]
         trace_from_doc(doc)
 
     def test_bytes_stable(self):
