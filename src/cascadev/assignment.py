@@ -101,7 +101,7 @@ def assign_targets(
     if gts and n:
         best_vol = np.full(n, np.inf)
         for gi, gt in enumerate(gts):
-            inside = contains_points(gt, pts, mu=mu)
+            inside = contains_points(gt.center.as_array(), gt.size, gt.yaw, pts, mu=mu)
             better = inside & (gt.volume < best_vol)
             matched[better] = gi
             best_vol[better] = gt.volume

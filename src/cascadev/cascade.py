@@ -13,7 +13,8 @@ inputs and predictions and downstream statistics need no re-runs.
 Proposals carry an origin_index so a point's trajectory through the
 stages can be followed; denoising proposals keep a fixed ground-truth
 assignment at every stage. Training walks the stages through the same
-two steps, stage_assignment and hand_off.
+two steps, stage_assignment and hand_off; hand_off alone turns deltas
+into the next proposals, decoding and voting on box columns.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .assignment import Assignment, CpaSchedule, assign_targets, cpa_threshold
 from .errors import PredictorOutputError
-from .geometry import OrientedBox, Point3, decode_boxes, points_as_array
+from .geometry import OrientedBox, Point3, decode_boxes
 # Not called here; perfbench/bench_trace.py patches these names on this module.
 from .geometry import decode_box, update_point  # noqa: F401
 from .overlap import Detection, nms
@@ -118,16 +119,17 @@ def stage_assignment(proposals: Proposals, gts: list[OrientedBox], mu: float) ->
     return assign_targets(proposals.points, gts, mu, fixed_assignments=fixed)
 
 
-def hand_off(proposals: Proposals, boxes: list[OrientedBox], *, weighting: str) -> Proposals:
-    """The next stage's proposals: each point moved onto its box center.
+def hand_off(proposals: Proposals, deltas: np.ndarray, *, weighting: str) -> Proposals:
+    """The next stage's proposals, from this stage's (B, 7) deltas.
 
-    boxes[i] is decoded from proposal i's prediction, so its center is
-    the updated point. Features are re-voted inside each box over the
-    whole current proposal set.
+    Decodes all rows in one decode_boxes pass (InvalidDeltasError on a
+    non-positive extent), moves each point onto its box center and
+    re-votes its feature in that box over the whole current proposal set.
     """
-    moved = points_as_array([box.center for box in boxes])
-    voted = ia_voting(moved, boxes, proposals.points, proposals.features, weighting=weighting)
-    return replace(proposals, points=moved, features=np.reshape(voted, proposals.features.shape))
+    centers, sizes, yaws = decode_boxes(proposals.points, deltas)
+    voted = ia_voting(centers, (centers, sizes, yaws), proposals.points, proposals.features,
+                      weighting=weighting)
+    return replace(proposals, points=centers, features=voted)
 
 
 def stage_record(
@@ -197,7 +199,7 @@ def run_cascade(
         rec = stage_record(l, mu, current, stage_predictor(current), gts)
         records.append(rec)
         if l < L:
-            current = hand_off(current, [det.box for det in rec.detections], weighting=weighting)
+            current = hand_off(current, rec.predictions.deltas, weighting=weighting)
     return StageTrace(stages=records, gts=list(gts) if gts is not None else None)
 
 

@@ -131,11 +131,11 @@ def _rows(values: list, width: int | None = None) -> np.ndarray:
     return a
 
 
-def _labels(values: list, num_boxes: int) -> np.ndarray:
-    """values as an int64 column; ValueError unless each is an int in [-1, num_boxes)."""
+def _ints(values: list, name: str, lo: int, hi: float = float("inf")) -> np.ndarray:
+    """values as an int64 column; ValueError unless each is an int in [lo, hi)."""
     for v in values:
-        if not (type(v) is int and -1 <= v < num_boxes):
-            raise ValueError(f"point_gt_label {v!r} is not an int in [-1, {num_boxes})")
+        if not (type(v) is int and lo <= v < hi):
+            raise ValueError(f"{name} {v!r} is not an int in [{lo}, {hi})")
     return np.array(values, dtype=np.int64)
 
 
@@ -178,7 +178,7 @@ def scene_from_doc(doc: dict) -> SyntheticScene:
             gt_boxes=gt_boxes,
             points=_rows(doc["points"], 3),
             features=_rows(doc["features"]),
-            point_gt_labels=_labels(doc["point_gt_labels"], len(gt_boxes)),
+            point_gt_labels=_ints(doc["point_gt_labels"], "point_gt_label", -1, len(gt_boxes)),
             seed=doc["seed"],
             config=scene_config_from_doc(doc["config"]),
         )
@@ -234,12 +234,13 @@ def trace_to_doc(trace: StageTrace, scene_seed: int | None = None) -> dict:
 def _stage_from(rec: dict, gts: list[OrientedBox] | None) -> StageRecord:
     """The stage's record, rebuilt from its inputs and predictions by stage_record."""
     props, preds = rec["proposals_in"], rec["predictions"]
+    pins = [p["denoising_gt"] for p in props]
+    _ints([g for g in pins if g is not None], "denoising_gt", 0)
     proposals = Proposals(
         points=_rows([p["point"] for p in props], 3),
         features=_rows([p["feature"] for p in props]),
-        origin_index=np.array([p["origin_index"] for p in props], dtype=np.int64),
-        denoising_gt=np.array([-1 if p["denoising_gt"] is None else p["denoising_gt"]
-                               for p in props], dtype=np.int64),
+        origin_index=_ints([p["origin_index"] for p in props], "origin_index", 0),
+        denoising_gt=np.array([-1 if g is None else g for g in pins], dtype=np.int64),
     )
     predictions = Predictions(
         # An empty stage has no row to take the class count from; one class

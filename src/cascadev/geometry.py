@@ -227,14 +227,14 @@ def point_in_scaled_box(p: Point3, box: OrientedBox, mu: float) -> bool:
     )
 
 
-# Vectorized helpers. Bulk geometry (voting masks, Monte-Carlo overlap,
-# scene generation, seed scoring, the oracle predictor, target
-# assignment, cascade statistics, stage decoding) goes through these
-# instead of the scalar API: canonical_coords, contains_points,
+# Vectorized helpers. Bulk geometry (voting masks, scene generation, seed
+# scoring, the oracle predictor, target assignment, cascade statistics,
+# stage decoding) goes through canonical_coords, contains_points,
 # encode_deltas_array, centerness_array, matched_faces and decode_boxes.
-# The array kernels repeat the scalar arithmetic operation for
-# operation, so their results are bit-identical to encode_deltas,
-# centerness and decode_box row by row.
+# canonical_coords and contains_points take one box as center, size and
+# yaw, so a row of decode_boxes' columns passes straight in. The kernels
+# repeat the scalar arithmetic operation for operation, so their results
+# are bit-identical to encode_deltas, centerness and decode_box row by row.
 
 
 def points_as_array(points) -> np.ndarray:
@@ -250,14 +250,14 @@ def points_as_array(points) -> np.ndarray:
     return out
 
 
-def canonical_coords(box: OrientedBox, points) -> np.ndarray:
-    """Canonical-frame coordinates of many points at once, shape (N, 3)."""
+def canonical_coords(center, yaw: float, points) -> np.ndarray:
+    """(N, 3) coordinates of points in the frame of a box with this center and yaw."""
     pts = points_as_array(points)
-    rel = pts - np.array([box.center.x, box.center.y, box.center.z])
-    if box.yaw == 0.0:
+    rel = pts - np.asarray(center)
+    if yaw == 0.0:
         return rel
-    c = math.cos(box.yaw)
-    s = math.sin(box.yaw)
+    c = math.cos(yaw)
+    s = math.sin(yaw)
     out = np.empty_like(rel)
     out[:, 0] = c * rel[:, 0] + s * rel[:, 1]
     out[:, 1] = -s * rel[:, 0] + c * rel[:, 1]
@@ -271,7 +271,8 @@ def encode_deltas_array(box: OrientedBox, points) -> np.ndarray:
     Row i equals encode_deltas(points[i], box).faces(); the heading is
     box.yaw for every row and is left out.
     """
-    return _face_distances(canonical_coords(box, points), np.array(box.size) / 2.0)
+    q = canonical_coords(box.center.as_array(), box.yaw, points)
+    return _face_distances(q, np.array(box.size) / 2.0)
 
 
 def _face_distances(q: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -350,8 +351,8 @@ def decode_boxes(points, deltas: np.ndarray):
     return centers, sizes, yaws
 
 
-def contains_points(box: OrientedBox, points, mu: float = 0.5, eps: float = EPS) -> np.ndarray:
-    """Vectorized scaled-box membership; returns a boolean (N,) mask."""
-    q = canonical_coords(box, points)
-    half = np.array(box.size) * mu + eps
+def contains_points(center, size, yaw: float, points, mu: float = 0.5, eps: float = EPS):
+    """Scaled-box membership of points in the box (center, size, yaw); an (N,) mask."""
+    q = canonical_coords(center, yaw, points)
+    half = np.asarray(size) * mu + eps
     return np.all(np.abs(q) <= half, axis=1)

@@ -27,7 +27,6 @@ import numpy as np
 from .assignment import Assignment, CpaSchedule, cpa_threshold
 from .cascade import Predictions, Proposals, hand_off, stage_assignment
 from .errors import InvalidDeltasError, TrainingDivergedError
-from .geometry import OrientedBox, Point3, decode_boxes
 from .synth import SyntheticScene, scene_proposals
 
 # Not called here since training shares the cascade's stage step;
@@ -424,17 +423,13 @@ def train_cascade(
                     arr -= lr * ga / len(batch)
             if l < sched.num_stages:
                 for entry in batch:
-                    props, deltas = entry["props"], entry["outputs"].predictions().deltas
+                    deltas = entry["outputs"].predictions().deltas
                     try:
-                        centers, sizes, _ = decode_boxes(props.points, deltas)
+                        entry["props"] = hand_off(entry["props"], deltas, weighting=weighting)
                     except InvalidDeltasError as exc:
                         # Softplus only hits exact zero when the raw output has
                         # exploded, so a degenerate box here means divergence.
                         raise TrainingDivergedError(
                             f"box decode failed at step {step}, stage {l}: {exc}"
                         ) from exc
-                    # Given the raw heading, each box normalizes its yaw once, as decode_box does.
-                    boxes = [OrientedBox(Point3(*c), tuple(size), h) for c, size, h
-                             in zip(centers.tolist(), sizes.tolist(), deltas[:, 6].tolist())]
-                    entry["props"] = hand_off(props, boxes, weighting=weighting)
     return params, history

@@ -219,7 +219,7 @@ def _clutter_points(cfg: SceneConfig, boxes: list[OrientedBox], rng: np.random.G
         batch = rng.uniform(lows, highs, size=(max(need * 2, 64), 3))
         inside_any = np.zeros(len(batch), dtype=bool)
         for b in boxes:
-            inside_any |= contains_points(b, batch)
+            inside_any |= contains_points(b.center.as_array(), b.size, b.yaw, batch)
         keep = batch[~inside_any][:need]
         out.append(keep)
         need -= len(keep)

@@ -19,18 +19,18 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import WrongVariantError
-from .geometry import OrientedBox, contains_points, points_as_array
+from .geometry import contains_points, points_as_array
 
 WEIGHTINGS = ("exp_neg_dist", "literal")
 
 
 def _as_feature_matrix(features) -> np.ndarray:
-    if len(features) == 0:
-        return np.zeros((0, 0))
     try:
         mat = np.asarray(features, dtype=np.float64)
     except ValueError as e:
         raise ValueError(f"feature dimensions inconsistent: {e}") from None
+    if mat.size == 0 and mat.ndim == 1:
+        return mat.reshape(0, 0)
     if mat.ndim != 2:
         raise ValueError("features must be fixed-length 1-D vectors")
     if not np.all(np.isfinite(mat)):
@@ -40,26 +40,27 @@ def _as_feature_matrix(features) -> np.ndarray:
 
 def ia_voting(
     updated_points,
-    predicted_boxes: list[OrientedBox],
+    boxes,
     source_points,
     source_features,
     *,
     weighting: str = "exp_neg_dist",
     prior_features=None,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Aggregate source features inside each proposal's predicted box.
 
-    updated_points and predicted_boxes align 1:1 (proposal i), as do
-    source_points and source_features (source j); points come as lists
-    of Point3 or (N, 3) arrays. A proposal whose box
-    contains no source point keeps its prior feature: prior_features[i]
-    when given, else source_features[i] when sources align positionally
-    with proposals.
+    boxes is decode_boxes' (centers (B, 3), sizes (B, 3), yaws (B,))
+    triple, row i being the box of updated_points[i]; source_points and
+    source_features align 1:1, and points are Point3 lists or (N, 3)
+    arrays. Returns (B, F) features; a proposal whose box holds no source
+    keeps prior_features[i] when given, else source_features[i] when
+    sources align positionally with proposals.
     """
     if weighting not in WEIGHTINGS:
         raise WrongVariantError(f"unknown weighting {weighting!r}, expected one of {WEIGHTINGS}")
-    if len(updated_points) != len(predicted_boxes):
-        raise ValueError("updated_points and predicted_boxes must align 1:1")
+    centers, sizes, yaws = boxes
+    if not (len(updated_points) == len(centers) == len(sizes) == len(yaws)):
+        raise ValueError("updated_points and boxes must align 1:1")
     if len(source_points) != len(source_features):
         raise ValueError("source_points and source_features must align 1:1")
     feats = _as_feature_matrix(source_features)
@@ -73,14 +74,14 @@ def ia_voting(
     src = points_as_array(source_points)
     upd = points_as_array(updated_points)
 
-    out: list[np.ndarray] = []
-    for i, box in enumerate(predicted_boxes):
-        mask = contains_points(box, src, mu=0.5) if len(src) else np.zeros(0, dtype=bool)
+    out = np.empty((len(upd), feats.shape[1] if priors is None else priors.shape[1]))
+    for i, (center, size, yaw) in enumerate(zip(centers, sizes, yaws)):
+        mask = contains_points(center, size, yaw, src) if len(src) else np.zeros(0, dtype=bool)
         if not mask.any():
             if priors is not None:
-                out.append(priors[i].copy())
-            elif len(feats) == len(updated_points):
-                out.append(feats[i].copy())
+                out[i] = priors[i]
+            elif len(feats) == len(upd):
+                out[i] = feats[i]
             else:
                 raise ValueError(
                     f"proposal {i} has an empty vote mask and no prior feature to fall back to"
@@ -93,5 +94,5 @@ def ia_voting(
         else:
             w = np.exp(dist - dist.max())
         w /= w.sum()
-        out.append(w @ feats[mask])
+        out[i] = w @ feats[mask]
     return out

@@ -214,6 +214,11 @@ def _brute_vote(p_upd, box, pts, feats, weighting):
     return sum((w / total) * f for w, f in zip(weights, kept))
 
 
+def _columns(box):
+    """One box as the (centers, sizes, yaws) column triple ia_voting takes."""
+    return box.center.as_array()[None], np.array([box.size]), np.array([box.yaw])
+
+
 def test_criterion_4_voting_oracle_hull_and_variance():
     rng = np.random.default_rng(46)
     worst = 0.0
@@ -228,7 +233,7 @@ def test_criterion_4_voting_oracle_hull_and_variance():
             if ref is None:
                 continue
             (out,) = ia_voting(
-                [p_upd], [box], pts, feats,
+                [p_upd], _columns(box), pts, feats,
                 weighting=weighting, prior_features=[np.zeros(4)],
             )
             worst = max(worst, float(np.max(np.abs(out - ref))))
@@ -242,7 +247,7 @@ def test_criterion_4_voting_oracle_hull_and_variance():
         inside = [f for p, f in zip(pts, feats) if point_in_scaled_box(p, box, 0.5)]
         if not inside:
             continue
-        (out,) = ia_voting([p_upd], [box], pts, feats, prior_features=[np.zeros(5)])
+        (out,) = ia_voting([p_upd], _columns(box), pts, feats, prior_features=[np.zeros(5)])
         mat = np.asarray(inside)
         hull_ok &= bool(
             np.all(out >= mat.min(axis=0) - 1e-12)
@@ -252,7 +257,7 @@ def test_criterion_4_voting_oracle_hull_and_variance():
             f + 1000.0 if not point_in_scaled_box(p, box, 0.5) else f
             for p, f in zip(pts, feats)
         ]
-        (after,) = ia_voting([p_upd], [box], pts, mutated, prior_features=[np.zeros(5)])
+        (after,) = ia_voting([p_upd], _columns(box), pts, mutated, prior_features=[np.zeros(5)])
         outside_exact &= bool(np.array_equal(after, out))
 
     # Shared signal plus i.i.d. noise: averaging inside the box must cut
@@ -265,7 +270,7 @@ def test_criterion_4_voting_oracle_hull_and_variance():
         pts = [Point3(*rng_v.uniform(-0.9, 0.9, size=3)) for _ in range(12)]
         feats = [true + rng_v.normal(scale=0.3, size=4) for _ in range(12)]
         (out,) = ia_voting(
-            [Point3(0, 0, 0)], [box], pts, feats, prior_features=[np.zeros(4)]
+            [Point3(0, 0, 0)], _columns(box), pts, feats, prior_features=[np.zeros(4)]
         )
         diffs.append(
             float(np.mean((feats[0] - true) ** 2)) - float(np.mean((out - true) ** 2))

@@ -205,7 +205,7 @@ def per_row_assign_targets(points, gts, mu, *, fixed_assignments=None):
     if gts and n:
         best_vol = np.full(n, np.inf)
         for gi, gt in enumerate(gts):
-            inside = contains_points(gt, pts, mu=mu)
+            inside = contains_points(gt.center.as_array(), gt.size, gt.yaw, pts, mu=mu)
             better = inside & (gt.volume < best_vol)
             matched[better] = gi
             best_vol[better] = gt.volume

@@ -3,13 +3,23 @@
 perfbench/bench_trace.py replaces module attributes such as
 `cascadev.learner.ia_voting` with spanned wrappers. A refactor that drops
 one of those names would only fail under `perfbench/run.py --trace 1`;
-this test makes the plain suite fail instead.
+these tests make the plain suite fail instead, as does a traced run
+whose vote-mask counters stay at zero.
 """
 
 import os
 import sys
 
 import cascadev
+from cascadev.assignment import CpaSchedule
+from cascadev.synth import (
+    OracleNoise,
+    SceneConfig,
+    gen_scene,
+    oracle_predictor,
+    oracle_seed_centerness,
+    scene_proposals,
+)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
@@ -27,3 +37,23 @@ def test_instrument_patches_and_restores_every_name():
         undo()
     for name, fn in before.items():
         assert getattr(cascadev.cascade, name) is fn
+
+
+def test_traced_cascade_counts_every_vote_mask():
+    # A refactor that routed voting around voting.contains_points would
+    # leave these counters at zero, silently.
+    cfg = SceneConfig(num_gt=(2, 2), points_per_box=20, num_clutter=40, yaw_enabled=True)
+    scene = gen_scene(cfg, seed=4)
+    noise = OracleNoise(sigma_delta=0.1, sigma_heading=0.1)
+    props = scene_proposals(scene, oracle_seed_centerness(scene, noise, seed=4), 12)
+    sched = CpaSchedule()
+    tracer = Tracer()
+    undo = instrument(tracer, cascadev)
+    try:
+        cascadev.run_cascade(props, oracle_predictor(scene, noise, seed=4), sched, scene.gt_boxes)
+    finally:
+        undo()
+    b, hand_offs = len(props), sched.num_stages - 1
+    assert tracer.counts["voting.masks"] == b * hand_offs
+    assert tracer.counts["voting.mask_evals"] == b * b * hand_offs
+    assert tracer.counts["geometry.contains_points.calls"] > 0

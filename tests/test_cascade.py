@@ -8,6 +8,7 @@ from cascadev.cascade import (
     Proposals,
     StageTrace,
     ensemble_stages,
+    hand_off,
     run_cascade,
 )
 from cascadev.errors import PredictorOutputError
@@ -120,6 +121,19 @@ class TestRunCascade:
                 assert Point3(*rec.updated_points[i]) == det.box.center
         for prev, nxt in zip(trace.stages, trace.stages[1:]):
             assert np.array_equal(nxt.proposals_in.points, prev.updated_points)
+
+    @pytest.mark.parametrize("weighting", ["exp_neg_dist", "literal"])
+    def test_next_stage_is_hand_off_of_previous(self, weighting):
+        noise = OracleNoise(sigma_delta=0.1, sigma_heading=0.1)
+        scene, props, predict = build(6, noise, denoising=True, cfg=YAW_CFG)
+        trace = run_cascade(props, predict, SCHED, scene.gt_boxes, weighting=weighting)
+        for prev, nxt in zip(trace.stages, trace.stages[1:]):
+            want = hand_off(prev.proposals_in, prev.predictions.deltas, weighting=weighting)
+            got = nxt.proposals_in
+            for name in ("points", "features", "origin_index", "denoising_gt"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
 
     def test_recorded_mu_matches_schedule(self):
         scene, props, predict = build(7, OracleNoise())

@@ -267,6 +267,20 @@ class TestTraceDocs:
         with pytest.raises(DataError, match="predictor contract"):
             trace_from_doc(doc)
 
+    @pytest.mark.parametrize("key,value", [
+        ("origin_index", 3.9), ("origin_index", -5), ("origin_index", True),
+        ("origin_index", None), ("denoising_gt", 0.7), ("denoising_gt", -3),
+        ("denoising_gt", -1), ("denoising_gt", True), ("denoising_gt", "0"),
+    ])
+    def test_stage_integer_columns_rejected(self, key, value):
+        _, trace = _oracle_trace()
+        doc = _through_json(trace_to_doc(trace))
+        doc["stages"][1]["proposals_in"][2][key] = value
+        with pytest.raises(DataError, match=rf"{key} .* is not an int in \[0, inf\)"):
+            trace_from_doc(doc)
+        doc["stages"][1]["proposals_in"][2][key] = 1
+        assert getattr(trace_from_doc(doc).stages[1].proposals_in, key)[2] == 1
+
     def test_malformed_stage_columns_rejected(self):
         _, trace = _oracle_trace()
         doc = json.loads(canonical_dumps(trace_to_doc(trace)))

@@ -347,6 +347,21 @@ class TestTrainCascade:
             assert np.array_equal(outputs.predictions().deltas, rec.predictions.deltas)
             assert assignment.target_deltas.tobytes() == rec.assignment.target_deltas.tobytes()
 
+    def test_every_hand_off_goes_through_the_cascade_step(self, monkeypatch):
+        calls = []
+        original = learner.hand_off
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(learner, "hand_off", spy)
+        scenes = [gen_scene(SMALL_CFG, seed=s) for s in range(3)]
+        steps, batch_scenes = 4, 2
+        train_cascade(scenes, SCHED, steps, 1e-2, 0, b=16, denoising_k=2,
+                      batch_scenes=batch_scenes)
+        assert len(calls) == steps * (SCHED.num_stages - 1) * batch_scenes
+
     def test_batched_scenes_pool_positives(self):
         scenes = [gen_scene(SMALL_CFG, seed=s) for s in range(4)]
         _, history = train_cascade(

@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadev.errors import WrongVariantError
-from cascadev.geometry import OrientedBox, Point3, point_in_scaled_box
+from cascadev.geometry import EPS, OrientedBox, Point3, point_in_scaled_box, points_as_array
 from cascadev.voting import ia_voting
+
+
+def box_columns(boxes):
+    """Boxes as the (centers (B, 3), sizes (B, 3), yaws (B,)) triple ia_voting takes."""
+    return (np.array([b.center.as_array() for b in boxes]).reshape(-1, 3),
+            np.array([b.size for b in boxes], dtype=np.float64).reshape(-1, 3),
+            np.array([b.yaw for b in boxes], dtype=np.float64))
 
 
 def brute_force_vote(updated_point, box, source_points, source_features, weighting):
@@ -45,14 +54,14 @@ class TestVoting:
         box = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
         pts = [Point3(0.1, 0.0, 0.0), Point3(5, 5, 5)]
         feats = [np.array([1.0, 2.0]), np.array([9.0, 9.0])]
-        (out,) = ia_voting([Point3(0, 0, 0)], [box], pts, feats)
+        (out,) = ia_voting([Point3(0, 0, 0)], box_columns([box]), pts, feats)
         assert out == pytest.approx(feats[0], abs=1e-12)
 
     def test_equidistant_pair_averages(self):
         box = OrientedBox(Point3(0, 0, 0), (2, 2, 2))
         pts = [Point3(0.5, 0, 0), Point3(-0.5, 0, 0)]
         feats = [np.array([2.0, 0.0]), np.array([0.0, 4.0])]
-        (out,) = ia_voting([Point3(0, 0, 0)], [box], pts, feats)
+        (out,) = ia_voting([Point3(0, 0, 0)], box_columns([box]), pts, feats)
         assert out == pytest.approx(np.array([1.0, 2.0]), abs=1e-12)
 
     @pytest.mark.parametrize("weighting", ["exp_neg_dist", "literal"])
@@ -64,7 +73,7 @@ class TestVoting:
             ref = brute_force_vote(p_upd, box, pts, feats, weighting)
             if ref is None:
                 continue
-            (out,) = ia_voting([p_upd], [box], pts, feats, weighting=weighting, prior_features=[np.zeros(4)])
+            (out,) = ia_voting([p_upd], box_columns([box]), pts, feats, weighting=weighting, prior_features=[np.zeros(4)])
             assert out == pytest.approx(ref, abs=1e-12)
             checked += 1
         assert checked > 100
@@ -76,7 +85,7 @@ class TestVoting:
             inside = [f for p, f in zip(pts, feats) if point_in_scaled_box(p, box, 0.5)]
             if not inside:
                 continue
-            (out,) = ia_voting([p_upd], [box], pts, feats, prior_features=[np.zeros(4)])
+            (out,) = ia_voting([p_upd], box_columns([box]), pts, feats, prior_features=[np.zeros(4)])
             mat = np.array(inside)
             assert np.all(out >= mat.min(axis=0) - 1e-12)
             assert np.all(out <= mat.max(axis=0) + 1e-12)
@@ -87,22 +96,22 @@ class TestVoting:
         pts = [Point3(*rng.uniform(-3, 3, size=3)) for _ in range(30)]
         feats = [rng.normal(size=5) for _ in range(30)]
         p_upd = Point3(0.1, 0.1, 0.1)
-        (base,) = ia_voting([p_upd], [box], pts, feats, prior_features=[np.zeros(5)])
+        (base,) = ia_voting([p_upd], box_columns([box]), pts, feats, prior_features=[np.zeros(5)])
         mutated = [
             f + 1000.0 if not point_in_scaled_box(p, box, 0.5) else f
             for p, f in zip(pts, feats)
         ]
-        (after,) = ia_voting([p_upd], [box], pts, mutated, prior_features=[np.zeros(5)])
+        (after,) = ia_voting([p_upd], box_columns([box]), pts, mutated, prior_features=[np.zeros(5)])
         assert after == pytest.approx(base, abs=1e-9)
 
     def test_source_permutation_invariance(self):
         rng = np.random.default_rng(44)
         p_upd, box, pts, feats = rand_instance(rng, n_src=20)
-        (base,) = ia_voting([p_upd], [box], pts, feats, prior_features=[np.zeros(4)])
+        (base,) = ia_voting([p_upd], box_columns([box]), pts, feats, prior_features=[np.zeros(4)])
         perm = rng.permutation(20)
         (shuffled,) = ia_voting(
             [p_upd],
-            [box],
+            box_columns([box]),
             [pts[i] for i in perm],
             [feats[i] for i in perm],
             prior_features=[np.zeros(4)],
@@ -114,7 +123,7 @@ class TestVoting:
         pts = [Point3(0, 0, 0)]
         feats = [np.array([3.0, 3.0])]
         prior = np.array([7.0, -1.0])
-        (out,) = ia_voting([Point3(50, 50, 50)], [box], pts, feats, prior_features=[prior])
+        (out,) = ia_voting([Point3(50, 50, 50)], box_columns([box]), pts, feats, prior_features=[prior])
         assert out == pytest.approx(prior, abs=1e-12)
 
     def test_empty_mask_positional_fallback(self):
@@ -123,7 +132,7 @@ class TestVoting:
         box = OrientedBox(Point3(50, 50, 50), (1, 1, 1))
         pts = [Point3(0, 0, 0)]
         feats = [np.array([3.0, 4.0])]
-        (out,) = ia_voting([Point3(0, 0, 0)], [box], pts, feats)
+        (out,) = ia_voting([Point3(0, 0, 0)], box_columns([box]), pts, feats)
         assert out == pytest.approx(feats[0], abs=1e-12)
 
     def test_empty_mask_without_prior_errors(self):
@@ -131,36 +140,36 @@ class TestVoting:
         pts = [Point3(0, 0, 0), Point3(1, 1, 1)]
         feats = [np.array([1.0]), np.array([2.0])]
         with pytest.raises(ValueError):
-            ia_voting([Point3(0, 0, 0)], [box], pts, feats)
+            ia_voting([Point3(0, 0, 0)], box_columns([box]), pts, feats)
 
     def test_literal_variant_prefers_far_points(self):
         box = OrientedBox(Point3(0, 0, 0), (2, 2, 2))
         pts = [Point3(0.0, 0, 0), Point3(0.9, 0, 0)]
         feats = [np.array([0.0]), np.array([1.0])]
         p_upd = Point3(0, 0, 0)
-        (near_heavy,) = ia_voting([p_upd], [box], pts, feats)
-        (far_heavy,) = ia_voting([p_upd], [box], pts, feats, weighting="literal")
+        (near_heavy,) = ia_voting([p_upd], box_columns([box]), pts, feats)
+        (far_heavy,) = ia_voting([p_upd], box_columns([box]), pts, feats, weighting="literal")
         assert near_heavy[0] < 0.5
         assert far_heavy[0] > 0.5
 
     def test_unknown_weighting_rejected(self):
         box = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
         with pytest.raises(WrongVariantError):
-            ia_voting([Point3(0, 0, 0)], [box], [Point3(0, 0, 0)], [np.array([1.0])], weighting="idw")
+            ia_voting([Point3(0, 0, 0)], box_columns([box]), [Point3(0, 0, 0)], [np.array([1.0])], weighting="idw")
 
     def test_dimension_mismatch_rejected(self):
         box = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
         pts = [Point3(0, 0, 0), Point3(0.1, 0, 0)]
         feats = [np.array([1.0, 2.0]), np.array([1.0])]
         with pytest.raises(ValueError):
-            ia_voting([Point3(0, 0, 0)], [box], pts, feats)
+            ia_voting([Point3(0, 0, 0)], box_columns([box]), pts, feats)
 
     def test_alignment_validation(self):
         box = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
         with pytest.raises(ValueError):
-            ia_voting([Point3(0, 0, 0)], [box, box], [Point3(0, 0, 0)], [np.array([1.0])])
+            ia_voting([Point3(0, 0, 0)], box_columns([box, box]), [Point3(0, 0, 0)], [np.array([1.0])])
         with pytest.raises(ValueError):
-            ia_voting([Point3(0, 0, 0)], [box], [Point3(0, 0, 0)], [])
+            ia_voting([Point3(0, 0, 0)], box_columns([box]), [Point3(0, 0, 0)], [])
 
     def test_variance_reduction(self):
         # Shared true feature plus i.i.d. noise: the weighted average must
@@ -175,9 +184,97 @@ class TestVoting:
         for _ in range(1000):
             noise = rng.normal(0.0, 0.3, size=(12, 4))
             feats = [true + noise[i] for i in range(12)]
-            (out,) = ia_voting([p_upd], [box], pts, feats, prior_features=[np.zeros(4)])
+            (out,) = ia_voting([p_upd], box_columns([box]), pts, feats, prior_features=[np.zeros(4)])
             agg_se.append(float(np.sum((out - true) ** 2)))
             single_se.append(float(np.sum((feats[0] - true) ** 2)))
         agg_mse = np.mean(agg_se)
         single_mse = np.mean(single_se)
         assert agg_mse < single_mse
+
+
+def per_box_ia_voting(updated_points, predicted_boxes, source_points, source_features, *,
+                      weighting="exp_neg_dist", prior_features=None):
+    """ia_voting as it was when it took one OrientedBox per proposal and
+    returned a list of rows, with its containment test written against the
+    box object. The reference for the column form, which must match it bit
+    for bit."""
+    feats = np.asarray(source_features, dtype=np.float64)
+    priors = None if prior_features is None else np.asarray(prior_features, dtype=np.float64)
+    src = points_as_array(source_points)
+    upd = points_as_array(updated_points)
+    out = []
+    for i, box in enumerate(predicted_boxes):
+        rel = src - np.array([box.center.x, box.center.y, box.center.z])
+        q = rel
+        if box.yaw != 0.0:
+            c, s = math.cos(box.yaw), math.sin(box.yaw)
+            q = np.empty_like(rel)
+            q[:, 0] = c * rel[:, 0] + s * rel[:, 1]
+            q[:, 1] = -s * rel[:, 0] + c * rel[:, 1]
+            q[:, 2] = rel[:, 2]
+        mask = np.all(np.abs(q) <= np.array(box.size) * 0.5 + EPS, axis=1)
+        if not mask.any():
+            out.append((priors if priors is not None else feats)[i].copy())
+            continue
+        dist = np.linalg.norm(src[mask] - upd[i], axis=1)
+        if weighting == "exp_neg_dist":
+            w = np.exp(-(dist - dist.min()))
+        else:
+            w = np.exp(dist - dist.max())
+        w /= w.sum()
+        out.append(w @ feats[mask])
+    return out
+
+
+coords = st.floats(-2.0, 2.0)
+extents = st.floats(0.1, 2.5)
+headings = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))
+# On a face, inside or outside the EPS band around it, and just at its edges.
+face_offsets = st.sampled_from([0.0, EPS, -EPS, 2 * EPS, -2 * EPS, EPS / 2, -EPS / 2])
+
+
+@st.composite
+def vote_cases(draw):
+    """Proposals with boxes, and sources free or on a box face at about EPS
+    from it. Without priors the sources are the proposals themselves, as in
+    the cascade's hand-off, so an empty mask falls back positionally."""
+    b = draw(st.integers(0, 5))
+    dim = draw(st.integers(1, 4))
+    boxes = [OrientedBox(Point3(draw(coords), draw(coords), draw(coords)),
+                         (draw(extents), draw(extents), draw(extents)), yaw=draw(headings))
+             for _ in range(b)]
+    with_priors = draw(st.booleans())
+    n = draw(st.integers(0, 8)) if with_priors else b
+    src = []
+    for _ in range(n):
+        if boxes and draw(st.booleans()):
+            box = draw(st.sampled_from(boxes))
+            q = [draw(st.floats(-0.5, 0.5)) * e for e in box.size]
+            axis = draw(st.integers(0, 2))
+            q[axis] = draw(st.sampled_from([-1.0, 1.0])) * (box.size[axis] / 2.0
+                                                              + draw(face_offsets))
+            c, s = math.cos(box.yaw), math.sin(box.yaw)
+            src.append([box.center.x + c * q[0] - s * q[1],
+                        box.center.y + s * q[0] + c * q[1], box.center.z + q[2]])
+        else:
+            src.append([draw(coords), draw(coords), draw(coords)])
+    at_centers = draw(st.booleans())
+    upd = [box.center.as_array() if at_centers else [draw(coords), draw(coords), draw(coords)]
+           for box in boxes]
+    values = st.floats(-10.0, 10.0)
+    feats = np.array([[draw(values) for _ in range(dim)] for _ in range(n)]).reshape(n, dim)
+    priors = (np.array([[draw(values) for _ in range(dim)] for _ in range(b)]).reshape(b, dim)
+              if with_priors else None)
+    return (np.array(upd, dtype=np.float64).reshape(b, 3), boxes,
+            np.array(src, dtype=np.float64).reshape(n, 3), feats, priors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=vote_cases(), weighting=st.sampled_from(["exp_neg_dist", "literal"]))
+def test_columns_equal_per_box_voting(case, weighting):
+    upd, boxes, src, feats, priors = case
+    ref = per_box_ia_voting(upd, boxes, src, feats, weighting=weighting, prior_features=priors)
+    out = ia_voting(upd, box_columns(boxes), src, feats, weighting=weighting,
+                    prior_features=priors)
+    assert out.shape == (len(boxes), feats.shape[1])
+    assert (out == np.reshape(ref, out.shape)).all()
