@@ -232,7 +232,8 @@ def point_in_scaled_box(p: Point3, box: OrientedBox, mu: float) -> bool:
 # stage decoding) goes through canonical_coords, contains_points,
 # encode_deltas_array, centerness_array, matched_faces and decode_boxes.
 # canonical_coords and contains_points take one box as center, size and
-# yaw, so a row of decode_boxes' columns passes straight in. The kernels
+# yaw, so a row of decode_boxes' columns passes straight in, or all the
+# columns with an owner index naming each point's box. The kernels
 # repeat the scalar arithmetic operation for operation, so their results
 # are bit-identical to encode_deltas, centerness and decode_box row by row.
 
@@ -250,14 +251,22 @@ def points_as_array(points) -> np.ndarray:
     return out
 
 
-def canonical_coords(center, yaw: float, points) -> np.ndarray:
-    """(N, 3) coordinates of points in the frame of a box with this center and yaw."""
+def canonical_coords(center, yaw, points, owner=None) -> np.ndarray:
+    """(N, 3) coordinates of points in the frame of a box with this center and yaw, or,
+    given owner, of box owner[i] of (B, 3) center and (B,) yaw columns for row i."""
     pts = points_as_array(points)
-    rel = pts - np.asarray(center)
-    if yaw == 0.0:
-        return rel
-    c = math.cos(yaw)
-    s = math.sin(yaw)
+    if owner is None:
+        rel = pts - np.asarray(center)
+        if yaw == 0.0:
+            return rel
+        c = math.cos(yaw)
+        s = math.sin(yaw)
+    else:
+        # cos and sin once per box. A zero yaw's c = 1, s = 0 keep rel exact.
+        rel = pts - np.asarray(center)[owner]
+        yaws = np.asarray(yaw).tolist()
+        c = np.array([math.cos(h) for h in yaws])[owner]
+        s = np.array([math.sin(h) for h in yaws])[owner]
     out = np.empty_like(rel)
     out[:, 0] = c * rel[:, 0] + s * rel[:, 1]
     out[:, 1] = -s * rel[:, 0] + c * rel[:, 1]
@@ -310,16 +319,9 @@ def matched_faces(boxes: list[OrientedBox], points, owner: np.ndarray):
     and its centerness. Each row gathers its box's center, half extents
     and cos/sin, so all rows are computed together whatever the box count.
     """
-    pts = points_as_array(points)
     centers = np.array([[b.center.x, b.center.y, b.center.z] for b in boxes]).reshape(-1, 3)
     halves = np.array([b.size for b in boxes]).reshape(-1, 3) / 2.0
-    q = pts - centers[owner]
-    rot = np.flatnonzero(np.array([b.yaw != 0.0 for b in boxes], dtype=bool)[owner])
-    c = np.array([math.cos(b.yaw) for b in boxes])[owner[rot]]
-    s = np.array([math.sin(b.yaw) for b in boxes])[owner[rot]]
-    x, y = q[rot, 0], q[rot, 1]
-    q[rot, 0] = c * x + s * y
-    q[rot, 1] = -s * x + c * y
+    q = canonical_coords(centers, [b.yaw for b in boxes], points, owner)
     faces = _face_distances(q, halves[owner])
     return faces, centerness_array(faces)
 
@@ -351,8 +353,9 @@ def decode_boxes(points, deltas: np.ndarray):
     return centers, sizes, yaws
 
 
-def contains_points(center, size, yaw: float, points, mu: float = 0.5, eps: float = EPS):
-    """Scaled-box membership of points in the box (center, size, yaw); an (N,) mask."""
-    q = canonical_coords(center, yaw, points)
+def contains_points(center, size, yaw, points, mu: float = 0.5, eps: float = EPS, owner=None):
+    """Scaled-box membership of points in the box (center, size, yaw), or of row i
+    in box owner[i] of those columns as in canonical_coords; an (N,) mask."""
+    q = canonical_coords(center, yaw, points, owner)
     half = np.asarray(size) * mu + eps
-    return np.all(np.abs(q) <= half, axis=1)
+    return np.all(np.abs(q) <= (half if owner is None else half[owner]), axis=1)

@@ -12,16 +12,30 @@ Two weighting variants are available:
   nearer points count more.
 * "literal": w ~ exp(+distance) after normalization, farther points
   count more. Kept for side-by-side comparison.
+
+One call votes for all proposals. A KD-tree ball query over the sources
+finds each box's candidates within its circumradius (half extents plus
+the EPS band), and the exact containment test runs once over all those
+(box, source) pairs. Distances and shifted exponentials are taken over
+all inside pairs at once. Only normalising and the weighted sum stay per
+proposal: a segmented sum adds in another order, and the per-proposal
+form keeps the result bit-identical to voting one box at a time.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import WrongVariantError
-from .geometry import contains_points, points_as_array
+from .geometry import EPS, contains_points, points_as_array
 
 WEIGHTINGS = ("exp_neg_dist", "literal")
+# Relative widening of each box's search radius: far above the ~1e-15
+# relative rounding of the tree's distances, far below the EPS band.
+_REACH_SLACK = 1e-12
 
 
 def _as_feature_matrix(features) -> np.ndarray:
@@ -75,24 +89,34 @@ def ia_voting(
     upd = points_as_array(updated_points)
 
     out = np.empty((len(upd), feats.shape[1] if priors is None else priors.shape[1]))
-    for i, (center, size, yaw) in enumerate(zip(centers, sizes, yaws)):
-        mask = contains_points(center, size, yaw, src) if len(src) else np.zeros(0, dtype=bool)
-        if not mask.any():
-            if priors is not None:
-                out[i] = priors[i]
-            elif len(feats) == len(upd):
-                out[i] = feats[i]
-            else:
-                raise ValueError(
-                    f"proposal {i} has an empty vote mask and no prior feature to fall back to"
-                )
-            continue
-        dist = np.linalg.norm(src[mask] - upd[i], axis=1)
-        # Shift before exponentiating; the normalization cancels the shift.
-        if weighting == "exp_neg_dist":
-            w = np.exp(-(dist - dist.min()))
-        else:
-            w = np.exp(dist - dist.max())
-        w /= w.sum()
-        out[i] = w @ feats[mask]
+    # Candidate pairs, row-major and in source order, as one box's mask would list them.
+    reach = np.linalg.norm(np.asarray(sizes) * 0.5 + EPS, axis=1) * (1.0 + _REACH_SLACK)
+    near = cKDTree(src).query_ball_point(centers, reach, return_sorted=True)
+    per_box = np.fromiter(map(len, near), np.intp, len(near))
+    cand = np.fromiter(itertools.chain.from_iterable(near), np.intp, per_box.sum())
+    owner = np.repeat(np.arange(len(near)), per_box)
+    inside = contains_points(centers, sizes, yaws, src[cand], owner=owner)
+    cand, owner = cand[inside], owner[inside]
+
+    counts = np.bincount(owner, minlength=len(upd))
+    empty = np.flatnonzero(counts == 0)
+    if priors is None and len(feats) != len(upd) and len(empty):
+        raise ValueError(
+            f"proposal {empty[0]} has an empty vote mask and no prior feature to fall back to"
+        )
+    out[empty] = (feats if priors is None else priors)[empty]
+    voted = np.flatnonzero(counts)
+    bounds = np.concatenate(([0], np.cumsum(counts[voted])))
+    dist = np.linalg.norm(src[cand] - upd[owner], axis=1)
+    # Shift each proposal's distances before exponentiating; its
+    # normalization cancels the shift.
+    if weighting == "exp_neg_dist":
+        w = np.exp(-(dist - np.repeat(np.minimum.reduceat(dist, bounds[:-1]), counts[voted])))
+    else:
+        w = np.exp(dist - np.repeat(np.maximum.reduceat(dist, bounds[:-1]), counts[voted]))
+    g = feats[cand]
+    for i, a, b in zip(voted.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+        seg = w[a:b]
+        seg /= seg.sum()
+        out[i] = seg @ g[a:b]
     return out

@@ -1,9 +1,10 @@
 """Array kernels against their scalar oracles, by exact equality.
 
-encode_deltas_array, centerness_array, matched_faces, decode_boxes and
-match_points_to_gt replace per-point loops over encode_deltas,
-centerness, decode_box and match_point_to_gt on the seed-scoring,
-assignment, oracle, stage-decoding and cascade-statistics paths. Pipeline artifacts stay
+encode_deltas_array, centerness_array, matched_faces, decode_boxes,
+match_points_to_gt and contains_points over owned rows replace per-point
+loops over encode_deltas, centerness, decode_box, match_point_to_gt and
+point_in_scaled_box on the seed-scoring, assignment, oracle,
+stage-decoding, voting and cascade-statistics paths. Pipeline artifacts stay
 byte-identical only if every row is bit-equal to the scalar result, so
 these properties use ==, never a tolerance. The kernels run with
 warnings raised as errors: a stray RuntimeWarning (say, sqrt of a
@@ -20,15 +21,18 @@ from hypothesis import strategies as st
 
 from cascadev.errors import InvalidDeltasError
 from cascadev.geometry import (
+    EPS,
     Deltas,
     OrientedBox,
     Point3,
     centerness,
     centerness_array,
+    contains_points,
     decode_boxes,
     encode_deltas,
     encode_deltas_array,
     matched_faces,
+    point_in_scaled_box,
 )
 from cascadev.synth import match_point_to_gt, match_points_to_gt
 
@@ -166,24 +170,37 @@ def test_match_points_to_gt_empty_inputs():
         match_points_to_gt([box.center], [])
 
 
-@SETTINGS
-@given(st.data())
-def test_matched_faces_equals_scalar(data):
-    # Many boxes, some at yaw 0 and some yawed, owning rows in any order.
+def owned_rows(data):
+    """Many boxes, some at yaw 0 and some yawed, owning rows in any order."""
     gts = data.draw(st.lists(boxes(), min_size=1, max_size=12))
     gts += [OrientedBox(g.center, g.size, yaw=0.0 if g.yaw else 0.7) for g in gts[:3]]
     rows = data.draw(st.lists(
         st.integers(0, len(gts) - 1).flatmap(lambda gi: st.tuples(st.just(gi), probes(gts[gi]))),
         min_size=0, max_size=40,
     ))
-    owner = np.array([gi for gi, _ in rows], dtype=np.int64)
-    pts = [p for _, p in rows]
+    return gts, rows, np.array([gi for gi, _ in rows], dtype=np.int64), [p for _, p in rows]
+
+
+@SETTINGS
+@given(st.data())
+def test_matched_faces_equals_scalar(data):
+    gts, rows, owner, pts = owned_rows(data)
     faces, cent = raising(matched_faces, gts, pts, owner)
     assert faces.shape == (len(rows), 6) and cent.shape == (len(rows),)
     for i, (gi, p) in enumerate(rows):
         ref = encode_deltas(p, gts[gi])
         assert tuple(faces[i].tolist()) == ref.faces()
         assert cent[i] == centerness(ref)
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from([0.5, 0.3]))
+def test_contains_points_by_owner_equals_scalar(data, mu):
+    gts, rows, owner, pts = owned_rows(data)
+    columns = (np.array([g.center.as_array() for g in gts]), np.array([g.size for g in gts]),
+               np.array([g.yaw for g in gts]))
+    mask = raising(contains_points, *columns, pts, mu, EPS, owner)
+    assert mask.tolist() == [point_in_scaled_box(p, gts[gi], mu) for gi, p in rows]
 
 
 # --- decode_boxes against a copy of the scalar decode_box/update_point -----

@@ -4,7 +4,7 @@ perfbench/bench_trace.py replaces module attributes such as
 `cascadev.learner.ia_voting` with spanned wrappers. A refactor that drops
 one of those names would only fail under `perfbench/run.py --trace 1`;
 these tests make the plain suite fail instead, as does a traced run
-whose vote-mask counters stay at zero.
+whose vote-mask counters stay at zero or miscount the inside pairs.
 """
 
 import os
@@ -12,6 +12,7 @@ import sys
 
 import cascadev
 from cascadev.assignment import CpaSchedule
+from cascadev.geometry import Deltas, Point3, decode_box, point_in_scaled_box
 from cascadev.synth import (
     OracleNoise,
     SceneConfig,
@@ -50,10 +51,20 @@ def test_traced_cascade_counts_every_vote_mask():
     tracer = Tracer()
     undo = instrument(tracer, cascadev)
     try:
-        cascadev.run_cascade(props, oracle_predictor(scene, noise, seed=4), sched, scene.gt_boxes)
+        trace = cascadev.run_cascade(props, oracle_predictor(scene, noise, seed=4), sched,
+                                     scene.gt_boxes)
     finally:
         undo()
     b, hand_offs = len(props), sched.num_stages - 1
-    assert tracer.counts["voting.masks"] == b * hand_offs
+    # One containment pass per hand-off, over all of its (box, source) pairs.
+    assert tracer.counts["voting.masks"] == hand_offs
     assert tracer.counts["voting.mask_evals"] == b * b * hand_offs
     assert tracer.counts["geometry.contains_points.calls"] > 0
+    inside = 0
+    for rec in trace.stages[:hand_offs]:
+        sources = [Point3.from_array(p) for p in rec.proposals_in.points]
+        for p, d in zip(sources, rec.predictions.deltas.tolist()):
+            box = decode_box(p, Deltas(*d))
+            inside += sum(point_in_scaled_box(s, box, 0.5) for s in sources)
+    assert inside > 0
+    assert tracer.counts["voting.mask_points"] == inside

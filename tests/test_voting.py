@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascadev import voting
 from cascadev.errors import WrongVariantError
-from cascadev.geometry import EPS, OrientedBox, Point3, point_in_scaled_box, points_as_array
+from cascadev.geometry import (
+    EPS,
+    OrientedBox,
+    Point3,
+    contains_points,
+    point_in_scaled_box,
+    points_as_array,
+)
 from cascadev.voting import ia_voting
 
 
@@ -228,31 +236,36 @@ def per_box_ia_voting(updated_points, predicted_boxes, source_points, source_fea
 
 coords = st.floats(-2.0, 2.0)
 extents = st.floats(0.1, 2.5)
-headings = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))
+headings = st.one_of(st.just(0.0), st.sampled_from([math.pi, -math.pi]), st.floats(-4.0, 4.0))
 # On a face, inside or outside the EPS band around it, and just at its edges.
 face_offsets = st.sampled_from([0.0, EPS, -EPS, 2 * EPS, -2 * EPS, EPS / 2, -EPS / 2])
+signs = st.sampled_from([-1.0, 1.0])
 
 
 @st.composite
 def vote_cases(draw):
-    """Proposals with boxes, and sources free or on a box face at about EPS
-    from it. Without priors the sources are the proposals themselves, as in
-    the cascade's hand-off, so an empty mask falls back positionally."""
-    b = draw(st.integers(0, 5))
+    """Proposals with boxes, and sources that are free, on a box face or at
+    a box corner at about EPS from it, or coincident with an earlier
+    source. Up to 64 sources fill several KD-tree leaves. Without priors
+    the sources are the proposals themselves, as in the cascade's
+    hand-off, so an empty mask falls back positionally."""
+    b = draw(st.integers(0, 8))
     dim = draw(st.integers(1, 4))
     boxes = [OrientedBox(Point3(draw(coords), draw(coords), draw(coords)),
                          (draw(extents), draw(extents), draw(extents)), yaw=draw(headings))
              for _ in range(b)]
     with_priors = draw(st.booleans())
-    n = draw(st.integers(0, 8)) if with_priors else b
+    n = draw(st.integers(0, 64)) if with_priors else b
     src = []
     for _ in range(n):
-        if boxes and draw(st.booleans()):
+        kind = draw(st.sampled_from(["free", "face", "corner", "coincident"]))
+        if kind == "coincident" and src:
+            src.append(draw(st.sampled_from(src)))
+        elif kind in ("face", "corner") and boxes:
             box = draw(st.sampled_from(boxes))
             q = [draw(st.floats(-0.5, 0.5)) * e for e in box.size]
-            axis = draw(st.integers(0, 2))
-            q[axis] = draw(st.sampled_from([-1.0, 1.0])) * (box.size[axis] / 2.0
-                                                              + draw(face_offsets))
+            for axis in range(3) if kind == "corner" else [draw(st.integers(0, 2))]:
+                q[axis] = draw(signs) * (box.size[axis] / 2.0 + draw(face_offsets))
             c, s = math.cos(box.yaw), math.sin(box.yaw)
             src.append([box.center.x + c * q[0] - s * q[1],
                         box.center.y + s * q[0] + c * q[1], box.center.z + q[2]])
@@ -278,3 +291,29 @@ def test_columns_equal_per_box_voting(case, weighting):
                     prior_features=priors)
     assert out.shape == (len(boxes), feats.shape[1])
     assert (out == np.reshape(ref, out.shape)).all()
+
+
+def test_containment_tests_only_pairs_near_each_box(monkeypatch):
+    # Small boxes among many sources: the containment test must see the
+    # pairs near each box only, never all B x N of them.
+    rng = np.random.default_rng(11)
+    n, b = 2000, 200
+    src = rng.uniform(-5.0, 5.0, size=(n, 3))
+    feats = rng.normal(size=(n, 4))
+    boxes = [OrientedBox(Point3(*src[i]), tuple(rng.uniform(0.5, 1.0, size=3)),
+                         yaw=rng.uniform(-math.pi, math.pi)) for i in range(b)]
+    upd, priors = src[:b] + rng.normal(0.0, 0.1, size=(b, 3)), np.zeros((b, 4))
+    tested = []
+
+    def spy(*args, **kwargs):
+        mask = contains_points(*args, **kwargs)
+        tested.append((len(mask), int(mask.sum())))
+        return mask
+
+    monkeypatch.setattr(voting, "contains_points", spy)
+    out = ia_voting(upd, box_columns(boxes), src, feats, prior_features=priors)
+    pairs, inside = map(sum, zip(*tested))
+    assert inside >= b
+    assert pairs < 0.05 * b * n
+    ref = per_box_ia_voting(upd, boxes, src, feats, prior_features=priors)
+    assert (out == np.array(ref)).all()
