@@ -33,6 +33,8 @@ class CpaSchedule:
     def __post_init__(self) -> None:
         if not (0.0 < self.mu_min <= self.mu_max):
             raise ValueError(f"need 0 < mu_min <= mu_max, got ({self.mu_min}, {self.mu_max})")
+        if type(self.num_stages) is not int:
+            raise ValueError(f"num_stages must be an integer, got {self.num_stages!r}")
         if self.num_stages < 1:
             raise ValueError(f"need at least one stage, got {self.num_stages}")
 

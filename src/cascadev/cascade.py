@@ -1,34 +1,33 @@
 """The multi-stage decoding loop.
 
 Each stage calls the predictor once on all current proposals, decodes
-scored detections, moves every proposal point onto its predicted box
-center, and re-aggregates features by instance-aware voting over the
-full current proposal set. The moved points and voted features become the
-next stage's proposals; the last stage's outputs are final. A stage's
-moved points, training assignment and detections follow from its
-inputs and predictions through stage_record, which run_cascade calls
-and the trace reader calls again, so trace files store only a stage's
-inputs and predictions and downstream statistics need no re-runs.
+them once into a column batch of scored detections, and moves every
+point onto its box center with its feature re-collected by instance-aware
+voting over the full proposal set: the next stage's proposals. A stage's
+detections and training assignment follow from its inputs and predictions
+through stage_record, which run_cascade calls and the trace reader calls
+again, so trace files store only a stage's inputs and predictions. Only
+the boxes the stage ensemble's NMS keeps become Detection rows.
 
 Proposals carry an origin_index so a point's trajectory through the
 stages can be followed; denoising proposals keep a fixed ground-truth
 assignment at every stage. Training walks the stages through the same
-two steps, stage_assignment and hand_off; hand_off alone turns deltas
-into the next proposals, decoding and voting on box columns.
+two steps, stage_assignment and hand_off; hand_off turns a stage's
+decoded box columns into the next proposals by voting on them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .assignment import Assignment, CpaSchedule, assign_targets, cpa_threshold
 from .errors import PredictorOutputError
-from .geometry import OrientedBox, Point3, decode_boxes
+from .geometry import OrientedBox, decode_boxes
 # Not called here; perfbench/bench_trace.py patches these names on this module.
 from .geometry import decode_box, update_point  # noqa: F401
-from .overlap import Detection, nms
+from .overlap import Detection, Detections, nms
 from .voting import ia_voting
 
 
@@ -63,15 +62,14 @@ class Predictions:
 
 @dataclass(frozen=True, slots=True)
 class StageRecord:
-    """Everything one stage saw and produced."""
+    """Everything one stage saw and produced; detection i's center is where proposal i moves."""
 
     stage: int
     mu: float | None
     proposals_in: Proposals
     predictions: Predictions
-    updated_points: np.ndarray
     assignment: Assignment | None
-    detections: list[Detection]
+    detections: Detections
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,17 +117,11 @@ def stage_assignment(proposals: Proposals, gts: list[OrientedBox], mu: float) ->
     return assign_targets(proposals.points, gts, mu, fixed_assignments=fixed)
 
 
-def hand_off(proposals: Proposals, deltas: np.ndarray, *, weighting: str) -> Proposals:
-    """The next stage's proposals, from this stage's (B, 7) deltas.
-
-    Decodes all rows in one decode_boxes pass (InvalidDeltasError on a
-    non-positive extent), moves each point onto its box center and
-    re-votes its feature in that box over the whole current proposal set.
-    """
-    centers, sizes, yaws = decode_boxes(proposals.points, deltas)
-    voted = ia_voting(centers, (centers, sizes, yaws), proposals.points, proposals.features,
-                      weighting=weighting)
-    return replace(proposals, points=centers, features=voted)
+def hand_off(proposals: Proposals, boxes, *, weighting: str) -> Proposals:
+    """Next proposals from this stage's decoded (centers, sizes, yaws): each point
+    moves onto its box center and re-votes its feature from all proposals in that box."""
+    voted = ia_voting(boxes[0], boxes, proposals.points, proposals.features, weighting=weighting)
+    return replace(proposals, points=boxes[0], features=voted)
 
 
 def stage_record(
@@ -143,31 +135,22 @@ def stage_record(
 
     Checks the predictions (PredictorOutputError on a wrong count, shape
     or row; InvalidDeltasError on a non-positive implied extent), decodes
-    every row in one decode_boxes pass into the moved points and scored
-    detections, and, when gts is given, assigns positives at threshold mu
-    with denoising proposals pinned to their ground truth.
+    every row in one decode_boxes pass into scored detection columns, and,
+    when gts is given, assigns positives at threshold mu with denoising
+    proposals pinned to their ground truth.
     """
     _validate(predictions, len(proposals), l)
-    centers, sizes, yaws = decode_boxes(proposals.points, predictions.deltas)
     fg = predictions.class_probs[:, :-1]
     class_ids = np.argmax(fg, axis=1)
     scores = np.clip(fg[np.arange(len(fg)), class_ids] * predictions.centerness, 0.0, 1.0)
-    # Each box takes the decoded yaw and normalizes it again, as the
-    # classified copy of a decoded box always has.
-    dets = [
-        Detection(box=OrientedBox(Point3(*c), tuple(size), yaw, class_id=k, score=score),
-                  score=score, class_id=k, stage=l)
-        for c, size, yaw, k, score in zip(centers.tolist(), sizes.tolist(), yaws.tolist(),
-                                          class_ids.tolist(), scores.tolist())
-    ]
     return StageRecord(
         stage=l,
         mu=mu,
         proposals_in=proposals,
         predictions=predictions,
-        updated_points=centers,
         assignment=None if gts is None else stage_assignment(proposals, gts, mu),
-        detections=dets,
+        detections=Detections(*decode_boxes(proposals.points, predictions.deltas),
+                              class_ids, scores),
     )
 
 
@@ -187,8 +170,7 @@ def run_cascade(
     stage_record turns the rows into the stage's record. When gts is
     given, each stage also records the positive assignment at that
     stage's threshold. Proposal points and features advance between
-    stages; the moved points of the last stage are recorded but feed
-    nothing.
+    stages; the last stage's detections feed nothing.
     """
     L = sched.num_stages
     records: list[StageRecord] = []
@@ -199,21 +181,22 @@ def run_cascade(
         rec = stage_record(l, mu, current, stage_predictor(current), gts)
         records.append(rec)
         if l < L:
-            current = hand_off(current, rec.predictions.deltas, weighting=weighting)
+            current = hand_off(current, rec.detections.boxes, weighting=weighting)
     return StageTrace(stages=records, gts=list(gts) if gts is not None else None)
 
 
 def ensemble_stages(
     trace: StageTrace, stage_range: tuple[int, int], iou_threshold: float
 ) -> list[Detection]:
-    """Pool detections from stages i..j (1-based, inclusive) through one NMS pass."""
+    """Pool detections from stages i..j (1-based ints, inclusive) through one NMS pass."""
     i, j = stage_range
-    if not (1 <= i <= j <= trace.num_stages):
+    if not (type(i) is int and type(j) is int and 1 <= i <= j <= trace.num_stages):
         raise ValueError(
             f"stage range {stage_range} invalid for a {trace.num_stages}-stage trace"
         )
-    pooled: list[Detection] = []
-    for rec in trace.stages[i - 1 : j]:
-        pooled.extend(rec.detections)
+    recs = trace.stages[i - 1 : j]
+    pooled = Detections(*(np.concatenate([getattr(r.detections, f.name) for r in recs])
+                          for f in fields(Detections)))
+    stages = np.repeat([r.stage for r in recs], [len(r.detections) for r in recs])
     kept = nms(pooled, iou_threshold)
-    return [pooled[k] for k in kept]
+    return pooled.rows(stages[kept], kept)

@@ -137,9 +137,9 @@ class RunConfig:
         if self.ensemble is None:
             self.ensemble = (1, self.schedule.num_stages)
         i, j = self.ensemble
-        if not (1 <= i <= j <= self.schedule.num_stages):
+        if not (type(i) is int and type(j) is int and 1 <= i <= j <= self.schedule.num_stages):
             raise ConfigError(
-                f"ensemble range {self.ensemble} invalid for {self.schedule.num_stages} stages"
+                f"invalid ensemble range {self.ensemble} for {self.schedule.num_stages} stages"
             )
         if self.steps < 1 or self.lr <= 0.0:
             raise ConfigError(f"need steps >= 1 and lr > 0, got {self.steps}, {self.lr}")
@@ -176,10 +176,10 @@ def run_config_from_doc(doc: dict) -> RunConfig:
         kwargs["noise"] = _build(OracleNoise, kwargs["noise"], "noise config")
     if "loss_weights" in kwargs:
         kwargs["loss_weights"] = _build(LossWeights, kwargs["loss_weights"], "loss weight config")
-    for key in ("iou_thresholds", "ensemble"):
-        if kwargs.get(key) is not None:
-            kwargs[key] = tuple(kwargs[key])
     try:
+        for key in ("iou_thresholds", "ensemble"):
+            if kwargs.get(key) is not None:
+                kwargs[key] = tuple(kwargs[key])
         return RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid run config: {exc}") from exc

@@ -25,7 +25,7 @@ from scipy import stats as _scipy_stats
 
 from .cascade import StageTrace
 from .errors import DataError, WrongVariantError
-from .geometry import OrientedBox, matched_faces
+from .geometry import OrientedBox, box_columns, matched_faces
 from .overlap import Detection, footprint_iou, footprints, iou_aabb
 from .synth import match_points_to_gt
 
@@ -69,8 +69,8 @@ def _scene_iou(dets: list[Detection], gts: list[OrientedBox], variant: str):
     The rotated variant builds every box's footprint once per scene.
     """
     if variant == "rotated":
-        det_fps = footprints([d.box for d in dets])
-        gt_fps = footprints(gts)
+        det_fps = footprints(box_columns([d.box for d in dets]))
+        gt_fps = footprints(box_columns(gts))
         return lambda i, gi: footprint_iou(det_fps[i], gt_fps[gi])
     return lambda i, gi: iou_aabb(dets[i].box, gts[gi])
 
@@ -268,7 +268,7 @@ def cascade_stats(traces: list[StageTrace]) -> CascadeStats:
 
     for trace in traces:
         gts = trace.gts
-        gt_fps = footprints(gts)
+        gt_fps = footprints(box_columns(gts))
         for si, rec in enumerate(trace.stages):
             if rec.mu is not None:
                 mus[si] = rec.mu
@@ -278,13 +278,12 @@ def cascade_stats(traces: list[StageTrace]) -> CascadeStats:
             pts = rec.proposals_in.points[keep]
             owner = match_points_to_gt(pts, gts)
             before = matched_faces(gts, pts, owner)[1].tolist()
-            after = matched_faces(gts, rec.updated_points[keep], owner)[1].tolist()
+            boxes = [column[keep] for column in rec.detections.boxes]
             per_stage_before[si].extend(before)
-            per_stage_after[si].extend(after)
-            det_fps = footprints([rec.detections[pi].box for pi in keep.tolist()])
+            per_stage_after[si].extend(matched_faces(gts, boxes[0], owner)[1].tolist())
             per_stage_pairs[si].extend(
                 (b, footprint_iou(fp, gt_fps[gi]))
-                for fp, gi, b in zip(det_fps, owner.tolist(), before)
+                for fp, gi, b in zip(footprints(boxes), owner.tolist(), before)
             )
 
     stages = []

@@ -311,6 +311,13 @@ def centerness_array(d: np.ndarray) -> np.ndarray:
     return out
 
 
+def box_columns(boxes: list[OrientedBox]):
+    """(N, 3) centers, (N, 3) sizes and (N,) yaws of a box list, as decode_boxes returns them."""
+    centers = np.array([(b.center.x, b.center.y, b.center.z) for b in boxes], dtype=np.float64)
+    sizes = np.array([b.size for b in boxes], dtype=np.float64)
+    return centers.reshape(-1, 3), sizes.reshape(-1, 3), np.array([b.yaw for b in boxes])
+
+
 def matched_faces(boxes: list[OrientedBox], points, owner: np.ndarray):
     """Face distances of each row against boxes[owner[row]], and their centerness.
 
@@ -319,10 +326,9 @@ def matched_faces(boxes: list[OrientedBox], points, owner: np.ndarray):
     and its centerness. Each row gathers its box's center, half extents
     and cos/sin, so all rows are computed together whatever the box count.
     """
-    centers = np.array([[b.center.x, b.center.y, b.center.z] for b in boxes]).reshape(-1, 3)
-    halves = np.array([b.size for b in boxes]).reshape(-1, 3) / 2.0
-    q = canonical_coords(centers, [b.yaw for b in boxes], points, owner)
-    faces = _face_distances(q, halves[owner])
+    centers, sizes, yaws = box_columns(boxes)
+    q = canonical_coords(centers, yaws, points, owner)
+    faces = _face_distances(q, (sizes / 2.0)[owner])
     return faces, centerness_array(faces)
 
 

@@ -27,6 +27,7 @@ import numpy as np
 from .assignment import Assignment, CpaSchedule, cpa_threshold
 from .cascade import Predictions, Proposals, hand_off, stage_assignment
 from .errors import InvalidDeltasError, TrainingDivergedError
+from .geometry import decode_boxes
 from .synth import SyntheticScene, scene_proposals
 
 # Not called here since training shares the cascade's stage step;
@@ -425,11 +426,12 @@ def train_cascade(
                 for entry in batch:
                     deltas = entry["outputs"].predictions().deltas
                     try:
-                        entry["props"] = hand_off(entry["props"], deltas, weighting=weighting)
+                        boxes = decode_boxes(entry["props"].points, deltas)
                     except InvalidDeltasError as exc:
                         # Softplus only hits exact zero when the raw output has
                         # exploded, so a degenerate box here means divergence.
                         raise TrainingDivergedError(
                             f"box decode failed at step {step}, stage {l}: {exc}"
                         ) from exc
+                    entry["props"] = hand_off(entry["props"], boxes, weighting=weighting)
     return params, history

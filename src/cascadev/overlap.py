@@ -4,8 +4,9 @@ Rotated IoU is computed as BEV polygon intersection area times vertical
 extent overlap: the two footprints are convex quadrilaterals, so the
 intersection comes from Sutherland-Hodgman clipping. Near-zero BEV
 intersection areas (< 1e-12) are treated as empty. Callers that compare
-many boxes build each box's `Footprint` once and apply `footprint_iou`
-per pair; `iou_rotated` is the one-pair case of the same rule.
+many boxes build each box's `Footprint` once from box columns and apply
+`footprint_iou` per pair; `iou_rotated` is the one-pair case of the same
+rule. NMS reads a `Detections` batch of columns and returns row indices.
 
 All functions are pure and thread-safe.
 """
@@ -14,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import WrongVariantError
-from .geometry import OrientedBox
+from .geometry import OrientedBox, Point3, box_columns
 
 _AREA_EPS = 1e-12
 
@@ -36,6 +37,34 @@ class Detection:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
             raise ValueError(f"detection score outside [0, 1]: {self.score}")
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Detections:
+    """Scored boxes as columns, row i being detection i: decode_boxes' centers
+    (N, 3), sizes (N, 3) and yaws (N,), then class_ids (N,) and scores (N,) in [0, 1]."""
+
+    centers: np.ndarray
+    sizes: np.ndarray
+    yaws: np.ndarray
+    class_ids: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    @property
+    def boxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.centers, self.sizes, self.yaws
+
+    def rows(self, stage, index=slice(None)) -> list[Detection]:
+        """Detection rows at index (default all), of stage: one int, or one per row."""
+        cols = [c[index].tolist() for c in (*self.boxes, self.class_ids, self.scores)]
+        stages = np.broadcast_to(stage, len(cols[-1])).tolist()
+        return [
+            Detection(OrientedBox(Point3(*c), tuple(size), yaw, class_id=k, score=p), p, k, st)
+            for c, size, yaw, k, p, st in zip(*cols, stages)
+        ]
 
 
 def _axis_overlap(c1: float, s1: float, c2: float, s2: float) -> float:
@@ -66,8 +95,8 @@ def iou_aabb(a: OrientedBox, b: OrientedBox) -> float:
 class Footprint(NamedTuple):
     """What rotated IoU needs of one box, computed once per box.
 
-    key is the box's (x, y, z, size, yaw), for the identical-box shortcut;
-    corners are the bev_corners rows as Python floats, so clipping runs
+    key is the box's (x, y, z, w, l, h, yaw), for the identical-box shortcut;
+    corners are the footprint corners as Python floats, so clipping runs
     on plain floats rather than NumPy scalars.
     """
 
@@ -85,47 +114,29 @@ class Footprint(NamedTuple):
 _CORNER_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 
-def _corner_array(boxes: Sequence[OrientedBox]) -> np.ndarray:
-    """(N, 4, 2) footprint corners of N >= 1 boxes, counterclockwise.
+def _corner_array(boxes) -> np.ndarray:
+    """(N, 4, 2) footprint corners of (centers, sizes, yaws), counterclockwise.
 
     One stacked matmul runs the same per-box product as a single (4, 2)
     @ (2, 2), so every row is bit-equal to the one-box case.
     """
-    half = np.array([box.size[:2] for box in boxes], dtype=np.float64) / 2.0
-    local = half[:, None, :] * _CORNER_SIGNS
-    c = np.array([math.cos(box.yaw) for box in boxes])
-    s = np.array([math.sin(box.yaw) for box in boxes])
+    centers, sizes, yaws = boxes
+    local = (sizes[:, :2] / 2.0)[:, None, :] * _CORNER_SIGNS
+    c = np.array([math.cos(yaw) for yaw in yaws.tolist()])
+    s = np.array([math.sin(yaw) for yaw in yaws.tolist()])
     rot = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
-    centers = np.array([(box.center.x, box.center.y) for box in boxes], dtype=np.float64)
-    return local @ rot.transpose(0, 2, 1) + centers[:, None, :]
+    return local @ rot.transpose(0, 2, 1) + centers[:, None, :2]
 
 
-def bev_corners(box: OrientedBox) -> np.ndarray:
-    """The box footprint as a (4, 2) array of corners, counterclockwise."""
-    return _corner_array([box])[0]
-
-
-def footprints(boxes: Sequence[OrientedBox]) -> list[Footprint]:
-    """Footprints of boxes, with all corners from one batched product."""
-    if not boxes:
-        return []
-    out = []
-    for box, corners in zip(boxes, _corner_array(boxes).tolist()):
-        c = box.center
-        w, l, h = box.size
-        out.append(
-            Footprint(
-                key=(c.x, c.y, c.z, box.size, box.yaw),
-                corners=corners,
-                x=c.x,
-                y=c.y,
-                z_lo=c.z - h / 2.0,
-                z_hi=c.z + h / 2.0,
-                radius=math.hypot(w, l) / 2.0,
-                volume=box.volume,
-            )
-        )
-    return out
+def footprints(boxes) -> list[Footprint]:
+    """Footprints of (centers, sizes, yaws) columns, corners from one batched product."""
+    centers, sizes, yaws = boxes
+    return [
+        Footprint(key=(x, y, z, w, l, h, yaw), corners=corners, x=x, y=y, z_lo=z - h / 2.0,
+                  z_hi=z + h / 2.0, radius=math.hypot(w, l) / 2.0, volume=w * l * h)
+        for (x, y, z), (w, l, h), yaw, corners in zip(
+            centers.tolist(), sizes.tolist(), yaws.tolist(), _corner_array(boxes).tolist())
+    ]
 
 
 def _polygon_area(poly: list) -> float:
@@ -171,7 +182,7 @@ def _intersection_area(a: Footprint, b: Footprint) -> float:
 
 def bev_intersection_area(a: OrientedBox, b: OrientedBox) -> float:
     """Footprint intersection area of two boxes; < 1e-12 collapses to 0."""
-    return _intersection_area(*footprints([a, b]))
+    return _intersection_area(*footprints(box_columns([a, b])))
 
 
 def footprint_iou(a: Footprint, b: Footprint) -> float:
@@ -198,7 +209,7 @@ def iou_rotated(a: OrientedBox, b: OrientedBox) -> float:
     The one-pair case of footprint_iou; callers comparing many boxes
     should build their footprints once instead.
     """
-    return footprint_iou(*footprints([a, b]))
+    return footprint_iou(*footprints(box_columns([a, b])))
 
 
 def iou_mc(a: OrientedBox, b: OrientedBox, n_samples: int, seed: int = 0) -> tuple[float, float]:
@@ -242,21 +253,22 @@ def iou_mc(a: OrientedBox, b: OrientedBox, n_samples: int, seed: int = 0) -> tup
     return iou, se_iou
 
 
-def nms(dets: list[Detection], iou_threshold: float) -> list[int]:
-    """Greedy class-wise NMS; returns kept indices into the input list.
+def nms(dets: Detections, iou_threshold: float) -> list[int]:
+    """Greedy class-wise NMS; returns kept row indices into dets.
 
-    Detections are visited by descending score (ties by lower input
+    Detections are visited by descending score (ties by lower row
     index); one is suppressed iff its rotated IoU with an already-kept
     detection of the same class strictly exceeds the threshold.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {iou_threshold}")
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    fps = footprints([d.box for d in dets])
+    order = np.argsort(-dets.scores, kind="stable").tolist()
+    fps = footprints(dets.boxes)
+    class_ids = dets.class_ids.tolist()
     kept: list[int] = []
     kept_by_class: dict[int, list[Footprint]] = {}
     for i in order:
-        same_class = kept_by_class.setdefault(dets[i].class_id, [])
+        same_class = kept_by_class.setdefault(class_ids[i], [])
         if not any(footprint_iou(k, fps[i]) > iou_threshold for k in same_class):
             same_class.append(fps[i])
             kept.append(i)

@@ -29,6 +29,7 @@ from .errors import PlacementError
 from .geometry import (
     OrientedBox,
     Point3,
+    box_columns,
     contains_points,
     encode_deltas,
     encode_deltas_array,
@@ -65,8 +66,13 @@ class SceneConfig:
     feature_dim: int = 16
 
     def __post_init__(self) -> None:
+        for name in ("points_per_box", "num_clutter", "num_classes", "feature_dim"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if type(self.yaw_enabled) is not bool:
+            raise ValueError(f"yaw_enabled must be true or false, got {self.yaw_enabled!r}")
         lo, hi = self.num_gt
-        if not (1 <= lo <= hi):
+        if not (type(lo) is int and type(hi) is int and 1 <= lo <= hi):
             raise ValueError(f"invalid num_gt range {self.num_gt}")
         if len(self.size_range) != 3 or len(self.workspace) != 3:
             raise ValueError("size_range and workspace need one (lo, hi) pair per axis")
@@ -156,13 +162,10 @@ def _place_boxes(cfg: SceneConfig, rng: np.random.Generator) -> list[OrientedBox
             cand = OrientedBox(center, size, yaw=yaw, class_id=int(rng.integers(cfg.num_classes)))
             # Checking slightly inflated boxes keeps a real gap between
             # neighbors, so the zero-IoU invariant survives any epsilon.
-            grown = footprints([OrientedBox(center, _grow(size), yaw=yaw)])[0]
-            ok = all(footprint_iou(grown, g) == 0.0 for g in grown_placed)
-            if ok:
+            grown = footprints(box_columns([OrientedBox(center, _grow(size), yaw=yaw)]))[0]
+            if all(footprint_iou(grown, g) == 0.0 for g in grown_placed):
                 boxes.append(cand)
-                grown_placed += footprints(
-                    [OrientedBox(cand.center, _grow(cand.size), yaw=cand.yaw)]
-                )
+                grown_placed.append(grown)
                 placed = True
                 break
         if not placed:

@@ -32,6 +32,7 @@ from cascadev.geometry import (
     encode_deltas,
     encode_deltas_array,
     matched_faces,
+    normalize_yaw,
     point_in_scaled_box,
 )
 from cascadev.synth import match_point_to_gt, match_points_to_gt
@@ -257,6 +258,29 @@ def test_decode_boxes_equals_scalar(rows):
         assert tuple(sizes[i].tolist()) == size
         assert yaws[i] == yaw
         assert -math.pi <= yaws[i] < math.pi
+
+
+# Every finite heading, with the wrap's edge values drawn often.
+finite_headings = st.one_of(
+    st.sampled_from([math.pi, -math.pi, math.nextafter(-math.pi, -4.0), 0.0, -0.0,
+                     5e-324, -5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@SETTINGS
+@given(st.lists(finite_headings, min_size=1, max_size=24))
+def test_decoded_yaw_is_a_fixed_point_of_normalize_yaw(headings):
+    # NMS and AP footprints read the decoded yaw column as it is, while a kept
+    # detection's OrientedBox normalizes it once more; the written boxes and
+    # kept lists agree only if that second wrap changes no bit, sign of zero
+    # included.
+    deltas = np.ones((len(headings), 7))
+    deltas[:, 6] = headings
+    _, _, yaws = raising(decode_boxes, np.zeros((len(headings), 3)), deltas)
+    for yaw in yaws.tolist():
+        assert normalize_yaw(yaw).hex() == yaw.hex()
+        assert OrientedBox(Point3(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), yaw).yaw.hex() == yaw.hex()
 
 
 @SETTINGS

@@ -4,7 +4,8 @@ perfbench/bench_trace.py replaces module attributes such as
 `cascadev.learner.ia_voting` with spanned wrappers. A refactor that drops
 one of those names would only fail under `perfbench/run.py --trace 1`;
 these tests make the plain suite fail instead, as does a traced run
-whose vote-mask counters stay at zero or miscount the inside pairs.
+whose vote-mask counters stay at zero or miscount the inside pairs, or
+whose NMS counters read anything but the rows in and the rows kept.
 """
 
 import os
@@ -12,6 +13,7 @@ import sys
 
 import cascadev
 from cascadev.assignment import CpaSchedule
+from cascadev.cascade import ensemble_stages
 from cascadev.geometry import Deltas, Point3, decode_box, point_in_scaled_box
 from cascadev.synth import (
     OracleNoise,
@@ -68,3 +70,24 @@ def test_traced_cascade_counts_every_vote_mask():
             inside += sum(point_in_scaled_box(s, box, 0.5) for s in sources)
     assert inside > 0
     assert tracer.counts["voting.mask_points"] == inside
+
+
+def test_traced_ensemble_counts_nms_rows_in_and_kept():
+    # bench_trace counts overlap.nms.in as len() of nms's first argument, so
+    # that argument must measure the pooled detections, not its columns.
+    cfg = SceneConfig(num_gt=(3, 3), points_per_box=20, num_clutter=40, yaw_enabled=True)
+    scene = gen_scene(cfg, seed=5)
+    noise = OracleNoise(sigma_delta=0.1, sigma_heading=0.1)
+    props = scene_proposals(scene, oracle_seed_centerness(scene, noise, seed=5), 16)
+    trace = cascadev.run_cascade(props, oracle_predictor(scene, noise, seed=5), CpaSchedule(),
+                                 scene.gt_boxes)
+    assert trace.num_stages == 3
+    tracer = Tracer()
+    undo = instrument(tracer, cascadev)
+    try:
+        kept = ensemble_stages(trace, (1, 3), 0.25)
+    finally:
+        undo()
+    assert tracer.counts["overlap.nms.in"] == sum(len(rec.detections) for rec in trace.stages)
+    assert tracer.counts["overlap.nms.in"] == 3 * len(props)
+    assert tracer.counts["overlap.nms.kept"] == len(kept) > 0

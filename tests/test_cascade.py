@@ -13,8 +13,8 @@ from cascadev.cascade import (
 )
 from cascadev.errors import PredictorOutputError
 from cascadev.learner import head_predictors, init_head_params
-from cascadev.geometry import Point3, centerness, encode_deltas
-from cascadev.overlap import iou_rotated, nms
+from cascadev.geometry import Point3, centerness, decode_boxes, encode_deltas
+from cascadev.overlap import Detections, iou_rotated, nms
 from cascadev.synth import (
     OracleNoise,
     SceneConfig,
@@ -53,13 +53,13 @@ class TestRunCascade:
         assert rec.stage == 1
         assert rec.mu == pytest.approx(0.2)
         assert len(rec.detections) == len(props)
-        assert rec.updated_points.shape == (len(props), 3)
+        assert rec.detections.centers.shape == (len(props), 3)
         assert rec.proposals_in is props
 
     def test_exact_oracle_stage1_detections_match_gt(self):
         scene, props, predict = build(2, OracleNoise())
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes)
-        for p, det in zip(props.points, trace.stages[0].detections):
+        for p, det in zip(props.points, trace.stages[0].detections.rows(1)):
             gt = scene.gt_boxes[match_point_to_gt(Point3(*p), scene.gt_boxes)]
             assert iou_rotated(det.box, gt) == pytest.approx(1.0, abs=1e-9)
             assert det.class_id == gt.class_id
@@ -67,7 +67,7 @@ class TestRunCascade:
     def test_exact_oracle_updated_points_hit_centers(self):
         scene, props, predict = build(3, OracleNoise())
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes)
-        for p, up in zip(props.points, trace.stages[0].updated_points):
+        for p, up in zip(props.points, trace.stages[0].detections.centers):
             gt = scene.gt_boxes[match_point_to_gt(Point3(*p), scene.gt_boxes)]
             assert up[0] == pytest.approx(gt.center.x, abs=1e-9)
             assert up[1] == pytest.approx(gt.center.y, abs=1e-9)
@@ -86,7 +86,7 @@ class TestRunCascade:
         scene, props, predict = build(5, OracleNoise())
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes)
         s2, s3 = trace.stages[1], trace.stages[2]
-        for d2, d3 in zip(s2.detections, s3.detections):
+        for d2, d3 in zip(s2.detections.rows(2), s3.detections.rows(3)):
             assert iou_rotated(d2.box, d3.box) == pytest.approx(1.0, abs=1e-9)
         for p2, p3 in zip(s2.proposals_in.points, s3.proposals_in.points):
             assert p2[0] == pytest.approx(p3[0], abs=1e-9)
@@ -100,7 +100,7 @@ class TestRunCascade:
             rec = trace.stages[0]
             before = []
             after = []
-            for p, up in zip(rec.proposals_in.points, rec.updated_points):
+            for p, up in zip(rec.proposals_in.points, rec.detections.centers):
                 gt = scene.gt_boxes[match_point_to_gt(Point3(*p), scene.gt_boxes)]
                 before.append(centerness(encode_deltas(Point3(*p), gt)))
                 after.append(centerness(encode_deltas(Point3(*up), gt)))
@@ -117,10 +117,10 @@ class TestRunCascade:
             assert np.array_equal(rec.proposals_in.denoising_gt, props.denoising_gt)
             # Each point moves onto its decoded box center, and that is the
             # point the next stage receives.
-            for i, det in enumerate(rec.detections):
-                assert Point3(*rec.updated_points[i]) == det.box.center
+            for i, det in enumerate(rec.detections.rows(rec.stage)):
+                assert Point3(*rec.detections.centers[i]) == det.box.center
         for prev, nxt in zip(trace.stages, trace.stages[1:]):
-            assert np.array_equal(nxt.proposals_in.points, prev.updated_points)
+            assert np.array_equal(nxt.proposals_in.points, prev.detections.centers)
 
     @pytest.mark.parametrize("weighting", ["exp_neg_dist", "literal"])
     def test_next_stage_is_hand_off_of_previous(self, weighting):
@@ -128,7 +128,8 @@ class TestRunCascade:
         scene, props, predict = build(6, noise, denoising=True, cfg=YAW_CFG)
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes, weighting=weighting)
         for prev, nxt in zip(trace.stages, trace.stages[1:]):
-            want = hand_off(prev.proposals_in, prev.predictions.deltas, weighting=weighting)
+            boxes = decode_boxes(prev.proposals_in.points, prev.predictions.deltas)
+            want = hand_off(prev.proposals_in, boxes, weighting=weighting)
             got = nxt.proposals_in
             for name in ("points", "features", "origin_index", "denoising_gt"):
                 a, b = getattr(got, name), getattr(want, name)
@@ -172,8 +173,9 @@ class TestRunCascade:
             assert np.array_equal(pa.class_probs, pb.class_probs)
             assert np.array_equal(pa.deltas, pb.deltas)
             assert np.array_equal(pa.centerness, pb.centerness)
-            for da, db in zip(ra.detections, rb.detections):
-                assert da.box == db.box and da.score == db.score
+            for name in ("centers", "sizes", "yaws", "class_ids", "scores"):
+                a, b = getattr(ra.detections, name), getattr(rb.detections, name)
+                assert a.tobytes() == b.tobytes()
 
     def test_per_stage_predictor_sequence(self):
         scene, props, _ = build(11, OracleNoise())
@@ -181,7 +183,7 @@ class TestRunCascade:
         noisy = oracle_predictor(scene, OracleNoise(sigma_delta=0.3), seed=1)
         trace = run_cascade(props, [noisy, exact, exact], SCHED, scene.gt_boxes)
         # Stage 2 runs the exact head, so its detections are perfect.
-        for p, det in zip(trace.stages[1].proposals_in.points, trace.stages[1].detections):
+        for p, det in zip(trace.stages[1].proposals_in.points, trace.stages[1].detections.rows(2)):
             gt = scene.gt_boxes[match_point_to_gt(Point3(*p), scene.gt_boxes)]
             assert iou_rotated(det.box, gt) == pytest.approx(1.0, abs=1e-9)
 
@@ -189,7 +191,7 @@ class TestRunCascade:
         scene, props, predict = build(12, OracleNoise(centerness_bias=0.2))
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes)
         preds = trace.stages[0].predictions
-        for i, det in enumerate(trace.stages[0].detections):
+        for i, det in enumerate(trace.stages[0].detections.rows(1)):
             fg = preds.class_probs[i, :-1]
             assert det.score == pytest.approx(float(fg.max()) * preds.centerness[i], abs=1e-12)
             assert det.stage == 1
@@ -247,7 +249,7 @@ class TestRunCascade:
                 assert rec.predictions.centerness.shape == (0,)
                 assert rec.proposals_in.features.shape == (0, CFG.feature_dim)
                 assert rec.predictions.class_probs.shape == (0, CFG.num_classes + 1)
-                assert rec.updated_points.shape == (0, 3)
+                assert rec.detections.centers.shape == (0, 3)
                 assert rec.assignment.matched_gt.shape == (0,)
                 assert rec.assignment.target_deltas.shape == (0, 7)
 
@@ -259,7 +261,7 @@ class TestEnsemble:
         out = ensemble_stages(trace, (2, 2), 0.25)
         dets = trace.stages[1].detections
         kept = nms(dets, 0.25)
-        assert [d.box for d in out] == [dets[k].box for k in kept]
+        assert [d.box for d in out] == [d.box for d in dets.rows(2, kept)]
 
     def test_duplicates_deduplicated_highest_score_survives(self):
         scene, props, predict = build(15, OracleNoise())
@@ -286,18 +288,19 @@ class TestEnsemble:
         calls = []
 
         def spy(dets, iou_threshold):
-            calls.append((len(dets), iou_threshold))
-            return nms(dets, iou_threshold)
+            assert isinstance(dets, Detections)
+            calls.append((len(dets), iou_threshold, nms(dets, iou_threshold)))
+            return calls[-1][2]
 
         monkeypatch.setattr(cascade, "nms", spy)
         out = ensemble_stages(trace, (1, 3), 0.25)
-        assert calls == [(3 * len(props), 0.25)]
-        pooled = [d for rec in trace.stages for d in rec.detections]
-        assert out == [pooled[k] for k in nms(pooled, 0.25)]
+        assert [call[:2] for call in calls] == [(3 * len(props), 0.25)]
+        pooled = [d for rec in trace.stages for d in rec.detections.rows(rec.stage)]
+        assert out == [pooled[k] for k in calls[0][2]]
 
     def test_invalid_range(self):
         scene, props, predict = build(16, OracleNoise())
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes)
-        for rng_pair in [(0, 2), (2, 1), (1, 4), (4, 4)]:
+        for rng_pair in [(0, 2), (2, 1), (1, 4), (4, 4), (1.0, 3.0), (True, 3)]:
             with pytest.raises(ValueError):
                 ensemble_stages(trace, rng_pair, 0.25)

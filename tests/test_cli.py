@@ -223,13 +223,26 @@ class TestExitCodes:
         ("train", {"loss_weights": {"cls": "x"}}),
         ("train", {"loss_weights": {"focal_gamma": "x"}}),
         ("train", {"loss_weights": {"reg": -1.0}}),
+        ("run", {"ensemble": 5}),
+        ("run", {"iou_thresholds": 5}),
+        ("run", {"ensemble": [1.0, 3.0]}),
+        ("eval", {"ensemble": [True, 3]}),
+        ("gen", {"scene": {"points_per_box": 1.5}}),
+        ("gen", {"scene": {"num_clutter": 2.5}}),
+        ("gen", {"scene": {"feature_dim": 9.5}}),
+        ("gen", {"scene": {"num_classes": 2.0}}),
+        ("gen", {"scene": {"num_gt": [1.5, 2]}}),
+        ("gen", {"scene": {"yaw_enabled": "no"}}),
+        ("gen", {"scene": {"points_per_box": True}}),
+        ("run", {"schedule": {"num_stages": 2.0}}),
+        ("train", {"schedule": {"num_stages": True}}),
     ])
     def test_malformed_section_is_config_error(self, tmp_path, command, section, capsys):
-        # train reads no scenes before the config passes, so the absent
-        # directory would give exit 3 if the section slipped through.
+        # run, eval and train read no files before the config passes, so the
+        # absent directory would give exit 3 if the section slipped through.
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(section))
-        argv = [command] + ([str(tmp_path / "absent")] if command == "train" else [])
+        argv = [command] + ([str(tmp_path / "absent")] if command != "gen" else [])
         capsys.readouterr()
         assert main(argv + ["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error: invalid ")

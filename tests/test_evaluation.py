@@ -94,7 +94,7 @@ class TestAveragePrecision:
             cent = oracle_seed_centerness(s, OracleNoise(sigma_delta=0.2), seed=trial)
             props = scene_proposals(s, cent, 24)
             trace = run_cascade(props, predict, CpaSchedule(0.4, 0.2, 2), s.gt_boxes)
-            dets = trace.stages[-1].detections
+            dets = trace.stages[-1].detections.rows(2)
             maps = [
                 average_precision(dets, s.gt_boxes, thr).mean_ap(thr)
                 for thr in (0.25, 0.4, 0.5, 0.7)

@@ -4,7 +4,7 @@
 `footprint_iou` applies the rotated-IoU rule to two footprints; NMS, AP
 matching, cascade statistics and box placement all go through them.
 Kept lists, mAP and traces stay byte-identical only if each IoU is
-bit-equal to the per-pair scalar path copied below (one `bev_corners`
+bit-equal to the per-pair scalar path copied below (one corner
 matmul per box, Sutherland-Hodgman on NumPy scalars), so these
 properties use ==, never a tolerance, and run the new code with
 warnings raised as errors.
@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from cascadev.assignment import CpaSchedule
 from cascadev.cascade import run_cascade
 from cascadev.evaluation import _scene_iou, cascade_stats
-from cascadev.geometry import OrientedBox, Point3
+from cascadev.geometry import OrientedBox, Point3, box_columns
 from cascadev.overlap import (
     Detection,
-    bev_corners,
+    _corner_array,
     bev_intersection_area,
     footprint_iou,
     footprints,
@@ -39,7 +39,7 @@ from cascadev.synth import (
     oracle_seed_centerness,
     scene_proposals,
 )
-from test_overlap import reference_nms
+from test_overlap import columns, reference_nms
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -190,11 +190,11 @@ def new_code(fn, *args):
 @SETTINGS
 @given(st.lists(boxes(), min_size=1, max_size=12))
 def test_batched_corners_equal_bev_corners_bitwise(bxs):
-    fps = new_code(footprints, bxs)
+    fps = new_code(footprints, box_columns(bxs))
     for box, fp in zip(bxs, fps):
         want = scalar_bev_corners(box)
         assert np.array(fp.corners).tobytes() == want.tobytes()
-        assert new_code(bev_corners, box).tobytes() == want.tobytes()
+        assert new_code(_corner_array, box_columns([box]))[0].tobytes() == want.tobytes()
 
 
 @SETTINGS
@@ -202,7 +202,7 @@ def test_batched_corners_equal_bev_corners_bitwise(bxs):
 def test_pair_rule_equals_scalar_iou(pair):
     a, b = pair
     want = scalar_iou_rotated(a, b)
-    assert new_code(lambda: footprint_iou(*footprints([a, b]))) == want
+    assert new_code(lambda: footprint_iou(*footprints(box_columns([a, b])))) == want
     assert new_code(iou_rotated, a, b) == want
     assert new_code(bev_intersection_area, a, b) == scalar_intersection_area(a, b)
 
@@ -210,7 +210,7 @@ def test_pair_rule_equals_scalar_iou(pair):
 @SETTINGS
 @given(st.lists(boxes(), min_size=2, max_size=8))
 def test_footprints_of_a_list_equal_scalar_iou_per_pair(bxs):
-    fps = new_code(footprints, bxs)
+    fps = new_code(footprints, box_columns(bxs))
     for i, a in enumerate(bxs):
         for j, b in enumerate(bxs):
             assert new_code(footprint_iou, fps[i], fps[j]) == scalar_iou_rotated(a, b)
@@ -250,7 +250,7 @@ def detection_sets(draw):
 @given(detection_sets())
 def test_nms_equals_reference(case):
     dets, thr = case
-    kept = new_code(nms, dets, thr)
+    kept = new_code(nms, columns(dets), thr)
     assert kept == reference_nms(dets, thr)
     assert kept == reference_nms(dets, thr, iou=scalar_iou_rotated)
 
@@ -280,11 +280,11 @@ def test_cascade_stats_ious_equal_scalar_iou():
     stats = new_code(cascade_stats, traces)
     for si, stage in enumerate(stats.stages):
         want = [
-            scalar_iou_rotated(rec.detections[pi].box,
-                               t.gts[match_point_to_gt(Point3.from_array(p), t.gts)])
+            scalar_iou_rotated(det.box, t.gts[match_point_to_gt(Point3.from_array(p), t.gts)])
             for t in traces
             for rec in [t.stages[si]]
-            for pi, p in enumerate(rec.proposals_in.points)
+            for pi, (p, det) in enumerate(zip(rec.proposals_in.points,
+                                              rec.detections.rows(rec.stage)))
             if rec.proposals_in.denoising_gt[pi] < 0
         ]
         assert [iou for _, iou in stage.pairs] == want

@@ -73,13 +73,15 @@ def _assert_same_bytes(a, b):
 
 
 def _assert_same_records(trace, loaded):
-    """Arrays bytewise, detections with ==, assignment columns bytewise."""
+    """Arrays bytewise, detection columns bytewise and their rows with ==,
+    assignment columns bytewise."""
     assert loaded.gts == trace.gts
     assert loaded.num_stages == trace.num_stages
     for ra, rb in zip(trace.stages, loaded.stages):
         assert ra.stage == rb.stage and ra.mu == rb.mu
-        _assert_same_bytes(ra.updated_points, rb.updated_points)
-        assert ra.detections == rb.detections
+        for name in ("centers", "sizes", "yaws", "class_ids", "scores"):
+            _assert_same_bytes(getattr(ra.detections, name), getattr(rb.detections, name))
+        assert ra.detections.rows(ra.stage) == rb.detections.rows(rb.stage)
         for name in ("points", "features", "origin_index", "denoising_gt"):
             _assert_same_bytes(getattr(ra.proposals_in, name), getattr(rb.proposals_in, name))
         for name in ("class_probs", "deltas", "centerness"):
@@ -122,9 +124,9 @@ def _stage_doc_v1_0(rec):
             {"class_probs": p, "deltas": d, "heading": d[6], "centerness": c}
             for p, d, c in zip(preds.class_probs.tolist(), deltas, preds.centerness.tolist())
         ],
-        "updated_points": rec.updated_points.tolist(),
+        "updated_points": rec.detections.centers.tolist(),
         "assignment": None if rec.assignment is None else _assignment_doc_v1_0(rec.assignment),
-        "detections": [detection_doc(d) for d in rec.detections],
+        "detections": [detection_doc(d) for d in rec.detections.rows(rec.stage)],
     }
 
 
@@ -337,7 +339,7 @@ class TestModelDocs:
 class TestApDocs:
     def test_roundtrip(self):
         scene, trace = _oracle_trace(sigma=0.0)
-        dets = trace.stages[-1].detections
+        dets = trace.stages[-1].detections.rows(trace.num_stages)
         res = evaluate_scenes([(dets, scene.gt_boxes)], [0.25, 0.5])
         loaded = ap_from_doc(ap_to_doc(res))
         for ra, rb in zip(res.results, loaded.results):

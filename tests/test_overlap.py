@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from cascadev.errors import WrongVariantError
-from cascadev.geometry import OrientedBox, Point3
+from cascadev.geometry import OrientedBox, Point3, box_columns
 from cascadev.overlap import (
     Detection,
-    bev_corners,
+    Detections,
+    _corner_array,
     bev_intersection_area,
     iou_aabb,
     iou_mc,
@@ -119,7 +120,7 @@ class TestRotated:
 
     def test_corners_shape_and_orientation(self):
         b = OrientedBox(Point3(1.0, -2.0, 0.0), (2.0, 4.0, 1.0), yaw=0.3)
-        corners = bev_corners(b)
+        corners = _corner_array(box_columns([b]))[0]
         assert corners.shape == (4, 2)
         # Shoelace positive = counterclockwise; area equals w*l.
         area = 0.0
@@ -162,6 +163,13 @@ class TestMonteCarlo:
         assert se == 0.0
 
 
+def columns(dets):
+    """The Detections batch holding a Detection list's rows, in order."""
+    return Detections(*box_columns([d.box for d in dets]),
+                      np.array([d.class_id for d in dets], dtype=np.int64),
+                      np.array([d.score for d in dets], dtype=np.float64))
+
+
 def reference_nms(dets, thr, iou=iou_rotated):
     # Straightforward restatement of the greedy rule, kept independent of
     # the implementation under test.
@@ -183,30 +191,30 @@ def reference_nms(dets, thr, iou=iou_rotated):
 class TestNms:
     def test_single_kept(self):
         d = Detection(OrientedBox(Point3(0, 0, 0), (1, 1, 1)), 0.5, 0)
-        assert nms([d], 0.5) == [0]
+        assert nms(columns([d]), 0.5) == [0]
 
     def test_duplicate_suppressed(self):
         box = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
         dets = [Detection(box, 0.8, 0), Detection(box, 0.9, 0)]
-        assert nms(dets, 0.5) == [1]
+        assert nms(columns(dets), 0.5) == [1]
 
     def test_different_classes_not_suppressed(self):
         box = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
         dets = [Detection(box, 0.9, 0), Detection(box, 0.8, 1)]
-        assert nms(dets, 0.5) == [0, 1]
+        assert nms(columns(dets), 0.5) == [0, 1]
 
     def test_score_tie_lower_index_first(self):
         box = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
         dets = [Detection(box, 0.7, 0), Detection(box, 0.7, 0)]
-        assert nms(dets, 0.5) == [0]
+        assert nms(columns(dets), 0.5) == [0]
 
     def test_threshold_strictly_exceeded(self):
         a = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
         b = OrientedBox(Point3(0.5, 0, 0), (1, 1, 1))
         # IoU is exactly 1/3: threshold 1/3 keeps both, anything lower kills one.
         dets = [Detection(a, 0.9, 0), Detection(b, 0.8, 0)]
-        assert nms(dets, 1.0 / 3.0) == [0, 1]
-        assert nms(dets, 0.3) == [0]
+        assert nms(columns(dets), 1.0 / 3.0) == [0, 1]
+        assert nms(columns(dets), 0.3) == [0]
 
     def test_matches_reference_on_random_sets(self):
         rng = np.random.default_rng(26)
@@ -221,7 +229,7 @@ class TestNms:
                 for _ in range(20)
             ]
             thr = float(rng.uniform(0.1, 0.7))
-            assert nms(dets, thr) == reference_nms(dets, thr)
+            assert nms(columns(dets), thr) == reference_nms(dets, thr)
 
     def test_kept_mutually_below_threshold(self):
         rng = np.random.default_rng(27)
@@ -229,7 +237,7 @@ class TestNms:
             Detection(rand_box(rng, span=0.8), float(rng.uniform(0, 1)), int(rng.integers(0, 2)))
             for _ in range(30)
         ]
-        kept = nms(dets, 0.4)
+        kept = nms(columns(dets), 0.4)
         for i, a in enumerate(kept):
             for b in kept[i + 1 :]:
                 if dets[a].class_id == dets[b].class_id:
@@ -238,9 +246,9 @@ class TestNms:
     def test_invalid_threshold(self):
         d = Detection(OrientedBox(Point3(0, 0, 0), (1, 1, 1)), 0.5, 0)
         with pytest.raises(ValueError):
-            nms([d], 0.0)
+            nms(columns([d]), 0.0)
         with pytest.raises(ValueError):
-            nms([d], 1.0)
+            nms(columns([d]), 1.0)
 
     def test_detection_score_validated(self):
         with pytest.raises(ValueError):
