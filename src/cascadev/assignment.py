@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_types
 from .geometry import OrientedBox, Point3, contains_points, matched_faces, points_as_array
 
 # Not called here; perfbench/bench_trace.py patches this name on this module.
@@ -31,10 +32,9 @@ class CpaSchedule:
     num_stages: int = 3
 
     def __post_init__(self) -> None:
+        check_types(self)
         if not (0.0 < self.mu_min <= self.mu_max):
             raise ValueError(f"need 0 < mu_min <= mu_max, got ({self.mu_min}, {self.mu_max})")
-        if type(self.num_stages) is not int:
-            raise ValueError(f"num_stages must be an integer, got {self.num_stages!r}")
         if self.num_stages < 1:
             raise ValueError(f"need at least one stage, got {self.num_stages}")
 

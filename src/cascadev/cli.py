@@ -18,10 +18,11 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 from .assignment import CpaSchedule
 from .cascade import ensemble_stages, run_cascade
+from .config import check_types, from_doc
 from .errors import ConfigError, DataError, NumericalError
 from .evaluation import (
     AP_MODES,
@@ -39,8 +40,6 @@ from .formats import (
     model_from_doc,
     model_to_doc,
     read_json,
-    scene_config_doc,
-    scene_config_from_doc,
     scene_from_doc,
     scene_to_doc,
     stats_csv,
@@ -66,21 +65,6 @@ from .synth import (
 from .voting import WEIGHTINGS
 
 PREDICTORS = ("oracle", "head")
-
-
-def _checked_kwargs(cls, doc: dict, what: str) -> dict:
-    known = {f.name for f in fields(cls)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    return dict(doc)
-
-
-def _build(cls, doc: dict, what: str):
-    try:
-        return cls(**_checked_kwargs(cls, doc, what))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
 @dataclass
@@ -109,80 +93,43 @@ class RunConfig:
     loss_weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self) -> None:
-        for name in ("num_scenes", "b", "seed", "steps", "hidden", "denoising_k", "batch_scenes"):
-            v = getattr(self, name)
-            if type(v) is not int:
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
-        if self.num_scenes < 1:
-            raise ConfigError(f"need num_scenes >= 1, got {self.num_scenes}")
-        if self.b < 1:
-            raise ConfigError(f"need b >= 1, got {self.b}")
+        check_types(self)
+        for name in ("num_scenes", "b", "steps", "hidden", "denoising_k", "batch_scenes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"need {name} >= 1, got {getattr(self, name)}")
         if not (0 <= self.seed < 2**64):
-            raise ConfigError(f"seed must be a u64, got {self.seed}")
-        if self.predictor not in PREDICTORS:
-            raise ConfigError(f"unknown predictor {self.predictor!r}, expected {PREDICTORS}")
-        if self.weighting not in WEIGHTINGS:
-            raise ConfigError(f"unknown weighting {self.weighting!r}, expected {WEIGHTINGS}")
-        if self.iou not in IOU_VARIANTS:
-            raise ConfigError(f"unknown iou variant {self.iou!r}, expected {IOU_VARIANTS}")
-        if self.ap not in AP_MODES:
-            raise ConfigError(f"unknown ap mode {self.ap!r}, expected {AP_MODES}")
+            raise ValueError(f"seed must be a u64, got {self.seed}")
+        for name, allowed in (("predictor", PREDICTORS), ("weighting", WEIGHTINGS),
+                              ("iou", IOU_VARIANTS), ("ap", AP_MODES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}, expected {allowed}")
         if not self.iou_thresholds:
-            raise ConfigError("need at least one IoU threshold")
+            raise ValueError("need at least one IoU threshold")
         for t in self.iou_thresholds:
             if not (0.0 < t < 1.0):
-                raise ConfigError(f"IoU threshold outside (0, 1): {t}")
+                raise ValueError(f"IoU threshold outside (0, 1): {t}")
         if not (0.0 < self.nms_iou < 1.0):
-            raise ConfigError(f"nms_iou outside (0, 1): {self.nms_iou}")
+            raise ValueError(f"nms_iou outside (0, 1): {self.nms_iou}")
         if self.ensemble is None:
             self.ensemble = (1, self.schedule.num_stages)
         i, j = self.ensemble
-        if not (type(i) is int and type(j) is int and 1 <= i <= j <= self.schedule.num_stages):
-            raise ConfigError(
+        if not (1 <= i <= j <= self.schedule.num_stages):
+            raise ValueError(
                 f"invalid ensemble range {self.ensemble} for {self.schedule.num_stages} stages"
             )
-        if self.steps < 1 or self.lr <= 0.0:
-            raise ConfigError(f"need steps >= 1 and lr > 0, got {self.steps}, {self.lr}")
-        if self.hidden < 1 or self.denoising_k < 1 or self.batch_scenes < 1:
-            raise ConfigError("hidden, denoising_k, and batch_scenes must be >= 1")
+        if self.lr <= 0.0:
+            raise ValueError(f"need lr > 0, got {self.lr}")
 
     def resolved_doc(self) -> dict:
         """The full effective config as plain JSON-ready data."""
-        doc = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "scene":
-                v = scene_config_doc(v)
-            elif f.name in ("schedule", "noise", "loss_weights"):
-                v = {g.name: getattr(v, g.name) for g in fields(v)}
-            elif isinstance(v, tuple):
-                v = list(v)
-            doc[f.name] = v
-        return doc
+        return asdict(self)
 
 
 def run_config_from_doc(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("run config must be a JSON object")
-    kwargs = _checked_kwargs(RunConfig, doc, "run config")
-    if "scene" in kwargs:
-        try:
-            kwargs["scene"] = scene_config_from_doc(kwargs["scene"])
-        except (DataError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid scene config: {exc}") from exc
-    if "schedule" in kwargs:
-        kwargs["schedule"] = _build(CpaSchedule, kwargs["schedule"], "schedule config")
-    if "noise" in kwargs:
-        kwargs["noise"] = _build(OracleNoise, kwargs["noise"], "noise config")
-    if "loss_weights" in kwargs:
-        kwargs["loss_weights"] = _build(LossWeights, kwargs["loss_weights"], "loss weight config")
     try:
-        for key in ("iou_thresholds", "ensemble"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid run config: {exc}") from exc
+        return from_doc(RunConfig, doc, "run config")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _max_workers() -> int:
@@ -198,10 +145,10 @@ def _max_workers() -> int:
     return n
 
 
-def _read(path: str, kind: str, from_doc):
-    """The {kind} artifact at path, decoded by from_doc; a DataError names the file."""
+def _read(path: str, kind: str, decode):
+    """The {kind} artifact at path, decoded by decode; a DataError names the file."""
     try:
-        return from_doc(read_json(path, kind))
+        return decode(read_json(path, kind))
     except DataError as exc:
         if path not in str(exc):
             exc.args = (f"{exc} (in {path})",)
@@ -217,8 +164,8 @@ def _load(dirpath: str, kind: str) -> list:
     )
     if not names:
         raise DataError(f"no {kind}_*.json files in {dirpath!r}")
-    from_doc = scene_from_doc if kind == "scene" else trace_from_doc
-    return [(n, _read(os.path.join(dirpath, n), kind, from_doc)) for n in names]
+    decode = scene_from_doc if kind == "scene" else trace_from_doc
+    return [(n, _read(os.path.join(dirpath, n), kind, decode)) for n in names]
 
 
 def cmd_gen(cfg: RunConfig, out: str) -> None:
@@ -378,7 +325,7 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON run config file")
     sp.add_argument("--seed", type=int, help="base seed (u64)")
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--stages", type=int, help="number of cascade stages")
+    sp.add_argument("--stages", type=int, dest="num_stages", help="number of cascade stages")
     sp.add_argument("--mu-max", type=float, dest="mu_max", help="first-stage assignment scale")
     sp.add_argument("--mu-min", type=float, dest="mu_min", help="last-stage assignment scale")
     sp.add_argument("--weighting", choices=list(WEIGHTINGS), help="voting weight variant")
@@ -405,6 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    """The config file's document with the flags merged in, built once."""
     doc: dict = {}
     if args.config is not None:
         try:
@@ -414,28 +362,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in config {args.config!r}: {exc}") from exc
-    cfg = run_config_from_doc(doc)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    sched = cfg.schedule
-    if args.stages is not None or args.mu_max is not None or args.mu_min is not None:
-        try:
-            cfg.schedule = CpaSchedule(
-                mu_max=args.mu_max if args.mu_max is not None else sched.mu_max,
-                mu_min=args.mu_min if args.mu_min is not None else sched.mu_min,
-                num_stages=args.stages if args.stages is not None else sched.num_stages,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid schedule: {exc}") from exc
-        if "ensemble" not in (doc or {}):
-            cfg.ensemble = (1, cfg.schedule.num_stages)
-    if args.weighting is not None:
-        cfg.weighting = args.weighting
-    if args.iou is not None:
-        cfg.iou = args.iou
-    if args.ap is not None:
-        cfg.ap = args.ap
-    return RunConfig(**{f.name: getattr(cfg, f.name) for f in fields(RunConfig)})
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    if isinstance(doc, dict):
+        doc = {**doc, **{k: flags[k] for k in ("seed", "weighting", "iou", "ap") if k in flags}}
+        schedule = {k: flags[k] for k in ("num_stages", "mu_max", "mu_min") if k in flags}
+        if schedule and isinstance(doc.get("schedule", {}), dict):
+            doc["schedule"] = {**doc.get("schedule", {}), **schedule}
+    return run_config_from_doc(doc)
 
 
 def main(argv: list[str] | None = None) -> int:

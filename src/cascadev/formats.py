@@ -23,6 +23,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .cascade import Predictions, Proposals, StageRecord, StageTrace, stage_record
+from .config import from_doc
 from .errors import DataError, InvalidDeltasError, PredictorOutputError, SchemaVersionError
 from .evaluation import ApResult, CascadeStats, ThresholdResult
 from .geometry import OrientedBox, Point3
@@ -131,29 +132,16 @@ def _rows(values: list, width: int | None = None) -> np.ndarray:
     return a
 
 
+def _int(v, name: str, lo: int, hi: float = float("inf")) -> int:
+    """v itself; ValueError unless it is an int in [lo, hi)."""
+    if not (type(v) is int and lo <= v < hi):
+        raise ValueError(f"{name} {v!r} is not an int in [{lo}, {hi})")
+    return v
+
+
 def _ints(values: list, name: str, lo: int, hi: float = float("inf")) -> np.ndarray:
     """values as an int64 column; ValueError unless each is an int in [lo, hi)."""
-    for v in values:
-        if not (type(v) is int and lo <= v < hi):
-            raise ValueError(f"{name} {v!r} is not an int in [{lo}, {hi})")
-    return np.array(values, dtype=np.int64)
-
-
-def scene_config_doc(cfg: SceneConfig) -> dict:
-    return asdict(cfg)
-
-
-def scene_config_from_doc(doc: dict) -> SceneConfig:
-    known = set(SceneConfig.__dataclass_fields__)
-    unknown = set(doc) - known
-    if unknown:
-        raise DataError(f"unknown scene config keys: {sorted(unknown)}")
-    kwargs = dict(doc)
-    for key in ("num_gt", "size_range", "workspace"):
-        if key in kwargs:
-            v = kwargs[key]
-            kwargs[key] = tuple(tuple(x) if isinstance(x, list) else x for x in v)
-    return SceneConfig(**kwargs)
+    return np.array([_int(v, name, lo, hi) for v in values], dtype=np.int64)
 
 
 def scene_to_doc(scene: SyntheticScene) -> dict:
@@ -161,7 +149,7 @@ def scene_to_doc(scene: SyntheticScene) -> dict:
     doc.update(
         seed=scene.seed,
         rng=RNG_FAMILY,
-        config=scene_config_doc(scene.config),
+        config=asdict(scene.config),
         gt_boxes=[_box_doc(b) for b in scene.gt_boxes],
         points=scene.points.tolist(),
         features=scene.features.tolist(),
@@ -173,25 +161,24 @@ def scene_to_doc(scene: SyntheticScene) -> dict:
 def scene_from_doc(doc: dict) -> SyntheticScene:
     check_schema(doc, "scene")
     try:
+        config = from_doc(SceneConfig, doc["config"], "scene config")
         gt_boxes = [_box_from(b) for b in doc["gt_boxes"]]
+        for b in gt_boxes:
+            if b.class_id is not None:
+                _int(b.class_id, "ground-truth class_id", 0, config.num_classes)
         scene = SyntheticScene(
             gt_boxes=gt_boxes,
             points=_rows(doc["points"], 3),
             features=_rows(doc["features"]),
             point_gt_labels=_ints(doc["point_gt_labels"], "point_gt_label", -1, len(gt_boxes)),
-            seed=doc["seed"],
-            config=scene_config_from_doc(doc["config"]),
+            seed=_int(doc["seed"], "seed", 0, 2**64),
+            config=config,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed scene document: {exc}") from exc
     lengths = (len(scene.points), len(scene.features), len(scene.point_gt_labels))
     if len(set(lengths)) > 1:
         raise DataError(f"scene points, features and point_gt_labels differ in length: {lengths}")
-    num_classes = scene.config.num_classes
-    for b in scene.gt_boxes:
-        c = b.class_id
-        if c is not None and not (type(c) is int and 0 <= c < num_classes):
-            raise DataError(f"ground-truth class_id {c!r} is not an int in [0, {num_classes})")
     return scene
 
 
@@ -257,7 +244,7 @@ def trace_from_doc(doc: dict) -> StageTrace:
     try:
         gts = None if doc["gts"] is None else [_box_from(b) for b in doc["gts"]]
         return StageTrace(stages=[_stage_from(rec, gts) for rec in doc["stages"]], gts=gts)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed trace document: {exc}") from exc
     except (PredictorOutputError, InvalidDeltasError) as exc:
         raise DataError(f"trace predictions break the predictor contract: {exc}") from exc
@@ -272,13 +259,18 @@ def _branch_doc(bp: BranchParams) -> dict:
     }
 
 
-def _branch_from(doc: dict) -> BranchParams:
-    return BranchParams(
-        w1=np.asarray(doc["w1"], dtype=np.float64),
-        b1=np.asarray(doc["b1"], dtype=np.float64),
-        w2=np.asarray(doc["w2"], dtype=np.float64),
-        b2=np.asarray(doc["b2"], dtype=np.float64),
-    )
+def _branch_from(doc: dict, rows: int, hidden: int, out: int) -> BranchParams:
+    """The branch read from doc; ValueError unless its arrays are finite and shaped."""
+    shapes = {"w1": (rows, hidden), "b1": (hidden,), "w2": (hidden, out), "b2": (out,)}
+    arrays = {}
+    for name, shape in shapes.items():
+        a = np.asarray(doc[name], dtype=np.float64)
+        if a.shape != shape:
+            raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} holds non-finite values")
+        arrays[name] = a
+    return BranchParams(**arrays)
 
 
 def model_to_doc(params: HeadParams) -> dict:
@@ -299,27 +291,19 @@ def model_to_doc(params: HeadParams) -> dict:
 def model_from_doc(doc: dict) -> HeadParams:
     check_schema(doc, "model")
     try:
+        f, c, h, num_stages = (
+            _int(doc[k], k, 1) for k in ("feature_dim", "num_classes", "hidden", "num_stages")
+        )
+        outputs = {"cls": c + 1, "reg": 7, "cent": 1}
         stages = [
-            StageParams(
-                cls=_branch_from(sp["cls"]),
-                reg=_branch_from(sp["reg"]),
-                cent=_branch_from(sp["cent"]),
-            )
+            StageParams(**{name: _branch_from(sp[name], f, h, out) for name, out in outputs.items()})
             for sp in doc["stages"]
         ]
-        params = HeadParams(
-            stages=stages,
-            feature_dim=doc["feature_dim"],
-            num_classes=doc["num_classes"],
-            hidden=doc["hidden"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed model document: {exc}") from exc
-    if doc["num_stages"] != params.num_stages:
-        raise DataError(
-            f"model declares {doc['num_stages']} stages but carries {params.num_stages}"
-        )
-    return params
+    if num_stages != len(stages):
+        raise DataError(f"model declares {num_stages} stages but carries {len(stages)}")
+    return HeadParams(stages=stages, feature_dim=f, num_classes=c, hidden=h)
 
 
 def ap_to_doc(result: ApResult) -> dict:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .assignment import Assignment, CpaSchedule, cpa_threshold
 from .cascade import Predictions, Proposals, hand_off, stage_assignment
+from .config import check_types
 from .errors import InvalidDeltasError, TrainingDivergedError
 from .geometry import decode_boxes
 from .synth import SyntheticScene, scene_proposals
@@ -186,10 +187,10 @@ class LossWeights:
     focal_gamma: float = 0.0
 
     def __post_init__(self) -> None:
+        check_types(self)
         for f in fields(self):
-            v = getattr(self, f.name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{f.name} must be a finite number >= 0, got {v!r}")
+            if getattr(self, f.name) < 0.0:
+                raise ValueError(f"{f.name} must be >= 0, got {getattr(self, f.name)!r}")
 
 
 def _smooth_l1(x: np.ndarray) -> np.ndarray:

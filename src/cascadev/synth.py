@@ -25,6 +25,7 @@ import numpy as np
 
 from .assignment import select_denoising, select_top_b
 from .cascade import Predictions, Proposals
+from .config import check_types
 from .errors import PlacementError
 from .geometry import (
     OrientedBox,
@@ -66,13 +67,9 @@ class SceneConfig:
     feature_dim: int = 16
 
     def __post_init__(self) -> None:
-        for name in ("points_per_box", "num_clutter", "num_classes", "feature_dim"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if type(self.yaw_enabled) is not bool:
-            raise ValueError(f"yaw_enabled must be true or false, got {self.yaw_enabled!r}")
+        check_types(self)
         lo, hi = self.num_gt
-        if not (type(lo) is int and type(hi) is int and 1 <= lo <= hi):
+        if not (1 <= lo <= hi):
             raise ValueError(f"invalid num_gt range {self.num_gt}")
         if len(self.size_range) != 3 or len(self.workspace) != 3:
             raise ValueError("size_range and workspace need one (lo, hi) pair per axis")
@@ -125,6 +122,7 @@ class OracleNoise:
     centerness_bias: float = 0.0
 
     def __post_init__(self) -> None:
+        check_types(self)
         if self.sigma_delta < 0.0 or self.sigma_heading < 0.0 or self.centerness_bias < 0.0:
             raise ValueError("noise magnitudes must be >= 0")
         if not (0.0 <= self.p_class_flip < 1.0):

@@ -9,7 +9,8 @@ from cascadev.assignment import CpaSchedule
 from cascadev.cascade import ensemble_stages, run_cascade
 from cascadev.cli import main
 from cascadev.evaluation import cascade_stats, evaluate_scenes
-from cascadev.formats import ap_to_doc, canonical_dumps, stats_csv
+from cascadev.formats import ap_to_doc, canonical_dumps, model_to_doc, stats_csv, write_json
+from cascadev.learner import init_head_params
 from cascadev.synth import (
     OracleNoise,
     SceneConfig,
@@ -144,6 +145,24 @@ class TestPipeline:
         doc = json.loads((traces / "trace_0000.json").read_text())
         assert doc["stages"][-1]["mu"] == pytest.approx(0.15, abs=1e-12)
 
+    @pytest.mark.parametrize("config, flags, key, resolved", [
+        ({}, ["--stages", "4"], "ensemble", [1, 4]),
+        ({"ensemble": [1, 2]}, ["--stages", "4"], "ensemble", [1, 2]),
+        ({"schedule": {"num_stages": 2}}, ["--mu-max", "0.5"], "schedule",
+         {"mu_max": 0.5, "mu_min": 0.2, "num_stages": 2}),
+        ({"schedule": {"mu_min": 0.1}}, ["--stages", "5", "--mu-min", "0.15"], "schedule",
+         {"mu_max": 0.4, "mu_min": 0.15, "num_stages": 5}),
+        ({"seed": 4, "weighting": "literal"}, ["--seed", "9"], "seed", 9),
+    ])
+    def test_flags_merge_into_config(self, tmp_path, config, flags, key, resolved):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL, "num_scenes": 1, **config}))
+        scenes = tmp_path / "scenes"
+        assert main(["gen", "--config", str(cfg), "--out", str(scenes)] + flags) == 0
+        manifest = json.loads((scenes / "manifest.json").read_text())
+        assert manifest["config"][key] == resolved
+        assert manifest["config"]["weighting"] == config.get("weighting", "exp_neg_dist")
+
     def test_variant_flags_accepted(self, tmp_path, cfg_path):
         scenes = tmp_path / "scenes"
         main(["gen", "--config", cfg_path, "--out", str(scenes)])
@@ -236,6 +255,23 @@ class TestExitCodes:
         ("gen", {"scene": {"points_per_box": True}}),
         ("run", {"schedule": {"num_stages": 2.0}}),
         ("train", {"schedule": {"num_stages": True}}),
+        ("gen", {"noise": {"sigma_delta": True}}),
+        ("run", {"schedule": {"mu_max": True, "mu_min": 0.2}}),
+        ("gen", {"scene": {"sigma_feature": True}}),
+        ("train", {"loss_weights": {"cls": True}}),
+        ("run", {"noise": {"sigma_delta": float("nan")}}),
+        ("run", {"noise": {"sigma_delta": float("inf")}}),
+        ("gen", {"scene": {"sigma_feature": float("nan")}}),
+        ("gen", {"scene": {"sigma_feature": float("inf")}}),
+        ("run", {"schedule": {"mu_max": float("nan")}}),
+        ("eval", {"schedule": {"mu_max": float("inf")}}),
+        ("train", {"loss_weights": {"cls": float("nan")}}),
+        ("train", {"loss_weights": {"cls": float("inf")}}),
+        ("gen", {"scene": {"workspace": [[-4, float("inf")], [-4, 4], [0, 2.6]]}}),
+        ("gen", {"scene": {"size_range": [[0.5, float("inf")], [0.5, 1], [0.5, 1]]}}),
+        ("run", {"noise": "x"}),
+        ("run", {"schedule": None}),
+        ("gen", {"scene": {"num_gt": [1, 2, 3]}}),
     ])
     def test_malformed_section_is_config_error(self, tmp_path, command, section, capsys):
         # run, eval and train read no files before the config passes, so the
@@ -246,6 +282,26 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(argv + ["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error: invalid ")
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("train", "lr", True, "lr must be a finite number"),
+        ("train", "lr", float("nan"), "lr must be a finite number"),
+        ("train", "lr", float("inf"), "lr must be a finite number"),
+        ("train", "lr", 10**400, "lr must be a finite number"),
+        ("run", "nms_iou", float("nan"), "nms_iou must be a finite number"),
+        ("run", "model", 5, "model must be a string or null"),
+        ("run", "model", ["m"], "model must be a string or null"),
+        ("eval", "iou_thresholds", [0.5, float("nan")], "invalid iou_thresholds"),
+        ("gen", "predictor", True, "predictor must be a string, got True"),
+    ])
+    def test_bad_top_level_value_is_config_error(self, tmp_path, command, key, value, message,
+                                                 capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL, key: value}))
+        argv = [command] + ([str(tmp_path / "absent")] if command != "gen" else [])
+        capsys.readouterr()
+        assert main(argv + ["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
 
     @pytest.mark.parametrize("command, key, value", [
         ("gen", "num_scenes", 1.5),
@@ -270,6 +326,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, message", [
         ("features", "differ in length"),
         ("class_id", "class_id 9 is not an int in [0, 5)"),
+        ('seed="x"', "seed 'x' is not an int in [0, 18446744073709551616)"),
+        ("seed=1.5", "seed 1.5 is not an int"),
+        ("seed=true", "seed True is not an int"),
+        ("seed=-3", "seed -3 is not an int"),
+        ("seed=18446744073709551616", "seed 18446744073709551616 is not an int"),
     ])
     def test_inconsistent_scene_is_data_error(self, tmp_path, command, key, message, capsys):
         cfg = tmp_path / "cfg.json"
@@ -280,8 +341,10 @@ class TestExitCodes:
         doc = json.loads(path.read_text())
         if key == "features":
             doc["features"] = doc["features"][:10]
-        else:
+        elif key == "class_id":
             doc["gt_boxes"][0]["class_id"] = 9
+        else:
+            doc["seed"] = json.loads(key.split("=", 1)[1])
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main([command, str(scenes), "--config", str(cfg),
@@ -419,6 +482,48 @@ class TestExitCodes:
         main(["gen", "--config", str(wpath), "--out", str(wscenes)])
         assert main(["run", str(wscenes), "--config", str(wpath),
                      "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("edit, message", [
+        ("no_num_stages", "'num_stages'"),
+        ("feature_dim_str", "feature_dim '16' is not an int"),
+        ("hidden_bool", "hidden True is not an int"),
+        ("w1_row_short", "w1 has shape (15, 4), expected (16, 4)"),
+        ("b1_short", "b1 has shape (3,), expected (4,)"),
+        ("w2_wrong_out", "w2 has shape (4, 6), expected (4, 7)"),
+        ("b2_nan", "b2 holds non-finite values"),
+        ("ragged_w1", "inhomogeneous"),
+    ])
+    def test_malformed_model_is_data_error(self, tmp_path, cfg_path, edit, message, capsys):
+        scenes = tmp_path / "scenes"
+        main(["gen", "--config", cfg_path, "--out", str(scenes)])
+        doc = model_to_doc(init_head_params(16, 5, 3, hidden=4, seed=0))
+        reg = doc["stages"][1]["reg"]
+        if edit == "no_num_stages":
+            del doc["num_stages"]
+        elif edit == "feature_dim_str":
+            doc["feature_dim"] = "16"
+        elif edit == "hidden_bool":
+            doc["hidden"] = True
+        elif edit == "w1_row_short":
+            reg["w1"] = reg["w1"][:-1]
+        elif edit == "b1_short":
+            reg["b1"] = reg["b1"][:-1]
+        elif edit == "w2_wrong_out":
+            reg["w2"] = [row[:-1] for row in reg["w2"]]
+        elif edit == "b2_nan":
+            reg["b2"][0] = float("nan")
+        else:
+            reg["w1"][3] = reg["w1"][3][:-1]
+        model = tmp_path / "model.json"
+        write_json(model, doc)
+        head = tmp_path / "head.json"
+        head.write_text(json.dumps(dict(SMALL, predictor="head", model=str(model))))
+        capsys.readouterr()
+        assert main(["run", str(scenes), "--config", str(head),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed model document: ") and message in err
+        assert err.count("model.json") == 1
 
     def _mixed_scenes(self, tmp_path, cfg_path):
         """Default-width scenes plus one scene_0003.json with feature_dim 20."""

@@ -1,0 +1,183 @@
+import json
+import math
+from dataclasses import dataclass, field
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cascadev.assignment import CpaSchedule
+from cascadev.cli import PREDICTORS, RunConfig, run_config_from_doc
+from cascadev.config import check_types, from_doc
+from cascadev.errors import ConfigError
+from cascadev.evaluation import AP_MODES, IOU_VARIANTS
+from cascadev.learner import LossWeights
+from cascadev.synth import OracleNoise, SceneConfig
+from cascadev.voting import WEIGHTINGS
+
+NAN, INF = math.nan, math.inf
+
+
+@dataclass
+class Inner:
+    x: float = 0.0
+
+    def __post_init__(self) -> None:
+        check_types(self)
+
+
+@dataclass
+class Outer:
+    n: int = 1
+    flag: bool = False
+    name: str | None = None
+    pair: tuple[int, int] = (1, 2)
+    pairs: tuple[tuple[float, float], ...] = ()
+    inner: Inner = field(default_factory=Inner)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n", 1.0), ("n", True), ("n", "1"), ("n", None),
+    ("flag", 1), ("flag", "true"),
+    ("name", 3), ("name", ("a",)),
+    ("pair", [1, 2]), ("pair", (1,)), ("pair", (1, 2, 3)), ("pair", (1, 2.0)), ("pair", None),
+    ("pairs", ((0.0, INF),)), ("pairs", ((0.0, NAN),)), ("pairs", ((0.0, True),)),
+    ("pairs", ((0.0,),)), ("pairs", 5),
+    ("inner", {"x": 1.0}),
+])
+def test_check_types_rejects_what_the_annotation_excludes(name, value):
+    obj = Outer(**{name: value})
+    with pytest.raises(ValueError, match=name):
+        check_types(obj)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n", -3), ("n", 2**70), ("flag", True), ("name", None), ("name", ""),
+    ("pairs", ((0, 1), (-1.5, 10**300))), ("pairs", ()), ("inner", Inner(x=2)),
+])
+def test_check_types_accepts_what_the_annotation_declares(name, value):
+    check_types(Outer(**{name: value}))
+
+
+@pytest.mark.parametrize("x", [True, NAN, INF, -INF, 10**400, "1.0", None])
+def test_float_must_be_finite_number(x):
+    with pytest.raises(ValueError, match=r"^x must be a finite number, got "):
+        check_types(Inner(x=x))
+
+
+def test_messages_name_the_expected_type():
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 1\.5$"):
+        check_types(Outer(n=1.5))
+    with pytest.raises(ValueError, match=r"^name must be a string or null, got 5$"):
+        check_types(Outer(name=5))
+    with pytest.raises(ValueError, match=r"^invalid pair \(1, 2\.0\), expected \[an integer, "
+                                         r"an integer\]$"):
+        check_types(Outer(pair=(1, 2.0)))
+
+
+def test_from_doc_reads_arrays_as_tuples_and_sections_as_configs():
+    got = from_doc(Outer, {"pair": [3, 4], "pairs": [[0, 1.5]], "inner": {"x": 2}}, "outer")
+    assert got == Outer(pair=(3, 4), pairs=((0, 1.5),), inner=Inner(x=2))
+    assert type(got.inner.x) is int  # JSON ints stay ints
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1], r"^outer must be a JSON object, got \[1\]$"),
+    ({"bogus": 1, "n": 2}, r"^unknown outer keys: \['bogus'\]$"),
+    ({"inner": "x"}, r"^invalid inner config: inner must be a JSON object, got 'x'$"),
+    ({"inner": {"y": 1}}, r"^invalid inner config: unknown inner keys: \['y'\]$"),
+    ({"inner": {"x": True}}, r"^invalid inner config: x must be a finite number, got True$"),
+])
+def test_from_doc_errors(doc, message):
+    with pytest.raises(ValueError, match=message):
+        from_doc(Outer, doc, "outer")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SceneConfig(sigma_feature=NAN),
+    lambda: SceneConfig(sigma_feature=True),
+    lambda: SceneConfig(workspace=((-4.0, INF), (-4.0, 4.0), (0.0, 2.6))),
+    lambda: SceneConfig(size_range=((0.5, 1.0), (0.5, 1.0))),
+    lambda: SceneConfig(num_gt=[2, 3]),
+    lambda: SceneConfig(yaw_enabled=1),
+    lambda: CpaSchedule(mu_max=INF),
+    lambda: CpaSchedule(mu_max=True, mu_min=0.2),
+    lambda: CpaSchedule(mu_min="0.1"),
+    lambda: OracleNoise(sigma_delta="0"),
+    lambda: OracleNoise(sigma_delta=True),
+    lambda: OracleNoise(p_class_flip=NAN),
+    lambda: LossWeights(cls=NAN),
+    lambda: LossWeights(reg=-1.0),
+    lambda: RunConfig(lr=True),
+    lambda: RunConfig(model=5),
+    lambda: RunConfig(seed=-1),
+    lambda: RunConfig(ensemble=(1, 4)),
+    lambda: RunConfig(scene={"num_gt": (2, 2)}),
+])
+def test_constructors_raise_value_error(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_run_config_document_errors_are_config_errors():
+    with pytest.raises(ConfigError, match=r"^b must be an integer, got 2\.5$"):
+        run_config_from_doc({"b": 2.5})
+    with pytest.raises(ConfigError, match=r"^invalid schedule config: need 0 < mu_min"):
+        run_config_from_doc({"schedule": {"mu_min": 0.5}})
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def run_configs(draw):
+    lo = draw(_finite(1e-6, 1.0))
+    stages = draw(st.integers(1, 6))
+    schedule = CpaSchedule(mu_max=lo + draw(_finite(0.0, 1.0)), mu_min=lo, num_stages=stages)
+    first = draw(st.integers(1, stages))
+    extents = st.tuples(_finite(-10.0, 0.0), _finite(0.5, 10.0))
+    sizes = st.tuples(_finite(0.1, 1.0), _finite(1.0, 2.0))
+    classes = draw(st.integers(1, 6))
+    scene = SceneConfig(
+        num_gt=draw(st.tuples(st.integers(1, 3), st.integers(3, 5))),
+        size_range=draw(st.tuples(sizes, sizes, sizes)),
+        yaw_enabled=draw(st.booleans()),
+        points_per_box=draw(st.integers(1, 500)),
+        num_clutter=draw(st.integers(0, 500)),
+        workspace=draw(st.tuples(extents, extents, extents)),
+        num_classes=classes,
+        sigma_feature=draw(_finite(0.0, 1.0)),
+        feature_dim=3 + classes + draw(st.integers(0, 8)),
+    )
+    return RunConfig(
+        num_scenes=draw(st.integers(1, 10**6)),
+        b=draw(st.integers(1, 10**4)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        predictor=draw(st.sampled_from(PREDICTORS)),
+        model=draw(st.none() | st.text(max_size=20)),
+        scene=scene,
+        schedule=schedule,
+        noise=OracleNoise(draw(_finite(0.0, 1.0)), draw(_finite(0.0, 1.0)),
+                          draw(_finite(0.0, 0.99)), draw(_finite(0.0, 1.0))),
+        iou_thresholds=tuple(draw(st.lists(_finite(0.01, 0.99), min_size=1, max_size=4))),
+        weighting=draw(st.sampled_from(WEIGHTINGS)),
+        iou=draw(st.sampled_from(IOU_VARIANTS)),
+        ap=draw(st.sampled_from(AP_MODES)),
+        ensemble=draw(st.none() | st.just((first, draw(st.integers(first, stages))))),
+        nms_iou=draw(_finite(0.01, 0.99)),
+        steps=draw(st.integers(1, 10**5)),
+        lr=draw(_finite(1e-9, 10.0) | st.integers(1, 5)),
+        hidden=draw(st.integers(1, 64)),
+        denoising_k=draw(st.integers(1, 8)),
+        batch_scenes=draw(st.integers(1, 8)),
+        loss_weights=LossWeights(*(draw(_finite(0.0, 5.0)) for _ in range(4))),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_configs())
+def test_resolved_doc_round_trips_through_json(cfg):
+    again = run_config_from_doc(json.loads(json.dumps(cfg.resolved_doc())))
+    assert again == cfg
+    assert json.dumps(again.resolved_doc()) == json.dumps(cfg.resolved_doc())

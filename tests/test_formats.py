@@ -168,6 +168,12 @@ class TestSceneDocs:
         assert loaded.seed == scene.seed
         assert loaded.config == scene.config
 
+    def test_number_beyond_float_range_rejected(self):
+        doc = scene_to_doc(gen_scene(CFG, seed=3))
+        doc["points"][2][0] = 10**400
+        with pytest.raises(DataError, match="too large"):
+            scene_from_doc(doc)
+
     def test_arrays_of_other_lengths_rejected(self):
         doc = scene_to_doc(gen_scene(CFG, seed=3))
         for key in ("points", "features", "point_gt_labels"):
@@ -204,6 +210,26 @@ class TestSceneDocs:
         doc = scene_to_doc(gen_scene(CFG, seed=1))
         doc["config"]["mystery"] = 1
         with pytest.raises(DataError):
+            scene_from_doc(doc)
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, True, -3, 2**64, None])
+    def test_seed_outside_u64_rejected(self, seed):
+        doc = scene_to_doc(gen_scene(CFG, seed=1))
+        doc["seed"] = seed
+        u64 = r"seed .* is not an int in \[0, 18446744073709551616\)"
+        with pytest.raises(DataError, match=u64):
+            scene_from_doc(doc)
+        doc["seed"] = 2**64 - 1
+        assert scene_from_doc(doc).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("edit", [
+        {"sigma_feature": float("nan")}, {"sigma_feature": True}, {"num_gt": [1, 2, 3]},
+        {"workspace": [[0, float("inf")], [0, 1], [0, 1]]}, {"workspace": [[0, 10**400]] * 3},
+    ])
+    def test_config_field_outside_its_type_rejected(self, edit):
+        doc = scene_to_doc(gen_scene(CFG, seed=1))
+        doc["config"].update(edit)
+        with pytest.raises(DataError, match="malformed scene document: invalid |must be"):
             scene_from_doc(doc)
 
 
@@ -298,7 +324,10 @@ class TestTraceDocs:
         def ragged_features(rec):
             rec["proposals_in"][2]["feature"].pop()
 
-        for edit in (nan_point, ragged_features):
+        def huge_point(rec):
+            rec["proposals_in"][3]["point"][1] = 10**400
+
+        for edit in (nan_point, ragged_features, huge_point):
             with pytest.raises(DataError):
                 trace_from_doc(broken(edit))
         trace_from_doc(doc)
@@ -328,6 +357,29 @@ class TestModelDocs:
         b = head_predictor(loaded, 2)(prop)
         assert np.array_equal(a.class_probs, b.class_probs)
         assert np.array_equal(a.deltas, b.deltas) and np.array_equal(a.centerness, b.centerness)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("num_stages"), "num_stages"),
+        (lambda d: d.update(num_classes=2.0), "num_classes 2.0 is not an int"),
+        (lambda d: d.update(feature_dim=0), "feature_dim 0 is not an int in [1, inf)"),
+        (lambda d: d.update(stages=5), "not iterable"),
+        (lambda d: d["stages"][0].pop("cent"), "cent"),
+        (lambda d: d["stages"][1]["cls"]["w1"].pop(), "w1 has shape (5, 4), expected (6, 4)"),
+        (lambda d: d["stages"][0]["cls"]["b1"].append(0.0), "b1 has shape (5,), expected (4,)"),
+        (lambda d: d["stages"][0]["cls"]["b2"].pop(), "b2 has shape (2,), expected (3,)"),
+        (lambda d: d["stages"][0]["cent"].update(w2=[[1.0, 2.0]] * 4),
+         "w2 has shape (4, 2), expected (4, 1)"),
+        (lambda d: d["stages"][0]["reg"]["w2"][1].__setitem__(0, float("inf")),
+         "w2 holds non-finite values"),
+        (lambda d: d["stages"][0]["reg"].update(b1="abcd"), "could not convert"),
+        (lambda d: d["stages"][0]["reg"].update(b1=[10**400] * 4), "too large"),
+    ])
+    def test_malformed_model_rejected(self, edit, message):
+        doc = json.loads(json.dumps(model_to_doc(init_head_params(6, 2, 2, hidden=4, seed=0))))
+        edit(doc)
+        with pytest.raises(DataError, match="malformed model document") as info:
+            model_from_doc(doc)
+        assert message in str(info.value)
 
     def test_stage_count_mismatch_rejected(self):
         doc = model_to_doc(init_head_params(6, 2, 2, hidden=4, seed=0))
