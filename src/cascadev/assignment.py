@@ -33,8 +33,10 @@ class CpaSchedule:
 
     def __post_init__(self) -> None:
         check_types(self)
-        if not (0.0 < self.mu_min <= self.mu_max):
-            raise ValueError(f"need 0 < mu_min <= mu_max, got ({self.mu_min}, {self.mu_max})")
+        if not (0.0 < self.mu_min <= self.mu_max <= 1.0):
+            raise ValueError(
+                f"need 0 < mu_min <= mu_max <= 1, got ({self.mu_min}, {self.mu_max})"
+            )
         if self.num_stages < 1:
             raise ValueError(f"need at least one stage, got {self.num_stages}")
 

@@ -16,6 +16,7 @@ between a proposal's centerness and the IoU of the box it regressed.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -66,13 +67,16 @@ class ApResult:
 def _scene_iou(dets: list[Detection], gts: list[OrientedBox], variant: str):
     """IoU of detection i with ground-truth box gi, as a function of (i, gi).
 
-    The rotated variant builds every box's footprint once per scene.
+    Each pair is computed on its first request and remembered, so every
+    IoU threshold reuses it. Matching asks only for same-class pairs whose
+    ground truth is still unmatched, so computing all pairs up front would
+    cost more. The rotated variant builds every box's footprint once.
     """
     if variant == "rotated":
         det_fps = footprints(box_columns([d.box for d in dets]))
         gt_fps = footprints(box_columns(gts))
-        return lambda i, gi: footprint_iou(det_fps[i], gt_fps[gi])
-    return lambda i, gi: iou_aabb(dets[i].box, gts[gi])
+        return functools.cache(lambda i, gi: footprint_iou(det_fps[i], gt_fps[gi]))
+    return functools.cache(lambda i, gi: iou_aabb(dets[i].box, gts[gi]))
 
 
 def _check_gt_classes(gts: list[OrientedBox]) -> None:
@@ -180,8 +184,8 @@ def evaluate_scenes(
     for thr in iou_thresholds:
         if not (0.0 < thr < 1.0):
             raise ValueError(f"IoU threshold must lie in (0, 1), got {thr}")
-    # Scene by scene, so one scene's footprints serve every threshold and
-    # are dropped before the next scene's are built.
+    # Scene by scene, so one scene's footprints and IoUs serve every
+    # threshold and are dropped before the next scene's are built.
     pooled: list[list[tuple[int, float, bool, int, int]]] = [[] for _ in iou_thresholds]
     gt_counts: dict[int, int] = {}
     for si, (dets, gts) in enumerate(scene_results):

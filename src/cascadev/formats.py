@@ -2,10 +2,12 @@
 
 Every JSON document carries a `kind` tag and a `schema_version`;
 readers accept any minor revision of the supported major version and
-reject the rest. Dumps are canonical (sorted keys, fixed indentation,
-shortest-roundtrip floats), so rerunning a command with the same config
-and seeds reproduces files byte for byte. CSV numbers use repr for the
-same reason.
+reject the rest. Dumps are compact and canonical (sorted keys, no
+whitespace, shortest-roundtrip floats), so rerunning a command with the
+same config and seeds reproduces files byte for byte. Without an indent
+json.dumps runs the C encoder. Files written under 1.0 with a two-space
+indent parse to the same documents. CSV numbers use repr for the same
+reason.
 
 A trace stores each stage's inputs and predictions only. The reader
 rebuilds the moved points, the assignment and the detections with
@@ -30,7 +32,7 @@ from .geometry import OrientedBox, Point3
 from .learner import BranchParams, HeadParams, LossReport, StageParams
 from .synth import SceneConfig, SyntheticScene
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "1.1"
 RNG_FAMILY = "philox4x64"
 
 STATS_CSV_COLUMNS = (
@@ -44,7 +46,7 @@ STATS_CSV_COLUMNS = (
 
 
 def canonical_dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def config_hash(doc: dict) -> str:
@@ -218,8 +220,19 @@ def trace_to_doc(trace: StageTrace, scene_seed: int | None = None) -> dict:
     return doc
 
 
-def _stage_from(rec: dict, gts: list[OrientedBox] | None) -> StageRecord:
-    """The stage's record, rebuilt from its inputs and predictions by stage_record."""
+def _mu(v, gts: list[OrientedBox] | None) -> float | None:
+    """v itself; ValueError unless it is null without ground truth, or a number
+    in (0, 1] with it."""
+    if gts is None:
+        if v is not None:
+            raise ValueError(f"mu {v!r} in a trace without ground truth")
+    elif not (type(v) in (int, float) and 0.0 < v <= 1.0):
+        raise ValueError(f"mu {v!r} is not a number in (0, 1]")
+    return v
+
+
+def _stage_from(l: int, rec: dict, gts: list[OrientedBox] | None) -> StageRecord:
+    """Stage l's record, rebuilt from its inputs and predictions by stage_record."""
     props, preds = rec["proposals_in"], rec["predictions"]
     pins = [p["denoising_gt"] for p in props]
     _ints([g for g in pins if g is not None], "denoising_gt", 0)
@@ -236,14 +249,16 @@ def _stage_from(rec: dict, gts: list[OrientedBox] | None) -> StageRecord:
         deltas=_rows([pr["deltas"] for pr in preds], 7),
         centerness=np.array([pr["centerness"] for pr in preds], dtype=np.float64),
     )
-    return stage_record(rec["stage"], rec["mu"], proposals, predictions, gts)
+    return stage_record(_int(rec["stage"], "stage", l, l + 1), _mu(rec["mu"], gts),
+                        proposals, predictions, gts)
 
 
 def trace_from_doc(doc: dict) -> StageTrace:
     check_schema(doc, "trace")
     try:
         gts = None if doc["gts"] is None else [_box_from(b) for b in doc["gts"]]
-        return StageTrace(stages=[_stage_from(rec, gts) for rec in doc["stages"]], gts=gts)
+        stages = [_stage_from(l, rec, gts) for l, rec in enumerate(doc["stages"], start=1)]
+        return StageTrace(stages=stages, gts=gts)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed trace document: {exc}") from exc
     except (PredictorOutputError, InvalidDeltasError) as exc:

@@ -89,8 +89,10 @@ class OrientedBox:
 
     def __post_init__(self) -> None:
         w, l, h = self.size
-        if not (w > 0.0 and l > 0.0 and h > 0.0):
-            raise ValueError(f"box size must be positive, got {self.size}")
+        if not (0.0 < w < math.inf and 0.0 < l < math.inf and 0.0 < h < math.inf):
+            raise ValueError(f"box size must be positive and finite, got {self.size}")
+        if not math.isfinite(self.yaw):
+            raise ValueError(f"non-finite box yaw: {self.yaw}")
         object.__setattr__(self, "yaw", normalize_yaw(float(self.yaw)))
         if self.score is not None and not (0.0 <= self.score <= 1.0):
             raise ValueError(f"score outside [0, 1]: {self.score}")

@@ -64,6 +64,9 @@ class TestSchedule:
             CpaSchedule(0.4, 0.0, 3)
         with pytest.raises(ValueError):
             CpaSchedule(0.4, 0.2, 0)
+        with pytest.raises(ValueError, match="mu_max <= 1"):
+            CpaSchedule(1.5, 0.2, 3)
+        assert CpaSchedule(1.0, 0.2, 3).mu_max == 1.0
 
 
 def brute_force_assign(points, gts, mu):

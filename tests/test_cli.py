@@ -205,6 +205,22 @@ class TestDeterminism:
         main(["run", str(scenes), "--config", cfg_path, "--out", str(two)])
         assert _read_bytes_map(one) == _read_bytes_map(two)
 
+    def test_every_artifact_is_its_canonical_encoding(self, tmp_path, cfg_path):
+        scenes, traces, metrics, model = (tmp_path / d for d in ("s", "t", "e", "m"))
+        assert main(["gen", "--config", cfg_path, "--out", str(scenes)]) == 0
+        assert main(["run", str(scenes), "--config", cfg_path, "--out", str(traces)]) == 0
+        assert main(["eval", str(traces), "--config", cfg_path, "--out", str(metrics)]) == 0
+        assert main(["train", str(scenes), "--config", cfg_path, "--out", str(model)]) == 0
+        kinds = set()
+        for d in (scenes, traces, metrics, model):
+            for name, data in _read_bytes_map(d).items():
+                if name.endswith(".json"):
+                    doc = json.loads(data)
+                    assert canonical_dumps(doc).encode() == data, name
+                    assert doc["schema_version"] == "1.1"
+                    kinds.add(doc["kind"])
+        assert kinds == {"scene", "manifest", "trace", "detections", "ap", "model"}
+
 
 class TestExitCodes:
     def test_module_entry_point_runs_without_runtime_warning(self):
@@ -376,6 +392,43 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: trace predictions break the predictor contract")
+        assert err.count("trace_0002.json") == 1
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    @pytest.mark.parametrize("field, value", [("yaw", float("nan")), ("size", [1, 1e999, 1])])
+    def test_non_finite_ground_truth_is_data_error(self, tmp_path, cfg_path, command, field,
+                                                   value, capsys):
+        scenes, traces = tmp_path / "scenes", tmp_path / "traces"
+        main(["gen", "--config", cfg_path, "--out", str(scenes)])
+        main(["run", str(scenes), "--config", cfg_path, "--out", str(traces)])
+        path = scenes / "scene_0001.json" if command == "run" else traces / "trace_0001.json"
+        doc = json.loads(path.read_text())
+        doc["gt_boxes" if command == "run" else "gts"][0][field] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command, str(scenes if command == "run" else traces), "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed ") and "finite" in err
+        assert err.count(path.name) == 1
+
+    @pytest.mark.parametrize("stage, key, value", [
+        (0, "mu", float("nan")), (1, "stage", "x"), (1, "stage", 1.5), (1, "stage", 1),
+    ])
+    def test_bad_trace_stage_or_mu_is_data_error(self, tmp_path, cfg_path, stage, key, value,
+                                                  capsys):
+        scenes, traces = tmp_path / "scenes", tmp_path / "traces"
+        main(["gen", "--config", cfg_path, "--out", str(scenes)])
+        main(["run", str(scenes), "--config", cfg_path, "--out", str(traces)])
+        path = traces / "trace_0002.json"
+        doc = json.loads(path.read_text())
+        doc["stages"][stage][key] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", str(traces), "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: malformed trace document: {key} ")
         assert err.count("trace_0002.json") == 1
 
     def test_class_less_box_in_train_is_data_error(self, tmp_path, cfg_path, capsys):

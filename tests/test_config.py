@@ -134,7 +134,7 @@ def _finite(lo, hi):
 def run_configs(draw):
     lo = draw(_finite(1e-6, 1.0))
     stages = draw(st.integers(1, 6))
-    schedule = CpaSchedule(mu_max=lo + draw(_finite(0.0, 1.0)), mu_min=lo, num_stages=stages)
+    schedule = CpaSchedule(mu_max=draw(_finite(lo, 1.0)), mu_min=lo, num_stages=stages)
     first = draw(st.integers(1, stages))
     extents = st.tuples(_finite(-10.0, 0.0), _finite(0.5, 10.0))
     sizes = st.tuples(_finite(0.1, 1.0), _finite(1.0, 2.0))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cascadev import evaluation
 from cascadev.assignment import CpaSchedule
 from cascadev.cascade import run_cascade
 from cascadev.errors import DataError, WrongVariantError
@@ -100,6 +101,40 @@ class TestAveragePrecision:
                 for thr in (0.25, 0.4, 0.5, 0.7)
             ]
             assert all(a >= b - 1e-12 for a, b in zip(maps, maps[1:]))
+
+    def test_thresholds_share_each_pairs_iou(self, monkeypatch):
+        """Two thresholds compute each same-class (detection, ground truth)
+        IoU once: the calls are exactly the pairs either threshold asks for
+        alone, none repeated, and the results equal the one-threshold ones."""
+        s = gen_scene(CFG, 204)
+        noise = OracleNoise(sigma_delta=0.2)
+        props = scene_proposals(s, oracle_seed_centerness(s, noise, seed=4), 24)
+        trace = run_cascade(props, oracle_predictor(s, noise, seed=4), CpaSchedule(), s.gt_boxes)
+        dets = [d for rec in trace.stages for d in rec.detections.rows(rec.stage)]
+        key_class = {
+            (b.center.x, b.center.y, b.center.z, *b.size, b.yaw): b.class_id
+            for b in [d.box for d in dets] + s.gt_boxes
+        }
+        calls = []
+        kernel = evaluation.footprint_iou
+
+        def spy(a, b):
+            calls.append((a.key, b.key))
+            return kernel(a, b)
+
+        monkeypatch.setattr(evaluation, "footprint_iou", spy)
+        singles, asked, single_calls = [], set(), 0
+        for thr in (0.25, 0.5):
+            calls.clear()
+            singles.extend(evaluate_scenes([(dets, s.gt_boxes)], [thr]).results)
+            asked |= set(calls)
+            single_calls += len(calls)
+        calls.clear()
+        both = evaluate_scenes([(dets, s.gt_boxes)], [0.25, 0.5])
+        assert len(calls) == len(set(calls)) and set(calls) == asked
+        assert len(calls) < single_calls
+        assert all(key_class[d] == key_class[g] for d, g in calls)
+        assert both.results == singles
 
     def test_pooling_combines_scenes(self):
         # One scene detected perfectly, one missed entirely: pooled recall

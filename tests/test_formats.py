@@ -206,6 +206,15 @@ class TestSceneDocs:
         again = canonical_dumps(scene_to_doc(scene_from_doc(scene_to_doc(scene))))
         assert once == again
 
+    @pytest.mark.parametrize("field, value", [
+        ("yaw", float("nan")), ("yaw", float("inf")), ("size", [1.0, float("inf"), 1.0]),
+    ])
+    def test_non_finite_box_field_rejected(self, field, value):
+        doc = scene_to_doc(gen_scene(CFG, seed=3))
+        doc["gt_boxes"][0][field] = value
+        with pytest.raises(DataError, match="malformed scene document: .*finite"):
+            scene_from_doc(doc)
+
     def test_unknown_config_key_rejected(self):
         doc = scene_to_doc(gen_scene(CFG, seed=1))
         doc["config"]["mystery"] = 1
@@ -308,6 +317,47 @@ class TestTraceDocs:
             trace_from_doc(doc)
         doc["stages"][1]["proposals_in"][2][key] = 1
         assert getattr(trace_from_doc(doc).stages[1].proposals_in, key)[2] == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("yaw", float("nan")), ("size", [1.0, 1.0, float("-inf")]),
+    ])
+    def test_non_finite_ground_truth_field_rejected(self, field, value):
+        _, trace = _oracle_trace()
+        doc = _through_json(trace_to_doc(trace))
+        doc["gts"][1][field] = value
+        with pytest.raises(DataError, match="malformed trace document: .*finite"):
+            trace_from_doc(doc)
+
+    @pytest.mark.parametrize("stage, key, value, message", [
+        (0, "mu", float("nan"), r"mu nan is not a number in \(0, 1\]"),
+        (1, "mu", 0.0, r"mu 0\.0 is not"),
+        (1, "mu", 1.5, r"mu 1\.5 is not"),
+        (2, "mu", None, r"mu None is not"),
+        (0, "mu", True, r"mu True is not"),
+        (0, "mu", "0.3", r"mu '0\.3' is not"),
+        (1, "stage", "x", r"stage 'x' is not an int in \[2, 3\)"),
+        (1, "stage", 1.5, r"stage 1\.5 is not an int in \[2, 3\)"),
+        (1, "stage", 1, r"stage 1 is not an int in \[2, 3\)"),
+        (2, "stage", True, r"stage True is not an int in \[3, 4\)"),
+    ])
+    def test_stage_number_and_mu_rejected(self, stage, key, value, message):
+        _, trace = _oracle_trace()
+        doc = _through_json(trace_to_doc(trace))
+        doc["stages"][stage][key] = value
+        with pytest.raises(DataError, match=message):
+            trace_from_doc(doc)
+        doc["stages"][stage][key] = 1 if key == "mu" else stage + 1
+        assert trace_from_doc(doc).stages[stage].assignment.mu == doc["stages"][stage]["mu"]
+
+    def test_mu_without_ground_truth_rejected(self):
+        scene = gen_scene(CFG, seed=7)
+        props = scene_proposals(scene, np.zeros(scene.num_points), 8)
+        trace = run_cascade(props, oracle_predictor(scene, OracleNoise(), seed=7), SCHED)
+        doc = _through_json(trace_to_doc(trace))
+        assert [rec.mu for rec in trace_from_doc(doc).stages] == [None] * SCHED.num_stages
+        doc["stages"][0]["mu"] = 0.3
+        with pytest.raises(DataError, match="mu 0.3 in a trace without ground truth"):
+            trace_from_doc(doc)
 
     def test_malformed_stage_columns_rejected(self):
         _, trace = _oracle_trace()
@@ -442,6 +492,45 @@ class TestSchemaEnvelope:
             read_json(bad, "scene")
         with pytest.raises(DataError):
             read_json(tmp_path / "absent.json", "scene")
+
+
+def _v1_0_file(doc) -> str:
+    """doc as a 1.0 writer laid it out: two-space indent, schema_version 1.0."""
+    return json.dumps({**doc, "schema_version": "1.0"}, sort_keys=True, indent=2) + "\n"
+
+
+def _small_model():
+    return init_head_params(6, 2, 2, hidden=4, seed=0)
+
+
+def _ap_result():
+    scene, trace = _oracle_trace(sigma=0.2)
+    return evaluate_scenes([(trace.stages[-1].detections.rows(3), scene.gt_boxes)], [0.25, 0.5])
+
+
+class TestLayouts:
+    def test_dumps_are_compact_sorted_and_newline_terminated(self):
+        text = canonical_dumps({"b": [1.5, {"d": None, "c": 0.1}], "a": "x y"})
+        assert text == '{"a":"x y","b":[1.5,{"c":0.1,"d":null}]}\n'
+        assert SCHEMA_VERSION == "1.1"
+
+    @pytest.mark.parametrize("kind, to_doc, from_doc, make", [
+        ("scene", scene_to_doc, scene_from_doc, lambda: gen_scene(CFG, seed=3)),
+        ("trace", trace_to_doc, trace_from_doc, lambda: _oracle_trace(sigma=0.2)[1]),
+        ("model", model_to_doc, model_from_doc, _small_model),
+        ("ap", ap_to_doc, ap_from_doc, _ap_result),
+    ])
+    def test_v1_0_file_reads_to_same_object(self, tmp_path, kind, to_doc, from_doc, make):
+        doc = to_doc(make())
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(_v1_0_file(doc))
+        write_json(new, doc)
+        assert old.stat().st_size > new.stat().st_size
+        from_old = from_doc(read_json(old, kind))
+        from_new = from_doc(read_json(new, kind))
+        assert canonical_dumps(to_doc(from_old)) == canonical_dumps(to_doc(from_new))
+        if kind == "trace":
+            _assert_same_records(from_new, from_old)
 
 
 class TestCsv:

@@ -253,6 +253,14 @@ class TestTypesAndHelpers:
         with pytest.raises(ValueError):
             Point3(float("nan"), 0.0, 0.0)
 
+    @pytest.mark.parametrize("size, yaw", [
+        ((1.0, math.inf, 1.0), 0.0), ((1.0, 1.0, math.nan), 0.0),
+        ((1.0, 1.0, 1.0), math.nan), ((1.0, 1.0, 1.0), -math.inf),
+    ])
+    def test_box_rejects_non_finite_size_or_yaw(self, size, yaw):
+        with pytest.raises(ValueError, match="finite"):
+            OrientedBox(Point3(0, 0, 0), size, yaw=yaw)
+
     def test_deltas_array_roundtrip(self):
         d = Deltas(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, heading=0.7)
         assert d.as_array().tolist() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
