@@ -11,9 +11,10 @@ the boxes the stage ensemble's NMS keeps become Detection rows.
 
 Proposals carry an origin_index so a point's trajectory through the
 stages can be followed; denoising proposals keep a fixed ground-truth
-assignment at every stage. Training walks the stages through the same
-two steps, stage_assignment and hand_off; hand_off turns a stage's
-decoded box columns into the next proposals by voting on them.
+assignment at every stage. hand_off turns a stage's decoded box columns
+into the next proposals by voting on them. Training runs this same loop
+with its current heads and supervises each stage on the inputs and
+assignment its record holds.
 """
 
 from __future__ import annotations
@@ -107,16 +108,6 @@ def _validate(preds: Predictions, n: int, stage: int) -> None:
     _reject(~np.isfinite(deltas).all(axis=1), lambda i: "non-finite regression output")
 
 
-def stage_assignment(proposals: Proposals, gts: list[OrientedBox], mu: float) -> Assignment:
-    """Positive assignment of one stage's proposals at threshold mu.
-
-    Denoising proposals stay pinned to their ground truth whatever mu is.
-    """
-    rows = np.flatnonzero(proposals.denoising_gt >= 0)
-    fixed = dict(zip(rows.tolist(), proposals.denoising_gt[rows].tolist()))
-    return assign_targets(proposals.points, gts, mu, fixed_assignments=fixed)
-
-
 def hand_off(proposals: Proposals, boxes, *, weighting: str) -> Proposals:
     """Next proposals from this stage's decoded (centers, sizes, yaws): each point
     moves onto its box center and re-votes its feature from all proposals in that box."""
@@ -134,7 +125,7 @@ def stage_record(
     """Stage l's record from its proposals and their predictions.
 
     Checks the predictions (PredictorOutputError on a wrong count, shape
-    or row; InvalidDeltasError on a non-positive implied extent), decodes
+    or row; InvalidDeltasError on a box decode_boxes rejects), decodes
     every row in one decode_boxes pass into scored detection columns, and,
     when gts is given, assigns positives at threshold mu with denoising
     proposals pinned to their ground truth.
@@ -143,12 +134,15 @@ def stage_record(
     fg = predictions.class_probs[:, :-1]
     class_ids = np.argmax(fg, axis=1)
     scores = np.clip(fg[np.arange(len(fg)), class_ids] * predictions.centerness, 0.0, 1.0)
+    rows = np.flatnonzero(proposals.denoising_gt >= 0)
+    fixed = dict(zip(rows.tolist(), proposals.denoising_gt[rows].tolist()))
     return StageRecord(
         stage=l,
         mu=mu,
         proposals_in=proposals,
         predictions=predictions,
-        assignment=None if gts is None else stage_assignment(proposals, gts, mu),
+        assignment=None if gts is None else assign_targets(proposals.points, gts, mu,
+                                                           fixed_assignments=fixed),
         detections=Detections(*decode_boxes(proposals.points, predictions.deltas),
                               class_ids, scores),
     )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -113,12 +114,23 @@ def _box_doc(b: OrientedBox) -> dict:
     return doc
 
 
-def _box_from(doc: dict) -> OrientedBox:
+def _num(v, name: str):
+    """v itself; ValueError unless it is a finite number other than a bool."""
+    if not (type(v) in (int, float) and math.isfinite(v)):
+        raise ValueError(f"{name} {v!r} is not a finite number")
+    return v
+
+
+def _box_from(doc: dict, num_classes: float) -> OrientedBox:
+    """A box whose numbers are finite and whose class_id is null or an int in
+    [0, num_classes); ValueError otherwise."""
+    class_id = doc["class_id"]
     return OrientedBox(
-        center=Point3(*doc["center"]),
-        size=tuple(doc["size"]),
-        yaw=doc["yaw"],
-        class_id=doc["class_id"],
+        center=Point3(*(_num(v, "box center") for v in doc["center"])),
+        size=tuple(_num(v, "box size") for v in doc["size"]),
+        yaw=_num(doc["yaw"], "box yaw"),
+        class_id=None if class_id is None else _int(class_id, "ground-truth class_id", 0,
+                                                     num_classes),
         score=doc.get("score"),
     )
 
@@ -164,10 +176,7 @@ def scene_from_doc(doc: dict) -> SyntheticScene:
     check_schema(doc, "scene")
     try:
         config = from_doc(SceneConfig, doc["config"], "scene config")
-        gt_boxes = [_box_from(b) for b in doc["gt_boxes"]]
-        for b in gt_boxes:
-            if b.class_id is not None:
-                _int(b.class_id, "ground-truth class_id", 0, config.num_classes)
+        gt_boxes = [_box_from(b, config.num_classes) for b in doc["gt_boxes"]]
         scene = SyntheticScene(
             gt_boxes=gt_boxes,
             points=_rows(doc["points"], 3),
@@ -256,7 +265,10 @@ def _stage_from(l: int, rec: dict, gts: list[OrientedBox] | None) -> StageRecord
 def trace_from_doc(doc: dict) -> StageTrace:
     check_schema(doc, "trace")
     try:
-        gts = None if doc["gts"] is None else [_box_from(b) for b in doc["gts"]]
+        # Class ids lie below the class count: a class_probs row less background.
+        widths = [len(pr["class_probs"]) for rec in doc["stages"] for pr in rec["predictions"]]
+        num_classes = min(widths, default=math.inf) - 1
+        gts = None if doc["gts"] is None else [_box_from(b, num_classes) for b in doc["gts"]]
         stages = [_stage_from(l, rec, gts) for l, rec in enumerate(doc["stages"], start=1)]
         return StageTrace(stages=stages, gts=gts)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -40,6 +40,8 @@ import numpy as np
 from .errors import InvalidDeltasError
 
 EPS = 1e-9
+# Largest decoded center coordinate or extent: volumes and squared distances stay finite.
+MAX_COORD = 1e100
 
 _TWO_PI = 2.0 * math.pi
 
@@ -338,7 +340,8 @@ def decode_boxes(points, deltas: np.ndarray):
     """decode_box over rows: (B, 3) centers, (B, 3) sizes and (B,) yaws.
 
     Row i equals decode_box(points[i], Deltas(*deltas[i])). Raises
-    InvalidDeltasError naming the first row whose implied size is not positive.
+    InvalidDeltasError naming the first row whose implied size is not positive,
+    or else the first whose center or size reaches beyond MAX_COORD.
     """
     pts = points_as_array(points)
     d = np.asarray(deltas, dtype=np.float64).reshape(len(pts), 7)
@@ -355,6 +358,10 @@ def decode_boxes(points, deltas: np.ndarray):
     s = np.array([math.sin(h) for h in d[rot, 6].tolist()])
     centers[rot, 0] = pts[rot, 0] - (c * q[rot, 0] - s * q[rot, 1])
     centers[rot, 1] = pts[rot, 1] - (s * q[rot, 0] + c * q[rot, 1])
+    far = np.flatnonzero(~((np.abs(centers) <= MAX_COORD) & (sizes <= MAX_COORD)).all(axis=1))
+    if len(far):
+        raise InvalidDeltasError(f"proposal {far[0]}: decoded box beyond {MAX_COORD:g}: center "
+                                 f"{centers[far[0]].tolist()}, size {sizes[far[0]].tolist()}")
     # normalize_yaw, row by row.
     yaws = np.remainder(d[:, 6] + math.pi, _TWO_PI) - math.pi
     yaws[yaws >= math.pi] -= _TWO_PI

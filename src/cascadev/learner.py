@@ -9,12 +9,11 @@ with negatives assigned to background (optionally focal-weighted),
 smooth-L1 on the seven-vector over positives, and binary cross-entropy
 of the centerness against its geometric target over positives.
 
-Training walks the stages like the inference cascade does: stage l is
-supervised at its own shrinking assignment threshold on the current
-proposal points, takes an SGD step, and then hands the moved points
-and re-voted features to stage l+1. Assignment and hand-off are the
-cascade's own stage_assignment and hand_off. No gradient flows between
-stages; each head sees its inputs as constants.
+Training runs the inference cascade: run_cascade with the current heads
+moves the points, re-votes the features and assigns each stage's
+positives at its own shrinking threshold. Training adds only the losses
+on each stage's inputs and one SGD step per stage. No gradient flows
+between stages; each head sees its inputs as constants.
 """
 
 from __future__ import annotations
@@ -24,14 +23,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .assignment import Assignment, CpaSchedule, cpa_threshold
-from .cascade import Predictions, Proposals, hand_off, stage_assignment
+from .assignment import Assignment, CpaSchedule
+from .cascade import Predictions, Proposals, run_cascade
 from .config import check_types
-from .errors import InvalidDeltasError, TrainingDivergedError
-from .geometry import decode_boxes
+from .errors import InvalidDeltasError, PredictorOutputError, TrainingDivergedError
 from .synth import SyntheticScene, scene_proposals
 
-# Not called here since training shares the cascade's stage step;
+# Not called here: training reaches them through run_cascade.
 # perfbench/bench_trace.py patches these names on this module.
 from .assignment import assign_targets  # noqa: F401
 from .geometry import decode_box, update_point  # noqa: F401
@@ -148,17 +146,6 @@ class StageOutputs:
             deltas=np.concatenate([_softplus(self.reg_raw[:, :6]), self.reg_raw[:, 6:]], axis=1),
             centerness=_sigmoid(self.cent_logits),
         )
-
-
-def _stage_forward(sp: StageParams, proposals: Proposals):
-    """One stage's batched forward over its proposals: returns the (B, F)
-    features, the raw StageOutputs and the three branches' hidden
-    activations (cls, reg, cent) for backprop."""
-    feats = proposals.features
-    cls_out, cls_h = _forward(sp.cls, feats)
-    reg_out, reg_h = _forward(sp.reg, feats)
-    cent_out, cent_h = _forward(sp.cent, feats)
-    return feats, StageOutputs(cls_out, reg_out, cent_out[:, 0]), (cls_h, reg_h, cent_h)
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,23 +285,31 @@ def compute_losses(
     return report, (g_cls, g_reg, g_cent)
 
 
-def head_predictor(params: HeadParams, stage: int):
+def head_predictor(params: HeadParams, stage: int, record=None):
     """Proposals -> Predictions predictor for one stage's head.
 
-    Runs the same batched forward and output conversion that training
-    uses, over all of a stage's proposal features at once.
+    One batched forward over all of a stage's proposal features, then one
+    output conversion. record, when given, receives each forward's raw
+    StageOutputs and the three branches' hidden activations (cls, reg,
+    cent), which training backpropagates through.
     """
     sp = params.stages[stage - 1]
 
     def predict(proposals: Proposals) -> Predictions:
-        return _stage_forward(sp, proposals)[1].predictions()
+        cls_out, cls_h = _forward(sp.cls, proposals.features)
+        reg_out, reg_h = _forward(sp.reg, proposals.features)
+        cent_out, cent_h = _forward(sp.cent, proposals.features)
+        outputs = StageOutputs(cls_out, reg_out, cent_out[:, 0])
+        if record is not None:
+            record((outputs, (cls_h, reg_h, cent_h)))
+        return outputs.predictions()
 
     return predict
 
 
-def head_predictors(params: HeadParams) -> list:
-    """One predictor per stage, for run_cascade."""
-    return [head_predictor(params, l) for l in range(1, params.num_stages + 1)]
+def head_predictors(params: HeadParams, record=None) -> list:
+    """One predictor per stage, for run_cascade; record as in head_predictor."""
+    return [head_predictor(params, l, record) for l in range(1, params.num_stages + 1)]
 
 
 def uniform_seed_scores(scene: SyntheticScene) -> np.ndarray:
@@ -353,13 +348,14 @@ def train_cascade(
     """SGD over mini-batches of scenes in round-robin order.
 
     Every step takes the next batch_scenes scenes; per scene it seeds b
-    uniform candidate proposals and appends a pinned denoising group
-    (the denoising_k points nearest each ground-truth center). Training
-    then walks the stages: supervise every scene at that stage's
-    threshold, apply one SGD update from the batch-averaged gradient,
-    move the points, re-vote the features, and continue. Returns the
-    trained parameters and one LossReport per (step, stage) holding
-    batch-mean losses and the summed positive count.
+    uniform candidate proposals, appends a pinned denoising group (the
+    denoising_k points nearest each ground-truth center) and runs the
+    cascade with the step's starting heads. Each stage then takes one SGD
+    update from the batch-averaged gradient of its losses on its recorded
+    inputs and assignment. A prediction the cascade rejects or a box it
+    cannot decode raises TrainingDivergedError, as does a non-finite loss.
+    Returns the trained parameters and one LossReport per (step, stage)
+    holding batch-mean losses and the summed positive count.
     """
     if steps < 1:
         raise ValueError(f"need steps >= 1, got {steps}")
@@ -374,6 +370,10 @@ def train_cascade(
             raise ValueError("all training scenes must share feature_dim and num_classes")
 
     params = init_head_params(feature_dim, num_classes, sched.num_stages, hidden, seed)
+    # The SGD update works in place, so these predictors follow the training.
+    # Each records its forward, which the stage's backward pass reuses.
+    forwards: list = []
+    predictors = head_predictors(params, forwards.append)
     history: list[LossReport] = []
     for step in range(steps):
         batch = []
@@ -386,30 +386,31 @@ def train_cascade(
                 denoising=True,
                 denoising_k=denoising_k,
             )
-            batch.append({"gts": scene.gt_boxes, "props": props})
-        for l in range(1, sched.num_stages + 1):
-            sp = params.stages[l - 1]
-            mu = cpa_threshold(l, sched)
+            forwards.clear()
+            try:
+                trace = run_cascade(props, predictors, sched, scene.gt_boxes, weighting=weighting)
+            except (PredictorOutputError, InvalidDeltasError) as exc:
+                raise TrainingDivergedError(f"cascade failed at step {step}: {exc}") from exc
+            batch.append(list(zip(trace.stages, forwards)))
+        for l, sp in enumerate(params.stages, start=1):
             acc = {
                 name: [np.zeros_like(a) for a in bp.arrays()]
                 for name, bp in sp.branches().items()
             }
             loss_sums = np.zeros(3)
             positives = 0
-            for entry in batch:
-                feats, outputs, hidden = _stage_forward(sp, entry["props"])
-                assignment = stage_assignment(entry["props"], entry["gts"], mu)
+            for stages in batch:
+                rec, (outputs, acts) = stages[l - 1]
                 rep, (g_cls, g_reg, g_cent) = compute_losses(
-                    outputs, assignment, weights, step=step, stage=l, _with_grads=True
+                    outputs, rec.assignment, weights, step=step, stage=l, _with_grads=True
                 )
                 loss_sums += (rep.classification_loss, rep.regression_loss, rep.centerness_loss)
                 positives += rep.positive_count
                 for (name, bp), h, g in zip(
-                    sp.branches().items(), hidden, (g_cls, g_reg, g_cent[:, None])
+                    sp.branches().items(), acts, (g_cls, g_reg, g_cent[:, None])
                 ):
-                    for a, ga in zip(acc[name], _backward(bp, feats, h, g)):
+                    for a, ga in zip(acc[name], _backward(bp, rec.proposals_in.features, h, g)):
                         a += ga
-                entry["outputs"] = outputs
             report = LossReport(
                 step=step,
                 stage=l,
@@ -423,16 +424,4 @@ def train_cascade(
             for name, bp in sp.branches().items():
                 for arr, ga in zip(bp.arrays(), acc[name]):
                     arr -= lr * ga / len(batch)
-            if l < sched.num_stages:
-                for entry in batch:
-                    deltas = entry["outputs"].predictions().deltas
-                    try:
-                        boxes = decode_boxes(entry["props"].points, deltas)
-                    except InvalidDeltasError as exc:
-                        # Softplus only hits exact zero when the raw output has
-                        # exploded, so a degenerate box here means divergence.
-                        raise TrainingDivergedError(
-                            f"box decode failed at step {step}, stage {l}: {exc}"
-                        ) from exc
-                    entry["props"] = hand_off(entry["props"], boxes, weighting=weighting)
     return params, history

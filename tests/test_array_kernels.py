@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from cascadev.errors import InvalidDeltasError
 from cascadev.geometry import (
     EPS,
+    MAX_COORD,
     Deltas,
     OrientedBox,
     Point3,
@@ -294,3 +295,21 @@ def test_decode_boxes_rejects_first_non_positive_extent(rows, data):
         deltas[i, 2 * axis + 1] = -deltas[i, 2 * axis] - gap
     with pytest.raises(InvalidDeltasError, match=f"^proposal {bad[0]}: implied box size"):
         decode_boxes([p for p, _ in rows], deltas)
+
+
+def test_decode_boxes_rejects_box_beyond_max_coord():
+    # Volumes and squared distances of such boxes would overflow downstream.
+    deltas = np.ones((3, 7))
+    deltas[:, 6] = 0.3
+    pts = np.zeros((3, 3))
+    raising(decode_boxes, pts, deltas)
+    wide = deltas.copy()
+    wide[1, 0:2] = 1e200
+    with pytest.raises(InvalidDeltasError, match=r"^proposal 1: decoded box beyond 1e\+100"):
+        decode_boxes(pts, wide)
+    far = pts.copy()
+    far[2, 1] = -2.0 * MAX_COORD
+    with pytest.raises(InvalidDeltasError, match=r"^proposal 2: decoded box beyond"):
+        decode_boxes(far, deltas)
+    far[2, 1] = -0.5 * MAX_COORD
+    assert decode_boxes(far, deltas)[0][2, 1] == pytest.approx(-0.5 * MAX_COORD)

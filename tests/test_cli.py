@@ -395,9 +395,23 @@ class TestExitCodes:
         assert err.count("trace_0002.json") == 1
 
     @pytest.mark.parametrize("command", ["run", "eval"])
-    @pytest.mark.parametrize("field, value", [("yaw", float("nan")), ("size", [1, 1e999, 1])])
+    @pytest.mark.parametrize("field, value", [
+        ("yaw", float("nan")), ("size", [1, 1e999, 1]),
+        ("center", [0.5, 0.5, True]), ("yaw", False),
+    ])
     def test_non_finite_ground_truth_is_data_error(self, tmp_path, cfg_path, command, field,
                                                    value, capsys):
+        self._edit_ground_truth(tmp_path, cfg_path, command, field, value, "finite", capsys)
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    @pytest.mark.parametrize("class_id", [1.5, -3, 99, True, "x"])
+    def test_ground_truth_class_id_outside_classes_is_data_error(self, tmp_path, cfg_path,
+                                                                 command, class_id, capsys):
+        self._edit_ground_truth(tmp_path, cfg_path, command, "class_id", class_id,
+                                f"ground-truth class_id {class_id!r} is not an int", capsys)
+
+    @staticmethod
+    def _edit_ground_truth(tmp_path, cfg_path, command, field, value, message, capsys):
         scenes, traces = tmp_path / "scenes", tmp_path / "traces"
         main(["gen", "--config", cfg_path, "--out", str(scenes)])
         main(["run", str(scenes), "--config", cfg_path, "--out", str(traces)])
@@ -409,7 +423,7 @@ class TestExitCodes:
         assert main([command, str(scenes if command == "run" else traces), "--config", cfg_path,
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("data error: malformed ") and "finite" in err
+        assert err.startswith("data error: malformed ") and message in err
         assert err.count(path.name) == 1
 
     @pytest.mark.parametrize("stage, key, value", [
@@ -510,6 +524,21 @@ class TestExitCodes:
             code = main(["train", str(scenes), "--config", str(path),
                          "--out", str(tmp_path / "o")])
         assert code == 4
+
+    def test_huge_learning_rate_is_numerical_error(self, tmp_path, capsys):
+        import numpy as np
+
+        cfg = {"num_scenes": 1, "b": 4, "lr": 1e200, "steps": 5,
+               "scene": {"num_gt": [1, 1], "points_per_box": 20, "num_clutter": 10}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        scenes = tmp_path / "scenes"
+        assert main(["gen", "--config", str(path), "--out", str(scenes)]) == 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", str(scenes), "--config", str(path),
+                         "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert "decoded box beyond" in capsys.readouterr().err
 
     def test_head_without_model_is_config_error(self, tmp_path, cfg_path):
         scenes = tmp_path / "scenes"

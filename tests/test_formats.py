@@ -182,7 +182,7 @@ class TestSceneDocs:
             with pytest.raises(DataError, match="differ in length"):
                 scene_from_doc(bad)
 
-    @pytest.mark.parametrize("class_id", [5, -1, 1.0, True, "2"])
+    @pytest.mark.parametrize("class_id", [5, 99, -1, -3, 1.0, 1.5, True, "2"])
     def test_class_id_outside_config_classes_rejected(self, class_id):
         doc = scene_to_doc(gen_scene(CFG, seed=3))
         doc["gt_boxes"][1]["class_id"] = class_id
@@ -208,6 +208,8 @@ class TestSceneDocs:
 
     @pytest.mark.parametrize("field, value", [
         ("yaw", float("nan")), ("yaw", float("inf")), ("size", [1.0, float("inf"), 1.0]),
+        ("center", [0.5, 0.5, True]), ("yaw", False), ("size", [1.0, True, 1.0]),
+        ("center", [0.5, "0", 1.0]),
     ])
     def test_non_finite_box_field_rejected(self, field, value):
         doc = scene_to_doc(gen_scene(CFG, seed=3))
@@ -320,6 +322,7 @@ class TestTraceDocs:
 
     @pytest.mark.parametrize("field, value", [
         ("yaw", float("nan")), ("size", [1.0, 1.0, float("-inf")]),
+        ("center", [0.5, 0.5, True]), ("yaw", False), ("size", [True, 1.0, 1.0]),
     ])
     def test_non_finite_ground_truth_field_rejected(self, field, value):
         _, trace = _oracle_trace()
@@ -327,6 +330,17 @@ class TestTraceDocs:
         doc["gts"][1][field] = value
         with pytest.raises(DataError, match="malformed trace document: .*finite"):
             trace_from_doc(doc)
+
+    @pytest.mark.parametrize("class_id", [CFG.num_classes, 99, -3, 1.5, 1.0, True, "x"])
+    def test_ground_truth_class_id_outside_stage_classes_rejected(self, class_id):
+        # The stages' class_probs hold num_classes foreground columns.
+        _, trace = _oracle_trace()
+        doc = _through_json(trace_to_doc(trace))
+        doc["gts"][0]["class_id"] = class_id
+        with pytest.raises(DataError, match="malformed trace document: ground-truth class_id"):
+            trace_from_doc(doc)
+        doc["gts"][0]["class_id"] = CFG.num_classes - 1
+        assert trace_from_doc(doc).gts[0].class_id == CFG.num_classes - 1
 
     @pytest.mark.parametrize("stage, key, value, message", [
         (0, "mu", float("nan"), r"mu nan is not a number in \(0, 1\]"),

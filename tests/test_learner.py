@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from cascadev import learner
+from cascadev import cascade, learner
 from cascadev.assignment import CpaSchedule, assign_targets
 from cascadev.cascade import Proposals, run_cascade
-from cascadev.errors import TrainingDivergedError
+from cascadev.errors import InvalidDeltasError, PredictorOutputError, TrainingDivergedError
 from cascadev.geometry import OrientedBox, Point3
 from cascadev.learner import (
     LossWeights,
@@ -349,13 +349,13 @@ class TestTrainCascade:
 
     def test_every_hand_off_goes_through_the_cascade_step(self, monkeypatch):
         calls = []
-        original = learner.hand_off
+        original = cascade.hand_off
 
         def spy(*args, **kwargs):
             calls.append(args[0])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(learner, "hand_off", spy)
+        monkeypatch.setattr(cascade, "hand_off", spy)
         scenes = [gen_scene(SMALL_CFG, seed=s) for s in range(3)]
         steps, batch_scenes = 4, 2
         train_cascade(scenes, SCHED, steps, 1e-2, 0, b=16, denoising_k=2,
@@ -377,6 +377,33 @@ class TestTrainCascade:
         with np.errstate(invalid="ignore"):
             with pytest.raises(TrainingDivergedError):
                 train_cascade([scene], SCHED, 5, 1e-2, 0, b=16)
+
+    def test_nan_stage_two_head_raises_diverged(self, monkeypatch):
+        # Stage 1 trains normally; the cascade's prediction check rejects
+        # stage 2's NaN outputs, and training reports that as divergence.
+        def nan_stage_two(*args, **kwargs):
+            params = init_head_params(*args, **kwargs)
+            for bp in params.stages[1].branches().values():
+                bp.b2[:] = np.nan
+            return params
+
+        monkeypatch.setattr(learner, "init_head_params", nan_stage_two)
+        scene = gen_scene(SMALL_CFG, seed=1)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(TrainingDivergedError, match="at step 0: ") as info:
+                train_cascade([scene], SCHED, 5, 1e-2, 0, b=16)
+        assert type(info.value) is TrainingDivergedError
+        assert isinstance(info.value.__cause__, PredictorOutputError)
+
+    def test_huge_learning_rate_raises_diverged(self):
+        # lr 1e200 throws the decoded centers to ~1e199, where the voting
+        # search's squared distances overflow; decoding rejects such a box first.
+        cfg = SceneConfig(num_gt=(1, 1), points_per_box=20, num_clutter=10)
+        scene = gen_scene(cfg, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError, match="decoded box beyond") as info:
+                train_cascade([scene], SCHED, 5, 1e200, 0, b=4)
+        assert isinstance(info.value.__cause__, InvalidDeltasError)
 
     def test_input_validation(self):
         scene = gen_scene(SMALL_CFG, seed=2)
