@@ -1,4 +1,9 @@
-"""Cascade point-voting 3D detection: geometry, simulation, training, evaluation."""
+"""Cascade point-voting 3D detection: geometry, simulation, training, evaluation.
+
+The package root exports the pipeline's entry points, the types callers
+build or get back from them, the error classes and the submodules.
+Every other name lives in its own module.
+"""
 
 import importlib
 
@@ -14,15 +19,8 @@ from . import (
     synth,
     voting,
 )
-from .assignment import (
-    Assignment,
-    CpaSchedule,
-    assign_targets,
-    cpa_threshold,
-    select_denoising,
-    select_top_b,
-)
-from .cascade import Predictions, Proposals, StageRecord, StageTrace, ensemble_stages, run_cascade
+from .assignment import CpaSchedule
+from .cascade import Predictions, Proposals, StageTrace, ensemble_stages, run_cascade
 from .errors import (
     CascadevError,
     ConfigError,
@@ -35,46 +33,18 @@ from .errors import (
     TrainingDivergedError,
     WrongVariantError,
 )
-from .evaluation import (
-    ApResult,
-    CascadeStats,
-    StageStats,
-    ThresholdResult,
-    average_precision,
-    cascade_stats,
-    evaluate_scenes,
-)
-from .formats import (
-    RNG_FAMILY,
-    SCHEMA_VERSION,
-    canonical_dumps,
-    config_hash,
-    read_json,
-    write_json,
-)
-from .geometry import (
-    EPS,
-    Deltas,
-    OrientedBox,
-    Point3,
-    centerness,
-    contains_points,
-    decode_box,
-    encode_deltas,
-    point_in_scaled_box,
-    update_point,
-)
+from .evaluation import ApResult, CascadeStats, average_precision, cascade_stats, evaluate_scenes
+from .formats import read_json, write_json
+from .geometry import OrientedBox, Point3
 from .learner import (
     HeadParams,
     LossReport,
     LossWeights,
-    head_predictor,
     head_predictors,
-    init_head_params,
     train_cascade,
     uniform_seed_scores,
 )
-from .overlap import Detection, iou_aabb, iou_mc, iou_rotated, nms
+from .overlap import Detection, iou_mc
 from .synth import (
     OracleNoise,
     SceneConfig,
@@ -84,7 +54,6 @@ from .synth import (
     oracle_seed_centerness,
     scene_proposals,
 )
-from .voting import ia_voting
 
 __all__ = [
     "assignment",
@@ -98,15 +67,9 @@ __all__ = [
     "overlap",
     "synth",
     "voting",
-    "Assignment",
     "CpaSchedule",
-    "assign_targets",
-    "cpa_threshold",
-    "select_denoising",
-    "select_top_b",
     "Predictions",
     "Proposals",
-    "StageRecord",
     "StageTrace",
     "ensemble_stages",
     "run_cascade",
@@ -122,40 +85,21 @@ __all__ = [
     "WrongVariantError",
     "ApResult",
     "CascadeStats",
-    "StageStats",
-    "ThresholdResult",
     "average_precision",
     "cascade_stats",
     "evaluate_scenes",
-    "RNG_FAMILY",
-    "SCHEMA_VERSION",
-    "canonical_dumps",
-    "config_hash",
     "read_json",
     "write_json",
-    "EPS",
-    "Deltas",
     "OrientedBox",
     "Point3",
-    "centerness",
-    "contains_points",
-    "decode_box",
-    "encode_deltas",
-    "point_in_scaled_box",
-    "update_point",
     "HeadParams",
     "LossReport",
     "LossWeights",
-    "head_predictor",
     "head_predictors",
-    "init_head_params",
     "train_cascade",
     "uniform_seed_scores",
     "Detection",
-    "iou_aabb",
     "iou_mc",
-    "iou_rotated",
-    "nms",
     "OracleNoise",
     "SceneConfig",
     "SyntheticScene",
@@ -163,7 +107,6 @@ __all__ = [
     "oracle_predictor",
     "oracle_seed_centerness",
     "scene_proposals",
-    "ia_voting",
 ]
 
 

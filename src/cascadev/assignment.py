@@ -88,19 +88,26 @@ def assign_targets(
     gts: list[OrientedBox],
     mu: float,
     *,
-    fixed_assignments: dict[int, int] | None = None,
+    denoising_gt: np.ndarray | None = None,
 ) -> Assignment:
     """Match each point to a ground truth via the scaled-box rule.
 
     A point inside several scaled boxes goes to the smallest-volume one.
-    fixed_assignments maps point index -> gt index for denoising
-    proposals; those are matched unconditionally and flagged. Returns
-    the Assignment columns, filled in one matched_faces pass.
+    denoising_gt (N,) pins row i to ground truth denoising_gt[i], -1
+    leaving it to the rule; pinned rows are matched unconditionally and
+    flagged. Returns the Assignment columns, filled in one matched_faces pass.
     """
     if mu <= 0.0:
         raise ValueError(f"assignment threshold must be positive, got {mu}")
     pts = points_as_array(points)
     n = len(pts)
+    pins = np.full(n, -1, dtype=np.int64) if denoising_gt is None else np.asarray(denoising_gt)
+    if pins.shape != (n,):
+        raise ValueError(f"denoising_gt has shape {pins.shape}, expected ({n},)")
+    bad = (pins < -1) | (pins >= len(gts))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"denoising_gt[{i}] = {pins[i]} outside [-1, {len(gts)})")
     matched = np.full(n, -1, dtype=np.int64)
     if gts and n:
         best_vol = np.full(n, np.inf)
@@ -109,12 +116,8 @@ def assign_targets(
             better = inside & (gt.volume < best_vol)
             matched[better] = gi
             best_vol[better] = gt.volume
-    is_denoising = np.zeros(n, dtype=bool)
-    for pi, gi in (fixed_assignments or {}).items():
-        if not (0 <= pi < n and 0 <= gi < len(gts)):
-            raise ValueError(f"fixed assignment ({pi} -> {gi}) out of range")
-        matched[pi] = gi
-        is_denoising[pi] = True
+    is_denoising = pins >= 0
+    matched[is_denoising] = pins[is_denoising]
 
     pos = np.flatnonzero(matched >= 0)
     faces, cent = matched_faces(gts, pts[pos], matched[pos])

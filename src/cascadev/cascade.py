@@ -134,15 +134,13 @@ def stage_record(
     fg = predictions.class_probs[:, :-1]
     class_ids = np.argmax(fg, axis=1)
     scores = np.clip(fg[np.arange(len(fg)), class_ids] * predictions.centerness, 0.0, 1.0)
-    rows = np.flatnonzero(proposals.denoising_gt >= 0)
-    fixed = dict(zip(rows.tolist(), proposals.denoising_gt[rows].tolist()))
     return StageRecord(
         stage=l,
         mu=mu,
         proposals_in=proposals,
         predictions=predictions,
-        assignment=None if gts is None else assign_targets(proposals.points, gts, mu,
-                                                           fixed_assignments=fixed),
+        assignment=None if gts is None else assign_targets(
+            proposals.points, gts, mu, denoising_gt=proposals.denoising_gt),
         detections=Detections(*decode_boxes(proposals.points, predictions.deltas),
                               class_ids, scores),
     )

@@ -29,7 +29,7 @@ from .cascade import Predictions, Proposals, StageRecord, StageTrace, stage_reco
 from .config import from_doc
 from .errors import DataError, InvalidDeltasError, PredictorOutputError, SchemaVersionError
 from .evaluation import ApResult, CascadeStats, ThresholdResult
-from .geometry import OrientedBox, Point3
+from .geometry import EPS, OrientedBox, Point3, box_columns
 from .learner import BranchParams, HeadParams, LossReport, StageParams
 from .synth import SceneConfig, SyntheticScene
 
@@ -103,15 +103,12 @@ def read_json(path, kind: str) -> dict:
 
 
 def _box_doc(b: OrientedBox) -> dict:
-    doc = {
+    return {
         "center": [b.center.x, b.center.y, b.center.z],
         "size": list(b.size),
         "yaw": b.yaw,
         "class_id": b.class_id,
     }
-    if b.score is not None:
-        doc["score"] = b.score
-    return doc
 
 
 def _num(v, name: str):
@@ -131,7 +128,6 @@ def _box_from(doc: dict, num_classes: float) -> OrientedBox:
         yaw=_num(doc["yaw"], "box yaw"),
         class_id=None if class_id is None else _int(class_id, "ground-truth class_id", 0,
                                                      num_classes),
-        score=doc.get("score"),
     )
 
 
@@ -151,6 +147,17 @@ def _int(v, name: str, lo: int, hi: float = float("inf")) -> int:
     if not (type(v) is int and lo <= v < hi):
         raise ValueError(f"{name} {v!r} is not an int in [{lo}, {hi})")
     return v
+
+
+def _inside(rows: np.ndarray, workspace, name: str) -> np.ndarray:
+    """rows (N, 3) itself; ValueError naming the first row outside workspace widened by EPS."""
+    lo, hi = np.array(workspace).T
+    bad = ((rows < lo - EPS) | (rows > hi + EPS)).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{name} {i} at {rows[i].tolist()} lies outside the workspace "
+                         f"{workspace}")
+    return rows
 
 
 def _ints(values: list, name: str, lo: int, hi: float = float("inf")) -> np.ndarray:
@@ -177,10 +184,11 @@ def scene_from_doc(doc: dict) -> SyntheticScene:
     try:
         config = from_doc(SceneConfig, doc["config"], "scene config")
         gt_boxes = [_box_from(b, config.num_classes) for b in doc["gt_boxes"]]
+        _inside(box_columns(gt_boxes)[0], config.workspace, "ground-truth box center")
         scene = SyntheticScene(
             gt_boxes=gt_boxes,
-            points=_rows(doc["points"], 3),
-            features=_rows(doc["features"]),
+            points=_inside(_rows(doc["points"], 3), config.workspace, "point"),
+            features=_rows(doc["features"], config.feature_dim),
             point_gt_labels=_ints(doc["point_gt_labels"], "point_gt_label", -1, len(gt_boxes)),
             seed=_int(doc["seed"], "seed", 0, 2**64),
             config=config,
@@ -195,7 +203,8 @@ def scene_from_doc(doc: dict) -> SyntheticScene:
 
 def detection_doc(d) -> dict:
     return {
-        "box": _box_doc(d.box),
+        # Schema 1.x detection boxes carry their detection's score too.
+        "box": {**_box_doc(d.box), "score": d.score},
         "score": d.score,
         "class_id": d.class_id,
         "stage": d.stage,
@@ -262,14 +271,41 @@ def _stage_from(l: int, rec: dict, gts: list[OrientedBox] | None) -> StageRecord
                         proposals, predictions, gts)
 
 
+def _class_count(stages: list[dict]) -> float:
+    """The class count every class_probs row shares (a row less background),
+    inf in a trace without rows; ValueError naming the first row that differs."""
+    widths = [(l, i, len(pr["class_probs"]))
+              for l, rec in enumerate(stages, start=1) for i, pr in enumerate(rec["predictions"])]
+    for l, i, w in widths:
+        if w != widths[0][2]:
+            raise ValueError(f"stage {l} row {i}: class_probs width {w}, "
+                             f"stage {widths[0][0]} has {widths[0][2]}")
+    return widths[0][2] - 1 if widths else math.inf
+
+
+def _check_hand_off(prev: StageRecord, rec: StageRecord) -> None:
+    """ValueError unless rec's proposals are prev's hand-off: its detection
+    centers, with its origin_index and denoising_gt. The voted features are
+    not checked, because a trace does not record the weighting."""
+    a, b = prev.proposals_in, rec.proposals_in
+    if len(b) != len(a):
+        raise ValueError(f"stage {rec.stage} has {len(b)} proposals, stage {prev.stage} {len(a)}")
+    bad = ((b.points != prev.detections.centers).any(axis=1)
+           | (b.origin_index != a.origin_index) | (b.denoising_gt != a.denoising_gt))
+    if bad.any():
+        raise ValueError(f"stage {rec.stage} row {int(np.argmax(bad))} is not "
+                         f"stage {prev.stage}'s hand-off")
+
+
 def trace_from_doc(doc: dict) -> StageTrace:
     check_schema(doc, "trace")
     try:
-        # Class ids lie below the class count: a class_probs row less background.
-        widths = [len(pr["class_probs"]) for rec in doc["stages"] for pr in rec["predictions"]]
-        num_classes = min(widths, default=math.inf) - 1
+        # Class ids lie below the class count.
+        num_classes = _class_count(doc["stages"])
         gts = None if doc["gts"] is None else [_box_from(b, num_classes) for b in doc["gts"]]
         stages = [_stage_from(l, rec, gts) for l, rec in enumerate(doc["stages"], start=1)]
+        for prev, rec in zip(stages, stages[1:]):
+            _check_hand_off(prev, rec)
         return StageTrace(stages=stages, gts=gts)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed trace document: {exc}") from exc

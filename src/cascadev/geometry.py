@@ -77,17 +77,15 @@ class Point3:
 
 @dataclass(frozen=True, slots=True)
 class OrientedBox:
-    """A 7-DoF oriented box: center, (w, l, h) size, yaw about z.
+    """A 7-DoF oriented box: center, (w, l, h) size, yaw about z, optional class id.
 
-    Optionally carries a class id and a score so the same type can
-    serve as ground truth and as prediction.
+    A detection's score lives on overlap.Detection, not on its box.
     """
 
     center: Point3
     size: tuple[float, float, float]
     yaw: float = 0.0
     class_id: int | None = None
-    score: float | None = None
 
     def __post_init__(self) -> None:
         w, l, h = self.size
@@ -96,8 +94,6 @@ class OrientedBox:
         if not math.isfinite(self.yaw):
             raise ValueError(f"non-finite box yaw: {self.yaw}")
         object.__setattr__(self, "yaw", normalize_yaw(float(self.yaw)))
-        if self.score is not None and not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"score outside [0, 1]: {self.score}")
 
     @property
     def volume(self) -> float:

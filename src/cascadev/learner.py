@@ -347,12 +347,12 @@ def train_cascade(
 ) -> tuple[HeadParams, list[LossReport]]:
     """SGD over mini-batches of scenes in round-robin order.
 
-    Every step takes the next batch_scenes scenes; per scene it seeds b
-    uniform candidate proposals, appends a pinned denoising group (the
-    denoising_k points nearest each ground-truth center) and runs the
-    cascade with the step's starting heads. Each stage then takes one SGD
-    update from the batch-averaged gradient of its losses on its recorded
-    inputs and assignment. A prediction the cascade rejects or a box it
+    Each scene's stage-1 proposals are seeded once: b uniform candidates
+    plus a pinned denoising group (the denoising_k points nearest each
+    ground-truth center). Every step takes the next batch_scenes scenes
+    and runs the cascade on each with the step's starting heads. Each
+    stage then takes one SGD update from the batch-averaged gradient of
+    its losses on its recorded inputs and assignment. A prediction the cascade rejects or a box it
     cannot decode raises TrainingDivergedError, as does a non-finite loss.
     Returns the trained parameters and one LossReport per (step, stage)
     holding batch-mean losses and the summed positive count.
@@ -361,6 +361,8 @@ def train_cascade(
         raise ValueError(f"need steps >= 1, got {steps}")
     if batch_scenes < 1:
         raise ValueError(f"need batch_scenes >= 1, got {batch_scenes}")
+    if denoising_k < 1:
+        raise ValueError(f"need denoising_k >= 1, got {denoising_k}")
     if not scenes:
         raise ValueError("need at least one training scene")
     feature_dim = scenes[0].features.shape[1]
@@ -374,21 +376,18 @@ def train_cascade(
     # Each records its forward, which the stage's backward pass reuses.
     forwards: list = []
     predictors = head_predictors(params, forwards.append)
+    # Uniform seeding picks the same stage-1 proposals at every step.
+    seeded = [scene_proposals(s, uniform_seed_scores(s), b, denoising_k=denoising_k)
+              for s in scenes]
     history: list[LossReport] = []
     for step in range(steps):
         batch = []
         for j in range(batch_scenes):
-            scene = scenes[(step * batch_scenes + j) % len(scenes)]
-            props = scene_proposals(
-                scene,
-                uniform_seed_scores(scene),
-                b,
-                denoising=True,
-                denoising_k=denoising_k,
-            )
+            i = (step * batch_scenes + j) % len(scenes)
             forwards.clear()
             try:
-                trace = run_cascade(props, predictors, sched, scene.gt_boxes, weighting=weighting)
+                trace = run_cascade(seeded[i], predictors, sched, scenes[i].gt_boxes,
+                                    weighting=weighting)
             except (PredictorOutputError, InvalidDeltasError) as exc:
                 raise TrainingDivergedError(f"cascade failed at step {step}: {exc}") from exc
             batch.append(list(zip(trace.stages, forwards)))

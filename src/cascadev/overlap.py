@@ -62,7 +62,7 @@ class Detections:
         cols = [c[index].tolist() for c in (*self.boxes, self.class_ids, self.scores)]
         stages = np.broadcast_to(stage, len(cols[-1])).tolist()
         return [
-            Detection(OrientedBox(Point3(*c), tuple(size), yaw, class_id=k, score=p), p, k, st)
+            Detection(OrientedBox(Point3(*c), tuple(size), yaw, class_id=k), p, k, st)
             for c, size, yaw, k, p, st in zip(*cols, stages)
         ]
 

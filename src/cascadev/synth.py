@@ -379,22 +379,22 @@ def scene_proposals(
     predicted_centerness: list[float] | np.ndarray,
     b: int,
     *,
-    denoising: bool = False,
-    denoising_k: int = 1,
+    denoising_k: int = 0,
 ) -> Proposals:
     """Top-b scene points by predicted centerness, as stage-1 proposals.
 
-    With denoising=True, the denoising_k points nearest each
+    With denoising_k >= 1, the denoising_k points nearest each
     ground-truth center (l1 distance) are appended with a pinned
     assignment to that box; those points are reassigned, never kept as
     plain candidates too, so no point carries two labels. denoising_k=1
     is the plain nearest-point rule; larger groups give a trainable
-    head broader positive coverage during cold start.
+    head broader positive coverage during cold start. denoising_k=0
+    appends no group.
     """
-    if denoising_k < 1:
-        raise ValueError(f"need denoising_k >= 1, got {denoising_k}")
+    if denoising_k < 0:
+        raise ValueError(f"need denoising_k >= 0, got {denoising_k}")
     group: list[tuple[int, int]] = []
-    if denoising:
+    if denoising_k:
         nearest = select_denoising(scene.points, [g.center for g in scene.gt_boxes], denoising_k)
         per_gt = min(denoising_k, scene.num_points)
         group = [(j // per_gt, pi) for j, pi in enumerate(nearest)]

@@ -426,7 +426,7 @@ def _fd_worst_rel() -> float:
         Point3(2.0, 2.0, 0.3),
         Point3(3.2, 0.1, 1.1),
     ]
-    assignment = assign_targets(points, [g1, g2], 0.4, fixed_assignments={3: 1})
+    assignment = assign_targets(points, [g1, g2], 0.4, denoising_gt=np.array([-1, -1, -1, 1]))
     feats = np.random.default_rng(11).normal(size=(4, 6))
     weights = LossWeights(cls=1.3, reg=0.7, cent=1.1)
     sp = init_head_params(6, 2, 1, hidden=4, seed=7).stages[0]

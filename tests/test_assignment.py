@@ -176,7 +176,7 @@ class TestAssignTargets:
     def test_fixed_assignment_overrides(self):
         gt = OrientedBox(Point3(0, 0, 0), (1, 1, 1), class_id=3)
         far = Point3(4.0, 4.0, 4.0)
-        a = assign_targets([far], [gt], 0.2, fixed_assignments={0: 0})
+        a = assign_targets([far], [gt], 0.2, denoising_gt=np.array([0]))
         assert a.matched_gt.tolist() == [0]
         assert a.is_denoising.tolist() == [True]
         assert a.target_class[0] == 3
@@ -188,13 +188,30 @@ class TestAssignTargets:
     def test_fixed_assignment_out_of_range(self):
         gt = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
         with pytest.raises(ValueError):
-            assign_targets([Point3(0, 0, 0)], [gt], 0.3, fixed_assignments={5: 0})
+            assign_targets([Point3(0, 0, 0)], [gt], 0.3, denoising_gt=np.array([-1] * 5 + [0]))
         with pytest.raises(ValueError):
-            assign_targets([Point3(0, 0, 0)], [gt], 0.3, fixed_assignments={0: 2})
+            assign_targets([Point3(0, 0, 0)], [gt], 0.3, denoising_gt=np.array([2]))
+
+    def test_bad_denoising_gt_is_rejected(self):
+        gt = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
+        pts = [Point3(0, 0, 0), Point3(1, 1, 1)]
+        with pytest.raises(ValueError, match=r"denoising_gt has shape \(3,\), expected \(2,\)"):
+            assign_targets(pts, [gt], 0.3, denoising_gt=np.array([-1, 0, -1]))
+        with pytest.raises(ValueError, match=r"denoising_gt\[1\] = 1 outside \[-1, 1\)"):
+            assign_targets(pts, [gt], 0.3, denoising_gt=np.array([0, 1]))
+        with pytest.raises(ValueError, match=r"denoising_gt\[0\] = -2 outside \[-1, 1\)"):
+            assign_targets(pts, [gt], 0.3, denoising_gt=np.array([-2, 0]))
 
     def test_invalid_mu(self):
         with pytest.raises(ValueError):
             assign_targets([Point3(0, 0, 0)], [], 0.0)
+
+
+def pin_column(fixed: dict, n: int) -> np.ndarray:
+    """The (n,) denoising_gt column pinning row i to fixed[i], -1 elsewhere."""
+    col = np.full(n, -1, dtype=np.int64)
+    col[list(fixed)] = list(fixed.values())
+    return col
 
 
 def per_row_assign_targets(points, gts, mu, *, fixed_assignments=None):
@@ -275,7 +292,7 @@ class TestColumnsAgainstPerRowOracle:
     def test_columns_equal_per_row_lists(self, case, as_array):
         points, gts, mu, fixed = case
         pts = points_as_array(points) if as_array else points
-        a = assign_targets(pts, gts, mu, fixed_assignments=fixed)
+        a = assign_targets(pts, gts, mu, denoising_gt=pin_column(fixed, len(points)))
         matched, deltas, cent, classes, dn = per_row_assign_targets(
             points, gts, mu, fixed_assignments=fixed)
         n = len(points)

@@ -36,10 +36,10 @@ def first_rows(props, n):
                      props.denoising_gt[:n])
 
 
-def build(seed, noise, b=24, denoising=False, cfg=CFG):
+def build(seed, noise, b=24, denoising_k=0, cfg=CFG):
     scene = gen_scene(cfg, seed)
     cent = oracle_seed_centerness(scene, noise, seed=1)
-    props = scene_proposals(scene, cent, b, denoising=denoising)
+    props = scene_proposals(scene, cent, b, denoising_k=denoising_k)
     predict = oracle_predictor(scene, noise, seed=1)
     return scene, props, predict
 
@@ -110,7 +110,7 @@ class TestRunCascade:
 
     def test_origin_index_preserved(self):
         noise = OracleNoise(sigma_delta=0.1, sigma_heading=0.1)
-        scene, props, predict = build(6, noise, denoising=True, cfg=YAW_CFG)
+        scene, props, predict = build(6, noise, denoising_k=1, cfg=YAW_CFG)
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes)
         for rec in trace.stages:
             assert np.array_equal(rec.proposals_in.origin_index, props.origin_index)
@@ -125,7 +125,7 @@ class TestRunCascade:
     @pytest.mark.parametrize("weighting", ["exp_neg_dist", "literal"])
     def test_next_stage_is_hand_off_of_previous(self, weighting):
         noise = OracleNoise(sigma_delta=0.1, sigma_heading=0.1)
-        scene, props, predict = build(6, noise, denoising=True, cfg=YAW_CFG)
+        scene, props, predict = build(6, noise, denoising_k=1, cfg=YAW_CFG)
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes, weighting=weighting)
         for prev, nxt in zip(trace.stages, trace.stages[1:]):
             boxes = decode_boxes(prev.proposals_in.points, prev.predictions.deltas)
@@ -145,7 +145,7 @@ class TestRunCascade:
             assert rec.assignment.mu == rec.mu
 
     def test_denoising_assignment_pinned_every_stage(self):
-        scene, props, predict = build(8, OracleNoise(sigma_delta=0.15), b=16, denoising=True)
+        scene, props, predict = build(8, OracleNoise(sigma_delta=0.15), b=16, denoising_k=1)
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes)
         n_reg = 16
         for rec in trace.stages:

@@ -341,6 +341,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["run", "train"])
     @pytest.mark.parametrize("key, message", [
         ("features", "differ in length"),
+        ("feature_width", ",16)"),
+        ("far_point", "point 0 at [1e+200, 0.0, 0.0] lies outside the workspace"),
         ("class_id", "class_id 9 is not an int in [0, 5)"),
         ('seed="x"', "seed 'x' is not an int in [0, 18446744073709551616)"),
         ("seed=1.5", "seed 1.5 is not an int"),
@@ -357,6 +359,10 @@ class TestExitCodes:
         doc = json.loads(path.read_text())
         if key == "features":
             doc["features"] = doc["features"][:10]
+        elif key == "feature_width":
+            doc["features"] = [f[:15] for f in doc["features"]]
+        elif key == "far_point":
+            doc["points"][0] = [1e200, 0.0, 0.0]
         elif key == "class_id":
             doc["gt_boxes"][0]["class_id"] = 9
         else:

@@ -232,7 +232,7 @@ class TestCascadeStats:
         s = gen_scene(CFG, 77)
         noise = OracleNoise(sigma_delta=0.1)
         cent = oracle_seed_centerness(s, noise, seed=77)
-        props = scene_proposals(s, cent, 16, denoising=True)
+        props = scene_proposals(s, cent, 16, denoising_k=1)
         predict = oracle_predictor(s, noise, seed=77)
         trace = run_cascade(props, predict, CpaSchedule(0.4, 0.2, 3), s.gt_boxes)
         stats = cascade_stats([trace])

@@ -274,7 +274,7 @@ def test_cascade_stats_ious_equal_scalar_iou():
     for seed in (1, 2):
         scene = gen_scene(cfg, seed)
         cent = oracle_seed_centerness(scene, noise, seed=1)
-        props = scene_proposals(scene, cent, 24, denoising=True)
+        props = scene_proposals(scene, cent, 24, denoising_k=1)
         predict = oracle_predictor(scene, noise, seed=1)
         traces.append(run_cascade(props, predict, CpaSchedule(), scene.gt_boxes))
     stats = new_code(cascade_stats, traces)

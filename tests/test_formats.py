@@ -29,7 +29,9 @@ from cascadev.formats import (
     trace_to_doc,
     write_json,
 )
+from cascadev.geometry import OrientedBox, Point3
 from cascadev.learner import LossReport, head_predictor, init_head_params, train_cascade
+from cascadev.overlap import Detection
 from cascadev.synth import (
     OracleNoise,
     SceneConfig,
@@ -48,7 +50,7 @@ def _oracle_trace(seed=7, sigma=0.05):
     noise = OracleNoise(sigma_delta=sigma)
     props = scene_proposals(
         scene, oracle_seed_centerness(scene, noise, seed=seed), 12,
-        denoising=True,
+        denoising_k=1,
     )
     pred = oracle_predictor(scene, noise, seed=seed)
     return scene, run_cascade(props, pred, SCHED, gts=scene.gt_boxes)
@@ -58,7 +60,7 @@ def _class_less_trace():
     """A trace whose first ground truth has no class id."""
     scene = gen_scene(CFG, seed=7)
     gts = [replace(scene.gt_boxes[0], class_id=None)] + scene.gt_boxes[1:]
-    props = scene_proposals(scene, np.zeros(scene.num_points), 12, denoising=True)
+    props = scene_proposals(scene, np.zeros(scene.num_points), 12, denoising_k=1)
     pred = oracle_predictor(scene, OracleNoise(), seed=7)
     return run_cascade(props, pred, SCHED, gts=gts)
 
@@ -233,6 +235,26 @@ class TestSceneDocs:
         doc["seed"] = 2**64 - 1
         assert scene_from_doc(doc).seed == 2**64 - 1
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(features=[f[:15] for f in d["features"]]), r"shape \(\d+,16\)"),
+        (lambda d: d["points"][0].__setitem__(0, 1e200), r"point 0 at \[1e\+200, "),
+        (lambda d: d["points"][4].__setitem__(0, 50.0), r"point 4 at \[50\.0, .* outside the "
+                                                         r"workspace \(\(-4\.0, 4\.0\), "),
+        (lambda d: d["points"][4].__setitem__(2, -1e-6), r"point 4 at .* outside the workspace"),
+        (lambda d: d["gt_boxes"][1].update(center=[0.0, 0.0, 3.0]),
+         r"ground-truth box center 1 at \[0\.0, 0\.0, 3\.0\] lies outside"),
+    ])
+    def test_scene_disagreeing_with_its_config_rejected(self, edit, message):
+        doc = scene_to_doc(gen_scene(CFG, seed=3))
+        edit(doc)
+        with pytest.raises(DataError, match=f"malformed scene document: .*{message}"):
+            scene_from_doc(doc)
+
+    def test_points_on_the_workspace_edge_read(self):
+        doc = scene_to_doc(gen_scene(CFG, seed=3))
+        doc["points"][4] = [-4.0 - 1e-10, 4.0, 2.6 + 1e-10]
+        assert scene_from_doc(doc).points[4].tolist() == doc["points"][4]
+
     @pytest.mark.parametrize("edit", [
         {"sigma_feature": float("nan")}, {"sigma_feature": True}, {"num_gt": [1, 2, 3]},
         {"workspace": [[0, float("inf")], [0, 1], [0, 1]]}, {"workspace": [[0, 10**400]] * 3},
@@ -317,7 +339,9 @@ class TestTraceDocs:
         doc["stages"][1]["proposals_in"][2][key] = value
         with pytest.raises(DataError, match=rf"{key} .* is not an int in \[0, inf\)"):
             trace_from_doc(doc)
-        doc["stages"][1]["proposals_in"][2][key] = 1
+        # Stages hand their integer columns on unchanged, so a valid edit edits all.
+        for rec in doc["stages"]:
+            rec["proposals_in"][2][key] = 1
         assert getattr(trace_from_doc(doc).stages[1].proposals_in, key)[2] == 1
 
     @pytest.mark.parametrize("field, value", [
@@ -391,8 +415,29 @@ class TestTraceDocs:
         def huge_point(rec):
             rec["proposals_in"][3]["point"][1] = 10**400
 
+        def moved_point(rec):
+            rec["proposals_in"][3]["point"][0] += 5.0
+
+        def next_origin(rec):
+            rec["proposals_in"][3]["origin_index"] += 1
+
+        def new_pin(rec):
+            rec["proposals_in"][0]["denoising_gt"] = 0
+
+        def merged_class_probs(rec):
+            for pr in rec["predictions"]:
+                p = pr["class_probs"]
+                pr["class_probs"] = [p[0] + p[1]] + p[2:]
+
         for edit in (nan_point, ragged_features, huge_point):
             with pytest.raises(DataError):
+                trace_from_doc(broken(edit))
+        for edit, message in ((moved_point, "stage 2 row 3 is not stage 1's hand-off"),
+                              (next_origin, "stage 2 row 3 is not stage 1's hand-off"),
+                              (new_pin, "stage 2 row 0 is not stage 1's hand-off"),
+                              (merged_class_probs, "stage 2 row 0: class_probs width 5, "
+                                                   "stage 1 has 6")):
+            with pytest.raises(DataError, match=f"malformed trace document: {message}"):
                 trace_from_doc(broken(edit))
         trace_from_doc(doc)
 
@@ -545,6 +590,21 @@ class TestLayouts:
         assert canonical_dumps(to_doc(from_old)) == canonical_dumps(to_doc(from_new))
         if kind == "trace":
             _assert_same_records(from_new, from_old)
+
+
+class TestDetectionDocs:
+    def test_box_entry_carries_the_detection_score(self):
+        box = OrientedBox(Point3(0.5, -1.0, 0.25), (1.0, 2.0, 0.5), yaw=0.125, class_id=3)
+        doc = detection_doc(Detection(box, 0.75, 3, stage=2))
+        assert canonical_dumps(doc) == (
+            '{"box":{"center":[0.5,-1.0,0.25],"class_id":3,"score":0.75,"size":[1.0,2.0,0.5],'
+            '"yaw":0.125},"class_id":3,"score":0.75,"stage":2}\n')
+
+    def test_ground_truth_box_score_is_ignored(self):
+        doc = scene_to_doc(gen_scene(CFG, seed=3))
+        assert "score" not in doc["gt_boxes"][0]
+        doc["gt_boxes"][0]["score"] = 0.5
+        assert scene_from_doc(doc).gt_boxes == gen_scene(CFG, seed=3).gt_boxes
 
 
 class TestCsv:

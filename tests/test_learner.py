@@ -54,7 +54,7 @@ def _loss_instance(seed=11):
         Point3(2.0, 2.0, 0.3),
         Point3(3.2, 0.1, 1.1),
     ]
-    assignment = assign_targets(points, [g1, g2], 0.4, fixed_assignments={3: 1})
+    assignment = assign_targets(points, [g1, g2], 0.4, denoising_gt=np.array([-1, -1, -1, 1]))
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(4, 6))
     return feats, assignment
@@ -236,7 +236,8 @@ class TestComputeLosses:
                 Point3(*rng.uniform((-2.0, -2.0, 0.0), (2.0, 2.0, 2.0)))
                 for _ in range(n)
             ]
-            assignment = assign_targets(points, [gt], 0.3, fixed_assignments={0: 0})
+            assignment = assign_targets(points, [gt], 0.3,
+                                        denoising_gt=np.array([0] + [-1] * (n - 1)))
             outputs = StageOutputs(
                 cls_logits=rng.normal(scale=3.0, size=(n, 4)),
                 reg_raw=rng.normal(scale=2.0, size=(n, 7)),
@@ -337,8 +338,7 @@ class TestTrainCascade:
         train_cascade([scene], SCHED, 1, 1e-2, 3, b=32, denoising_k=2)
 
         params = init_head_params(cfg.feature_dim, cfg.num_classes, SCHED.num_stages, seed=3)
-        props = scene_proposals(scene, uniform_seed_scores(scene), 32, denoising=True,
-                                denoising_k=2)
+        props = scene_proposals(scene, uniform_seed_scores(scene), 32, denoising_k=2)
         trace = run_cascade(props, head_predictors(params), SCHED, gts=scene.gt_boxes)
         assert len(recorded) == trace.num_stages
         for (outputs, assignment), rec in zip(recorded, trace.stages):
@@ -413,6 +413,8 @@ class TestTrainCascade:
             train_cascade([scene], SCHED, 5, 1e-2, 0, batch_scenes=0)
         with pytest.raises(ValueError):
             train_cascade([], SCHED, 5, 1e-2, 0)
+        with pytest.raises(ValueError, match="need denoising_k >= 1, got 0"):
+            train_cascade([scene], SCHED, 5, 1e-2, 0, denoising_k=0)
         import dataclasses
 
         other = gen_scene(dataclasses.replace(SMALL_CFG, feature_dim=20), seed=3)

@@ -298,7 +298,7 @@ class TestProposalSelection:
     def test_top_b_with_denoising(self):
         s = gen_scene(SMALL, 31)
         cent = oracle_seed_centerness(s, OracleNoise(centerness_bias=0.1), seed=2)
-        props = scene_proposals(s, cent, 32, denoising=True)
+        props = scene_proposals(s, cent, 32, denoising_k=1)
         assert len(props) == 32 + len(s.gt_boxes)
         assert props.denoising_gt.tolist() == [-1] * 32 + list(range(len(s.gt_boxes)))
         # Denoising points are the l1-nearest scene points to each center.
@@ -308,6 +308,15 @@ class TestProposalSelection:
             for q in s.points:
                 d_other = abs(q[0] - c.x) + abs(q[1] - c.y) + abs(q[2] - c.z)
                 assert d_choice <= d_other + 1e-12
+
+    def test_denoising_k_zero_appends_no_group(self):
+        s = gen_scene(SMALL, 31)
+        cent = oracle_seed_centerness(s, OracleNoise(), seed=2)
+        props = scene_proposals(s, cent, 32, denoising_k=0)
+        assert props.denoising_gt.tolist() == [-1] * 32
+        assert props.origin_index.tolist() == scene_proposals(s, cent, 32).origin_index.tolist()
+        with pytest.raises(ValueError, match="need denoising_k >= 0, got -1"):
+            scene_proposals(s, cent, 32, denoising_k=-1)
 
     def test_proposals_carry_scene_features(self):
         s = gen_scene(SMALL, 32)
