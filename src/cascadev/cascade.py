@@ -3,11 +3,12 @@
 Each stage calls the predictor once on all current proposals, decodes
 them once into a column batch of scored detections, and moves every
 point onto its box center with its feature re-collected by instance-aware
-voting over the full proposal set: the next stage's proposals. A stage's
-detections and training assignment follow from its inputs and predictions
-through stage_record, which run_cascade calls and the trace reader calls
-again, so trace files store only a stage's inputs and predictions. Only
-the boxes the stage ensemble's NMS keeps become Detection rows.
+voting over the full proposal set: the next stage's proposals. So a
+stage's inputs follow from stage 1's proposals, the earlier stages'
+predictions, the schedule and the weighting. Trace files store only
+those, and the trace reader rebuilds every record by running run_cascade
+on the stored predictions. Only the boxes the stage ensemble's NMS keeps
+become Detection rows.
 
 Proposals carry an origin_index so a point's trajectory through the
 stages can be followed; denoising proposals keep a fixed ground-truth
@@ -75,10 +76,13 @@ class StageRecord:
 
 @dataclass(frozen=True, slots=True)
 class StageTrace:
-    """Per-stage records for one scene run, plus the ground truth used."""
+    """Per-stage records for one scene run, plus the ground truth, schedule
+    and voting weighting it ran with."""
 
     stages: list[StageRecord]
-    gts: list[OrientedBox] | None = None
+    gts: list[OrientedBox] | None
+    schedule: CpaSchedule
+    weighting: str
 
     @property
     def num_stages(self) -> int:
@@ -115,37 +119,6 @@ def hand_off(proposals: Proposals, boxes, *, weighting: str) -> Proposals:
     return replace(proposals, points=boxes[0], features=voted)
 
 
-def stage_record(
-    l: int,
-    mu: float | None,
-    proposals: Proposals,
-    predictions: Predictions,
-    gts: list[OrientedBox] | None,
-) -> StageRecord:
-    """Stage l's record from its proposals and their predictions.
-
-    Checks the predictions (PredictorOutputError on a wrong count, shape
-    or row; InvalidDeltasError on a box decode_boxes rejects), decodes
-    every row in one decode_boxes pass into scored detection columns, and,
-    when gts is given, assigns positives at threshold mu with denoising
-    proposals pinned to their ground truth.
-    """
-    _validate(predictions, len(proposals), l)
-    fg = predictions.class_probs[:, :-1]
-    class_ids = np.argmax(fg, axis=1)
-    scores = np.clip(fg[np.arange(len(fg)), class_ids] * predictions.centerness, 0.0, 1.0)
-    return StageRecord(
-        stage=l,
-        mu=mu,
-        proposals_in=proposals,
-        predictions=predictions,
-        assignment=None if gts is None else assign_targets(
-            proposals.points, gts, mu, denoising_gt=proposals.denoising_gt),
-        detections=Detections(*decode_boxes(proposals.points, predictions.deltas),
-                              class_ids, scores),
-    )
-
-
 def run_cascade(
     proposals: Proposals,
     predictor,
@@ -158,23 +131,39 @@ def run_cascade(
 
     predictor is a callable Proposals -> Predictions, or a sequence of L
     such callables (one per stage). Each stage calls it once with all of
-    its proposals and expects one prediction row per proposal, in order;
-    stage_record turns the rows into the stage's record. When gts is
-    given, each stage also records the positive assignment at that
-    stage's threshold. Proposal points and features advance between
-    stages; the last stage's detections feed nothing.
+    its proposals and checks the rows (PredictorOutputError on a wrong
+    count, shape or row; InvalidDeltasError on a box decode_boxes
+    rejects), then decodes every row in one pass into scored detection
+    columns. When gts is given, each stage also assigns positives at its
+    threshold, with denoising proposals pinned to their ground truth.
+    Proposal points and features advance between stages; the last
+    stage's detections feed nothing.
     """
     L = sched.num_stages
     records: list[StageRecord] = []
     current = proposals
     for l in range(1, L + 1):
-        stage_predictor = predictor if callable(predictor) else predictor[l - 1]
+        preds = (predictor if callable(predictor) else predictor[l - 1])(current)
+        _validate(preds, len(current), l)
+        fg = preds.class_probs[:, :-1]
+        class_ids = np.argmax(fg, axis=1)
+        scores = np.clip(fg[np.arange(len(fg)), class_ids] * preds.centerness, 0.0, 1.0)
         mu = None if gts is None else cpa_threshold(l, sched)
-        rec = stage_record(l, mu, current, stage_predictor(current), gts)
+        rec = StageRecord(
+            stage=l,
+            mu=mu,
+            proposals_in=current,
+            predictions=preds,
+            assignment=None if gts is None else assign_targets(
+                current.points, gts, mu, denoising_gt=current.denoising_gt),
+            detections=Detections(*decode_boxes(current.points, preds.deltas),
+                                  class_ids, scores),
+        )
         records.append(rec)
         if l < L:
             current = hand_off(current, rec.detections.boxes, weighting=weighting)
-    return StageTrace(stages=records, gts=list(gts) if gts is not None else None)
+    return StageTrace(stages=records, gts=None if gts is None else list(gts), schedule=sched,
+                      weighting=weighting)
 
 
 def ensemble_stages(

@@ -249,7 +249,8 @@ class CascadeStats:
 def cascade_stats(traces: list[StageTrace]) -> CascadeStats:
     """Reduce traces to per-stage assignment/centerness/IoU aggregates.
 
-    Every trace must carry ground truth. Per proposal and stage, the
+    Every trace must carry ground truth and share one schedule, so the
+    stages line up and each has one threshold. Per proposal and stage, the
     reference box is the containing (else nearest-center) ground truth
     of the stage's input point; "before" and "after" centerness are
     measured against it, as is the IoU of the decoded detection.
@@ -257,27 +258,25 @@ def cascade_stats(traces: list[StageTrace]) -> CascadeStats:
     """
     if not traces:
         raise ValueError("cascade_stats needs at least one trace")
-    num_stages = traces[0].num_stages
+    schedule = traces[0].schedule
     for t in traces:
         if t.gts is None:
             raise DataError("cascade statistics need traces recorded with ground truth")
-        if t.num_stages != num_stages:
-            raise DataError("all traces must have the same number of stages")
+        if t.schedule != schedule:
+            raise DataError(f"all traces must share one schedule, found {schedule} "
+                            f"and {t.schedule}")
+    num_stages = schedule.num_stages
 
     per_stage_before: list[list[float]] = [[] for _ in range(num_stages)]
     per_stage_after: list[list[float]] = [[] for _ in range(num_stages)]
     per_stage_pairs: list[list[tuple[float, float]]] = [[] for _ in range(num_stages)]
     per_stage_pos = [0] * num_stages
-    mus: list[float | None] = [None] * num_stages
 
     for trace in traces:
         gts = trace.gts
         gt_fps = footprints(box_columns(gts))
         for si, rec in enumerate(trace.stages):
-            if rec.mu is not None:
-                mus[si] = rec.mu
-            if rec.assignment is not None:
-                per_stage_pos[si] += rec.assignment.num_regular_positives
+            per_stage_pos[si] += rec.assignment.num_regular_positives
             keep = np.flatnonzero(rec.proposals_in.denoising_gt < 0)
             pts = rec.proposals_in.points[keep]
             owner = match_points_to_gt(pts, gts)
@@ -298,7 +297,7 @@ def cascade_stats(traces: list[StageTrace]) -> CascadeStats:
         stages.append(
             StageStats(
                 stage=si + 1,
-                mu=mus[si],
+                mu=traces[0].stages[si].mu,
                 positives=per_stage_pos[si],
                 mean_centerness_before=float(np.mean(before)) if before else float("nan"),
                 mean_centerness_after=float(np.mean(after)) if after else float("nan"),

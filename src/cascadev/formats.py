@@ -2,18 +2,18 @@
 
 Every JSON document carries a `kind` tag and a `schema_version`;
 readers accept any minor revision of the supported major version and
-reject the rest. Dumps are compact and canonical (sorted keys, no
-whitespace, shortest-roundtrip floats), so rerunning a command with the
-same config and seeds reproduces files byte for byte. Without an indent
-json.dumps runs the C encoder. Files written under 1.0 with a two-space
-indent parse to the same documents. CSV numbers use repr for the same
-reason.
+reject the rest, so 1.x files are a SchemaVersionError. Dumps are
+compact and canonical (sorted keys, no whitespace, shortest-roundtrip
+floats), so rerunning a command with the same config and seeds
+reproduces files byte for byte. Without an indent json.dumps runs the C
+encoder. CSV numbers use repr for the same reason.
 
-A trace stores each stage's inputs and predictions only. The reader
-rebuilds the moved points, the assignment and the detections with
-cascade.stage_record, the step run_cascade took, so floats that
-round-trip exactly give back the records the run computed, and a trace
-whose predictions break the predictor contract does not read.
+A trace stores what the cascade cannot derive: the ground truth, the
+schedule, the voting weighting, stage 1's proposals and every stage's
+predictions, all as columns. The reader replays the stored predictions
+through run_cascade, the loop the run took, so floats that round-trip
+exactly give back the records the run computed, and a trace whose
+predictions break the predictor contract does not read.
 """
 
 from __future__ import annotations
@@ -25,15 +25,17 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .cascade import Predictions, Proposals, StageRecord, StageTrace, stage_record
+from .assignment import CpaSchedule
+from .cascade import Predictions, Proposals, StageTrace, run_cascade
 from .config import from_doc
 from .errors import DataError, InvalidDeltasError, PredictorOutputError, SchemaVersionError
 from .evaluation import ApResult, CascadeStats, ThresholdResult
 from .geometry import EPS, OrientedBox, Point3, box_columns
 from .learner import BranchParams, HeadParams, LossReport, StageParams
 from .synth import SceneConfig, SyntheticScene
+from .voting import WEIGHTINGS
 
-SCHEMA_VERSION = "1.1"
+SCHEMA_VERSION = "2.0"
 RNG_FAMILY = "philox4x64"
 
 STATS_CSV_COLUMNS = (
@@ -131,14 +133,18 @@ def _box_from(doc: dict, num_classes: float) -> OrientedBox:
     )
 
 
-def _rows(values: list, width: int | None = None) -> np.ndarray:
-    """values as a (len(values), width) float array, width None taking the first
-    row's; ValueError when the rows are ragged, of another width or not finite."""
+def _rows(values: list, name: str, width: int | None = None) -> np.ndarray:
+    """The column name as a (len(values), width) float array, width None taking
+    the first row's; ValueError naming it when a row is of another width or a
+    value is not finite."""
     if width is None:
         width = len(values[0]) if values else 0
+    for row in values:
+        if len(row) != width:
+            raise ValueError(f"{name} rows are {len(row)} wide, expected {width}")
     a = np.array(values, dtype=np.float64).reshape(len(values), width)
     if not np.isfinite(a).all():
-        raise ValueError("non-finite values")
+        raise ValueError(f"{name} hold non-finite values")
     return a
 
 
@@ -187,8 +193,8 @@ def scene_from_doc(doc: dict) -> SyntheticScene:
         _inside(box_columns(gt_boxes)[0], config.workspace, "ground-truth box center")
         scene = SyntheticScene(
             gt_boxes=gt_boxes,
-            points=_inside(_rows(doc["points"], 3), config.workspace, "point"),
-            features=_rows(doc["features"], config.feature_dim),
+            points=_inside(_rows(doc["points"], "points", 3), config.workspace, "point"),
+            features=_rows(doc["features"], "features", config.feature_dim),
             point_gt_labels=_ints(doc["point_gt_labels"], "point_gt_label", -1, len(gt_boxes)),
             seed=_int(doc["seed"], "seed", 0, 2**64),
             config=config,
@@ -203,29 +209,10 @@ def scene_from_doc(doc: dict) -> SyntheticScene:
 
 def detection_doc(d) -> dict:
     return {
-        # Schema 1.x detection boxes carry their detection's score too.
-        "box": {**_box_doc(d.box), "score": d.score},
+        "box": _box_doc(d.box),
         "score": d.score,
         "class_id": d.class_id,
         "stage": d.stage,
-    }
-
-
-def _stage_doc(rec: StageRecord) -> dict:
-    props, preds = rec.proposals_in, rec.predictions
-    return {
-        "stage": rec.stage,
-        "mu": rec.mu,
-        "proposals_in": [
-            {"point": p, "feature": f, "origin_index": o, "denoising_gt": None if g < 0 else g}
-            for p, f, o, g in zip(props.points.tolist(), props.features.tolist(),
-                                  props.origin_index.tolist(), props.denoising_gt.tolist())
-        ],
-        "predictions": [
-            {"class_probs": p, "deltas": d, "centerness": c}
-            for p, d, c in zip(preds.class_probs.tolist(), preds.deltas.tolist(),
-                               preds.centerness.tolist())
-        ],
     }
 
 
@@ -233,80 +220,73 @@ def trace_to_doc(trace: StageTrace, scene_seed: int | None = None) -> dict:
     doc = _envelope("trace")
     if scene_seed is not None:
         doc["scene_seed"] = scene_seed
-    doc["gts"] = None if trace.gts is None else [_box_doc(b) for b in trace.gts]
-    doc["stages"] = [_stage_doc(rec) for rec in trace.stages]
+    props = trace.stages[0].proposals_in
+    doc.update(
+        gts=None if trace.gts is None else [_box_doc(b) for b in trace.gts],
+        schedule=asdict(trace.schedule),
+        weighting=trace.weighting,
+        proposals={
+            "points": props.points.tolist(),
+            "features": props.features.tolist(),
+            "origin_index": props.origin_index.tolist(),
+            "denoising_gt": props.denoising_gt.tolist(),
+        },
+        predictions=[
+            {
+                "class_probs": rec.predictions.class_probs.tolist(),
+                "deltas": rec.predictions.deltas.tolist(),
+                "centerness": rec.predictions.centerness.tolist(),
+            }
+            for rec in trace.stages
+        ],
+    )
     return doc
 
 
-def _mu(v, gts: list[OrientedBox] | None) -> float | None:
-    """v itself; ValueError unless it is null without ground truth, or a number
-    in (0, 1] with it."""
-    if gts is None:
-        if v is not None:
-            raise ValueError(f"mu {v!r} in a trace without ground truth")
-    elif not (type(v) in (int, float) and 0.0 < v <= 1.0):
-        raise ValueError(f"mu {v!r} is not a number in (0, 1]")
-    return v
-
-
-def _stage_from(l: int, rec: dict, gts: list[OrientedBox] | None) -> StageRecord:
-    """Stage l's record, rebuilt from its inputs and predictions by stage_record."""
-    props, preds = rec["proposals_in"], rec["predictions"]
-    pins = [p["denoising_gt"] for p in props]
-    _ints([g for g in pins if g is not None], "denoising_gt", 0)
-    proposals = Proposals(
-        points=_rows([p["point"] for p in props], 3),
-        features=_rows([p["feature"] for p in props]),
-        origin_index=_ints([p["origin_index"] for p in props], "origin_index", 0),
-        denoising_gt=np.array([-1 if g is None else g for g in pins], dtype=np.int64),
+def _predictions(doc: dict, l: int, width: int) -> Predictions:
+    return Predictions(
+        class_probs=_rows(doc["class_probs"], f"stage {l} class_probs", width),
+        deltas=_rows(doc["deltas"], f"stage {l} deltas", 7),
+        centerness=np.array(doc["centerness"], dtype=np.float64),
     )
-    predictions = Predictions(
-        # An empty stage has no row to take the class count from; one class
-        # plus background is the narrowest width the predictor contract allows.
-        class_probs=_rows([pr["class_probs"] for pr in preds], None if preds else 2),
-        deltas=_rows([pr["deltas"] for pr in preds], 7),
-        centerness=np.array([pr["centerness"] for pr in preds], dtype=np.float64),
-    )
-    return stage_record(_int(rec["stage"], "stage", l, l + 1), _mu(rec["mu"], gts),
-                        proposals, predictions, gts)
-
-
-def _class_count(stages: list[dict]) -> float:
-    """The class count every class_probs row shares (a row less background),
-    inf in a trace without rows; ValueError naming the first row that differs."""
-    widths = [(l, i, len(pr["class_probs"]))
-              for l, rec in enumerate(stages, start=1) for i, pr in enumerate(rec["predictions"])]
-    for l, i, w in widths:
-        if w != widths[0][2]:
-            raise ValueError(f"stage {l} row {i}: class_probs width {w}, "
-                             f"stage {widths[0][0]} has {widths[0][2]}")
-    return widths[0][2] - 1 if widths else math.inf
-
-
-def _check_hand_off(prev: StageRecord, rec: StageRecord) -> None:
-    """ValueError unless rec's proposals are prev's hand-off: its detection
-    centers, with its origin_index and denoising_gt. The voted features are
-    not checked, because a trace does not record the weighting."""
-    a, b = prev.proposals_in, rec.proposals_in
-    if len(b) != len(a):
-        raise ValueError(f"stage {rec.stage} has {len(b)} proposals, stage {prev.stage} {len(a)}")
-    bad = ((b.points != prev.detections.centers).any(axis=1)
-           | (b.origin_index != a.origin_index) | (b.denoising_gt != a.denoising_gt))
-    if bad.any():
-        raise ValueError(f"stage {rec.stage} row {int(np.argmax(bad))} is not "
-                         f"stage {prev.stage}'s hand-off")
 
 
 def trace_from_doc(doc: dict) -> StageTrace:
+    """The trace run_cascade gives when it replays doc's stored predictions on
+    its stage-1 proposals, with its schedule, weighting and ground truth."""
     check_schema(doc, "trace")
     try:
-        # Class ids lie below the class count.
-        num_classes = _class_count(doc["stages"])
+        schedule = from_doc(CpaSchedule, doc["schedule"], "schedule")
+        weighting = doc["weighting"]
+        if weighting not in WEIGHTINGS:
+            raise ValueError(f"unknown weighting {weighting!r}, expected one of {WEIGHTINGS}")
+        stored = doc["predictions"]
+        if len(stored) != schedule.num_stages:
+            raise ValueError(f"{len(stored)} stages of predictions for a "
+                             f"{schedule.num_stages}-stage schedule")
+        # Every stage's class_probs rows are as wide as stage 1's, and class ids
+        # lie below that width less background. A trace without rows bounds no
+        # class id; one class plus background is the narrowest width the
+        # predictor contract allows.
+        first = stored[0]["class_probs"]
+        width = len(first[0]) if first else 2
+        num_classes = width - 1 if first else math.inf
+        replay = [_predictions(p, l, width) for l, p in enumerate(stored, start=1)]
         gts = None if doc["gts"] is None else [_box_from(b, num_classes) for b in doc["gts"]]
-        stages = [_stage_from(l, rec, gts) for l, rec in enumerate(doc["stages"], start=1)]
-        for prev, rec in zip(stages, stages[1:]):
-            _check_hand_off(prev, rec)
-        return StageTrace(stages=stages, gts=gts)
+        props = doc["proposals"]
+        proposals = Proposals(
+            points=_rows(props["points"], "points", 3),
+            features=_rows(props["features"], "features"),
+            origin_index=_ints(props["origin_index"], "origin_index", 0),
+            denoising_gt=_ints(props["denoising_gt"], "denoising_gt", -1,
+                               math.inf if gts is None else len(gts)),
+        )
+        lengths = [len(props[k]) for k in ("points", "features", "origin_index", "denoising_gt")]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"proposal points, features, origin_index and denoising_gt differ "
+                             f"in length: {lengths}")
+        return run_cascade(proposals, [lambda _, p=p: p for p in replay], schedule, gts,
+                           weighting=weighting)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed trace document: {exc}") from exc
     except (PredictorOutputError, InvalidDeltasError) as exc:
@@ -415,22 +395,9 @@ def _csv_num(v) -> str:
 
 
 def stats_csv(stats: CascadeStats) -> str:
-    """One row per stage with the pinned column set."""
+    """One row per stage with the pinned column set, each a StageStats field."""
     lines = [",".join(STATS_CSV_COLUMNS)]
-    for s in stats.stages:
-        lines.append(
-            ",".join(
-                _csv_num(v)
-                for v in (
-                    s.stage,
-                    s.mu,
-                    s.positives,
-                    s.mean_centerness_before,
-                    s.mean_centerness_after,
-                    s.spearman_rho,
-                )
-            )
-        )
+    lines += [",".join(_csv_num(getattr(s, c)) for c in STATS_CSV_COLUMNS) for s in stats.stages]
     return "\n".join(lines) + "\n"
 
 

@@ -3,13 +3,22 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cascadev.assignment import CpaSchedule
 from cascadev.cascade import ensemble_stages, run_cascade
 from cascadev.cli import main
 from cascadev.evaluation import cascade_stats, evaluate_scenes
-from cascadev.formats import ap_to_doc, canonical_dumps, model_to_doc, stats_csv, write_json
+from cascadev.formats import (
+    ap_to_doc,
+    canonical_dumps,
+    model_to_doc,
+    read_json,
+    stats_csv,
+    trace_from_doc,
+    write_json,
+)
 from cascadev.learner import init_head_params
 from cascadev.synth import (
     OracleNoise,
@@ -127,7 +136,7 @@ class TestPipeline:
             ["run", str(scenes), "--config", cfg_path, "--stages", "1", "--out", str(traces)]
         ) == 0
         doc = json.loads((traces / "trace_0000.json").read_text())
-        assert len(doc["stages"]) == 1
+        assert doc["schedule"]["num_stages"] == len(doc["predictions"]) == 1
 
     def test_schedule_flags_reach_manifest_and_traces(self, tmp_path, cfg_path):
         scenes = tmp_path / "scenes"
@@ -143,7 +152,11 @@ class TestPipeline:
             "--mu-max", "0.45", "--mu-min", "0.15",
         ])
         doc = json.loads((traces / "trace_0000.json").read_text())
-        assert doc["stages"][-1]["mu"] == pytest.approx(0.15, abs=1e-12)
+        assert doc["schedule"] == {"mu_max": 0.45, "mu_min": 0.15, "num_stages": 3}
+        metrics = tmp_path / "metrics"
+        assert main(["eval", str(traces), "--config", cfg_path, "--out", str(metrics)]) == 0
+        mus = [line.split(",")[1] for line in (metrics / "stats.csv").read_text().split()[1:]]
+        assert float(mus[-1]) == pytest.approx(0.15, abs=1e-12)
 
     @pytest.mark.parametrize("config, flags, key, resolved", [
         ({}, ["--stages", "4"], "ensemble", [1, 4]),
@@ -217,7 +230,7 @@ class TestDeterminism:
                 if name.endswith(".json"):
                     doc = json.loads(data)
                     assert canonical_dumps(doc).encode() == data, name
-                    assert doc["schema_version"] == "1.1"
+                    assert doc["schema_version"] == "2.0"
                     kinds.add(doc["kind"])
         assert kinds == {"scene", "manifest", "trace", "detections", "ap", "model"}
 
@@ -341,7 +354,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["run", "train"])
     @pytest.mark.parametrize("key, message", [
         ("features", "differ in length"),
-        ("feature_width", ",16)"),
+        ("feature_width", "features rows are 15 wide, expected 16"),
+        ("point_width", "points rows are 2 wide, expected 3"),
         ("far_point", "point 0 at [1e+200, 0.0, 0.0] lies outside the workspace"),
         ("class_id", "class_id 9 is not an int in [0, 5)"),
         ('seed="x"', "seed 'x' is not an int in [0, 18446744073709551616)"),
@@ -361,6 +375,8 @@ class TestExitCodes:
             doc["features"] = doc["features"][:10]
         elif key == "feature_width":
             doc["features"] = [f[:15] for f in doc["features"]]
+        elif key == "point_width":
+            doc["points"][7] = doc["points"][7][:2]
         elif key == "far_point":
             doc["points"][0] = [1e200, 0.0, 0.0]
         elif key == "class_id":
@@ -383,15 +399,16 @@ class TestExitCodes:
         main(["run", str(scenes), "--config", cfg_path, "--out", str(traces)])
         path = traces / "trace_0002.json"
         doc = json.loads(path.read_text())
-        rows = doc["stages"][1]["predictions"]
+        stage = doc["predictions"][1]
         if edit == "probabilities":
-            rows[0]["class_probs"] = [p * 0.7 for p in rows[0]["class_probs"]]
+            stage["class_probs"][0] = [p * 0.7 for p in stage["class_probs"][0]]
         elif edit == "centerness":
-            rows[0]["centerness"] = 1.5
+            stage["centerness"][0] = 1.5
         elif edit == "extent":
-            rows[0]["deltas"][0] = -rows[0]["deltas"][1]
+            stage["deltas"][0][0] = -stage["deltas"][0][1]
         else:
-            rows.pop()
+            for column in stage.values():
+                column.pop()
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["eval", str(traces), "--config", cfg_path,
@@ -432,24 +449,71 @@ class TestExitCodes:
         assert err.startswith("data error: malformed ") and message in err
         assert err.count(path.name) == 1
 
-    @pytest.mark.parametrize("stage, key, value", [
-        (0, "mu", float("nan")), (1, "stage", "x"), (1, "stage", 1.5), (1, "stage", 1),
-    ])
-    def test_bad_trace_stage_or_mu_is_data_error(self, tmp_path, cfg_path, stage, key, value,
-                                                  capsys):
+    @pytest.mark.parametrize("key, value, message", [
+        ("schedule", {"mu_max": float("nan"), "mu_min": 0.2, "num_stages": 3},
+         "mu_max must be a finite number, got nan"),
+        ("schedule", {"mu_max": 0.4, "mu_min": 0.2, "num_stages": 1.5},
+         "num_stages must be an integer, got 1.5"),
+        ("schedule", {"mu_max": 0.4, "mu_min": 0.2, "num_stages": 2},
+         "3 stages of predictions for a 2-stage schedule"),
+        ("weighting", "gauss", "unknown weighting 'gauss'"),
+    ], ids=["mu_max_nan", "num_stages_float", "stage_count", "weighting"])
+    def test_bad_trace_schedule_is_data_error(self, tmp_path, cfg_path, key, value, message,
+                                              capsys):
         scenes, traces = tmp_path / "scenes", tmp_path / "traces"
         main(["gen", "--config", cfg_path, "--out", str(scenes)])
         main(["run", str(scenes), "--config", cfg_path, "--out", str(traces)])
         path = traces / "trace_0002.json"
         doc = json.loads(path.read_text())
-        doc["stages"][stage][key] = value
+        doc[key] = value
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["eval", str(traces), "--config", cfg_path,
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: malformed trace document: {key} ")
+        assert err.startswith(f"data error: malformed trace document: {message}")
         assert err.count("trace_0002.json") == 1
+
+    def test_traces_of_different_schedules_is_data_error(self, tmp_path, cfg_path, capsys):
+        scenes, traces, other = tmp_path / "scenes", tmp_path / "traces", tmp_path / "other"
+        main(["gen", "--config", cfg_path, "--out", str(scenes)])
+        main(["run", str(scenes), "--config", cfg_path, "--out", str(traces)])
+        main(["run", str(scenes), "--config", cfg_path, "--out", str(other),
+              "--mu-max", "0.9", "--mu-min", "0.5"])
+        (traces / "trace_0001.json").write_bytes((other / "trace_0001.json").read_bytes())
+        capsys.readouterr()
+        assert main(["eval", str(traces), "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "data error: all traces must share one schedule, found "
+            "CpaSchedule(mu_max=0.4, mu_min=0.2, num_stages=3) and "
+            "CpaSchedule(mu_max=0.9, mu_min=0.5, num_stages=3)\n"
+        )
+
+    def test_eval_rebuilds_with_the_trace_weighting(self, tmp_path, cfg_path):
+        scenes, traces = tmp_path / "scenes", tmp_path / "traces"
+        main(["gen", "--config", cfg_path, "--out", str(scenes), "--seed", "5"])
+        main(["run", str(scenes), "--config", cfg_path, "--out", str(traces),
+              "--weighting", "literal"])
+        outputs = []
+        for tag, flags in (("flag", ["--weighting", "literal"]), ("default", [])):
+            metrics = tmp_path / tag
+            assert main(["eval", str(traces), "--config", cfg_path,
+                         "--out", str(metrics)] + flags) == 0
+            outputs.append(_read_bytes_map(metrics))
+        assert outputs[0] == outputs[1]
+        # The read-back records hold the literal votes, whatever the flag says.
+        loaded = trace_from_doc(read_json(traces / "trace_0000.json", "trace"))
+        scene = gen_scene(SceneConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                         for k, v in SMALL["scene"].items()}), 5)
+        props = scene_proposals(scene, oracle_seed_centerness(scene, OracleNoise(), seed=5),
+                                SMALL["b"])
+        for weighting, same in (("literal", True), ("exp_neg_dist", False)):
+            api = run_cascade(props, oracle_predictor(scene, OracleNoise(), seed=5),
+                              CpaSchedule(), gts=scene.gt_boxes, weighting=weighting)
+            for a, b in zip(api.stages, loaded.stages):
+                votes = (a.proposals_in.features, b.proposals_in.features)
+                assert np.array_equal(*votes) == (same or a.stage == 1)
 
     def test_class_less_box_in_train_is_data_error(self, tmp_path, cfg_path, capsys):
         scenes = tmp_path / "scenes"
@@ -517,9 +581,26 @@ class TestExitCodes:
         assert main(["run", str(scenes), "--config", cfg_path,
                      "--out", str(tmp_path / "o")]) == 3
 
-    def test_divergence_is_numerical_error(self, tmp_path, cfg_path):
-        import numpy as np
+    @pytest.mark.parametrize("kind", ["scene", "trace"])
+    def test_v1_artifact_is_schema_error(self, tmp_path, cfg_path, kind, capsys):
+        scenes, traces = tmp_path / "scenes", tmp_path / "traces"
+        main(["gen", "--config", cfg_path, "--out", str(scenes)])
+        main(["run", str(scenes), "--config", cfg_path, "--out", str(traces)])
+        folder = scenes if kind == "scene" else traces
+        path = folder / f"{kind}_0001.json"
+        doc = json.loads(path.read_text())
+        doc["schema_version"] = "1.1"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        command = "run" if kind == "scene" else "eval"
+        assert main([command, str(folder), "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "data error: unsupported major schema version '1.1' (reader supports 2.0)"
+            f" (in {path})\n"
+        )
 
+    def test_divergence_is_numerical_error(self, tmp_path, cfg_path):
         scenes = tmp_path / "scenes"
         main(["gen", "--config", cfg_path, "--out", str(scenes)])
         cfg = dict(SMALL)
@@ -532,8 +613,6 @@ class TestExitCodes:
         assert code == 4
 
     def test_huge_learning_rate_is_numerical_error(self, tmp_path, capsys):
-        import numpy as np
-
         cfg = {"num_scenes": 1, "b": 4, "lr": 1e200, "steps": 5,
                "scene": {"num_gt": [1, 1], "points_per_box": 20, "num_clutter": 10}}
         path = tmp_path / "cfg.json"

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from cascadev.assignment import CpaSchedule
-from cascadev.cascade import run_cascade
+from cascadev.cascade import Proposals, run_cascade
 from cascadev.errors import DataError, SchemaVersionError
 from cascadev.evaluation import cascade_stats, evaluate_scenes
 from cascadev.formats import (
     SCHEMA_VERSION,
     STATS_CSV_COLUMNS,
-    _box_doc,
     ap_from_doc,
     ap_to_doc,
     canonical_dumps,
@@ -30,7 +29,13 @@ from cascadev.formats import (
     write_json,
 )
 from cascadev.geometry import OrientedBox, Point3
-from cascadev.learner import LossReport, head_predictor, init_head_params, train_cascade
+from cascadev.learner import (
+    LossReport,
+    head_predictor,
+    head_predictors,
+    init_head_params,
+    train_cascade,
+)
 from cascadev.overlap import Detection
 from cascadev.synth import (
     OracleNoise,
@@ -70,14 +75,18 @@ def _through_json(doc):
 
 
 def _assert_same_bytes(a, b):
-    assert a.dtype == b.dtype and a.shape == b.shape
-    assert a.tobytes() == b.tobytes()
+    """Same dtype, shape and bytes; an empty JSON column keeps no row width,
+    so empty arrays need only agree in length."""
+    assert a.dtype == b.dtype and len(a) == len(b)
+    if a.size or b.size:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _assert_same_records(trace, loaded):
     """Arrays bytewise, detection columns bytewise and their rows with ==,
     assignment columns bytewise."""
     assert loaded.gts == trace.gts
+    assert loaded.schedule == trace.schedule and loaded.weighting == trace.weighting
     assert loaded.num_stages == trace.num_stages
     for ra, rb in zip(trace.stages, loaded.stages):
         assert ra.stage == rb.stage and ra.mu == rb.mu
@@ -88,70 +97,29 @@ def _assert_same_records(trace, loaded):
             _assert_same_bytes(getattr(ra.proposals_in, name), getattr(rb.proposals_in, name))
         for name in ("class_probs", "deltas", "centerness"):
             _assert_same_bytes(getattr(ra.predictions, name), getattr(rb.predictions, name))
-        for name in ("matched_gt", "target_deltas", "target_centerness", "target_class",
-                     "is_denoising"):
-            _assert_same_bytes(getattr(ra.assignment, name), getattr(rb.assignment, name))
-        assert ra.assignment.mu == rb.assignment.mu
+        assert (ra.assignment is None) == (rb.assignment is None)
+        if ra.assignment is not None:
+            for name in ("matched_gt", "target_deltas", "target_centerness", "target_class",
+                         "is_denoising"):
+                _assert_same_bytes(getattr(ra.assignment, name), getattr(rb.assignment, name))
+            assert ra.assignment.mu == rb.assignment.mu
 
 
-def _assignment_doc_v1_0(a):
-    matched = (a.matched_gt >= 0).tolist()
-    return {
-        "mu": a.mu,
-        "matched_gt": a.matched_gt.tolist(),
-        "target_deltas": [d if m else None for m, d in zip(matched, a.target_deltas.tolist())],
-        "target_centerness": [c if m else None
-                              for m, c in zip(matched, a.target_centerness.tolist())],
-        "target_class": [None if c < 0 else c for c in a.target_class.tolist()],
-        "is_denoising": a.is_denoising.tolist(),
-    }
+def _scale_probs(stage):
+    stage["class_probs"][0] = [p * 0.7 for p in stage["class_probs"][0]]
 
 
-def _stage_doc_v1_0(rec):
-    """The first 1.0 stage layout, which also stored every derived value:
-    moved points, assignment, detections, and per-row is_denoising and
-    heading copies."""
-    props, preds = rec.proposals_in, rec.predictions
-    deltas = preds.deltas.tolist()
-    return {
-        "stage": rec.stage,
-        "mu": rec.mu,
-        "proposals_in": [
-            {"point": p, "feature": f, "origin_index": o, "is_denoising": g >= 0,
-             "denoising_gt": None if g < 0 else g}
-            for p, f, o, g in zip(props.points.tolist(), props.features.tolist(),
-                                  props.origin_index.tolist(), props.denoising_gt.tolist())
-        ],
-        "predictions": [
-            {"class_probs": p, "deltas": d, "heading": d[6], "centerness": c}
-            for p, d, c in zip(preds.class_probs.tolist(), deltas, preds.centerness.tolist())
-        ],
-        "updated_points": rec.detections.centers.tolist(),
-        "assignment": None if rec.assignment is None else _assignment_doc_v1_0(rec.assignment),
-        "detections": [detection_doc(d) for d in rec.detections.rows(rec.stage)],
-    }
+def _centerness_above_one(stage):
+    stage["centerness"][0] = 1.5
 
 
-def _trace_doc_v1_0(trace):
-    return {"kind": "trace", "schema_version": "1.0",
-            "gts": [_box_doc(b) for b in trace.gts],
-            "stages": [_stage_doc_v1_0(rec) for rec in trace.stages]}
+def _zero_width(stage):
+    stage["deltas"][0][0] = -stage["deltas"][0][1]
 
 
-def _scale_probs(rows):
-    rows[0]["class_probs"] = [p * 0.7 for p in rows[0]["class_probs"]]
-
-
-def _centerness_above_one(rows):
-    rows[0]["centerness"] = 1.5
-
-
-def _zero_width(rows):
-    rows[0]["deltas"][0] = -rows[0]["deltas"][1]
-
-
-def _one_row_short(rows):
-    rows.pop()
+def _one_row_short(stage):
+    for column in stage.values():
+        column.pop()
 
 
 PREDICTION_EDITS = [_scale_probs, _centerness_above_one, _zero_width, _one_row_short]
@@ -236,7 +204,9 @@ class TestSceneDocs:
         assert scene_from_doc(doc).seed == 2**64 - 1
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda d: d.update(features=[f[:15] for f in d["features"]]), r"shape \(\d+,16\)"),
+        (lambda d: d.update(features=[f[:15] for f in d["features"]]),
+         "features rows are 15 wide, expected 16"),
+        (lambda d: d["points"][6].pop(), "points rows are 2 wide, expected 3"),
         (lambda d: d["points"][0].__setitem__(0, 1e200), r"point 0 at \[1e\+200, "),
         (lambda d: d["points"][4].__setitem__(0, 50.0), r"point 4 at \[50\.0, .* outside the "
                                                          r"workspace \(\(-4\.0, 4\.0\), "),
@@ -283,20 +253,47 @@ class TestTraceDocs:
         _, trace = _oracle_trace()
         _assert_same_records(trace, trace_from_doc(_through_json(trace_to_doc(trace))))
 
-    @pytest.mark.parametrize("make", [lambda: _oracle_trace(sigma=0.2)[1], _class_less_trace])
-    def test_v1_0_layout_reads_to_same_records(self, make):
-        trace = make()
-        doc = _through_json(_trace_doc_v1_0(trace))
-        assert doc["stages"][0]["assignment"] is not None
-        _assert_same_records(trace, trace_from_doc(doc))
+    @pytest.mark.parametrize("predictor", ["oracle", "head"])
+    @pytest.mark.parametrize("empty", [False, True], ids=["proposals", "no_proposals"])
+    @pytest.mark.parametrize("with_gts", [True, False], ids=["gts", "no_gts"])
+    @pytest.mark.parametrize("num_stages", [1, 3, 4])
+    @pytest.mark.parametrize("weighting", ["exp_neg_dist", "literal"])
+    def test_reader_rebuilds_the_run_records(self, weighting, num_stages, with_gts, empty,
+                                             predictor):
+        scene = gen_scene(CFG, seed=5)
+        noise = OracleNoise(sigma_delta=0.1, sigma_heading=0.1, centerness_bias=0.1)
+        props = scene_proposals(scene, oracle_seed_centerness(scene, noise, seed=5), 10,
+                                denoising_k=2)
+        if empty:
+            props = Proposals(props.points[:0], props.features[:0], props.origin_index[:0],
+                              props.denoising_gt[:0])
+        sched = CpaSchedule(mu_max=0.45, mu_min=0.15, num_stages=num_stages)
+        if predictor == "oracle":
+            predict = oracle_predictor(scene, noise, seed=5)
+        else:
+            predict = head_predictors(init_head_params(CFG.feature_dim, CFG.num_classes,
+                                                       num_stages, hidden=8, seed=3))
+        trace = run_cascade(props, predict, sched, scene.gt_boxes if with_gts else None,
+                            weighting=weighting)
+        loaded = trace_from_doc(json.loads(canonical_dumps(trace_to_doc(trace))))
+        _assert_same_records(trace, loaded)
+        if not empty and num_stages > 1:
+            # Stage 2's features are votes, not stage 1's features.
+            assert not np.array_equal(loaded.stages[1].proposals_in.features, props.features)
 
     def test_stage_holds_only_inputs_and_predictions(self):
+        # Stage 1's proposals and each stage's predictions; the reader derives the rest.
         _, trace = _oracle_trace()
-        for rec in trace_to_doc(trace)["stages"]:
-            assert sorted(rec) == ["mu", "predictions", "proposals_in", "stage"]
-            assert sorted(rec["proposals_in"][0]) == [
-                "denoising_gt", "feature", "origin_index", "point"]
-            assert sorted(rec["predictions"][0]) == ["centerness", "class_probs", "deltas"]
+        doc = trace_to_doc(trace, scene_seed=7)
+        assert sorted(doc) == ["gts", "kind", "predictions", "proposals", "scene_seed",
+                               "schedule", "schema_version", "weighting"]
+        assert doc["schedule"] == {"mu_max": 0.4, "mu_min": 0.2, "num_stages": 3}
+        assert doc["weighting"] == "exp_neg_dist"
+        assert sorted(doc["proposals"]) == ["denoising_gt", "features", "origin_index", "points"]
+        assert doc["proposals"]["denoising_gt"][-1] >= 0 > doc["proposals"]["denoising_gt"][0]
+        assert len(doc["predictions"]) == SCHED.num_stages
+        for stage in doc["predictions"]:
+            assert sorted(stage) == ["centerness", "class_probs", "deltas"]
 
     def test_class_less_box_round_trips_as_null(self):
         trace = _class_less_trace()
@@ -324,25 +321,27 @@ class TestTraceDocs:
     def test_predictions_breaking_contract_rejected(self, edit):
         _, trace = _oracle_trace()
         doc = _through_json(trace_to_doc(trace))
-        edit(doc["stages"][1]["predictions"])
+        edit(doc["predictions"][1])
         with pytest.raises(DataError, match="predictor contract"):
             trace_from_doc(doc)
 
     @pytest.mark.parametrize("key,value", [
         ("origin_index", 3.9), ("origin_index", -5), ("origin_index", True),
         ("origin_index", None), ("denoising_gt", 0.7), ("denoising_gt", -3),
-        ("denoising_gt", -1), ("denoising_gt", True), ("denoising_gt", "0"),
+        ("denoising_gt", 2), ("denoising_gt", True), ("denoising_gt", "0"),
     ])
     def test_stage_integer_columns_rejected(self, key, value):
         _, trace = _oracle_trace()
         doc = _through_json(trace_to_doc(trace))
-        doc["stages"][1]["proposals_in"][2][key] = value
-        with pytest.raises(DataError, match=rf"{key} .* is not an int in \[0, inf\)"):
+        doc["proposals"][key][2] = value
+        # A denoising proposal is pinned to one of the trace's two boxes.
+        bounds = r"\[0, inf\)" if key == "origin_index" else r"\[-1, 2\)"
+        with pytest.raises(DataError, match=rf"{key} .* is not an int in {bounds}"):
             trace_from_doc(doc)
-        # Stages hand their integer columns on unchanged, so a valid edit edits all.
-        for rec in doc["stages"]:
-            rec["proposals_in"][2][key] = 1
-        assert getattr(trace_from_doc(doc).stages[1].proposals_in, key)[2] == 1
+        # Stages hand their integer columns on unchanged.
+        doc["proposals"][key][2] = 1
+        loaded = trace_from_doc(doc)
+        assert [getattr(rec.proposals_in, key)[2] for rec in loaded.stages] == [1, 1, 1]
 
     @pytest.mark.parametrize("field, value", [
         ("yaw", float("nan")), ("size", [1.0, 1.0, float("-inf")]),
@@ -366,36 +365,54 @@ class TestTraceDocs:
         doc["gts"][0]["class_id"] = CFG.num_classes - 1
         assert trace_from_doc(doc).gts[0].class_id == CFG.num_classes - 1
 
-    @pytest.mark.parametrize("stage, key, value, message", [
-        (0, "mu", float("nan"), r"mu nan is not a number in \(0, 1\]"),
-        (1, "mu", 0.0, r"mu 0\.0 is not"),
-        (1, "mu", 1.5, r"mu 1\.5 is not"),
-        (2, "mu", None, r"mu None is not"),
-        (0, "mu", True, r"mu True is not"),
-        (0, "mu", "0.3", r"mu '0\.3' is not"),
-        (1, "stage", "x", r"stage 'x' is not an int in \[2, 3\)"),
-        (1, "stage", 1.5, r"stage 1\.5 is not an int in \[2, 3\)"),
-        (1, "stage", 1, r"stage 1 is not an int in \[2, 3\)"),
-        (2, "stage", True, r"stage True is not an int in \[3, 4\)"),
-    ])
-    def test_stage_number_and_mu_rejected(self, stage, key, value, message):
+    @pytest.mark.parametrize("edit, message", [
+        ({"mu_max": float("nan")}, "mu_max must be a finite number, got nan"),
+        ({"mu_max": True}, "mu_max must be a finite number, got True"),
+        ({"mu_max": "0.3"}, "mu_max must be a finite number, got '0.3'"),
+        ({"mu_max": 1.5}, r"need 0 < mu_min <= mu_max <= 1, got \(0\.2, 1\.5\)"),
+        ({"mu_min": 0.0}, r"need 0 < mu_min <= mu_max <= 1, got \(0\.0, 0\.4\)"),
+        ({"mu_min": 0.5}, r"need 0 < mu_min <= mu_max <= 1, got \(0\.5, 0\.4\)"),
+        ({"num_stages": 1.5}, "num_stages must be an integer, got 1.5"),
+        ({"num_stages": 0}, "need at least one stage, got 0"),
+        ({"bogus": 1}, r"unknown schedule keys: \['bogus'\]"),
+    ], ids=["mu_max_nan", "mu_max_bool", "mu_max_str", "mu_max_above_1", "mu_min_0",
+            "mu_min_above_mu_max", "num_stages_float", "num_stages_0", "unknown_key"])
+    def test_bad_schedule_rejected(self, edit, message):
         _, trace = _oracle_trace()
         doc = _through_json(trace_to_doc(trace))
-        doc["stages"][stage][key] = value
-        with pytest.raises(DataError, match=message):
+        doc["schedule"].update(edit)
+        with pytest.raises(DataError, match=f"malformed trace document: {message}"):
             trace_from_doc(doc)
-        doc["stages"][stage][key] = 1 if key == "mu" else stage + 1
-        assert trace_from_doc(doc).stages[stage].assignment.mu == doc["stages"][stage]["mu"]
+        doc["schedule"] = {"mu_max": 1, "mu_min": 0.5, "num_stages": 3}
+        mus = [rec.mu for rec in trace_from_doc(doc).stages]
+        assert mus == [1 - l / 3 * 0.5 for l in (1, 2, 3)]
 
-    def test_mu_without_ground_truth_rejected(self):
-        scene = gen_scene(CFG, seed=7)
-        props = scene_proposals(scene, np.zeros(scene.num_points), 8)
-        trace = run_cascade(props, oracle_predictor(scene, OracleNoise(), seed=7), SCHED)
+    @pytest.mark.parametrize("schedule, weighting, message", [
+        (None, "exp_neg_dist", "schedule must be a JSON object, got None"),
+        ([0.4, 0.2, 3], "exp_neg_dist", "schedule must be a JSON object"),
+        ({}, "gauss", "unknown weighting 'gauss', expected one of"),
+        ({}, None, "unknown weighting None"),
+        ({}, ["literal"], r"unknown weighting \['literal'\]"),
+    ], ids=["schedule_null", "schedule_list", "weighting_gauss", "weighting_null",
+            "weighting_list"])
+    def test_bad_schedule_document_or_weighting_rejected(self, schedule, weighting, message):
+        _, trace = _oracle_trace()
         doc = _through_json(trace_to_doc(trace))
-        assert [rec.mu for rec in trace_from_doc(doc).stages] == [None] * SCHED.num_stages
-        doc["stages"][0]["mu"] = 0.3
-        with pytest.raises(DataError, match="mu 0.3 in a trace without ground truth"):
+        doc.update(schedule=schedule, weighting=weighting)
+        with pytest.raises(DataError, match=f"malformed trace document: {message}"):
             trace_from_doc(doc)
+
+    def test_prediction_stage_count_must_match_schedule(self):
+        _, trace = _oracle_trace()
+        doc = _through_json(trace_to_doc(trace))
+        short = dict(doc, predictions=doc["predictions"][:2])
+        with pytest.raises(DataError, match="2 stages of predictions for a 3-stage schedule"):
+            trace_from_doc(short)
+        long = dict(doc, predictions=doc["predictions"] + doc["predictions"][:1])
+        with pytest.raises(DataError, match="4 stages of predictions for a 3-stage schedule"):
+            trace_from_doc(long)
+        with pytest.raises(DataError, match="malformed trace document: 'predictions'"):
+            trace_from_doc({k: v for k, v in doc.items() if k != "predictions"})
 
     def test_malformed_stage_columns_rejected(self):
         _, trace = _oracle_trace()
@@ -403,40 +420,48 @@ class TestTraceDocs:
 
         def broken(edit):
             bad = json.loads(json.dumps(doc))
-            edit(bad["stages"][1])
+            edit(bad)
             return bad
 
-        def nan_point(rec):
-            rec["proposals_in"][3]["point"][1] = float("nan")
+        def nan_point(d):
+            d["proposals"]["points"][3][1] = float("nan")
 
-        def ragged_features(rec):
-            rec["proposals_in"][2]["feature"].pop()
+        def huge_point(d):
+            d["proposals"]["points"][3][1] = 10**400
 
-        def huge_point(rec):
-            rec["proposals_in"][3]["point"][1] = 10**400
+        def flat_points(d):
+            d["proposals"]["points"] = [p[:2] for p in d["proposals"]["points"]]
 
-        def moved_point(rec):
-            rec["proposals_in"][3]["point"][0] += 5.0
+        def ragged_features(d):
+            d["proposals"]["features"][2].pop()
 
-        def next_origin(rec):
-            rec["proposals_in"][3]["origin_index"] += 1
+        def short_origin(d):
+            d["proposals"]["origin_index"].pop()
 
-        def new_pin(rec):
-            rec["proposals_in"][0]["denoising_gt"] = 0
+        def nan_delta(d):
+            d["predictions"][1]["deltas"][4][2] = float("nan")
 
-        def merged_class_probs(rec):
-            for pr in rec["predictions"]:
-                p = pr["class_probs"]
-                pr["class_probs"] = [p[0] + p[1]] + p[2:]
+        def short_delta(d):
+            d["predictions"][2]["deltas"][5].pop()
 
-        for edit in (nan_point, ragged_features, huge_point):
-            with pytest.raises(DataError):
-                trace_from_doc(broken(edit))
-        for edit, message in ((moved_point, "stage 2 row 3 is not stage 1's hand-off"),
-                              (next_origin, "stage 2 row 3 is not stage 1's hand-off"),
-                              (new_pin, "stage 2 row 0 is not stage 1's hand-off"),
-                              (merged_class_probs, "stage 2 row 0: class_probs width 5, "
-                                                   "stage 1 has 6")):
+        def merged_class_probs(d):
+            d["predictions"][1]["class_probs"] = [[p[0] + p[1]] + p[2:]
+                                                  for p in d["predictions"][1]["class_probs"]]
+
+        def narrow_first_row(d):
+            d["predictions"][0]["class_probs"][0].pop()
+
+        for edit, message in (
+                (nan_point, "points hold non-finite values"),
+                (huge_point, "int too large to convert to float"),
+                (flat_points, "points rows are 2 wide, expected 3"),
+                (ragged_features, "features rows are 15 wide, expected 16"),
+                (short_origin, r"proposal points, features, origin_index and denoising_gt "
+                               r"differ in length: \[14, 14, 13, 14\]"),
+                (nan_delta, "stage 2 deltas hold non-finite values"),
+                (short_delta, "stage 3 deltas rows are 6 wide, expected 7"),
+                (merged_class_probs, "stage 2 class_probs rows are 5 wide, expected 6"),
+                (narrow_first_row, "stage 1 class_probs rows are 6 wide, expected 5")):
             with pytest.raises(DataError, match=f"malformed trace document: {message}"):
                 trace_from_doc(broken(edit))
         trace_from_doc(doc)
@@ -513,9 +538,10 @@ class TestApDocs:
 class TestSchemaEnvelope:
     def test_major_version_mismatch_rejected(self):
         doc = scene_to_doc(gen_scene(CFG, seed=1))
-        doc["schema_version"] = "2.0"
-        with pytest.raises(SchemaVersionError):
-            scene_from_doc(doc)
+        for version in ("1.1", "3.0"):
+            doc["schema_version"] = version
+            with pytest.raises(SchemaVersionError, match=f"version '{version}'"):
+                scene_from_doc(doc)
 
     def test_minor_version_accepted(self):
         doc = scene_to_doc(gen_scene(CFG, seed=1))
@@ -553,11 +579,6 @@ class TestSchemaEnvelope:
             read_json(tmp_path / "absent.json", "scene")
 
 
-def _v1_0_file(doc) -> str:
-    """doc as a 1.0 writer laid it out: two-space indent, schema_version 1.0."""
-    return json.dumps({**doc, "schema_version": "1.0"}, sort_keys=True, indent=2) + "\n"
-
-
 def _small_model():
     return init_head_params(6, 2, 2, hidden=4, seed=0)
 
@@ -571,25 +592,22 @@ class TestLayouts:
     def test_dumps_are_compact_sorted_and_newline_terminated(self):
         text = canonical_dumps({"b": [1.5, {"d": None, "c": 0.1}], "a": "x y"})
         assert text == '{"a":"x y","b":[1.5,{"c":0.1,"d":null}]}\n'
-        assert SCHEMA_VERSION == "1.1"
+        assert SCHEMA_VERSION == "2.0"
 
+    @pytest.mark.parametrize("version", ["1.0", "1.1"])
     @pytest.mark.parametrize("kind, to_doc, from_doc, make", [
         ("scene", scene_to_doc, scene_from_doc, lambda: gen_scene(CFG, seed=3)),
         ("trace", trace_to_doc, trace_from_doc, lambda: _oracle_trace(sigma=0.2)[1]),
         ("model", model_to_doc, model_from_doc, _small_model),
         ("ap", ap_to_doc, ap_from_doc, _ap_result),
-    ])
-    def test_v1_0_file_reads_to_same_object(self, tmp_path, kind, to_doc, from_doc, make):
-        doc = to_doc(make())
-        old, new = tmp_path / "old.json", tmp_path / "new.json"
-        old.write_text(_v1_0_file(doc))
-        write_json(new, doc)
-        assert old.stat().st_size > new.stat().st_size
-        from_old = from_doc(read_json(old, kind))
-        from_new = from_doc(read_json(new, kind))
-        assert canonical_dumps(to_doc(from_old)) == canonical_dumps(to_doc(from_new))
-        if kind == "trace":
-            _assert_same_records(from_new, from_old)
+    ], ids=["scene", "trace", "model", "ap"])
+    def test_v1_file_is_rejected(self, tmp_path, kind, to_doc, from_doc, make, version):
+        # 2.0 names the break; regenerating a 1.x artifact gives its 2.0 file.
+        path = tmp_path / "old.json"
+        write_json(path, {**to_doc(make()), "schema_version": version})
+        with pytest.raises(SchemaVersionError,
+                           match=f"unsupported major schema version '{version}'"):
+            from_doc(read_json(path, kind))
 
 
 class TestDetectionDocs:
@@ -597,8 +615,8 @@ class TestDetectionDocs:
         box = OrientedBox(Point3(0.5, -1.0, 0.25), (1.0, 2.0, 0.5), yaw=0.125, class_id=3)
         doc = detection_doc(Detection(box, 0.75, 3, stage=2))
         assert canonical_dumps(doc) == (
-            '{"box":{"center":[0.5,-1.0,0.25],"class_id":3,"score":0.75,"size":[1.0,2.0,0.5],'
-            '"yaw":0.125},"class_id":3,"score":0.75,"stage":2}\n')
+            '{"box":{"center":[0.5,-1.0,0.25],"class_id":3,"size":[1.0,2.0,0.5],"yaw":0.125},'
+            '"class_id":3,"score":0.75,"stage":2}\n')
 
     def test_ground_truth_box_score_is_ignored(self):
         doc = scene_to_doc(gen_scene(CFG, seed=3))
