@@ -360,7 +360,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
             raise ConfigError(f"invalid JSON in config {args.config!r}: {exc}") from exc
     flags = {k: v for k, v in vars(args).items() if v is not None}
     if isinstance(doc, dict):

@@ -2,22 +2,28 @@
 
 Every JSON document carries a `kind` tag and a `schema_version`;
 readers accept any minor revision of the supported major version and
-reject the rest, so 1.x files are a SchemaVersionError. Dumps are
-compact and canonical (sorted keys, no whitespace, shortest-roundtrip
-floats), so rerunning a command with the same config and seeds
-reproduces files byte for byte. Without an indent json.dumps runs the C
-encoder. CSV numbers use repr for the same reason.
+reject the rest, so 1.x and 2.x files are a SchemaVersionError. Dumps
+are compact and canonical (sorted keys, no whitespace), so rerunning a
+command with the same config and seeds reproduces files byte for byte.
+Without an indent json.dumps runs the C encoder. CSV numbers use repr
+for the same reason.
+
+An array column is one object {"base64", "dtype", "shape"}: the array's
+little-endian float64 ("<f8") or int64 ("<i8") bytes in C order,
+base64-encoded, so it reads back bit for bit and no float is printed or
+parsed as text. Box rows stay JSON numbers.
 
 A trace stores what the cascade cannot derive: the ground truth, the
 schedule, the voting weighting, stage 1's proposals and every stage's
 predictions, all as columns. The reader replays the stored predictions
-through run_cascade, the loop the run took, so floats that round-trip
-exactly give back the records the run computed, and a trace whose
-predictions break the predictor contract does not read.
+through run_cascade, the loop the run took, so it gives back the
+records the run computed, and a trace whose predictions break the
+predictor contract does not read.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -35,9 +41,11 @@ from .learner import BranchParams, HeadParams, LossReport, StageParams
 from .synth import SceneConfig, SyntheticScene
 from .voting import WEIGHTINGS
 
-SCHEMA_VERSION = "2.0"
+SCHEMA_VERSION = "3.0"
 RNG_FAMILY = "philox4x64"
+COLUMN_DTYPES = {"<f8": np.float64, "<i8": np.int64}
 
+PROPOSAL_COLUMNS = ("points", "features", "origin_index", "denoising_gt")
 STATS_CSV_COLUMNS = (
     "stage",
     "mu",
@@ -98,7 +106,7 @@ def read_json(path, kind: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
         raise DataError(f"invalid JSON in {path}: {exc}") from exc
     check_schema(doc, kind)
     return doc
@@ -133,21 +141,6 @@ def _box_from(doc: dict, num_classes: float) -> OrientedBox:
     )
 
 
-def _rows(values: list, name: str, width: int | None = None) -> np.ndarray:
-    """The column name as a (len(values), width) float array, width None taking
-    the first row's; ValueError naming it when a row is of another width or a
-    value is not finite."""
-    if width is None:
-        width = len(values[0]) if values else 0
-    for row in values:
-        if len(row) != width:
-            raise ValueError(f"{name} rows are {len(row)} wide, expected {width}")
-    a = np.array(values, dtype=np.float64).reshape(len(values), width)
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} hold non-finite values")
-    return a
-
-
 def _int(v, name: str, lo: int, hi: float = float("inf")) -> int:
     """v itself; ValueError unless it is an int in [lo, hi)."""
     if not (type(v) is int and lo <= v < hi):
@@ -166,9 +159,45 @@ def _inside(rows: np.ndarray, workspace, name: str) -> np.ndarray:
     return rows
 
 
-def _ints(values: list, name: str, lo: int, hi: float = float("inf")) -> np.ndarray:
-    """values as an int64 column; ValueError unless each is an int in [lo, hi)."""
-    return np.array([_int(v, name, lo, hi) for v in values], dtype=np.int64)
+def _column_doc(a: np.ndarray) -> dict:
+    """a as a column object: its little-endian int64 or float64 bytes in C order, in base64."""
+    dtype = "<i8" if a.dtype.kind == "i" else "<f8"
+    raw = np.asarray(a, dtype=dtype).tobytes()
+    return {"base64": base64.b64encode(raw).decode("ascii"), "dtype": dtype,
+            "shape": list(a.shape)}
+
+
+def _column(doc, name: str, dtype: str, shape: tuple, lo: int | None = None,
+            hi: float = math.inf) -> np.ndarray:
+    """The column object doc as an owned native array; ValueError naming the column unless its
+    dtype is dtype, its shape matches shape (None matching any extent), its bytes fill that
+    shape, its floats are finite and, with lo given, its ints lie in [lo, hi)."""
+    if not (isinstance(doc, dict) and doc.keys() == {"base64", "dtype", "shape"}):
+        raise ValueError(f"{name} is not a column object {{base64, dtype, shape}}")
+    if doc["dtype"] != dtype:
+        raise ValueError(f"{name} dtype {doc['dtype']!r} is not {dtype!r}")
+    got = doc["shape"]
+    if not (type(got) is list and all(type(n) is int and n >= 0 for n in got)):
+        raise ValueError(f"{name} shape {got!r} is not a list of ints >= 0")
+    got = tuple(got)
+    if len(got) != len(shape) or any(w not in (None, n) for n, w in zip(got, shape)):
+        if len(got) == len(shape) == 2 and shape[0] is None:
+            raise ValueError(f"{name} rows are {got[1]} wide, expected {shape[1]}")
+        raise ValueError(f"{name} has shape {got}, expected {shape}")
+    try:
+        raw = base64.b64decode(doc["base64"], validate=True)
+    except (TypeError, ValueError) as exc:  # not a string, binascii.Error, or beyond ASCII
+        raise ValueError(f"{name} is not valid base64: {exc}") from None
+    if len(raw) != 8 * math.prod(got):
+        raise ValueError(f"{name} holds {len(raw)} bytes, shape {got} needs {8 * math.prod(got)}")
+    a = np.frombuffer(raw, dtype=dtype).reshape(got).astype(COLUMN_DTYPES[dtype])
+    if a.dtype.kind == "f" and not np.isfinite(a).all():
+        raise ValueError(f"{name} holds non-finite values")
+    if lo is not None:
+        bad = (a < lo) | (a >= hi)
+        if bad.any():
+            raise ValueError(f"{name} {a[np.argmax(bad)]} is not an int in [{lo}, {hi})")
+    return a
 
 
 def scene_to_doc(scene: SyntheticScene) -> dict:
@@ -178,9 +207,9 @@ def scene_to_doc(scene: SyntheticScene) -> dict:
         rng=RNG_FAMILY,
         config=asdict(scene.config),
         gt_boxes=[_box_doc(b) for b in scene.gt_boxes],
-        points=scene.points.tolist(),
-        features=scene.features.tolist(),
-        point_gt_labels=scene.point_gt_labels.tolist(),
+        points=_column_doc(scene.points),
+        features=_column_doc(scene.features),
+        point_gt_labels=_column_doc(scene.point_gt_labels),
     )
     return doc
 
@@ -193,9 +222,11 @@ def scene_from_doc(doc: dict) -> SyntheticScene:
         _inside(box_columns(gt_boxes)[0], config.workspace, "ground-truth box center")
         scene = SyntheticScene(
             gt_boxes=gt_boxes,
-            points=_inside(_rows(doc["points"], "points", 3), config.workspace, "point"),
-            features=_rows(doc["features"], "features", config.feature_dim),
-            point_gt_labels=_ints(doc["point_gt_labels"], "point_gt_label", -1, len(gt_boxes)),
+            points=_inside(_column(doc["points"], "points", "<f8", (None, 3)), config.workspace,
+                           "point"),
+            features=_column(doc["features"], "features", "<f8", (None, config.feature_dim)),
+            point_gt_labels=_column(doc["point_gt_labels"], "point_gt_labels", "<i8", (None,),
+                                    -1, len(gt_boxes)),
             seed=_int(doc["seed"], "seed", 0, 2**64),
             config=config,
         )
@@ -225,18 +256,10 @@ def trace_to_doc(trace: StageTrace, scene_seed: int | None = None) -> dict:
         gts=None if trace.gts is None else [_box_doc(b) for b in trace.gts],
         schedule=asdict(trace.schedule),
         weighting=trace.weighting,
-        proposals={
-            "points": props.points.tolist(),
-            "features": props.features.tolist(),
-            "origin_index": props.origin_index.tolist(),
-            "denoising_gt": props.denoising_gt.tolist(),
-        },
+        proposals={k: _column_doc(getattr(props, k)) for k in PROPOSAL_COLUMNS},
         predictions=[
-            {
-                "class_probs": rec.predictions.class_probs.tolist(),
-                "deltas": rec.predictions.deltas.tolist(),
-                "centerness": rec.predictions.centerness.tolist(),
-            }
+            {k: _column_doc(getattr(rec.predictions, k))
+             for k in ("class_probs", "deltas", "centerness")}
             for rec in trace.stages
         ],
     )
@@ -245,9 +268,9 @@ def trace_to_doc(trace: StageTrace, scene_seed: int | None = None) -> dict:
 
 def _predictions(doc: dict, l: int, width: int) -> Predictions:
     return Predictions(
-        class_probs=_rows(doc["class_probs"], f"stage {l} class_probs", width),
-        deltas=_rows(doc["deltas"], f"stage {l} deltas", 7),
-        centerness=np.array(doc["centerness"], dtype=np.float64),
+        class_probs=_column(doc["class_probs"], f"stage {l} class_probs", "<f8", (None, width)),
+        deltas=_column(doc["deltas"], f"stage {l} deltas", "<f8", (None, 7)),
+        centerness=_column(doc["centerness"], f"stage {l} centerness", "<f8", (None,)),
     )
 
 
@@ -264,24 +287,21 @@ def trace_from_doc(doc: dict) -> StageTrace:
         if len(stored) != schedule.num_stages:
             raise ValueError(f"{len(stored)} stages of predictions for a "
                              f"{schedule.num_stages}-stage schedule")
-        # Every stage's class_probs rows are as wide as stage 1's, and class ids
-        # lie below that width less background. A trace without rows bounds no
-        # class id; one class plus background is the narrowest width the
-        # predictor contract allows.
-        first = stored[0]["class_probs"]
-        width = len(first[0]) if first else 2
-        num_classes = width - 1 if first else math.inf
+        # Every stage's class_probs rows are as wide as stage 1's, even without
+        # rows, and class ids lie below that width less background.
+        width = _column(stored[0]["class_probs"], "stage 1 class_probs", "<f8",
+                        (None, None)).shape[1]
         replay = [_predictions(p, l, width) for l, p in enumerate(stored, start=1)]
-        gts = None if doc["gts"] is None else [_box_from(b, num_classes) for b in doc["gts"]]
+        gts = None if doc["gts"] is None else [_box_from(b, width - 1) for b in doc["gts"]]
         props = doc["proposals"]
         proposals = Proposals(
-            points=_rows(props["points"], "points", 3),
-            features=_rows(props["features"], "features"),
-            origin_index=_ints(props["origin_index"], "origin_index", 0),
-            denoising_gt=_ints(props["denoising_gt"], "denoising_gt", -1,
-                               math.inf if gts is None else len(gts)),
+            points=_column(props["points"], "points", "<f8", (None, 3)),
+            features=_column(props["features"], "features", "<f8", (None, None)),
+            origin_index=_column(props["origin_index"], "origin_index", "<i8", (None,), 0),
+            denoising_gt=_column(props["denoising_gt"], "denoising_gt", "<i8", (None,), -1,
+                                 math.inf if gts is None else len(gts)),
         )
-        lengths = [len(props[k]) for k in ("points", "features", "origin_index", "denoising_gt")]
+        lengths = [len(getattr(proposals, k)) for k in PROPOSAL_COLUMNS]
         if len(set(lengths)) > 1:
             raise ValueError(f"proposal points, features, origin_index and denoising_gt differ "
                              f"in length: {lengths}")
@@ -294,26 +314,13 @@ def trace_from_doc(doc: dict) -> StageTrace:
 
 
 def _branch_doc(bp: BranchParams) -> dict:
-    return {
-        "w1": bp.w1.tolist(),
-        "b1": bp.b1.tolist(),
-        "w2": bp.w2.tolist(),
-        "b2": bp.b2.tolist(),
-    }
+    return {k: _column_doc(getattr(bp, k)) for k in ("w1", "b1", "w2", "b2")}
 
 
 def _branch_from(doc: dict, rows: int, hidden: int, out: int) -> BranchParams:
     """The branch read from doc; ValueError unless its arrays are finite and shaped."""
     shapes = {"w1": (rows, hidden), "b1": (hidden,), "w2": (hidden, out), "b2": (out,)}
-    arrays = {}
-    for name, shape in shapes.items():
-        a = np.asarray(doc[name], dtype=np.float64)
-        if a.shape != shape:
-            raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} holds non-finite values")
-        arrays[name] = a
-    return BranchParams(**arrays)
+    return BranchParams(**{k: _column(doc[k], k, "<f8", shape) for k, shape in shapes.items()})
 
 
 def model_to_doc(params: HeadParams) -> dict:
@@ -418,15 +425,7 @@ def loss_csv(history: list[LossReport], num_stages: int) -> str:
             rep = by_step[step].get(l)
             if rep is None:
                 raise DataError(f"loss history missing stage {l} at step {step}")
-            row.extend(
-                _csv_num(v)
-                for v in (
-                    rep.classification_loss,
-                    rep.regression_loss,
-                    rep.centerness_loss,
-                    rep.total,
-                    rep.positive_count,
-                )
-            )
+            row.extend(_csv_num(v) for v in (rep.classification_loss, rep.regression_loss,
+                                             rep.centerness_loss, rep.total, rep.positive_count))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

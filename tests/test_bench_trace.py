@@ -5,9 +5,11 @@ perfbench/bench_trace.py replaces module attributes such as
 one of those names would only fail under `perfbench/run.py --trace 1`;
 these tests make the plain suite fail instead, as does a traced run
 whose vote-mask counters stay at zero or miscount the inside pairs, or
-whose NMS counters read anything but the rows in and the rows kept.
+whose NMS counters read anything but the rows in and the rows kept, or
+whose CLI run leaves a `formats.*` span at zero.
 """
 
+import json
 import os
 import sys
 
@@ -27,7 +29,7 @@ from cascadev.synth import (
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
 
-from bench_trace import Tracer, instrument  # noqa: E402
+from bench_trace import Tracer, instrument, span_totals  # noqa: E402
 
 
 def test_instrument_patches_and_restores_every_name():
@@ -91,3 +93,29 @@ def test_traced_ensemble_counts_nms_rows_in_and_kept():
     assert tracer.counts["overlap.nms.in"] == sum(len(rec.detections) for rec in trace.stages)
     assert tracer.counts["overlap.nms.in"] == 3 * len(props)
     assert tracer.counts["overlap.nms.kept"] == len(kept) > 0
+
+
+def test_traced_cli_spans_every_artifact_encode_and_decode(tmp_path):
+    # The formats.*_encode/_decode per-layer metrics sum these spans; a reader or
+    # writer the CLI stops calling by these names would leave them at zero.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"num_scenes": 2, "b": 8, "scene": {
+        "num_gt": [2, 2], "points_per_box": 12, "num_clutter": 20}}))
+    scenes, traces, metrics = (str(tmp_path / d) for d in ("scenes", "traces", "metrics"))
+    tracer = Tracer()
+    undo = instrument(tracer, cascadev)
+    try:
+        for argv in (["gen", "--out", scenes], ["run", scenes, "--out", traces],
+                     ["eval", traces, "--out", metrics]):
+            assert cascadev.cli.main(argv + ["--config", str(cfg)]) == 0
+    finally:
+        undo()
+    totals, _, calls = span_totals(tracer.spans)
+    for verb in ("to_doc", "from_doc"):
+        for kind in ("scene", "trace"):
+            name = f"formats.{kind}_{verb}"
+            assert totals[name] > 0 and calls[name] == 2, name
+    for name in ("formats.write_json.scene", "formats.read_json.scene",
+                 "formats.write_json.trace", "formats.read_json.trace"):
+        assert totals[name] > 0 and calls[name] == 2, name
+    assert tracer.counts["formats.bytes_written"] > tracer.counts["formats.bytes_read"] > 0

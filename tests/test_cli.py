@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from columns import as_lists, edit_column
+
 from cascadev.assignment import CpaSchedule
 from cascadev.cascade import ensemble_stages, run_cascade
 from cascadev.cli import main
@@ -230,7 +232,7 @@ class TestDeterminism:
                 if name.endswith(".json"):
                     doc = json.loads(data)
                     assert canonical_dumps(doc).encode() == data, name
-                    assert doc["schema_version"] == "2.0"
+                    assert doc["schema_version"] == "3.0"
                     kinds.add(doc["kind"])
         assert kinds == {"scene", "manifest", "trace", "detections", "ap", "model"}
 
@@ -247,6 +249,36 @@ class TestExitCodes:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("text, message", [
+        (b'{"num_scenes": 1, "seed": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
+    ], ids=["invalid_utf8", "deep_nesting"])
+    def test_undecodable_config_is_config_error(self, tmp_path, text, message, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        capsys.readouterr()
+        assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: invalid JSON in config {str(bad)!r}: ")
+        assert message in err
+
+    @pytest.mark.parametrize("text, message", [
+        (b'{"kind": "scene", "seed": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
+    ], ids=["invalid_utf8", "deep_nesting"])
+    def test_undecodable_artifact_is_data_error(self, tmp_path, cfg_path, text, message,
+                                                capsys):
+        scenes = tmp_path / "scenes"
+        main(["gen", "--config", cfg_path, "--out", str(scenes)])
+        path = scenes / "scene_0001.json"
+        path.write_bytes(text)
+        capsys.readouterr()
+        assert main(["run", str(scenes), "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: invalid JSON in {path}: ") and message in err
+        assert err.count("scene_0001.json") == 1
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["gen", "--config", str(tmp_path / "nope.json"),
@@ -372,13 +404,14 @@ class TestExitCodes:
         path = scenes / "scene_0001.json"
         doc = json.loads(path.read_text())
         if key == "features":
-            doc["features"] = doc["features"][:10]
+            edit_column(doc, "features", lambda a: a[:10])
         elif key == "feature_width":
-            doc["features"] = [f[:15] for f in doc["features"]]
+            edit_column(doc, "features", lambda a: a[:, :15])
         elif key == "point_width":
-            doc["points"][7] = doc["points"][7][:2]
+            # One ragged row cannot be stored; the whole column is 2 wide instead.
+            edit_column(doc, "points", lambda a: a[:, :2])
         elif key == "far_point":
-            doc["points"][0] = [1e200, 0.0, 0.0]
+            edit_column(doc, "points", lambda a: a.__setitem__(0, [1e200, 0.0, 0.0]))
         elif key == "class_id":
             doc["gt_boxes"][0]["class_id"] = 9
         else:
@@ -401,14 +434,14 @@ class TestExitCodes:
         doc = json.loads(path.read_text())
         stage = doc["predictions"][1]
         if edit == "probabilities":
-            stage["class_probs"][0] = [p * 0.7 for p in stage["class_probs"][0]]
+            edit_column(stage, "class_probs", lambda a: a.__setitem__(0, a[0] * 0.7))
         elif edit == "centerness":
-            stage["centerness"][0] = 1.5
+            edit_column(stage, "centerness", lambda a: a.__setitem__(0, 1.5))
         elif edit == "extent":
-            stage["deltas"][0][0] = -stage["deltas"][0][1]
+            edit_column(stage, "deltas", lambda a: a.__setitem__((0, 0), -a[0, 1]))
         else:
-            for column in stage.values():
-                column.pop()
+            for key in list(stage):
+                edit_column(stage, key, lambda a: a[:-1])
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["eval", str(traces), "--config", cfg_path,
@@ -545,7 +578,7 @@ class TestExitCodes:
         main(["gen", "--config", cfg_path, "--out", str(scenes)])
         path = scenes / "scene_0002.json"
         doc = json.loads(path.read_text())
-        doc["features"][5][2] = float("nan")
+        edit_column(doc, "features", lambda a: a.__setitem__((5, 2), np.nan))
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["run", str(scenes), "--config", cfg_path,
@@ -581,22 +614,24 @@ class TestExitCodes:
         assert main(["run", str(scenes), "--config", cfg_path,
                      "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("version", ["1.1", "2.0"])
     @pytest.mark.parametrize("kind", ["scene", "trace"])
-    def test_v1_artifact_is_schema_error(self, tmp_path, cfg_path, kind, capsys):
+    def test_older_artifact_is_schema_error(self, tmp_path, cfg_path, kind, version, capsys):
         scenes, traces = tmp_path / "scenes", tmp_path / "traces"
         main(["gen", "--config", cfg_path, "--out", str(scenes)])
         main(["run", str(scenes), "--config", cfg_path, "--out", str(traces)])
         folder = scenes if kind == "scene" else traces
         path = folder / f"{kind}_0001.json"
-        doc = json.loads(path.read_text())
-        doc["schema_version"] = "1.1"
+        # 1.x and 2.x stored array columns as nested lists.
+        doc = as_lists(json.loads(path.read_text()))
+        doc["schema_version"] = version
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         command = "run" if kind == "scene" else "eval"
         assert main([command, str(folder), "--config", cfg_path,
                      "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == (
-            "data error: unsupported major schema version '1.1' (reader supports 2.0)"
+            f"data error: unsupported major schema version '{version}' (reader supports 3.0)"
             f" (in {path})\n"
         )
 
@@ -658,7 +693,8 @@ class TestExitCodes:
         ("b1_short", "b1 has shape (3,), expected (4,)"),
         ("w2_wrong_out", "w2 has shape (4, 6), expected (4, 7)"),
         ("b2_nan", "b2 holds non-finite values"),
-        ("ragged_w1", "inhomogeneous"),
+        # One ragged row cannot be stored; a flat w1 is the shape-based case.
+        ("flat_w1", "w1 has shape (64,), expected (16, 4)"),
     ])
     def test_malformed_model_is_data_error(self, tmp_path, cfg_path, edit, message, capsys):
         scenes = tmp_path / "scenes"
@@ -672,15 +708,15 @@ class TestExitCodes:
         elif edit == "hidden_bool":
             doc["hidden"] = True
         elif edit == "w1_row_short":
-            reg["w1"] = reg["w1"][:-1]
+            edit_column(reg, "w1", lambda a: a[:-1])
         elif edit == "b1_short":
-            reg["b1"] = reg["b1"][:-1]
+            edit_column(reg, "b1", lambda a: a[:-1])
         elif edit == "w2_wrong_out":
-            reg["w2"] = [row[:-1] for row in reg["w2"]]
+            edit_column(reg, "w2", lambda a: a[:, :-1])
         elif edit == "b2_nan":
-            reg["b2"][0] = float("nan")
+            edit_column(reg, "b2", lambda a: a.__setitem__(0, np.nan))
         else:
-            reg["w1"][3] = reg["w1"][3][:-1]
+            edit_column(reg, "w1", lambda a: a.reshape(-1))
         model = tmp_path / "model.json"
         write_json(model, doc)
         head = tmp_path / "head.json"

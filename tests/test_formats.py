@@ -1,15 +1,25 @@
 import json
+import re
+import shutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+from columns import as_lists, decode, edit_column, encode
 
 from cascadev.assignment import CpaSchedule
 from cascadev.cascade import Proposals, run_cascade
+from cascadev.cli import main
 from cascadev.errors import DataError, SchemaVersionError
 from cascadev.evaluation import cascade_stats, evaluate_scenes
 from cascadev.formats import (
     SCHEMA_VERSION,
+    _column,
+    _column_doc,
     STATS_CSV_COLUMNS,
     ap_from_doc,
     ap_to_doc,
@@ -106,20 +116,20 @@ def _assert_same_records(trace, loaded):
 
 
 def _scale_probs(stage):
-    stage["class_probs"][0] = [p * 0.7 for p in stage["class_probs"][0]]
+    edit_column(stage, "class_probs", lambda a: a.__setitem__(0, a[0] * 0.7))
 
 
 def _centerness_above_one(stage):
-    stage["centerness"][0] = 1.5
+    edit_column(stage, "centerness", lambda a: a.__setitem__(0, 1.5))
 
 
 def _zero_width(stage):
-    stage["deltas"][0][0] = -stage["deltas"][0][1]
+    edit_column(stage, "deltas", lambda a: a.__setitem__((0, 0), -a[0, 1]))
 
 
 def _one_row_short(stage):
-    for column in stage.values():
-        column.pop()
+    for key in list(stage):
+        edit_column(stage, key, lambda a: a[:-1])
 
 
 PREDICTION_EDITS = [_scale_probs, _centerness_above_one, _zero_width, _one_row_short]
@@ -138,17 +148,19 @@ class TestSceneDocs:
         assert loaded.seed == scene.seed
         assert loaded.config == scene.config
 
-    def test_number_beyond_float_range_rejected(self):
+    def test_shape_beyond_memory_rejected(self):
+        # A stored float cannot exceed the float range; a shape can exceed any buffer.
         doc = scene_to_doc(gen_scene(CFG, seed=3))
-        doc["points"][2][0] = 10**400
-        with pytest.raises(DataError, match="too large"):
+        doc["points"]["shape"] = [2**62, 3]
+        with pytest.raises(DataError, match=r"points holds \d+ bytes, shape \(4611686018427387904, 3\)"
+                                            r" needs 110680464442257309696"):
             scene_from_doc(doc)
 
     def test_arrays_of_other_lengths_rejected(self):
         doc = scene_to_doc(gen_scene(CFG, seed=3))
         for key in ("points", "features", "point_gt_labels"):
             bad = json.loads(json.dumps(doc))
-            bad[key] = bad[key][:10]
+            edit_column(bad, key, lambda a: a[:10])
             with pytest.raises(DataError, match="differ in length"):
                 scene_from_doc(bad)
 
@@ -161,13 +173,15 @@ class TestSceneDocs:
         doc["gt_boxes"][1]["class_id"] = None
         assert scene_from_doc(doc).gt_boxes[1].class_id is None
 
-    @pytest.mark.parametrize("label", [0.7, True, 2, -2, "1", None])
+    @pytest.mark.parametrize("label", [2, -2, 99, -2**63, 2**63 - 1])
     def test_point_label_outside_boxes_rejected(self, label):
+        # Non-int labels (0.7, true, "1", null) cannot be stored in an <i8 column;
+        # TestColumnObjects rejects a column of another dtype.
         doc = scene_to_doc(gen_scene(CFG, seed=3))
-        doc["point_gt_labels"][4] = label
-        with pytest.raises(DataError, match=r"point_gt_label .* is not an int in \[-1, 2\)"):
+        edit_column(doc, "point_gt_labels", lambda a: a.__setitem__(4, label))
+        with pytest.raises(DataError, match=rf"point_gt_labels {label} is not an int in \[-1, 2\)"):
             scene_from_doc(doc)
-        doc["point_gt_labels"][4] = 1
+        edit_column(doc, "point_gt_labels", lambda a: a.__setitem__(4, 1))
         assert scene_from_doc(doc).point_gt_labels[4] == 1
 
     def test_serialization_stable(self):
@@ -204,13 +218,19 @@ class TestSceneDocs:
         assert scene_from_doc(doc).seed == 2**64 - 1
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda d: d.update(features=[f[:15] for f in d["features"]]),
+        (lambda d: edit_column(d, "features", lambda a: a[:, :15]),
          "features rows are 15 wide, expected 16"),
-        (lambda d: d["points"][6].pop(), "points rows are 2 wide, expected 3"),
-        (lambda d: d["points"][0].__setitem__(0, 1e200), r"point 0 at \[1e\+200, "),
-        (lambda d: d["points"][4].__setitem__(0, 50.0), r"point 4 at \[50\.0, .* outside the "
-                                                         r"workspace \(\(-4\.0, 4\.0\), "),
-        (lambda d: d["points"][4].__setitem__(2, -1e-6), r"point 4 at .* outside the workspace"),
+        # One ragged row cannot be stored; the whole column is 2 wide instead.
+        (lambda d: edit_column(d, "points", lambda a: a[:, :2]),
+         "points rows are 2 wide, expected 3"),
+        (lambda d: edit_column(d, "points", lambda a: a.reshape(-1)),
+         r"points has shape \(\d+,\), expected \(None, 3\)"),
+        (lambda d: edit_column(d, "points", lambda a: a.__setitem__((0, 0), 1e200)),
+         r"point 0 at \[1e\+200, "),
+        (lambda d: edit_column(d, "points", lambda a: a.__setitem__((4, 0), 50.0)),
+         r"point 4 at \[50\.0, .* outside the workspace \(\(-4\.0, 4\.0\), "),
+        (lambda d: edit_column(d, "points", lambda a: a.__setitem__((4, 2), -1e-6)),
+         r"point 4 at .* outside the workspace"),
         (lambda d: d["gt_boxes"][1].update(center=[0.0, 0.0, 3.0]),
          r"ground-truth box center 1 at \[0\.0, 0\.0, 3\.0\] lies outside"),
     ])
@@ -222,8 +242,9 @@ class TestSceneDocs:
 
     def test_points_on_the_workspace_edge_read(self):
         doc = scene_to_doc(gen_scene(CFG, seed=3))
-        doc["points"][4] = [-4.0 - 1e-10, 4.0, 2.6 + 1e-10]
-        assert scene_from_doc(doc).points[4].tolist() == doc["points"][4]
+        edge = [-4.0 - 1e-10, 4.0, 2.6 + 1e-10]
+        edit_column(doc, "points", lambda a: a.__setitem__(4, edge))
+        assert scene_from_doc(doc).points[4].tolist() == edge
 
     @pytest.mark.parametrize("edit", [
         {"sigma_feature": float("nan")}, {"sigma_feature": True}, {"num_gt": [1, 2, 3]},
@@ -290,10 +311,14 @@ class TestTraceDocs:
         assert doc["schedule"] == {"mu_max": 0.4, "mu_min": 0.2, "num_stages": 3}
         assert doc["weighting"] == "exp_neg_dist"
         assert sorted(doc["proposals"]) == ["denoising_gt", "features", "origin_index", "points"]
-        assert doc["proposals"]["denoising_gt"][-1] >= 0 > doc["proposals"]["denoising_gt"][0]
+        pins = decode(doc["proposals"]["denoising_gt"])
+        assert pins[-1] >= 0 > pins[0]
+        assert doc["proposals"]["denoising_gt"]["dtype"] == "<i8"
+        assert doc["proposals"]["points"]["shape"] == [len(pins), 3]
         assert len(doc["predictions"]) == SCHED.num_stages
         for stage in doc["predictions"]:
             assert sorted(stage) == ["centerness", "class_probs", "deltas"]
+            assert stage["class_probs"]["shape"] == [len(pins), CFG.num_classes + 1]
 
     def test_class_less_box_round_trips_as_null(self):
         trace = _class_less_trace()
@@ -313,9 +338,15 @@ class TestTraceDocs:
                         origin_index=props.origin_index[:0], denoising_gt=props.denoising_gt[:0])
         trace = run_cascade(props, oracle_predictor(scene, OracleNoise(), seed=7), SCHED,
                             gts=scene.gt_boxes)
-        loaded = trace_from_doc(_through_json(trace_to_doc(trace)))
+        doc = _through_json(trace_to_doc(trace))
+        loaded = trace_from_doc(doc)
         assert [len(rec.detections) for rec in loaded.stages] == [0, 0, 0]
         assert [rec.assignment.matched_gt.shape for rec in loaded.stages] == [(0,)] * 3
+        # Without rows, the class_probs shape still bounds the ground-truth class ids.
+        assert doc["predictions"][0]["class_probs"]["shape"] == [0, CFG.num_classes + 1]
+        doc["gts"][0]["class_id"] = CFG.num_classes
+        with pytest.raises(DataError, match=r"ground-truth class_id 5 is not an int in \[0, 5\)"):
+            trace_from_doc(doc)
 
     @pytest.mark.parametrize("edit", PREDICTION_EDITS)
     def test_predictions_breaking_contract_rejected(self, edit):
@@ -326,20 +357,21 @@ class TestTraceDocs:
             trace_from_doc(doc)
 
     @pytest.mark.parametrize("key,value", [
-        ("origin_index", 3.9), ("origin_index", -5), ("origin_index", True),
-        ("origin_index", None), ("denoising_gt", 0.7), ("denoising_gt", -3),
-        ("denoising_gt", 2), ("denoising_gt", True), ("denoising_gt", "0"),
+        ("origin_index", -5), ("origin_index", -1), ("origin_index", -2**63),
+        ("denoising_gt", -3), ("denoising_gt", 2), ("denoising_gt", 2**63 - 1),
     ])
     def test_stage_integer_columns_rejected(self, key, value):
+        # Non-int values (3.9, true, null, "0") cannot be stored in an <i8 column;
+        # TestColumnObjects rejects a column of another dtype.
         _, trace = _oracle_trace()
         doc = _through_json(trace_to_doc(trace))
-        doc["proposals"][key][2] = value
+        edit_column(doc["proposals"], key, lambda a: a.__setitem__(2, value))
         # A denoising proposal is pinned to one of the trace's two boxes.
         bounds = r"\[0, inf\)" if key == "origin_index" else r"\[-1, 2\)"
-        with pytest.raises(DataError, match=rf"{key} .* is not an int in {bounds}"):
+        with pytest.raises(DataError, match=rf"{key} {value} is not an int in {bounds}"):
             trace_from_doc(doc)
         # Stages hand their integer columns on unchanged.
-        doc["proposals"][key][2] = 1
+        edit_column(doc["proposals"], key, lambda a: a.__setitem__(2, 1))
         loaded = trace_from_doc(doc)
         assert [getattr(rec.proposals_in, key)[2] for rec in loaded.stages] == [1, 1, 1]
 
@@ -424,44 +456,44 @@ class TestTraceDocs:
             return bad
 
         def nan_point(d):
-            d["proposals"]["points"][3][1] = float("nan")
+            edit_column(d["proposals"], "points", lambda a: a.__setitem__((3, 1), np.nan))
 
-        def huge_point(d):
-            d["proposals"]["points"][3][1] = 10**400
+        def infinite_feature(d):
+            edit_column(d["proposals"], "features", lambda a: a.__setitem__((3, 1), -np.inf))
 
         def flat_points(d):
-            d["proposals"]["points"] = [p[:2] for p in d["proposals"]["points"]]
+            edit_column(d["proposals"], "points", lambda a: a[:, :2])
 
-        def ragged_features(d):
-            d["proposals"]["features"][2].pop()
+        def flat_features(d):
+            edit_column(d["proposals"], "features", lambda a: a.reshape(-1))
 
         def short_origin(d):
-            d["proposals"]["origin_index"].pop()
+            edit_column(d["proposals"], "origin_index", lambda a: a[:-1])
 
         def nan_delta(d):
-            d["predictions"][1]["deltas"][4][2] = float("nan")
+            edit_column(d["predictions"][1], "deltas", lambda a: a.__setitem__((4, 2), np.nan))
 
         def short_delta(d):
-            d["predictions"][2]["deltas"][5].pop()
+            edit_column(d["predictions"][2], "deltas", lambda a: a[:, :6])
 
         def merged_class_probs(d):
-            d["predictions"][1]["class_probs"] = [[p[0] + p[1]] + p[2:]
-                                                  for p in d["predictions"][1]["class_probs"]]
+            edit_column(d["predictions"][1], "class_probs",
+                        lambda a: np.hstack([a[:, :1] + a[:, 1:2], a[:, 2:]]))
 
-        def narrow_first_row(d):
-            d["predictions"][0]["class_probs"][0].pop()
+        def narrow_first_stage(d):
+            edit_column(d["predictions"][0], "class_probs", lambda a: a[:, 1:])
 
         for edit, message in (
-                (nan_point, "points hold non-finite values"),
-                (huge_point, "int too large to convert to float"),
+                (nan_point, "points holds non-finite values"),
+                (infinite_feature, "features holds non-finite values"),
                 (flat_points, "points rows are 2 wide, expected 3"),
-                (ragged_features, "features rows are 15 wide, expected 16"),
+                (flat_features, r"features has shape \(224,\), expected \(None, None\)"),
                 (short_origin, r"proposal points, features, origin_index and denoising_gt "
                                r"differ in length: \[14, 14, 13, 14\]"),
-                (nan_delta, "stage 2 deltas hold non-finite values"),
+                (nan_delta, "stage 2 deltas holds non-finite values"),
                 (short_delta, "stage 3 deltas rows are 6 wide, expected 7"),
                 (merged_class_probs, "stage 2 class_probs rows are 5 wide, expected 6"),
-                (narrow_first_row, "stage 1 class_probs rows are 6 wide, expected 5")):
+                (narrow_first_stage, "stage 2 class_probs rows are 6 wide, expected 5")):
             with pytest.raises(DataError, match=f"malformed trace document: {message}"):
                 trace_from_doc(broken(edit))
         trace_from_doc(doc)
@@ -498,15 +530,21 @@ class TestModelDocs:
         (lambda d: d.update(feature_dim=0), "feature_dim 0 is not an int in [1, inf)"),
         (lambda d: d.update(stages=5), "not iterable"),
         (lambda d: d["stages"][0].pop("cent"), "cent"),
-        (lambda d: d["stages"][1]["cls"]["w1"].pop(), "w1 has shape (5, 4), expected (6, 4)"),
-        (lambda d: d["stages"][0]["cls"]["b1"].append(0.0), "b1 has shape (5,), expected (4,)"),
-        (lambda d: d["stages"][0]["cls"]["b2"].pop(), "b2 has shape (2,), expected (3,)"),
-        (lambda d: d["stages"][0]["cent"].update(w2=[[1.0, 2.0]] * 4),
+        (lambda d: edit_column(d["stages"][1]["cls"], "w1", lambda a: a[:-1]),
+         "w1 has shape (5, 4), expected (6, 4)"),
+        (lambda d: edit_column(d["stages"][0]["cls"], "b1", lambda a: np.append(a, 0.0)),
+         "b1 has shape (5,), expected (4,)"),
+        (lambda d: edit_column(d["stages"][0]["cls"], "b2", lambda a: a[:-1]),
+         "b2 has shape (2,), expected (3,)"),
+        (lambda d: edit_column(d["stages"][0]["cent"], "w2", lambda a: [[1.0, 2.0]] * 4),
          "w2 has shape (4, 2), expected (4, 1)"),
-        (lambda d: d["stages"][0]["reg"]["w2"][1].__setitem__(0, float("inf")),
+        (lambda d: edit_column(d["stages"][0]["reg"], "w2", lambda a: a.__setitem__((1, 0), np.inf)),
          "w2 holds non-finite values"),
-        (lambda d: d["stages"][0]["reg"].update(b1="abcd"), "could not convert"),
-        (lambda d: d["stages"][0]["reg"].update(b1=[10**400] * 4), "too large"),
+        (lambda d: d["stages"][0]["reg"].update(b1="abcd"), "b1 is not a column object"),
+        # A stored float cannot exceed the float range; a list of numbers is no column.
+        (lambda d: d["stages"][0]["reg"].update(b1=[10**400] * 4), "b1 is not a column object"),
+        (lambda d: d["stages"][0]["reg"].update(b1=dict(d["stages"][0]["reg"]["b1"], dtype="<i8")),
+         "b1 dtype '<i8' is not '<f8'"),
     ])
     def test_malformed_model_rejected(self, edit, message):
         doc = json.loads(json.dumps(model_to_doc(init_head_params(6, 2, 2, hidden=4, seed=0))))
@@ -538,7 +576,7 @@ class TestApDocs:
 class TestSchemaEnvelope:
     def test_major_version_mismatch_rejected(self):
         doc = scene_to_doc(gen_scene(CFG, seed=1))
-        for version in ("1.1", "3.0"):
+        for version in ("1.1", "2.0", "4.0"):
             doc["schema_version"] = version
             with pytest.raises(SchemaVersionError, match=f"version '{version}'"):
                 scene_from_doc(doc)
@@ -592,21 +630,24 @@ class TestLayouts:
     def test_dumps_are_compact_sorted_and_newline_terminated(self):
         text = canonical_dumps({"b": [1.5, {"d": None, "c": 0.1}], "a": "x y"})
         assert text == '{"a":"x y","b":[1.5,{"c":0.1,"d":null}]}\n'
-        assert SCHEMA_VERSION == "2.0"
+        assert SCHEMA_VERSION == "3.0"
 
-    @pytest.mark.parametrize("version", ["1.0", "1.1"])
+    @pytest.mark.parametrize("version", ["1.0", "1.1", "2.0"])
     @pytest.mark.parametrize("kind, to_doc, from_doc, make", [
         ("scene", scene_to_doc, scene_from_doc, lambda: gen_scene(CFG, seed=3)),
         ("trace", trace_to_doc, trace_from_doc, lambda: _oracle_trace(sigma=0.2)[1]),
         ("model", model_to_doc, model_from_doc, _small_model),
         ("ap", ap_to_doc, ap_from_doc, _ap_result),
     ], ids=["scene", "trace", "model", "ap"])
-    def test_v1_file_is_rejected(self, tmp_path, kind, to_doc, from_doc, make, version):
-        # 2.0 names the break; regenerating a 1.x artifact gives its 2.0 file.
+    def test_older_major_file_is_rejected(self, tmp_path, kind, to_doc, from_doc, make,
+                                          version):
+        # 1.x and 2.x stored array columns as nested lists; 3.0 names the break, and
+        # regenerating an older artifact gives its current file.
         path = tmp_path / "old.json"
-        write_json(path, {**to_doc(make()), "schema_version": version})
+        write_json(path, {**as_lists(to_doc(make())), "schema_version": version})
         with pytest.raises(SchemaVersionError,
-                           match=f"unsupported major schema version '{version}'"):
+                           match=rf"unsupported major schema version '{version}' "
+                                 rf"\(reader supports 3\.0\)"):
             from_doc(read_json(path, kind))
 
 
@@ -658,3 +699,145 @@ class TestCsv:
         rep = LossReport(0, 1, 1.0, 1.0, 1.0, 2)
         with pytest.raises(DataError):
             loss_csv([rep], 2)
+
+
+FLOAT_COLUMNS = arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+                       elements=st.floats(allow_nan=False, allow_infinity=False))
+INT_COLUMNS = arrays(np.int64, array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+                     elements=st.integers(-2**63, 2**63 - 1))
+EDGE_FLOATS = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.1125369292536007e-308,
+                        1.7976931348623157e308, -1.7976931348623157e308])
+
+
+def _read_column(a, dtype):
+    return _column(_through_json(_column_doc(a)), "x", dtype, (None,) * a.ndim)
+
+
+class TestColumnRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(FLOAT_COLUMNS)
+    @example(EDGE_FLOATS)
+    @example(EDGE_FLOATS.reshape(7, 1))
+    @example(np.zeros((0, 16)))
+    def test_float_column_is_bit_exact(self, a):
+        back = _read_column(a, "<f8")
+        assert back.dtype == np.float64 and back.shape == a.shape
+        assert back.tobytes() == a.tobytes()
+        assert back.flags.owndata and back.flags.writeable
+
+    @settings(max_examples=200, deadline=None)
+    @given(INT_COLUMNS)
+    @example(np.array([-2**63, -1, 0, 2**63 - 1]))
+    def test_int_column_is_exact(self, a):
+        back = _read_column(a, "<i8")
+        assert back.dtype == np.int64 and back.shape == a.shape
+        assert np.array_equal(back, a)
+        assert back.flags.owndata and back.flags.writeable
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(FLOAT_COLUMNS, INT_COLUMNS))
+    def test_written_bytes_do_not_depend_on_memory_order(self, a):
+        want = _column_doc(np.ascontiguousarray(a))
+        strided = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=a.dtype)[..., ::2]
+        strided[...] = a
+        assert _column_doc(np.asfortranarray(a)) == want
+        assert _column_doc(strided) == want
+        assert _column_doc(a.astype(a.dtype.newbyteorder(">"))) == want
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_artifact_readers_give_back_equal_arrays(self, seed):
+        scene, trace = _oracle_trace(seed=seed, sigma=0.1)
+        loaded = scene_from_doc(_through_json(scene_to_doc(scene)))
+        for name in ("points", "features", "point_gt_labels"):
+            assert np.array_equal(getattr(loaded, name), getattr(scene, name))
+        back = trace_from_doc(_through_json(trace_to_doc(trace)))
+        for ra, rb in zip(trace.stages, back.stages):
+            for name in ("points", "features", "origin_index", "denoising_gt"):
+                assert np.array_equal(getattr(ra.proposals_in, name), getattr(rb.proposals_in, name))
+            for name in ("class_probs", "deltas", "centerness"):
+                assert np.array_equal(getattr(ra.predictions, name), getattr(rb.predictions, name))
+        params = init_head_params(6, 2, 2, hidden=4, seed=seed)
+        model = model_from_doc(_through_json(model_to_doc(params)))
+        for sa, sb in zip(params.stages, model.stages):
+            for ba, bb in zip(sa.branches().values(), sb.branches().values()):
+                assert all(np.array_equal(x, y) for x, y in zip(ba.arrays(), bb.arrays()))
+
+
+def _as_json_list(col):
+    """The 2.x form of col, its first two numbers written as a JSON string and a boolean."""
+    values = decode(col).tolist()
+    first = values[0] if isinstance(values[0], list) else values
+    first[:2] = ["0.5", True]
+    return values
+
+
+def _first_infinite(col):
+    a = decode(col).astype(np.float64)
+    a.flat[0] = np.inf
+    return encode(a, "<f8")
+
+
+COLUMN_EDITS = {
+    "json_list": (_as_json_list, "is not a column object"),
+    "extra_key": (lambda c: dict(c, order="F"), "is not a column object"),
+    "dtype_f4": (lambda c: dict(c, dtype="<f4"), "dtype '<f4' is not"),
+    "dtype_big_endian": (lambda c: dict(c, dtype=">f8"), "dtype '>f8' is not"),
+    "shape_bool": (lambda c: dict(c, shape=[True] + c["shape"][1:]), r"shape \[True"),
+    "shape_negative": (lambda c: dict(c, shape=[-1] + c["shape"][1:]), r"shape \[-1"),
+    "shape_float": (lambda c: dict(c, shape=[float(c["shape"][0])] + c["shape"][1:]),
+                    r"shape \[\d+\.0"),
+    "byte_length": (lambda c: dict(c, shape=[c["shape"][0] + 1] + c["shape"][1:]),
+                    r"holds \d+ bytes, shape \(\d+.*\) needs \d+"),
+    "non_base64": (lambda c: dict(c, base64=c["base64"][:4] + "*" + c["base64"][4:]),
+                   "is not valid base64"),
+    # An int column can hold inf only by turning into floats, which its dtype check rejects.
+    "non_finite": (_first_infinite, "holds non-finite values|dtype '<f8' is not '<i8'"),
+}
+# The artifact kind, the command that reads it, the path to the column and the
+# name the message gives it.
+COLUMN_TARGETS = {
+    "scene_points": ("scene", "run", ("points",), "points"),
+    "scene_labels": ("scene", "run", ("point_gt_labels",), "point_gt_labels"),
+    "trace_features": ("trace", "eval", ("proposals", "features"), "features"),
+    "trace_centerness": ("trace", "eval", ("predictions", 1, "centerness"), "stage 2 centerness"),
+}
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """A config and the scene and trace directories cascadev writes for it."""
+    root = tmp_path_factory.mktemp("columns")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({"num_scenes": 1, "b": 12, "scene": {
+        "num_gt": [2, 2], "points_per_box": 12, "num_clutter": 30}}))
+    dirs = {"scene": root / "scenes", "trace": root / "traces"}
+    assert main(["gen", "--config", str(cfg), "--out", str(dirs["scene"])]) == 0
+    assert main(["run", str(dirs["scene"]), "--config", str(cfg), "--out", str(dirs["trace"])]) == 0
+    return cfg, dirs
+
+
+class TestColumnObjects:
+    """A column that is not a well-formed column object is a data error (exit 3) naming it."""
+
+    @pytest.mark.parametrize("edit", COLUMN_EDITS)
+    @pytest.mark.parametrize("target", COLUMN_TARGETS)
+    def test_malformed_column_is_data_error(self, tmp_path, written, capsys, target, edit):
+        kind, command, path, name = COLUMN_TARGETS[target]
+        change, message = COLUMN_EDITS[edit]
+        cfg, dirs = written
+        folder = tmp_path / kind
+        shutil.copytree(dirs[kind], folder)
+        file = folder / f"{kind}_0000.json"
+        doc = json.loads(file.read_text())
+        holder = doc
+        for step in path[:-1]:
+            holder = holder[step]
+        holder[path[-1]] = change(holder[path[-1]])
+        file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command, str(folder), "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: malformed {kind} document: {name} "), err
+        assert re.search(message, err), err
+        assert err.count(file.name) == 1
