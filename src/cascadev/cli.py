@@ -3,9 +3,7 @@
 Each subcommand reads an optional JSON config (unknown keys rejected),
 applies flag overrides, and writes versioned artifacts into --out.
 Commands are deterministic given config and seeds, so rerunning one
-reproduces its files byte for byte. Scene generation and cascade runs
-fan out over a thread pool capped by CASCADEV_THREADS; outputs are
-merged in scene-index order so parallelism never reaches the files.
+reproduces its files byte for byte.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical
 failure.
@@ -17,8 +15,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+
+# Not called here; perfbench/bench_trace.py patches this name on this module.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 from .assignment import CpaSchedule
 from .cascade import ensemble_stages, run_cascade
@@ -132,19 +132,6 @@ def run_config_from_doc(doc: dict) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("CASCADEV_THREADS")
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"CASCADEV_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"CASCADEV_THREADS must be >= 1, got {n}")
-    return n
-
-
 def _read(path: str, kind: str, decode):
     """The {kind} artifact at path, decoded by decode; a DataError names the file."""
     try:
@@ -169,10 +156,11 @@ def _load(dirpath: str, kind: str) -> list:
 
 
 def cmd_gen(cfg: RunConfig, out: str) -> None:
+    if cfg.seed + cfg.num_scenes > 2**64:
+        raise ConfigError(f"seed {cfg.seed} and num_scenes {cfg.num_scenes} give scene "
+                          "seeds past the u64 range")
     os.makedirs(out, exist_ok=True)
-    seeds = [cfg.seed + i for i in range(cfg.num_scenes)]
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        scenes = list(pool.map(lambda s: gen_scene(cfg.scene, s), seeds))
+    scenes = [gen_scene(cfg.scene, cfg.seed + i) for i in range(cfg.num_scenes)]
     entries = []
     for i, scene in enumerate(scenes):
         name = f"scene_{i:04d}.json"
@@ -215,6 +203,9 @@ def cmd_run(cfg: RunConfig, scenes_dir: str, out: str) -> None:
             if scene.features.shape[1] != params.feature_dim:
                 raise DataError(f"model expects feature_dim {params.feature_dim}, "
                                 f"{name} has {scene.features.shape[1]}")
+            if scene.config.num_classes > params.num_classes:
+                raise DataError(f"model predicts {params.num_classes} classes, "
+                                f"{name} has {scene.config.num_classes}")
         if params.num_stages != cfg.schedule.num_stages:
             raise DataError(
                 f"model has {params.num_stages} stages, schedule expects "
@@ -233,8 +224,7 @@ def cmd_run(cfg: RunConfig, scenes_dir: str, out: str) -> None:
             props, predictor, cfg.schedule, gts=scene.gt_boxes, weighting=cfg.weighting
         )
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        traces = list(pool.map(lambda pair: one(pair[1]), scenes))
+    traces = [one(scene) for _, scene in scenes]
     os.makedirs(out, exist_ok=True)
     det_entries = []
     for i, ((_, scene), trace) in enumerate(zip(scenes, traces)):

@@ -190,43 +190,6 @@ def update_point(p: Point3, d: Deltas) -> Point3:
     return Point3(p.x - (c * qx - s * qy), p.y - (s * qx + c * qy), p.z - qz)
 
 
-def centerness(d: Deltas) -> float:
-    """Normalized closeness of a point to its box center, in [0, 1].
-
-    Defined as sqrt of the product of min/max ratios of the three
-    opposite face-distance pairs. Zero whenever any distance is <= 0
-    (the point sits on a face or outside the box); one exactly when
-    all three pairs are balanced. On-face is judged within EPS, so a
-    point constructed on a face stays at zero under roundoff instead
-    of ranking above other face points by floating-point dust.
-    """
-    fs = d.faces()
-    if min(fs) <= EPS:
-        return 0.0
-    r1 = min(d.d1, d.d2) / max(d.d1, d.d2)
-    r2 = min(d.d3, d.d4) / max(d.d3, d.d4)
-    r3 = min(d.d5, d.d6) / max(d.d5, d.d6)
-    return math.sqrt(r1 * r2 * r3)
-
-
-def point_in_scaled_box(p: Point3, box: OrientedBox, mu: float) -> bool:
-    """Membership of p in the box scaled by mu around its center.
-
-    The test is |q_axis| <= mu * extent_axis in the canonical frame,
-    boundary inclusive (within EPS). mu = 0.5 is ordinary point-in-box
-    membership; smaller values keep only points near the center.
-    """
-    if mu <= 0.0:
-        raise ValueError(f"scale threshold must be positive, got {mu}")
-    qx, qy, qz = _to_canonical(p, box)
-    w, l, h = box.size
-    return (
-        abs(qx) <= mu * w + EPS
-        and abs(qy) <= mu * l + EPS
-        and abs(qz) <= mu * h + EPS
-    )
-
-
 # Vectorized helpers. Bulk geometry (voting masks, scene generation, seed
 # scoring, the oracle predictor, target assignment, cascade statistics,
 # stage decoding) goes through canonical_coords, contains_points,
@@ -235,7 +198,7 @@ def point_in_scaled_box(p: Point3, box: OrientedBox, mu: float) -> bool:
 # yaw, so a row of decode_boxes' columns passes straight in, or all the
 # columns with an owner index naming each point's box. The kernels
 # repeat the scalar arithmetic operation for operation, so their results
-# are bit-identical to encode_deltas, centerness and decode_box row by row.
+# are bit-identical to encode_deltas and decode_box row by row.
 
 
 def points_as_array(points) -> np.ndarray:
@@ -299,8 +262,9 @@ def _face_distances(q: np.ndarray, half: np.ndarray) -> np.ndarray:
 def centerness_array(d: np.ndarray) -> np.ndarray:
     """Row-wise centerness of an (N, 6) face-distance array, shape (N,).
 
-    Row i equals centerness(Deltas(*d[i])): zero where any distance is
-    <= EPS, and only the other rows reach the ratios and the sqrt.
+    Row i is zero where any distance is <= EPS (on a face or outside),
+    else the sqrt of the three opposite pairs' min/max ratios' product;
+    only the rows inside reach the ratios and the sqrt.
     """
     out = np.zeros(len(d))
     inside = d.min(axis=1) > EPS

@@ -32,14 +32,14 @@ from .geometry import (
     Point3,
     box_columns,
     contains_points,
-    encode_deltas,
     encode_deltas_array,
     matched_faces,
     points_as_array,
 )
 from .overlap import Footprint, footprint_iou, footprints
 
-# Not called here; perfbench/bench_trace.py patches this name on this module.
+# Not called here; perfbench/bench_trace.py patches these names on this module.
+from .geometry import encode_deltas  # noqa: F401
 from .overlap import iou_rotated  # noqa: F401
 
 # Gap enforced between placed boxes so pairwise rotated IoU is robustly zero.
@@ -272,29 +272,13 @@ def gen_scene(cfg: SceneConfig, seed: int) -> SyntheticScene:
     )
 
 
-def match_point_to_gt(p: Point3, gts: list[OrientedBox]) -> int:
-    """Containing box (smallest volume on ties), else nearest center."""
-    best = -1
-    best_vol = math.inf
-    for gi, gt in enumerate(gts):
-        q = encode_deltas(p, gt)
-        if min(q.faces()) >= -1e-9 and gt.volume < best_vol:
-            best = gi
-            best_vol = gt.volume
-    if best >= 0:
-        return best
-    centers = np.array([[g.center.x, g.center.y, g.center.z] for g in gts])
-    dist = np.linalg.norm(centers - np.array([p.x, p.y, p.z]), axis=1)
-    return int(np.argmin(dist))
-
-
 def match_points_to_gt(points, gts: list[OrientedBox]) -> np.ndarray:
-    """match_point_to_gt for every row of an (N, 3) array; returns (N,) indices.
+    """Each row's ground-truth box for an (N, 3) array; returns (N,) indices.
 
-    Same rule, same float operations: a point is inside a box when its
-    smallest face distance is >= -1e-9, the strictly smaller volume wins
-    among containing boxes, and points inside none go to the nearest
-    center (np.linalg.norm), the lower index winning a tie.
+    A point is inside a box when its smallest face distance is >= -1e-9,
+    the strictly smaller volume wins among containing boxes, and points
+    inside none go to the nearest center (np.linalg.norm), the lower
+    index winning a tie.
     """
     # Column-major, so the per-box passes below read contiguous columns.
     pts = np.asfortranarray(points_as_array(points))

@@ -1,0 +1,65 @@
+"""Scalar reference rules that the package's array kernels are tested against.
+
+The pipeline runs centerness_array, contains_points and match_points_to_gt;
+these per-point versions state the same rules one point at a time, and the
+property tests compare the kernels with them bit for bit.
+"""
+
+import math
+
+import numpy as np
+
+from cascadev.geometry import EPS, Deltas, OrientedBox, Point3, _to_canonical, encode_deltas
+
+
+def centerness(d: Deltas) -> float:
+    """Normalized closeness of a point to its box center, in [0, 1].
+
+    Defined as sqrt of the product of min/max ratios of the three
+    opposite face-distance pairs. Zero whenever any distance is <= 0
+    (the point sits on a face or outside the box); one exactly when
+    all three pairs are balanced. On-face is judged within EPS, so a
+    point constructed on a face stays at zero under roundoff instead
+    of ranking above other face points by floating-point dust.
+    """
+    fs = d.faces()
+    if min(fs) <= EPS:
+        return 0.0
+    r1 = min(d.d1, d.d2) / max(d.d1, d.d2)
+    r2 = min(d.d3, d.d4) / max(d.d3, d.d4)
+    r3 = min(d.d5, d.d6) / max(d.d5, d.d6)
+    return math.sqrt(r1 * r2 * r3)
+
+
+def point_in_scaled_box(p: Point3, box: OrientedBox, mu: float) -> bool:
+    """Membership of p in the box scaled by mu around its center.
+
+    The test is |q_axis| <= mu * extent_axis in the canonical frame,
+    boundary inclusive (within EPS). mu = 0.5 is ordinary point-in-box
+    membership; smaller values keep only points near the center.
+    """
+    if mu <= 0.0:
+        raise ValueError(f"scale threshold must be positive, got {mu}")
+    qx, qy, qz = _to_canonical(p, box)
+    w, l, h = box.size
+    return (
+        abs(qx) <= mu * w + EPS
+        and abs(qy) <= mu * l + EPS
+        and abs(qz) <= mu * h + EPS
+    )
+
+
+def match_point_to_gt(p: Point3, gts: list[OrientedBox]) -> int:
+    """Containing box (smallest volume on ties), else nearest center."""
+    best = -1
+    best_vol = math.inf
+    for gi, gt in enumerate(gts):
+        q = encode_deltas(p, gt)
+        if min(q.faces()) >= -1e-9 and gt.volume < best_vol:
+            best = gi
+            best_vol = gt.volume
+    if best >= 0:
+        return best
+    centers = np.array([[g.center.x, g.center.y, g.center.z] for g in gts])
+    dist = np.linalg.norm(centers - np.array([p.x, p.y, p.z]), axis=1)
+    return int(np.argmin(dist))

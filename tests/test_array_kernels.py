@@ -19,6 +19,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reference import centerness, match_point_to_gt, point_in_scaled_box
+
 from cascadev.errors import InvalidDeltasError
 from cascadev.geometry import (
     EPS,
@@ -26,7 +28,6 @@ from cascadev.geometry import (
     Deltas,
     OrientedBox,
     Point3,
-    centerness,
     centerness_array,
     contains_points,
     decode_boxes,
@@ -34,9 +35,8 @@ from cascadev.geometry import (
     encode_deltas_array,
     matched_faces,
     normalize_yaw,
-    point_in_scaled_box,
 )
-from cascadev.synth import match_point_to_gt, match_points_to_gt
+from cascadev.synth import match_points_to_gt
 
 SETTINGS = settings(max_examples=150, deadline=None)
 

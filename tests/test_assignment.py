@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import centerness, point_in_scaled_box
+
 from cascadev.assignment import (
     Assignment,
     CpaSchedule,
@@ -17,11 +19,9 @@ from cascadev.geometry import (
     Deltas,
     OrientedBox,
     Point3,
-    centerness,
     contains_points,
     encode_deltas,
     matched_faces,
-    point_in_scaled_box,
     points_as_array,
 )
 

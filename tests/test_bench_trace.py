@@ -13,10 +13,12 @@ import json
 import os
 import sys
 
+from reference import point_in_scaled_box
+
 import cascadev
 from cascadev.assignment import CpaSchedule
 from cascadev.cascade import ensemble_stages
-from cascadev.geometry import Deltas, Point3, decode_box, point_in_scaled_box
+from cascadev.geometry import Deltas, Point3, decode_box
 from cascadev.synth import (
     OracleNoise,
     SceneConfig,

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from reference import centerness, match_point_to_gt
+
 from cascadev import cascade
 from cascadev.assignment import CpaSchedule, cpa_threshold
 from cascadev.cascade import (
@@ -13,13 +15,12 @@ from cascadev.cascade import (
 )
 from cascadev.errors import PredictorOutputError
 from cascadev.learner import head_predictors, init_head_params
-from cascadev.geometry import Point3, centerness, decode_boxes, encode_deltas
+from cascadev.geometry import Point3, decode_boxes, encode_deltas
 from cascadev.overlap import Detections, iou_rotated, nms
 from cascadev.synth import (
     OracleNoise,
     SceneConfig,
     gen_scene,
-    match_point_to_gt,
     oracle_predictor,
     oracle_seed_centerness,
     scene_proposals,

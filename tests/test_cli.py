@@ -210,15 +210,17 @@ class TestDeterminism:
         main(["train", str(scenes), "--config", cfg_path, "--out", str(mb)])
         assert _read_bytes_map(ma) == _read_bytes_map(mb)
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path, cfg_path, monkeypatch):
-        scenes = tmp_path / "scenes"
-        main(["gen", "--config", cfg_path, "--out", str(scenes)])
-        one, two = tmp_path / "one", tmp_path / "two"
-        monkeypatch.setenv("CASCADEV_THREADS", "1")
-        main(["run", str(scenes), "--config", cfg_path, "--out", str(one)])
-        monkeypatch.setenv("CASCADEV_THREADS", "3")
-        main(["run", str(scenes), "--config", cfg_path, "--out", str(two)])
-        assert _read_bytes_map(one) == _read_bytes_map(two)
+    def test_thread_env_is_ignored(self, tmp_path, cfg_path, monkeypatch):
+        # A leftover CASCADEV_THREADS, even an invalid one, changes nothing.
+        out = {}
+        for env in (None, "zero"):
+            if env is not None:
+                monkeypatch.setenv("CASCADEV_THREADS", env)
+            scenes, traces = tmp_path / f"s{env}", tmp_path / f"t{env}"
+            assert main(["gen", "--config", cfg_path, "--out", str(scenes)]) == 0
+            assert main(["run", str(scenes), "--config", cfg_path, "--out", str(traces)]) == 0
+            out[env] = (_read_bytes_map(scenes), _read_bytes_map(traces))
+        assert out[None] == out["zero"]
 
     def test_every_artifact_is_its_canonical_encoding(self, tmp_path, cfg_path):
         scenes, traces, metrics, model = (tmp_path / d for d in ("s", "t", "e", "m"))
@@ -772,6 +774,50 @@ class TestExitCodes:
         }))
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
-    def test_bad_thread_env_is_config_error(self, tmp_path, cfg_path, monkeypatch):
-        monkeypatch.setenv("CASCADEV_THREADS", "zero")
-        assert main(["gen", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    def _gen_at_last_seed(self, tmp_path, num_scenes):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(SMALL, num_scenes=num_scenes)))
+        scenes = tmp_path / "scenes"
+        code = main(["gen", "--config", str(cfg), "--out", str(scenes),
+                     "--seed", str(2**64 - 1)])
+        return code, cfg, scenes
+
+    def test_gen_past_the_last_seed_is_config_error(self, tmp_path, capsys):
+        capsys.readouterr()
+        code, _, scenes = self._gen_at_last_seed(tmp_path, 2)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed 18446744073709551615 and num_scenes 2 ")
+        assert not scenes.exists()
+
+    def test_gen_at_the_last_seed_runs(self, tmp_path):
+        code, cfg, scenes = self._gen_at_last_seed(tmp_path, 1)
+        assert code == 0
+        assert sorted(os.listdir(scenes)) == ["manifest.json", "scene_0000.json"]
+        assert main(["run", str(scenes), "--config", str(cfg),
+                     "--out", str(tmp_path / "t")]) == 0
+
+    def _head_run(self, tmp_path, scene_classes, model_classes):
+        """Exit code of a head run, then eval, on scene_classes-class scenes
+        with an untrained model_classes-class head; a failed run writes no trace."""
+        cfg = dict(SMALL, scene=dict(SMALL["scene"], num_classes=scene_classes))
+        model = tmp_path / "model.json"
+        write_json(model, model_to_doc(init_head_params(16, model_classes, 3, hidden=4)))
+        cpath = tmp_path / "cfg.json"
+        cpath.write_text(json.dumps(dict(cfg, predictor="head", model=str(model))))
+        scenes, traces = tmp_path / "s", tmp_path / "t"
+        assert main(["gen", "--config", str(cpath), "--out", str(scenes)]) == 0
+        code = main(["run", str(scenes), "--config", str(cpath), "--out", str(traces)])
+        if code:
+            assert not traces.exists()
+            return code
+        return main(["eval", str(traces), "--config", str(cpath), "--out", str(tmp_path / "e")])
+
+    def test_head_with_fewer_classes_than_scenes_is_data_error(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert self._head_run(tmp_path, scene_classes=5, model_classes=3) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: model predicts 3 classes, scene_0000.json has 5")
+
+    def test_head_with_more_classes_than_scenes_runs(self, tmp_path):
+        assert self._head_run(tmp_path, scene_classes=3, model_classes=5) == 0

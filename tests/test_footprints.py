@@ -17,6 +17,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import match_point_to_gt
+
 from cascadev.assignment import CpaSchedule
 from cascadev.cascade import run_cascade
 from cascadev.evaluation import _scene_iou, cascade_stats
@@ -34,7 +36,6 @@ from cascadev.synth import (
     OracleNoise,
     SceneConfig,
     gen_scene,
-    match_point_to_gt,
     oracle_predictor,
     oracle_seed_centerness,
     scene_proposals,

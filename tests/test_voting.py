@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import point_in_scaled_box
+
 from cascadev import voting
 from cascadev.errors import WrongVariantError
 from cascadev.geometry import (
@@ -12,7 +14,6 @@ from cascadev.geometry import (
     OrientedBox,
     Point3,
     contains_points,
-    point_in_scaled_box,
     points_as_array,
 )
 from cascadev.voting import ia_voting
