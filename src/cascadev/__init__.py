@@ -33,7 +33,7 @@ from .errors import (
     TrainingDivergedError,
     WrongVariantError,
 )
-from .evaluation import ApResult, CascadeStats, average_precision, cascade_stats, evaluate_scenes
+from .evaluation import ApResult, CascadeStats, cascade_stats, evaluate_scenes
 from .formats import read_json, write_json
 from .geometry import OrientedBox, Point3
 from .learner import (
@@ -85,7 +85,6 @@ __all__ = [
     "WrongVariantError",
     "ApResult",
     "CascadeStats",
-    "average_precision",
     "cascade_stats",
     "evaluate_scenes",
     "read_json",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_types
-from .geometry import OrientedBox, Point3, contains_points, matched_faces, points_as_array
+from .geometry import Boxes, contains_points, matched_faces, points_as_array
 
 # Not called here; perfbench/bench_trace.py patches this name on this module.
 from .geometry import encode_deltas  # noqa: F401
@@ -70,9 +70,6 @@ class Assignment:
     target_class: np.ndarray
     is_denoising: np.ndarray
 
-    def positive_indices(self) -> list[int]:
-        return np.flatnonzero(self.matched_gt >= 0).tolist()
-
     @property
     def num_positives(self) -> int:
         return int(np.count_nonzero(self.matched_gt >= 0))
@@ -84,13 +81,13 @@ class Assignment:
 
 
 def assign_targets(
-    points: list[Point3],
-    gts: list[OrientedBox],
+    points,
+    gts: Boxes,
     mu: float,
     *,
     denoising_gt: np.ndarray | None = None,
 ) -> Assignment:
-    """Match each point to a ground truth via the scaled-box rule.
+    """Match each row of the (N, 3) points to a ground truth via the scaled-box rule.
 
     A point inside several scaled boxes goes to the smallest-volume one.
     denoising_gt (N,) pins row i to ground truth denoising_gt[i], -1
@@ -109,22 +106,21 @@ def assign_targets(
         i = int(np.argmax(bad))
         raise ValueError(f"denoising_gt[{i}] = {pins[i]} outside [-1, {len(gts)})")
     matched = np.full(n, -1, dtype=np.int64)
-    if gts and n:
-        best_vol = np.full(n, np.inf)
-        for gi, gt in enumerate(gts):
-            inside = contains_points(gt.center.as_array(), gt.size, gt.yaw, pts, mu=mu)
-            better = inside & (gt.volume < best_vol)
-            matched[better] = gi
-            best_vol[better] = gt.volume
+    best_vol = np.full(n, np.inf)
+    for gi, (center, size, yaw, vol) in enumerate(
+            zip(gts.centers, gts.sizes, gts.yaws.tolist(), gts.volumes.tolist())):
+        inside = contains_points(center, size, yaw, pts, mu=mu)
+        better = inside & (vol < best_vol)
+        matched[better] = gi
+        best_vol[better] = vol
     is_denoising = pins >= 0
     matched[is_denoising] = pins[is_denoising]
 
     pos = np.flatnonzero(matched >= 0)
     faces, cent = matched_faces(gts, pts[pos], matched[pos])
     # A trailing entry answers matched_gt == -1 in the per-box gathers.
-    yaws = np.array([gt.yaw for gt in gts] + [np.nan])
-    classes = np.array([-1 if gt.class_id is None else gt.class_id for gt in gts] + [-1],
-                       dtype=np.int64)
+    yaws = np.append(gts.yaws, np.nan)
+    classes = np.append(gts.class_ids, -1)
     target_deltas = np.full((n, 7), np.nan)
     target_deltas[pos, :6] = faces
     target_deltas[:, 6] = yaws[matched]
@@ -140,8 +136,9 @@ def assign_targets(
     )
 
 
-def select_denoising(all_points, gt_centers: list[Point3], k: int = 1) -> list[int]:
-    """Indices of the k l1-nearest rows of the (N, 3) all_points for each center.
+def select_denoising(all_points, gt_centers, k: int = 1) -> list[int]:
+    """Indices of the k l1-nearest rows of the (N, 3) all_points for each row of
+    the (G, 3) gt_centers.
 
     Center by center, each group nearest first with ties broken by lower
     index, min(k, len(all_points)) indices per center; the same point may
@@ -151,8 +148,8 @@ def select_denoising(all_points, gt_centers: list[Point3], k: int = 1) -> list[i
         raise ValueError("cannot pick denoising points from an empty point set")
     pts = points_as_array(all_points)
     out: list[int] = []
-    for c in gt_centers:
-        dist = np.sum(np.abs(pts - np.array([c.x, c.y, c.z])), axis=1)
+    for c in points_as_array(gt_centers):
+        dist = np.sum(np.abs(pts - c), axis=1)
         out.extend(np.argsort(dist, kind="stable")[:k].tolist())
     return out
 

@@ -12,8 +12,8 @@ become Detection rows.
 
 Proposals carry an origin_index so a point's trajectory through the
 stages can be followed; denoising proposals keep a fixed ground-truth
-assignment at every stage. hand_off turns a stage's decoded box columns
-into the next proposals by voting on them. Training runs this same loop
+assignment at every stage. hand_off turns a stage's decoded boxes into
+the next proposals by voting on them. Training runs this same loop
 with its current heads and supervises each stage on the inputs and
 assignment its record holds.
 """
@@ -26,7 +26,7 @@ import numpy as np
 
 from .assignment import Assignment, CpaSchedule, assign_targets, cpa_threshold
 from .errors import PredictorOutputError
-from .geometry import OrientedBox, decode_boxes
+from .geometry import Boxes, OrientedBox, decode_boxes
 # Not called here; perfbench/bench_trace.py patches these names on this module.
 from .geometry import decode_box, update_point  # noqa: F401
 from .overlap import Detection, Detections, nms
@@ -112,11 +112,12 @@ def _validate(preds: Predictions, n: int, stage: int) -> None:
     _reject(~np.isfinite(deltas).all(axis=1), lambda i: "non-finite regression output")
 
 
-def hand_off(proposals: Proposals, boxes, *, weighting: str) -> Proposals:
-    """Next proposals from this stage's decoded (centers, sizes, yaws): each point
-    moves onto its box center and re-votes its feature from all proposals in that box."""
-    voted = ia_voting(boxes[0], boxes, proposals.points, proposals.features, weighting=weighting)
-    return replace(proposals, points=boxes[0], features=voted)
+def hand_off(proposals: Proposals, boxes: Boxes, *, weighting: str) -> Proposals:
+    """Next proposals from this stage's decoded boxes: each point moves onto its
+    box center and re-votes its feature from all proposals in that box."""
+    voted = ia_voting(boxes.centers, boxes, proposals.points, proposals.features,
+                      weighting=weighting)
+    return replace(proposals, points=boxes.centers, features=voted)
 
 
 def run_cascade(
@@ -140,6 +141,7 @@ def run_cascade(
     stage's detections feed nothing.
     """
     L = sched.num_stages
+    gt_boxes = None if gts is None else Boxes.of(gts)
     records: list[StageRecord] = []
     current = proposals
     for l in range(1, L + 1):
@@ -155,13 +157,13 @@ def run_cascade(
             proposals_in=current,
             predictions=preds,
             assignment=None if gts is None else assign_targets(
-                current.points, gts, mu, denoising_gt=current.denoising_gt),
+                current.points, gt_boxes, mu, denoising_gt=current.denoising_gt),
             detections=Detections(*decode_boxes(current.points, preds.deltas),
                                   class_ids, scores),
         )
         records.append(rec)
         if l < L:
-            current = hand_off(current, rec.detections.boxes, weighting=weighting)
+            current = hand_off(current, rec.detections, weighting=weighting)
     return StageTrace(stages=records, gts=None if gts is None else list(gts), schedule=sched,
                       weighting=weighting)
 

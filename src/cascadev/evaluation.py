@@ -26,7 +26,7 @@ from scipy import stats as _scipy_stats
 
 from .cascade import StageTrace
 from .errors import DataError, WrongVariantError
-from .geometry import OrientedBox, box_columns, matched_faces
+from .geometry import Boxes, OrientedBox, matched_faces
 from .overlap import Detection, footprint_iou, footprints, iou_aabb
 from .synth import match_points_to_gt
 
@@ -73,16 +73,10 @@ def _scene_iou(dets: list[Detection], gts: list[OrientedBox], variant: str):
     cost more. The rotated variant builds every box's footprint once.
     """
     if variant == "rotated":
-        det_fps = footprints(box_columns([d.box for d in dets]))
-        gt_fps = footprints(box_columns(gts))
+        det_fps = footprints(Boxes.of([d.box for d in dets]))
+        gt_fps = footprints(Boxes.of(gts))
         return functools.cache(lambda i, gi: footprint_iou(det_fps[i], gt_fps[gi]))
     return functools.cache(lambda i, gi: iou_aabb(dets[i].box, gts[gi]))
-
-
-def _check_gt_classes(gts: list[OrientedBox]) -> None:
-    for g in gts:
-        if g.class_id is None:
-            raise DataError("ground-truth boxes must carry class ids for AP evaluation")
 
 
 def _match_one_scene(
@@ -180,7 +174,8 @@ def evaluate_scenes(
     if iou not in IOU_VARIANTS:
         raise WrongVariantError(f"unknown IoU variant {iou!r}, expected one of {IOU_VARIANTS}")
     for _, gts in scene_results:
-        _check_gt_classes(gts)
+        if any(g.class_id is None for g in gts):
+            raise DataError("ground-truth boxes must carry class ids for AP evaluation")
     for thr in iou_thresholds:
         if not (0.0 < thr < 1.0):
             raise ValueError(f"IoU threshold must lie in (0, 1), got {thr}")
@@ -199,18 +194,6 @@ def evaluate_scenes(
         _evaluate_pooled(rows, gt_counts, thr, ap) for rows, thr in zip(pooled, iou_thresholds)
     ]
     return ApResult(results=results)
-
-
-def average_precision(
-    dets: list[Detection],
-    gts: list[OrientedBox],
-    iou_threshold: float,
-    *,
-    iou: str = "rotated",
-    ap: str = "continuous",
-) -> ApResult:
-    """Single-scene AP at one IoU threshold."""
-    return evaluate_scenes([(dets, gts)], [iou_threshold], iou=iou, ap=ap)
 
 
 def _spearman(x: list[float], y: list[float]) -> float:
@@ -241,10 +224,6 @@ class CascadeStats:
     gain_fraction: float
     pooled_spearman_rho: float
 
-    @property
-    def total_pairs(self) -> int:
-        return sum(len(s.pairs) for s in self.stages)
-
 
 def cascade_stats(traces: list[StageTrace]) -> CascadeStats:
     """Reduce traces to per-stage assignment/centerness/IoU aggregates.
@@ -273,17 +252,19 @@ def cascade_stats(traces: list[StageTrace]) -> CascadeStats:
     per_stage_pos = [0] * num_stages
 
     for trace in traces:
-        gts = trace.gts
-        gt_fps = footprints(box_columns(gts))
+        gts = Boxes.of(trace.gts)
+        gt_fps = footprints(gts)
         for si, rec in enumerate(trace.stages):
             per_stage_pos[si] += rec.assignment.num_regular_positives
             keep = np.flatnonzero(rec.proposals_in.denoising_gt < 0)
             pts = rec.proposals_in.points[keep]
             owner = match_points_to_gt(pts, gts)
             before = matched_faces(gts, pts, owner)[1].tolist()
-            boxes = [column[keep] for column in rec.detections.boxes]
+            dets = rec.detections
+            boxes = Boxes(dets.centers[keep], dets.sizes[keep], dets.yaws[keep],
+                          dets.class_ids[keep])
             per_stage_before[si].extend(before)
-            per_stage_after[si].extend(matched_faces(gts, boxes[0], owner)[1].tolist())
+            per_stage_after[si].extend(matched_faces(gts, boxes.centers, owner)[1].tolist())
             per_stage_pairs[si].extend(
                 (b, footprint_iou(fp, gt_fps[gi]))
                 for fp, gi, b in zip(footprints(boxes), owner.tolist(), before)

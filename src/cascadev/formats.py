@@ -36,7 +36,7 @@ from .cascade import Predictions, Proposals, StageTrace, run_cascade
 from .config import from_doc
 from .errors import DataError, InvalidDeltasError, PredictorOutputError, SchemaVersionError
 from .evaluation import ApResult, CascadeStats, ThresholdResult
-from .geometry import EPS, OrientedBox, Point3, box_columns
+from .geometry import EPS, Boxes, OrientedBox, Point3
 from .learner import BranchParams, HeadParams, LossReport, StageParams
 from .synth import SceneConfig, SyntheticScene
 from .voting import WEIGHTINGS
@@ -219,7 +219,7 @@ def scene_from_doc(doc: dict) -> SyntheticScene:
     try:
         config = from_doc(SceneConfig, doc["config"], "scene config")
         gt_boxes = [_box_from(b, config.num_classes) for b in doc["gt_boxes"]]
-        _inside(box_columns(gt_boxes)[0], config.workspace, "ground-truth box center")
+        _inside(Boxes.of(gt_boxes).centers, config.workspace, "ground-truth box center")
         scene = SyntheticScene(
             gt_boxes=gt_boxes,
             points=_inside(_column(doc["points"], "points", "<f8", (None, 3)), config.workspace,

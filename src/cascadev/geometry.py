@@ -32,7 +32,6 @@ from any number of threads.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,28 +189,53 @@ def update_point(p: Point3, d: Deltas) -> Point3:
     return Point3(p.x - (c * qx - s * qy), p.y - (s * qx + c * qy), p.z - qz)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Boxes:
+    """Boxes as columns, row i being box i: centers (N, 3), sizes (N, 3), yaws (N,)
+    and class_ids (N,) int64, -1 for a box with no class."""
+
+    centers: np.ndarray
+    sizes: np.ndarray
+    yaws: np.ndarray
+    class_ids: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.yaws)
+
+    @property
+    def volumes(self) -> np.ndarray:
+        """(N,) w * l * h, as OrientedBox.volume computes it."""
+        return self.sizes[:, 0] * self.sizes[:, 1] * self.sizes[:, 2]
+
+    @classmethod
+    def of(cls, rows: list[OrientedBox]) -> "Boxes":
+        """The columns of a box list."""
+        return cls(
+            np.array([(b.center.x, b.center.y, b.center.z) for b in rows], dtype=np.float64)
+            .reshape(-1, 3),
+            np.array([b.size for b in rows], dtype=np.float64).reshape(-1, 3),
+            np.array([b.yaw for b in rows], dtype=np.float64),
+            np.array([-1 if b.class_id is None else b.class_id for b in rows], dtype=np.int64),
+        )
+
+
 # Vectorized helpers. Bulk geometry (voting masks, scene generation, seed
 # scoring, the oracle predictor, target assignment, cascade statistics,
 # stage decoding) goes through canonical_coords, contains_points,
-# encode_deltas_array, centerness_array, matched_faces and decode_boxes.
-# canonical_coords and contains_points take one box as center, size and
-# yaw, so a row of decode_boxes' columns passes straight in, or all the
-# columns with an owner index naming each point's box. The kernels
+# face_distances, centerness_array, matched_faces and decode_boxes, on
+# (N, 3) point arrays. canonical_coords and contains_points take one box
+# as center, size and yaw, so a row of Boxes passes straight in, or all
+# the columns with an owner index naming each point's box. The kernels
 # repeat the scalar arithmetic operation for operation, so their results
 # are bit-identical to encode_deltas and decode_box row by row.
 
 
 def points_as_array(points) -> np.ndarray:
-    """Accept a list of Point3 or an (N, 3) array; return an (N, 3) float array."""
-    if isinstance(points, np.ndarray):
-        a = np.asarray(points, dtype=np.float64)
-        if a.ndim != 2 or a.shape[1] != 3:
-            raise ValueError(f"expected an (N, 3) array, got shape {a.shape}")
-        return a
-    out = np.empty((len(points), 3))
-    for axis, name in enumerate("xyz"):
-        out[:, axis] = np.fromiter(map(operator.attrgetter(name), points), np.float64, len(points))
-    return out
+    """points as an (N, 3) float array; ValueError for any other shape."""
+    a = np.asarray(points, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise ValueError(f"expected an (N, 3) array, got shape {a.shape}")
+    return a
 
 
 def canonical_coords(center, yaw, points, owner=None) -> np.ndarray:
@@ -237,17 +261,7 @@ def canonical_coords(center, yaw, points, owner=None) -> np.ndarray:
     return out
 
 
-def encode_deltas_array(box: OrientedBox, points) -> np.ndarray:
-    """Face distances (d1..d6) of many points against one box, shape (N, 6).
-
-    Row i equals encode_deltas(points[i], box).faces(); the heading is
-    box.yaw for every row and is left out.
-    """
-    q = canonical_coords(box.center.as_array(), box.yaw, points)
-    return _face_distances(q, np.array(box.size) / 2.0)
-
-
-def _face_distances(q: np.ndarray, half: np.ndarray) -> np.ndarray:
+def face_distances(q: np.ndarray, half: np.ndarray) -> np.ndarray:
     """(N, 6) face distances from canonical coordinates q and half extents,
     one (3,) triple for all rows or an (N, 3) array with one per row."""
     # Built column by column and returned as a transposed view, so the
@@ -275,24 +289,16 @@ def centerness_array(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def box_columns(boxes: list[OrientedBox]):
-    """(N, 3) centers, (N, 3) sizes and (N,) yaws of a box list, as decode_boxes returns them."""
-    centers = np.array([(b.center.x, b.center.y, b.center.z) for b in boxes], dtype=np.float64)
-    sizes = np.array([b.size for b in boxes], dtype=np.float64)
-    return centers.reshape(-1, 3), sizes.reshape(-1, 3), np.array([b.yaw for b in boxes])
-
-
-def matched_faces(boxes: list[OrientedBox], points, owner: np.ndarray):
-    """Face distances of each row against boxes[owner[row]], and their centerness.
+def matched_faces(boxes: Boxes, points, owner: np.ndarray):
+    """Face distances of each row against box owner[row], and their centerness.
 
     Returns an (N, 6) array and an (N,) array; every owner entry must
-    index boxes. Row i equals encode_deltas(points[i], boxes[owner[i]])
+    index boxes. Row i equals encode_deltas(points[i], box owner[i])
     and its centerness. Each row gathers its box's center, half extents
     and cos/sin, so all rows are computed together whatever the box count.
     """
-    centers, sizes, yaws = box_columns(boxes)
-    q = canonical_coords(centers, yaws, points, owner)
-    faces = _face_distances(q, (sizes / 2.0)[owner])
+    q = canonical_coords(boxes.centers, boxes.yaws, points, owner)
+    faces = face_distances(q, (boxes.sizes / 2.0)[owner])
     return faces, centerness_array(faces)
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import WrongVariantError
-from .geometry import OrientedBox, Point3, box_columns
+from .geometry import Boxes, OrientedBox, Point3
 
 _AREA_EPS = 1e-12
 
@@ -40,26 +40,15 @@ class Detection:
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Detections:
-    """Scored boxes as columns, row i being detection i: decode_boxes' centers
-    (N, 3), sizes (N, 3) and yaws (N,), then class_ids (N,) and scores (N,) in [0, 1]."""
+class Detections(Boxes):
+    """Scored boxes as columns: the Boxes columns, then scores (N,) in [0, 1]."""
 
-    centers: np.ndarray
-    sizes: np.ndarray
-    yaws: np.ndarray
-    class_ids: np.ndarray
     scores: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    @property
-    def boxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.centers, self.sizes, self.yaws
 
     def rows(self, stage, index=slice(None)) -> list[Detection]:
         """Detection rows at index (default all), of stage: one int, or one per row."""
-        cols = [c[index].tolist() for c in (*self.boxes, self.class_ids, self.scores)]
+        cols = [c[index].tolist()
+                for c in (self.centers, self.sizes, self.yaws, self.class_ids, self.scores)]
         stages = np.broadcast_to(stage, len(cols[-1])).tolist()
         return [
             Detection(OrientedBox(Point3(*c), tuple(size), yaw, class_id=k), p, k, st)
@@ -114,28 +103,27 @@ class Footprint(NamedTuple):
 _CORNER_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 
-def _corner_array(boxes) -> np.ndarray:
-    """(N, 4, 2) footprint corners of (centers, sizes, yaws), counterclockwise.
+def _corner_array(boxes: Boxes) -> np.ndarray:
+    """(N, 4, 2) footprint corners of boxes, counterclockwise.
 
     One stacked matmul runs the same per-box product as a single (4, 2)
     @ (2, 2), so every row is bit-equal to the one-box case.
     """
-    centers, sizes, yaws = boxes
-    local = (sizes[:, :2] / 2.0)[:, None, :] * _CORNER_SIGNS
-    c = np.array([math.cos(yaw) for yaw in yaws.tolist()])
-    s = np.array([math.sin(yaw) for yaw in yaws.tolist()])
+    local = (boxes.sizes[:, :2] / 2.0)[:, None, :] * _CORNER_SIGNS
+    c = np.array([math.cos(yaw) for yaw in boxes.yaws.tolist()])
+    s = np.array([math.sin(yaw) for yaw in boxes.yaws.tolist()])
     rot = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
-    return local @ rot.transpose(0, 2, 1) + centers[:, None, :2]
+    return local @ rot.transpose(0, 2, 1) + boxes.centers[:, None, :2]
 
 
-def footprints(boxes) -> list[Footprint]:
-    """Footprints of (centers, sizes, yaws) columns, corners from one batched product."""
-    centers, sizes, yaws = boxes
+def footprints(boxes: Boxes) -> list[Footprint]:
+    """Footprints of boxes, corners from one batched product."""
     return [
         Footprint(key=(x, y, z, w, l, h, yaw), corners=corners, x=x, y=y, z_lo=z - h / 2.0,
                   z_hi=z + h / 2.0, radius=math.hypot(w, l) / 2.0, volume=w * l * h)
         for (x, y, z), (w, l, h), yaw, corners in zip(
-            centers.tolist(), sizes.tolist(), yaws.tolist(), _corner_array(boxes).tolist())
+            boxes.centers.tolist(), boxes.sizes.tolist(), boxes.yaws.tolist(),
+            _corner_array(boxes).tolist())
     ]
 
 
@@ -182,7 +170,7 @@ def _intersection_area(a: Footprint, b: Footprint) -> float:
 
 def bev_intersection_area(a: OrientedBox, b: OrientedBox) -> float:
     """Footprint intersection area of two boxes; < 1e-12 collapses to 0."""
-    return _intersection_area(*footprints(box_columns([a, b])))
+    return _intersection_area(*footprints(Boxes.of([a, b])))
 
 
 def footprint_iou(a: Footprint, b: Footprint) -> float:
@@ -209,7 +197,7 @@ def iou_rotated(a: OrientedBox, b: OrientedBox) -> float:
     The one-pair case of footprint_iou; callers comparing many boxes
     should build their footprints once instead.
     """
-    return footprint_iou(*footprints(box_columns([a, b])))
+    return footprint_iou(*footprints(Boxes.of([a, b])))
 
 
 def iou_mc(a: OrientedBox, b: OrientedBox, n_samples: int, seed: int = 0) -> tuple[float, float]:
@@ -263,7 +251,7 @@ def nms(dets: Detections, iou_threshold: float) -> list[int]:
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {iou_threshold}")
     order = np.argsort(-dets.scores, kind="stable").tolist()
-    fps = footprints(dets.boxes)
+    fps = footprints(dets)
     class_ids = dets.class_ids.tolist()
     kept: list[int] = []
     kept_by_class: dict[int, list[Footprint]] = {}

@@ -28,11 +28,12 @@ from .cascade import Predictions, Proposals
 from .config import check_types
 from .errors import PlacementError
 from .geometry import (
+    Boxes,
     OrientedBox,
     Point3,
-    box_columns,
+    canonical_coords,
     contains_points,
-    encode_deltas_array,
+    face_distances,
     matched_faces,
     points_as_array,
 )
@@ -160,7 +161,7 @@ def _place_boxes(cfg: SceneConfig, rng: np.random.Generator) -> list[OrientedBox
             cand = OrientedBox(center, size, yaw=yaw, class_id=int(rng.integers(cfg.num_classes)))
             # Checking slightly inflated boxes keeps a real gap between
             # neighbors, so the zero-IoU invariant survives any epsilon.
-            grown = footprints(box_columns([OrientedBox(center, _grow(size), yaw=yaw)]))[0]
+            grown = footprints(Boxes.of([OrientedBox(center, _grow(size), yaw=yaw)]))[0]
             if all(footprint_iou(grown, g) == 0.0 for g in grown_placed):
                 boxes.append(cand)
                 grown_placed.append(grown)
@@ -272,7 +273,7 @@ def gen_scene(cfg: SceneConfig, seed: int) -> SyntheticScene:
     )
 
 
-def match_points_to_gt(points, gts: list[OrientedBox]) -> np.ndarray:
+def match_points_to_gt(points, gts: Boxes) -> np.ndarray:
     """Each row's ground-truth box for an (N, 3) array; returns (N,) indices.
 
     A point is inside a box when its smallest face distance is >= -1e-9,
@@ -282,21 +283,21 @@ def match_points_to_gt(points, gts: list[OrientedBox]) -> np.ndarray:
     """
     # Column-major, so the per-box passes below read contiguous columns.
     pts = np.asfortranarray(points_as_array(points))
-    if len(pts) and not gts:
+    if len(pts) and not len(gts):
         raise ValueError("cannot match points without ground-truth boxes")
     owner = np.full(len(pts), -1, dtype=np.int64)
     best_vol = np.full(len(pts), math.inf)
-    for gi, gt in enumerate(gts):
-        inside = encode_deltas_array(gt, pts).min(axis=1) >= -1e-9
-        better = inside & (gt.volume < best_vol)
+    for gi, (center, half, yaw, vol) in enumerate(
+            zip(gts.centers, gts.sizes / 2.0, gts.yaws.tolist(), gts.volumes.tolist())):
+        inside = face_distances(canonical_coords(center, yaw, pts), half).min(axis=1) >= -1e-9
+        better = inside & (vol < best_vol)
         owner[better] = gi
-        best_vol[better] = gt.volume
+        best_vol[better] = vol
     free = np.flatnonzero(owner < 0)
     if len(free):
         rest = pts[free]
         best_dist = np.full(len(free), math.inf)
-        for gi, gt in enumerate(gts):
-            center = np.array([gt.center.x, gt.center.y, gt.center.z])
+        for gi, center in enumerate(gts.centers):
             dist = np.linalg.norm(center - rest, axis=1)
             closer = dist < best_dist
             owner[free[closer]] = gi
@@ -327,20 +328,22 @@ def oracle_predictor(scene: SyntheticScene, noise: OracleNoise, seed: int = 0):
     seed) and are taken proposal by proposal in row order, so only the
     sequence of proposals across calls must stay fixed for
     reproducibility; the cascade calls its predictors stage by stage.
+    Raises ValueError without ground truth or for a box without a class id.
     """
-    gts = scene.gt_boxes
-    if not gts:
+    gts = Boxes.of(scene.gt_boxes)
+    if not len(gts):
         raise ValueError("oracle needs at least one ground-truth box")
+    classless = np.flatnonzero(gts.class_ids < 0)
+    if len(classless):
+        raise ValueError(f"ground-truth box {classless[0]} has no class id to predict")
     rng = _rng((scene.seed << 1) ^ seed)
     n_classes = scene.config.num_classes
-    yaws = np.array([gt.yaw for gt in gts])
-    gt_classes = np.array([gt.class_id for gt in gts], dtype=np.int64)
 
     def predict(proposals: Proposals) -> Predictions:
         owner = match_points_to_gt(proposals.points, gts)
         faces, cent = matched_faces(gts, proposals.points, owner)
-        deltas = np.column_stack([faces, yaws[owner]])
-        classes = gt_classes[owner]
+        deltas = np.column_stack([faces, gts.yaws[owner]])
+        classes = gts.class_ids[owner]
         for i in range(len(owner)):
             if noise.sigma_delta > 0.0:
                 d = faces[i] * rng.normal(1.0, noise.sigma_delta, size=6)
@@ -373,13 +376,16 @@ def scene_proposals(
     plain candidates too, so no point carries two labels. denoising_k=1
     is the plain nearest-point rule; larger groups give a trainable
     head broader positive coverage during cold start. denoising_k=0
-    appends no group.
+    appends no group. predicted_centerness needs one value per scene point.
     """
     if denoising_k < 0:
         raise ValueError(f"need denoising_k >= 0, got {denoising_k}")
+    if len(predicted_centerness) != scene.num_points:
+        raise ValueError(f"{len(predicted_centerness)} predicted centerness values for "
+                         f"{scene.num_points} scene points")
     group: list[tuple[int, int]] = []
     if denoising_k:
-        nearest = select_denoising(scene.points, [g.center for g in scene.gt_boxes], denoising_k)
+        nearest = select_denoising(scene.points, Boxes.of(scene.gt_boxes).centers, denoising_k)
         per_gt = min(denoising_k, scene.num_points)
         group = [(j // per_gt, pi) for j, pi in enumerate(nearest)]
     taken = {pi for _, pi in group}
@@ -402,7 +408,7 @@ def oracle_seed_centerness(scene: SyntheticScene, noise: OracleNoise, seed: int 
     noise applied. Draws come from a separate stream keyed alongside
     the oracle's, keeping selection independent of prediction noise.
     """
-    gts = scene.gt_boxes
+    gts = Boxes.of(scene.gt_boxes)
     _, vals = matched_faces(gts, scene.points, match_points_to_gt(scene.points, gts))
     if noise.centerness_bias > 0.0:
         rng = _rng((scene.seed << 1) ^ seed ^ 0x5EED)

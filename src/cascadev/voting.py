@@ -30,7 +30,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import WrongVariantError
-from .geometry import EPS, contains_points, points_as_array
+from .geometry import EPS, Boxes, contains_points, points_as_array
 
 WEIGHTINGS = ("exp_neg_dist", "literal")
 # Relative widening of each box's search radius: far above the ~1e-15
@@ -54,57 +54,46 @@ def _as_feature_matrix(features) -> np.ndarray:
 
 def ia_voting(
     updated_points,
-    boxes,
+    boxes: Boxes,
     source_points,
     source_features,
     *,
     weighting: str = "exp_neg_dist",
-    prior_features=None,
 ) -> np.ndarray:
     """Aggregate source features inside each proposal's predicted box.
 
-    boxes is decode_boxes' (centers (B, 3), sizes (B, 3), yaws (B,))
-    triple, row i being the box of updated_points[i]; source_points and
-    source_features align 1:1, and points are Point3 lists or (N, 3)
-    arrays. Returns (B, F) features; a proposal whose box holds no source
-    keeps prior_features[i] when given, else source_features[i] when
-    sources align positionally with proposals.
+    Row i of boxes is the box of updated_points[i]; source_points and
+    source_features align 1:1, and points are (N, 3) arrays. Returns
+    (B, F) features; a proposal whose box holds no source keeps
+    source_features[i], which needs sources aligned with proposals.
     """
     if weighting not in WEIGHTINGS:
         raise WrongVariantError(f"unknown weighting {weighting!r}, expected one of {WEIGHTINGS}")
-    centers, sizes, yaws = boxes
-    if not (len(updated_points) == len(centers) == len(sizes) == len(yaws)):
+    if len(updated_points) != len(boxes):
         raise ValueError("updated_points and boxes must align 1:1")
     if len(source_points) != len(source_features):
         raise ValueError("source_points and source_features must align 1:1")
     feats = _as_feature_matrix(source_features)
-    priors = _as_feature_matrix(prior_features) if prior_features is not None else None
-    if priors is not None and len(priors) != len(updated_points):
-        raise ValueError("prior_features must align 1:1 with proposals")
-    if priors is not None and len(feats) and priors.shape[1] != feats.shape[1]:
-        raise ValueError(
-            f"prior feature dimension {priors.shape[1]} != source dimension {feats.shape[1]}"
-        )
     src = points_as_array(source_points)
     upd = points_as_array(updated_points)
 
-    out = np.empty((len(upd), feats.shape[1] if priors is None else priors.shape[1]))
+    out = np.empty((len(upd), feats.shape[1]))
     # Candidate pairs, row-major and in source order, as one box's mask would list them.
-    reach = np.linalg.norm(np.asarray(sizes) * 0.5 + EPS, axis=1) * (1.0 + _REACH_SLACK)
-    near = cKDTree(src).query_ball_point(centers, reach, return_sorted=True)
+    reach = np.linalg.norm(boxes.sizes * 0.5 + EPS, axis=1) * (1.0 + _REACH_SLACK)
+    near = cKDTree(src).query_ball_point(boxes.centers, reach, return_sorted=True)
     per_box = np.fromiter(map(len, near), np.intp, len(near))
     cand = np.fromiter(itertools.chain.from_iterable(near), np.intp, per_box.sum())
     owner = np.repeat(np.arange(len(near)), per_box)
-    inside = contains_points(centers, sizes, yaws, src[cand], owner=owner)
+    inside = contains_points(boxes.centers, boxes.sizes, boxes.yaws, src[cand], owner=owner)
     cand, owner = cand[inside], owner[inside]
 
     counts = np.bincount(owner, minlength=len(upd))
     empty = np.flatnonzero(counts == 0)
-    if priors is None and len(feats) != len(upd) and len(empty):
+    if len(feats) != len(upd) and len(empty):
         raise ValueError(
-            f"proposal {empty[0]} has an empty vote mask and no prior feature to fall back to"
+            f"proposal {empty[0]} has an empty vote mask and no own feature to fall back to"
         )
-    out[empty] = (feats if priors is None else priors)[empty]
+    out[empty] = feats[empty]
     voted = np.flatnonzero(counts)
     bounds = np.concatenate(([0], np.cumsum(counts[voted])))
     dist = np.linalg.norm(src[cand] - upd[owner], axis=1)

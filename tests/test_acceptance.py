@@ -15,12 +15,14 @@ import numpy as np
 import pytest
 
 from reference import centerness, match_point_to_gt, point_in_scaled_box
+from rows import xyz
 
 from cascadev.assignment import CpaSchedule, assign_targets, cpa_threshold
 from cascadev.cascade import ensemble_stages, run_cascade
 from cascadev.cli import main
-from cascadev.evaluation import average_precision, cascade_stats, evaluate_scenes
+from cascadev.evaluation import cascade_stats, evaluate_scenes
 from cascadev.geometry import (
+    Boxes,
     OrientedBox,
     Point3,
     decode_box,
@@ -170,9 +172,8 @@ def test_criterion_3_cpa_schedule_and_shrinking_positives():
         scene = gen_scene(cfg, seed)
         prev = None
         for k, mu in enumerate(grid):
-            cur = set(
-                assign_targets(scene.points, scene.gt_boxes, mu).positive_indices()
-            )
+            matched = assign_targets(scene.points, Boxes.of(scene.gt_boxes), mu).matched_gt
+            cur = set(np.flatnonzero(matched >= 0).tolist())
             counts[k] += len(cur)
             if prev is not None:
                 nested &= cur <= prev
@@ -213,11 +214,6 @@ def _brute_vote(p_upd, box, pts, feats, weighting):
     return sum((w / total) * f for w, f in zip(weights, kept))
 
 
-def _columns(box):
-    """One box as the (centers, sizes, yaws) column triple ia_voting takes."""
-    return box.center.as_array()[None], np.array([box.size]), np.array([box.yaw])
-
-
 def test_criterion_4_voting_oracle_hull_and_variance():
     rng = np.random.default_rng(46)
     worst = 0.0
@@ -232,8 +228,7 @@ def test_criterion_4_voting_oracle_hull_and_variance():
             if ref is None:
                 continue
             (out,) = ia_voting(
-                [p_upd], _columns(box), pts, feats,
-                weighting=weighting, prior_features=[np.zeros(4)],
+                xyz([p_upd]), Boxes.of([box]), xyz(pts), feats, weighting=weighting
             )
             worst = max(worst, float(np.max(np.abs(out - ref))))
             hit = True
@@ -246,7 +241,7 @@ def test_criterion_4_voting_oracle_hull_and_variance():
         inside = [f for p, f in zip(pts, feats) if point_in_scaled_box(p, box, 0.5)]
         if not inside:
             continue
-        (out,) = ia_voting([p_upd], _columns(box), pts, feats, prior_features=[np.zeros(5)])
+        (out,) = ia_voting(xyz([p_upd]), Boxes.of([box]), xyz(pts), feats)
         mat = np.asarray(inside)
         hull_ok &= bool(
             np.all(out >= mat.min(axis=0) - 1e-12)
@@ -256,7 +251,7 @@ def test_criterion_4_voting_oracle_hull_and_variance():
             f + 1000.0 if not point_in_scaled_box(p, box, 0.5) else f
             for p, f in zip(pts, feats)
         ]
-        (after,) = ia_voting([p_upd], _columns(box), pts, mutated, prior_features=[np.zeros(5)])
+        (after,) = ia_voting(xyz([p_upd]), Boxes.of([box]), xyz(pts), mutated)
         outside_exact &= bool(np.array_equal(after, out))
 
     # Shared signal plus i.i.d. noise: averaging inside the box must cut
@@ -268,9 +263,7 @@ def test_criterion_4_voting_oracle_hull_and_variance():
     for _ in range(1_000):
         pts = [Point3(*rng_v.uniform(-0.9, 0.9, size=3)) for _ in range(12)]
         feats = [true + rng_v.normal(scale=0.3, size=4) for _ in range(12)]
-        (out,) = ia_voting(
-            [Point3(0, 0, 0)], _columns(box), pts, feats, prior_features=[np.zeros(4)]
-        )
+        (out,) = ia_voting(np.zeros((1, 3)), Boxes.of([box]), xyz(pts), feats)
         diffs.append(
             float(np.mean((feats[0] - true) ** 2)) - float(np.mean((out - true) ** 2))
         )
@@ -387,7 +380,7 @@ def test_criterion_8_ap_hand_trace_and_threshold_ordering():
         Detection(box=g2, score=0.7, class_id=0),
     ]
     # Ranked TP, duplicate FP, TP over two gts: AP = 0.5 + 0.5 * (2/3).
-    hand_err = abs(average_precision(dets, [g1, g2], 0.5).mean_ap(0.5) - 5.0 / 6.0)
+    hand_err = abs(evaluate_scenes([(dets, [g1, g2])], [0.5]).mean_ap(0.5) - 5.0 / 6.0)
 
     sched = CpaSchedule()
     noise = OracleNoise(sigma_delta=0.12, centerness_bias=0.1)
@@ -419,13 +412,14 @@ def _fd_worst_rel() -> float:
     # head on a four-point instance with a pinned denoising point.
     g1 = OrientedBox(Point3(0.0, 0.0, 1.0), (1.0, 1.2, 0.8), class_id=0)
     g2 = OrientedBox(Point3(3.0, 0.0, 1.0), (0.9, 0.9, 0.9), class_id=2)
-    points = [
-        Point3(0.05, -0.03, 1.02),
-        Point3(0.5, 0.0, 1.0),
-        Point3(2.0, 2.0, 0.3),
-        Point3(3.2, 0.1, 1.1),
-    ]
-    assignment = assign_targets(points, [g1, g2], 0.4, denoising_gt=np.array([-1, -1, -1, 1]))
+    points = np.array([
+        [0.05, -0.03, 1.02],
+        [0.5, 0.0, 1.0],
+        [2.0, 2.0, 0.3],
+        [3.2, 0.1, 1.1],
+    ])
+    assignment = assign_targets(points, Boxes.of([g1, g2]), 0.4,
+                                denoising_gt=np.array([-1, -1, -1, 1]))
     feats = np.random.default_rng(11).normal(size=(4, 6))
     weights = LossWeights(cls=1.3, reg=0.7, cent=1.1)
     sp = init_head_params(6, 2, 1, hidden=4, seed=7).stages[0]

@@ -22,8 +22,8 @@ ERRORS = {"CascadevError", "ConfigError", "DataError", "InvalidDeltasError", "Nu
           "TrainingDivergedError", "WrongVariantError"}
 ENTRY_POINTS = {"gen_scene", "scene_proposals", "oracle_seed_centerness", "oracle_predictor",
                 "uniform_seed_scores", "run_cascade", "ensemble_stages", "evaluate_scenes",
-                "average_precision", "cascade_stats", "train_cascade", "head_predictors",
-                "iou_mc", "read_json", "write_json"}
+                "cascade_stats", "train_cascade", "head_predictors", "iou_mc", "read_json",
+                "write_json"}
 TYPES = {"CpaSchedule", "SceneConfig", "OracleNoise", "LossWeights", "OrientedBox", "Point3",
          "Proposals", "Predictions", "SyntheticScene", "StageTrace", "Detection", "ApResult",
          "CascadeStats", "HeadParams", "LossReport"}

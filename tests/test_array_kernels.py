@@ -1,6 +1,6 @@
 """Array kernels against their scalar oracles, by exact equality.
 
-encode_deltas_array, centerness_array, matched_faces, decode_boxes,
+face_distances, centerness_array, matched_faces, decode_boxes,
 match_points_to_gt and contains_points over owned rows replace per-point
 loops over encode_deltas, centerness, decode_box, match_point_to_gt and
 point_in_scaled_box on the seed-scoring, assignment, oracle,
@@ -11,6 +11,7 @@ warnings raised as errors: a stray RuntimeWarning (say, sqrt of a
 negative ratio computed and then masked out) fails the test.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -20,22 +21,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference import centerness, match_point_to_gt, point_in_scaled_box
+from rows import xyz
 
 from cascadev.errors import InvalidDeltasError
 from cascadev.geometry import (
     EPS,
     MAX_COORD,
+    Boxes,
     Deltas,
     OrientedBox,
     Point3,
+    canonical_coords,
     centerness_array,
     contains_points,
     decode_boxes,
     encode_deltas,
-    encode_deltas_array,
+    face_distances,
     matched_faces,
     normalize_yaw,
 )
+from cascadev.overlap import Detections
 from cascadev.synth import match_points_to_gt
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -92,10 +97,11 @@ def raising(fn, *args):
 
 @SETTINGS
 @given(st.data())
-def test_encode_and_centerness_arrays_equal_scalar(data):
+def test_face_distances_and_centerness_arrays_equal_scalar(data):
     box = data.draw(boxes())
     pts = data.draw(st.lists(probes(box), min_size=1, max_size=24))
-    d = raising(encode_deltas_array, box, pts)
+    q = raising(canonical_coords, box.center.as_array(), box.yaw, xyz(pts))
+    d = raising(face_distances, q, np.array(box.size) / 2.0)
     c = raising(centerness_array, d)
     assert d.shape == (len(pts), 6) and c.shape == (len(pts),)
     for i, p in enumerate(pts):
@@ -127,7 +133,7 @@ def test_match_points_to_gt_equals_scalar(data):
         twin = OrientedBox(world_point(orig, shift), orig.size, yaw=data.draw(yaws))
         gts.insert(data.draw(st.integers(0, len(gts))), twin)
     pts = data.draw(st.lists(st.one_of(*(probes(g) for g in gts)), min_size=1, max_size=32))
-    got = raising(match_points_to_gt, pts, gts)
+    got = raising(match_points_to_gt, xyz(pts), Boxes.of(gts))
     assert got.tolist() == [match_point_to_gt(p, gts) for p in pts]
 
 
@@ -147,7 +153,7 @@ def test_equidistant_centers_go_to_lower_index(p, v, copies, yaw):
             center = Point3(*(a + sign * b for a, b in zip(p, v)))
             gts.append(OrientedBox(center, (0.5, 0.5, 0.5), yaw=yaw + k))
     pts = [Point3(*map(float, p))]
-    got = raising(match_points_to_gt, pts, gts)
+    got = raising(match_points_to_gt, xyz(pts), Boxes.of(gts))
     assert got.tolist() == [match_point_to_gt(pts[0], gts)] == [0]
 
 
@@ -161,15 +167,15 @@ def test_containment_band_includes_exactly_minus_1e9():
     assert encode_deltas(Point3(x, 0.0, 0.0), thin).d1 == -1e-9
     pts = [Point3(x, 0.0, 0.0), Point3(math.nextafter(x, 1.0), 0.0, 0.0)]
     assert [match_point_to_gt(p, [thin, big]) for p in pts] == [0, 1]
-    assert raising(match_points_to_gt, pts, [thin, big]).tolist() == [0, 1]
+    assert raising(match_points_to_gt, xyz(pts), Boxes.of([thin, big])).tolist() == [0, 1]
 
 
 def test_match_points_to_gt_empty_inputs():
     box = OrientedBox(Point3(0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-    assert match_points_to_gt([], [box]).shape == (0,)
-    assert match_points_to_gt(np.zeros((0, 3)), []).shape == (0,)
+    assert match_points_to_gt(np.zeros((0, 3)), Boxes.of([box])).shape == (0,)
+    assert match_points_to_gt(np.zeros((0, 3)), Boxes.of([])).shape == (0,)
     with pytest.raises(ValueError):
-        match_points_to_gt([box.center], [])
+        match_points_to_gt(xyz([box.center]), Boxes.of([]))
 
 
 def owned_rows(data):
@@ -187,7 +193,7 @@ def owned_rows(data):
 @given(st.data())
 def test_matched_faces_equals_scalar(data):
     gts, rows, owner, pts = owned_rows(data)
-    faces, cent = raising(matched_faces, gts, pts, owner)
+    faces, cent = raising(matched_faces, Boxes.of(gts), xyz(pts), owner)
     assert faces.shape == (len(rows), 6) and cent.shape == (len(rows),)
     for i, (gi, p) in enumerate(rows):
         ref = encode_deltas(p, gts[gi])
@@ -199,9 +205,8 @@ def test_matched_faces_equals_scalar(data):
 @given(st.data(), st.sampled_from([0.5, 0.3]))
 def test_contains_points_by_owner_equals_scalar(data, mu):
     gts, rows, owner, pts = owned_rows(data)
-    columns = (np.array([g.center.as_array() for g in gts]), np.array([g.size for g in gts]),
-               np.array([g.yaw for g in gts]))
-    mask = raising(contains_points, *columns, pts, mu, EPS, owner)
+    b = Boxes.of(gts)
+    mask = raising(contains_points, b.centers, b.sizes, b.yaws, xyz(pts), mu, EPS, owner)
     assert mask.tolist() == [point_in_scaled_box(p, gts[gi], mu) for gi, p in rows]
 
 
@@ -249,7 +254,7 @@ def decodable_rows(draw):
 @SETTINGS
 @given(st.lists(decodable_rows(), min_size=0, max_size=24))
 def test_decode_boxes_equals_scalar(rows):
-    pts = [p for p, _ in rows]
+    pts = xyz(p for p, _ in rows)
     deltas = np.array([d.as_array() for _, d in rows]).reshape(len(rows), 7)
     centers, sizes, yaws = raising(decode_boxes, pts, deltas)
     assert centers.shape == sizes.shape == (len(rows), 3) and yaws.shape == (len(rows),)
@@ -294,7 +299,7 @@ def test_decode_boxes_rejects_first_non_positive_extent(rows, data):
         gap = data.draw(st.sampled_from([0.0, 1e-9, 2.0]))
         deltas[i, 2 * axis + 1] = -deltas[i, 2 * axis] - gap
     with pytest.raises(InvalidDeltasError, match=f"^proposal {bad[0]}: implied box size"):
-        decode_boxes([p for p, _ in rows], deltas)
+        decode_boxes(xyz(p for p, _ in rows), deltas)
 
 
 def test_decode_boxes_rejects_box_beyond_max_coord():
@@ -313,3 +318,39 @@ def test_decode_boxes_rejects_box_beyond_max_coord():
         decode_boxes(far, deltas)
     far[2, 1] = -0.5 * MAX_COORD
     assert decode_boxes(far, deltas)[0][2, 1] == pytest.approx(-0.5 * MAX_COORD)
+
+
+# --- Boxes.of and Detections.rows: columns of box rows, bit for bit --------
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=5e-324, allow_infinity=False)
+
+
+@st.composite
+def class_boxes(draw):
+    return OrientedBox(Point3(draw(finite), draw(finite), draw(finite)),
+                       (draw(positive), draw(positive), draw(positive)), yaw=draw(finite),
+                       class_id=draw(st.one_of(st.none(), st.integers(0, 2**62))))
+
+
+def bits(box: OrientedBox) -> tuple:
+    """The box's seven numbers as hex strings, so -0.0 and 0.0 differ, and its class."""
+    nums = (box.center.x, box.center.y, box.center.z, *box.size, box.yaw)
+    return tuple(float(v).hex() for v in nums), box.class_id
+
+
+@SETTINGS
+@given(st.lists(class_boxes(), max_size=12), st.integers(1, 5))
+def test_boxes_of_rows_round_trips_through_detections(rows, stage):
+    b = Boxes.of(rows)
+    assert len(b) == len(rows)
+    assert b.centers.shape == b.sizes.shape == (len(rows), 3) and b.yaws.shape == (len(rows),)
+    assert b.class_ids.dtype == np.int64 and b.class_ids.shape == (len(rows),)
+    scores = np.linspace(0.0, 1.0, len(rows))
+    dets = Detections(b.centers, b.sizes, b.yaws, b.class_ids, scores).rows(stage)
+    for i, (box, det, score) in enumerate(zip(rows, dets, scores.tolist())):
+        k = -1 if box.class_id is None else box.class_id
+        col = OrientedBox(Point3(*b.centers[i].tolist()), tuple(b.sizes[i].tolist()),
+                          b.yaws[i], class_id=int(b.class_ids[i]))
+        assert bits(col) == bits(det.box) == bits(dataclasses.replace(box, class_id=k))
+        assert (det.class_id, det.score, det.stage) == (k, score, stage)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import centerness, point_in_scaled_box
+from rows import xyz
 
 from cascadev.assignment import (
     Assignment,
@@ -16,13 +17,13 @@ from cascadev.assignment import (
     select_top_b,
 )
 from cascadev.geometry import (
+    Boxes,
     Deltas,
     OrientedBox,
     Point3,
     contains_points,
     encode_deltas,
     matched_faces,
-    points_as_array,
 )
 
 
@@ -87,7 +88,7 @@ def brute_force_assign(points, gts, mu):
 class TestAssignTargets:
     def test_center_point_positive_with_unit_centerness(self):
         gt = OrientedBox(Point3(1.0, 1.0, 1.0), (1.0, 1.0, 1.0), class_id=2)
-        a = assign_targets([gt.center], [gt], 0.5)
+        a = assign_targets(xyz([gt.center]), Boxes.of([gt]), 0.5)
         assert a.matched_gt.tolist() == [0]
         assert a.target_centerness[0] == pytest.approx(1.0, abs=1e-12)
         assert a.target_class[0] == 2
@@ -95,7 +96,7 @@ class TestAssignTargets:
 
     def test_far_point_negative(self):
         gt = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
-        a = assign_targets([Point3(5, 5, 5)], [gt], 0.5)
+        a = assign_targets(np.array([[5.0, 5.0, 5.0]]), Boxes.of([gt]), 0.5)
         assert a.matched_gt.tolist() == [-1]
         assert np.isnan(a.target_deltas[0]).all()
         assert np.isnan(a.target_centerness[0])
@@ -103,14 +104,14 @@ class TestAssignTargets:
         assert a.num_positives == 0
 
     def test_empty_gts_all_negative(self):
-        a = assign_targets([Point3(0, 0, 0), Point3(1, 1, 1)], [], 0.3)
+        a = assign_targets(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), Boxes.of([]), 0.3)
         assert a.matched_gt.tolist() == [-1, -1]
         assert a.target_deltas.shape == (2, 7) and np.isnan(a.target_deltas).all()
 
     def test_nested_boxes_prefer_smaller(self):
         big = OrientedBox(Point3(0, 0, 0), (4.0, 4.0, 4.0), class_id=0)
         small = OrientedBox(Point3(0.2, 0.0, 0.0), (1.0, 1.0, 1.0), class_id=1)
-        a = assign_targets([Point3(0.2, 0.0, 0.0)], [big, small], 0.5)
+        a = assign_targets(np.array([[0.2, 0.0, 0.0]]), Boxes.of([big, small]), 0.5)
         assert a.matched_gt.tolist() == [1]
         assert a.target_class[0] == 1
 
@@ -128,7 +129,7 @@ class TestAssignTargets:
             ]
             points = [Point3(*rng.uniform(-3, 3, size=3)) for _ in range(120)]
             mu = float(rng.uniform(0.1, 0.6))
-            a = assign_targets(points, gts, mu)
+            a = assign_targets(xyz(points), Boxes.of(gts), mu)
             assert a.matched_gt.tolist() == brute_force_assign(points, gts, mu)
 
     def test_targets_computed_against_matched_box(self):
@@ -138,7 +139,7 @@ class TestAssignTargets:
             OrientedBox(Point3(3, 0, 0), (1, 1, 1), class_id=1),
         ]
         points = [Point3(*rng.uniform(-1, 4, size=3)) for _ in range(200)]
-        a = assign_targets(points, gts, 0.5)
+        a = assign_targets(xyz(points), Boxes.of(gts), 0.5)
         for i, gi in enumerate(a.matched_gt.tolist()):
             if gi < 0:
                 continue
@@ -150,8 +151,8 @@ class TestAssignTargets:
         rng = np.random.default_rng(34)
         gts = [OrientedBox(Point3(0, 0, 0), (2, 2, 2), yaw=0.5)]
         points = [Point3(*rng.uniform(-1.5, 1.5, size=3)) for _ in range(500)]
-        a = assign_targets(points, gts, 0.4)
-        for i in a.positive_indices():
+        a = assign_targets(xyz(points), Boxes.of(gts), 0.4)
+        for i in np.flatnonzero(a.matched_gt >= 0):
             assert a.target_centerness[i] > 0.0
 
     def test_positive_set_shrinks_with_mu(self):
@@ -168,7 +169,8 @@ class TestAssignTargets:
             points = [Point3(*rng.uniform(-2, 2, size=3)) for _ in range(300)]
             prev = None
             for mu in (0.5, 0.4, 0.3, 0.2, 0.1):
-                cur = set(assign_targets(points, gts, mu).positive_indices())
+                matched = assign_targets(xyz(points), Boxes.of(gts), mu).matched_gt
+                cur = set(np.flatnonzero(matched >= 0).tolist())
                 if prev is not None:
                     assert cur <= prev
                 prev = cur
@@ -176,7 +178,7 @@ class TestAssignTargets:
     def test_fixed_assignment_overrides(self):
         gt = OrientedBox(Point3(0, 0, 0), (1, 1, 1), class_id=3)
         far = Point3(4.0, 4.0, 4.0)
-        a = assign_targets([far], [gt], 0.2, denoising_gt=np.array([0]))
+        a = assign_targets(xyz([far]), Boxes.of([gt]), 0.2, denoising_gt=np.array([0]))
         assert a.matched_gt.tolist() == [0]
         assert a.is_denoising.tolist() == [True]
         assert a.target_class[0] == 3
@@ -186,25 +188,25 @@ class TestAssignTargets:
         assert a.num_regular_positives == 0
 
     def test_fixed_assignment_out_of_range(self):
-        gt = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
+        gt = Boxes.of([OrientedBox(Point3(0, 0, 0), (1, 1, 1))])
         with pytest.raises(ValueError):
-            assign_targets([Point3(0, 0, 0)], [gt], 0.3, denoising_gt=np.array([-1] * 5 + [0]))
+            assign_targets(np.zeros((1, 3)), gt, 0.3, denoising_gt=np.array([-1] * 5 + [0]))
         with pytest.raises(ValueError):
-            assign_targets([Point3(0, 0, 0)], [gt], 0.3, denoising_gt=np.array([2]))
+            assign_targets(np.zeros((1, 3)), gt, 0.3, denoising_gt=np.array([2]))
 
     def test_bad_denoising_gt_is_rejected(self):
-        gt = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
-        pts = [Point3(0, 0, 0), Point3(1, 1, 1)]
+        gt = Boxes.of([OrientedBox(Point3(0, 0, 0), (1, 1, 1))])
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         with pytest.raises(ValueError, match=r"denoising_gt has shape \(3,\), expected \(2,\)"):
-            assign_targets(pts, [gt], 0.3, denoising_gt=np.array([-1, 0, -1]))
+            assign_targets(pts, gt, 0.3, denoising_gt=np.array([-1, 0, -1]))
         with pytest.raises(ValueError, match=r"denoising_gt\[1\] = 1 outside \[-1, 1\)"):
-            assign_targets(pts, [gt], 0.3, denoising_gt=np.array([0, 1]))
+            assign_targets(pts, gt, 0.3, denoising_gt=np.array([0, 1]))
         with pytest.raises(ValueError, match=r"denoising_gt\[0\] = -2 outside \[-1, 1\)"):
-            assign_targets(pts, [gt], 0.3, denoising_gt=np.array([-2, 0]))
+            assign_targets(pts, gt, 0.3, denoising_gt=np.array([-2, 0]))
 
     def test_invalid_mu(self):
         with pytest.raises(ValueError):
-            assign_targets([Point3(0, 0, 0)], [], 0.0)
+            assign_targets(np.zeros((1, 3)), Boxes.of([]), 0.0)
 
 
 def pin_column(fixed: dict, n: int) -> np.ndarray:
@@ -219,7 +221,7 @@ def per_row_assign_targets(points, gts, mu, *, fixed_assignments=None):
     entry per point, a Deltas object per positive and None where unmatched.
     Returns (matched_gt, target_deltas, target_centerness, target_class,
     is_denoising)."""
-    pts = points_as_array(points)
+    pts = xyz(points)
     n = len(pts)
     matched = np.full(n, -1, dtype=np.int64)
     if gts and n:
@@ -238,7 +240,7 @@ def per_row_assign_targets(points, gts, mu, *, fixed_assignments=None):
     target_class = [None] * n
     pos = np.flatnonzero(matched >= 0)
     owner = matched[pos]
-    faces, cent = matched_faces(gts, pts[pos], owner)
+    faces, cent = matched_faces(Boxes.of(gts), pts[pos], owner)
     for i, gi, row, c in zip(pos.tolist(), owner.tolist(), faces.tolist(), cent.tolist()):
         target_deltas[i] = Deltas(*row, heading=gts[gi].yaw)
         target_centerness[i] = c
@@ -288,11 +290,11 @@ def assignment_cases(draw):
 
 class TestColumnsAgainstPerRowOracle:
     @settings(max_examples=300, deadline=None)
-    @given(assignment_cases(), st.booleans())
-    def test_columns_equal_per_row_lists(self, case, as_array):
+    @given(assignment_cases())
+    def test_columns_equal_per_row_lists(self, case):
         points, gts, mu, fixed = case
-        pts = points_as_array(points) if as_array else points
-        a = assign_targets(pts, gts, mu, denoising_gt=pin_column(fixed, len(points)))
+        a = assign_targets(xyz(points), Boxes.of(gts), mu,
+                           denoising_gt=pin_column(fixed, len(points)))
         matched, deltas, cent, classes, dn = per_row_assign_targets(
             points, gts, mu, fixed_assignments=fixed)
         n = len(points)
@@ -307,7 +309,6 @@ class TestColumnsAgainstPerRowOracle:
             else:
                 assert a.target_deltas[i].tolist() == deltas[i].as_array().tolist()
                 assert a.target_centerness[i] == cent[i]
-        assert a.positive_indices() == [i for i, g in enumerate(matched) if g >= 0]
         assert a.num_positives == sum(g >= 0 for g in matched)
         assert a.num_regular_positives == sum(g >= 0 and not d for g, d in zip(matched, dn))
 
@@ -315,38 +316,37 @@ class TestColumnsAgainstPerRowOracle:
 class TestSelectDenoising:
     def test_coincident_point_wins(self):
         center = Point3(1.0, 2.0, 3.0)
-        pts = [Point3(0, 0, 0), center, Point3(1.1, 2.0, 3.0)]
-        assert select_denoising(pts, [center]) == [1]
+        pts = xyz([Point3(0, 0, 0), center, Point3(1.1, 2.0, 3.0)])
+        assert select_denoising(pts, xyz([center])) == [1]
 
     def test_shared_nearest_point(self):
-        pts = [Point3(0, 0, 0), Point3(10, 10, 10)]
-        centers = [Point3(0.1, 0, 0), Point3(-0.1, 0, 0)]
+        pts = np.array([[0.0, 0.0, 0.0], [10.0, 10.0, 10.0]])
+        centers = np.array([[0.1, 0.0, 0.0], [-0.1, 0.0, 0.0]])
         assert select_denoising(pts, centers) == [0, 0]
 
     def test_tie_lower_index(self):
-        pts = [Point3(1.0, 0, 0), Point3(-1.0, 0, 0)]
-        assert select_denoising(pts, [Point3(0, 0, 0)]) == [0]
+        pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        assert select_denoising(pts, np.zeros((1, 3))) == [0]
 
     def test_l1_not_l2(self):
         # l1 distance 2.4 beats 2.7 even though l2 prefers the other point.
-        pts = [Point3(0.8, 0.8, 0.8), Point3(2.7, 0.0, 0.0)]
-        assert select_denoising(pts, [Point3(0, 0, 0)]) == [0]
+        pts = np.array([[0.8, 0.8, 0.8], [2.7, 0.0, 0.0]])
+        assert select_denoising(pts, np.zeros((1, 3))) == [0]
         d_a = 0.8 * 3
         d_b = 2.7
         assert d_a < d_b
         assert math.dist((0.8, 0.8, 0.8), (0, 0, 0)) < 2.7  # sanity: l2 agrees here
-        pts2 = [Point3(1.0, 1.0, 1.0), Point3(2.9, 0.0, 0.0)]
+        pts2 = np.array([[1.0, 1.0, 1.0], [2.9, 0.0, 0.0]])
         # l1: 3.0 vs 2.9 -> second point; l2: 1.73 vs 2.9 -> first point.
-        assert select_denoising(pts2, [Point3(0, 0, 0)]) == [1]
+        assert select_denoising(pts2, np.zeros((1, 3))) == [1]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(36)
         for _ in range(30):
             pts = [Point3(*rng.uniform(-3, 3, size=3)) for _ in range(80)]
             centers = [Point3(*rng.uniform(-3, 3, size=3)) for _ in range(4)]
-            got = select_denoising(pts, centers)
-            got3 = select_denoising(pts, centers, k=3)
-            assert select_denoising(points_as_array(pts), centers, k=3) == got3
+            got = select_denoising(xyz(pts), xyz(centers))
+            got3 = select_denoising(xyz(pts), xyz(centers), k=3)
             for gi, c in enumerate(centers):
                 dists = [abs(p.x - c.x) + abs(p.y - c.y) + abs(p.z - c.z) for p in pts]
                 ranked = sorted(range(len(pts)), key=lambda i: (dists[i], i))
@@ -357,15 +357,15 @@ class TestSelectDenoising:
         rng = np.random.default_rng(37)
         pts = [Point3(*rng.uniform(-2, 2, size=3)) for _ in range(50)]
         centers = [Point3(*rng.uniform(-2, 2, size=3)) for _ in range(5)]
-        base = select_denoising(pts, centers)
+        base = select_denoising(xyz(pts), xyz(centers))
         perm = [3, 0, 4, 1, 2]
-        assert select_denoising(pts, [centers[i] for i in perm]) == [base[i] for i in perm]
+        assert select_denoising(xyz(pts), xyz(centers)[perm]) == [base[i] for i in perm]
 
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
-            select_denoising([], [Point3(0, 0, 0)])
+            select_denoising([], np.zeros((1, 3)))
         with pytest.raises(ValueError, match="empty point set"):
-            select_denoising(np.zeros((0, 3)), [Point3(0, 0, 0)])
+            select_denoising(np.zeros((0, 3)), np.zeros((1, 3)))
 
 
 class TestSelectTopB:

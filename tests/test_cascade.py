@@ -15,7 +15,7 @@ from cascadev.cascade import (
 )
 from cascadev.errors import PredictorOutputError
 from cascadev.learner import head_predictors, init_head_params
-from cascadev.geometry import Point3, decode_boxes, encode_deltas
+from cascadev.geometry import Boxes, Point3, decode_boxes, encode_deltas
 from cascadev.overlap import Detections, iou_rotated, nms
 from cascadev.synth import (
     OracleNoise,
@@ -129,7 +129,8 @@ class TestRunCascade:
         scene, props, predict = build(6, noise, denoising_k=1, cfg=YAW_CFG)
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes, weighting=weighting)
         for prev, nxt in zip(trace.stages, trace.stages[1:]):
-            boxes = decode_boxes(prev.proposals_in.points, prev.predictions.deltas)
+            centers, sizes, yaws = decode_boxes(prev.proposals_in.points, prev.predictions.deltas)
+            boxes = Boxes(centers, sizes, yaws, np.full(len(yaws), -1))
             want = hand_off(prev.proposals_in, boxes, weighting=weighting)
             got = nxt.proposals_in
             for name in ("points", "features", "origin_index", "denoising_gt"):

@@ -22,7 +22,7 @@ from reference import match_point_to_gt
 from cascadev.assignment import CpaSchedule
 from cascadev.cascade import run_cascade
 from cascadev.evaluation import _scene_iou, cascade_stats
-from cascadev.geometry import OrientedBox, Point3, box_columns
+from cascadev.geometry import Boxes, OrientedBox, Point3
 from cascadev.overlap import (
     Detection,
     _corner_array,
@@ -191,11 +191,11 @@ def new_code(fn, *args):
 @SETTINGS
 @given(st.lists(boxes(), min_size=1, max_size=12))
 def test_batched_corners_equal_bev_corners_bitwise(bxs):
-    fps = new_code(footprints, box_columns(bxs))
+    fps = new_code(footprints, Boxes.of(bxs))
     for box, fp in zip(bxs, fps):
         want = scalar_bev_corners(box)
         assert np.array(fp.corners).tobytes() == want.tobytes()
-        assert new_code(_corner_array, box_columns([box]))[0].tobytes() == want.tobytes()
+        assert new_code(_corner_array, Boxes.of([box]))[0].tobytes() == want.tobytes()
 
 
 @SETTINGS
@@ -203,7 +203,7 @@ def test_batched_corners_equal_bev_corners_bitwise(bxs):
 def test_pair_rule_equals_scalar_iou(pair):
     a, b = pair
     want = scalar_iou_rotated(a, b)
-    assert new_code(lambda: footprint_iou(*footprints(box_columns([a, b])))) == want
+    assert new_code(lambda: footprint_iou(*footprints(Boxes.of([a, b])))) == want
     assert new_code(iou_rotated, a, b) == want
     assert new_code(bev_intersection_area, a, b) == scalar_intersection_area(a, b)
 
@@ -211,7 +211,7 @@ def test_pair_rule_equals_scalar_iou(pair):
 @SETTINGS
 @given(st.lists(boxes(), min_size=2, max_size=8))
 def test_footprints_of_a_list_equal_scalar_iou_per_pair(bxs):
-    fps = new_code(footprints, box_columns(bxs))
+    fps = new_code(footprints, Boxes.of(bxs))
     for i, a in enumerate(bxs):
         for j, b in enumerate(bxs):
             assert new_code(footprint_iou, fps[i], fps[j]) == scalar_iou_rotated(a, b)

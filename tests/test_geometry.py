@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reference import centerness, point_in_scaled_box
+from rows import xyz
 
 from cascadev.errors import InvalidDeltasError
 from cascadev.geometry import (
@@ -270,8 +271,8 @@ class TestTypesAndHelpers:
         rng = np.random.default_rng(19)
         box = random_box(rng)
         pts = [Point3(*rng.uniform(-3.0, 3.0, size=3)) for _ in range(100)]
-        q = canonical_coords(box.center.as_array(), box.yaw, pts)
-        mask = contains_points(box.center.as_array(), box.size, box.yaw, pts, mu=0.37)
+        q = canonical_coords(box.center.as_array(), box.yaw, xyz(pts))
+        mask = contains_points(box.center.as_array(), box.size, box.yaw, xyz(pts), mu=0.37)
         for i, p in enumerate(pts):
             d = encode_deltas(p, box)
             # canonical x recovered from the face distances

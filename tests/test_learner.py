@@ -8,7 +8,7 @@ from cascadev import cascade, learner
 from cascadev.assignment import CpaSchedule, assign_targets
 from cascadev.cascade import Proposals, run_cascade
 from cascadev.errors import InvalidDeltasError, PredictorOutputError, TrainingDivergedError
-from cascadev.geometry import OrientedBox, Point3
+from cascadev.geometry import Boxes, OrientedBox, Point3
 from cascadev.learner import (
     LossWeights,
     StageOutputs,
@@ -48,13 +48,14 @@ def _loss_instance(seed=11):
     # negative, and one pinned denoising point.
     g1 = OrientedBox(Point3(0.0, 0.0, 1.0), (1.0, 1.2, 0.8), class_id=0)
     g2 = OrientedBox(Point3(3.0, 0.0, 1.0), (0.9, 0.9, 0.9), class_id=2)
-    points = [
-        Point3(0.05, -0.03, 1.02),
-        Point3(0.5, 0.0, 1.0),
-        Point3(2.0, 2.0, 0.3),
-        Point3(3.2, 0.1, 1.1),
-    ]
-    assignment = assign_targets(points, [g1, g2], 0.4, denoising_gt=np.array([-1, -1, -1, 1]))
+    points = np.array([
+        [0.05, -0.03, 1.02],
+        [0.5, 0.0, 1.0],
+        [2.0, 2.0, 0.3],
+        [3.2, 0.1, 1.1],
+    ])
+    assignment = assign_targets(points, Boxes.of([g1, g2]), 0.4,
+                                denoising_gt=np.array([-1, -1, -1, 1]))
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(4, 6))
     return feats, assignment
@@ -82,7 +83,7 @@ class TestGradientsAgainstFiniteDifferences:
         outputs, (cls_h, reg_h, cent_h) = _branch_outputs(sp, feats)
         # Keep every regression residual away from the smooth-L1 kink at
         # |diff| = 1 so the quadratic FD error stays small.
-        pos = assignment.positive_indices()
+        pos = np.flatnonzero(assignment.matched_gt >= 0)
         raw = outputs.reg_raw[pos]
         pred6 = np.logaddexp(0.0, raw[:, :6])
         targ = assignment.target_deltas[pos]
@@ -132,9 +133,9 @@ class TestComputeLosses:
     def test_perfect_predictions_give_zero_loss(self):
         g1 = OrientedBox(Point3(0.5, -0.2, 1.0), (1.1, 0.9, 0.7), class_id=1)
         g2 = OrientedBox(Point3(2.5, 1.0, 0.8), (0.8, 1.2, 0.6), class_id=0)
-        points = [g1.center, g2.center]
-        assignment = assign_targets(points, [g1, g2], 0.4)
-        assert assignment.positive_indices() == [0, 1]
+        boxes = Boxes.of([g1, g2])
+        assignment = assign_targets(boxes.centers, boxes, 0.4)
+        assert assignment.matched_gt.tolist() == [0, 1]
         assert assignment.target_centerness[0] == pytest.approx(1.0, abs=1e-12)
 
         targ = assignment.target_deltas
@@ -155,7 +156,8 @@ class TestComputeLosses:
 
     def test_positive_on_class_less_box_rejected(self):
         gt = OrientedBox(Point3(0.0, 0.0, 1.0), (1.0, 1.0, 1.0))
-        assignment = assign_targets([gt.center, Point3(5.0, 5.0, 0.2)], [gt], 0.2)
+        points = np.array([gt.center.as_array(), [5.0, 5.0, 0.2]])
+        assignment = assign_targets(points, Boxes.of([gt]), 0.2)
         assert assignment.target_class.tolist() == [-1, -1]
         outputs = StageOutputs(cls_logits=np.zeros((2, 3)), reg_raw=np.zeros((2, 7)),
                                cent_logits=np.zeros(2))
@@ -164,8 +166,8 @@ class TestComputeLosses:
 
     def test_no_positives_zeroes_reg_and_cent(self):
         gt = OrientedBox(Point3(0.0, 0.0, 1.0), (1.0, 1.0, 1.0), class_id=0)
-        points = [Point3(5.0, 5.0, 0.2), Point3(-4.0, 3.0, 0.1)]
-        assignment = assign_targets(points, [gt], 0.2)
+        points = np.array([[5.0, 5.0, 0.2], [-4.0, 3.0, 0.1]])
+        assignment = assign_targets(points, Boxes.of([gt]), 0.2)
         rng = np.random.default_rng(3)
         outputs = StageOutputs(
             cls_logits=rng.normal(size=(2, 3)),
@@ -232,11 +234,11 @@ class TestComputeLosses:
         rng = np.random.default_rng(2024)
         for _ in range(25):
             n = int(rng.integers(1, 12))
-            points = [
-                Point3(*rng.uniform((-2.0, -2.0, 0.0), (2.0, 2.0, 2.0)))
+            points = np.array([
+                rng.uniform((-2.0, -2.0, 0.0), (2.0, 2.0, 2.0))
                 for _ in range(n)
-            ]
-            assignment = assign_targets(points, [gt], 0.3,
+            ])
+            assignment = assign_targets(points, Boxes.of([gt]), 0.3,
                                         denoising_gt=np.array([0] + [-1] * (n - 1)))
             outputs = StageOutputs(
                 cls_logits=rng.normal(scale=3.0, size=(n, 4)),
@@ -434,9 +436,9 @@ class TestSupervisionStructure:
     def test_mu_cliff_on_raw_scene_points(self):
         scene = gen_scene(SMALL_CFG, seed=123)
         for mu in (0.2, 1.0 / 3.0):
-            a = assign_targets(scene.points, scene.gt_boxes, mu)
+            a = assign_targets(scene.points, Boxes.of(scene.gt_boxes), mu)
             assert a.num_regular_positives == 0
-        a_half = assign_targets(scene.points, scene.gt_boxes, 0.5)
+        a_half = assign_targets(scene.points, Boxes.of(scene.gt_boxes), 0.5)
         assert a_half.num_regular_positives >= 5
 
     def test_trained_cascade_moves_points_into_tighter_stages(self, trained):
@@ -453,7 +455,7 @@ class TestSupervisionStructure:
                 a = rec.assignment
                 stage_vals[rec.stage].extend(
                     a.target_centerness[i]
-                    for i in a.positive_indices()
+                    for i in np.flatnonzero(a.matched_gt >= 0)
                     if not a.is_denoising[i]
                 )
         assert len(stage_vals[1]) == 0

@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 
 from reference import centerness, match_point_to_gt
+from rows import xyz
 
 from cascadev.cascade import Proposals
-from cascadev.geometry import Deltas, Point3, encode_deltas, points_as_array
+from cascadev.geometry import Deltas, Point3, encode_deltas
 from cascadev.synth import (
     OracleNoise,
     SceneConfig,
@@ -91,7 +92,7 @@ def scene_and_proposals(yaw):
 
 def proposals_at(points):
     return Proposals(
-        points=points_as_array(points),
+        points=xyz(points),
         features=np.zeros((len(points), CFG.feature_dim)),
         origin_index=np.arange(len(points)),
         denoising_gt=np.full(len(points), -1),

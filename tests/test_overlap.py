@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cascadev.errors import WrongVariantError
-from cascadev.geometry import OrientedBox, Point3, box_columns
+from cascadev.geometry import Boxes, OrientedBox, Point3
 from cascadev.overlap import (
     Detection,
     Detections,
@@ -120,7 +120,7 @@ class TestRotated:
 
     def test_corners_shape_and_orientation(self):
         b = OrientedBox(Point3(1.0, -2.0, 0.0), (2.0, 4.0, 1.0), yaw=0.3)
-        corners = _corner_array(box_columns([b]))[0]
+        corners = _corner_array(Boxes.of([b]))[0]
         assert corners.shape == (4, 2)
         # Shoelace positive = counterclockwise; area equals w*l.
         area = 0.0
@@ -165,7 +165,8 @@ class TestMonteCarlo:
 
 def columns(dets):
     """The Detections batch holding a Detection list's rows, in order."""
-    return Detections(*box_columns([d.box for d in dets]),
+    boxes = Boxes.of([d.box for d in dets])
+    return Detections(boxes.centers, boxes.sizes, boxes.yaws,
                       np.array([d.class_id for d in dets], dtype=np.int64),
                       np.array([d.score for d in dets], dtype=np.float64))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -271,6 +272,14 @@ class TestOracle:
         with pytest.raises(ValueError):
             oracle_predictor(empty, OracleNoise())
 
+    def test_oracle_rejects_a_box_without_class(self):
+        s = gen_scene(SMALL, 27)
+        boxes = list(s.gt_boxes)
+        boxes[1] = dataclasses.replace(boxes[1], class_id=None)
+        classless = dataclasses.replace(s, gt_boxes=boxes)
+        with pytest.raises(ValueError, match="^ground-truth box 1 has no class id"):
+            oracle_predictor(classless, OracleNoise())
+
     @pytest.mark.parametrize("yaw", [False, True])
     @pytest.mark.parametrize("bias", [0.0, 0.1])
     def test_seed_centerness_equals_per_point_loop(self, yaw, bias):
@@ -316,6 +325,16 @@ class TestProposalSelection:
         assert props.origin_index.tolist() == scene_proposals(s, cent, 32).origin_index.tolist()
         with pytest.raises(ValueError, match="need denoising_k >= 0, got -1"):
             scene_proposals(s, cent, 32, denoising_k=-1)
+
+    @pytest.mark.parametrize("extra", [-10, -1, 1])
+    def test_centerness_of_another_length_rejected(self, extra):
+        # A shorter array would never select the tail points; a longer one
+        # could pick indices past the scene.
+        s = gen_scene(SMALL, 32)
+        cent = np.arange(s.num_points + extra, dtype=np.float64)
+        with pytest.raises(ValueError, match=f"^{s.num_points + extra} predicted centerness "
+                                             f"values for {s.num_points} scene points$"):
+            scene_proposals(s, cent, 16)
 
     def test_proposals_carry_scene_features(self):
         s = gen_scene(SMALL, 32)

@@ -6,24 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import point_in_scaled_box
+from rows import xyz
 
 from cascadev import voting
 from cascadev.errors import WrongVariantError
-from cascadev.geometry import (
-    EPS,
-    OrientedBox,
-    Point3,
-    contains_points,
-    points_as_array,
-)
+from cascadev.geometry import EPS, Boxes, OrientedBox, Point3, contains_points
 from cascadev.voting import ia_voting
-
-
-def box_columns(boxes):
-    """Boxes as the (centers (B, 3), sizes (B, 3), yaws (B,)) triple ia_voting takes."""
-    return (np.array([b.center.as_array() for b in boxes]).reshape(-1, 3),
-            np.array([b.size for b in boxes], dtype=np.float64).reshape(-1, 3),
-            np.array([b.yaw for b in boxes], dtype=np.float64))
 
 
 def brute_force_vote(updated_point, box, source_points, source_features, weighting):
@@ -63,14 +51,14 @@ class TestVoting:
         box = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
         pts = [Point3(0.1, 0.0, 0.0), Point3(5, 5, 5)]
         feats = [np.array([1.0, 2.0]), np.array([9.0, 9.0])]
-        (out,) = ia_voting([Point3(0, 0, 0)], box_columns([box]), pts, feats)
+        (out,) = ia_voting(np.zeros((1, 3)), Boxes.of([box]), xyz(pts), feats)
         assert out == pytest.approx(feats[0], abs=1e-12)
 
     def test_equidistant_pair_averages(self):
         box = OrientedBox(Point3(0, 0, 0), (2, 2, 2))
         pts = [Point3(0.5, 0, 0), Point3(-0.5, 0, 0)]
         feats = [np.array([2.0, 0.0]), np.array([0.0, 4.0])]
-        (out,) = ia_voting([Point3(0, 0, 0)], box_columns([box]), pts, feats)
+        (out,) = ia_voting(np.zeros((1, 3)), Boxes.of([box]), xyz(pts), feats)
         assert out == pytest.approx(np.array([1.0, 2.0]), abs=1e-12)
 
     @pytest.mark.parametrize("weighting", ["exp_neg_dist", "literal"])
@@ -82,7 +70,7 @@ class TestVoting:
             ref = brute_force_vote(p_upd, box, pts, feats, weighting)
             if ref is None:
                 continue
-            (out,) = ia_voting([p_upd], box_columns([box]), pts, feats, weighting=weighting, prior_features=[np.zeros(4)])
+            (out,) = ia_voting(xyz([p_upd]), Boxes.of([box]), xyz(pts), feats, weighting=weighting)
             assert out == pytest.approx(ref, abs=1e-12)
             checked += 1
         assert checked > 100
@@ -94,7 +82,7 @@ class TestVoting:
             inside = [f for p, f in zip(pts, feats) if point_in_scaled_box(p, box, 0.5)]
             if not inside:
                 continue
-            (out,) = ia_voting([p_upd], box_columns([box]), pts, feats, prior_features=[np.zeros(4)])
+            (out,) = ia_voting(xyz([p_upd]), Boxes.of([box]), xyz(pts), feats)
             mat = np.array(inside)
             assert np.all(out >= mat.min(axis=0) - 1e-12)
             assert np.all(out <= mat.max(axis=0) + 1e-12)
@@ -104,36 +92,31 @@ class TestVoting:
         box = OrientedBox(Point3(0, 0, 0), (1.5, 1.5, 1.5), yaw=0.4)
         pts = [Point3(*rng.uniform(-3, 3, size=3)) for _ in range(30)]
         feats = [rng.normal(size=5) for _ in range(30)]
+        # None of the 30 draws falls in the box; two that do give the vote its inputs.
+        pts += [Point3(0.2, -0.1, 0.3), Point3(-0.3, 0.2, 0.0)]
+        feats += [np.arange(5.0), -np.arange(5.0)]
         p_upd = Point3(0.1, 0.1, 0.1)
-        (base,) = ia_voting([p_upd], box_columns([box]), pts, feats, prior_features=[np.zeros(5)])
+        (base,) = ia_voting(xyz([p_upd]), Boxes.of([box]), xyz(pts), feats)
         mutated = [
             f + 1000.0 if not point_in_scaled_box(p, box, 0.5) else f
             for p, f in zip(pts, feats)
         ]
-        (after,) = ia_voting([p_upd], box_columns([box]), pts, mutated, prior_features=[np.zeros(5)])
+        (after,) = ia_voting(xyz([p_upd]), Boxes.of([box]), xyz(pts), mutated)
+        assert sum(f is not g for f, g in zip(feats, mutated)) == 30
         assert after == pytest.approx(base, abs=1e-9)
 
     def test_source_permutation_invariance(self):
         rng = np.random.default_rng(44)
         p_upd, box, pts, feats = rand_instance(rng, n_src=20)
-        (base,) = ia_voting([p_upd], box_columns([box]), pts, feats, prior_features=[np.zeros(4)])
+        (base,) = ia_voting(xyz([p_upd]), Boxes.of([box]), xyz(pts), feats)
         perm = rng.permutation(20)
         (shuffled,) = ia_voting(
-            [p_upd],
-            box_columns([box]),
-            [pts[i] for i in perm],
+            xyz([p_upd]),
+            Boxes.of([box]),
+            xyz(pts[i] for i in perm),
             [feats[i] for i in perm],
-            prior_features=[np.zeros(4)],
         )
         assert shuffled == pytest.approx(base, abs=1e-12)
-
-    def test_empty_mask_keeps_prior(self):
-        box = OrientedBox(Point3(50, 50, 50), (1, 1, 1))
-        pts = [Point3(0, 0, 0)]
-        feats = [np.array([3.0, 3.0])]
-        prior = np.array([7.0, -1.0])
-        (out,) = ia_voting([Point3(50, 50, 50)], box_columns([box]), pts, feats, prior_features=[prior])
-        assert out == pytest.approx(prior, abs=1e-12)
 
     def test_empty_mask_positional_fallback(self):
         # Sources align 1:1 with proposals, so the proposal's own feature
@@ -141,44 +124,44 @@ class TestVoting:
         box = OrientedBox(Point3(50, 50, 50), (1, 1, 1))
         pts = [Point3(0, 0, 0)]
         feats = [np.array([3.0, 4.0])]
-        (out,) = ia_voting([Point3(0, 0, 0)], box_columns([box]), pts, feats)
+        (out,) = ia_voting(np.zeros((1, 3)), Boxes.of([box]), xyz(pts), feats)
         assert out == pytest.approx(feats[0], abs=1e-12)
 
-    def test_empty_mask_without_prior_errors(self):
+    def test_empty_mask_without_own_feature_errors(self):
         box = OrientedBox(Point3(50, 50, 50), (1, 1, 1))
         pts = [Point3(0, 0, 0), Point3(1, 1, 1)]
         feats = [np.array([1.0]), np.array([2.0])]
-        with pytest.raises(ValueError):
-            ia_voting([Point3(0, 0, 0)], box_columns([box]), pts, feats)
+        with pytest.raises(ValueError, match="proposal 0 has an empty vote mask"):
+            ia_voting(np.zeros((1, 3)), Boxes.of([box]), xyz(pts), feats)
 
     def test_literal_variant_prefers_far_points(self):
         box = OrientedBox(Point3(0, 0, 0), (2, 2, 2))
         pts = [Point3(0.0, 0, 0), Point3(0.9, 0, 0)]
         feats = [np.array([0.0]), np.array([1.0])]
         p_upd = Point3(0, 0, 0)
-        (near_heavy,) = ia_voting([p_upd], box_columns([box]), pts, feats)
-        (far_heavy,) = ia_voting([p_upd], box_columns([box]), pts, feats, weighting="literal")
+        (near_heavy,) = ia_voting(xyz([p_upd]), Boxes.of([box]), xyz(pts), feats)
+        (far_heavy,) = ia_voting(xyz([p_upd]), Boxes.of([box]), xyz(pts), feats, weighting="literal")
         assert near_heavy[0] < 0.5
         assert far_heavy[0] > 0.5
 
     def test_unknown_weighting_rejected(self):
         box = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
         with pytest.raises(WrongVariantError):
-            ia_voting([Point3(0, 0, 0)], box_columns([box]), [Point3(0, 0, 0)], [np.array([1.0])], weighting="idw")
+            ia_voting(np.zeros((1, 3)), Boxes.of([box]), np.zeros((1, 3)), [np.array([1.0])], weighting="idw")
 
     def test_dimension_mismatch_rejected(self):
         box = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
         pts = [Point3(0, 0, 0), Point3(0.1, 0, 0)]
         feats = [np.array([1.0, 2.0]), np.array([1.0])]
         with pytest.raises(ValueError):
-            ia_voting([Point3(0, 0, 0)], box_columns([box]), pts, feats)
+            ia_voting(np.zeros((1, 3)), Boxes.of([box]), xyz(pts), feats)
 
     def test_alignment_validation(self):
         box = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
         with pytest.raises(ValueError):
-            ia_voting([Point3(0, 0, 0)], box_columns([box, box]), [Point3(0, 0, 0)], [np.array([1.0])])
+            ia_voting(np.zeros((1, 3)), Boxes.of([box, box]), np.zeros((1, 3)), [np.array([1.0])])
         with pytest.raises(ValueError):
-            ia_voting([Point3(0, 0, 0)], box_columns([box]), [Point3(0, 0, 0)], [])
+            ia_voting(np.zeros((1, 3)), Boxes.of([box]), np.zeros((1, 3)), [])
 
     def test_variance_reduction(self):
         # Shared true feature plus i.i.d. noise: the weighted average must
@@ -193,7 +176,7 @@ class TestVoting:
         for _ in range(1000):
             noise = rng.normal(0.0, 0.3, size=(12, 4))
             feats = [true + noise[i] for i in range(12)]
-            (out,) = ia_voting([p_upd], box_columns([box]), pts, feats, prior_features=[np.zeros(4)])
+            (out,) = ia_voting(xyz([p_upd]), Boxes.of([box]), xyz(pts), feats)
             agg_se.append(float(np.sum((out - true) ** 2)))
             single_se.append(float(np.sum((feats[0] - true) ** 2)))
         agg_mse = np.mean(agg_se)
@@ -202,15 +185,14 @@ class TestVoting:
 
 
 def per_box_ia_voting(updated_points, predicted_boxes, source_points, source_features, *,
-                      weighting="exp_neg_dist", prior_features=None):
+                      weighting="exp_neg_dist"):
     """ia_voting as it was when it took one OrientedBox per proposal and
     returned a list of rows, with its containment test written against the
     box object. The reference for the column form, which must match it bit
     for bit."""
     feats = np.asarray(source_features, dtype=np.float64)
-    priors = None if prior_features is None else np.asarray(prior_features, dtype=np.float64)
-    src = points_as_array(source_points)
-    upd = points_as_array(updated_points)
+    src = np.asarray(source_points, dtype=np.float64)
+    upd = np.asarray(updated_points, dtype=np.float64)
     out = []
     for i, box in enumerate(predicted_boxes):
         rel = src - np.array([box.center.x, box.center.y, box.center.z])
@@ -223,7 +205,9 @@ def per_box_ia_voting(updated_points, predicted_boxes, source_points, source_fea
             q[:, 2] = rel[:, 2]
         mask = np.all(np.abs(q) <= np.array(box.size) * 0.5 + EPS, axis=1)
         if not mask.any():
-            out.append((priors if priors is not None else feats)[i].copy())
+            if len(feats) != len(upd):
+                raise ValueError(f"proposal {i} has an empty vote mask")
+            out.append(feats[i].copy())
             continue
         dist = np.linalg.norm(src[mask] - upd[i], axis=1)
         if weighting == "exp_neg_dist":
@@ -247,16 +231,15 @@ signs = st.sampled_from([-1.0, 1.0])
 def vote_cases(draw):
     """Proposals with boxes, and sources that are free, on a box face or at
     a box corner at about EPS from it, or coincident with an earlier
-    source. Up to 64 sources fill several KD-tree leaves. Without priors
-    the sources are the proposals themselves, as in the cascade's
-    hand-off, so an empty mask falls back positionally."""
+    source. Up to 64 sources fill several KD-tree leaves; otherwise the
+    sources are the proposals themselves, as in the cascade's hand-off, so
+    an empty mask falls back positionally."""
     b = draw(st.integers(0, 8))
     dim = draw(st.integers(1, 4))
     boxes = [OrientedBox(Point3(draw(coords), draw(coords), draw(coords)),
                          (draw(extents), draw(extents), draw(extents)), yaw=draw(headings))
              for _ in range(b)]
-    with_priors = draw(st.booleans())
-    n = draw(st.integers(0, 64)) if with_priors else b
+    n = draw(st.integers(0, 64)) if draw(st.booleans()) else b
     src = []
     for _ in range(n):
         kind = draw(st.sampled_from(["free", "face", "corner", "coincident"]))
@@ -277,19 +260,21 @@ def vote_cases(draw):
            for box in boxes]
     values = st.floats(-10.0, 10.0)
     feats = np.array([[draw(values) for _ in range(dim)] for _ in range(n)]).reshape(n, dim)
-    priors = (np.array([[draw(values) for _ in range(dim)] for _ in range(b)]).reshape(b, dim)
-              if with_priors else None)
     return (np.array(upd, dtype=np.float64).reshape(b, 3), boxes,
-            np.array(src, dtype=np.float64).reshape(n, 3), feats, priors)
+            np.array(src, dtype=np.float64).reshape(n, 3), feats)
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=vote_cases(), weighting=st.sampled_from(["exp_neg_dist", "literal"]))
 def test_columns_equal_per_box_voting(case, weighting):
-    upd, boxes, src, feats, priors = case
-    ref = per_box_ia_voting(upd, boxes, src, feats, weighting=weighting, prior_features=priors)
-    out = ia_voting(upd, box_columns(boxes), src, feats, weighting=weighting,
-                    prior_features=priors)
+    upd, boxes, src, feats = case
+    try:
+        ref = per_box_ia_voting(upd, boxes, src, feats, weighting=weighting)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}"):
+            ia_voting(upd, Boxes.of(boxes), src, feats, weighting=weighting)
+        return
+    out = ia_voting(upd, Boxes.of(boxes), src, feats, weighting=weighting)
     assert out.shape == (len(boxes), feats.shape[1])
     assert (out == np.reshape(ref, out.shape)).all()
 
@@ -303,7 +288,7 @@ def test_containment_tests_only_pairs_near_each_box(monkeypatch):
     feats = rng.normal(size=(n, 4))
     boxes = [OrientedBox(Point3(*src[i]), tuple(rng.uniform(0.5, 1.0, size=3)),
                          yaw=rng.uniform(-math.pi, math.pi)) for i in range(b)]
-    upd, priors = src[:b] + rng.normal(0.0, 0.1, size=(b, 3)), np.zeros((b, 4))
+    upd = src[:b] + rng.normal(0.0, 0.1, size=(b, 3))
     tested = []
 
     def spy(*args, **kwargs):
@@ -312,9 +297,9 @@ def test_containment_tests_only_pairs_near_each_box(monkeypatch):
         return mask
 
     monkeypatch.setattr(voting, "contains_points", spy)
-    out = ia_voting(upd, box_columns(boxes), src, feats, prior_features=priors)
+    out = ia_voting(upd, Boxes.of(boxes), src, feats)
     pairs, inside = map(sum, zip(*tested))
     assert inside >= b
     assert pairs < 0.05 * b * n
-    ref = per_box_ia_voting(upd, boxes, src, feats, prior_features=priors)
+    ref = per_box_ia_voting(upd, boxes, src, feats)
     assert (out == np.array(ref)).all()
