@@ -5,8 +5,8 @@ applies flag overrides, and writes versioned artifacts into --out.
 Commands are deterministic given config and seeds, so rerunning one
 reproduces its files byte for byte.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numerical
-failure.
+Exit codes: 0 success, 2 config error (including a config whose arrays
+cannot be allocated), 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -24,12 +24,7 @@ from .assignment import CpaSchedule
 from .cascade import ensemble_stages, run_cascade
 from .config import check_types, from_doc
 from .errors import ConfigError, DataError, NumericalError
-from .evaluation import (
-    AP_MODES,
-    IOU_VARIANTS,
-    cascade_stats,
-    evaluate_scenes,
-)
+from .evaluation import AP_MODES, cascade_stats, evaluate_scenes
 from .formats import (
     RNG_FAMILY,
     SCHEMA_VERSION,
@@ -81,7 +76,6 @@ class RunConfig:
     noise: OracleNoise = field(default_factory=OracleNoise)
     iou_thresholds: tuple[float, ...] = (0.25, 0.5)
     weighting: str = "exp_neg_dist"
-    iou: str = "rotated"
     ap: str = "continuous"
     ensemble: tuple[int, int] | None = None
     nms_iou: float = 0.25
@@ -100,7 +94,7 @@ class RunConfig:
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a u64, got {self.seed}")
         for name, allowed in (("predictor", PREDICTORS), ("weighting", WEIGHTINGS),
-                              ("iou", IOU_VARIANTS), ("ap", AP_MODES)):
+                              ("ap", AP_MODES)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}, expected {allowed}")
         if not self.iou_thresholds:
@@ -265,9 +259,7 @@ def cmd_eval(cfg: RunConfig, traces_dir: str, out: str) -> None:
     scene_results = [
         (ensemble_stages(t, cfg.ensemble, cfg.nms_iou), t.gts) for t in traces
     ]
-    ap = evaluate_scenes(
-        scene_results, list(cfg.iou_thresholds), iou=cfg.iou, ap=cfg.ap
-    )
+    ap = evaluate_scenes(scene_results, list(cfg.iou_thresholds), ap=cfg.ap)
     stats = cascade_stats(traces)
     os.makedirs(out, exist_ok=True)
     write_json(os.path.join(out, "ap.json"), ap_to_doc(ap))
@@ -319,7 +311,6 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--mu-max", type=float, dest="mu_max", help="first-stage assignment scale")
     sp.add_argument("--mu-min", type=float, dest="mu_min", help="last-stage assignment scale")
     sp.add_argument("--weighting", choices=list(WEIGHTINGS), help="voting weight variant")
-    sp.add_argument("--iou", choices=list(IOU_VARIANTS), help="IoU matcher variant")
     sp.add_argument("--ap", choices=list(AP_MODES), help="AP interpolation mode")
 
 
@@ -354,7 +345,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"invalid JSON in config {args.config!r}: {exc}") from exc
     flags = {k: v for k, v in vars(args).items() if v is not None}
     if isinstance(doc, dict):
-        doc = {**doc, **{k: flags[k] for k in ("seed", "weighting", "iou", "ap") if k in flags}}
+        doc = {**doc, **{k: flags[k] for k in ("seed", "weighting", "ap") if k in flags}}
         schedule = {k: flags[k] for k in ("num_stages", "mu_max", "mu_min") if k in flags}
         if schedule and isinstance(doc.get("schedule", {}), dict):
             doc["schedule"] = {**doc.get("schedule", {}), **schedule}
@@ -377,6 +368,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: the config asks for more memory than there is: {exc}",
+              file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

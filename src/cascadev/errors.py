@@ -26,7 +26,7 @@ class InvalidDeltasError(NumericalError):
 
 
 class WrongVariantError(ConfigError):
-    """An axis-aligned routine was called with rotated input."""
+    """An unknown variant name, such as a vote weighting or an AP mode."""
 
 
 class PlacementError(DataError):

@@ -27,14 +27,13 @@ from scipy import stats as _scipy_stats
 from .cascade import StageTrace
 from .errors import DataError, WrongVariantError
 from .geometry import Boxes, OrientedBox, matched_faces
-from .overlap import Detection, footprint_iou, footprints, iou_aabb
+from .overlap import Detection, footprint_iou, footprints
 from .synth import match_points_to_gt
 
 # Not called here; perfbench/bench_trace.py patches these names on this module.
 from .geometry import encode_deltas  # noqa: F401
 from .overlap import iou_rotated  # noqa: F401
 
-IOU_VARIANTS = ("rotated", "aabb")
 AP_MODES = ("continuous", "11point")
 
 
@@ -60,23 +59,18 @@ class ApResult:
                 return r
         raise KeyError(f"no result at IoU threshold {iou_threshold}")
 
-    def mean_ap(self, iou_threshold: float) -> float:
-        return self.at(iou_threshold).mean_ap
 
+def _scene_iou(dets: list[Detection], gts: list[OrientedBox]):
+    """Rotated IoU of detection i with ground-truth box gi, as a function of (i, gi).
 
-def _scene_iou(dets: list[Detection], gts: list[OrientedBox], variant: str):
-    """IoU of detection i with ground-truth box gi, as a function of (i, gi).
-
-    Each pair is computed on its first request and remembered, so every
-    IoU threshold reuses it. Matching asks only for same-class pairs whose
-    ground truth is still unmatched, so computing all pairs up front would
-    cost more. The rotated variant builds every box's footprint once.
+    Every box's footprint is built once. Each pair is computed on its first
+    request and remembered, so every IoU threshold reuses it. Matching asks
+    only for same-class pairs whose ground truth is still unmatched, so
+    computing all pairs up front would cost more.
     """
-    if variant == "rotated":
-        det_fps = footprints(Boxes.of([d.box for d in dets]))
-        gt_fps = footprints(Boxes.of(gts))
-        return functools.cache(lambda i, gi: footprint_iou(det_fps[i], gt_fps[gi]))
-    return functools.cache(lambda i, gi: iou_aabb(dets[i].box, gts[gi]))
+    det_fps = footprints(Boxes.of([d.box for d in dets]))
+    gt_fps = footprints(Boxes.of(gts))
+    return functools.cache(lambda i, gi: footprint_iou(det_fps[i], gt_fps[gi]))
 
 
 def _match_one_scene(
@@ -165,14 +159,11 @@ def evaluate_scenes(
     scene_results: list[tuple[list[Detection], list[OrientedBox]]],
     iou_thresholds: list[float],
     *,
-    iou: str = "rotated",
     ap: str = "continuous",
 ) -> ApResult:
-    """Pooled AP over several (detections, ground truth) scene pairs."""
+    """Pooled AP over several (detections, ground truth) scene pairs, matched by rotated IoU."""
     if ap not in AP_MODES:
         raise WrongVariantError(f"unknown AP mode {ap!r}, expected one of {AP_MODES}")
-    if iou not in IOU_VARIANTS:
-        raise WrongVariantError(f"unknown IoU variant {iou!r}, expected one of {IOU_VARIANTS}")
     for _, gts in scene_results:
         if any(g.class_id is None for g in gts):
             raise DataError("ground-truth boxes must carry class ids for AP evaluation")
@@ -186,7 +177,7 @@ def evaluate_scenes(
     for si, (dets, gts) in enumerate(scene_results):
         for g in gts:
             gt_counts[g.class_id] = gt_counts.get(g.class_id, 0) + 1
-        pair_iou = _scene_iou(dets, gts, iou)
+        pair_iou = _scene_iou(dets, gts)
         for rows, thr in zip(pooled, iou_thresholds):
             for di, (cls, score, is_tp) in enumerate(_match_one_scene(dets, gts, thr, pair_iou)):
                 rows.append((cls, score, is_tp, si, di))

@@ -69,10 +69,6 @@ class Point3:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=np.float64)
 
-    @staticmethod
-    def from_array(a) -> "Point3":
-        return Point3(float(a[0]), float(a[1]), float(a[2]))
-
 
 @dataclass(frozen=True, slots=True)
 class OrientedBox:
@@ -334,9 +330,9 @@ def decode_boxes(points, deltas: np.ndarray):
     return centers, sizes, yaws
 
 
-def contains_points(center, size, yaw, points, mu: float = 0.5, eps: float = EPS, owner=None):
+def contains_points(center, size, yaw, points, mu: float = 0.5, owner=None):
     """Scaled-box membership of points in the box (center, size, yaw), or of row i
     in box owner[i] of those columns as in canonical_coords; an (N,) mask."""
     q = canonical_coords(center, yaw, points, owner)
-    half = np.asarray(size) * mu + eps
+    half = np.asarray(size) * mu + EPS
     return np.all(np.abs(q) <= (half if owner is None else half[owner]), axis=1)

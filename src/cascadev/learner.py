@@ -192,9 +192,8 @@ def compute_losses(
     *,
     step: int = 0,
     stage: int = 1,
-    _with_grads: bool = False,
 ):
-    """Losses for one stage batch; optionally also dL/d(raw outputs).
+    """Losses for one stage batch and dL/d(raw outputs): (report, (g_cls, g_reg, g_cent)).
 
     Classification covers every proposal (negatives target the trailing
     background class), regression and centerness cover positives only
@@ -256,8 +255,6 @@ def compute_losses(
         centerness_loss=weights.cent * cent_loss,
         positive_count=n_pos,
     )
-    if not _with_grads:
-        return report
 
     g_cls = probs.copy()
     g_cls[np.arange(n), targets] -= 1.0
@@ -401,7 +398,7 @@ def train_cascade(
             for stages in batch:
                 rec, (outputs, acts) = stages[l - 1]
                 rep, (g_cls, g_reg, g_cent) = compute_losses(
-                    outputs, rec.assignment, weights, step=step, stage=l, _with_grads=True
+                    outputs, rec.assignment, weights, step=step, stage=l
                 )
                 loss_sums += (rep.classification_loss, rep.regression_loss, rep.centerness_loss)
                 positives += rep.positive_count

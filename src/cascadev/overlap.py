@@ -1,4 +1,4 @@
-"""3D box overlap (axis-aligned and yaw-rotated IoU) and greedy NMS.
+"""3D box overlap (yaw-rotated IoU) and greedy NMS.
 
 Rotated IoU is computed as BEV polygon intersection area times vertical
 extent overlap: the two footprints are convex quadrilaterals, so the
@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import WrongVariantError
 from .geometry import Boxes, OrientedBox, Point3
 
 _AREA_EPS = 1e-12
@@ -54,31 +53,6 @@ class Detections(Boxes):
             Detection(OrientedBox(Point3(*c), tuple(size), yaw, class_id=k), p, k, st)
             for c, size, yaw, k, p, st in zip(*cols, stages)
         ]
-
-
-def _axis_overlap(c1: float, s1: float, c2: float, s2: float) -> float:
-    lo = max(c1 - s1 / 2.0, c2 - s2 / 2.0)
-    hi = min(c1 + s1 / 2.0, c2 + s2 / 2.0)
-    return max(0.0, hi - lo)
-
-
-def iou_aabb(a: OrientedBox, b: OrientedBox) -> float:
-    """Axis-aligned 3D IoU. Both boxes must have yaw 0.
-
-    Raises WrongVariantError for a rotated box; use iou_rotated there.
-    """
-    if a.yaw != 0.0 or b.yaw != 0.0:
-        raise WrongVariantError(
-            f"axis-aligned IoU called on rotated boxes (yaws {a.yaw}, {b.yaw})"
-        )
-    ox = _axis_overlap(a.center.x, a.size[0], b.center.x, b.size[0])
-    oy = _axis_overlap(a.center.y, a.size[1], b.center.y, b.size[1])
-    oz = _axis_overlap(a.center.z, a.size[2], b.center.z, b.size[2])
-    inter = ox * oy * oz
-    if inter <= 0.0:
-        return 0.0
-    union = a.volume + b.volume - inter
-    return inter / union
 
 
 class Footprint(NamedTuple):

@@ -77,9 +77,12 @@ class SceneConfig:
         for a, b in self.size_range:
             if not (0.0 < a <= b):
                 raise ValueError(f"invalid size range ({a}, {b})")
-        for a, b in self.workspace:
+        for axis, (a, b) in zip("xyz", self.workspace):
             if not (a < b):
                 raise ValueError(f"invalid workspace extent ({a}, {b})")
+            if not math.isfinite(b - a):
+                raise ValueError(f"workspace {axis} extent ({a}, {b}) is too wide: "
+                                 "hi - lo overflows")
         if self.points_per_box < 1 or self.num_clutter < 0:
             raise ValueError("need points_per_box >= 1 and num_clutter >= 0")
         if self.num_classes < 1:

@@ -2,13 +2,15 @@
 
 The pipeline runs centerness_array, contains_points and match_points_to_gt;
 these per-point versions state the same rules one point at a time, and the
-property tests compare the kernels with them bit for bit.
+property tests compare the kernels with them bit for bit. iou_aabb is the
+axis-aligned IoU that the rotated IoU must equal at yaw 0.
 """
 
 import math
 
 import numpy as np
 
+from cascadev.errors import WrongVariantError
 from cascadev.geometry import EPS, Deltas, OrientedBox, Point3, _to_canonical, encode_deltas
 
 
@@ -63,3 +65,28 @@ def match_point_to_gt(p: Point3, gts: list[OrientedBox]) -> int:
     centers = np.array([[g.center.x, g.center.y, g.center.z] for g in gts])
     dist = np.linalg.norm(centers - np.array([p.x, p.y, p.z]), axis=1)
     return int(np.argmin(dist))
+
+
+def _axis_overlap(c1: float, s1: float, c2: float, s2: float) -> float:
+    lo = max(c1 - s1 / 2.0, c2 - s2 / 2.0)
+    hi = min(c1 + s1 / 2.0, c2 + s2 / 2.0)
+    return max(0.0, hi - lo)
+
+
+def iou_aabb(a: OrientedBox, b: OrientedBox) -> float:
+    """Axis-aligned 3D IoU. Both boxes must have yaw 0.
+
+    Raises WrongVariantError for a rotated box; use iou_rotated there.
+    """
+    if a.yaw != 0.0 or b.yaw != 0.0:
+        raise WrongVariantError(
+            f"axis-aligned IoU called on rotated boxes (yaws {a.yaw}, {b.yaw})"
+        )
+    ox = _axis_overlap(a.center.x, a.size[0], b.center.x, b.size[0])
+    oy = _axis_overlap(a.center.y, a.size[1], b.center.y, b.size[1])
+    oz = _axis_overlap(a.center.z, a.size[2], b.center.z, b.size[2])
+    inter = ox * oy * oz
+    if inter <= 0.0:
+        return 0.0
+    union = a.volume + b.volume - inter
+    return inter / union

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from reference import centerness, match_point_to_gt, point_in_scaled_box
+from reference import centerness, iou_aabb, match_point_to_gt, point_in_scaled_box
 from rows import xyz
 
 from cascadev.assignment import CpaSchedule, assign_targets, cpa_threshold
@@ -25,9 +25,9 @@ from cascadev.geometry import (
     Boxes,
     OrientedBox,
     Point3,
-    decode_box,
+    decode_boxes,
     encode_deltas,
-    update_point,
+    matched_faces,
 )
 from cascadev.learner import (
     LossWeights,
@@ -40,7 +40,7 @@ from cascadev.learner import (
     train_cascade,
     uniform_seed_scores,
 )
-from cascadev.overlap import Detection, iou_aabb, iou_mc, iou_rotated
+from cascadev.overlap import Detection, iou_mc, iou_rotated
 from cascadev.synth import (
     OracleNoise,
     SceneConfig,
@@ -61,41 +61,37 @@ def _record(num: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _world_point(box: OrientedBox, q) -> Point3:
+def _world_point(box: OrientedBox, q) -> list[float]:
     # Canonical box coordinates back to world; inverse of the encode frame.
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     qx, qy, qz = q
-    return Point3(
+    return [
         box.center.x + c * qx - s * qy,
         box.center.y + s * qx + c * qy,
         box.center.z + qz,
-    )
+    ]
 
 
 def test_criterion_1_roundtrip_and_center_recovery():
+    # Encoded by matched_faces, decoded by decode_boxes: the kernels each
+    # cascade stage runs. A decoded center is the point a proposal moves to.
     rng = np.random.default_rng(99)
     t0 = time.perf_counter()
-    worst_box = 0.0
-    worst_center = 0.0
+    rows = []
+    points = []
     for _ in range(10_000):
         center = Point3(*rng.uniform(-5.0, 5.0, size=3))
         size = tuple(rng.uniform(0.2, 3.0, size=3))
         yaw = float(rng.uniform(-math.pi, math.pi)) if rng.random() < 0.7 else 0.0
-        box = OrientedBox(center, size, yaw=yaw, class_id=int(rng.integers(0, 5)))
-        p = Point3(*(center.as_array() + rng.uniform(-2.0, 2.0, size=3)))
-        d = encode_deltas(p, box)
-        dec = decode_box(p, d)
-        err = max(
-            float(np.max(np.abs(dec.center.as_array() - center.as_array()))),
-            float(np.max(np.abs(np.asarray(dec.size) - np.asarray(size)))),
-            abs(dec.yaw - box.yaw),
-        )
-        worst_box = max(worst_box, err)
-        moved = update_point(p, d)
-        worst_center = max(
-            worst_center,
-            float(np.max(np.abs(moved.as_array() - center.as_array()))),
-        )
+        rows.append(OrientedBox(center, size, yaw=yaw, class_id=int(rng.integers(0, 5))))
+        points.append(center.as_array() + rng.uniform(-2.0, 2.0, size=3))
+    boxes = Boxes.of(rows)
+    points = np.array(points)
+    faces, _ = matched_faces(boxes, points, np.arange(len(boxes)))
+    centers, sizes, yaws = decode_boxes(points, np.column_stack([faces, boxes.yaws]))
+    worst_center = float(np.max(np.abs(centers - boxes.centers)))
+    worst_box = max(worst_center, float(np.max(np.abs(sizes - boxes.sizes))),
+                    float(np.max(np.abs(yaws - boxes.yaws))))
     dt = time.perf_counter() - t0
     ok = worst_box < 1e-9 and worst_center < 1e-12 and dt < 1.0
     _record(
@@ -107,37 +103,43 @@ def test_criterion_1_roundtrip_and_center_recovery():
 
 
 def test_criterion_2_centerness_law():
+    # Five points per box, scored in one matched_faces pass: its centerness
+    # is centerness_array of the face distances, as in seed scoring and
+    # target assignment.
     rng = np.random.default_rng(7)
-    in_range = True
-    one_at_center = True
-    below_one_off_center = True
-    zero_on_faces = True
-    zero_outside = True
+    rows = []
+    points = []  # per box: random, center, off-center, on a face, outside
     for _ in range(2_000):
         box = OrientedBox(
             Point3(*rng.uniform(-3.0, 3.0, size=3)),
             tuple(rng.uniform(0.3, 2.5, size=3)),
             yaw=float(rng.uniform(-math.pi, math.pi)),
         )
+        rows.append(box)
         half = np.asarray(box.size) / 2.0
-        c = centerness(encode_deltas(Point3(*rng.uniform(-4.0, 4.0, size=3)), box))
-        in_range &= 0.0 <= c <= 1.0
-        one_at_center &= centerness(encode_deltas(box.center, box)) == 1.0
+        points.append(rng.uniform(-4.0, 4.0, size=3))
+        points.append(box.center.as_array())
         # Interior offsets bounded away from zero so the strict side of
         # "=1 iff center" is tested without floating-point ambiguity.
         q = rng.uniform(0.1, 0.9, size=3) * half * rng.choice([-1.0, 1.0], size=3)
-        below_one_off_center &= centerness(encode_deltas(_world_point(box, q), box)) < 1.0
+        points.append(_world_point(box, q))
         axis = int(rng.integers(0, 3))
         q_face = rng.uniform(-0.9, 0.9, size=3) * half
         q_face[axis] = half[axis] * float(rng.choice([-1.0, 1.0]))
-        zero_on_faces &= centerness(encode_deltas(_world_point(box, q_face), box)) == 0.0
+        points.append(_world_point(box, q_face))
         q_out = q_face.copy()
         q_out[axis] *= 1.0 + float(rng.uniform(0.05, 2.0))
-        zero_outside &= centerness(encode_deltas(_world_point(box, q_out), box)) == 0.0
-    quarter = centerness(
-        encode_deltas(Point3(0.25, 0.0, 0.0), OrientedBox(Point3(0, 0, 0), (1, 1, 1)))
-    )
-    quarter_err = abs(quarter - math.sqrt(1.0 / 3.0))
+        points.append(_world_point(box, q_out))
+    owner = np.repeat(np.arange(len(rows)), 5)
+    c = matched_faces(Boxes.of(rows), np.array(points), owner)[1].reshape(-1, 5)
+    in_range = bool(np.all((0.0 <= c[:, 0]) & (c[:, 0] <= 1.0)))
+    one_at_center = bool(np.all(c[:, 1] == 1.0))
+    below_one_off_center = bool(np.all(c[:, 2] < 1.0))
+    zero_on_faces = bool(np.all(c[:, 3] == 0.0))
+    zero_outside = bool(np.all(c[:, 4] == 0.0))
+    unit = Boxes.of([OrientedBox(Point3(0, 0, 0), (1, 1, 1))])
+    quarter = matched_faces(unit, np.array([[0.25, 0.0, 0.0]]), np.zeros(1, dtype=np.int64))[1]
+    quarter_err = abs(float(quarter[0]) - math.sqrt(1.0 / 3.0))
     ok = (
         in_range
         and one_at_center
@@ -358,7 +360,7 @@ def test_criterion_7_exact_oracle_cascade():
         )
         results.append((ensemble_stages(trace, (1, 3), 0.25), scene.gt_boxes))
         for rec in trace.stages[1:]:
-            for p in map(Point3.from_array, rec.proposals_in.points):
+            for p in (Point3(*row) for row in rec.proposals_in.points):
                 gt = scene.gt_boxes[match_point_to_gt(p, scene.gt_boxes)]
                 worst_dev = max(worst_dev, abs(centerness(encode_deltas(p, gt)) - 1.0))
     map50 = evaluate_scenes(results, [0.5]).at(0.5).mean_ap
@@ -380,7 +382,7 @@ def test_criterion_8_ap_hand_trace_and_threshold_ordering():
         Detection(box=g2, score=0.7, class_id=0),
     ]
     # Ranked TP, duplicate FP, TP over two gts: AP = 0.5 + 0.5 * (2/3).
-    hand_err = abs(evaluate_scenes([(dets, [g1, g2])], [0.5]).mean_ap(0.5) - 5.0 / 6.0)
+    hand_err = abs(evaluate_scenes([(dets, [g1, g2])], [0.5]).at(0.5).mean_ap - 5.0 / 6.0)
 
     sched = CpaSchedule()
     noise = OracleNoise(sigma_delta=0.12, centerness_bias=0.1)
@@ -434,9 +436,7 @@ def _fd_worst_rel() -> float:
         return outs, (cls_h, reg_h, cent_h)
 
     outs, (cls_h, reg_h, cent_h) = outputs_and_hidden()
-    _, (g_cls, g_reg, g_cent) = compute_losses(
-        outs, assignment, weights, _with_grads=True
-    )
+    _, (g_cls, g_reg, g_cent) = compute_losses(outs, assignment, weights)
     analytic = {
         "cls": _backward(sp.cls, feats, cls_h, g_cls),
         "reg": _backward(sp.reg, feats, reg_h, g_reg),
@@ -450,9 +450,9 @@ def _fd_worst_rel() -> float:
             for k in range(flat.size):
                 keep = flat[k]
                 flat[k] = keep + eps
-                up = compute_losses(outputs_and_hidden()[0], assignment, weights).total
+                up = compute_losses(outputs_and_hidden()[0], assignment, weights)[0].total
                 flat[k] = keep - eps
-                down = compute_losses(outputs_and_hidden()[0], assignment, weights).total
+                down = compute_losses(outputs_and_hidden()[0], assignment, weights)[0].total
                 flat[k] = keep
                 fd = (up - down) / (2.0 * eps)
                 a = gflat[k]

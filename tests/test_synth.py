@@ -71,7 +71,7 @@ class TestGenScene:
         cfg = SceneConfig(num_gt=(2, 2), points_per_box=80, num_clutter=30, yaw_enabled=True)
         for seed in range(10):
             s = gen_scene(cfg, seed)
-            for p, gi in zip(map(Point3.from_array, s.points), s.point_gt_labels.tolist()):
+            for p, gi in zip((Point3(*row) for row in s.points), s.point_gt_labels.tolist()):
                 if gi < 0:
                     continue
                 d = encode_deltas(p, s.gt_boxes[gi])
@@ -82,7 +82,7 @@ class TestGenScene:
     def test_clutter_outside_all_boxes(self):
         for seed in range(10):
             s = gen_scene(SMALL, seed)
-            for p, gi in zip(map(Point3.from_array, s.points), s.point_gt_labels.tolist()):
+            for p, gi in zip((Point3(*row) for row in s.points), s.point_gt_labels.tolist()):
                 if gi >= 0:
                     continue
                 for b in s.gt_boxes:
@@ -175,7 +175,7 @@ class TestOracle:
         idx = range(0, s.num_points, 37)
         preds = predict(proposals_at(s, idx))
         for i, probs, d in zip(idx, preds.class_probs, preds.deltas):
-            p = Point3.from_array(s.points[i])
+            p = Point3(*s.points[i])
             gi = match_point_to_gt(p, s.gt_boxes)
             gt = s.gt_boxes[gi]
             box = decode_box(p, Deltas(*d))
@@ -205,7 +205,7 @@ class TestOracle:
         idx = [k % s.num_points for k in range(n)]
         preds = predict(proposals_at(s, idx))
         for i, probs in zip(idx, preds.class_probs):
-            gi = match_point_to_gt(Point3.from_array(s.points[i]), s.gt_boxes)
+            gi = match_point_to_gt(Point3(*s.points[i]), s.gt_boxes)
             flips += int(np.argmax(probs[:-1])) != s.gt_boxes[gi].class_id
         assert 0.25 < flips / n < 0.35
 
@@ -220,7 +220,7 @@ class TestOracle:
                 idx = range(0, s.num_points, 23)
                 preds = predict(proposals_at(s, idx))
                 for i, d in zip(idx, preds.deltas):
-                    p = Point3.from_array(s.points[i])
+                    p = Point3(*s.points[i])
                     gi = match_point_to_gt(p, s.gt_boxes)
                     box = decode_box(p, Deltas(*d))
                     total += iou_rotated(box, s.gt_boxes[gi])
@@ -236,7 +236,7 @@ class TestOracle:
         idx = range(0, s.num_points, 11)
         preds = predict(proposals_at(s, idx))
         for i, d in zip(idx, preds.deltas):
-            box = decode_box(Point3.from_array(s.points[i]), Deltas(*d))  # must not raise
+            box = decode_box(Point3(*s.points[i]), Deltas(*d))  # must not raise
             assert min(box.size) >= 0.01 - 1e-12
 
     def test_predictor_deterministic(self):
@@ -287,7 +287,7 @@ class TestOracle:
         gts = s.gt_boxes
         ref = np.array(
             [centerness(encode_deltas(p, gts[match_point_to_gt(p, gts)]))
-             for p in map(Point3.from_array, s.points)]
+             for p in (Point3(*row) for row in s.points)]
         )
         if bias:
             rng = np.random.Generator(np.random.Philox(key=(s.seed << 1) ^ 5 ^ 0x5EED))
