@@ -153,8 +153,10 @@ def cmd_gen(cfg: RunConfig, out: str) -> None:
     if cfg.seed + cfg.num_scenes > 2**64:
         raise ConfigError(f"seed {cfg.seed} and num_scenes {cfg.num_scenes} give scene "
                           "seeds past the u64 range")
-    os.makedirs(out, exist_ok=True)
+    # Every scene is generated before the first write, so a config that fails
+    # on any of them leaves no files behind.
     scenes = [gen_scene(cfg.scene, cfg.seed + i) for i in range(cfg.num_scenes)]
+    os.makedirs(out, exist_ok=True)
     entries = []
     for i, scene in enumerate(scenes):
         name = f"scene_{i:04d}.json"

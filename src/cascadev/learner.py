@@ -350,7 +350,8 @@ def train_cascade(
     and runs the cascade on each with the step's starting heads. Each
     stage then takes one SGD update from the batch-averaged gradient of
     its losses on its recorded inputs and assignment. A prediction the cascade rejects or a box it
-    cannot decode raises TrainingDivergedError, as does a non-finite loss.
+    cannot decode raises TrainingDivergedError, as does a non-finite loss
+    or an update that leaves a non-finite parameter.
     Returns the trained parameters and one LossReport per (step, stage)
     holding batch-mean losses and the summed positive count.
     """
@@ -418,6 +419,10 @@ def train_cascade(
             _check_finite(report, step)
             history.append(report)
             for name, bp in sp.branches().items():
-                for arr, ga in zip(bp.arrays(), acc[name]):
+                for key, arr, ga in zip(("w1", "b1", "w2", "b2"), bp.arrays(), acc[name]):
                     arr -= lr * ga / len(batch)
+                    if not np.isfinite(arr).all():
+                        raise TrainingDivergedError(
+                            f"non-finite {name} {key} after the update at step {step}, "
+                            f"stage {l}")
     return params, history

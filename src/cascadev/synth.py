@@ -26,7 +26,7 @@ import numpy as np
 from .assignment import select_denoising, select_top_b
 from .cascade import Predictions, Proposals
 from .config import check_types
-from .errors import PlacementError
+from .errors import ConfigError, PlacementError
 from .geometry import (
     Boxes,
     OrientedBox,
@@ -47,6 +47,10 @@ from .overlap import iou_rotated  # noqa: F401
 _PLACEMENT_GAP = 0.04
 _PLACEMENT_RETRIES = 1000
 _MIN_DECODED_SIZE = 0.01
+# Relative widening of each box's candidate window in match_points_to_gt:
+# far above the ~1e-15 relative rounding of the rotated coordinates. A wider
+# window only adds candidates, which the exact test then settles.
+_WINDOW_SLACK = 1e-12
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -237,7 +241,11 @@ def _clutter_points(cfg: SceneConfig, boxes: list[OrientedBox], rng: np.random.G
 
 
 def gen_scene(cfg: SceneConfig, seed: int) -> SyntheticScene:
-    """Generate one scene deterministically from (cfg, seed)."""
+    """Generate one scene deterministically from (cfg, seed).
+
+    Raises ConfigError when sigma_feature is so large that a feature
+    overflows, and PlacementError when the workspace is too crowded.
+    """
     rng = _rng(seed)
     boxes = _place_boxes(cfg, rng)
     blocks = [_surface_points(box, cfg.points_per_box, rng) for box in boxes]
@@ -264,6 +272,9 @@ def gen_scene(cfg: SceneConfig, seed: int) -> SyntheticScene:
         feats[rows] = block
     clutter_rows = label_arr == -1
     feats[clutter_rows] = rng.normal(0.0, 1.0, size=(int(clutter_rows.sum()), cfg.feature_dim))
+    if not np.isfinite(feats).all():
+        raise ConfigError(f"sigma_feature {cfg.sigma_feature} is too large: scene {seed}'s "
+                          "feature noise overflows to non-finite values")
 
     perm = rng.permutation(n)
     return SyntheticScene(
@@ -282,18 +293,33 @@ def match_points_to_gt(points, gts: Boxes) -> np.ndarray:
     A point is inside a box when its smallest face distance is >= -1e-9,
     the strictly smaller volume wins among containing boxes, and points
     inside none go to the nearest center (np.linalg.norm), the lower
-    index winning a tie.
+    index winning a tie. Each box runs that exact test only on the points
+    within its window: |x - cx| and |y - cy| no more than the xy
+    circumradius of its half extents plus the band, |z - cz| no more than
+    its half height plus the band, each widened by _WINDOW_SLACK. Every
+    point that passes the test lies in the window, so the owners are the
+    same as from testing every point against every box.
     """
-    # Column-major, so the per-box passes below read contiguous columns.
+    # Column-major, so the per-box windows below read contiguous columns.
     pts = np.asfortranarray(points_as_array(points))
     if len(pts) and not len(gts):
         raise ValueError("cannot match points without ground-truth boxes")
     owner = np.full(len(pts), -1, dtype=np.int64)
     best_vol = np.full(len(pts), math.inf)
-    for gi, (center, half, yaw, vol) in enumerate(
-            zip(gts.centers, gts.sizes / 2.0, gts.yaws.tolist(), gts.volumes.tolist())):
-        inside = face_distances(canonical_coords(center, yaw, pts), half).min(axis=1) >= -1e-9
-        better = inside & (vol < best_vol)
+    half = gts.sizes / 2.0
+    reach_xy = np.hypot(half[:, 0] + 1e-9, half[:, 1] + 1e-9) * (1.0 + _WINDOW_SLACK)
+    reach_z = (half[:, 2] + 1e-9) * (1.0 + _WINDOW_SLACK)
+    x, y, z = pts.T
+    for gi, (center, yaw, vol, rxy, rz) in enumerate(zip(
+            gts.centers, gts.yaws.tolist(), gts.volumes.tolist(), reach_xy.tolist(),
+            reach_z.tolist())):
+        cx, cy, cz = center.tolist()
+        near = np.flatnonzero(np.abs(x - cx) <= rxy)
+        near = near[np.abs(y[near] - cy) <= rxy]
+        near = near[np.abs(z[near] - cz) <= rz]
+        q = canonical_coords(center, yaw, pts[near])
+        inside = near[face_distances(q, half[gi]).min(axis=1) >= -1e-9]
+        better = inside[vol < best_vol[inside]]
         owner[better] = gi
         best_vol[better] = vol
     free = np.flatnonzero(owner < 0)
@@ -309,15 +335,20 @@ def match_points_to_gt(points, gts: Boxes) -> np.ndarray:
 
 
 def _guard_extents(d: np.ndarray) -> np.ndarray:
-    """Shift delta pairs so every implied extent stays decodable."""
+    """(B, 6) delta rows, each pair widened where needed so its implied
+    extent stays decodable.
+
+    Only a pair whose sum is below _MIN_DECODED_SIZE moves: both entries
+    gain half the shortfall. Every other entry keeps its bits, -0.0
+    included. A NaN sum is not below the floor, so it passes unchanged.
+    """
     out = d.copy()
-    for axis in range(3):
-        a, b = 2 * axis, 2 * axis + 1
-        total = out[a] + out[b]
-        if total < _MIN_DECODED_SIZE:
-            shift = (_MIN_DECODED_SIZE - total) / 2.0
-            out[a] += shift
-            out[b] += shift
+    for a in (0, 2, 4):
+        total = out[:, a] + out[:, a + 1]
+        low = np.flatnonzero(total < _MIN_DECODED_SIZE)
+        shift = (_MIN_DECODED_SIZE - total[low]) / 2.0
+        out[low, a] += shift
+        out[low, a + 1] += shift
     return out
 
 
@@ -331,6 +362,13 @@ def oracle_predictor(scene: SyntheticScene, noise: OracleNoise, seed: int = 0):
     seed) and are taken proposal by proposal in row order, so only the
     sequence of proposals across calls must stay fixed for
     reproducibility; the cascade calls its predictors stage by stage.
+    Per proposal, each knob above zero draws in turn: six extent scales
+    from normal(1, sigma_delta), a heading offset from normal(0,
+    sigma_heading), a flip test from random() and, on a flip, the new
+    class from integers(num_classes - 1), and a centerness offset from
+    normal(). A knob at zero draws nothing. Only the draws loop over
+    proposals: scaling the face distances, _guard_extents, the heading
+    add and the centerness clip each run once on the whole batch.
     Raises ValueError without ground truth or for a box without a class id.
     """
     gts = Boxes.of(scene.gt_boxes)
@@ -341,23 +379,38 @@ def oracle_predictor(scene: SyntheticScene, noise: OracleNoise, seed: int = 0):
         raise ValueError(f"ground-truth box {classless[0]} has no class id to predict")
     rng = _rng((scene.seed << 1) ^ seed)
     n_classes = scene.config.num_classes
+    flips = noise.p_class_flip > 0.0 and n_classes > 1
 
     def predict(proposals: Proposals) -> Predictions:
         owner = match_points_to_gt(proposals.points, gts)
         faces, cent = matched_faces(gts, proposals.points, owner)
-        deltas = np.column_stack([faces, gts.yaws[owner]])
         classes = gts.class_ids[owner]
-        for i in range(len(owner)):
+        n = len(owner)
+        # The draws alone go proposal by proposal, in the per-proposal
+        # order; the arithmetic on them runs once on the columns.
+        scale = np.empty((n, 6))
+        turn = np.empty(n)
+        flip = np.full(n, -1, dtype=np.int64)
+        nudge = np.empty(n)
+        for i in range(n):
             if noise.sigma_delta > 0.0:
-                d = faces[i] * rng.normal(1.0, noise.sigma_delta, size=6)
-                deltas[i, :6] = _guard_extents(d)
+                scale[i] = rng.normal(1.0, noise.sigma_delta, size=6)
             if noise.sigma_heading > 0.0:
-                deltas[i, 6] += float(rng.normal(0.0, noise.sigma_heading))
-            if noise.p_class_flip > 0.0 and n_classes > 1 and rng.random() < noise.p_class_flip:
-                others = [c for c in range(n_classes) if c != classes[i]]
-                classes[i] = others[rng.integers(len(others))]
+                turn[i] = rng.normal(0.0, noise.sigma_heading)
+            if flips and rng.random() < noise.p_class_flip:
+                flip[i] = rng.integers(n_classes - 1)
             if noise.centerness_bias > 0.0:
-                cent[i] = np.clip(cent[i] + noise.centerness_bias * rng.normal(), 0.0, 1.0)
+                nudge[i] = rng.normal()
+        if noise.sigma_delta > 0.0:
+            faces = _guard_extents(faces * scale)
+        deltas = np.column_stack([faces, gts.yaws[owner]])
+        if noise.sigma_heading > 0.0:
+            deltas[:, 6] += turn
+        # A flip's draw indexes the classes other than the row's own.
+        rows = np.flatnonzero(flip >= 0)
+        classes[rows] = flip[rows] + (flip[rows] >= classes[rows])
+        if noise.centerness_bias > 0.0:
+            cent = np.clip(cent + noise.centerness_bias * nudge, 0.0, 1.0)
         probs = np.eye(n_classes + 1)[classes]
         return Predictions(class_probs=probs, deltas=deltas, centerness=cent)
 

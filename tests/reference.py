@@ -1,9 +1,10 @@
 """Scalar reference rules that the package's array kernels are tested against.
 
-The pipeline runs centerness_array, contains_points and match_points_to_gt;
-these per-point versions state the same rules one point at a time, and the
-property tests compare the kernels with them bit for bit. iou_aabb is the
-axis-aligned IoU that the rotated IoU must equal at yaw 0.
+The pipeline runs centerness_array, contains_points, match_points_to_gt and
+the oracle's batch extent guard; these per-point versions state the same
+rules one point at a time, and the property tests compare the kernels with
+them bit for bit. iou_aabb is the axis-aligned IoU that the rotated IoU must
+equal at yaw 0.
 """
 
 import math
@@ -65,6 +66,22 @@ def match_point_to_gt(p: Point3, gts: list[OrientedBox]) -> int:
     centers = np.array([[g.center.x, g.center.y, g.center.z] for g in gts])
     dist = np.linalg.norm(centers - np.array([p.x, p.y, p.z]), axis=1)
     return int(np.argmin(dist))
+
+
+MIN_DECODED_SIZE = 0.01
+
+
+def guard_extents(d: np.ndarray) -> np.ndarray:
+    """Shift delta pairs so every implied extent stays decodable."""
+    out = d.copy()
+    for axis in range(3):
+        a, b = 2 * axis, 2 * axis + 1
+        total = out[a] + out[b]
+        if total < MIN_DECODED_SIZE:
+            shift = (MIN_DECODED_SIZE - total) / 2.0
+            out[a] += shift
+            out[b] += shift
+    return out
 
 
 def _axis_overlap(c1: float, s1: float, c2: float, s2: float) -> float:

@@ -156,6 +156,61 @@ def test_equidistant_centers_go_to_lower_index(p, v, copies, yaw):
     assert got.tolist() == [match_point_to_gt(pts[0], gts)] == [0]
 
 
+ORIGINS = [(0.0, 0.0, 0.0), (1e3, -1e3, 5e2), (-1e6, 1e6, 1e6), (1e8, 1e8, -1e8)]
+
+
+@st.composite
+def window_boxes(draw, origin):
+    """A box near origin. Some yaws turn a corner onto the x or y axis, where
+    the corner reaches the box's xy circumradius and its window is tight."""
+    w, l, h = draw(extents), draw(extents), draw(extents)
+    diagonal = st.integers(0, 3).map(lambda k: normalize_yaw(k * math.pi / 2 - math.atan2(l, w)))
+    center = Point3(*(o + draw(coords) for o in origin))
+    return OrientedBox(center, (w, l, h), yaw=draw(st.one_of(yaws, diagonal)))
+
+
+@st.composite
+def window_probes(draw, box: OrientedBox):
+    """probes(box), or a corner of box moved off each face by a face offset."""
+    if draw(st.booleans()):
+        return draw(probes(box))
+    return world_point(box, [draw(st.sampled_from([-1.0, 1.0])) * (e / 2.0 + draw(face_offsets))
+                             for e in box.size])
+
+
+@SETTINGS
+@given(st.data())
+def test_match_points_to_gt_windows_keep_every_owner(data):
+    # Each box tests only the points in its window; owners must not change.
+    origin = data.draw(st.sampled_from(ORIGINS))
+    gts = data.draw(st.lists(window_boxes(origin), min_size=1, max_size=4))
+    for box in list(gts):
+        if data.draw(st.booleans()):
+            # A smaller box around this one's center: points in both go to the smaller.
+            scale = data.draw(st.floats(0.2, 0.6))
+            shift = [data.draw(st.floats(-0.1, 0.1)) * e for e in box.size]
+            inner = OrientedBox(world_point(box, shift), tuple(scale * e for e in box.size),
+                                yaw=data.draw(st.one_of(st.just(box.yaw), yaws)))
+            gts.insert(data.draw(st.integers(0, len(gts))), inner)
+    pts = data.draw(st.lists(st.one_of(*(window_probes(g) for g in gts)), min_size=1,
+                             max_size=32))
+    if data.draw(st.booleans()):
+        # Two boxes exactly equidistant from a point outside both: the lower index wins.
+        p = [o + data.draw(st.integers(-8, 8)) for o in origin]
+        v = data.draw(st.lists(st.integers(-8, 8), min_size=3, max_size=3)
+                      .filter(lambda v: max(map(abs, v)) >= 2))
+        for sign in (1, -1):
+            gts.append(OrientedBox(Point3(*(a + sign * b for a, b in zip(p, v))),
+                                   (0.5, 0.5, 0.5), yaw=data.draw(yaws)))
+        pts.append(Point3(*p))
+    if data.draw(st.booleans()):
+        # A box far from every point: its window holds no candidate.
+        far = Point3(*(o + 50.0 for o in origin))
+        gts.insert(data.draw(st.integers(0, len(gts))), OrientedBox(far, (1.0, 1.0, 1.0)))
+    got = raising(match_points_to_gt, xyz(pts), Boxes.of(gts))
+    assert got.tolist() == [match_point_to_gt(p, gts) for p in pts]
+
+
 def test_containment_band_includes_exactly_minus_1e9():
     # With a half-width of 2**-31, the point below sits exactly -1e-9 outside
     # the thin box's +x face (checked on the scalar side first); one ulp

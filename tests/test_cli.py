@@ -670,6 +670,48 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")])
         assert code == 4
 
+    def test_feature_noise_that_overflows_is_config_error(self, tmp_path, capsys):
+        # The config validates, but its features would overflow: gen writes nothing.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"num_scenes": 1, "scene": {"sigma_feature": 1e308}}))
+        out = tmp_path / "scenes"
+        assert main(["gen", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: sigma_feature 1e+308 is too large: scene 0's feature noise "
+            "overflows to non-finite values\n")
+        assert not out.exists()
+
+    def test_update_that_overflows_the_weights_is_numerical_error(self, tmp_path, capsys):
+        # Train used to write this model, which run then rejected with exit 3.
+        cfg = {"num_scenes": 1, "steps": 1, "lr": 1e300, "loss_weights": {"cls": 1e300}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        scenes, out = tmp_path / "scenes", tmp_path / "model"
+        assert main(["gen", "--config", str(path), "--out", str(scenes)]) == 0
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", str(scenes), "--config", str(path), "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: non-finite cls w1 after the update at step 0, stage 1\n")
+        assert not out.exists()
+
+    def test_oracle_noise_that_overflows_is_numerical_error(self, tmp_path, capsys):
+        # A valid config whose noisy face distances overflow: the oracle's box has
+        # no positive size, which is a numerical failure, not a config error.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**SMALL, "noise": {"sigma_delta": 1e300}}))
+        scenes, out = tmp_path / "scenes", tmp_path / "traces"
+        assert main(["gen", "--config", str(path), "--out", str(scenes)]) == 0
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", str(scenes), "--config", str(path), "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: proposal ")
+        assert "implied box size not positive" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_huge_learning_rate_is_numerical_error(self, tmp_path, capsys):
         cfg = {"num_scenes": 1, "b": 4, "lr": 1e200, "steps": 5,
                "scene": {"num_gt": [1, 1], "points_per_box": 20, "num_clutter": 10}}

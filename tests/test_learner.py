@@ -403,6 +403,16 @@ class TestTrainCascade:
                 train_cascade([scene], SCHED, 5, 1e200, 0, b=4)
         assert isinstance(info.value.__cause__, InvalidDeltasError)
 
+    def test_update_that_overflows_the_weights_raises_diverged(self):
+        # Step 0's losses are finite, but lr 1e300 times a class-loss weight of
+        # 1e300 overflows the update; nothing non-finite may leave training.
+        scene = gen_scene(SMALL_CFG, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError,
+                               match="non-finite cls w1 after the update at step 0, stage 1"):
+                train_cascade([scene], SCHED, 1, 1e300, 0, b=16,
+                              weights=LossWeights(cls=1e300))
+
     def test_input_validation(self):
         scene = gen_scene(SMALL_CFG, seed=2)
         with pytest.raises(ValueError):

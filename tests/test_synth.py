@@ -7,7 +7,7 @@ import pytest
 from reference import centerness, match_point_to_gt, point_in_scaled_box
 
 from cascadev.cascade import Proposals
-from cascadev.errors import PlacementError
+from cascadev.errors import ConfigError, PlacementError
 from cascadev.geometry import (
     Deltas,
     Point3,
@@ -135,6 +135,14 @@ class TestGenScene:
         )
         with pytest.raises(PlacementError):
             gen_scene(full, 0)
+
+    def test_feature_noise_that_overflows_is_config_error(self):
+        # sigma 1e308 passes validation, but its noise overflows to infinity.
+        cfg = dataclasses.replace(SMALL, sigma_feature=1e308)
+        with pytest.raises(ConfigError, match="sigma_feature 1e[+]308 is too large"):
+            gen_scene(cfg, 0)
+        assert np.isfinite(gen_scene(dataclasses.replace(SMALL, sigma_feature=1e300), 0)
+                           .features).all()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
