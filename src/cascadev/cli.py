@@ -24,7 +24,7 @@ from .assignment import CpaSchedule
 from .cascade import ensemble_stages, run_cascade
 from .config import check_types, from_doc
 from .errors import ConfigError, DataError, NumericalError
-from .evaluation import AP_MODES, cascade_stats, evaluate_scenes
+from .evaluation import cascade_stats, evaluate_scenes
 from .formats import (
     RNG_FAMILY,
     SCHEMA_VERSION,
@@ -76,25 +76,22 @@ class RunConfig:
     noise: OracleNoise = field(default_factory=OracleNoise)
     iou_thresholds: tuple[float, ...] = (0.25, 0.5)
     weighting: str = "exp_neg_dist"
-    ap: str = "continuous"
     ensemble: tuple[int, int] | None = None
     nms_iou: float = 0.25
     steps: int = 2500
     lr: float = 1e-2
     hidden: int = 32
     denoising_k: int = 4
-    batch_scenes: int = 1
     loss_weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self) -> None:
         check_types(self)
-        for name in ("num_scenes", "b", "steps", "hidden", "denoising_k", "batch_scenes"):
+        for name in ("num_scenes", "b", "steps", "hidden", "denoising_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"need {name} >= 1, got {getattr(self, name)}")
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a u64, got {self.seed}")
-        for name, allowed in (("predictor", PREDICTORS), ("weighting", WEIGHTINGS),
-                              ("ap", AP_MODES)):
+        for name, allowed in (("predictor", PREDICTORS), ("weighting", WEIGHTINGS)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}, expected {allowed}")
         if not self.iou_thresholds:
@@ -261,7 +258,7 @@ def cmd_eval(cfg: RunConfig, traces_dir: str, out: str) -> None:
     scene_results = [
         (ensemble_stages(t, cfg.ensemble, cfg.nms_iou), t.gts) for t in traces
     ]
-    ap = evaluate_scenes(scene_results, list(cfg.iou_thresholds), ap=cfg.ap)
+    ap = evaluate_scenes(scene_results, list(cfg.iou_thresholds))
     stats = cascade_stats(traces)
     os.makedirs(out, exist_ok=True)
     write_json(os.path.join(out, "ap.json"), ap_to_doc(ap))
@@ -291,7 +288,6 @@ def cmd_train(cfg: RunConfig, scenes_dir: str, out: str) -> None:
         b=cfg.b,
         hidden=cfg.hidden,
         denoising_k=cfg.denoising_k,
-        batch_scenes=cfg.batch_scenes,
         weights=cfg.loss_weights,
         weighting=cfg.weighting,
     )
@@ -313,7 +309,6 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--mu-max", type=float, dest="mu_max", help="first-stage assignment scale")
     sp.add_argument("--mu-min", type=float, dest="mu_min", help="last-stage assignment scale")
     sp.add_argument("--weighting", choices=list(WEIGHTINGS), help="voting weight variant")
-    sp.add_argument("--ap", choices=list(AP_MODES), help="AP interpolation mode")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -347,7 +342,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"invalid JSON in config {args.config!r}: {exc}") from exc
     flags = {k: v for k, v in vars(args).items() if v is not None}
     if isinstance(doc, dict):
-        doc = {**doc, **{k: flags[k] for k in ("seed", "weighting", "ap") if k in flags}}
+        doc = {**doc, **{k: flags[k] for k in ("seed", "weighting") if k in flags}}
         schedule = {k: flags[k] for k in ("num_stages", "mu_max", "mu_min") if k in flags}
         if schedule and isinstance(doc.get("schedule", {}), dict):
             doc["schedule"] = {**doc.get("schedule", {}), **schedule}

@@ -26,7 +26,7 @@ class InvalidDeltasError(NumericalError):
 
 
 class WrongVariantError(ConfigError):
-    """An unknown variant name, such as a vote weighting or an AP mode."""
+    """An unknown vote weighting name."""
 
 
 class PlacementError(DataError):

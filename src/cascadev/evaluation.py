@@ -3,10 +3,10 @@
 AP follows the greedy score-ordered protocol: detections are visited by
 descending score, each claims the highest-IoU unmatched ground truth of
 its class when that IoU clears the threshold, and the per-class AP is
-the area under the monotonized precision-recall curve (continuous
-all-point interpolation by default, 11-point by option). Classes absent
-from the ground truth are excluded from the mean. Multi-scene
-evaluation matches per scene and pools the scored outcomes per class.
+the area under the whole monotonized precision-recall curve (continuous
+all-point interpolation). Classes absent from the ground truth are
+excluded from the mean. Multi-scene evaluation matches per scene and
+pools the scored outcomes per class.
 
 Cascade statistics reduce stage traces to the quantities behind the
 assignment and update analyses: per-stage positive counts, proposal
@@ -25,7 +25,7 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from .cascade import StageTrace
-from .errors import DataError, WrongVariantError
+from .errors import DataError
 from .geometry import Boxes, OrientedBox, matched_faces
 from .overlap import Detection, footprint_iou, footprints
 from .synth import match_points_to_gt
@@ -33,8 +33,6 @@ from .synth import match_points_to_gt
 # Not called here; perfbench/bench_trace.py patches these names on this module.
 from .geometry import encode_deltas  # noqa: F401
 from .overlap import iou_rotated  # noqa: F401
-
-AP_MODES = ("continuous", "11point")
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,30 +104,22 @@ def _match_one_scene(
     return out
 
 
-def _ap_from_curve(recalls: np.ndarray, precisions: np.ndarray, mode: str) -> float:
+def _ap_from_curve(recalls: np.ndarray, precisions: np.ndarray) -> float:
     if len(recalls) == 0:
         return 0.0
-    if mode == "continuous":
-        mono = np.maximum.accumulate(precisions[::-1])[::-1]
-        prev_r = 0.0
-        ap = 0.0
-        for r, p in zip(recalls, mono):
-            ap += (r - prev_r) * p
-            prev_r = r
-        return float(ap)
-    grid = np.linspace(0.0, 1.0, 11)
-    vals = []
-    for g in grid:
-        ok = recalls >= g - 1e-12
-        vals.append(float(precisions[ok].max()) if ok.any() else 0.0)
-    return float(np.mean(vals))
+    mono = np.maximum.accumulate(precisions[::-1])[::-1]
+    prev_r = 0.0
+    ap = 0.0
+    for r, p in zip(recalls, mono):
+        ap += (r - prev_r) * p
+        prev_r = r
+    return float(ap)
 
 
 def _evaluate_pooled(
     pooled: list[tuple[int, float, bool, int, int]],
     gt_counts: dict[int, int],
     iou_threshold: float,
-    ap_mode: str,
 ) -> ThresholdResult:
     ap_per_class: dict[int, float] = {}
     pr_curves: dict[int, tuple[list[float], list[float]]] = {}
@@ -144,7 +134,7 @@ def _evaluate_pooled(
             tp_cum += int(row[2])
             recalls.append(tp_cum / n_gt)
             precisions.append(tp_cum / rank)
-        ap_per_class[cls] = _ap_from_curve(np.array(recalls), np.array(precisions), ap_mode)
+        ap_per_class[cls] = _ap_from_curve(np.array(recalls), np.array(precisions))
         pr_curves[cls] = (recalls, precisions)
     mean_ap = float(np.mean(list(ap_per_class.values()))) if ap_per_class else 0.0
     return ThresholdResult(
@@ -158,12 +148,8 @@ def _evaluate_pooled(
 def evaluate_scenes(
     scene_results: list[tuple[list[Detection], list[OrientedBox]]],
     iou_thresholds: list[float],
-    *,
-    ap: str = "continuous",
 ) -> ApResult:
     """Pooled AP over several (detections, ground truth) scene pairs, matched by rotated IoU."""
-    if ap not in AP_MODES:
-        raise WrongVariantError(f"unknown AP mode {ap!r}, expected one of {AP_MODES}")
     for _, gts in scene_results:
         if any(g.class_id is None for g in gts):
             raise DataError("ground-truth boxes must carry class ids for AP evaluation")
@@ -181,9 +167,7 @@ def evaluate_scenes(
         for rows, thr in zip(pooled, iou_thresholds):
             for di, (cls, score, is_tp) in enumerate(_match_one_scene(dets, gts, thr, pair_iou)):
                 rows.append((cls, score, is_tp, si, di))
-    results = [
-        _evaluate_pooled(rows, gt_counts, thr, ap) for rows, thr in zip(pooled, iou_thresholds)
-    ]
+    results = [_evaluate_pooled(rows, gt_counts, thr) for rows, thr in zip(pooled, iou_thresholds)]
     return ApResult(results=results)
 
 

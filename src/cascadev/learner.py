@@ -338,27 +338,23 @@ def train_cascade(
     b: int = 64,
     hidden: int = 32,
     denoising_k: int = 4,
-    batch_scenes: int = 1,
     weights: LossWeights = LossWeights(),
     weighting: str = "exp_neg_dist",
 ) -> tuple[HeadParams, list[LossReport]]:
-    """SGD over mini-batches of scenes in round-robin order.
+    """SGD over the scenes one at a time, in round-robin order.
 
     Each scene's stage-1 proposals are seeded once: b uniform candidates
     plus a pinned denoising group (the denoising_k points nearest each
-    ground-truth center). Every step takes the next batch_scenes scenes
-    and runs the cascade on each with the step's starting heads. Each
-    stage then takes one SGD update from the batch-averaged gradient of
-    its losses on its recorded inputs and assignment. A prediction the cascade rejects or a box it
-    cannot decode raises TrainingDivergedError, as does a non-finite loss
-    or an update that leaves a non-finite parameter.
-    Returns the trained parameters and one LossReport per (step, stage)
-    holding batch-mean losses and the summed positive count.
+    ground-truth center). Step s runs the cascade on scene s % len(scenes)
+    with the step's starting heads. Each stage then takes one SGD update
+    from the gradient of its losses on its recorded inputs and assignment.
+    A prediction the cascade rejects or a box it cannot decode raises
+    TrainingDivergedError, as does a non-finite loss or an update that
+    leaves a non-finite parameter.
+    Returns the trained parameters and one LossReport per (step, stage).
     """
     if steps < 1:
         raise ValueError(f"need steps >= 1, got {steps}")
-    if batch_scenes < 1:
-        raise ValueError(f"need batch_scenes >= 1, got {batch_scenes}")
     if denoising_k < 1:
         raise ValueError(f"need denoising_k >= 1, got {denoising_k}")
     if not scenes:
@@ -379,48 +375,26 @@ def train_cascade(
               for s in scenes]
     history: list[LossReport] = []
     for step in range(steps):
-        batch = []
-        for j in range(batch_scenes):
-            i = (step * batch_scenes + j) % len(scenes)
-            forwards.clear()
-            try:
-                trace = run_cascade(seeded[i], predictors, sched, scenes[i].gt_boxes,
-                                    weighting=weighting)
-            except (PredictorOutputError, InvalidDeltasError) as exc:
-                raise TrainingDivergedError(f"cascade failed at step {step}: {exc}") from exc
-            batch.append(list(zip(trace.stages, forwards)))
-        for l, sp in enumerate(params.stages, start=1):
-            acc = {
-                name: [np.zeros_like(a) for a in bp.arrays()]
-                for name, bp in sp.branches().items()
-            }
-            loss_sums = np.zeros(3)
-            positives = 0
-            for stages in batch:
-                rec, (outputs, acts) = stages[l - 1]
-                rep, (g_cls, g_reg, g_cent) = compute_losses(
-                    outputs, rec.assignment, weights, step=step, stage=l
-                )
-                loss_sums += (rep.classification_loss, rep.regression_loss, rep.centerness_loss)
-                positives += rep.positive_count
-                for (name, bp), h, g in zip(
-                    sp.branches().items(), acts, (g_cls, g_reg, g_cent[:, None])
-                ):
-                    for a, ga in zip(acc[name], _backward(bp, rec.proposals_in.features, h, g)):
-                        a += ga
-            report = LossReport(
-                step=step,
-                stage=l,
-                classification_loss=float(loss_sums[0]) / len(batch),
-                regression_loss=float(loss_sums[1]) / len(batch),
-                centerness_loss=float(loss_sums[2]) / len(batch),
-                positive_count=positives,
+        i = step % len(scenes)
+        forwards.clear()
+        try:
+            trace = run_cascade(seeded[i], predictors, sched, scenes[i].gt_boxes,
+                                weighting=weighting)
+        except (PredictorOutputError, InvalidDeltasError) as exc:
+            raise TrainingDivergedError(f"cascade failed at step {step}: {exc}") from exc
+        for l, (sp, rec, (outputs, acts)) in enumerate(
+                zip(params.stages, trace.stages, forwards), start=1):
+            report, (g_cls, g_reg, g_cent) = compute_losses(
+                outputs, rec.assignment, weights, step=step, stage=l
             )
             _check_finite(report, step)
             history.append(report)
-            for name, bp in sp.branches().items():
-                for key, arr, ga in zip(("w1", "b1", "w2", "b2"), bp.arrays(), acc[name]):
-                    arr -= lr * ga / len(batch)
+            for (name, bp), h, g in zip(
+                sp.branches().items(), acts, (g_cls, g_reg, g_cent[:, None])
+            ):
+                grads = _backward(bp, rec.proposals_in.features, h, g)
+                for key, arr, ga in zip(("w1", "b1", "w2", "b2"), bp.arrays(), grads):
+                    arr -= lr * ga
                     if not np.isfinite(arr).all():
                         raise TrainingDivergedError(
                             f"non-finite {name} {key} after the update at step {step}, "

@@ -287,23 +287,22 @@ def gen_scene(cfg: SceneConfig, seed: int) -> SyntheticScene:
     )
 
 
-def match_points_to_gt(points, gts: Boxes) -> np.ndarray:
-    """Each row's ground-truth box for an (N, 3) array; returns (N,) indices.
+def _containing_box(pts: np.ndarray, gts: Boxes) -> np.ndarray:
+    """Each row's containing ground-truth box for an (N, 3) array, else -1.
 
     A point is inside a box when its smallest face distance is >= -1e-9,
-    the strictly smaller volume wins among containing boxes, and points
-    inside none go to the nearest center (np.linalg.norm), the lower
-    index winning a tie. Each box runs that exact test only on the points
-    within its window: |x - cx| and |y - cy| no more than the xy
-    circumradius of its half extents plus the band, |z - cz| no more than
-    its half height plus the band, each widened by _WINDOW_SLACK. Every
-    point that passes the test lies in the window, so the owners are the
-    same as from testing every point against every box.
+    and the strictly smaller volume wins among containing boxes. Each box
+    runs that exact test only on the points within its window: |x - cx|
+    and |y - cy| no more than the xy circumradius of its half extents plus
+    the band, |z - cz| no more than its half height plus the band, each
+    widened by _WINDOW_SLACK. Every point that passes the test lies in the
+    window, so the owners are the same as from testing every point against
+    every box.
     """
-    # Column-major, so the per-box windows below read contiguous columns.
-    pts = np.asfortranarray(points_as_array(points))
     if len(pts) and not len(gts):
         raise ValueError("cannot match points without ground-truth boxes")
+    # Column-major, so the per-box windows below read contiguous columns.
+    pts = np.asfortranarray(pts)
     owner = np.full(len(pts), -1, dtype=np.int64)
     best_vol = np.full(len(pts), math.inf)
     half = gts.sizes / 2.0
@@ -322,6 +321,14 @@ def match_points_to_gt(points, gts: Boxes) -> np.ndarray:
         better = inside[vol < best_vol[inside]]
         owner[better] = gi
         best_vol[better] = vol
+    return owner
+
+
+def match_points_to_gt(points, gts: Boxes) -> np.ndarray:
+    """Each row's ground-truth box for an (N, 3) array: its _containing_box, else
+    the nearest center (np.linalg.norm), the lower index winning a tie."""
+    pts = points_as_array(points)
+    owner = _containing_box(pts, gts)
     free = np.flatnonzero(owner < 0)
     if len(free):
         rest = pts[free]
@@ -463,9 +470,14 @@ def oracle_seed_centerness(scene: SyntheticScene, noise: OracleNoise, seed: int 
     of each point against its matched box, with the oracle's centerness
     noise applied. Draws come from a separate stream keyed alongside
     the oracle's, keeping selection independent of prediction noise.
+    A point in no box is more than 1e-9 outside every box, so only the
+    contained points are measured; the rest score 0 against any box.
     """
     gts = Boxes.of(scene.gt_boxes)
-    _, vals = matched_faces(gts, scene.points, match_points_to_gt(scene.points, gts))
+    owner = _containing_box(scene.points, gts)
+    inside = np.flatnonzero(owner >= 0)
+    vals = np.zeros(scene.num_points)
+    vals[inside] = matched_faces(gts, scene.points[inside], owner[inside])[1]
     if noise.centerness_bias > 0.0:
         rng = _rng((scene.seed << 1) ^ seed ^ 0x5EED)
         vals = np.clip(vals + noise.centerness_bias * rng.normal(size=len(vals)), 0.0, 1.0)

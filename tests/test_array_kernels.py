@@ -40,7 +40,13 @@ from cascadev.geometry import (
     normalize_yaw,
 )
 from cascadev.overlap import Detections
-from cascadev.synth import match_points_to_gt
+from cascadev.synth import (
+    OracleNoise,
+    SceneConfig,
+    gen_scene,
+    match_points_to_gt,
+    oracle_seed_centerness,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -230,6 +236,31 @@ def test_match_points_to_gt_empty_inputs():
     assert match_points_to_gt(np.zeros((0, 3)), Boxes.of([])).shape == (0,)
     with pytest.raises(ValueError):
         match_points_to_gt(xyz([box.center]), Boxes.of([]))
+
+
+YAWED_SCENE = SceneConfig(num_gt=(2, 4), yaw_enabled=True, points_per_box=40, num_clutter=120)
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from([0.0, 0.15]))
+def test_seed_centerness_equals_centerness_against_every_owner(data, bias):
+    # Seed scoring measures contained points only. A point inside no box is
+    # more than 1e-9 outside every box, so its nearest-center owner would give
+    # it centerness 0 too; the fallback may be skipped without changing a bit.
+    scene = gen_scene(YAWED_SCENE, data.draw(st.integers(0, 2**16)))
+    extra = data.draw(st.lists(st.one_of(*(window_probes(g) for g in scene.gt_boxes)),
+                               max_size=32))
+    pts = np.concatenate([scene.points, xyz(extra)])
+    scene = dataclasses.replace(scene, points=pts)
+    seed = data.draw(st.integers(0, 7))
+    got = raising(oracle_seed_centerness, scene, OracleNoise(centerness_bias=bias), seed)
+    gts = Boxes.of(scene.gt_boxes)
+    want = matched_faces(gts, pts, match_points_to_gt(pts, gts))[1]
+    if bias:
+        # The seed-scoring noise stream, keyed as in oracle_seed_centerness.
+        rng = np.random.Generator(np.random.Philox(key=(scene.seed << 1) ^ seed ^ 0x5EED))
+        want = np.clip(want + bias * rng.normal(size=len(want)), 0.0, 1.0)
+    assert got.tobytes() == want.tobytes()
 
 
 def owned_rows(data):

@@ -182,13 +182,17 @@ class TestPipeline:
         scenes = tmp_path / "scenes"
         main(["gen", "--config", cfg_path, "--out", str(scenes)])
         traces = tmp_path / "traces"
-        main(["run", str(scenes), "--config", cfg_path, "--out", str(traces),
-              "--weighting", "literal"])
+        assert main(["run", str(scenes), "--config", cfg_path, "--out", str(traces),
+                     "--weighting", "literal"]) == 0
         metrics = tmp_path / "metrics"
-        assert main(
-            ["eval", str(traces), "--config", cfg_path, "--out", str(metrics),
-             "--ap", "11point"]
-        ) == 0
+        assert main(["eval", str(traces), "--config", cfg_path, "--out", str(metrics)]) == 0
+
+    def test_ap_flag_is_a_usage_error(self, tmp_path, capsys):
+        # AP is always the continuous area; there is no --ap to choose it.
+        with pytest.raises(SystemExit) as info:
+            main(["eval", str(tmp_path), "--out", str(tmp_path / "o"), "--ap", "continuous"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --ap continuous" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -377,6 +381,8 @@ class TestExitCodes:
         ("eval", "iou_thresholds", [0.5, float("nan")], "invalid iou_thresholds"),
         ("gen", "predictor", True, "predictor must be a string, got True"),
         ("eval", "iou", "rotated", "unknown run config keys: ['iou']\n"),
+        ("eval", "ap", "continuous", "unknown run config keys: ['ap']\n"),
+        ("train", "batch_scenes", 1, "unknown run config keys: ['batch_scenes']\n"),
     ])
     def test_bad_top_level_value_is_config_error(self, tmp_path, command, key, value, message,
                                                  capsys):
@@ -396,7 +402,6 @@ class TestExitCodes:
         ("train", "steps", 2.5),
         ("train", "hidden", 2.5),
         ("train", "denoising_k", 2.0),
-        ("train", "batch_scenes", False),
     ])
     def test_non_integer_count_is_config_error(self, tmp_path, command, key, value, capsys):
         bad = tmp_path / "bad.json"

@@ -1,16 +1,19 @@
+import contextlib
+import io
 import json
 import math
-from dataclasses import dataclass, field
+import os
+import tempfile
+from dataclasses import dataclass, field, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadev.assignment import CpaSchedule
-from cascadev.cli import PREDICTORS, RunConfig, run_config_from_doc
+from cascadev.cli import PREDICTORS, RunConfig, main, run_config_from_doc
 from cascadev.config import check_types, from_doc
 from cascadev.errors import ConfigError
-from cascadev.evaluation import AP_MODES
 from cascadev.learner import LossWeights
 from cascadev.synth import OracleNoise, SceneConfig
 from cascadev.voting import WEIGHTINGS
@@ -172,14 +175,12 @@ def run_configs(draw):
                           draw(_finite(0.0, 0.99)), draw(_finite(0.0, 1.0))),
         iou_thresholds=tuple(draw(st.lists(_finite(0.01, 0.99), min_size=1, max_size=4))),
         weighting=draw(st.sampled_from(WEIGHTINGS)),
-        ap=draw(st.sampled_from(AP_MODES)),
         ensemble=draw(st.none() | st.just((first, draw(st.integers(first, stages))))),
         nms_iou=draw(_finite(0.01, 0.99)),
         steps=draw(st.integers(1, 10**5)),
         lr=draw(_finite(1e-9, 10.0) | st.integers(1, 5)),
         hidden=draw(st.integers(1, 64)),
         denoising_k=draw(st.integers(1, 8)),
-        batch_scenes=draw(st.integers(1, 8)),
         loss_weights=LossWeights(*(draw(_finite(0.0, 5.0)) for _ in range(4))),
     )
 
@@ -190,3 +191,74 @@ def test_resolved_doc_round_trips_through_json(cfg):
     again = run_config_from_doc(json.loads(json.dumps(cfg.resolved_doc())))
     assert again == cfg
     assert json.dumps(again.resolved_doc()) == json.dumps(cfg.resolved_doc())
+
+
+@st.composite
+def small_run_configs(draw):
+    """run_configs at a few tiny scenes and steps, with the edge values that
+    once broke a command's hand-off: feature noise that overflows (1e308),
+    an SGD step that overflows the weights (lr and class-loss weight 1e300)
+    and oracle noise that overflows the decoded boxes (1e300)."""
+    cfg = draw(run_configs())
+
+    def sometimes(value, edge):
+        return draw(st.sampled_from([value, value, value, edge]))
+
+    scene = replace(
+        cfg.scene,
+        points_per_box=min(cfg.scene.points_per_box, 20),
+        num_clutter=min(cfg.scene.num_clutter, 30),
+        # Half the scenes in the roomy default workspace, where every box fits.
+        workspace=draw(st.sampled_from([cfg.scene.workspace, SceneConfig().workspace])),
+        sigma_feature=sometimes(cfg.scene.sigma_feature, 1e308),
+    )
+    noise = replace(cfg.noise, sigma_delta=sometimes(cfg.noise.sigma_delta, 1e300))
+    # The overflowing update is the last step's, so its weights reach model.json.
+    lr, cls, steps = sometimes((cfg.lr, cfg.loss_weights.cls, 1 + cfg.steps % 2), (1e300, 1e300, 1))
+    return replace(
+        cfg, num_scenes=1 + cfg.num_scenes % 2, steps=steps, scene=scene,
+        noise=noise, lr=lr, loss_weights=replace(cfg.loss_weights, cls=cls),
+        hidden=min(cfg.hidden, 8), model=None,
+    )
+
+
+def _cli(argv: list[str], cfg: RunConfig, workdir: str) -> int:
+    """Exit code of one in-process command; any failure says one line on stderr."""
+    path = os.path.join(workdir, "cfg.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(cfg.resolved_doc(), fh)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv + ["--config", path])
+    assert code in (0, 2, 3, 4), (argv, code)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (code != 0), (argv, lines)
+    return code
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_run_configs())
+def test_what_one_command_writes_the_next_one_reads(cfg):
+    # gen, run and eval with the oracle, train, then run and eval with the
+    # trained head. Each command exits 0, 2, 3 or 4, and a file written with
+    # exit 0 never reads back as a data error (exit 3).
+    with tempfile.TemporaryDirectory() as work:
+        scenes, model = os.path.join(work, "scenes"), os.path.join(work, "model")
+
+        def run_and_eval(run_cfg: RunConfig, name: str) -> None:
+            traces = os.path.join(work, name)
+            code = _cli(["run", scenes, "--out", traces], run_cfg, work)
+            assert code != 3
+            if code == 0:
+                metrics = os.path.join(work, f"{name}_metrics")
+                assert _cli(["eval", traces, "--out", metrics], run_cfg, work) != 3
+
+        if _cli(["gen", "--out", scenes], cfg, work):
+            return
+        run_and_eval(replace(cfg, predictor="oracle"), "traces")
+        trained = _cli(["train", scenes, "--out", model], cfg, work)
+        assert trained != 3
+        if trained == 0:
+            head = replace(cfg, predictor="head",
+                                       model=os.path.join(model, "model.json"))
+            run_and_eval(head, "head_traces")

@@ -6,7 +6,7 @@ import pytest
 from cascadev import evaluation
 from cascadev.assignment import CpaSchedule
 from cascadev.cascade import run_cascade
-from cascadev.errors import DataError, WrongVariantError
+from cascadev.errors import DataError
 from cascadev.evaluation import (
     ApResult,
     cascade_stats,
@@ -30,9 +30,9 @@ def det(box, score, cls, stage=1):
     return Detection(box=box, score=score, class_id=cls, stage=stage)
 
 
-def one_scene_ap(dets, gts, iou_threshold, **kwargs):
+def one_scene_ap(dets, gts, iou_threshold):
     """AP of one scene at one threshold."""
-    return evaluate_scenes([(dets, gts)], [iou_threshold], **kwargs)
+    return evaluate_scenes([(dets, gts)], [iou_threshold])
 
 
 def fixture_two_gts():
@@ -63,12 +63,6 @@ class TestAveragePrecision:
         recalls, precisions = res.at(0.5).pr_curves[0]
         assert recalls == pytest.approx([0.5, 0.5, 1.0])
         assert precisions == pytest.approx([1.0, 0.5, 2.0 / 3.0])
-
-    def test_hand_fixture_11point(self):
-        dets, gts = fixture_two_gts()
-        res = one_scene_ap(dets, gts, 0.5, ap="11point")
-        # Six grid points see precision 1, five see 2/3.
-        assert res.at(0.5).mean_ap == pytest.approx(28.0 / 33.0, abs=1e-12)
 
     def test_detection_order_irrelevant(self):
         dets, gts = fixture_two_gts()
@@ -158,8 +152,6 @@ class TestAveragePrecision:
 
     def test_variant_validation(self):
         g = OrientedBox(Point3(0, 0, 0), (1, 1, 1), class_id=0)
-        with pytest.raises(WrongVariantError):
-            one_scene_ap([], [g], 0.5, ap="101point")
         with pytest.raises(ValueError):
             one_scene_ap([], [g], 1.5)
 

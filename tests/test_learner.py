@@ -355,19 +355,9 @@ class TestTrainCascade:
 
         monkeypatch.setattr(cascade, "hand_off", spy)
         scenes = [gen_scene(SMALL_CFG, seed=s) for s in range(3)]
-        steps, batch_scenes = 4, 2
-        train_cascade(scenes, SCHED, steps, 1e-2, 0, b=16, denoising_k=2,
-                      batch_scenes=batch_scenes)
-        assert len(calls) == steps * (SCHED.num_stages - 1) * batch_scenes
-
-    def test_batched_scenes_pool_positives(self):
-        scenes = [gen_scene(SMALL_CFG, seed=s) for s in range(4)]
-        _, history = train_cascade(
-            scenes, SCHED, 10, 1e-2, 0, b=32, denoising_k=2, batch_scenes=2
-        )
-        for rep in history:
-            if rep.stage == 1:
-                assert rep.positive_count == 8
+        steps = 4
+        train_cascade(scenes, SCHED, steps, 1e-2, 0, b=16, denoising_k=2)
+        assert len(calls) == steps * (SCHED.num_stages - 1)
 
     def test_nan_features_raise_diverged(self):
         scene = gen_scene(SMALL_CFG, seed=1)
@@ -417,8 +407,6 @@ class TestTrainCascade:
         scene = gen_scene(SMALL_CFG, seed=2)
         with pytest.raises(ValueError):
             train_cascade([scene], SCHED, 0, 1e-2, 0)
-        with pytest.raises(ValueError):
-            train_cascade([scene], SCHED, 5, 1e-2, 0, batch_scenes=0)
         with pytest.raises(ValueError):
             train_cascade([], SCHED, 5, 1e-2, 0)
         with pytest.raises(ValueError, match="need denoising_k >= 1, got 0"):
