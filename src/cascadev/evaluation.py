@@ -27,7 +27,7 @@ from scipy import stats as _scipy_stats
 from .cascade import StageTrace
 from .errors import DataError
 from .geometry import Boxes, OrientedBox, matched_faces
-from .overlap import Detection, footprint_iou, footprints
+from .overlap import Detection, footprint_iou, footprints, pair_ious
 from .synth import match_points_to_gt
 
 # Not called here; perfbench/bench_trace.py patches these names on this module.
@@ -228,7 +228,6 @@ def cascade_stats(traces: list[StageTrace]) -> CascadeStats:
 
     for trace in traces:
         gts = Boxes.of(trace.gts)
-        gt_fps = footprints(gts)
         for si, rec in enumerate(trace.stages):
             per_stage_pos[si] += rec.assignment.num_regular_positives
             keep = np.flatnonzero(rec.proposals_in.denoising_gt < 0)
@@ -236,14 +235,9 @@ def cascade_stats(traces: list[StageTrace]) -> CascadeStats:
             owner = match_points_to_gt(pts, gts)
             before = matched_faces(gts, pts, owner)[1].tolist()
             dets = rec.detections
-            boxes = Boxes(dets.centers[keep], dets.sizes[keep], dets.yaws[keep],
-                          dets.class_ids[keep])
             per_stage_before[si].extend(before)
-            per_stage_after[si].extend(matched_faces(gts, boxes.centers, owner)[1].tolist())
-            per_stage_pairs[si].extend(
-                (b, footprint_iou(fp, gt_fps[gi]))
-                for fp, gi, b in zip(footprints(boxes), owner.tolist(), before)
-            )
+            per_stage_after[si].extend(matched_faces(gts, dets.centers[keep], owner)[1].tolist())
+            per_stage_pairs[si].extend(zip(before, pair_ious(dets, keep, gts, owner).tolist()))
 
     stages = []
     for si in range(num_stages):

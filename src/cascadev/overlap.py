@@ -3,10 +3,18 @@
 Rotated IoU is computed as BEV polygon intersection area times vertical
 extent overlap: the two footprints are convex quadrilaterals, so the
 intersection comes from Sutherland-Hodgman clipping. Near-zero BEV
-intersection areas (< 1e-12) are treated as empty. Callers that compare
-many boxes build each box's `Footprint` once from box columns and apply
-`footprint_iou` per pair; `iou_rotated` is the one-pair case of the same
-rule. NMS reads a `Detections` batch of columns and returns row indices.
+intersection areas (< 1e-12) are treated as empty. The rule has two
+forms that agree bit for bit:
+
+- one pair at a time: `footprint_iou` on `Footprint`s built once per
+  box, for AP matching's lazy pairs and box placement; `iou_rotated`
+  and `bev_intersection_area` are its one-pair cases.
+- many pairs at once: `pair_ious` runs the same float operations in the
+  same order over arrays of index pairs into box columns, for cascade
+  statistics and NMS. One call costs about as much as ten scalar pairs.
+
+NMS reads a `Detections` batch of columns and returns the greedy's kept
+row indices from a few batched passes (see `nms`).
 
 All functions are pure and thread-safe.
 """
@@ -215,23 +223,229 @@ def iou_mc(a: OrientedBox, b: OrientedBox, n_samples: int, seed: int = 0) -> tup
     return iou, se_iou
 
 
+# --- the batched rule: footprint_iou over index pairs, bit for bit ----------
+
+# Exact rounds before nms scores every open pair at once. On 1,536-row pooled
+# scenes, 2 rounds leave 1k-4k of ~100k pairs open; running rounds to the end
+# takes 20-40, and 2 measured fastest.
+_EXACT_ROUNDS = 2
+# Candidate pairs screened per array pass, which bounds nms's temporaries.
+_PAIR_CHUNK = 1 << 14
+
+
+class _Columns(NamedTuple):
+    """Footprint fields of a box batch as columns.
+
+    key (N, 7) is each box's (x, y, z, w, l, h, yaw); cx and cy (4, N) are
+    the _corner_array corners, one row per corner.
+    """
+
+    key: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z_lo: np.ndarray
+    z_hi: np.ndarray
+    radius: np.ndarray
+    volume: np.ndarray
+
+
+def _columns(boxes: Boxes) -> _Columns:
+    corners = _corner_array(boxes)
+    (x, y, z), h = boxes.centers.T, boxes.sizes[:, 2]
+    radius = [math.hypot(w, l) / 2.0 for w, l in boxes.sizes[:, :2].tolist()]
+    return _Columns(np.column_stack([boxes.centers, boxes.sizes, boxes.yaws]),
+                    corners[:, :, 0].T.copy(), corners[:, :, 1].T.copy(), x, y,
+                    z - h / 2.0, z + h / 2.0, np.array(radius, dtype=np.float64), boxes.volumes)
+
+
+def _within_reach(dx: np.ndarray, dy: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """not math.hypot(dx, dy) > reach, elementwise.
+
+    Squared distances decide every element where they clear reach**2 by a
+    margin far above their rounding error; math.hypot decides the rest.
+    (np.hypot is no substitute: it differs from math.hypot in the last bit.)
+    """
+    d2, r2 = dx * dx + dy * dy, reach * reach
+    out = d2 < r2 * (1.0 - 1e-9) - 1e-300
+    near = np.flatnonzero(~out & ~(d2 > r2 * (1.0 + 1e-9) + 1e-300))
+    out[near] = [not math.hypot(u, v) > r
+                 for u, v, r in zip(dx[near].tolist(), dy[near].tolist(), reach[near].tolist())]
+    return out
+
+
+def _clip_areas(x: np.ndarray, y: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """_intersection_area of P footprint pairs, bit for bit.
+
+    x, y (4, P) are the subject corners and cx, cy (4, P) the clip corners.
+    Sutherland-Hodgman runs on (K, P) vertex rows, the first n[p] valid
+    in column p: per clip edge, the scalar loop's side test, t and
+    intersection point run on every vertex at once, and each output vertex
+    lands at the row the scalar loop appends it at. The shoelace sum then
+    runs in vertex order.
+    """
+    p = x.shape[1]
+    col = np.arange(p)
+    n = np.full(p, 4)
+    for e in range(4):
+        if not len(x):  # every polygon is empty
+            break
+        ax, ay = cx[e], cy[e]
+        ex, ey = cx[(e + 1) % 4] - ax, cy[(e + 1) % 4] - ay
+        side = ex * (y - ay) - ey * (x - ax)
+        last = np.maximum(n - 1, 0)
+        prev_side = np.empty_like(side)
+        prev_side[1:] = side[:-1]
+        prev_side[0] = side[last, col]
+        valid = np.arange(len(x))[:, None] < n
+        inside = (side >= 0.0) & valid
+        cross = ((prev_side >= 0.0) != (side >= 0.0)) & valid
+        count = inside.view(np.int8) + cross.view(np.int8)
+        start = np.cumsum(count, axis=0, dtype=np.int64)
+        n = start[-1].copy()
+        start -= count
+        xf, yf, sf, start = x.ravel(), y.ravel(), side.ravel(), start.ravel()
+        width = n.max(initial=0)
+        nx, ny = np.zeros(width * p), np.zeros(width * p)
+        f = np.flatnonzero(cross)
+        c = f % p
+        pf = np.where(f < p, last[c] * p + c, f - p)  # each vertex's predecessor
+        t = sf[pf] / (sf[pf] - sf[f])
+        at = start[f] * p + c
+        nx[at] = xf[pf] + t * (xf[f] - xf[pf])
+        ny[at] = yf[pf] + t * (yf[f] - yf[pf])
+        f = np.flatnonzero(inside)
+        at = (start[f] + cross.ravel()[f]) * p + f % p
+        nx[at], ny[at] = xf[f], yf[f]
+        x, y = nx.reshape(width, p), ny.reshape(width, p)
+    # Shoelace: vertex k pairs with k + 1, and the last valid one with vertex 0.
+    last = np.maximum(n - 1, 0)
+    xn, yn = np.empty_like(x), np.empty_like(y)
+    xn[:-1], yn[:-1] = x[1:], y[1:]
+    if len(x):
+        xn[last, col], yn[last, col] = x[0], y[0]
+    acc = np.zeros(p)
+    for k in range(len(x)):
+        acc = np.where(k < n, acc + (x[k] * yn[k] - xn[k] * y[k]), acc)
+    area = np.abs(np.where(n >= 3, acc / 2.0, 0.0))
+    return np.where(area < _AREA_EPS, 0.0, area)
+
+
+def _ious(a: _Columns, ia: np.ndarray, b: _Columns, ib: np.ndarray) -> np.ndarray:
+    """footprint_iou of box a[ia[k]] with box b[ib[k]] for every k, bit for bit:
+    the same exits in the same order, then one batched clip."""
+    out = (a.key[ia] == b.key[ib]).all(axis=1).astype(np.float64)
+    oz = np.minimum(a.z_hi[ia], b.z_hi[ib]) - np.maximum(a.z_lo[ia], b.z_lo[ib])
+    live = np.flatnonzero((out == 0.0) & (oz > 0.0))
+    ja, jb = ia[live], ib[live]
+    live = live[_within_reach(a.x[ja] - b.x[jb], a.y[ja] - b.y[jb], a.radius[ja] + b.radius[jb])]
+    ja, jb = ia[live], ib[live]
+    area = _clip_areas(a.cx[:, ja], a.cy[:, ja], b.cx[:, jb], b.cy[:, jb])
+    inter = area * oz[live]
+    union = a.volume[ja] + b.volume[jb] - inter
+    nonzero = area > 0.0
+    out[live[nonzero]] = inter[nonzero] / union[nonzero]
+    return out
+
+
+def pair_ious(a: Boxes, ia: np.ndarray, b: Boxes, ib: np.ndarray) -> np.ndarray:
+    """Rotated IoU of box a[ia[k]] with box b[ib[k]] for every k, in array passes.
+
+    Bit-equal to footprint_iou of the two boxes' footprints, in that order
+    (the clip is not bit-symmetric). One call costs about as much as ten
+    scalar pairs, so callers comparing one pair at a time use footprint_iou.
+    """
+    return _ious(_columns(a), ia, _columns(b), ib)
+
+
+def _candidate_pairs(cols: _Columns, class_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Same-class row pairs (a, b), a < b, that footprint_iou could score above 0.
+
+    A pair is left out only where one of footprint_iou's exits certainly
+    ends it at 0: z overlap not above 0 (unless the boxes are identical),
+    or a center gap beyond the circumradius sum. A sort-and-sweep on x
+    per class lists the pairs whose x gap is within the row's circumradius
+    plus the class's largest; the window's margin covers rounding, so the
+    pairs it skips fail the circumradius exit. The listed ones are screened
+    _PAIR_CHUNK at a time.
+    """
+    n = len(class_ids)
+    perm = np.lexsort((cols.x, class_ids)).astype(np.int32)
+    cls, x, y = class_ids[perm], cols.x[perm], cols.y[perm]
+    z_lo, z_hi, r = cols.z_lo[perm], cols.z_hi[perm], cols.radius[perm]
+    flat = ~(z_hi > z_lo)
+    end = np.empty(n, dtype=np.int64)
+    edges = np.flatnonzero(np.diff(cls)) + 1
+    for lo, hi in zip([0, *edges.tolist()], [*edges.tolist(), n]):
+        xs, rs = x[lo:hi], r[lo:hi]
+        window = (rs + rs.max()) * (1.0 + 1e-9) + 1e-9 * np.abs(xs)
+        end[lo:hi] = lo + np.searchsorted(xs, xs + window, side="right")
+    count = end - np.arange(1, n + 1)
+    before = np.cumsum(count) - count
+    out_a, out_b = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
+    i0 = 0
+    while i0 < n:
+        i1 = max(i0 + 1, int(np.searchsorted(before, before[i0] + _PAIR_CHUNK)))
+        c = count[i0:i1]
+        f = np.repeat(np.arange(i0, i1), c)
+        s = np.arange(len(f)) + np.repeat(np.arange(i0 + 1, i1 + 1) - (np.cumsum(c) - c), c)
+        oz = np.minimum(z_hi[f], z_hi[s]) - np.maximum(z_lo[f], z_lo[s])
+        ok = oz > 0.0
+        if flat[i0:i1].any():  # identical zero-height boxes still score 1.0
+            ok |= flat[f] & (cols.key[perm[f]] == cols.key[perm[s]]).all(axis=1)
+        f, s = f[ok], s[ok]
+        ok = _within_reach(x[f] - x[s], y[f] - y[s], r[f] + r[s])
+        f, s = perm[f[ok]], perm[s[ok]]
+        out_a.append(np.minimum(f, s))
+        out_b.append(np.maximum(f, s))
+        i0 = i1
+    return np.concatenate(out_a), np.concatenate(out_b)
+
+
 def nms(dets: Detections, iou_threshold: float) -> list[int]:
     """Greedy class-wise NMS; returns kept row indices into dets.
 
     Detections are visited by descending score (ties by lower row
     index); one is suppressed iff its rotated IoU with an already-kept
     detection of the same class strictly exceeds the threshold.
+
+    The greedy's decisions come from a few batched IoU calls. Rows are
+    ranked by visit order, and candidate pairs are the same-class pairs
+    footprint_iou could score above 0. Each of _EXACT_ROUNDS rounds keeps
+    every open row with no open higher-ranked partner, then suppresses
+    that row's open partners above the threshold, as the greedy would.
+    One more call scores the pairs still open, and the greedy finishes in
+    rank order on those verdicts. A row's fate depends only on the kept
+    rows ranked above it that it could overlap, and every IoU is
+    footprint_iou(higher-ranked, lower-ranked) bit for bit, so the kept
+    list is the greedy's exactly.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {iou_threshold}")
-    order = np.argsort(-dets.scores, kind="stable").tolist()
-    fps = footprints(dets)
-    class_ids = dets.class_ids.tolist()
-    kept: list[int] = []
-    kept_by_class: dict[int, list[Footprint]] = {}
-    for i in order:
-        same_class = kept_by_class.setdefault(class_ids[i], [])
-        if not any(footprint_iou(k, fps[i]) > iou_threshold for k in same_class):
-            same_class.append(fps[i])
-            kept.append(i)
-    return kept
+    order = np.argsort(-dets.scores, kind="stable")
+    n = len(order)
+    ranked = Boxes(dets.centers[order], dets.sizes[order], dets.yaws[order],
+                   dets.class_ids[order])
+    cols = _columns(ranked)
+    a, b = _candidate_pairs(cols, ranked.class_ids)
+    fate = np.zeros(n, dtype=np.int8)  # by rank: 0 open, 1 kept, -1 suppressed
+    for _ in range(_EXACT_ROUNDS):
+        blocked = np.zeros(n, dtype=bool)
+        blocked[b] = True
+        keep = (fate == 0) & ~blocked
+        fate[keep] = 1
+        test = keep[a]
+        hit = _ious(cols, a[test], cols, b[test]) > iou_threshold
+        fate[b[test][hit]] = -1
+        still_open = (fate[a] == 0) & (fate[b] == 0)
+        a, b = a[still_open], b[still_open]
+    hit = _ious(cols, a, cols, b) > iou_threshold
+    suppressors: dict[int, list[int]] = {}
+    for lo, hi in zip(b[hit].tolist(), a[hit].tolist()):
+        suppressors.setdefault(lo, []).append(hi)
+    fate = fate.tolist()
+    for r in range(n):
+        if fate[r] == 0:
+            fate[r] = -1 if any(fate[s] == 1 for s in suppressors.get(r, ())) else 1
+    return [i for i, f in zip(order.tolist(), fate) if f == 1]

@@ -87,6 +87,16 @@ class SceneConfig:
             if not math.isfinite(b - a):
                 raise ValueError(f"workspace {axis} extent ({a}, {b}) is too wide: "
                                  "hi - lo overflows")
+        # Placement keeps every box inside the workspace, a yawed one within its
+        # footprint diagonal, so an axis narrower than the smallest box the
+        # config can draw fails every draw.
+        need = [a for a, _ in self.size_range]
+        if self.yaw_enabled:
+            need[0] = need[1] = math.hypot(need[0], need[1])
+        for axis, smallest, (a, b) in zip("xyz", need, self.workspace):
+            if b - a < smallest:
+                raise ValueError(f"workspace {axis} width {b - a:g} is narrower than the "
+                                 f"smallest box the config draws ({smallest:g})")
         if self.points_per_box < 1 or self.num_clutter < 0:
             raise ValueError("need points_per_box >= 1 and num_clutter >= 0")
         if self.num_classes < 1:

@@ -833,6 +833,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: model expects feature_dim 16, scene_0003.json has 20")
 
+    def test_workspace_narrower_than_any_box_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "narrow.json"
+        cfg.write_text(json.dumps({
+            "num_scenes": 1, "scene": {"workspace": [[-4.0, 4.0], [0.0, 0.3], [0.0, 2.6]]},
+        }))
+        capsys.readouterr()
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: invalid scene config: workspace y width 0.3 is narrower than the "
+            "smallest box the config draws (0.45)\n")
+        assert not (tmp_path / "o").exists()
+
     def test_no_room_for_clutter_is_data_error(self, tmp_path):
         cfg = tmp_path / "full.json"
         cfg.write_text(json.dumps({

@@ -7,7 +7,7 @@ import tempfile
 from dataclasses import dataclass, field, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cascadev.assignment import CpaSchedule
@@ -132,6 +132,27 @@ def test_workspace_wider_than_a_float_rejected(axis, extent):
         SceneConfig(workspace=tuple(workspace))
 
 
+@pytest.mark.parametrize("yaw_enabled, workspace, message", [
+    (False, ((-4.0, 4.0), (0.0, 0.3), (0.0, 2.6)), r"workspace y width 0.3 .* \(0.45\)$"),
+    (False, ((-4.0, 4.0), (-4.0, 4.0), (1.0, 1.3)), r"workspace z width 0.3 .* \(0.4\)$"),
+    (True, ((0.0, 0.6), (-4.0, 4.0), (0.0, 2.6)), r"workspace x width 0.6 .* \(0.636396\)$"),
+])
+def test_workspace_narrower_than_the_smallest_box_rejected(yaw_enabled, workspace, message):
+    # Every placement draw would fail: the axis cannot hold the smallest box
+    # size_range allows, or on x and y its footprint diagonal when yawed.
+    with pytest.raises(ValueError, match="^" + message):
+        SceneConfig(workspace=workspace, yaw_enabled=yaw_enabled)
+
+
+@pytest.mark.parametrize("yaw_enabled, workspace", [
+    (False, ((-4.0, 4.0), (0.0, 0.45), (0.0, 2.6))),
+    (False, ((0.0, 0.6), (-4.0, 4.0), (0.0, 2.6))),
+    (True, ((0.0, math.hypot(0.45, 0.45)), (-4.0, 4.0), (0.0, 2.6))),
+])
+def test_workspace_that_holds_the_smallest_box_accepted(yaw_enabled, workspace):
+    SceneConfig(workspace=workspace, yaw_enabled=yaw_enabled)
+
+
 def test_run_config_document_errors_are_config_errors():
     with pytest.raises(ConfigError, match=r"^b must be an integer, got 2\.5$"):
         run_config_from_doc({"b": 2.5})
@@ -152,13 +173,24 @@ def run_configs(draw):
     extents = st.tuples(_finite(-10.0, 0.0), _finite(0.5, 10.0))
     sizes = st.tuples(_finite(0.1, 1.0), _finite(1.0, 2.0))
     classes = draw(st.integers(1, 6))
+    num_gt = draw(st.tuples(st.integers(1, 3), st.integers(3, 5)))
+    size_range = draw(st.tuples(sizes, sizes, sizes))
+    yaw_enabled = draw(st.booleans())
+    points_per_box = draw(st.integers(1, 500))
+    num_clutter = draw(st.integers(0, 500))
+    workspace = draw(st.tuples(extents, extents, extents))
+    # An axis narrower than the smallest box the sizes allow is a config error.
+    smallest = [lo for lo, _ in size_range]
+    if yaw_enabled:
+        smallest[0] = smallest[1] = math.hypot(smallest[0], smallest[1])
+    assume(all(hi - lo >= s for (lo, hi), s in zip(workspace, smallest)))
     scene = SceneConfig(
-        num_gt=draw(st.tuples(st.integers(1, 3), st.integers(3, 5))),
-        size_range=draw(st.tuples(sizes, sizes, sizes)),
-        yaw_enabled=draw(st.booleans()),
-        points_per_box=draw(st.integers(1, 500)),
-        num_clutter=draw(st.integers(0, 500)),
-        workspace=draw(st.tuples(extents, extents, extents)),
+        num_gt=num_gt,
+        size_range=size_range,
+        yaw_enabled=yaw_enabled,
+        points_per_box=points_per_box,
+        num_clutter=num_clutter,
+        workspace=workspace,
         num_classes=classes,
         sigma_feature=draw(_finite(0.0, 1.0)),
         feature_dim=3 + classes + draw(st.integers(0, 8)),

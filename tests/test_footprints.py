@@ -1,10 +1,11 @@
 """Footprint IoU and NMS against the scalar rotated-IoU path, by exact equality.
 
 `footprints` builds every box's corners with one batched product and
-`footprint_iou` applies the rotated-IoU rule to two footprints; NMS, AP
-matching, cascade statistics and box placement all go through them.
-Kept lists, mAP and traces stay byte-identical only if each IoU is
-bit-equal to the per-pair scalar path copied below (one corner
+`footprint_iou` applies the rotated-IoU rule to two footprints; AP
+matching and box placement go through them. `pair_ious` applies the
+same rule to index pairs in array passes; NMS and cascade statistics go
+through it. Kept lists, mAP and traces stay byte-identical only if each
+IoU is bit-equal to the per-pair scalar path copied below (one corner
 matmul per box, Sutherland-Hodgman on NumPy scalars), so these
 properties use ==, never a tolerance, and run the new code with
 warnings raised as errors.
@@ -12,8 +13,10 @@ warnings raised as errors.
 
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,14 +26,18 @@ from cascadev.assignment import CpaSchedule
 from cascadev.cascade import run_cascade
 from cascadev.evaluation import _scene_iou, cascade_stats
 from cascadev.geometry import Boxes, OrientedBox, Point3
+from cascadev import overlap
 from cascadev.overlap import (
     Detection,
+    Detections,
     _corner_array,
+    _within_reach,
     bev_intersection_area,
     footprint_iou,
     footprints,
     iou_rotated,
     nms,
+    pair_ious,
 )
 from cascadev.synth import (
     OracleNoise,
@@ -212,6 +219,51 @@ def test_footprints_of_a_list_equal_scalar_iou_per_pair(bxs):
 
 
 @st.composite
+def kernel_pairs(draw):
+    """box_pairs, plus centers exactly at (or one ulp either side of) the
+    circumradius sum, yaws at multiples of pi/2, and centers near 1e6."""
+    kind = draw(st.sampled_from(["pair", "reach", "quarter_turns", "far"]))
+    if kind == "pair":
+        return draw(box_pairs())
+    a, b = draw(boxes()), draw(boxes())
+    if kind == "reach":
+        reach = (math.hypot(*a.size[:2]) + math.hypot(*b.size[:2])) / 2.0
+        gap = draw(st.sampled_from([reach, math.nextafter(reach, 0.0),
+                                    math.nextafter(reach, math.inf)]))
+        return (OrientedBox(Point3(0.0, a.center.y, a.center.z), a.size, yaw=a.yaw),
+                OrientedBox(Point3(gap, a.center.y, b.center.z), b.size, yaw=b.yaw))
+    if kind == "quarter_turns":
+        return tuple(OrientedBox(box.center, box.size, yaw=draw(st.integers(-4, 4)) * math.pi / 2)
+                     for box in (a, b))
+    a, b = draw(box_pairs())
+    return tuple(OrientedBox(Point3(box.center.x + 1e6, box.center.y - 1e6, box.center.z),
+                             box.size, yaw=box.yaw) for box in (a, b))
+
+
+@SETTINGS
+@given(st.lists(kernel_pairs(), min_size=1, max_size=12))
+def test_pair_kernel_equals_scalar_iou(pairs):
+    # One batch of mixed pairs, so vertex rows of different lengths share arrays.
+    firsts, seconds = Boxes.of([a for a, _ in pairs]), Boxes.of([b for _, b in pairs])
+    rows = np.arange(len(pairs))
+    got = new_code(pair_ious, firsts, rows, seconds, rows)
+    assert got.tolist() == [scalar_iou_rotated(a, b) for a, b in pairs]
+    got = new_code(pair_ious, seconds, rows[::-1], firsts, rows[::-1])
+    assert got.tolist() == [scalar_iou_rotated(b, a) for a, b in pairs[::-1]]
+
+
+def test_circumradius_exit_decides_as_math_hypot():
+    # np.hypot differs from math.hypot in the last bit on about 0.5% of
+    # inputs, so a reach at np.hypot's value (or one ulp off) splits the two.
+    rng = np.random.default_rng(0)
+    dx, dy = rng.uniform(-2.0, 2.0, (2, 20_000))
+    gap = np.hypot(dx, dy)
+    for reach in (gap, np.nextafter(gap, 0.0), np.nextafter(gap, 3.0)):
+        want = [not math.hypot(u, v) > r for u, v, r in zip(dx.tolist(), dy.tolist(), reach.tolist())]
+        assert new_code(_within_reach, dx, dy, reach).tolist() == want
+
+
+@st.composite
 def detection_sets(draw):
     """Detections on a few shared boxes, with score ties, repeats and mixed classes,
     and a threshold that is sometimes exactly (or one ulp off) a pair's IoU."""
@@ -283,3 +335,62 @@ def test_cascade_stats_ious_equal_scalar_iou():
             if rec.proposals_in.denoising_gt[pi] < 0
         ]
         assert [iou for _, iou in stage.pairs] == want
+
+
+# --- NMS batches that take the batched path past its exact rounds -----------
+
+
+def _speculative_pairs(monkeypatch, dets, thr):
+    """nms(dets, thr), and how many pairs its last, speculative kernel call scored."""
+    sizes = []
+
+    def counted(a, ia, b, ib):
+        sizes.append(len(ia))
+        return ious(a, ia, b, ib)
+
+    ious = overlap._ious
+    monkeypatch.setattr(overlap, "_ious", counted)
+    kept = new_code(nms, dets, thr)
+    assert len(sizes) == overlap._EXACT_ROUNDS + 1
+    return kept, sizes[-1]
+
+
+def test_nms_on_a_pooled_yawed_scene_equals_reference(monkeypatch):
+    # Stages 1-3 of a 512-proposal noisy oracle run, as ensemble_stages pools them.
+    cfg = SceneConfig(num_gt=(10, 10), points_per_box=200, num_clutter=2000, yaw_enabled=True,
+                      workspace=((-8.0, 8.0), (-8.0, 8.0), (0.0, 3.0)))
+    noise = OracleNoise(sigma_delta=0.25, sigma_heading=0.2, p_class_flip=0.1,
+                        centerness_bias=0.15)
+    scene = gen_scene(cfg, 3)
+    props = scene_proposals(scene, oracle_seed_centerness(scene, noise, seed=3), 512)
+    trace = run_cascade(props, oracle_predictor(scene, noise, seed=3), CpaSchedule(),
+                        scene.gt_boxes)
+    pooled = Detections(*(np.concatenate([getattr(r.detections, f.name) for r in trace.stages])
+                          for f in fields(Detections)))
+    assert len(pooled) == 1536
+    kept, speculative = _speculative_pairs(monkeypatch, pooled, 0.25)
+    assert speculative > 0
+    assert kept == reference_nms(pooled.rows(1), 0.25)
+
+
+@pytest.mark.parametrize("thr", [0.2, 0.4, 0.7])
+def test_nms_on_a_cluster_of_near_duplicates_with_ties_equals_reference(monkeypatch, thr):
+    rng = np.random.default_rng(5)
+    n = 200
+    centers = np.array([0.3, -0.2, 1.0]) + rng.normal(0.0, 0.2, (n, 3))
+    sizes = np.array([1.0, 0.7, 0.8]) * rng.uniform(0.85, 1.15, (n, 3))
+    yaws = 0.4 + rng.normal(0.0, 0.15, n)
+    scores = rng.choice([0.3, 0.5, 0.7, 0.9], n)
+    dets = Detections(centers, sizes, yaws, np.zeros(n, dtype=np.int64), scores)
+    kept, speculative = _speculative_pairs(monkeypatch, dets, thr)
+    assert speculative > 0
+    assert kept == reference_nms(dets.rows(1), thr)
+
+
+def test_nms_suppresses_an_identical_box_too_thin_for_its_z():
+    # At z = 1e6 a 1e-11 height rounds away: z_lo == z_hi, so the z overlap
+    # is 0, yet footprint_iou's identical-box shortcut still scores 1.0.
+    box = OrientedBox(Point3(0.5, -0.5, 1e6), (1.0, 0.8, 1e-11), yaw=0.3)
+    dets = [Detection(box, 0.9, 0), Detection(box, 0.8, 0)]
+    assert reference_nms(dets, 0.5) == [0]
+    assert new_code(nms, columns(dets), 0.5) == [0]
