@@ -16,7 +16,6 @@ between a proposal's centerness and the IoU of the box it regressed.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from scipy import stats as _scipy_stats
 from .cascade import StageTrace
 from .errors import DataError
 from .geometry import Boxes, OrientedBox, matched_faces
-from .overlap import Detection, footprint_iou, footprints, pair_ious
+from .overlap import Detection, pair_ious
 from .synth import match_points_to_gt
 
 # Not called here; perfbench/bench_trace.py patches these names on this module.
@@ -58,23 +57,25 @@ class ApResult:
         raise KeyError(f"no result at IoU threshold {iou_threshold}")
 
 
-def _scene_iou(dets: list[Detection], gts: list[OrientedBox]):
-    """Rotated IoU of detection i with ground-truth box gi, as a function of (i, gi).
+def _scene_iou(dets: list[Detection], gts: list[OrientedBox]) -> list[list[float]]:
+    """Rotated IoU of detection i with ground-truth box gi, as rows [i][gi].
 
-    Every box's footprint is built once. Each pair is computed on its first
-    request and remembered, so every IoU threshold reuses it. Matching asks
-    only for same-class pairs whose ground truth is still unmatched, so
-    computing all pairs up front would cost more.
+    One pair_ious call scores every same-class pair; a pair of different
+    classes, which matching never reads, holds 0.0.
     """
-    det_fps = footprints(Boxes.of([d.box for d in dets]))
-    gt_fps = footprints(Boxes.of(gts))
-    return functools.cache(lambda i, gi: footprint_iou(det_fps[i], gt_fps[gi]))
+    det_boxes, gt_boxes = Boxes.of([d.box for d in dets]), Boxes.of(gts)
+    ia, ib = np.nonzero(np.array([d.class_id for d in dets], dtype=np.int64)[:, None]
+                        == gt_boxes.class_ids)
+    out = np.zeros((len(dets), len(gts)))
+    out[ia, ib] = pair_ious(det_boxes, ia, gt_boxes, ib)
+    return out.tolist()
 
 
 def _match_one_scene(
-    dets: list[Detection], gts: list[OrientedBox], iou_threshold: float, pair_iou
+    dets: list[Detection], gts: list[OrientedBox], iou_threshold: float,
+    ious: list[list[float]],
 ) -> list[tuple[int, float, bool]]:
-    """Greedy matching for one scene.
+    """Greedy matching for one scene, on its _scene_iou rows.
 
     Returns (class_id, score, is_tp) per detection whose class occurs in
     the ground truth, in descending score order within the scene.
@@ -92,7 +93,7 @@ def _match_one_scene(
         for gi, gt in enumerate(gts):
             if gt.class_id != det.class_id or matched[gi]:
                 continue
-            v = pair_iou(i, gi)
+            v = ious[i][gi]
             if v > best_iou:
                 best_iou = v
                 best_gi = gi
@@ -156,16 +157,16 @@ def evaluate_scenes(
     for thr in iou_thresholds:
         if not (0.0 < thr < 1.0):
             raise ValueError(f"IoU threshold must lie in (0, 1), got {thr}")
-    # Scene by scene, so one scene's footprints and IoUs serve every
-    # threshold and are dropped before the next scene's are built.
+    # Scene by scene, so one scene's IoUs serve every threshold and are
+    # dropped before the next scene's are computed.
     pooled: list[list[tuple[int, float, bool, int, int]]] = [[] for _ in iou_thresholds]
     gt_counts: dict[int, int] = {}
     for si, (dets, gts) in enumerate(scene_results):
         for g in gts:
             gt_counts[g.class_id] = gt_counts.get(g.class_id, 0) + 1
-        pair_iou = _scene_iou(dets, gts)
+        ious = _scene_iou(dets, gts)
         for rows, thr in zip(pooled, iou_thresholds):
-            for di, (cls, score, is_tp) in enumerate(_match_one_scene(dets, gts, thr, pair_iou)):
+            for di, (cls, score, is_tp) in enumerate(_match_one_scene(dets, gts, thr, ious)):
                 rows.append((cls, score, is_tp, si, di))
     results = [_evaluate_pooled(rows, gt_counts, thr) for rows, thr in zip(pooled, iou_thresholds)]
     return ApResult(results=results)

@@ -1,17 +1,15 @@
 """3D box overlap (yaw-rotated IoU) and greedy NMS.
 
-Rotated IoU is computed as BEV polygon intersection area times vertical
-extent overlap: the two footprints are convex quadrilaterals, so the
-intersection comes from Sutherland-Hodgman clipping. Near-zero BEV
-intersection areas (< 1e-12) are treated as empty. The rule has two
-forms that agree bit for bit:
-
-- one pair at a time: `footprint_iou` on `Footprint`s built once per
-  box, for AP matching's lazy pairs and box placement; `iou_rotated`
-  and `bev_intersection_area` are its one-pair cases.
-- many pairs at once: `pair_ious` runs the same float operations in the
-  same order over arrays of index pairs into box columns, for cascade
-  statistics and NMS. One call costs about as much as ten scalar pairs.
+Rotated IoU is BEV footprint intersection area times vertical extent
+overlap. The rule runs in this order: identical boxes score 1.0; boxes
+whose z extents do not overlap, or whose centers lie farther apart than
+the sum of their circumradii, score 0.0; otherwise one footprint (a
+convex quadrilateral) is clipped against the other with
+Sutherland-Hodgman, an area below 1e-12 counts as empty, and the IoU is
+the intersection volume over the union. `pair_ious` is the one
+implementation: it runs the rule over arrays of index pairs into box
+columns for NMS, cascade statistics, AP matching and box placement, and
+`iou_rotated` and `bev_intersection_area` are its one-pair cases.
 
 NMS reads a `Detections` batch of columns and returns the greedy's kept
 row indices from a few batched passes (see `nms`).
@@ -63,24 +61,6 @@ class Detections(Boxes):
         ]
 
 
-class Footprint(NamedTuple):
-    """What rotated IoU needs of one box, computed once per box.
-
-    key is the box's (x, y, z, w, l, h, yaw), for the identical-box shortcut;
-    corners are the footprint corners as Python floats, so clipping runs
-    on plain floats rather than NumPy scalars.
-    """
-
-    key: tuple
-    corners: list[list[float]]
-    x: float
-    y: float
-    z_lo: float
-    z_hi: float
-    radius: float
-    volume: float
-
-
 # Corner order of a footprint: counterclockwise from (+w/2, +l/2).
 _CORNER_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
@@ -98,98 +78,18 @@ def _corner_array(boxes: Boxes) -> np.ndarray:
     return local @ rot.transpose(0, 2, 1) + boxes.centers[:, None, :2]
 
 
-def footprints(boxes: Boxes) -> list[Footprint]:
-    """Footprints of boxes, corners from one batched product."""
-    return [
-        Footprint(key=(x, y, z, w, l, h, yaw), corners=corners, x=x, y=y, z_lo=z - h / 2.0,
-                  z_hi=z + h / 2.0, radius=math.hypot(w, l) / 2.0, volume=w * l * h)
-        for (x, y, z), (w, l, h), yaw, corners in zip(
-            boxes.centers.tolist(), boxes.sizes.tolist(), boxes.yaws.tolist(),
-            _corner_array(boxes).tolist())
-    ]
-
-
-def _polygon_area(poly: list) -> float:
-    """Shoelace area; positive for counterclockwise vertex order."""
-    if len(poly) < 3:
-        return 0.0
-    acc = 0.0
-    for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
-        acc += x1 * y2 - x2 * y1
-    return acc / 2.0
-
-
-def _clip_convex(subject: list, clip: list) -> list:
-    """Sutherland-Hodgman: clip a polygon against a counterclockwise convex one."""
-    output = subject
-    for (ax, ay), (bx, by) in zip(clip, clip[1:] + clip[:1]):
-        if not output:
-            break
-        ex, ey = bx - ax, by - ay
-        input_list = output
-        output = []
-        px, py = input_list[-1]
-        prev_side = ex * (py - ay) - ey * (px - ax)
-        for cur in input_list:
-            cx, cy = cur
-            cur_side = ex * (cy - ay) - ey * (cx - ax)
-            if cur_side >= 0.0:
-                if prev_side < 0.0:
-                    t = prev_side / (prev_side - cur_side)
-                    output.append((px + t * (cx - px), py + t * (cy - py)))
-                output.append(cur)
-            elif prev_side >= 0.0:
-                t = prev_side / (prev_side - cur_side)
-                output.append((px + t * (cx - px), py + t * (cy - py)))
-            px, py, prev_side = cx, cy, cur_side
-    return output
-
-
-def _intersection_area(a: Footprint, b: Footprint) -> float:
-    area = abs(_polygon_area(_clip_convex(a.corners, b.corners)))
-    return 0.0 if area < _AREA_EPS else area
-
-
-def bev_intersection_area(a: OrientedBox, b: OrientedBox) -> float:
-    """Footprint intersection area of two boxes; < 1e-12 collapses to 0."""
-    return _intersection_area(*footprints(Boxes.of([a, b])))
-
-
-def footprint_iou(a: Footprint, b: Footprint) -> float:
-    """Yaw-aware 3D IoU of two footprints: BEV intersection times z overlap."""
-    if a.key == b.key:
-        return 1.0
-    oz = min(a.z_hi, b.z_hi) - max(a.z_lo, b.z_lo)
-    if not oz > 0.0:
-        return 0.0
-    # Footprints cannot meet when the center gap exceeds both circumradii.
-    if math.hypot(a.x - b.x, a.y - b.y) > a.radius + b.radius:
-        return 0.0
-    area = _intersection_area(a, b)
-    if area <= 0.0:
-        return 0.0
-    inter = area * oz
-    union = a.volume + b.volume - inter
-    return inter / union
-
-
-def iou_rotated(a: OrientedBox, b: OrientedBox) -> float:
-    """Yaw-aware 3D IoU: BEV polygon intersection times z-extent overlap.
-
-    The one-pair case of footprint_iou; callers comparing many boxes
-    should build their footprints once instead.
-    """
-    return footprint_iou(*footprints(Boxes.of([a, b])))
-
-
 def iou_mc(a: OrientedBox, b: OrientedBox, n_samples: int, seed: int = 0) -> tuple[float, float]:
     """Monte-Carlo IoU estimate and its standard error.
 
     Samples uniformly inside box a, counts the fraction landing in b,
     converts the hit rate to an intersection volume, and propagates the
     binomial error through the IoU ratio. Slow by design; this is the
-    measurement oracle the analytic IoU is validated against.
+    measurement oracle the analytic IoU is validated against. n_samples
+    must be an int of at least 1.
     """
+    if (isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer))
+            or n_samples < 1):
+        raise ValueError(f"n_samples must be an int of at least 1, got {n_samples!r}")
     rng = np.random.default_rng(seed)
     u = rng.random((3, n_samples))
     qx = (u[0] - 0.5) * a.size[0]
@@ -223,7 +123,7 @@ def iou_mc(a: OrientedBox, b: OrientedBox, n_samples: int, seed: int = 0) -> tup
     return iou, se_iou
 
 
-# --- the batched rule: footprint_iou over index pairs, bit for bit ----------
+# --- rotated IoU over index pairs ------------------------------------------
 
 # Exact rounds before nms scores every open pair at once. On 1,536-row pooled
 # scenes, 2 rounds leave 1k-4k of ~100k pairs open; running rounds to the end
@@ -234,7 +134,7 @@ _PAIR_CHUNK = 1 << 14
 
 
 class _Columns(NamedTuple):
-    """Footprint fields of a box batch as columns.
+    """What the rule needs of a box batch, as columns.
 
     key (N, 7) is each box's (x, y, z, w, l, h, yaw); cx and cy (4, N) are
     the _corner_array corners, one row per corner.
@@ -276,14 +176,15 @@ def _within_reach(dx: np.ndarray, dy: np.ndarray, reach: np.ndarray) -> np.ndarr
 
 
 def _clip_areas(x: np.ndarray, y: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    """_intersection_area of P footprint pairs, bit for bit.
+    """BEV intersection areas of P footprint pairs; an area below 1e-12 is 0.
 
-    x, y (4, P) are the subject corners and cx, cy (4, P) the clip corners.
-    Sutherland-Hodgman runs on (K, P) vertex rows, the first n[p] valid
-    in column p: per clip edge, the scalar loop's side test, t and
+    x, y (4, P) are the subject corners and cx, cy (4, P) the clip corners,
+    both counterclockwise. Sutherland-Hodgman runs on (K, P) vertex rows,
+    the first n[p] valid in column p: per clip edge, the side test, t and
     intersection point run on every vertex at once, and each output vertex
-    lands at the row the scalar loop appends it at. The shoelace sum then
-    runs in vertex order.
+    lands at the row a one-polygon loop would append it at, so every area
+    is bit-equal to clipping that pair alone. The shoelace sum then runs in
+    vertex order.
     """
     p = x.shape[1]
     col = np.arange(p)
@@ -333,13 +234,15 @@ def _clip_areas(x: np.ndarray, y: np.ndarray, cx: np.ndarray, cy: np.ndarray) ->
 
 
 def _ious(a: _Columns, ia: np.ndarray, b: _Columns, ib: np.ndarray) -> np.ndarray:
-    """footprint_iou of box a[ia[k]] with box b[ib[k]] for every k, bit for bit:
-    the same exits in the same order, then one batched clip."""
+    """Rotated IoU of box a[ia[k]] with box b[ib[k]] for every k: the rule's
+    exits in order, then one batched clip of the pairs still open."""
     out = (a.key[ia] == b.key[ib]).all(axis=1).astype(np.float64)
     oz = np.minimum(a.z_hi[ia], b.z_hi[ib]) - np.maximum(a.z_lo[ia], b.z_lo[ib])
     live = np.flatnonzero((out == 0.0) & (oz > 0.0))
     ja, jb = ia[live], ib[live]
     live = live[_within_reach(a.x[ja] - b.x[jb], a.y[ja] - b.y[jb], a.radius[ja] + b.radius[jb])]
+    if not len(live):
+        return out
     ja, jb = ia[live], ib[live]
     area = _clip_areas(a.cx[:, ja], a.cy[:, ja], b.cx[:, jb], b.cy[:, jb])
     inter = area * oz[live]
@@ -352,17 +255,33 @@ def _ious(a: _Columns, ia: np.ndarray, b: _Columns, ib: np.ndarray) -> np.ndarra
 def pair_ious(a: Boxes, ia: np.ndarray, b: Boxes, ib: np.ndarray) -> np.ndarray:
     """Rotated IoU of box a[ia[k]] with box b[ib[k]] for every k, in array passes.
 
-    Bit-equal to footprint_iou of the two boxes' footprints, in that order
-    (the clip is not bit-symmetric). One call costs about as much as ten
-    scalar pairs, so callers comparing one pair at a time use footprint_iou.
+    a[ia[k]] is the clipped box and b[ib[k]] the clipping one; the clip is
+    not bit-symmetric, so a caller that needs one order keeps it.
     """
     return _ious(_columns(a), ia, _columns(b), ib)
 
 
-def _candidate_pairs(cols: _Columns, class_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Same-class row pairs (a, b), a < b, that footprint_iou could score above 0.
+def _one_pair(a: OrientedBox, b: OrientedBox) -> tuple[_Columns, np.ndarray, np.ndarray]:
+    """The columns of boxes a and b, and the index pair (a, b) into them."""
+    return _columns(Boxes.of([a, b])), np.array([0]), np.array([1])
 
-    A pair is left out only where one of footprint_iou's exits certainly
+
+def iou_rotated(a: OrientedBox, b: OrientedBox) -> float:
+    """Yaw-aware 3D IoU of two boxes: the batched rule on the one pair (a, b)."""
+    cols, ia, ib = _one_pair(a, b)
+    return float(_ious(cols, ia, cols, ib)[0])
+
+
+def bev_intersection_area(a: OrientedBox, b: OrientedBox) -> float:
+    """BEV intersection area of two boxes, a clipped against b; < 1e-12 is 0."""
+    cols, ia, ib = _one_pair(a, b)
+    return float(_clip_areas(cols.cx[:, ia], cols.cy[:, ia], cols.cx[:, ib], cols.cy[:, ib])[0])
+
+
+def _candidate_pairs(cols: _Columns, class_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Same-class row pairs (a, b), a < b, that rotated IoU could score above 0.
+
+    A pair is left out only where one of the rule's exits certainly
     ends it at 0: z overlap not above 0 (unless the boxes are identical),
     or a center gap beyond the circumradius sum. A sort-and-sweep on x
     per class lists the pairs whose x gap is within the row's circumradius
@@ -412,17 +331,19 @@ def nms(dets: Detections, iou_threshold: float) -> list[int]:
 
     The greedy's decisions come from a few batched IoU calls. Rows are
     ranked by visit order, and candidate pairs are the same-class pairs
-    footprint_iou could score above 0. Each of _EXACT_ROUNDS rounds keeps
+    rotated IoU could score above 0. Each of _EXACT_ROUNDS rounds keeps
     every open row with no open higher-ranked partner, then suppresses
     that row's open partners above the threshold, as the greedy would.
     One more call scores the pairs still open, and the greedy finishes in
     rank order on those verdicts. A row's fate depends only on the kept
-    rows ranked above it that it could overlap, and every IoU is
-    footprint_iou(higher-ranked, lower-ranked) bit for bit, so the kept
+    rows ranked above it that it could overlap, and every IoU is the
+    greedy's (higher-ranked, lower-ranked) one bit for bit, so the kept
     list is the greedy's exactly.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {iou_threshold}")
+    if not len(dets):
+        return []
     order = np.argsort(-dets.scores, kind="stable")
     n = len(order)
     ranked = Boxes(dets.centers[order], dets.sizes[order], dets.yaws[order],

@@ -37,7 +37,7 @@ from .geometry import (
     matched_faces,
     points_as_array,
 )
-from .overlap import Footprint, footprint_iou, footprints
+from .overlap import pair_ious
 
 # Not called here; perfbench/bench_trace.py patches these names on this module.
 from .geometry import encode_deltas  # noqa: F401
@@ -154,7 +154,7 @@ def _grow(size: tuple[float, float, float]) -> tuple[float, float, float]:
 def _place_boxes(cfg: SceneConfig, rng: np.random.Generator) -> list[OrientedBox]:
     count = int(rng.integers(cfg.num_gt[0], cfg.num_gt[1] + 1))
     boxes: list[OrientedBox] = []
-    grown_placed: list[Footprint] = []
+    grown_placed: list[OrientedBox] = []
     (x0, x1), (y0, y1), (z0, z1) = cfg.workspace
     for _ in range(count):
         placed = False
@@ -178,8 +178,10 @@ def _place_boxes(cfg: SceneConfig, rng: np.random.Generator) -> list[OrientedBox
             cand = OrientedBox(center, size, yaw=yaw, class_id=int(rng.integers(cfg.num_classes)))
             # Checking slightly inflated boxes keeps a real gap between
             # neighbors, so the zero-IoU invariant survives any epsilon.
-            grown = footprints(Boxes.of([OrientedBox(center, _grow(size), yaw=yaw)]))[0]
-            if all(footprint_iou(grown, g) == 0.0 for g in grown_placed):
+            grown = OrientedBox(center, _grow(size), yaw=yaw)
+            rows, k = Boxes.of([grown, *grown_placed]), len(grown_placed)
+            ious = pair_ious(rows, np.zeros(k, dtype=np.int64), rows, np.arange(1, k + 1))
+            if (ious == 0.0).all():
                 boxes.append(cand)
                 grown_placed.append(grown)
                 placed = True

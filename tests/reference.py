@@ -4,7 +4,10 @@ The pipeline runs centerness_array, contains_points, match_points_to_gt and
 the oracle's batch extent guard; these per-point versions state the same
 rules one point at a time, and the property tests compare the kernels with
 them bit for bit. iou_aabb is the axis-aligned IoU that the rotated IoU must
-equal at yaw 0.
+equal at yaw 0. scalar_iou_rotated is the rotated-IoU rule one pair at a time
+(one corner matmul per box, Sutherland-Hodgman on NumPy scalars); the batched
+kernel behind NMS, AP matching, cascade statistics, box placement and the
+one-pair iou_rotated must equal it bit for bit.
 """
 
 import math
@@ -105,5 +108,91 @@ def iou_aabb(a: OrientedBox, b: OrientedBox) -> float:
     inter = ox * oy * oz
     if inter <= 0.0:
         return 0.0
+    union = a.volume + b.volume - inter
+    return inter / union
+
+
+# --- the scalar oracle: per-pair rotated IoU on NumPy arrays ---------------
+
+
+def scalar_bev_corners(box):
+    w, l, _ = box.size
+    c = math.cos(box.yaw)
+    s = math.sin(box.yaw)
+    local = np.array(
+        [
+            [w / 2.0, l / 2.0],
+            [-w / 2.0, l / 2.0],
+            [-w / 2.0, -l / 2.0],
+            [w / 2.0, -l / 2.0],
+        ]
+    )
+    rot = np.array([[c, -s], [s, c]])
+    return local @ rot.T + np.array([box.center.x, box.center.y])
+
+
+def scalar_polygon_area(poly):
+    n = len(poly)
+    if n < 3:
+        return 0.0
+    acc = 0.0
+    for i in range(n):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % n]
+        acc += x1 * y2 - x2 * y1
+    return acc / 2.0
+
+
+def scalar_clip_convex(subject, clip):
+    output = subject
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            break
+        ax, ay = clip[i]
+        bx, by = clip[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
+        input_list = output
+        output = []
+        prev = input_list[-1]
+        prev_side = ex * (prev[1] - ay) - ey * (prev[0] - ax)
+        for cur in input_list:
+            cur_side = ex * (cur[1] - ay) - ey * (cur[0] - ax)
+            if cur_side >= 0.0:
+                if prev_side < 0.0:
+                    t = prev_side / (prev_side - cur_side)
+                    output.append(
+                        (prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1]))
+                    )
+                output.append(cur)
+            elif prev_side >= 0.0:
+                t = prev_side / (prev_side - cur_side)
+                output.append(
+                    (prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1]))
+                )
+            prev, prev_side = cur, cur_side
+    return output
+
+
+def scalar_intersection_area(a, b):
+    poly = scalar_clip_convex([tuple(p) for p in scalar_bev_corners(a)], scalar_bev_corners(b))
+    area = abs(scalar_polygon_area(poly))
+    return 0.0 if area < 1e-12 else area
+
+
+def scalar_iou_rotated(a, b):
+    """Rotated IoU of a clipped against b: the exits in order, then the clip."""
+    if a.center == b.center and a.size == b.size and a.yaw == b.yaw:
+        return 1.0
+    oz = _axis_overlap(a.center.z, a.size[2], b.center.z, b.size[2])
+    if oz <= 0.0:
+        return 0.0
+    gap = math.hypot(a.center.x - b.center.x, a.center.y - b.center.y)
+    if gap > (math.hypot(*a.size[:2]) + math.hypot(*b.size[:2])) / 2.0:
+        return 0.0
+    area = scalar_intersection_area(a, b)
+    if area <= 0.0:
+        return 0.0
+    inter = area * oz
     union = a.volume + b.volume - inter
     return inter / union

@@ -601,6 +601,31 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 3
         assert "scene_0001.json" in capsys.readouterr().err
 
+    def test_scene_without_points_runs(self, tmp_path, cfg_path):
+        # No point gives no proposal, so every stage and the ensemble NMS see 0 rows.
+        scenes = tmp_path / "scenes"
+        main(["gen", "--config", cfg_path, "--out", str(scenes)])
+        path = scenes / "scene_0001.json"
+        doc = json.loads(path.read_text())
+        for key in ("points", "features", "point_gt_labels"):
+            edit_column(doc, key, lambda a: a[:0])
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(scenes), "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 0
+
+    def test_trace_without_proposals_evaluates(self, tmp_path, cfg_path):
+        scenes, traces = tmp_path / "scenes", tmp_path / "traces"
+        main(["gen", "--config", cfg_path, "--out", str(scenes)])
+        main(["run", str(scenes), "--config", cfg_path, "--out", str(traces)])
+        path = traces / "trace_0001.json"
+        doc = json.loads(path.read_text())
+        for cols in [doc["proposals"], *doc["predictions"]]:
+            for key in list(cols):
+                edit_column(cols, key, lambda a: a[:0])
+        path.write_text(json.dumps(doc))
+        assert main(["eval", str(traces), "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 0
+
     def test_non_finite_scene_feature_is_data_error(self, tmp_path, cfg_path, capsys):
         scenes = tmp_path / "scenes"
         main(["gen", "--config", cfg_path, "--out", str(scenes)])

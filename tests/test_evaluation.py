@@ -101,37 +101,35 @@ class TestAveragePrecision:
             assert all(a >= b - 1e-12 for a, b in zip(maps, maps[1:]))
 
     def test_thresholds_share_each_pairs_iou(self, monkeypatch):
-        """Two thresholds compute each same-class (detection, ground truth)
-        IoU once: the calls are exactly the pairs either threshold asks for
-        alone, none repeated, and the results equal the one-threshold ones."""
+        """A scene's IoUs come from one pair_ious call whatever the thresholds:
+        the call scores exactly the scene's same-class (detection, ground
+        truth) pairs, and the results equal the one-threshold ones."""
         s = gen_scene(CFG, 204)
         noise = OracleNoise(sigma_delta=0.2)
         props = scene_proposals(s, oracle_seed_centerness(s, noise, seed=4), 24)
         trace = run_cascade(props, oracle_predictor(s, noise, seed=4), CpaSchedule(), s.gt_boxes)
         dets = [d for rec in trace.stages for d in rec.detections.rows(rec.stage)]
-        key_class = {
-            (b.center.x, b.center.y, b.center.z, *b.size, b.yaw): b.class_id
-            for b in [d.box for d in dets] + s.gt_boxes
-        }
+        same_class = {(i, gi) for i, d in enumerate(dets) for gi, g in enumerate(s.gt_boxes)
+                      if d.class_id == g.class_id}
         calls = []
-        kernel = evaluation.footprint_iou
+        kernel = evaluation.pair_ious
 
-        def spy(a, b):
-            calls.append((a.key, b.key))
-            return kernel(a, b)
+        def spy(a, ia, b, ib):
+            assert np.array_equal(a.centers, [d.box.center.as_array() for d in dets])
+            assert np.array_equal(b.centers, [g.center.as_array() for g in s.gt_boxes])
+            calls.append(list(zip(ia.tolist(), ib.tolist())))
+            return kernel(a, ia, b, ib)
 
-        monkeypatch.setattr(evaluation, "footprint_iou", spy)
-        singles, asked, single_calls = [], set(), 0
+        monkeypatch.setattr(evaluation, "pair_ious", spy)
+        singles = []
         for thr in (0.25, 0.5):
             calls.clear()
             singles.extend(evaluate_scenes([(dets, s.gt_boxes)], [thr]).results)
-            asked |= set(calls)
-            single_calls += len(calls)
+            assert len(calls) == 1
         calls.clear()
         both = evaluate_scenes([(dets, s.gt_boxes)], [0.25, 0.5])
-        assert len(calls) == len(set(calls)) and set(calls) == asked
-        assert len(calls) < single_calls
-        assert all(key_class[d] == key_class[g] for d, g in calls)
+        assert len(calls) == 1
+        assert len(calls[0]) == len(set(calls[0])) and set(calls[0]) == same_class
         assert both.results == singles
 
     def test_pooling_combines_scenes(self):

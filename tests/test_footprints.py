@@ -1,14 +1,13 @@
-"""Footprint IoU and NMS against the scalar rotated-IoU path, by exact equality.
+"""Rotated IoU and NMS against the scalar rotated-IoU oracle, by exact equality.
 
-`footprints` builds every box's corners with one batched product and
-`footprint_iou` applies the rotated-IoU rule to two footprints; AP
-matching and box placement go through them. `pair_ious` applies the
-same rule to index pairs in array passes; NMS and cascade statistics go
-through it. Kept lists, mAP and traces stay byte-identical only if each
-IoU is bit-equal to the per-pair scalar path copied below (one corner
-matmul per box, Sutherland-Hodgman on NumPy scalars), so these
-properties use ==, never a tolerance, and run the new code with
-warnings raised as errors.
+`_corner_array` builds every box's footprint corners with one batched
+product, and `pair_ious` applies the rotated-IoU rule to index pairs in
+array passes; NMS, AP matching, cascade statistics, box placement and the
+one-pair `iou_rotated` and `bev_intersection_area` go through them. Kept
+lists, mAP and traces stay byte-identical only if each IoU is bit-equal
+to the per-pair oracle in `reference.py` (one corner matmul per box,
+Sutherland-Hodgman on NumPy scalars), so these properties use ==, never a
+tolerance, and run the package code with warnings raised as errors.
 """
 
 import math
@@ -20,7 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import _axis_overlap, match_point_to_gt
+from reference import (
+    match_point_to_gt,
+    scalar_bev_corners,
+    scalar_intersection_area,
+    scalar_iou_rotated,
+)
 
 from cascadev.assignment import CpaSchedule
 from cascadev.cascade import run_cascade
@@ -33,8 +37,6 @@ from cascadev.overlap import (
     _corner_array,
     _within_reach,
     bev_intersection_area,
-    footprint_iou,
-    footprints,
     iou_rotated,
     nms,
     pair_ious,
@@ -50,91 +52,6 @@ from cascadev.synth import (
 from test_overlap import columns, reference_nms
 
 SETTINGS = settings(max_examples=150, deadline=None)
-
-
-# --- the scalar oracle: per-pair rotated IoU on NumPy arrays ---------------
-
-
-def scalar_bev_corners(box):
-    w, l, _ = box.size
-    c = math.cos(box.yaw)
-    s = math.sin(box.yaw)
-    local = np.array(
-        [
-            [w / 2.0, l / 2.0],
-            [-w / 2.0, l / 2.0],
-            [-w / 2.0, -l / 2.0],
-            [w / 2.0, -l / 2.0],
-        ]
-    )
-    rot = np.array([[c, -s], [s, c]])
-    return local @ rot.T + np.array([box.center.x, box.center.y])
-
-
-def scalar_polygon_area(poly):
-    n = len(poly)
-    if n < 3:
-        return 0.0
-    acc = 0.0
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        acc += x1 * y2 - x2 * y1
-    return acc / 2.0
-
-
-def scalar_clip_convex(subject, clip):
-    output = subject
-    n = len(clip)
-    for i in range(n):
-        if not output:
-            break
-        ax, ay = clip[i]
-        bx, by = clip[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        input_list = output
-        output = []
-        prev = input_list[-1]
-        prev_side = ex * (prev[1] - ay) - ey * (prev[0] - ax)
-        for cur in input_list:
-            cur_side = ex * (cur[1] - ay) - ey * (cur[0] - ax)
-            if cur_side >= 0.0:
-                if prev_side < 0.0:
-                    t = prev_side / (prev_side - cur_side)
-                    output.append(
-                        (prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1]))
-                    )
-                output.append(cur)
-            elif prev_side >= 0.0:
-                t = prev_side / (prev_side - cur_side)
-                output.append(
-                    (prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1]))
-                )
-            prev, prev_side = cur, cur_side
-    return output
-
-
-def scalar_intersection_area(a, b):
-    poly = scalar_clip_convex([tuple(p) for p in scalar_bev_corners(a)], scalar_bev_corners(b))
-    area = abs(scalar_polygon_area(poly))
-    return 0.0 if area < 1e-12 else area
-
-
-def scalar_iou_rotated(a, b):
-    if a.center == b.center and a.size == b.size and a.yaw == b.yaw:
-        return 1.0
-    oz = _axis_overlap(a.center.z, a.size[2], b.center.z, b.size[2])
-    if oz <= 0.0:
-        return 0.0
-    gap = math.hypot(a.center.x - b.center.x, a.center.y - b.center.y)
-    if gap > (math.hypot(*a.size[:2]) + math.hypot(*b.size[:2])) / 2.0:
-        return 0.0
-    area = scalar_intersection_area(a, b)
-    if area <= 0.0:
-        return 0.0
-    inter = area * oz
-    union = a.volume + b.volume - inter
-    return inter / union
 
 
 # --- strategies -------------------------------------------------------------
@@ -192,10 +109,10 @@ def new_code(fn, *args):
 @SETTINGS
 @given(st.lists(boxes(), min_size=1, max_size=12))
 def test_batched_corners_equal_bev_corners_bitwise(bxs):
-    fps = new_code(footprints, Boxes.of(bxs))
-    for box, fp in zip(bxs, fps):
+    corners = new_code(_corner_array, Boxes.of(bxs))
+    for box, got in zip(bxs, corners):
         want = scalar_bev_corners(box)
-        assert np.array(fp.corners).tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes()
         assert new_code(_corner_array, Boxes.of([box]))[0].tobytes() == want.tobytes()
 
 
@@ -204,18 +121,20 @@ def test_batched_corners_equal_bev_corners_bitwise(bxs):
 def test_pair_rule_equals_scalar_iou(pair):
     a, b = pair
     want = scalar_iou_rotated(a, b)
-    assert new_code(lambda: footprint_iou(*footprints(Boxes.of([a, b])))) == want
+    one = np.array([0])
+    assert new_code(pair_ious, Boxes.of([a]), one, Boxes.of([b]), one).tolist() == [want]
     assert new_code(iou_rotated, a, b) == want
     assert new_code(bev_intersection_area, a, b) == scalar_intersection_area(a, b)
 
 
 @SETTINGS
 @given(st.lists(boxes(), min_size=2, max_size=8))
-def test_footprints_of_a_list_equal_scalar_iou_per_pair(bxs):
-    fps = new_code(footprints, Boxes.of(bxs))
-    for i, a in enumerate(bxs):
-        for j, b in enumerate(bxs):
-            assert new_code(footprint_iou, fps[i], fps[j]) == scalar_iou_rotated(a, b)
+def test_pair_ious_over_a_list_equal_scalar_iou_per_pair(bxs):
+    # Every ordered pair of one batch, identical pairs included, in one call.
+    cols = Boxes.of(bxs)
+    ia, ib = np.divmod(np.arange(len(bxs) ** 2), len(bxs))
+    got = new_code(pair_ious, cols, ia, cols, ib)
+    assert got.tolist() == [scalar_iou_rotated(bxs[i], bxs[j]) for i, j in zip(ia, ib)]
 
 
 @st.composite
@@ -297,19 +216,17 @@ def detection_sets(draw):
 @given(detection_sets())
 def test_nms_equals_reference(case):
     dets, thr = case
-    kept = new_code(nms, columns(dets), thr)
-    assert kept == reference_nms(dets, thr)
-    assert kept == reference_nms(dets, thr, iou=scalar_iou_rotated)
+    assert new_code(nms, columns(dets), thr) == reference_nms(dets, thr)
 
 
 @SETTINGS
 @given(st.lists(boxes(), min_size=1, max_size=6), st.lists(boxes(), min_size=1, max_size=4))
 def test_ap_matching_ious_equal_scalar_iou(det_boxes, gts):
+    # Every detection and ground-truth box is of class 0, so every pair is scored.
     dets = [Detection(box, 0.5, 0) for box in det_boxes]
-    pair_iou = new_code(_scene_iou, dets, gts)
-    for i, det in enumerate(dets):
-        for gi, gt in enumerate(gts):
-            assert new_code(pair_iou, i, gi) == scalar_iou_rotated(det.box, gt)
+    gts = [OrientedBox(g.center, g.size, yaw=g.yaw, class_id=0) for g in gts]
+    ious = new_code(_scene_iou, dets, gts)
+    assert ious == [[scalar_iou_rotated(det.box, gt) for gt in gts] for det in dets]
 
 
 def test_cascade_stats_ious_equal_scalar_iou():
@@ -389,7 +306,7 @@ def test_nms_on_a_cluster_of_near_duplicates_with_ties_equals_reference(monkeypa
 
 def test_nms_suppresses_an_identical_box_too_thin_for_its_z():
     # At z = 1e6 a 1e-11 height rounds away: z_lo == z_hi, so the z overlap
-    # is 0, yet footprint_iou's identical-box shortcut still scores 1.0.
+    # is 0, yet the rule's identical-box shortcut still scores 1.0.
     box = OrientedBox(Point3(0.5, -0.5, 1e6), (1.0, 0.8, 1e-11), yaw=0.3)
     dets = [Detection(box, 0.9, 0), Detection(box, 0.8, 0)]
     assert reference_nms(dets, 0.5) == [0]

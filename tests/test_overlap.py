@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import iou_aabb
+from reference import iou_aabb, scalar_iou_rotated
 
 from cascadev.errors import WrongVariantError
 from cascadev.geometry import Boxes, OrientedBox, Point3
@@ -163,6 +163,12 @@ class TestMonteCarlo:
         assert est == 0.0
         assert se == 0.0
 
+    @pytest.mark.parametrize("n_samples", [0, -5, 2.5, True])
+    def test_sample_count_below_one_or_not_an_int_rejected(self, n_samples):
+        box = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
+        with pytest.raises(ValueError, match="n_samples"):
+            iou_mc(box, box, n_samples=n_samples)
+
 
 def columns(dets):
     """The Detections batch holding a Detection list's rows, in order."""
@@ -172,9 +178,9 @@ def columns(dets):
                       np.array([d.score for d in dets], dtype=np.float64))
 
 
-def reference_nms(dets, thr, iou=iou_rotated):
-    # Straightforward restatement of the greedy rule, kept independent of
-    # the implementation under test.
+def reference_nms(dets, thr, iou=scalar_iou_rotated):
+    # Straightforward restatement of the greedy rule on the scalar IoU oracle,
+    # kept independent of the implementation under test.
     remaining = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     kept = []
     while remaining:
@@ -244,6 +250,14 @@ class TestNms:
             for b in kept[i + 1 :]:
                 if dets[a].class_id == dets[b].class_id:
                     assert iou_rotated(dets[a].box, dets[b].box) <= 0.4 + 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_batches_equal_reference(self, n):
+        box = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
+        shifted = OrientedBox(Point3(0.2, 0, 0), (1, 1, 1), yaw=0.1)
+        dets = [Detection(box, 0.6, 0), Detection(shifted, 0.8, 0)][:n]
+        kept = nms(columns(dets), 0.5)
+        assert kept == reference_nms(dets, 0.5) == [[], [0], [1]][n]
 
     def test_invalid_threshold(self):
         d = Detection(OrientedBox(Point3(0, 0, 0), (1, 1, 1)), 0.5, 0)

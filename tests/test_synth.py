@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import centerness, match_point_to_gt, point_in_scaled_box
+from reference import centerness, match_point_to_gt, point_in_scaled_box, scalar_iou_rotated
 
 from cascadev.cascade import Proposals
 from cascadev.errors import ConfigError, PlacementError
@@ -60,7 +60,7 @@ class TestGenScene:
             s = gen_scene(cfg, seed)
             for i, a in enumerate(s.gt_boxes):
                 for b in s.gt_boxes[i + 1 :]:
-                    assert iou_rotated(a, b) == 0.0
+                    assert scalar_iou_rotated(a, b) == 0.0
                 r = math.hypot(a.size[0], a.size[1]) / 2.0
                 (x0, x1), (y0, y1), (z0, z1) = cfg.workspace
                 assert x0 + r <= a.center.x <= x1 - r + 1e-9
