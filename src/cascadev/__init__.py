@@ -35,7 +35,7 @@ from .errors import (
 )
 from .evaluation import ApResult, CascadeStats, cascade_stats, evaluate_scenes
 from .formats import read_json, write_json
-from .geometry import OrientedBox, Point3
+from .geometry import Boxes, OrientedBox, Point3
 from .learner import (
     HeadParams,
     LossReport,
@@ -44,7 +44,7 @@ from .learner import (
     train_cascade,
     uniform_seed_scores,
 )
-from .overlap import Detection, iou_mc
+from .overlap import Detection, Detections, iou_mc
 from .synth import (
     OracleNoise,
     SceneConfig,
@@ -89,6 +89,7 @@ __all__ = [
     "evaluate_scenes",
     "read_json",
     "write_json",
+    "Boxes",
     "OrientedBox",
     "Point3",
     "HeadParams",
@@ -98,6 +99,7 @@ __all__ = [
     "train_cascade",
     "uniform_seed_scores",
     "Detection",
+    "Detections",
     "iou_mc",
     "OracleNoise",
     "SceneConfig",

@@ -7,8 +7,8 @@ voting over the full proposal set: the next stage's proposals. So a
 stage's inputs follow from stage 1's proposals, the earlier stages'
 predictions, the schedule and the weighting. Trace files store only
 those, and the trace reader rebuilds every record by running run_cascade
-on the stored predictions. Only the boxes the stage ensemble's NMS keeps
-become Detection rows.
+on the stored predictions. Ground truth, every stage's detections and the
+stage ensemble's NMS survivors all stay column batches.
 
 Proposals carry an origin_index so a point's trajectory through the
 stages can be followed; denoising proposals keep a fixed ground-truth
@@ -26,10 +26,10 @@ import numpy as np
 
 from .assignment import Assignment, CpaSchedule, assign_targets, cpa_threshold
 from .errors import PredictorOutputError
-from .geometry import Boxes, OrientedBox, decode_boxes
+from .geometry import Boxes, decode_boxes
 # Not called here; perfbench/bench_trace.py patches these names on this module.
 from .geometry import decode_box, update_point  # noqa: F401
-from .overlap import Detection, Detections, nms
+from .overlap import Detections, nms
 from .voting import ia_voting
 
 
@@ -80,7 +80,7 @@ class StageTrace:
     and voting weighting it ran with."""
 
     stages: list[StageRecord]
-    gts: list[OrientedBox] | None
+    gts: Boxes | None
     schedule: CpaSchedule
     weighting: str
 
@@ -124,7 +124,7 @@ def run_cascade(
     proposals: Proposals,
     predictor,
     sched: CpaSchedule,
-    gts: list[OrientedBox] | None = None,
+    gts: Boxes | None = None,
     *,
     weighting: str = "exp_neg_dist",
 ) -> StageTrace:
@@ -141,7 +141,6 @@ def run_cascade(
     stage's detections feed nothing.
     """
     L = sched.num_stages
-    gt_boxes = None if gts is None else Boxes.of(gts)
     records: list[StageRecord] = []
     current = proposals
     for l in range(1, L + 1):
@@ -157,29 +156,27 @@ def run_cascade(
             proposals_in=current,
             predictions=preds,
             assignment=None if gts is None else assign_targets(
-                current.points, gt_boxes, mu, denoising_gt=current.denoising_gt),
+                current.points, gts, mu, denoising_gt=current.denoising_gt),
             detections=Detections(*decode_boxes(current.points, preds.deltas),
-                                  class_ids, scores),
+                                  class_ids, scores, np.full(len(scores), l)),
         )
         records.append(rec)
         if l < L:
             current = hand_off(current, rec.detections, weighting=weighting)
-    return StageTrace(stages=records, gts=None if gts is None else list(gts), schedule=sched,
-                      weighting=weighting)
+    return StageTrace(stages=records, gts=gts, schedule=sched, weighting=weighting)
 
 
 def ensemble_stages(
     trace: StageTrace, stage_range: tuple[int, int], iou_threshold: float
-) -> list[Detection]:
-    """Pool detections from stages i..j (1-based ints, inclusive) through one NMS pass."""
+) -> Detections:
+    """The detections of stages i..j (1-based ints, inclusive) that survive one NMS pass."""
     i, j = stage_range
     if not (type(i) is int and type(j) is int and 1 <= i <= j <= trace.num_stages):
         raise ValueError(
             f"stage range {stage_range} invalid for a {trace.num_stages}-stage trace"
         )
     recs = trace.stages[i - 1 : j]
-    pooled = Detections(*(np.concatenate([getattr(r.detections, f.name) for r in recs])
-                          for f in fields(Detections)))
-    stages = np.repeat([r.stage for r in recs], [len(r.detections) for r in recs])
+    names = [f.name for f in fields(Detections)]
+    pooled = Detections(*(np.concatenate([getattr(r.detections, k) for r in recs]) for k in names))
     kept = nms(pooled, iou_threshold)
-    return pooled.rows(stages[kept], kept)
+    return Detections(*(getattr(pooled, k)[kept] for k in names))

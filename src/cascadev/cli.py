@@ -185,7 +185,7 @@ def cmd_run(cfg: RunConfig, scenes_dir: str, out: str) -> None:
     params = None
     if cfg.predictor == "oracle":
         for name, scene in scenes:
-            if not scene.gt_boxes or any(g.class_id is None for g in scene.gt_boxes):
+            if not len(scene.gt_boxes) or (scene.gt_boxes.class_ids < 0).any():
                 raise DataError("the oracle predictor needs ground-truth boxes with class "
                                 f"ids, which {name} lacks")
     else:
@@ -247,7 +247,7 @@ def cmd_run(cfg: RunConfig, scenes_dir: str, out: str) -> None:
 def cmd_eval(cfg: RunConfig, traces_dir: str, out: str) -> None:
     named = _load(traces_dir, "trace")
     for name, t in named:
-        if not t.gts:
+        if t.gts is None or not len(t.gts):
             raise DataError(f"evaluation needs traces recorded with ground-truth boxes, which "
                             f"{name} lacks")
         if cfg.ensemble[1] > t.num_stages:
@@ -272,7 +272,7 @@ def cmd_eval(cfg: RunConfig, traces_dir: str, out: str) -> None:
 def cmd_train(cfg: RunConfig, scenes_dir: str, out: str) -> None:
     named = _load(scenes_dir, "scene")
     for name, scene in named:
-        if any(g.class_id is None for g in scene.gt_boxes):
+        if (scene.gt_boxes.class_ids < 0).any():
             raise DataError(f"training needs a class id on every box, which {name} lacks")
     scenes = [scene for _, scene in named]
     shapes = sorted({(s.features.shape[1], s.config.num_classes) for s in scenes})

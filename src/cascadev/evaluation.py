@@ -25,8 +25,8 @@ from scipy import stats as _scipy_stats
 
 from .cascade import StageTrace
 from .errors import DataError
-from .geometry import Boxes, OrientedBox, matched_faces
-from .overlap import Detection, pair_ious
+from .geometry import Boxes, matched_faces
+from .overlap import Detections, pair_ious
 from .synth import match_points_to_gt
 
 # Not called here; perfbench/bench_trace.py patches these names on this module.
@@ -57,51 +57,43 @@ class ApResult:
         raise KeyError(f"no result at IoU threshold {iou_threshold}")
 
 
-def _scene_iou(dets: list[Detection], gts: list[OrientedBox]) -> list[list[float]]:
+def _scene_iou(dets: Detections, gts: Boxes) -> list[list[float]]:
     """Rotated IoU of detection i with ground-truth box gi, as rows [i][gi].
 
     One pair_ious call scores every same-class pair; a pair of different
     classes, which matching never reads, holds 0.0.
     """
-    det_boxes, gt_boxes = Boxes.of([d.box for d in dets]), Boxes.of(gts)
-    ia, ib = np.nonzero(np.array([d.class_id for d in dets], dtype=np.int64)[:, None]
-                        == gt_boxes.class_ids)
+    ia, ib = np.nonzero(dets.class_ids[:, None] == gts.class_ids)
     out = np.zeros((len(dets), len(gts)))
-    out[ia, ib] = pair_ious(det_boxes, ia, gt_boxes, ib)
+    out[ia, ib] = pair_ious(dets, ia, gts, ib)
     return out.tolist()
 
 
 def _match_one_scene(
-    dets: list[Detection], gts: list[OrientedBox], iou_threshold: float,
-    ious: list[list[float]],
+    dets: Detections, gts: Boxes, iou_threshold: float, ious: list[list[float]],
 ) -> list[tuple[int, float, bool]]:
     """Greedy matching for one scene, on its _scene_iou rows.
 
     Returns (class_id, score, is_tp) per detection whose class occurs in
     the ground truth, in descending score order within the scene.
     """
-    gt_classes = {g.class_id for g in gts}
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    matched = [False] * len(gts)
+    gt_classes = gts.class_ids.tolist()
+    classes, scores = dets.class_ids.tolist(), dets.scores.tolist()
+    matched = [False] * len(gt_classes)
     out: list[tuple[int, float, bool]] = []
-    for i in order:
-        det = dets[i]
-        if det.class_id not in gt_classes:
+    for i in np.argsort(-dets.scores, kind="stable").tolist():
+        cls = classes[i]
+        if cls not in gt_classes:
             continue
-        best_gi = -1
-        best_iou = 0.0
-        for gi, gt in enumerate(gts):
-            if gt.class_id != det.class_id or matched[gi]:
-                continue
-            v = ious[i][gi]
-            if v > best_iou:
-                best_iou = v
-                best_gi = gi
-        if best_gi >= 0 and best_iou >= iou_threshold:
+        # The highest unmatched same-class IoU above 0; the lower index wins a tie.
+        best_gi, best_iou = -1, 0.0
+        for gi, (gt_cls, v) in enumerate(zip(gt_classes, ious[i])):
+            if gt_cls == cls and not matched[gi] and v > best_iou:
+                best_gi, best_iou = gi, v
+        hit = best_gi >= 0 and best_iou >= iou_threshold
+        if hit:
             matched[best_gi] = True
-            out.append((det.class_id, det.score, True))
-        else:
-            out.append((det.class_id, det.score, False))
+        out.append((cls, scores[i], hit))
     return out
 
 
@@ -147,12 +139,12 @@ def _evaluate_pooled(
 
 
 def evaluate_scenes(
-    scene_results: list[tuple[list[Detection], list[OrientedBox]]],
+    scene_results: list[tuple[Detections, Boxes]],
     iou_thresholds: list[float],
 ) -> ApResult:
     """Pooled AP over several (detections, ground truth) scene pairs, matched by rotated IoU."""
     for _, gts in scene_results:
-        if any(g.class_id is None for g in gts):
+        if (gts.class_ids < 0).any():
             raise DataError("ground-truth boxes must carry class ids for AP evaluation")
     for thr in iou_thresholds:
         if not (0.0 < thr < 1.0):
@@ -162,8 +154,8 @@ def evaluate_scenes(
     pooled: list[list[tuple[int, float, bool, int, int]]] = [[] for _ in iou_thresholds]
     gt_counts: dict[int, int] = {}
     for si, (dets, gts) in enumerate(scene_results):
-        for g in gts:
-            gt_counts[g.class_id] = gt_counts.get(g.class_id, 0) + 1
+        for cls in gts.class_ids.tolist():
+            gt_counts[cls] = gt_counts.get(cls, 0) + 1
         ious = _scene_iou(dets, gts)
         for rows, thr in zip(pooled, iou_thresholds):
             for di, (cls, score, is_tp) in enumerate(_match_one_scene(dets, gts, thr, ious)):
@@ -228,7 +220,7 @@ def cascade_stats(traces: list[StageTrace]) -> CascadeStats:
     per_stage_pos = [0] * num_stages
 
     for trace in traces:
-        gts = Boxes.of(trace.gts)
+        gts = trace.gts
         for si, rec in enumerate(trace.stages):
             per_stage_pos[si] += rec.assignment.num_regular_positives
             keep = np.flatnonzero(rec.proposals_in.denoising_gt < 0)

@@ -27,6 +27,7 @@ import base64
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -36,7 +37,7 @@ from .cascade import Predictions, Proposals, StageTrace, run_cascade
 from .config import from_doc
 from .errors import DataError, InvalidDeltasError, PredictorOutputError, SchemaVersionError
 from .evaluation import ApResult, CascadeStats, ThresholdResult
-from .geometry import EPS, Boxes, OrientedBox, Point3
+from .geometry import EPS, MAX_COORD, Boxes, OrientedBox, Point3
 from .learner import BranchParams, HeadParams, LossReport, StageParams
 from .synth import SceneConfig, SyntheticScene
 from .voting import WEIGHTINGS
@@ -121,20 +122,20 @@ def _box_doc(b: OrientedBox) -> dict:
     }
 
 
-def _num(v, name: str):
-    """v itself; ValueError unless it is a finite number other than a bool."""
-    if not (type(v) in (int, float) and math.isfinite(v)):
-        raise ValueError(f"{name} {v!r} is not a finite number")
+def _num(v, name: str, bound: float = sys.float_info.max):
+    """v itself; ValueError unless it is a number other than a bool of magnitude at most bound."""
+    if not (type(v) in (int, float) and abs(v) <= bound):
+        raise ValueError(f"{name} {v!r} is not a finite number of magnitude at most {bound:g}")
     return v
 
 
 def _box_from(doc: dict, num_classes: float) -> OrientedBox:
-    """A box whose numbers are finite and whose class_id is null or an int in
-    [0, num_classes); ValueError otherwise."""
+    """A box whose numbers are finite, center and size within MAX_COORD as in decode_boxes,
+    and class_id null or an int in [0, num_classes); ValueError otherwise."""
     class_id = doc["class_id"]
     return OrientedBox(
-        center=Point3(*(_num(v, "box center") for v in doc["center"])),
-        size=tuple(_num(v, "box size") for v in doc["size"]),
+        center=Point3(*(_num(v, "box center", MAX_COORD) for v in doc["center"])),
+        size=tuple(_num(v, "box size", MAX_COORD) for v in doc["size"]),
         yaw=_num(doc["yaw"], "box yaw"),
         class_id=None if class_id is None else _int(class_id, "ground-truth class_id", 0,
                                                      num_classes),
@@ -218,8 +219,8 @@ def scene_from_doc(doc: dict) -> SyntheticScene:
     check_schema(doc, "scene")
     try:
         config = from_doc(SceneConfig, doc["config"], "scene config")
-        gt_boxes = [_box_from(b, config.num_classes) for b in doc["gt_boxes"]]
-        _inside(Boxes.of(gt_boxes).centers, config.workspace, "ground-truth box center")
+        gt_boxes = Boxes.of([_box_from(b, config.num_classes) for b in doc["gt_boxes"]])
+        _inside(gt_boxes.centers, config.workspace, "ground-truth box center")
         scene = SyntheticScene(
             gt_boxes=gt_boxes,
             points=_inside(_column(doc["points"], "points", "<f8", (None, 3)), config.workspace,
@@ -292,7 +293,8 @@ def trace_from_doc(doc: dict) -> StageTrace:
         width = _column(stored[0]["class_probs"], "stage 1 class_probs", "<f8",
                         (None, None)).shape[1]
         replay = [_predictions(p, l, width) for l, p in enumerate(stored, start=1)]
-        gts = None if doc["gts"] is None else [_box_from(b, width - 1) for b in doc["gts"]]
+        gts = None if doc["gts"] is None else Boxes.of([_box_from(b, width - 1)
+                                                         for b in doc["gts"]])
         props = doc["proposals"]
         proposals = Proposals(
             points=_column(props["points"], "points", "<f8", (None, 3)),

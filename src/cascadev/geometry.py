@@ -66,9 +66,6 @@ class Point3:
         if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
             raise ValueError(f"non-finite point coordinates: {(self.x, self.y, self.z)}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
-
 
 @dataclass(frozen=True, slots=True)
 class OrientedBox:
@@ -115,13 +112,6 @@ class Deltas:
 
     def faces(self) -> tuple[float, float, float, float, float, float]:
         return (self.d1, self.d2, self.d3, self.d4, self.d5, self.d6)
-
-    def as_array(self) -> np.ndarray:
-        """Seven-vector layout (d1..d6, heading)."""
-        return np.array(
-            [self.d1, self.d2, self.d3, self.d4, self.d5, self.d6, self.heading],
-            dtype=np.float64,
-        )
 
 
 def _to_canonical(p: Point3, box: OrientedBox) -> tuple[float, float, float]:
@@ -188,7 +178,8 @@ def update_point(p: Point3, d: Deltas) -> Point3:
 @dataclass(frozen=True, slots=True, eq=False)
 class Boxes:
     """Boxes as columns, row i being box i: centers (N, 3), sizes (N, 3), yaws (N,)
-    and class_ids (N,) int64, -1 for a box with no class."""
+    and class_ids (N,) int64, -1 for a box with no class; boxes[i] is row i as an
+    OrientedBox, class -1 read back as None."""
 
     centers: np.ndarray
     sizes: np.ndarray
@@ -197,6 +188,11 @@ class Boxes:
 
     def __len__(self) -> int:
         return len(self.yaws)
+
+    def __getitem__(self, i: int) -> OrientedBox:
+        k = self.class_ids.item(i)
+        return OrientedBox(Point3(*self.centers[i].tolist()), tuple(self.sizes[i].tolist()),
+                           self.yaws.item(i), None if k < 0 else k)
 
     @property
     def volumes(self) -> np.ndarray:

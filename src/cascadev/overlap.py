@@ -12,7 +12,9 @@ columns for NMS, cascade statistics, AP matching and box placement, and
 `iou_rotated` and `bev_intersection_area` are its one-pair cases.
 
 NMS reads a `Detections` batch of columns and returns the greedy's kept
-row indices from a few batched passes (see `nms`).
+row indices from a few batched passes (see `nms`). The pipeline keeps
+detections as that batch; a `Detection` row is only the view `dets[i]`,
+which the file writers read.
 
 All functions are pure and thread-safe.
 """
@@ -25,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Boxes, OrientedBox, Point3
+from .geometry import Boxes, OrientedBox
 
 _AREA_EPS = 1e-12
 
@@ -46,19 +48,16 @@ class Detection:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Detections(Boxes):
-    """Scored boxes as columns: the Boxes columns, then scores (N,) in [0, 1]."""
+    """Scored boxes as columns: the Boxes columns, then scores (N,) in [0, 1] and
+    stages (N,) int64, each row's decoder stage; dets[i] is row i as a Detection."""
 
     scores: np.ndarray
+    stages: np.ndarray
 
-    def rows(self, stage, index=slice(None)) -> list[Detection]:
-        """Detection rows at index (default all), of stage: one int, or one per row."""
-        cols = [c[index].tolist()
-                for c in (self.centers, self.sizes, self.yaws, self.class_ids, self.scores)]
-        stages = np.broadcast_to(stage, len(cols[-1])).tolist()
-        return [
-            Detection(OrientedBox(Point3(*c), tuple(size), yaw, class_id=k), p, k, st)
-            for c, size, yaw, k, p, st in zip(*cols, stages)
-        ]
+    def __getitem__(self, i: int) -> Detection:
+        # Zero-argument super() fails in a slots dataclass, so name the base.
+        return Detection(Boxes.__getitem__(self, i), self.scores.item(i),
+                         self.class_ids.item(i), self.stages.item(i))
 
 
 # Corner order of a footprint: counterclockwise from (+w/2, +l/2).

@@ -28,6 +28,7 @@ from .cascade import Predictions, Proposals
 from .config import check_types
 from .errors import ConfigError, PlacementError
 from .geometry import (
+    MAX_COORD,
     Boxes,
     OrientedBox,
     Point3,
@@ -81,12 +82,15 @@ class SceneConfig:
         for a, b in self.size_range:
             if not (0.0 < a <= b):
                 raise ValueError(f"invalid size range ({a}, {b})")
-        for axis, (a, b) in zip("xyz", self.workspace):
+        for a, b in self.workspace:
             if not (a < b):
                 raise ValueError(f"invalid workspace extent ({a}, {b})")
-            if not math.isfinite(b - a):
-                raise ValueError(f"workspace {axis} extent ({a}, {b}) is too wide: "
-                                 "hi - lo overflows")
+        # Every box the config draws then decodes within MAX_COORD, as decode_boxes requires.
+        for name, ranges in (("size_range", self.size_range), ("workspace", self.workspace)):
+            for axis, (a, b) in zip("xyz", ranges):
+                if not (abs(a) <= MAX_COORD and abs(b) <= MAX_COORD):
+                    raise ValueError(f"{name} {axis} range ({a}, {b}) reaches beyond "
+                                     f"{MAX_COORD:g} in magnitude")
         # Placement keeps every box inside the workspace, a yawed one within its
         # footprint diagonal, so an axis narrower than the smallest box the
         # config can draw fails every draw.
@@ -115,10 +119,10 @@ class SyntheticScene:
     """Ground truth, points, features, and per-point ownership labels.
 
     Row i of points (N, 3), features (N, F) and point_gt_labels (N,) int64
-    is scene point i; its label is the owning box index, or -1 for clutter.
+    is scene point i; its label is its box's row in gt_boxes, or -1 for clutter.
     """
 
-    gt_boxes: list[OrientedBox]
+    gt_boxes: Boxes
     points: np.ndarray
     features: np.ndarray
     point_gt_labels: np.ndarray
@@ -194,8 +198,9 @@ def _place_boxes(cfg: SceneConfig, rng: np.random.Generator) -> list[OrientedBox
     return boxes
 
 
-def _surface_points(box: OrientedBox, count: int, rng: np.random.Generator) -> np.ndarray:
-    w, l, h = box.size
+def _surface_points(center: list[float], size: list[float], yaw: float, count: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    w, l, h = size
     areas = np.array([l * h, l * h, w * h, w * h, w * l, w * l])
     per_face = rng.multinomial(count, areas / areas.sum())
     local = np.empty((count, 3))
@@ -221,15 +226,15 @@ def _surface_points(box: OrientedBox, count: int, rng: np.random.Generator) -> n
             block[:, 1] = v * l
             block[:, 2] = sign * h / 2.0
         row += n
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    c, s = math.cos(yaw), math.sin(yaw)
     world = np.empty_like(local)
-    world[:, 0] = c * local[:, 0] - s * local[:, 1] + box.center.x
-    world[:, 1] = s * local[:, 0] + c * local[:, 1] + box.center.y
-    world[:, 2] = local[:, 2] + box.center.z
+    world[:, 0] = c * local[:, 0] - s * local[:, 1] + center[0]
+    world[:, 1] = s * local[:, 0] + c * local[:, 1] + center[1]
+    world[:, 2] = local[:, 2] + center[2]
     return world
 
 
-def _clutter_points(cfg: SceneConfig, boxes: list[OrientedBox], rng: np.random.Generator) -> np.ndarray:
+def _clutter_points(cfg: SceneConfig, boxes: Boxes, rng: np.random.Generator) -> np.ndarray:
     lows = np.array([a for a, _ in cfg.workspace])
     highs = np.array([b for _, b in cfg.workspace])
     out: list[np.ndarray] = []
@@ -239,8 +244,8 @@ def _clutter_points(cfg: SceneConfig, boxes: list[OrientedBox], rng: np.random.G
             break
         batch = rng.uniform(lows, highs, size=(max(need * 2, 64), 3))
         inside_any = np.zeros(len(batch), dtype=bool)
-        for b in boxes:
-            inside_any |= contains_points(b.center.as_array(), b.size, b.yaw, batch)
+        for center, size, yaw in zip(boxes.centers, boxes.sizes, boxes.yaws.tolist()):
+            inside_any |= contains_points(center, size, yaw, batch)
         keep = batch[~inside_any][:need]
         out.append(keep)
         need -= len(keep)
@@ -259,22 +264,22 @@ def gen_scene(cfg: SceneConfig, seed: int) -> SyntheticScene:
     overflows, and PlacementError when the workspace is too crowded.
     """
     rng = _rng(seed)
-    boxes = _place_boxes(cfg, rng)
-    blocks = [_surface_points(box, cfg.points_per_box, rng) for box in boxes]
-    blocks.append(_clutter_points(cfg, boxes, rng))
+    gts = Boxes.of(_place_boxes(cfg, rng))
+    blocks = [_surface_points(center, size, yaw, cfg.points_per_box, rng) for center, size, yaw
+              in zip(gts.centers.tolist(), gts.sizes.tolist(), gts.yaws.tolist())]
+    blocks.append(_clutter_points(cfg, gts, rng))
     pts = np.concatenate(blocks)
     n = len(pts)
     # One surface block per box, then the clutter block, labelled -1.
-    label_arr = np.repeat(np.append(np.arange(len(boxes)), -1), [len(b) for b in blocks])
+    label_arr = np.repeat(np.append(np.arange(len(gts)), -1), [len(b) for b in blocks])
 
     feats = np.empty((n, cfg.feature_dim))
-    for gi, box in enumerate(boxes):
+    for gi, (center, class_id) in enumerate(zip(gts.centers, gts.class_ids.tolist())):
         rows = label_arr == gi
         k = int(rows.sum())
-        center = np.array([box.center.x, box.center.y, box.center.z])
         block = np.zeros((k, cfg.feature_dim))
         block[:, :3] = center - pts[rows] + rng.normal(0.0, cfg.sigma_feature, size=(k, 3))
-        block[:, 3 + box.class_id] = 1.0
+        block[:, 3 + class_id] = 1.0
         block[:, 3 : 3 + cfg.num_classes] += rng.normal(
             0.0, cfg.sigma_feature, size=(k, cfg.num_classes)
         )
@@ -290,7 +295,7 @@ def gen_scene(cfg: SceneConfig, seed: int) -> SyntheticScene:
 
     perm = rng.permutation(n)
     return SyntheticScene(
-        gt_boxes=boxes,
+        gt_boxes=gts,
         points=pts[perm],
         features=feats[perm],
         point_gt_labels=label_arr[perm],
@@ -390,7 +395,7 @@ def oracle_predictor(scene: SyntheticScene, noise: OracleNoise, seed: int = 0):
     add and the centerness clip each run once on the whole batch.
     Raises ValueError without ground truth or for a box without a class id.
     """
-    gts = Boxes.of(scene.gt_boxes)
+    gts = scene.gt_boxes
     if not len(gts):
         raise ValueError("oracle needs at least one ground-truth box")
     classless = np.flatnonzero(gts.class_ids < 0)
@@ -460,7 +465,7 @@ def scene_proposals(
                          f"{scene.num_points} scene points")
     group: list[tuple[int, int]] = []
     if denoising_k:
-        nearest = select_denoising(scene.points, Boxes.of(scene.gt_boxes).centers, denoising_k)
+        nearest = select_denoising(scene.points, scene.gt_boxes.centers, denoising_k)
         per_gt = min(denoising_k, scene.num_points)
         group = [(j // per_gt, pi) for j, pi in enumerate(nearest)]
     taken = {pi for _, pi in group}
@@ -485,7 +490,7 @@ def oracle_seed_centerness(scene: SyntheticScene, noise: OracleNoise, seed: int 
     A point in no box is more than 1e-9 outside every box, so only the
     contained points are measured; the rest score 0 against any box.
     """
-    gts = Boxes.of(scene.gt_boxes)
+    gts = scene.gt_boxes
     owner = _containing_box(scene.points, gts)
     inside = np.flatnonzero(owner >= 0)
     vals = np.zeros(scene.num_points)

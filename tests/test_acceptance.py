@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from reference import centerness, iou_aabb, match_point_to_gt, point_in_scaled_box
-from rows import xyz
+from rows import detections, xyz
 
 from cascadev.assignment import CpaSchedule, assign_targets, cpa_threshold
 from cascadev.cascade import ensemble_stages, run_cascade
@@ -84,7 +84,7 @@ def test_criterion_1_roundtrip_and_center_recovery():
         size = tuple(rng.uniform(0.2, 3.0, size=3))
         yaw = float(rng.uniform(-math.pi, math.pi)) if rng.random() < 0.7 else 0.0
         rows.append(OrientedBox(center, size, yaw=yaw, class_id=int(rng.integers(0, 5))))
-        points.append(center.as_array() + rng.uniform(-2.0, 2.0, size=3))
+        points.append(xyz([center])[0] + rng.uniform(-2.0, 2.0, size=3))
     boxes = Boxes.of(rows)
     points = np.array(points)
     faces, _ = matched_faces(boxes, points, np.arange(len(boxes)))
@@ -118,7 +118,7 @@ def test_criterion_2_centerness_law():
         rows.append(box)
         half = np.asarray(box.size) / 2.0
         points.append(rng.uniform(-4.0, 4.0, size=3))
-        points.append(box.center.as_array())
+        points.append(xyz([box.center])[0])
         # Interior offsets bounded away from zero so the strict side of
         # "=1 iff center" is tested without floating-point ambiguity.
         q = rng.uniform(0.1, 0.9, size=3) * half * rng.choice([-1.0, 1.0], size=3)
@@ -285,7 +285,7 @@ def _rand_iou_box(rng, yaw=None, near=None):
     if near is None:
         center = Point3(*rng.uniform(-2.0, 2.0, size=3))
     else:
-        center = Point3(*(near.center.as_array() + rng.uniform(-0.8, 0.8, size=3)))
+        center = Point3(*(xyz([near.center])[0] + rng.uniform(-0.8, 0.8, size=3)))
     y = float(rng.uniform(-math.pi, math.pi)) if yaw is None else yaw
     return OrientedBox(center, tuple(rng.uniform(0.6, 2.2, size=3)), yaw=y)
 
@@ -382,7 +382,8 @@ def test_criterion_8_ap_hand_trace_and_threshold_ordering():
         Detection(box=g2, score=0.7, class_id=0),
     ]
     # Ranked TP, duplicate FP, TP over two gts: AP = 0.5 + 0.5 * (2/3).
-    hand_err = abs(evaluate_scenes([(dets, [g1, g2])], [0.5]).at(0.5).mean_ap - 5.0 / 6.0)
+    hand = evaluate_scenes([(detections(dets), Boxes.of([g1, g2]))], [0.5])
+    hand_err = abs(hand.at(0.5).mean_ap - 5.0 / 6.0)
 
     sched = CpaSchedule()
     noise = OracleNoise(sigma_delta=0.12, centerness_bias=0.1)

@@ -11,6 +11,8 @@ import io
 import os
 import re
 
+import pytest
+
 import cascadev
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -24,9 +26,9 @@ ENTRY_POINTS = {"gen_scene", "scene_proposals", "oracle_seed_centerness", "oracl
                 "uniform_seed_scores", "run_cascade", "ensemble_stages", "evaluate_scenes",
                 "cascade_stats", "train_cascade", "head_predictors", "iou_mc", "read_json",
                 "write_json"}
-TYPES = {"CpaSchedule", "SceneConfig", "OracleNoise", "LossWeights", "OrientedBox", "Point3",
-         "Proposals", "Predictions", "SyntheticScene", "StageTrace", "Detection", "ApResult",
-         "CascadeStats", "HeadParams", "LossReport"}
+TYPES = {"CpaSchedule", "SceneConfig", "OracleNoise", "LossWeights", "Boxes", "OrientedBox",
+         "Point3", "Proposals", "Predictions", "SyntheticScene", "StageTrace", "Detections",
+         "Detection", "ApResult", "CascadeStats", "HeadParams", "LossReport"}
 
 
 def perfbench_root_names() -> set[str]:
@@ -76,3 +78,24 @@ def test_readme_python_api_block_runs():
         exec(compile(block, "README.md", "exec"), {})
     maps = [float(v) for v in out.getvalue().split()]
     assert len(maps) == 2 and all(0.0 <= v <= 1.0 for v in maps)
+
+
+@pytest.mark.parametrize("name, shrink", [
+    ("cli-small", {"NUM_SCENES": 2}),
+    ("detect-large", {"BOX_COUNTS": (3,), "B": 64}),
+    ("train", {"STEPS": 4}),
+])
+def test_benchmark_workload_round_reads_the_pipeline_output(name, shrink, tmp_path, monkeypatch):
+    # Seed 1 has no reference values, so a round checks only what it reads of
+    # the outputs: a type change the benchmark cannot read fails here.
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    from bench_stats import Ledger
+    from bench_workloads import WORKLOADS
+
+    wl = WORKLOADS[name](cascadev, 1, str(tmp_path / "work"), {})
+    for attr, value in shrink.items():
+        setattr(wl, attr, value)
+    wl.setup()
+    ledger = Ledger()
+    assert wl.round(0, ledger)["ok"], ledger.notes
+    assert ledger.failed == 0, ledger.notes

@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference import centerness, match_point_to_gt, point_in_scaled_box
-from rows import xyz
+from rows import same_bits, xyz
 
 from cascadev.errors import InvalidDeltasError
 from cascadev.geometry import (
@@ -105,7 +105,7 @@ def raising(fn, *args):
 def test_face_distances_and_centerness_arrays_equal_scalar(data):
     box = data.draw(boxes())
     pts = data.draw(st.lists(probes(box), min_size=1, max_size=24))
-    q = raising(canonical_coords, box.center.as_array(), box.yaw, xyz(pts))
+    q = raising(canonical_coords, xyz([box.center])[0], box.yaw, xyz(pts))
     d = raising(face_distances, q, np.array(box.size) / 2.0)
     c = raising(centerness_array, d)
     assert d.shape == (len(pts), 6) and c.shape == (len(pts),)
@@ -340,7 +340,7 @@ def decodable_rows(draw):
 @given(st.lists(decodable_rows(), min_size=0, max_size=24))
 def test_decode_boxes_equals_scalar(rows):
     pts = xyz(p for p, _ in rows)
-    deltas = np.array([d.as_array() for _, d in rows]).reshape(len(rows), 7)
+    deltas = np.array([[*d.faces(), d.heading] for _, d in rows]).reshape(len(rows), 7)
     centers, sizes, yaws = raising(decode_boxes, pts, deltas)
     assert centers.shape == sizes.shape == (len(rows), 3) and yaws.shape == (len(rows),)
     for i, (p, d) in enumerate(rows):
@@ -377,7 +377,7 @@ def test_decoded_yaw_is_a_fixed_point_of_normalize_yaw(headings):
 @SETTINGS
 @given(st.lists(decodable_rows(), min_size=1, max_size=12), st.data())
 def test_decode_boxes_rejects_first_non_positive_extent(rows, data):
-    deltas = np.array([d.as_array() for _, d in rows])
+    deltas = np.array([[*d.faces(), d.heading] for _, d in rows])
     bad = sorted(data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1)))
     for i in bad:
         axis = data.draw(st.integers(0, 2))
@@ -405,7 +405,7 @@ def test_decode_boxes_rejects_box_beyond_max_coord():
     assert decode_boxes(far, deltas)[0][2, 1] == pytest.approx(-0.5 * MAX_COORD)
 
 
-# --- Boxes.of and Detections.rows: columns of box rows, bit for bit --------
+# --- Boxes.of and the row view: columns of box rows, bit for bit ----------
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=5e-324, allow_infinity=False)
@@ -431,11 +431,17 @@ def test_boxes_of_rows_round_trips_through_detections(rows, stage):
     assert len(b) == len(rows)
     assert b.centers.shape == b.sizes.shape == (len(rows), 3) and b.yaws.shape == (len(rows),)
     assert b.class_ids.dtype == np.int64 and b.class_ids.shape == (len(rows),)
+    assert same_bits(Boxes.of(list(b)), b)
     scores = np.linspace(0.0, 1.0, len(rows))
-    dets = Detections(b.centers, b.sizes, b.yaws, b.class_ids, scores).rows(stage)
-    for i, (box, det, score) in enumerate(zip(rows, dets, scores.tolist())):
+    dets = Detections(b.centers, b.sizes, b.yaws, b.class_ids, scores,
+                      np.full(len(rows), stage))
+    assert len(list(dets)) == len(rows)
+    for i, (box, score) in enumerate(zip(rows, scores.tolist())):
+        det = dets[i]
         k = -1 if box.class_id is None else box.class_id
         col = OrientedBox(Point3(*b.centers[i].tolist()), tuple(b.sizes[i].tolist()),
                           b.yaws[i], class_id=int(b.class_ids[i]))
-        assert bits(col) == bits(det.box) == bits(dataclasses.replace(box, class_id=k))
+        assert bits(col) == bits(dataclasses.replace(box, class_id=k))
+        # The row view reads class -1 back as None.
+        assert bits(det.box) == bits(b[i]) == bits(box)
         assert (det.class_id, det.score, det.stage) == (k, score, stage)

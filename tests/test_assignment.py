@@ -144,7 +144,8 @@ class TestAssignTargets:
             if gi < 0:
                 continue
             d = encode_deltas(points[i], gts[gi])
-            assert a.target_deltas[i] == pytest.approx(d.as_array(), abs=1e-12)
+            want = np.array([*d.faces(), d.heading])
+            assert a.target_deltas[i] == pytest.approx(want, abs=1e-12)
             assert a.target_centerness[i] == pytest.approx(centerness(d), abs=1e-12)
 
     def test_positive_centerness_strictly_positive_below_half(self):
@@ -227,7 +228,7 @@ def per_row_assign_targets(points, gts, mu, *, fixed_assignments=None):
     if gts and n:
         best_vol = np.full(n, np.inf)
         for gi, gt in enumerate(gts):
-            inside = contains_points(gt.center.as_array(), gt.size, gt.yaw, pts, mu=mu)
+            inside = contains_points(xyz([gt.center])[0], gt.size, gt.yaw, pts, mu=mu)
             better = inside & (gt.volume < best_vol)
             matched[better] = gi
             best_vol[better] = gt.volume
@@ -307,7 +308,7 @@ class TestColumnsAgainstPerRowOracle:
             if deltas[i] is None:
                 assert np.isnan(a.target_deltas[i]).all() and np.isnan(a.target_centerness[i])
             else:
-                assert a.target_deltas[i].tolist() == deltas[i].as_array().tolist()
+                assert a.target_deltas[i].tolist() == [*deltas[i].faces(), deltas[i].heading]
                 assert a.target_centerness[i] == cent[i]
         assert a.num_positives == sum(g >= 0 for g in matched)
         assert a.num_regular_positives == sum(g >= 0 and not d for g, d in zip(matched, dn))

@@ -60,7 +60,7 @@ class TestRunCascade:
     def test_exact_oracle_stage1_detections_match_gt(self):
         scene, props, predict = build(2, OracleNoise())
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes)
-        for p, det in zip(props.points, trace.stages[0].detections.rows(1)):
+        for p, det in zip(props.points, trace.stages[0].detections):
             gt = scene.gt_boxes[match_point_to_gt(Point3(*p), scene.gt_boxes)]
             assert iou_rotated(det.box, gt) == pytest.approx(1.0, abs=1e-9)
             assert det.class_id == gt.class_id
@@ -87,7 +87,7 @@ class TestRunCascade:
         scene, props, predict = build(5, OracleNoise())
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes)
         s2, s3 = trace.stages[1], trace.stages[2]
-        for d2, d3 in zip(s2.detections.rows(2), s3.detections.rows(3)):
+        for d2, d3 in zip(s2.detections, s3.detections):
             assert iou_rotated(d2.box, d3.box) == pytest.approx(1.0, abs=1e-9)
         for p2, p3 in zip(s2.proposals_in.points, s3.proposals_in.points):
             assert p2[0] == pytest.approx(p3[0], abs=1e-9)
@@ -118,7 +118,7 @@ class TestRunCascade:
             assert np.array_equal(rec.proposals_in.denoising_gt, props.denoising_gt)
             # Each point moves onto its decoded box center, and that is the
             # point the next stage receives.
-            for i, det in enumerate(rec.detections.rows(rec.stage)):
+            for i, det in enumerate(rec.detections):
                 assert Point3(*rec.detections.centers[i]) == det.box.center
         for prev, nxt in zip(trace.stages, trace.stages[1:]):
             assert np.array_equal(nxt.proposals_in.points, prev.detections.centers)
@@ -185,7 +185,7 @@ class TestRunCascade:
         noisy = oracle_predictor(scene, OracleNoise(sigma_delta=0.3), seed=1)
         trace = run_cascade(props, [noisy, exact, exact], SCHED, scene.gt_boxes)
         # Stage 2 runs the exact head, so its detections are perfect.
-        for p, det in zip(trace.stages[1].proposals_in.points, trace.stages[1].detections.rows(2)):
+        for p, det in zip(trace.stages[1].proposals_in.points, trace.stages[1].detections):
             gt = scene.gt_boxes[match_point_to_gt(Point3(*p), scene.gt_boxes)]
             assert iou_rotated(det.box, gt) == pytest.approx(1.0, abs=1e-9)
 
@@ -193,7 +193,7 @@ class TestRunCascade:
         scene, props, predict = build(12, OracleNoise(centerness_bias=0.2))
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes)
         preds = trace.stages[0].predictions
-        for i, det in enumerate(trace.stages[0].detections.rows(1)):
+        for i, det in enumerate(trace.stages[0].detections):
             fg = preds.class_probs[i, :-1]
             assert det.score == pytest.approx(float(fg.max()) * preds.centerness[i], abs=1e-12)
             assert det.stage == 1
@@ -263,12 +263,12 @@ class TestEnsemble:
         out = ensemble_stages(trace, (2, 2), 0.25)
         dets = trace.stages[1].detections
         kept = nms(dets, 0.25)
-        assert [d.box for d in out] == [d.box for d in dets.rows(2, kept)]
+        assert [d.box for d in out] == [dets[k].box for k in kept]
 
     def test_duplicates_deduplicated_highest_score_survives(self):
         scene, props, predict = build(15, OracleNoise())
         trace = run_cascade(props, predict, SCHED, scene.gt_boxes)
-        out = ensemble_stages(trace, (1, 3), 0.25)
+        out = list(ensemble_stages(trace, (1, 3), 0.25))
         # Exact oracle: stages 2 and 3 emit identical perfect boxes with
         # score 1; one survivor per (gt, class) remains.
         for i, a in enumerate(out):
@@ -297,8 +297,8 @@ class TestEnsemble:
         monkeypatch.setattr(cascade, "nms", spy)
         out = ensemble_stages(trace, (1, 3), 0.25)
         assert [call[:2] for call in calls] == [(3 * len(props), 0.25)]
-        pooled = [d for rec in trace.stages for d in rec.detections.rows(rec.stage)]
-        assert out == [pooled[k] for k in calls[0][2]]
+        pooled = [d for rec in trace.stages for d in rec.detections]
+        assert list(out) == [pooled[k] for k in calls[0][2]]
 
     def test_invalid_range(self):
         scene, props, predict = build(16, OracleNoise())

@@ -481,11 +481,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["run", "eval"])
     @pytest.mark.parametrize("field, value", [
         ("yaw", float("nan")), ("size", [1, 1e999, 1]),
-        ("center", [0.5, 0.5, True]), ("yaw", False),
+        ("center", [0.5, 0.5, True]), ("yaw", False), ("size", [1e300, 1e300, 1e300]),
+        ("center", [1e300, 0, 1]),
     ])
     def test_non_finite_ground_truth_is_data_error(self, tmp_path, cfg_path, command, field,
                                                    value, capsys):
-        self._edit_ground_truth(tmp_path, cfg_path, command, field, value, "finite", capsys)
+        # Not just "finite": pytest's tmp_path, which the message names, holds the test name.
+        self._edit_ground_truth(tmp_path, cfg_path, command, field, value,
+                                "is not a finite number", capsys)
 
     @pytest.mark.parametrize("command", ["run", "eval"])
     @pytest.mark.parametrize("class_id", [1.5, -3, 99, True, "x"])
@@ -868,6 +871,26 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "config error: invalid scene config: workspace y width 0.3 is narrower than the "
             "smallest box the config draws (0.45)\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error")  # an overflow on the way fails the test
+    @pytest.mark.parametrize("scene, message", [
+        ({"workspace": [[-1e150, 1e150], [-4, 4], [0, 2.6]]},
+         "workspace x range (-1e+150, 1e+150) reaches beyond 1e+100 in magnitude"),
+        ({"workspace": [[-1e300, 1e300], [-4, 4], [0, 2.6]]},
+         "workspace x range (-1e+300, 1e+300) reaches beyond 1e+100 in magnitude"),
+        ({"num_gt": [1, 1], "workspace": [[-1e100, 1e100]] * 3,
+          "size_range": [[1.5e100, 1.6e100]] * 3},
+         "size_range x range (1.5e+100, 1.6e+100) reaches beyond 1e+100 in magnitude"),
+    ], ids=["workspace_1e150", "workspace_1e300", "size_range_1e100"])
+    def test_scene_beyond_the_decodable_range_is_config_error(self, tmp_path, scene, message,
+                                                              capsys):
+        # Every scene of these configs used to fail run and train with exit 4.
+        cfg = tmp_path / "far.json"
+        cfg.write_text(json.dumps({"num_scenes": 2, "scene": scene}))
+        capsys.readouterr()
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: invalid scene config: {message}\n"
         assert not (tmp_path / "o").exists()
 
     def test_no_room_for_clutter_is_data_error(self, tmp_path):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from rows import detections, xyz
+
 from cascadev import evaluation
 from cascadev.assignment import CpaSchedule
 from cascadev.cascade import run_cascade
@@ -12,7 +14,7 @@ from cascadev.evaluation import (
     cascade_stats,
     evaluate_scenes,
 )
-from cascadev.geometry import OrientedBox, Point3
+from cascadev.geometry import Boxes, OrientedBox, Point3
 from cascadev.overlap import Detection
 from cascadev.synth import (
     OracleNoise,
@@ -31,8 +33,8 @@ def det(box, score, cls, stage=1):
 
 
 def one_scene_ap(dets, gts, iou_threshold):
-    """AP of one scene at one threshold."""
-    return evaluate_scenes([(dets, gts)], [iou_threshold])
+    """AP of one scene at one threshold, its detections and ground truth given as rows."""
+    return evaluate_scenes([(detections(dets), Boxes.of(gts))], [iou_threshold])
 
 
 def fixture_two_gts():
@@ -93,7 +95,7 @@ class TestAveragePrecision:
             cent = oracle_seed_centerness(s, OracleNoise(sigma_delta=0.2), seed=trial)
             props = scene_proposals(s, cent, 24)
             trace = run_cascade(props, predict, CpaSchedule(0.4, 0.2, 2), s.gt_boxes)
-            dets = trace.stages[-1].detections.rows(2)
+            dets = trace.stages[-1].detections
             maps = [
                 one_scene_ap(dets, s.gt_boxes, thr).at(thr).mean_ap
                 for thr in (0.25, 0.4, 0.5, 0.7)
@@ -108,15 +110,15 @@ class TestAveragePrecision:
         noise = OracleNoise(sigma_delta=0.2)
         props = scene_proposals(s, oracle_seed_centerness(s, noise, seed=4), 24)
         trace = run_cascade(props, oracle_predictor(s, noise, seed=4), CpaSchedule(), s.gt_boxes)
-        dets = [d for rec in trace.stages for d in rec.detections.rows(rec.stage)]
+        dets = detections([d for rec in trace.stages for d in rec.detections])
         same_class = {(i, gi) for i, d in enumerate(dets) for gi, g in enumerate(s.gt_boxes)
                       if d.class_id == g.class_id}
         calls = []
         kernel = evaluation.pair_ious
 
         def spy(a, ia, b, ib):
-            assert np.array_equal(a.centers, [d.box.center.as_array() for d in dets])
-            assert np.array_equal(b.centers, [g.center.as_array() for g in s.gt_boxes])
+            assert np.array_equal(a.centers, xyz([d.box.center for d in dets]))
+            assert np.array_equal(b.centers, xyz([g.center for g in s.gt_boxes]))
             calls.append(list(zip(ia.tolist(), ib.tolist())))
             return kernel(a, ia, b, ib)
 
@@ -137,7 +139,8 @@ class TestAveragePrecision:
         # covers half the ground truth.
         g1 = OrientedBox(Point3(0, 0, 0), (1, 1, 1), class_id=0)
         g2 = OrientedBox(Point3(3, 3, 1), (1, 1, 1), class_id=0)
-        res = evaluate_scenes([([det(g1, 0.9, 0)], [g1]), ([], [g2])], [0.5])
+        res = evaluate_scenes([(detections([det(g1, 0.9, 0)]), Boxes.of([g1])),
+                               (detections([]), Boxes.of([g2]))], [0.5])
         curve = res.at(0.5).pr_curves[0]
         assert curve[0] == pytest.approx([0.5])
         assert res.at(0.5).mean_ap == pytest.approx(0.5)

@@ -49,7 +49,8 @@ from cascadev.synth import (
     oracle_seed_centerness,
     scene_proposals,
 )
-from test_overlap import columns, reference_nms
+from rows import detections
+from test_overlap import reference_nms
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -216,7 +217,7 @@ def detection_sets(draw):
 @given(detection_sets())
 def test_nms_equals_reference(case):
     dets, thr = case
-    assert new_code(nms, columns(dets), thr) == reference_nms(dets, thr)
+    assert new_code(nms, detections(dets), thr) == reference_nms(dets, thr)
 
 
 @SETTINGS
@@ -225,7 +226,7 @@ def test_ap_matching_ious_equal_scalar_iou(det_boxes, gts):
     # Every detection and ground-truth box is of class 0, so every pair is scored.
     dets = [Detection(box, 0.5, 0) for box in det_boxes]
     gts = [OrientedBox(g.center, g.size, yaw=g.yaw, class_id=0) for g in gts]
-    ious = new_code(_scene_iou, dets, gts)
+    ious = new_code(_scene_iou, detections(dets), Boxes.of(gts))
     assert ious == [[scalar_iou_rotated(det.box, gt) for gt in gts] for det in dets]
 
 
@@ -247,8 +248,7 @@ def test_cascade_stats_ious_equal_scalar_iou():
             scalar_iou_rotated(det.box, t.gts[match_point_to_gt(Point3(*p), t.gts)])
             for t in traces
             for rec in [t.stages[si]]
-            for pi, (p, det) in enumerate(zip(rec.proposals_in.points,
-                                              rec.detections.rows(rec.stage)))
+            for pi, (p, det) in enumerate(zip(rec.proposals_in.points, rec.detections))
             if rec.proposals_in.denoising_gt[pi] < 0
         ]
         assert [iou for _, iou in stage.pairs] == want
@@ -287,7 +287,7 @@ def test_nms_on_a_pooled_yawed_scene_equals_reference(monkeypatch):
     assert len(pooled) == 1536
     kept, speculative = _speculative_pairs(monkeypatch, pooled, 0.25)
     assert speculative > 0
-    assert kept == reference_nms(pooled.rows(1), 0.25)
+    assert kept == reference_nms(list(pooled), 0.25)
 
 
 @pytest.mark.parametrize("thr", [0.2, 0.4, 0.7])
@@ -298,10 +298,11 @@ def test_nms_on_a_cluster_of_near_duplicates_with_ties_equals_reference(monkeypa
     sizes = np.array([1.0, 0.7, 0.8]) * rng.uniform(0.85, 1.15, (n, 3))
     yaws = 0.4 + rng.normal(0.0, 0.15, n)
     scores = rng.choice([0.3, 0.5, 0.7, 0.9], n)
-    dets = Detections(centers, sizes, yaws, np.zeros(n, dtype=np.int64), scores)
+    dets = Detections(centers, sizes, yaws, np.zeros(n, dtype=np.int64), scores,
+                      np.ones(n, dtype=np.int64))
     kept, speculative = _speculative_pairs(monkeypatch, dets, thr)
     assert speculative > 0
-    assert kept == reference_nms(dets.rows(1), thr)
+    assert kept == reference_nms(list(dets), thr)
 
 
 def test_nms_suppresses_an_identical_box_too_thin_for_its_z():
@@ -310,4 +311,4 @@ def test_nms_suppresses_an_identical_box_too_thin_for_its_z():
     box = OrientedBox(Point3(0.5, -0.5, 1e6), (1.0, 0.8, 1e-11), yaw=0.3)
     dets = [Detection(box, 0.9, 0), Detection(box, 0.8, 0)]
     assert reference_nms(dets, 0.5) == [0]
-    assert new_code(nms, columns(dets), 0.5) == [0]
+    assert new_code(nms, detections(dets), 0.5) == [0]

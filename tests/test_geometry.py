@@ -264,15 +264,15 @@ class TestTypesAndHelpers:
 
     def test_deltas_array_roundtrip(self):
         d = Deltas(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, heading=0.7)
-        assert d.as_array().tolist() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
-        assert Deltas(*d.as_array().tolist()) == d
+        assert [*d.faces(), d.heading] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+        assert Deltas(*d.faces(), d.heading) == d
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(19)
         box = random_box(rng)
         pts = [Point3(*rng.uniform(-3.0, 3.0, size=3)) for _ in range(100)]
-        q = canonical_coords(box.center.as_array(), box.yaw, xyz(pts))
-        mask = contains_points(box.center.as_array(), box.size, box.yaw, xyz(pts), mu=0.37)
+        q = canonical_coords(xyz([box.center])[0], box.yaw, xyz(pts))
+        mask = contains_points(xyz([box.center])[0], box.size, box.yaw, xyz(pts), mu=0.37)
         for i, p in enumerate(pts):
             d = encode_deltas(p, box)
             # canonical x recovered from the face distances

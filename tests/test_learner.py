@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from rows import xyz
+
 from cascadev import cascade, learner
 from cascadev.assignment import CpaSchedule, assign_targets
 from cascadev.cascade import Proposals, run_cascade
@@ -154,7 +156,7 @@ class TestComputeLosses:
 
     def test_positive_on_class_less_box_rejected(self):
         gt = OrientedBox(Point3(0.0, 0.0, 1.0), (1.0, 1.0, 1.0))
-        points = np.array([gt.center.as_array(), [5.0, 5.0, 0.2]])
+        points = np.array([xyz([gt.center])[0], [5.0, 5.0, 0.2]])
         assignment = assign_targets(points, Boxes.of([gt]), 0.2)
         assert assignment.target_class.tolist() == [-1, -1]
         outputs = StageOutputs(cls_logits=np.zeros((2, 3)), reg_raw=np.zeros((2, 7)),

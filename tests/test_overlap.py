@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from reference import iou_aabb, scalar_iou_rotated
+from rows import detections
 
 from cascadev.errors import WrongVariantError
 from cascadev.geometry import Boxes, OrientedBox, Point3
 from cascadev.overlap import (
     Detection,
-    Detections,
     _corner_array,
     bev_intersection_area,
     iou_mc,
@@ -170,14 +170,6 @@ class TestMonteCarlo:
             iou_mc(box, box, n_samples=n_samples)
 
 
-def columns(dets):
-    """The Detections batch holding a Detection list's rows, in order."""
-    boxes = Boxes.of([d.box for d in dets])
-    return Detections(boxes.centers, boxes.sizes, boxes.yaws,
-                      np.array([d.class_id for d in dets], dtype=np.int64),
-                      np.array([d.score for d in dets], dtype=np.float64))
-
-
 def reference_nms(dets, thr, iou=scalar_iou_rotated):
     # Straightforward restatement of the greedy rule on the scalar IoU oracle,
     # kept independent of the implementation under test.
@@ -199,30 +191,30 @@ def reference_nms(dets, thr, iou=scalar_iou_rotated):
 class TestNms:
     def test_single_kept(self):
         d = Detection(OrientedBox(Point3(0, 0, 0), (1, 1, 1)), 0.5, 0)
-        assert nms(columns([d]), 0.5) == [0]
+        assert nms(detections([d]), 0.5) == [0]
 
     def test_duplicate_suppressed(self):
         box = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
         dets = [Detection(box, 0.8, 0), Detection(box, 0.9, 0)]
-        assert nms(columns(dets), 0.5) == [1]
+        assert nms(detections(dets), 0.5) == [1]
 
     def test_different_classes_not_suppressed(self):
         box = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
         dets = [Detection(box, 0.9, 0), Detection(box, 0.8, 1)]
-        assert nms(columns(dets), 0.5) == [0, 1]
+        assert nms(detections(dets), 0.5) == [0, 1]
 
     def test_score_tie_lower_index_first(self):
         box = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
         dets = [Detection(box, 0.7, 0), Detection(box, 0.7, 0)]
-        assert nms(columns(dets), 0.5) == [0]
+        assert nms(detections(dets), 0.5) == [0]
 
     def test_threshold_strictly_exceeded(self):
         a = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
         b = OrientedBox(Point3(0.5, 0, 0), (1, 1, 1))
         # IoU is exactly 1/3: threshold 1/3 keeps both, anything lower kills one.
         dets = [Detection(a, 0.9, 0), Detection(b, 0.8, 0)]
-        assert nms(columns(dets), 1.0 / 3.0) == [0, 1]
-        assert nms(columns(dets), 0.3) == [0]
+        assert nms(detections(dets), 1.0 / 3.0) == [0, 1]
+        assert nms(detections(dets), 0.3) == [0]
 
     def test_matches_reference_on_random_sets(self):
         rng = np.random.default_rng(26)
@@ -237,7 +229,7 @@ class TestNms:
                 for _ in range(20)
             ]
             thr = float(rng.uniform(0.1, 0.7))
-            assert nms(columns(dets), thr) == reference_nms(dets, thr)
+            assert nms(detections(dets), thr) == reference_nms(dets, thr)
 
     def test_kept_mutually_below_threshold(self):
         rng = np.random.default_rng(27)
@@ -245,7 +237,7 @@ class TestNms:
             Detection(rand_box(rng, span=0.8), float(rng.uniform(0, 1)), int(rng.integers(0, 2)))
             for _ in range(30)
         ]
-        kept = nms(columns(dets), 0.4)
+        kept = nms(detections(dets), 0.4)
         for i, a in enumerate(kept):
             for b in kept[i + 1 :]:
                 if dets[a].class_id == dets[b].class_id:
@@ -256,15 +248,15 @@ class TestNms:
         box = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
         shifted = OrientedBox(Point3(0.2, 0, 0), (1, 1, 1), yaw=0.1)
         dets = [Detection(box, 0.6, 0), Detection(shifted, 0.8, 0)][:n]
-        kept = nms(columns(dets), 0.5)
+        kept = nms(detections(dets), 0.5)
         assert kept == reference_nms(dets, 0.5) == [[], [0], [1]][n]
 
     def test_invalid_threshold(self):
         d = Detection(OrientedBox(Point3(0, 0, 0), (1, 1, 1)), 0.5, 0)
         with pytest.raises(ValueError):
-            nms(columns([d]), 0.0)
+            nms(detections([d]), 0.0)
         with pytest.raises(ValueError):
-            nms(columns([d]), 1.0)
+            nms(detections([d]), 1.0)
 
     def test_detection_score_validated(self):
         with pytest.raises(ValueError):

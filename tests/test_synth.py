@@ -9,6 +9,7 @@ from reference import centerness, match_point_to_gt, point_in_scaled_box, scalar
 from cascadev.cascade import Proposals
 from cascadev.errors import ConfigError, PlacementError
 from cascadev.geometry import (
+    Boxes,
     Deltas,
     Point3,
     decode_box,
@@ -59,7 +60,7 @@ class TestGenScene:
         for seed in range(40):
             s = gen_scene(cfg, seed)
             for i, a in enumerate(s.gt_boxes):
-                for b in s.gt_boxes[i + 1 :]:
+                for b in list(s.gt_boxes)[i + 1 :]:
                     assert scalar_iou_rotated(a, b) == 0.0
                 r = math.hypot(a.size[0], a.size[1]) / 2.0
                 (x0, x1), (y0, y1), (z0, z1) = cfg.workspace
@@ -270,7 +271,7 @@ class TestOracle:
     def test_oracle_requires_gts(self):
         s = gen_scene(SMALL, 27)
         empty = SyntheticScene(
-            gt_boxes=[],
+            gt_boxes=Boxes.of([]),
             points=s.points,
             features=s.features,
             point_gt_labels=np.full(s.num_points, -1),
@@ -284,7 +285,7 @@ class TestOracle:
         s = gen_scene(SMALL, 27)
         boxes = list(s.gt_boxes)
         boxes[1] = dataclasses.replace(boxes[1], class_id=None)
-        classless = dataclasses.replace(s, gt_boxes=boxes)
+        classless = dataclasses.replace(s, gt_boxes=Boxes.of(boxes))
         with pytest.raises(ValueError, match="^ground-truth box 1 has no class id"):
             oracle_predictor(classless, OracleNoise())
 

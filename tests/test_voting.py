@@ -256,7 +256,7 @@ def vote_cases(draw):
         else:
             src.append([draw(coords), draw(coords), draw(coords)])
     at_centers = draw(st.booleans())
-    upd = [box.center.as_array() if at_centers else [draw(coords), draw(coords), draw(coords)]
+    upd = [xyz([box.center])[0] if at_centers else [draw(coords), draw(coords), draw(coords)]
            for box in boxes]
     values = st.floats(-10.0, 10.0)
     feats = np.array([[draw(values) for _ in range(dim)] for _ in range(n)]).reshape(n, dim)
