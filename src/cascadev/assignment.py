@@ -1,9 +1,10 @@
-"""Positive/negative target assignment and the stage-decreasing threshold schedule.
+"""Point-in-box ownership, target assignment and the stage-decreasing threshold schedule.
 
 A proposal point is positive for a ground-truth box when it lies inside
 the box scaled by the stage threshold mu (boundary inclusive). The
 schedule interpolates mu from just below mu_max down to mu_min across
-stages, so later stages demand points closer to box centers.
+stages, so later stages demand points closer to box centers. box_owners
+is the one such rule; at mu = 0.5 it is plain point-in-box ownership.
 
 Denoising proposals (the scene point nearest each ground-truth center)
 keep a fixed assignment to their ground truth regardless of mu; they
@@ -17,10 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_types
-from .geometry import Boxes, contains_points, matched_faces, points_as_array
+from .geometry import EPS, Boxes, contains_points, matched_faces, points_as_array
 
 # Not called here; perfbench/bench_trace.py patches this name on this module.
 from .geometry import encode_deltas  # noqa: F401
+
+# Relative widening of each box's candidate window in box_owners: far above
+# the ~1e-15 relative rounding of the rotated coordinates. A wider window
+# only adds candidates, which contains_points then settles.
+_WINDOW_SLACK = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,6 +56,44 @@ def cpa_threshold(l: int, sched: CpaSchedule) -> float:
         raise ValueError(f"stage {l} outside 1..{sched.num_stages}")
     frac = l / sched.num_stages
     return sched.mu_max - frac * (sched.mu_max - sched.mu_min)
+
+
+def box_owners(points, gts: Boxes, mu: float) -> np.ndarray:
+    """Each row's smallest-volume box (lower index on ties) whose mu-scaled copy
+    holds it by contains_points, else -1, for an (N, 3) array.
+
+    One contains_points call tests each box only on the points in its
+    window: the xy circumradius and z half height of its size*mu + EPS,
+    widened by _WINDOW_SLACK. Every point a box holds lies there, so the
+    owners are those of testing every point against every box.
+    """
+    pts = points_as_array(points)
+    half = gts.sizes * mu + EPS
+    reach_xy = np.hypot(half[:, 0], half[:, 1])
+    reach = np.column_stack([reach_xy, reach_xy, half[:, 2]]) * (1.0 + _WINDOW_SLACK)
+    near = np.ones((len(gts), len(pts)), dtype=bool)
+    for axis in range(3):
+        near &= np.abs(pts[:, axis] - gts.centers[:, axis, None]) <= reach[:, axis, None]
+    box, row = np.nonzero(near)
+    held = contains_points(gts.centers, gts.sizes, gts.yaws, pts[row], mu=mu, owner=box)
+    # Boxes by volume, then index; each row takes the first that holds it.
+    order = np.argsort(gts.volumes, kind="stable")
+    best = np.full(len(pts), len(gts))
+    np.minimum.at(best, row[held], np.argsort(order)[box[held]])
+    return np.append(order, -1)[best]
+
+
+def match_points_to_gt(points, gts: Boxes) -> np.ndarray:
+    """Each row's ground-truth box for an (N, 3) array: its box_owners at mu 0.5,
+    else the nearest center (np.linalg.norm), the lower index winning a tie."""
+    pts = points_as_array(points)
+    if len(pts) and not len(gts):
+        raise ValueError("cannot match points without ground-truth boxes")
+    owner = box_owners(pts, gts, 0.5)
+    free = np.flatnonzero(owner < 0)
+    if len(free):
+        owner[free] = np.argmin(np.linalg.norm(gts.centers - pts[free, None], axis=2), axis=1)
+    return owner
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -87,9 +131,8 @@ def assign_targets(
     *,
     denoising_gt: np.ndarray | None = None,
 ) -> Assignment:
-    """Match each row of the (N, 3) points to a ground truth via the scaled-box rule.
+    """Match each row of the (N, 3) points to a ground truth by box_owners at mu.
 
-    A point inside several scaled boxes goes to the smallest-volume one.
     denoising_gt (N,) pins row i to ground truth denoising_gt[i], -1
     leaving it to the rule; pinned rows are matched unconditionally and
     flagged. Returns the Assignment columns, filled in one matched_faces pass.
@@ -105,14 +148,7 @@ def assign_targets(
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"denoising_gt[{i}] = {pins[i]} outside [-1, {len(gts)})")
-    matched = np.full(n, -1, dtype=np.int64)
-    best_vol = np.full(n, np.inf)
-    for gi, (center, size, yaw, vol) in enumerate(
-            zip(gts.centers, gts.sizes, gts.yaws.tolist(), gts.volumes.tolist())):
-        inside = contains_points(center, size, yaw, pts, mu=mu)
-        better = inside & (vol < best_vol)
-        matched[better] = gi
-        best_vol[better] = vol
+    matched = box_owners(pts, gts, mu)
     is_denoising = pins >= 0
     matched[is_denoising] = pins[is_denoising]
 

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as _scipy_stats
 
+from .assignment import match_points_to_gt
 from .cascade import StageTrace
 from .errors import DataError
 from .geometry import Boxes, matched_faces
 from .overlap import Detections, pair_ious
-from .synth import match_points_to_gt
 
 # Not called here; perfbench/bench_trace.py patches these names on this module.
 from .geometry import encode_deltas  # noqa: F401

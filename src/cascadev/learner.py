@@ -262,7 +262,9 @@ def compute_losses(
         mod = (1.0 - p_t) ** gamma
         # d/dl of -(1-p_t)^g log p_t splits into a scaled CE term plus a
         # term from the modulator's own dependence on p_t.
-        coef = gamma * np.where(p_t < 1.0, (1.0 - p_t) ** (gamma - 1.0), 0.0) * log_p_t * p_t
+        # Rows at p_t = 1 skip the power, which is 0 ** negative below gamma 1.
+        slope = np.power(1.0 - p_t, gamma - 1.0, out=np.zeros_like(p_t), where=p_t < 1.0)
+        coef = gamma * slope * log_p_t * p_t
         onehot = np.zeros_like(probs)
         onehot[np.arange(n), targets] = 1.0
         g_cls = mod[:, None] * g_cls + coef[:, None] * (onehot - probs)
@@ -394,7 +396,9 @@ def train_cascade(
             ):
                 grads = _backward(bp, rec.proposals_in.features, h, g)
                 for key, arr, ga in zip(("w1", "b1", "w2", "b2"), bp.arrays(), grads):
-                    arr -= lr * ga
+                    # An overflow goes unwarned: the check below reports it.
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        arr -= lr * ga
                     if not np.isfinite(arr).all():
                         raise TrainingDivergedError(
                             f"non-finite {name} {key} after the update at step {step}, "

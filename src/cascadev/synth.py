@@ -9,8 +9,9 @@ a fixed width; clutter features are pure standard-normal noise. Point
 order is shuffled so no consumer can rely on generation order.
 
 The oracle predictor replaces a trained network: it matches a proposal
-point to its containing box (else the nearest center) and emits the
-true regression targets corrupted by configurable noise. All
+point to its containing box (else the nearest center) with
+assignment.match_points_to_gt, the one point-in-box rule at mu = 0.5,
+and emits the true regression targets corrupted by configurable noise. All
 randomness flows through counter-based generators keyed by the seed,
 so identical (config, seed) pairs reproduce scenes and predictions
 bit for bit.
@@ -23,21 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import select_denoising, select_top_b
+from .assignment import box_owners, match_points_to_gt, select_denoising, select_top_b
 from .cascade import Predictions, Proposals
 from .config import check_types
 from .errors import ConfigError, PlacementError
-from .geometry import (
-    MAX_COORD,
-    Boxes,
-    OrientedBox,
-    Point3,
-    canonical_coords,
-    contains_points,
-    face_distances,
-    matched_faces,
-    points_as_array,
-)
+from .geometry import MAX_COORD, Boxes, OrientedBox, Point3, contains_points, matched_faces
 from .overlap import pair_ious
 
 # Not called here; perfbench/bench_trace.py patches these names on this module.
@@ -48,10 +39,6 @@ from .overlap import iou_rotated  # noqa: F401
 _PLACEMENT_GAP = 0.04
 _PLACEMENT_RETRIES = 1000
 _MIN_DECODED_SIZE = 0.01
-# Relative widening of each box's candidate window in match_points_to_gt:
-# far above the ~1e-15 relative rounding of the rotated coordinates. A wider
-# window only adds candidates, which the exact test then settles.
-_WINDOW_SLACK = 1e-12
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -304,60 +291,6 @@ def gen_scene(cfg: SceneConfig, seed: int) -> SyntheticScene:
     )
 
 
-def _containing_box(pts: np.ndarray, gts: Boxes) -> np.ndarray:
-    """Each row's containing ground-truth box for an (N, 3) array, else -1.
-
-    A point is inside a box when its smallest face distance is >= -1e-9,
-    and the strictly smaller volume wins among containing boxes. Each box
-    runs that exact test only on the points within its window: |x - cx|
-    and |y - cy| no more than the xy circumradius of its half extents plus
-    the band, |z - cz| no more than its half height plus the band, each
-    widened by _WINDOW_SLACK. Every point that passes the test lies in the
-    window, so the owners are the same as from testing every point against
-    every box.
-    """
-    if len(pts) and not len(gts):
-        raise ValueError("cannot match points without ground-truth boxes")
-    # Column-major, so the per-box windows below read contiguous columns.
-    pts = np.asfortranarray(pts)
-    owner = np.full(len(pts), -1, dtype=np.int64)
-    best_vol = np.full(len(pts), math.inf)
-    half = gts.sizes / 2.0
-    reach_xy = np.hypot(half[:, 0] + 1e-9, half[:, 1] + 1e-9) * (1.0 + _WINDOW_SLACK)
-    reach_z = (half[:, 2] + 1e-9) * (1.0 + _WINDOW_SLACK)
-    x, y, z = pts.T
-    for gi, (center, yaw, vol, rxy, rz) in enumerate(zip(
-            gts.centers, gts.yaws.tolist(), gts.volumes.tolist(), reach_xy.tolist(),
-            reach_z.tolist())):
-        cx, cy, cz = center.tolist()
-        near = np.flatnonzero(np.abs(x - cx) <= rxy)
-        near = near[np.abs(y[near] - cy) <= rxy]
-        near = near[np.abs(z[near] - cz) <= rz]
-        q = canonical_coords(center, yaw, pts[near])
-        inside = near[face_distances(q, half[gi]).min(axis=1) >= -1e-9]
-        better = inside[vol < best_vol[inside]]
-        owner[better] = gi
-        best_vol[better] = vol
-    return owner
-
-
-def match_points_to_gt(points, gts: Boxes) -> np.ndarray:
-    """Each row's ground-truth box for an (N, 3) array: its _containing_box, else
-    the nearest center (np.linalg.norm), the lower index winning a tie."""
-    pts = points_as_array(points)
-    owner = _containing_box(pts, gts)
-    free = np.flatnonzero(owner < 0)
-    if len(free):
-        rest = pts[free]
-        best_dist = np.full(len(free), math.inf)
-        for gi, center in enumerate(gts.centers):
-            dist = np.linalg.norm(center - rest, axis=1)
-            closer = dist < best_dist
-            owner[free[closer]] = gi
-            best_dist[closer] = dist[closer]
-    return owner
-
-
 def _guard_extents(d: np.ndarray) -> np.ndarray:
     """(B, 6) delta rows, each pair widened where needed so its implied
     extent stays decodable.
@@ -426,7 +359,9 @@ def oracle_predictor(scene: SyntheticScene, noise: OracleNoise, seed: int = 0):
             if noise.centerness_bias > 0.0:
                 nudge[i] = rng.normal()
         if noise.sigma_delta > 0.0:
-            faces = _guard_extents(faces * scale)
+            # Overflowed extents go unwarned: the cascade's _validate rejects them.
+            with np.errstate(over="ignore", invalid="ignore"):
+                faces = _guard_extents(faces * scale)
         deltas = np.column_stack([faces, gts.yaws[owner]])
         if noise.sigma_heading > 0.0:
             deltas[:, 6] += turn
@@ -434,7 +369,9 @@ def oracle_predictor(scene: SyntheticScene, noise: OracleNoise, seed: int = 0):
         rows = np.flatnonzero(flip >= 0)
         classes[rows] = flip[rows] + (flip[rows] >= classes[rows])
         if noise.centerness_bias > 0.0:
-            cent = np.clip(cent + noise.centerness_bias * nudge, 0.0, 1.0)
+            # An offset that overflows clips to 0 or 1 like any other.
+            with np.errstate(over="ignore"):
+                cent = np.clip(cent + noise.centerness_bias * nudge, 0.0, 1.0)
         probs = np.eye(n_classes + 1)[classes]
         return Predictions(class_probs=probs, deltas=deltas, centerness=cent)
 
@@ -487,15 +424,18 @@ def oracle_seed_centerness(scene: SyntheticScene, noise: OracleNoise, seed: int 
     of each point against its matched box, with the oracle's centerness
     noise applied. Draws come from a separate stream keyed alongside
     the oracle's, keeping selection independent of prediction noise.
-    A point in no box is more than 1e-9 outside every box, so only the
-    contained points are measured; the rest score 0 against any box.
+    A point in no box (box_owners at mu 0.5) would score 0 against any
+    box, so only the contained points are measured.
     """
     gts = scene.gt_boxes
-    owner = _containing_box(scene.points, gts)
+    if scene.num_points and not len(gts):
+        raise ValueError("cannot match points without ground-truth boxes")
+    owner = box_owners(scene.points, gts, 0.5)
     inside = np.flatnonzero(owner >= 0)
     vals = np.zeros(scene.num_points)
     vals[inside] = matched_faces(gts, scene.points[inside], owner[inside])[1]
     if noise.centerness_bias > 0.0:
         rng = _rng((scene.seed << 1) ^ seed ^ 0x5EED)
-        vals = np.clip(vals + noise.centerness_bias * rng.normal(size=len(vals)), 0.0, 1.0)
+        with np.errstate(over="ignore"):
+            vals = np.clip(vals + noise.centerness_bias * rng.normal(size=len(vals)), 0.0, 1.0)
     return vals

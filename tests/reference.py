@@ -1,9 +1,11 @@
 """Scalar reference rules that the package's array kernels are tested against.
 
-The pipeline runs centerness_array, contains_points, match_points_to_gt and
-the oracle's batch extent guard; these per-point versions state the same
-rules one point at a time, and the property tests compare the kernels with
-them bit for bit. iou_aabb is the axis-aligned IoU that the rotated IoU must
+The pipeline runs centerness_array, contains_points, box_owners,
+match_points_to_gt and the oracle's batch extent guard; these per-point
+versions state the same rules one point at a time, and the property tests
+compare the kernels with them bit for bit. point_in_scaled_box is the one
+containment rule: match_point_to_gt asks it at mu 0.5, as box_owners asks
+contains_points. iou_aabb is the axis-aligned IoU that the rotated IoU must
 equal at yaw 0. scalar_iou_rotated is the rotated-IoU rule one pair at a time
 (one corner matmul per box, Sutherland-Hodgman on NumPy scalars); the batched
 kernel behind NMS, AP matching, cascade statistics, box placement and the
@@ -15,7 +17,7 @@ import math
 import numpy as np
 
 from cascadev.errors import WrongVariantError
-from cascadev.geometry import EPS, Deltas, OrientedBox, Point3, _to_canonical, encode_deltas
+from cascadev.geometry import EPS, Deltas, OrientedBox, Point3, _to_canonical
 
 
 def centerness(d: Deltas) -> float:
@@ -56,12 +58,12 @@ def point_in_scaled_box(p: Point3, box: OrientedBox, mu: float) -> bool:
 
 
 def match_point_to_gt(p: Point3, gts: list[OrientedBox]) -> int:
-    """Containing box (smallest volume on ties), else nearest center."""
+    """Containing box by point_in_scaled_box at mu 0.5 (smallest volume, then lower
+    index, on ties), else nearest center."""
     best = -1
     best_vol = math.inf
     for gi, gt in enumerate(gts):
-        q = encode_deltas(p, gt)
-        if min(q.faces()) >= -1e-9 and gt.volume < best_vol:
+        if point_in_scaled_box(p, gt, 0.5) and gt.volume < best_vol:
             best = gi
             best_vol = gt.volume
     if best >= 0:

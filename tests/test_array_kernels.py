@@ -1,9 +1,9 @@
 """Array kernels against their scalar oracles, by exact equality.
 
 face_distances, centerness_array, matched_faces, decode_boxes,
-match_points_to_gt and contains_points over owned rows replace per-point
-loops over encode_deltas, centerness, decode_box, match_point_to_gt and
-point_in_scaled_box on the seed-scoring, assignment, oracle,
+box_owners, match_points_to_gt and contains_points over owned rows replace
+per-point loops over encode_deltas, centerness, decode_box, match_point_to_gt
+and point_in_scaled_box on the seed-scoring, assignment, oracle,
 stage-decoding, voting and cascade-statistics paths. Pipeline artifacts stay
 byte-identical only if every row is bit-equal to the scalar result, so
 these properties use ==, never a tolerance. The kernels run with
@@ -23,8 +23,10 @@ from hypothesis import strategies as st
 from reference import centerness, match_point_to_gt, point_in_scaled_box
 from rows import same_bits, xyz
 
+from cascadev.assignment import box_owners, match_points_to_gt
 from cascadev.errors import InvalidDeltasError
 from cascadev.geometry import (
+    EPS,
     MAX_COORD,
     Boxes,
     Deltas,
@@ -40,13 +42,7 @@ from cascadev.geometry import (
     normalize_yaw,
 )
 from cascadev.overlap import Detections
-from cascadev.synth import (
-    OracleNoise,
-    SceneConfig,
-    gen_scene,
-    match_points_to_gt,
-    oracle_seed_centerness,
-)
+from cascadev.synth import OracleNoise, SceneConfig, gen_scene, oracle_seed_centerness
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -217,15 +213,46 @@ def test_match_points_to_gt_windows_keep_every_owner(data):
     assert got.tolist() == [match_point_to_gt(p, gts) for p in pts]
 
 
+@SETTINGS
+@given(st.data())
+def test_box_owners_equals_brute_scaled_box_loop(data):
+    # Each box tests only the points in its window at any mu in (0, 1]; the
+    # owners must be those of testing every point against every box.
+    origin = data.draw(st.sampled_from(ORIGINS))
+    mu = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+    gts = data.draw(st.lists(window_boxes(origin), min_size=1, max_size=4))
+    if data.draw(st.booleans()):
+        # An equal-volume copy: points in both go to the lower index.
+        twin = gts[data.draw(st.integers(0, len(gts) - 1))]
+        gts.insert(data.draw(st.integers(0, len(gts))),
+                   dataclasses.replace(twin, yaw=data.draw(yaws)))
+
+    @st.composite
+    def scaled_corners(draw, box):
+        """A corner of box scaled by mu, moved off each face by a face offset."""
+        return world_point(box, [draw(st.sampled_from([-1.0, 1.0])) * (e * mu + draw(face_offsets))
+                                 for e in box.size])
+
+    pts = data.draw(st.lists(st.one_of(*(st.one_of(window_probes(g), scaled_corners(g))
+                                         for g in gts)), min_size=1, max_size=32))
+    want = []
+    for p in pts:
+        inside = [gi for gi, g in enumerate(gts) if point_in_scaled_box(p, g, mu)]
+        want.append(min(inside, key=lambda gi: gts[gi].volume, default=-1))
+    assert raising(box_owners, xyz(pts), Boxes.of(gts), mu).tolist() == want
+
+
 def test_containment_band_includes_exactly_minus_1e9():
     # With a half-width of 2**-31, the point below sits exactly -1e-9 outside
-    # the thin box's +x face (checked on the scalar side first); one ulp
-    # further out it leaves the band and falls to the enclosing box.
+    # the thin box's +x face, on the scaled rule's inclusive edge size*0.5 + EPS
+    # (checked on the scalar side first); one ulp further out it leaves the
+    # band and falls to the enclosing box.
     thin = OrientedBox(Point3(0.0, 0.0, 0.0), (2.0**-30, 1.0, 1.0))
     big = OrientedBox(Point3(0.0, 0.0, 0.0), (4.0, 4.0, 4.0))
     x = 2.0**-31 + 1e-9
-    assert encode_deltas(Point3(x, 0.0, 0.0), thin).d1 == -1e-9
+    assert x == thin.size[0] * 0.5 + EPS
     pts = [Point3(x, 0.0, 0.0), Point3(math.nextafter(x, 1.0), 0.0, 0.0)]
+    assert [point_in_scaled_box(p, thin, 0.5) for p in pts] == [True, False]
     assert [match_point_to_gt(p, [thin, big]) for p in pts] == [0, 1]
     assert raising(match_points_to_gt, xyz(pts), Boxes.of([thin, big])).tolist() == [0, 1]
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, field, replace
 
 import pytest
@@ -229,13 +230,15 @@ def test_resolved_doc_round_trips_through_json(cfg):
 @st.composite
 def small_run_configs(draw):
     """run_configs at a few tiny scenes and steps, with the edge values that
-    once broke a command's hand-off: feature noise that overflows (1e308),
-    an SGD step that overflows the weights (lr and class-loss weight 1e300)
-    and oracle noise that overflows the decoded boxes (1e300)."""
+    once broke a command's hand-off or printed a NumPy warning: feature noise
+    that overflows (1e308), an SGD step that overflows the weights (lr and
+    class-loss weight 1e300), oracle noise that overflows the decoded boxes
+    (1e300, 1e308) or the centerness (1e308), and a focal gamma below 1 with
+    a step large enough to saturate the class probabilities (0.5, lr 10)."""
     cfg = draw(run_configs())
 
-    def sometimes(value, edge):
-        return draw(st.sampled_from([value, value, value, edge]))
+    def sometimes(value, *edges):
+        return draw(st.sampled_from([value, value, value, *edges]))
 
     scene = replace(
         cfg.scene,
@@ -245,23 +248,34 @@ def small_run_configs(draw):
         workspace=draw(st.sampled_from([cfg.scene.workspace, SceneConfig().workspace])),
         sigma_feature=sometimes(cfg.scene.sigma_feature, 1e308),
     )
-    noise = replace(cfg.noise, sigma_delta=sometimes(cfg.noise.sigma_delta, 1e300))
+    noise = replace(cfg.noise,
+                    sigma_delta=sometimes(cfg.noise.sigma_delta, 1e300, 1e308),
+                    centerness_bias=sometimes(cfg.noise.centerness_bias, 1e308))
     # The overflowing update is the last step's, so its weights reach model.json.
-    lr, cls, steps = sometimes((cfg.lr, cfg.loss_weights.cls, 1 + cfg.steps % 2), (1e300, 1e300, 1))
+    weights = cfg.loss_weights
+    lr, cls, gamma, steps = sometimes(
+        (cfg.lr, weights.cls, weights.focal_gamma, 1 + cfg.steps % 2),
+        (1e300, 1e300, weights.focal_gamma, 1), (10.0, weights.cls, 0.5, 2))
     return replace(
         cfg, num_scenes=1 + cfg.num_scenes % 2, steps=steps, scene=scene,
-        noise=noise, lr=lr, loss_weights=replace(cfg.loss_weights, cls=cls),
+        noise=noise, lr=lr, loss_weights=replace(weights, cls=cls, focal_gamma=gamma),
         hidden=min(cfg.hidden, 8), model=None,
     )
 
 
 def _cli(argv: list[str], cfg: RunConfig, workdir: str) -> int:
-    """Exit code of one in-process command; any failure says one line on stderr."""
+    """Exit code of one in-process command; any failure says one line on stderr.
+
+    A RuntimeWarning, which the command line would print to stderr, is
+    raised as an error instead.
+    """
     path = os.path.join(workdir, "cfg.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(cfg.resolved_doc(), fh)
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+          warnings.catch_warnings()):
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(argv + ["--config", path])
     assert code in (0, 2, 3, 4), (argv, code)
     lines = err.getvalue().splitlines()
@@ -295,3 +309,20 @@ def test_what_one_command_writes_the_next_one_reads(cfg):
             head = replace(cfg, predictor="head",
                                        model=os.path.join(model, "model.json"))
             run_and_eval(head, "head_traces")
+
+
+@pytest.mark.parametrize("doc, command, exit_code", [
+    ({"num_scenes": 1, "steps": 2, "lr": 1e200, "loss_weights": {"reg": 1e200}}, "train", 4),
+    ({"num_scenes": 2, "steps": 40, "lr": 10, "loss_weights": {"focal_gamma": 0.5}}, "train", 0),
+    ({"num_scenes": 2, "noise": {"sigma_delta": 1e308}}, "run", 4),
+    ({"num_scenes": 2, "noise": {"centerness_bias": 1e308}}, "run", 0),
+], ids=["sgd_overflow", "focal_gamma_below_1", "extent_noise_overflow",
+        "centerness_noise_overflow"])
+def test_overflowing_numbers_print_no_numpy_warning(doc, command, exit_code):
+    # Each config overflows, or takes 0 ** negative, inside NumPy; _cli turns a
+    # RuntimeWarning into an error and asserts one stderr line on failure.
+    cfg = run_config_from_doc(doc)
+    with tempfile.TemporaryDirectory() as work:
+        scenes = os.path.join(work, "scenes")
+        assert _cli(["gen", "--out", scenes], cfg, work) == 0
+        assert _cli([command, scenes, "--out", os.path.join(work, "out")], cfg, work) == exit_code
