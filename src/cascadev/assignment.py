@@ -4,7 +4,9 @@ A proposal point is positive for a ground-truth box when it lies inside
 the box scaled by the stage threshold mu (boundary inclusive). The
 schedule interpolates mu from just below mu_max down to mu_min across
 stages, so later stages demand points closer to box centers. box_owners
-is the one such rule; at mu = 0.5 it is plain point-in-box ownership.
+is the one such rule; at mu = 0.5 it is plain point-in-box ownership. It
+tests each box only on its geometry.near_pairs candidates, the one
+candidate search that voting and clutter rejection share.
 
 Denoising proposals (the scene point nearest each ground-truth center)
 keep a fixed assignment to their ground truth regardless of mu; they
@@ -18,15 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_types
-from .geometry import EPS, Boxes, contains_points, matched_faces, points_as_array
+from .geometry import Boxes, contains_points, matched_faces, near_pairs, points_as_array
 
 # Not called here; perfbench/bench_trace.py patches this name on this module.
 from .geometry import encode_deltas  # noqa: F401
-
-# Relative widening of each box's candidate window in box_owners: far above
-# the ~1e-15 relative rounding of the rotated coordinates. A wider window
-# only adds candidates, which contains_points then settles.
-_WINDOW_SLACK = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,20 +59,13 @@ def box_owners(points, gts: Boxes, mu: float) -> np.ndarray:
     """Each row's smallest-volume box (lower index on ties) whose mu-scaled copy
     holds it by contains_points, else -1, for an (N, 3) array.
 
-    One contains_points call tests each box only on the points in its
-    window: the xy circumradius and z half height of its size*mu + EPS,
-    widened by _WINDOW_SLACK. Every point a box holds lies there, so the
-    owners are those of testing every point against every box.
+    One contains_points call tests each box only on its near_pairs
+    candidates, a superset of the points it holds, so the owners are those
+    of testing every point against every box.
     """
     pts = points_as_array(points)
-    half = gts.sizes * mu + EPS
-    reach_xy = np.hypot(half[:, 0], half[:, 1])
-    reach = np.column_stack([reach_xy, reach_xy, half[:, 2]]) * (1.0 + _WINDOW_SLACK)
-    near = np.ones((len(gts), len(pts)), dtype=bool)
-    for axis in range(3):
-        near &= np.abs(pts[:, axis] - gts.centers[:, axis, None]) <= reach[:, axis, None]
-    box, row = np.nonzero(near)
-    held = contains_points(gts.centers, gts.sizes, gts.yaws, pts[row], mu=mu, owner=box)
+    box, row = near_pairs(pts, gts, mu)
+    held = contains_points(gts.centers, gts.sizes, gts.yaws, pts[row], mu, box)
     # Boxes by volume, then index; each row takes the first that holds it.
     order = np.argsort(gts.volumes, kind="stable")
     best = np.full(len(pts), len(gts))

@@ -41,6 +41,9 @@ from .errors import InvalidDeltasError
 EPS = 1e-9
 # Largest decoded center coordinate or extent: volumes and squared distances stay finite.
 MAX_COORD = 1e100
+# Relative widening of near_pairs' reach: far above the ~1e-15 relative rounding
+# of rotated coordinates. A wider window only adds candidates for the exact test.
+_SLACK = 1e-12
 
 _TWO_PI = 2.0 * math.pi
 
@@ -213,13 +216,12 @@ class Boxes:
 
 # Vectorized helpers. Bulk geometry (voting masks, scene generation, seed
 # scoring, the oracle predictor, target assignment, cascade statistics,
-# stage decoding) goes through canonical_coords, contains_points,
-# face_distances, centerness_array, matched_faces and decode_boxes, on
-# (N, 3) point arrays. canonical_coords and contains_points take one box
-# as center, size and yaw, so a row of Boxes passes straight in, or all
-# the columns with an owner index naming each point's box. The kernels
-# repeat the scalar arithmetic operation for operation, so their results
-# are bit-identical to encode_deltas and decode_box row by row.
+# stage decoding) goes through near_pairs, canonical_coords, contains_points,
+# face_distances, centerness_array, matched_faces and decode_boxes, on (N, 3)
+# point arrays. canonical_coords and contains_points take box columns and an
+# owner index naming each point's box; near_pairs lists the pairs worth testing.
+# The kernels repeat the scalar arithmetic operation for operation, so their
+# results are bit-identical to encode_deltas and decode_box row by row.
 
 
 def points_as_array(points) -> np.ndarray:
@@ -230,22 +232,15 @@ def points_as_array(points) -> np.ndarray:
     return a
 
 
-def canonical_coords(center, yaw, points, owner=None) -> np.ndarray:
-    """(N, 3) coordinates of points in the frame of a box with this center and yaw, or,
-    given owner, of box owner[i] of (B, 3) center and (B,) yaw columns for row i."""
+def canonical_coords(centers, yaws, points, owner) -> np.ndarray:
+    """(N, 3) coordinates of row i of points in the frame of box owner[i] of the
+    (B, 3) centers and (B,) yaws columns."""
     pts = points_as_array(points)
-    if owner is None:
-        rel = pts - np.asarray(center)
-        if yaw == 0.0:
-            return rel
-        c = math.cos(yaw)
-        s = math.sin(yaw)
-    else:
-        # cos and sin once per box. A zero yaw's c = 1, s = 0 keep rel exact.
-        rel = pts - np.asarray(center)[owner]
-        yaws = np.asarray(yaw).tolist()
-        c = np.array([math.cos(h) for h in yaws])[owner]
-        s = np.array([math.sin(h) for h in yaws])[owner]
+    # cos and sin once per box. A zero yaw's c = 1, s = 0 keep rel exact.
+    rel = pts - np.asarray(centers)[owner]
+    yaws = np.asarray(yaws).tolist()
+    c = np.array([math.cos(h) for h in yaws])[owner]
+    s = np.array([math.sin(h) for h in yaws])[owner]
     out = np.empty_like(rel)
     out[:, 0] = c * rel[:, 0] + s * rel[:, 1]
     out[:, 1] = -s * rel[:, 0] + c * rel[:, 1]
@@ -326,9 +321,36 @@ def decode_boxes(points, deltas: np.ndarray):
     return centers, sizes, yaws
 
 
-def contains_points(center, size, yaw, points, mu: float = 0.5, owner=None):
-    """Scaled-box membership of points in the box (center, size, yaw), or of row i
-    in box owner[i] of those columns as in canonical_coords; an (N,) mask."""
-    q = canonical_coords(center, yaw, points, owner)
-    half = np.asarray(size) * mu + EPS
-    return np.all(np.abs(q) <= (half if owner is None else half[owner]), axis=1)
+def contains_points(centers, sizes, yaws, points, mu: float, owner) -> np.ndarray:
+    """(N,) mask: row i of points lies in box owner[i] of these columns scaled by mu."""
+    q = canonical_coords(centers, yaws, points, owner)
+    half = np.asarray(sizes) * mu + EPS
+    return np.all(np.abs(q) <= half[owner], axis=1)
+
+
+def near_pairs(points, boxes: Boxes, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """(box, row) index pairs, sorted by box then row: for each box, a superset of
+    the rows of the (N, 3) points that contains_points at mu can hold.
+
+    The points' x are sorted once, and each box takes by searchsorted the rows
+    whose x lies within reach of its center's: the xy circumradius of its
+    size*mu + EPS, widened by _SLACK. Those within reach on y and within the half
+    height on z stay. A held row's x gap is below reach and rounding is monotone,
+    so its x lies within the rounded center x +- reach, however far out it is.
+    """
+    pts = points_as_array(points)
+    n = len(pts)
+    half = boxes.sizes * mu + EPS
+    reach = np.hypot(half[:, 0], half[:, 1]) * (1.0 + _SLACK)
+    cx, cy, cz = boxes.centers.T
+    x, y, z = pts.T
+    order = np.argsort(x)
+    xs = x[order]
+    lo = np.searchsorted(xs, cx - reach, side="left")
+    count = np.searchsorted(xs, cx + reach, side="right") - lo
+    box = np.repeat(np.arange(len(boxes)), count)
+    row = order[np.arange(len(box)) + np.repeat(lo - (np.cumsum(count) - count), count)]
+    near = np.flatnonzero((np.abs(y[row] - cy[box]) <= reach[box])
+                          & (np.abs(z[row] - cz[box]) <= half[box, 2]))
+    key = np.sort(box[near] * n + row[near])
+    return key // n, key % n

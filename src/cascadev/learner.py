@@ -219,11 +219,9 @@ def compute_losses(
     p_t = probs[np.arange(n), targets]
     log_p_t = log_probs[np.arange(n), targets]
     gamma = weights.focal_gamma
-    if gamma > 0.0:
-        mod = (1.0 - p_t) ** gamma
-        cls_loss = float(np.mean(-mod * log_p_t))
-    else:
-        cls_loss = float(np.mean(-log_p_t))
+    # The focal modulator; at gamma 0 it is 1.0 on every row, plain cross-entropy.
+    mod = (1.0 - p_t) ** gamma
+    cls_loss = float(np.mean(-mod * log_p_t))
 
     pos = np.flatnonzero(matched)
     n_pos = len(pos)
@@ -259,7 +257,6 @@ def compute_losses(
     g_cls = probs.copy()
     g_cls[np.arange(n), targets] -= 1.0
     if gamma > 0.0:
-        mod = (1.0 - p_t) ** gamma
         # d/dl of -(1-p_t)^g log p_t splits into a scaled CE term plus a
         # term from the modulator's own dependence on p_t.
         # Rows at p_t = 1 skip the power, which is 0 ** negative below gamma 1.

@@ -28,7 +28,8 @@ from .assignment import box_owners, match_points_to_gt, select_denoising, select
 from .cascade import Predictions, Proposals
 from .config import check_types
 from .errors import ConfigError, PlacementError
-from .geometry import MAX_COORD, Boxes, OrientedBox, Point3, contains_points, matched_faces
+from .geometry import (MAX_COORD, Boxes, OrientedBox, Point3, contains_points, matched_faces,
+                       near_pairs)
 from .overlap import pair_ious
 
 # Not called here; perfbench/bench_trace.py patches these names on this module.
@@ -230,10 +231,9 @@ def _clutter_points(cfg: SceneConfig, boxes: Boxes, rng: np.random.Generator) ->
         if need == 0:
             break
         batch = rng.uniform(lows, highs, size=(max(need * 2, 64), 3))
-        inside_any = np.zeros(len(batch), dtype=bool)
-        for center, size, yaw in zip(boxes.centers, boxes.sizes, boxes.yaws.tolist()):
-            inside_any |= contains_points(center, size, yaw, batch)
-        keep = batch[~inside_any][:need]
+        box, row = near_pairs(batch, boxes, 0.5)
+        held = contains_points(boxes.centers, boxes.sizes, boxes.yaws, batch[row], 0.5, box)
+        keep = np.delete(batch, row[held], axis=0)[:need]
         out.append(keep)
         need -= len(keep)
     if need:
@@ -258,14 +258,15 @@ def gen_scene(cfg: SceneConfig, seed: int) -> SyntheticScene:
     pts = np.concatenate(blocks)
     n = len(pts)
     # One surface block per box, then the clutter block, labelled -1.
-    label_arr = np.repeat(np.append(np.arange(len(gts)), -1), [len(b) for b in blocks])
+    sizes = [len(b) for b in blocks]
+    label_arr = np.repeat(np.append(np.arange(len(gts)), -1), sizes)
 
-    feats = np.empty((n, cfg.feature_dim))
-    for gi, (center, class_id) in enumerate(zip(gts.centers, gts.class_ids.tolist())):
-        rows = label_arr == gi
-        k = int(rows.sum())
-        block = np.zeros((k, cfg.feature_dim))
-        block[:, :3] = center - pts[rows] + rng.normal(0.0, cfg.sigma_feature, size=(k, 3))
+    feats = np.zeros((n, cfg.feature_dim))
+    # Views of feats, one per block of pts.
+    rows = np.split(feats, np.cumsum(sizes[:-1]))
+    for block, surface, center, class_id in zip(rows, blocks, gts.centers, gts.class_ids.tolist()):
+        k = len(surface)
+        block[:, :3] = center - surface + rng.normal(0.0, cfg.sigma_feature, size=(k, 3))
         block[:, 3 + class_id] = 1.0
         block[:, 3 : 3 + cfg.num_classes] += rng.normal(
             0.0, cfg.sigma_feature, size=(k, cfg.num_classes)
@@ -273,9 +274,7 @@ def gen_scene(cfg: SceneConfig, seed: int) -> SyntheticScene:
         pad = cfg.feature_dim - 3 - cfg.num_classes
         if pad:
             block[:, -pad:] = rng.normal(0.0, cfg.sigma_feature, size=(k, pad))
-        feats[rows] = block
-    clutter_rows = label_arr == -1
-    feats[clutter_rows] = rng.normal(0.0, 1.0, size=(int(clutter_rows.sum()), cfg.feature_dim))
+    rows[-1][:] = rng.normal(0.0, 1.0, size=(sizes[-1], cfg.feature_dim))
     if not np.isfinite(feats).all():
         raise ConfigError(f"sigma_feature {cfg.sigma_feature} is too large: scene {seed}'s "
                           "feature noise overflows to non-finite values")

@@ -13,29 +13,23 @@ Two weighting variants are available:
 * "literal": w ~ exp(+distance) after normalization, farther points
   count more. Kept for side-by-side comparison.
 
-One call votes for all proposals. A KD-tree ball query over the sources
-finds each box's candidates within its circumradius (half extents plus
-the EPS band), and the exact containment test runs once over all those
-(box, source) pairs. Distances and shifted exponentials are taken over
-all inside pairs at once. Only normalising and the weighted sum stay per
-proposal: a segmented sum adds in another order, and the per-proposal
-form keeps the result bit-identical to voting one box at a time.
+One call votes for all proposals. geometry.near_pairs lists each box's
+candidate sources from one sorted-x window, and the exact containment
+test runs once over all those (box, source) pairs. Distances and shifted
+exponentials are taken over all inside pairs at once. Only normalising
+and the weighted sum stay per proposal: a segmented sum adds in another
+order, and the per-proposal form keeps the result bit-identical to voting
+one box at a time.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import WrongVariantError
-from .geometry import EPS, Boxes, contains_points, points_as_array
+from .geometry import Boxes, contains_points, near_pairs, points_as_array
 
 WEIGHTINGS = ("exp_neg_dist", "literal")
-# Relative widening of each box's search radius: far above the ~1e-15
-# relative rounding of the tree's distances, far below the EPS band.
-_REACH_SLACK = 1e-12
 
 
 def _as_feature_matrix(features) -> np.ndarray:
@@ -78,13 +72,9 @@ def ia_voting(
     upd = points_as_array(updated_points)
 
     out = np.empty((len(upd), feats.shape[1]))
-    # Candidate pairs, row-major and in source order, as one box's mask would list them.
-    reach = np.linalg.norm(boxes.sizes * 0.5 + EPS, axis=1) * (1.0 + _REACH_SLACK)
-    near = cKDTree(src).query_ball_point(boxes.centers, reach, return_sorted=True)
-    per_box = np.fromiter(map(len, near), np.intp, len(near))
-    cand = np.fromiter(itertools.chain.from_iterable(near), np.intp, per_box.sum())
-    owner = np.repeat(np.arange(len(near)), per_box)
-    inside = contains_points(boxes.centers, boxes.sizes, boxes.yaws, src[cand], owner=owner)
+    # Candidate pairs, by box and in source order, as one box's mask would list them.
+    owner, cand = near_pairs(src, boxes, 0.5)
+    inside = contains_points(boxes.centers, boxes.sizes, boxes.yaws, src[cand], 0.5, owner)
     cand, owner = cand[inside], owner[inside]
 
     counts = np.bincount(owner, minlength=len(upd))

@@ -39,6 +39,7 @@ from cascadev.geometry import (
     encode_deltas,
     face_distances,
     matched_faces,
+    near_pairs,
     normalize_yaw,
 )
 from cascadev.overlap import Detections
@@ -101,7 +102,8 @@ def raising(fn, *args):
 def test_face_distances_and_centerness_arrays_equal_scalar(data):
     box = data.draw(boxes())
     pts = data.draw(st.lists(probes(box), min_size=1, max_size=24))
-    q = raising(canonical_coords, xyz([box.center])[0], box.yaw, xyz(pts))
+    one = Boxes.of([box])
+    q = raising(canonical_coords, one.centers, one.yaws, xyz(pts), np.zeros(len(pts), dtype=int))
     d = raising(face_distances, q, np.array(box.size) / 2.0)
     c = raising(centerness_array, d)
     assert d.shape == (len(pts), 6) and c.shape == (len(pts),)
@@ -180,6 +182,54 @@ def window_probes(draw, box: OrientedBox):
                              for e in box.size])
 
 
+@st.composite
+def scaled_corners(draw, box: OrientedBox, mu: float):
+    """A corner of box scaled by mu, moved off each face by a face offset."""
+    return world_point(box, [draw(st.sampled_from([-1.0, 1.0])) * (e * mu + draw(face_offsets))
+                             for e in box.size])
+
+
+@SETTINGS
+@given(st.data())
+def test_near_pairs_hold_every_scaled_box_pair_in_order(data):
+    # The candidate search behind box_owners, voting and clutter rejection:
+    # at any mu in (0, 1] and far from the origin, every (box, row) pair that
+    # point_in_scaled_box holds is listed, sorted by box, then by row. Probes
+    # a few ulps along x from a corner test the rounding of the x window.
+    origin = data.draw(st.sampled_from(ORIGINS))
+    mu = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+    gts = data.draw(st.lists(window_boxes(origin), max_size=4))
+    near = gts or [data.draw(window_boxes(origin))]
+    pts = data.draw(st.lists(st.one_of(*(st.one_of(window_probes(g), scaled_corners(g, mu))
+                                         for g in near)), max_size=32))
+    pts = [Point3(p.x + data.draw(st.integers(-2, 2)) * math.ulp(p.x), p.y, p.z) for p in pts]
+    box, row = raising(near_pairs, xyz(pts), Boxes.of(gts), mu)
+    pairs = list(zip(box.tolist(), row.tolist()))
+    assert pairs == sorted(set(pairs))
+    held = {(gi, i) for gi, g in enumerate(gts) for i, p in enumerate(pts)
+            if point_in_scaled_box(p, g, mu)}
+    assert held <= set(pairs)
+
+
+def test_near_pairs_reach_covers_rotation_rounding():
+    # A corner turned onto the x axis: the box holds the point, whose x gap to
+    # the center exceeds the circumradius by rounding, so the reach is widened.
+    box = OrientedBox(Point3(-2.6764157857100614, -0.6997867152868906, -0.5491607674800081),
+                      (2.4247586250488715, 2.4334253297226565, 1.570210405074319),
+                      yaw=2.354410552910279)
+    p = Point3(-0.9587856418405021, -0.699786715289414, -0.5491607674800081)
+    assert point_in_scaled_box(p, box, 0.5)
+    assert abs(p.x - box.center.x) > math.hypot(box.size[0] * 0.5 + EPS, box.size[1] * 0.5 + EPS)
+    assert raising(near_pairs, xyz([p]), Boxes.of([box]), 0.5)[1].tolist() == [0]
+
+
+def test_near_pairs_of_no_points_or_no_boxes_are_empty():
+    one = Boxes.of([OrientedBox(Point3(0.0, 0.0, 0.0), (1.0, 1.0, 1.0))])
+    for pts, gts in ((np.zeros((0, 3)), one), (np.zeros((2, 3)), Boxes.of([]))):
+        box, row = raising(near_pairs, pts, gts, 0.5)
+        assert box.shape == row.shape == (0,)
+
+
 @SETTINGS
 @given(st.data())
 def test_match_points_to_gt_windows_keep_every_owner(data):
@@ -226,14 +276,7 @@ def test_box_owners_equals_brute_scaled_box_loop(data):
         twin = gts[data.draw(st.integers(0, len(gts) - 1))]
         gts.insert(data.draw(st.integers(0, len(gts))),
                    dataclasses.replace(twin, yaw=data.draw(yaws)))
-
-    @st.composite
-    def scaled_corners(draw, box):
-        """A corner of box scaled by mu, moved off each face by a face offset."""
-        return world_point(box, [draw(st.sampled_from([-1.0, 1.0])) * (e * mu + draw(face_offsets))
-                                 for e in box.size])
-
-    pts = data.draw(st.lists(st.one_of(*(st.one_of(window_probes(g), scaled_corners(g))
+    pts = data.draw(st.lists(st.one_of(*(st.one_of(window_probes(g), scaled_corners(g, mu))
                                          for g in gts)), min_size=1, max_size=32))
     want = []
     for p in pts:

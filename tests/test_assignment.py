@@ -228,7 +228,9 @@ def per_row_assign_targets(points, gts, mu, *, fixed_assignments=None):
     if gts and n:
         best_vol = np.full(n, np.inf)
         for gi, gt in enumerate(gts):
-            inside = contains_points(xyz([gt.center])[0], gt.size, gt.yaw, pts, mu=mu)
+            one = Boxes.of([gt])
+            inside = contains_points(one.centers, one.sizes, one.yaws, pts, mu,
+                                     np.zeros(n, dtype=int))
             better = inside & (gt.volume < best_vol)
             matched[better] = gi
             best_vol[better] = gt.volume

@@ -9,6 +9,7 @@ from rows import xyz
 from cascadev.errors import InvalidDeltasError
 from cascadev.geometry import (
     EPS,
+    Boxes,
     Deltas,
     OrientedBox,
     Point3,
@@ -271,8 +272,9 @@ class TestTypesAndHelpers:
         rng = np.random.default_rng(19)
         box = random_box(rng)
         pts = [Point3(*rng.uniform(-3.0, 3.0, size=3)) for _ in range(100)]
-        q = canonical_coords(xyz([box.center])[0], box.yaw, xyz(pts))
-        mask = contains_points(xyz([box.center])[0], box.size, box.yaw, xyz(pts), mu=0.37)
+        one, owner = Boxes.of([box]), np.zeros(len(pts), dtype=int)
+        q = canonical_coords(one.centers, one.yaws, xyz(pts), owner)
+        mask = contains_points(one.centers, one.sizes, one.yaws, xyz(pts), 0.37, owner)
         for i, p in enumerate(pts):
             d = encode_deltas(p, box)
             # canonical x recovered from the face distances

@@ -225,18 +225,25 @@ headings = st.one_of(st.just(0.0), st.sampled_from([math.pi, -math.pi]), st.floa
 # On a face, inside or outside the EPS band around it, and just at its edges.
 face_offsets = st.sampled_from([0.0, EPS, -EPS, 2 * EPS, -2 * EPS, EPS / 2, -EPS / 2])
 signs = st.sampled_from([-1.0, 1.0])
+ORIGINS = [(0.0, 0.0, 0.0), (1e3, -1e3, 5e2), (-1e6, 1e6, 1e6), (1e8, 1e8, -1e8)]
 
 
 @st.composite
 def vote_cases(draw):
     """Proposals with boxes, and sources that are free, on a box face or at
     a box corner at about EPS from it, or coincident with an earlier
-    source. Up to 64 sources fill several KD-tree leaves; otherwise the
+    source, all near an origin up to 1e8 away, where the candidate window's
+    rounding of center +- reach counts. Up to 64 sources; otherwise the
     sources are the proposals themselves, as in the cascade's hand-off, so
     an empty mask falls back positionally."""
+    origin = draw(st.sampled_from(ORIGINS))
+
+    def near():
+        return [o + draw(coords) for o in origin]
+
     b = draw(st.integers(0, 8))
     dim = draw(st.integers(1, 4))
-    boxes = [OrientedBox(Point3(draw(coords), draw(coords), draw(coords)),
+    boxes = [OrientedBox(Point3(*near()),
                          (draw(extents), draw(extents), draw(extents)), yaw=draw(headings))
              for _ in range(b)]
     n = draw(st.integers(0, 64)) if draw(st.booleans()) else b
@@ -254,10 +261,9 @@ def vote_cases(draw):
             src.append([box.center.x + c * q[0] - s * q[1],
                         box.center.y + s * q[0] + c * q[1], box.center.z + q[2]])
         else:
-            src.append([draw(coords), draw(coords), draw(coords)])
+            src.append(near())
     at_centers = draw(st.booleans())
-    upd = [xyz([box.center])[0] if at_centers else [draw(coords), draw(coords), draw(coords)]
-           for box in boxes]
+    upd = [xyz([box.center])[0] if at_centers else near() for box in boxes]
     values = st.floats(-10.0, 10.0)
     feats = np.array([[draw(values) for _ in range(dim)] for _ in range(n)]).reshape(n, dim)
     return (np.array(upd, dtype=np.float64).reshape(b, 3), boxes,
