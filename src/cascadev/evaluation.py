@@ -6,22 +6,23 @@ its class when that IoU clears the threshold, and the per-class AP is
 the area under the whole monotonized precision-recall curve (continuous
 all-point interpolation). Classes absent from the ground truth are
 excluded from the mean. Multi-scene evaluation matches per scene and
-pools the scored outcomes per class.
+pools the (class, score, hit) columns of all scenes.
 
 Cascade statistics reduce stage traces to the quantities behind the
 assignment and update analyses: per-stage positive counts, proposal
 centerness before/after the point update, and the rank correlation
 between a proposal's centerness and the IoU of the box it regressed.
+That correlation is Spearman's rho, Pearson's r of the average ranks
+(tied values share the mean of their ranks), and NaN below two pairs
+or when either side is constant.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .assignment import match_points_to_gt
 from .cascade import StageTrace
@@ -70,65 +71,52 @@ def _scene_iou(dets: Detections, gts: Boxes) -> list[list[float]]:
 
 
 def _match_one_scene(
-    dets: Detections, gts: Boxes, iou_threshold: float, ious: list[list[float]],
-) -> list[tuple[int, float, bool]]:
-    """Greedy matching for one scene, on its _scene_iou rows.
+    dets: Detections, gts: Boxes, ious: list[list[float]], iou_thresholds: list[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy matching for one scene at each threshold, on its _scene_iou rows.
 
-    Returns (class_id, score, is_tp) per detection whose class occurs in
-    the ground truth, in descending score order within the scene.
+    Returns the rows of the detections whose class occurs in the ground
+    truth, in descending score order (stable), and per threshold whether
+    each of them hit, as a (thresholds, rows) array.
     """
-    gt_classes = gts.class_ids.tolist()
-    classes, scores = dets.class_ids.tolist(), dets.scores.tolist()
-    matched = [False] * len(gt_classes)
-    out: list[tuple[int, float, bool]] = []
-    for i in np.argsort(-dets.scores, kind="stable").tolist():
-        cls = classes[i]
-        if cls not in gt_classes:
-            continue
-        # The highest unmatched same-class IoU above 0; the lower index wins a tie.
-        best_gi, best_iou = -1, 0.0
-        for gi, (gt_cls, v) in enumerate(zip(gt_classes, ious[i])):
-            if gt_cls == cls and not matched[gi] and v > best_iou:
-                best_gi, best_iou = gi, v
-        hit = best_gi >= 0 and best_iou >= iou_threshold
-        if hit:
-            matched[best_gi] = True
-        out.append((cls, scores[i], hit))
-    return out
-
-
-def _ap_from_curve(recalls: np.ndarray, precisions: np.ndarray) -> float:
-    if len(recalls) == 0:
-        return 0.0
-    mono = np.maximum.accumulate(precisions[::-1])[::-1]
-    prev_r = 0.0
-    ap = 0.0
-    for r, p in zip(recalls, mono):
-        ap += (r - prev_r) * p
-        prev_r = r
-    return float(ap)
+    order = np.argsort(-dets.scores, kind="stable")
+    rows = order[np.isin(dets.class_ids[order], gts.class_ids)]
+    hits = np.zeros((len(iou_thresholds), len(rows)), dtype=bool)
+    for t, thr in enumerate(iou_thresholds):
+        matched = [False] * len(gts)
+        for k, i in enumerate(rows.tolist()):
+            # The highest unmatched IoU above 0 (other classes hold 0); the lower index wins a tie.
+            best_gi, best_iou = -1, 0.0
+            for gi, v in enumerate(ious[i]):
+                if v > best_iou and not matched[gi]:
+                    best_gi, best_iou = gi, v
+            if best_iou >= thr:
+                matched[best_gi] = hits[t, k] = True
+    return rows, hits
 
 
 def _evaluate_pooled(
-    pooled: list[tuple[int, float, bool, int, int]],
-    gt_counts: dict[int, int],
+    classes: np.ndarray, scores: np.ndarray, hits: np.ndarray, gt_classes: np.ndarray,
     iou_threshold: float,
 ) -> ThresholdResult:
+    """Per-class curves and AP of the pooled (class, score, hit) columns.
+
+    The columns run scene by scene, each scene in its own ranking, so one
+    stable sort by descending score ranks ties by (scene, rank in scene).
+    """
+    order = np.argsort(-scores, kind="stable")
+    classes, hits = classes[order], hits[order]
     ap_per_class: dict[int, float] = {}
     pr_curves: dict[int, tuple[list[float], list[float]]] = {}
-    for cls in sorted(gt_counts):
-        n_gt = gt_counts[cls]
-        rows = [r for r in pooled if r[0] == cls]
-        rows.sort(key=lambda r: (-r[1], r[3], r[4]))
-        tp_cum = 0
-        recalls: list[float] = []
-        precisions: list[float] = []
-        for rank, row in enumerate(rows, start=1):
-            tp_cum += int(row[2])
-            recalls.append(tp_cum / n_gt)
-            precisions.append(tp_cum / rank)
-        ap_per_class[cls] = _ap_from_curve(np.array(recalls), np.array(precisions))
-        pr_curves[cls] = (recalls, precisions)
+    labels, counts = np.unique(gt_classes, return_counts=True)
+    for cls, n_gt in zip(labels.tolist(), counts.tolist()):
+        tp = np.cumsum(hits[classes == cls])
+        recalls = tp / n_gt
+        precisions = tp / np.arange(1, len(tp) + 1)
+        mono = np.maximum.accumulate(precisions[::-1])[::-1]
+        area = np.cumsum(np.diff(recalls, prepend=0.0) * mono)
+        ap_per_class[cls] = float(area[-1]) if len(area) else 0.0
+        pr_curves[cls] = (recalls.tolist(), precisions.tolist())
     mean_ap = float(np.mean(list(ap_per_class.values()))) if ap_per_class else 0.0
     return ThresholdResult(
         iou_threshold=iou_threshold,
@@ -151,26 +139,39 @@ def evaluate_scenes(
             raise ValueError(f"IoU threshold must lie in (0, 1), got {thr}")
     # Scene by scene, so one scene's IoUs serve every threshold and are
     # dropped before the next scene's are computed.
-    pooled: list[list[tuple[int, float, bool, int, int]]] = [[] for _ in iou_thresholds]
-    gt_counts: dict[int, int] = {}
-    for si, (dets, gts) in enumerate(scene_results):
-        for cls in gts.class_ids.tolist():
-            gt_counts[cls] = gt_counts.get(cls, 0) + 1
-        ious = _scene_iou(dets, gts)
-        for rows, thr in zip(pooled, iou_thresholds):
-            for di, (cls, score, is_tp) in enumerate(_match_one_scene(dets, gts, thr, ious)):
-                rows.append((cls, score, is_tp, si, di))
-    results = [_evaluate_pooled(rows, gt_counts, thr) for rows, thr in zip(pooled, iou_thresholds)]
-    return ApResult(results=results)
+    classes, scores, hits = [], [], []
+    for dets, gts in scene_results:
+        rows, scene_hits = _match_one_scene(dets, gts, _scene_iou(dets, gts), iou_thresholds)
+        classes.append(dets.class_ids[rows])
+        scores.append(dets.scores[rows])
+        hits.append(scene_hits)
+    gt_classes = np.concatenate([np.empty(0, np.int64)] + [g.class_ids for _, g in scene_results])
+    classes_col = np.concatenate([np.empty(0, np.int64)] + classes)
+    scores_col = np.concatenate([np.empty(0)] + scores)
+    hits_cols = np.concatenate([np.empty((len(iou_thresholds), 0), bool)] + hits, axis=1)
+    return ApResult(results=[
+        _evaluate_pooled(classes_col, scores_col, h, gt_classes, thr)
+        for h, thr in zip(hits_cols, iou_thresholds)
+    ])
 
 
-def _spearman(x: list[float], y: list[float]) -> float:
-    if len(x) < 2:
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks of v; tied values share the mean of their ranks."""
+    order = np.argsort(v, kind="stable")
+    s = v[order]
+    first = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
+    counts = np.diff(first, append=len(v))
+    ranks = np.empty(len(v))
+    ranks[order] = np.repeat(first + (counts + 1) / 2, counts)
+    return ranks
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho: Pearson's r of the average ranks; NaN below two pairs or on a constant side."""
+    if len(x) < 2 or (x == x[0]).all() or (y == y[0]).all():
         return float("nan")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rho = _scipy_stats.spearmanr(x, y).statistic
-    return float(rho)
+    ranks = np.column_stack([_average_ranks(x), _average_ranks(y)])
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,46 +215,38 @@ def cascade_stats(traces: list[StageTrace]) -> CascadeStats:
                             f"and {t.schedule}")
     num_stages = schedule.num_stages
 
-    per_stage_before: list[list[float]] = [[] for _ in range(num_stages)]
-    per_stage_after: list[list[float]] = [[] for _ in range(num_stages)]
-    per_stage_pairs: list[list[tuple[float, float]]] = [[] for _ in range(num_stages)]
-    per_stage_pos = [0] * num_stages
-
+    # Per stage, one (3, n) block per trace: centerness before and after, and IoU.
+    blocks: list[list[np.ndarray]] = [[] for _ in range(num_stages)]
+    positives = [0] * num_stages
     for trace in traces:
         gts = trace.gts
         for si, rec in enumerate(trace.stages):
-            per_stage_pos[si] += rec.assignment.num_regular_positives
+            positives[si] += rec.assignment.num_regular_positives
             keep = np.flatnonzero(rec.proposals_in.denoising_gt < 0)
             pts = rec.proposals_in.points[keep]
             owner = match_points_to_gt(pts, gts)
-            before = matched_faces(gts, pts, owner)[1].tolist()
             dets = rec.detections
-            per_stage_before[si].extend(before)
-            per_stage_after[si].extend(matched_faces(gts, dets.centers[keep], owner)[1].tolist())
-            per_stage_pairs[si].extend(zip(before, pair_ious(dets, keep, gts, owner).tolist()))
+            blocks[si].append(np.stack([matched_faces(gts, pts, owner)[1],
+                                        matched_faces(gts, dets.centers[keep], owner)[1],
+                                        pair_ious(dets, keep, gts, owner)]))
+    columns = [np.concatenate(b, axis=1) for b in blocks]
 
-    stages = []
-    for si in range(num_stages):
-        before = per_stage_before[si]
-        after = per_stage_after[si]
-        pairs = per_stage_pairs[si]
-        stages.append(
-            StageStats(
-                stage=si + 1,
-                mu=traces[0].stages[si].mu,
-                positives=per_stage_pos[si],
-                mean_centerness_before=float(np.mean(before)) if before else float("nan"),
-                mean_centerness_after=float(np.mean(after)) if after else float("nan"),
-                spearman_rho=_spearman([p[0] for p in pairs], [p[1] for p in pairs]),
-                pairs=pairs,
-            )
+    stages = [
+        StageStats(
+            stage=si + 1,
+            mu=traces[0].stages[si].mu,
+            positives=positives[si],
+            mean_centerness_before=float(np.mean(before)) if len(before) else float("nan"),
+            mean_centerness_after=float(np.mean(after)) if len(after) else float("nan"),
+            spearman_rho=_spearman(before, iou),
+            pairs=list(zip(before.tolist(), iou.tolist())),
         )
-    all_before = [v for vs in per_stage_before for v in vs]
-    all_after = [v for vs in per_stage_after for v in vs]
-    all_pairs = [p for ps in per_stage_pairs for p in ps]
-    gains = sum(1 for b, a in zip(all_before, all_after) if a > b)
+        for si, (before, after, iou) in enumerate(columns)
+    ]
+    before, after, iou = np.concatenate(columns, axis=1)
     return CascadeStats(
         stages=stages,
-        gain_fraction=gains / len(all_before) if all_before else float("nan"),
-        pooled_spearman_rho=_spearman([p[0] for p in all_pairs], [p[1] for p in all_pairs]),
+        gain_fraction=(int(np.count_nonzero(after > before)) / len(before)
+                       if len(before) else float("nan")),
+        pooled_spearman_rho=_spearman(before, iou),
     )

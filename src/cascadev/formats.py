@@ -62,9 +62,8 @@ def canonical_dumps(doc: dict) -> str:
 
 
 def config_hash(doc: dict) -> str:
-    """sha256 over the compact canonical encoding of a config mapping."""
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """sha256 over canonical_dumps(doc) without its trailing newline."""
+    return hashlib.sha256(canonical_dumps(doc)[:-1].encode("utf-8")).hexdigest()
 
 
 def _parse_version(text: str) -> tuple[int, int]:

@@ -9,7 +9,9 @@ contains_points. iou_aabb is the axis-aligned IoU that the rotated IoU must
 equal at yaw 0. scalar_iou_rotated is the rotated-IoU rule one pair at a time
 (one corner matmul per box, Sutherland-Hodgman on NumPy scalars); the batched
 kernel behind NMS, AP matching, cascade statistics, box placement and the
-one-pair iou_rotated must equal it bit for bit.
+one-pair iou_rotated must equal it bit for bit. pooled_ap is pooled AP as
+(class, score, hit, scene, rank) rows, ranked per class by a Python sort and
+summed in a loop; evaluate_scenes' column pass must equal it with ==.
 """
 
 import math
@@ -17,6 +19,7 @@ import math
 import numpy as np
 
 from cascadev.errors import WrongVariantError
+from cascadev.evaluation import ApResult, ThresholdResult, _scene_iou
 from cascadev.geometry import EPS, Deltas, OrientedBox, Point3, _to_canonical
 
 
@@ -198,3 +201,84 @@ def scalar_iou_rotated(a, b):
     inter = area * oz
     union = a.volume + b.volume - inter
     return inter / union
+
+
+# --- pooled AP as rows ------------------------------------------------------
+
+
+def match_one_scene(dets, gts, iou_threshold, ious):
+    """Greedy matching for one scene, on its _scene_iou rows.
+
+    Returns (class_id, score, is_tp) per detection whose class occurs in
+    the ground truth, in descending score order within the scene.
+    """
+    gt_classes = gts.class_ids.tolist()
+    classes, scores = dets.class_ids.tolist(), dets.scores.tolist()
+    matched = [False] * len(gt_classes)
+    out = []
+    for i in np.argsort(-dets.scores, kind="stable").tolist():
+        cls = classes[i]
+        if cls not in gt_classes:
+            continue
+        # The highest unmatched same-class IoU above 0; the lower index wins a tie.
+        best_gi, best_iou = -1, 0.0
+        for gi, (gt_cls, v) in enumerate(zip(gt_classes, ious[i])):
+            if gt_cls == cls and not matched[gi] and v > best_iou:
+                best_gi, best_iou = gi, v
+        hit = best_gi >= 0 and best_iou >= iou_threshold
+        if hit:
+            matched[best_gi] = True
+        out.append((cls, scores[i], hit))
+    return out
+
+
+def ap_from_curve(recalls, precisions):
+    if len(recalls) == 0:
+        return 0.0
+    mono = np.maximum.accumulate(precisions[::-1])[::-1]
+    prev_r = 0.0
+    ap = 0.0
+    for r, p in zip(recalls, mono):
+        ap += (r - prev_r) * p
+        prev_r = r
+    return float(ap)
+
+
+def evaluate_pooled(pooled, gt_counts, iou_threshold):
+    ap_per_class = {}
+    pr_curves = {}
+    for cls in sorted(gt_counts):
+        n_gt = gt_counts[cls]
+        rows = [r for r in pooled if r[0] == cls]
+        rows.sort(key=lambda r: (-r[1], r[3], r[4]))
+        tp_cum = 0
+        recalls = []
+        precisions = []
+        for rank, row in enumerate(rows, start=1):
+            tp_cum += int(row[2])
+            recalls.append(tp_cum / n_gt)
+            precisions.append(tp_cum / rank)
+        ap_per_class[cls] = ap_from_curve(np.array(recalls), np.array(precisions))
+        pr_curves[cls] = (recalls, precisions)
+    mean_ap = float(np.mean(list(ap_per_class.values()))) if ap_per_class else 0.0
+    return ThresholdResult(
+        iou_threshold=iou_threshold,
+        ap_per_class=ap_per_class,
+        mean_ap=mean_ap,
+        pr_curves=pr_curves,
+    )
+
+
+def pooled_ap(scene_results, iou_thresholds):
+    """evaluate_scenes' result from (class, score, hit, scene, rank) rows."""
+    pooled = [[] for _ in iou_thresholds]
+    gt_counts = {}
+    for si, (dets, gts) in enumerate(scene_results):
+        for cls in gts.class_ids.tolist():
+            gt_counts[cls] = gt_counts.get(cls, 0) + 1
+        ious = _scene_iou(dets, gts)
+        for rows, thr in zip(pooled, iou_thresholds):
+            for di, (cls, score, is_tp) in enumerate(match_one_scene(dets, gts, thr, ious)):
+                rows.append((cls, score, is_tp, si, di))
+    results = [evaluate_pooled(rows, gt_counts, thr) for rows, thr in zip(pooled, iou_thresholds)]
+    return ApResult(results=results)

@@ -1,8 +1,14 @@
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
+from reference import pooled_ap
 from rows import detections, xyz
 
 from cascadev import evaluation
@@ -134,6 +140,16 @@ class TestAveragePrecision:
         assert len(calls[0]) == len(set(calls[0])) and set(calls[0]) == same_class
         assert both.results == singles
 
+    def test_equal_ious_go_to_the_lower_index(self):
+        # The first detection sits halfway between two boxes; taking the
+        # second box would leave the next detection, an exact copy of it,
+        # without a match.
+        ga = OrientedBox(Point3(-0.5, 0, 0.5), (1, 1, 1), class_id=0)
+        gb = OrientedBox(Point3(0.5, 0, 0.5), (1, 1, 1), class_id=0)
+        between = OrientedBox(Point3(0, 0, 0.5), (1, 1, 1), class_id=0)
+        res = one_scene_ap([det(between, 0.9, 0), det(gb, 0.8, 0)], [ga, gb], 0.3)
+        assert res.at(0.3).pr_curves[0] == ([0.5, 1.0], [1.0, 1.0])
+
     def test_pooling_combines_scenes(self):
         # One scene detected perfectly, one missed entirely: pooled recall
         # covers half the ground truth.
@@ -175,6 +191,81 @@ class TestAveragePrecision:
         res = evaluate_scenes(results, [0.25, 0.5])
         assert res.at(0.5).mean_ap == pytest.approx(1.0, abs=1e-12)
         assert res.at(0.25).mean_ap == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def scene_sets(draw):
+    """Scenes of jittered and stray detections around a few boxes.
+
+    Scores come mostly from a small set, so ties run across scenes; boxes
+    share a few positions, so IoUs tie too; class 3 never labels a box, and
+    a scene may hold no detection or no box.
+    """
+    scenes = []
+    for _ in range(draw(st.integers(0, 5))):
+        gts = [OrientedBox(Point3(draw(st.sampled_from([0.0, 0.6, 3.0])),
+                                  draw(st.sampled_from([0.0, 0.5])), 0.5),
+                           (draw(st.sampled_from([0.5, 1.0])), 1.0, 1.0),
+                           yaw=draw(st.sampled_from([0.0, 0.4])),
+                           class_id=draw(st.integers(0, 2)))
+               for _ in range(draw(st.integers(0, 4)))]
+        dets = []
+        for _ in range(draw(st.integers(0, 12))):
+            if gts and draw(st.booleans()):
+                g = gts[draw(st.integers(0, len(gts) - 1))]
+                dx = draw(st.one_of(st.sampled_from([0.0, 0.3, -0.3]), st.floats(-0.4, 0.4)))
+                box = OrientedBox(Point3(g.center.x + dx, g.center.y, g.center.z), g.size,
+                                  yaw=g.yaw)
+                cls = draw(st.one_of(st.just(g.class_id), st.integers(0, 3)))
+            else:
+                box = OrientedBox(Point3(draw(st.floats(-1, 4)), draw(st.floats(-1, 1)), 0.5),
+                                  (1.0, 1.0, 1.0))
+                cls = draw(st.integers(0, 3))
+            score = draw(st.one_of(st.sampled_from([0.3, 0.5, 0.9]), st.floats(0.0, 1.0)))
+            dets.append(det(box, score, cls))
+        scenes.append((detections(dets), Boxes.of(gts)))
+    thresholds = draw(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3))
+    return scenes, thresholds
+
+
+@settings(max_examples=200, deadline=None)
+@given(scene_sets())
+def test_pooled_ap_equals_row_reference(case):
+    scenes, thresholds = case
+    got, want = evaluate_scenes(scenes, thresholds), pooled_ap(scenes, thresholds)
+    for g, w in zip(got.results, want.results, strict=True):
+        assert g.ap_per_class == w.ap_per_class
+        assert g.mean_ap == w.mean_ap
+        assert g.pr_curves == w.pr_curves
+
+
+@st.composite
+def rank_sides(draw):
+    """Two equal-length samples drawn from value pools, mostly small ones, so
+    ties and constant sides occur; the pools mix -0.0 and 0.0."""
+    n = draw(st.integers(0, 300))
+    values = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -2.5]), st.floats(-1e3, 1e3))
+
+    def side():
+        pool = draw(st.lists(values, min_size=1, max_size=draw(st.sampled_from([1, 6, 300]))))
+        return [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1),
+                                               min_size=n, max_size=n))]
+
+    return side(), side()
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_sides())
+def test_spearman_equals_scipy(sides):
+    x, y = sides
+    got = evaluation._spearman(np.array(x), np.array(y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", stats.ConstantInputWarning)
+        want = float(stats.spearmanr(x, y).statistic)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 def make_traces(seeds, noise, b=24):

@@ -5,11 +5,13 @@ An imported name that its module never reads must be one that
 perfbench/bench_trace.py's `instrument` replaces on that module; those are
 found by comparing the module's attributes before and after `instrument`.
 Once the tracer stops patching a name, this test names the import to delete.
+The package also runs on NumPy alone: importing it loads no SciPy module.
 """
 
 import ast
 import importlib
 import os
+import subprocess
 import sys
 
 import pytest
@@ -77,3 +79,12 @@ def test_every_unused_import_is_patched_by_the_tracer(name, patched):
         unused = unused_imports(fh.read())
     dead = [n for n in unused if n not in patched[name]]
     assert not dead, f"cascadev/{name}.py imports {dead} and never reads them"
+
+
+def test_package_import_loads_no_scipy():
+    probe = ("import sys, cascadev, cascadev.cli; "
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
