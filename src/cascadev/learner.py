@@ -392,12 +392,12 @@ def train_cascade(
                 sp.branches().items(), acts, (g_cls, g_reg, g_cent[:, None])
             ):
                 grads = _backward(bp, rec.proposals_in.features, h, g)
-                for key, arr, ga in zip(("w1", "b1", "w2", "b2"), bp.arrays(), grads):
-                    # An overflow goes unwarned: the check below reports it.
-                    with np.errstate(over="ignore", invalid="ignore"):
+                # An overflow goes unwarned: the check after each array reports it.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for key, arr, ga in zip(("w1", "b1", "w2", "b2"), bp.arrays(), grads):
                         arr -= lr * ga
-                    if not np.isfinite(arr).all():
-                        raise TrainingDivergedError(
-                            f"non-finite {name} {key} after the update at step {step}, "
-                            f"stage {l}")
+                        if not np.isfinite(arr).all():
+                            raise TrainingDivergedError(
+                                f"non-finite {name} {key} after the update at step {step}, "
+                                f"stage {l}")
     return params, history

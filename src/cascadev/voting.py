@@ -16,10 +16,15 @@ Two weighting variants are available:
 One call votes for all proposals. geometry.near_pairs lists each box's
 candidate sources from one sorted-x window, and the exact containment
 test runs once over all those (box, source) pairs. Distances and shifted
-exponentials are taken over all inside pairs at once. Only normalising
-and the weighted sum stay per proposal: a segmented sum adds in another
-order, and the per-proposal form keeps the result bit-identical to voting
-one box at a time.
+exponentials are taken over all inside pairs at once. Normalising and the
+weighted sum run once per distinct vote count k, over the m proposals
+with k votes. The inside pairs are put in vote-count order once, so those
+proposals' weights are one contiguous (m, k) block and their features one
+(m, k, F) block. The row sums of the weights add in the same pairwise
+order as the sum of one proposal's (k,) weights, and the
+(m, 1, k) @ (m, k, F) matmul makes one (k,) @ (k, F) product per row, so
+the result is bit-identical to voting one box at a time. A segmented sum
+(np.add.reduceat) adds in another order and would change bits.
 """
 
 from __future__ import annotations
@@ -84,18 +89,30 @@ def ia_voting(
             f"proposal {empty[0]} has an empty vote mask and no own feature to fall back to"
         )
     out[empty] = feats[empty]
-    voted = np.flatnonzero(counts)
-    bounds = np.concatenate(([0], np.cumsum(counts[voted])))
+    # Proposals and their inside pairs in vote-count order (stable, so a
+    # proposal's pairs stay in source order): those with k votes are one block.
+    voted = np.argsort(counts, kind="stable")[len(empty):]
+    pick = np.argsort(counts[owner], kind="stable")
+    cand, owner = cand[pick], owner[pick]
+    k_of = counts[voted]
+    bounds = np.concatenate(([0], np.cumsum(k_of)))
     dist = np.linalg.norm(src[cand] - upd[owner], axis=1)
     # Shift each proposal's distances before exponentiating; its
     # normalization cancels the shift.
     if weighting == "exp_neg_dist":
-        w = np.exp(-(dist - np.repeat(np.minimum.reduceat(dist, bounds[:-1]), counts[voted])))
+        w = np.exp(-(dist - np.repeat(np.minimum.reduceat(dist, bounds[:-1]), k_of)))
     else:
-        w = np.exp(dist - np.repeat(np.maximum.reduceat(dist, bounds[:-1]), counts[voted]))
+        w = np.exp(dist - np.repeat(np.maximum.reduceat(dist, bounds[:-1]), k_of))
     g = feats[cand]
-    for i, a, b in zip(voted.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
-        seg = w[a:b]
-        seg /= seg.sum()
-        out[i] = seg @ g[a:b]
+    # One pass per distinct vote count k over rows r0:r1 (see the module docstring).
+    per_k = np.bincount(k_of)
+    ks = np.flatnonzero(per_k)
+    ends = np.cumsum(per_k[ks])
+    res = np.empty((len(voted), feats.shape[1]))
+    for k, r0, r1 in zip(ks.tolist(), (ends - per_k[ks]).tolist(), ends.tolist()):
+        a, b = bounds[r0], bounds[r1]
+        seg = w[a:b].reshape(r1 - r0, k)
+        seg /= seg.sum(axis=1, keepdims=True)
+        res[r0:r1] = (seg[:, None, :] @ g[a:b].reshape(r1 - r0, k, -1))[:, 0, :]
+    out[voted] = res
     return out

@@ -46,6 +46,11 @@ def rand_instance(rng, n_src=10, dim=4):
     return p_upd, box, pts, feats
 
 
+def as_bits(a) -> np.ndarray:
+    """float64 values as their int64 bit patterns, so -0.0 and 0.0 differ."""
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
 class TestVoting:
     def test_lone_inside_point_unchanged(self):
         box = OrientedBox(Point3(0, 0, 0), (1, 1, 1))
@@ -126,6 +131,12 @@ class TestVoting:
         feats = [np.array([3.0, 4.0])]
         (out,) = ia_voting(np.zeros((1, 3)), Boxes.of([box]), xyz(pts), feats)
         assert out == pytest.approx(feats[0], abs=1e-12)
+
+    def test_empty_mask_fallback_keeps_signed_zero(self):
+        box = OrientedBox(Point3(50, 50, 50), (1, 1, 1))
+        feats = np.array([[-0.0, 1.0]])
+        out = ia_voting(np.zeros((1, 3)), Boxes.of([box]), np.zeros((1, 3)), feats)
+        assert np.array_equal(as_bits(out), as_bits(feats))
 
     def test_empty_mask_without_own_feature_errors(self):
         box = OrientedBox(Point3(50, 50, 50), (1, 1, 1))
@@ -282,7 +293,46 @@ def test_columns_equal_per_box_voting(case, weighting):
         return
     out = ia_voting(upd, Boxes.of(boxes), src, feats, weighting=weighting)
     assert out.shape == (len(boxes), feats.shape[1])
-    assert (out == np.reshape(ref, out.shape)).all()
+    assert np.array_equal(as_bits(out), as_bits(np.reshape(ref, out.shape)))
+
+
+# Edges of NumPy's pairwise sum (8-wide unrolling, 128-element blocks),
+# and k=1, whose matmul skips BLAS.
+SHARED_COUNTS = (1, 7, 8, 9, 127, 128, 129)
+
+
+@settings(max_examples=100, deadline=None)
+@given(per_count=st.lists(st.integers(2, 4), min_size=8, max_size=8),
+       big=st.integers(280, 320), dim=st.sampled_from([1, 16, 33]),
+       weighting=st.sampled_from(["exp_neg_dist", "literal"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_shared_vote_counts_equal_per_box_voting(per_count, big, dim, weighting, seed):
+    # Several proposals share each vote count, so every grouped pass
+    # stacks more than one row; every box is far from the others and
+    # holds exactly its count of sources, shuffled among the rest.
+    rng = np.random.default_rng(seed)
+    counts = [k for k, m in zip(SHARED_COUNTS + (big,), per_count) for _ in range(m)]
+    rng.shuffle(counts)
+    boxes, src = [], []
+    for j, k in enumerate(counts):
+        center = np.array([20.0 * j, rng.uniform(-5, 5), rng.uniform(-5, 5)])
+        size = rng.uniform(0.5, 3.0, size=3)
+        yaw = rng.uniform(-math.pi, math.pi)
+        boxes.append(OrientedBox(Point3(*center), tuple(size), yaw=yaw))
+        q = rng.uniform(-0.45, 0.45, size=(k, 3)) * size
+        c, s = math.cos(yaw), math.sin(yaw)
+        src.append(center + np.column_stack([c * q[:, 0] - s * q[:, 1],
+                                             s * q[:, 0] + c * q[:, 1], q[:, 2]]))
+    src = rng.permutation(np.concatenate(src))
+    upd = np.array([[b.center.x, b.center.y, b.center.z] for b in boxes])
+    upd += rng.normal(0.0, 0.5, size=upd.shape)
+    # Magnitudes from 1e-300 to 1e300 and signed zeros.
+    feats = rng.normal(size=(len(src), dim)) * 10.0 ** rng.integers(-300, 300, size=(len(src), 1))
+    feats[rng.random(feats.shape) < 0.2] = -0.0
+    feats[:, rng.random(dim) < 0.2] = -0.0
+    out = ia_voting(upd, Boxes.of(boxes), src, feats, weighting=weighting)
+    ref = per_box_ia_voting(upd, boxes, src, feats, weighting=weighting)
+    assert np.array_equal(as_bits(out), as_bits(ref))
 
 
 def test_containment_tests_only_pairs_near_each_box(monkeypatch):
@@ -308,4 +358,4 @@ def test_containment_tests_only_pairs_near_each_box(monkeypatch):
     assert inside >= b
     assert pairs < 0.05 * b * n
     ref = per_box_ia_voting(upd, boxes, src, feats)
-    assert (out == np.array(ref)).all()
+    assert np.array_equal(as_bits(out), as_bits(ref))
