@@ -224,6 +224,17 @@ class Boxes:
 # results are bit-identical to encode_deltas and decode_box row by row.
 
 
+def cos_sin(angles) -> tuple[np.ndarray, np.ndarray]:
+    """math.cos and math.sin of each angle, as two float64 arrays.
+
+    (np.cos and np.sin are no substitute: they can differ from math's in
+    the last bit, and the one-box rules use math's.)
+    """
+    angles = np.asarray(angles, dtype=np.float64).tolist()
+    return (np.fromiter(map(math.cos, angles), dtype=np.float64, count=len(angles)),
+            np.fromiter(map(math.sin, angles), dtype=np.float64, count=len(angles)))
+
+
 def points_as_array(points) -> np.ndarray:
     """points as an (N, 3) float array; ValueError for any other shape."""
     a = np.asarray(points, dtype=np.float64)
@@ -238,9 +249,8 @@ def canonical_coords(centers, yaws, points, owner) -> np.ndarray:
     pts = points_as_array(points)
     # cos and sin once per box. A zero yaw's c = 1, s = 0 keep rel exact.
     rel = pts - np.asarray(centers)[owner]
-    yaws = np.asarray(yaws).tolist()
-    c = np.array([math.cos(h) for h in yaws])[owner]
-    s = np.array([math.sin(h) for h in yaws])[owner]
+    c, s = cos_sin(yaws)
+    c, s = c[owner], s[owner]
     out = np.empty_like(rel)
     out[:, 0] = c * rel[:, 0] + s * rel[:, 1]
     out[:, 1] = -s * rel[:, 0] + c * rel[:, 1]
@@ -307,8 +317,7 @@ def decode_boxes(points, deltas: np.ndarray):
     centers = pts - q
     # update_point rotates the offset only for a non-zero heading.
     rot = np.flatnonzero(d[:, 6] != 0.0)
-    c = np.array([math.cos(h) for h in d[rot, 6].tolist()])
-    s = np.array([math.sin(h) for h in d[rot, 6].tolist()])
+    c, s = cos_sin(d[rot, 6])
     centers[rot, 0] = pts[rot, 0] - (c * q[rot, 0] - s * q[rot, 1])
     centers[rot, 1] = pts[rot, 1] - (s * q[rot, 0] + c * q[rot, 1])
     far = np.flatnonzero(~((np.abs(centers) <= MAX_COORD) & (sizes <= MAX_COORD)).all(axis=1))

@@ -12,9 +12,11 @@ columns for NMS, cascade statistics, AP matching and box placement, and
 `iou_rotated` and `bev_intersection_area` are its one-pair cases.
 
 NMS reads a `Detections` batch of columns and returns the greedy's kept
-row indices from a few batched passes (see `nms`). The pipeline keeps
-detections as that batch; a `Detection` row is only the view `dets[i]`,
-which the file writers read.
+row indices from a few batched passes (see `nms`). It lists and scores
+only the pairs its greedy can still use: passes over the highest-ranked
+open rows decide most rows first, and only the rows left get every pair
+among them listed. The pipeline keeps detections as that batch; a
+`Detection` row is only the view `dets[i]`, which the file writers read.
 
 All functions are pure and thread-safe.
 """
@@ -27,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Boxes, OrientedBox
+from .geometry import Boxes, OrientedBox, cos_sin
 
 _AREA_EPS = 1e-12
 
@@ -71,8 +73,7 @@ def _corner_array(boxes: Boxes) -> np.ndarray:
     @ (2, 2), so every row is bit-equal to the one-box case.
     """
     local = (boxes.sizes[:, :2] / 2.0)[:, None, :] * _CORNER_SIGNS
-    c = np.array([math.cos(yaw) for yaw in boxes.yaws.tolist()])
-    s = np.array([math.sin(yaw) for yaw in boxes.yaws.tolist()])
+    c, s = cos_sin(boxes.yaws)
     rot = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
     return local @ rot.transpose(0, 2, 1) + boxes.centers[:, None, :2]
 
@@ -124,24 +125,32 @@ def iou_mc(a: OrientedBox, b: OrientedBox, n_samples: int, seed: int = 0) -> tup
 
 # --- rotated IoU over index pairs ------------------------------------------
 
-# Exact rounds before nms scores every open pair at once. On 1,536-row pooled
-# scenes, 2 rounds leave 1k-4k of ~100k pairs open; running rounds to the end
-# takes 20-40, and 2 measured fastest.
+# Open rows that one prefix pass of nms decides over; nms runs passes while
+# more rows than this are open. On 1,536-row pooled scenes one pass leaves
+# 280-360 open at IoU 0.25; 256 and 768 measured no faster.
+_PREFIX = 512
+# Exact rounds before nms scores every pair among the last open rows at
+# once. 2 leave 1k-4k pairs for that call, and 1 or 2 measured fastest. A
+# round costs about one _ious call's fixed cost, what clipping a few hundred
+# pairs costs, so the rounds stop once at most _ROUND_PAIRS pairs are open.
 _EXACT_ROUNDS = 2
+_ROUND_PAIRS = 512
 # Candidate pairs screened per array pass, which bounds nms's temporaries.
 _PAIR_CHUNK = 1 << 14
+# Pairs clipped per _clip_areas call. Its per-vertex arrays then stay in
+# cache: 20,000 pairs clipped 4,096 at a time took 12 ms, at once 22 ms.
+_CLIP_CHUNK = 1 << 12
 
 
 class _Columns(NamedTuple):
     """What the rule needs of a box batch, as columns.
 
-    key (N, 7) is each box's (x, y, z, w, l, h, yaw); cx and cy (4, N) are
-    the _corner_array corners, one row per corner.
+    key (N, 7) is each box's (x, y, z, w, l, h, yaw); corners (N, 4, 2)
+    is _corner_array's.
     """
 
     key: np.ndarray
-    cx: np.ndarray
-    cy: np.ndarray
+    corners: np.ndarray
     x: np.ndarray
     y: np.ndarray
     z_lo: np.ndarray
@@ -151,12 +160,12 @@ class _Columns(NamedTuple):
 
 
 def _columns(boxes: Boxes) -> _Columns:
-    corners = _corner_array(boxes)
     (x, y, z), h = boxes.centers.T, boxes.sizes[:, 2]
-    radius = [math.hypot(w, l) / 2.0 for w, l in boxes.sizes[:, :2].tolist()]
+    w, l = boxes.sizes[:, :2].T.tolist()
+    radius = np.fromiter(map(math.hypot, w, l), dtype=np.float64, count=len(w)) / 2.0
     return _Columns(np.column_stack([boxes.centers, boxes.sizes, boxes.yaws]),
-                    corners[:, :, 0].T.copy(), corners[:, :, 1].T.copy(), x, y,
-                    z - h / 2.0, z + h / 2.0, np.array(radius, dtype=np.float64), boxes.volumes)
+                    _corner_array(boxes), x, y,
+                    z - h / 2.0, z + h / 2.0, radius, boxes.volumes)
 
 
 def _within_reach(dx: np.ndarray, dy: np.ndarray, reach: np.ndarray) -> np.ndarray:
@@ -174,67 +183,76 @@ def _within_reach(dx: np.ndarray, dy: np.ndarray, reach: np.ndarray) -> np.ndarr
     return out
 
 
-def _clip_areas(x: np.ndarray, y: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+def _clip_areas(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     """BEV intersection areas of P footprint pairs; an area below 1e-12 is 0.
 
-    x, y (4, P) are the subject corners and cx, cy (4, P) the clip corners,
-    both counterclockwise. Sutherland-Hodgman runs on (K, P) vertex rows,
-    the first n[p] valid in column p: per clip edge, the side test, t and
-    intersection point run on every vertex at once, and each output vertex
-    lands at the row a one-polygon loop would append it at, so every area
-    is bit-equal to clipping that pair alone. The shoelace sum then runs in
-    vertex order.
+    subject and clip (P, 4, 2) are each pair's _corner_array corners.
+    Sutherland-Hodgman runs on every polygon's vertices at once, held back
+    to back (n[p] vertices of polygon p). Per clip edge, the side test and
+    the crossing points run on every vertex at once, and one gather of the
+    interleaved (crossing point, vertex) slots emits each polygon's
+    vertices in the order a one-polygon loop appends them, so every area
+    is bit-equal to clipping that pair alone. The shoelace sum then runs
+    in vertex order.
     """
-    p = x.shape[1]
-    col = np.arange(p)
+    p = len(subject)
     n = np.full(p, 4)
+    owner = np.repeat(np.arange(p), 4)  # each vertex's polygon
+    # Per clip edge and pair: the edge's start (y, x), then its direction (ex, ey).
+    corners = np.ascontiguousarray(clip.transpose(1, 0, 2))
+    edges = np.empty((4, p, 4))
+    edges[:, :, :2] = corners[:, :, ::-1]
+    np.subtract(corners[1:], corners[:3], out=edges[:3, :, 2:])
+    np.subtract(corners[0], corners[3], out=edges[3, :, 2:])
+    xy = np.ascontiguousarray(subject.reshape(-1, 2).T)
     for e in range(4):
-        if not len(x):  # every polygon is empty
+        v = xy.shape[1]
+        if not v:  # every polygon is empty
             break
-        ax, ay = cx[e], cy[e]
-        ex, ey = cx[(e + 1) % 4] - ax, cy[(e + 1) % 4] - ay
-        side = ex * (y - ay) - ey * (x - ax)
-        last = np.maximum(n - 1, 0)
-        prev_side = np.empty_like(side)
-        prev_side[1:] = side[:-1]
-        prev_side[0] = side[last, col]
-        valid = np.arange(len(x))[:, None] < n
-        inside = (side >= 0.0) & valid
-        cross = ((prev_side >= 0.0) != (side >= 0.0)) & valid
-        count = inside.view(np.int8) + cross.view(np.int8)
-        start = np.cumsum(count, axis=0, dtype=np.int64)
-        n = start[-1].copy()
-        start -= count
-        xf, yf, sf, start = x.ravel(), y.ravel(), side.ravel(), start.ravel()
-        width = n.max(initial=0)
-        nx, ny = np.zeros(width * p), np.zeros(width * p)
-        f = np.flatnonzero(cross)
-        c = f % p
-        pf = np.where(f < p, last[c] * p + c, f - p)  # each vertex's predecessor
-        t = sf[pf] / (sf[pf] - sf[f])
-        at = start[f] * p + c
-        nx[at] = xf[pf] + t * (xf[f] - xf[pf])
-        ny[at] = yf[pf] + t * (yf[f] - yf[pf])
-        f = np.flatnonzero(inside)
-        at = (start[f] + cross.ravel()[f]) * p + f % p
-        nx[at], ny[at] = xf[f], yf[f]
-        x, y = nx.reshape(width, p), ny.reshape(width, p)
-    # Shoelace: vertex k pairs with k + 1, and the last valid one with vertex 0.
-    last = np.maximum(n - 1, 0)
-    xn, yn = np.empty_like(x), np.empty_like(y)
-    xn[:-1], yn[:-1] = x[1:], y[1:]
-    if len(x):
-        xn[last, col], yn[last, col] = x[0], y[0]
+        ay, ax, ex, ey = np.take(edges[e], owner, axis=0).T
+        side = ex * (xy[1] - ay) - ey * (xy[0] - ax)
+        prev = _predecessors(n, v)
+        emits = np.empty((v, 2), dtype=bool)  # a crossing point, then the vertex
+        inside = np.greater_equal(side, 0.0, out=emits[:, 1])
+        f = np.flatnonzero(np.not_equal(inside, inside[prev], out=emits[:, 0]))
+        pf = prev[f]
+        t = side[pf] / (side[pf] - side[f])
+        before = np.take(xy, pf, axis=1)
+        slots = np.empty((2, v, 2))
+        slots[:, :, 1] = xy
+        slots[:, f, 0] = before + t * (np.take(xy, f, axis=1) - before)
+        out = np.flatnonzero(emits)
+        owner = owner[out >> 1]
+        n = np.bincount(owner, minlength=p)
+        xy = np.take(slots.reshape(2, -1), out, axis=1)
+    # Shoelace: vertex k pairs with k + 1, and the last one with vertex 0,
+    # summed in vertex order down the (K, P) rows.
+    v = xy.shape[1]
+    nxt = np.empty(v, dtype=np.int64)
+    nxt[_predecessors(n, v)] = np.arange(v)
+    x, y = xy
+    terms = np.zeros((n.max(initial=0), p))
+    terms.reshape(-1)[(np.arange(v) - (np.cumsum(n) - n)[owner]) * p + owner] = (
+        x * y[nxt] - x[nxt] * y)
     acc = np.zeros(p)
-    for k in range(len(x)):
-        acc = np.where(k < n, acc + (x[k] * yn[k] - xn[k] * y[k]), acc)
+    for term in terms:
+        acc = acc + term
     area = np.abs(np.where(n >= 3, acc / 2.0, 0.0))
     return np.where(area < _AREA_EPS, 0.0, area)
 
 
+def _predecessors(n: np.ndarray, v: int) -> np.ndarray:
+    """Each vertex's predecessor in its polygon, for polygons of n[p] vertices
+    held back to back (v in all): the one before it, and the last for the first."""
+    prev = np.arange(-1, v - 1)
+    full = np.flatnonzero(n)
+    prev[(np.cumsum(n) - n)[full]] += n[full]
+    return prev
+
+
 def _ious(a: _Columns, ia: np.ndarray, b: _Columns, ib: np.ndarray) -> np.ndarray:
     """Rotated IoU of box a[ia[k]] with box b[ib[k]] for every k: the rule's
-    exits in order, then one batched clip of the pairs still open."""
+    exits in order, then batched clips of the pairs still open."""
     out = (a.key[ia] == b.key[ib]).all(axis=1).astype(np.float64)
     oz = np.minimum(a.z_hi[ia], b.z_hi[ib]) - np.maximum(a.z_lo[ia], b.z_lo[ib])
     live = np.flatnonzero((out == 0.0) & (oz > 0.0))
@@ -243,7 +261,9 @@ def _ious(a: _Columns, ia: np.ndarray, b: _Columns, ib: np.ndarray) -> np.ndarra
     if not len(live):
         return out
     ja, jb = ia[live], ib[live]
-    area = _clip_areas(a.cx[:, ja], a.cy[:, ja], b.cx[:, jb], b.cy[:, jb])
+    area = np.concatenate([_clip_areas(a.corners[ja[i:i + _CLIP_CHUNK]],
+                                       b.corners[jb[i:i + _CLIP_CHUNK]])
+                           for i in range(0, len(ja), _CLIP_CHUNK)])
     inter = area * oz[live]
     union = a.volume[ja] + b.volume[jb] - inter
     nonzero = area > 0.0
@@ -274,49 +294,63 @@ def iou_rotated(a: OrientedBox, b: OrientedBox) -> float:
 def bev_intersection_area(a: OrientedBox, b: OrientedBox) -> float:
     """BEV intersection area of two boxes, a clipped against b; < 1e-12 is 0."""
     cols, ia, ib = _one_pair(a, b)
-    return float(_clip_areas(cols.cx[:, ia], cols.cy[:, ia], cols.cx[:, ib], cols.cy[:, ib])[0])
+    return float(_clip_areas(cols.corners[ia], cols.corners[ib])[0])
 
 
-def _candidate_pairs(cols: _Columns, class_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Same-class row pairs (a, b), a < b, that rotated IoU could score above 0.
+def _candidate_pairs(cols: _Columns, class_ids: np.ndarray, left: np.ndarray,
+                     right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Same-class row pairs (a, b), a in left and b in right, a < b, that
+    rotated IoU could score above 0.
 
     A pair is left out only where one of the rule's exits certainly
     ends it at 0: z overlap not above 0 (unless the boxes are identical),
-    or a center gap beyond the circumradius sum. A sort-and-sweep on x
-    per class lists the pairs whose x gap is within the row's circumradius
-    plus the class's largest; the window's margin covers rounding, so the
-    pairs it skips fail the circumradius exit. The listed ones are screened
-    _PAIR_CHUNK at a time.
+    or a center gap beyond the circumradius sum. right is sorted on x per
+    class, and each left row's window reaches its circumradius plus the
+    largest of its class in right; the window's margin covers rounding, so
+    the rows it skips fail the circumradius exit. When left is right, a
+    row's window opens just past it, so each pair is listed once. The
+    window entries are screened _PAIR_CHUNK at a time.
     """
-    n = len(class_ids)
-    perm = np.lexsort((cols.x, class_ids)).astype(np.int32)
-    cls, x, y = class_ids[perm], cols.x[perm], cols.y[perm]
-    z_lo, z_hi, r = cols.z_lo[perm], cols.z_hi[perm], cols.radius[perm]
-    flat = ~(z_hi > z_lo)
-    end = np.empty(n, dtype=np.int64)
-    edges = np.flatnonzero(np.diff(cls)) + 1
-    for lo, hi in zip([0, *edges.tolist()], [*edges.tolist(), n]):
-        xs, rs = x[lo:hi], r[lo:hi]
-        window = (rs + rs.max()) * (1.0 + 1e-9) + 1e-9 * np.abs(xs)
-        end[lo:hi] = lo + np.searchsorted(xs, xs + window, side="right")
-    count = end - np.arange(1, n + 1)
+    empty = np.empty(0, dtype=np.int32)
+    if not (len(left) and len(right)):
+        return empty, empty
+    within = left is right
+    right = right[np.lexsort((cols.x[right], class_ids[right]))]
+    if within:
+        left = right
+    rc, rx, lx = class_ids[right], cols.x[right], cols.x[left]
+    lo = np.arange(1, len(left) + 1) if within else np.zeros(len(left), dtype=np.int64)
+    hi = np.zeros(len(left), dtype=np.int64)
+    edges = (np.flatnonzero(np.diff(rc)) + 1).tolist()
+    for s, e in zip([0, *edges], [*edges, len(right)]):
+        sel = slice(s, e) if within else np.flatnonzero(class_ids[left] == rc[s])
+        window = ((cols.radius[left[sel]] + cols.radius[right[s:e]].max()) * (1.0 + 1e-9)
+                  + 1e-9 * np.abs(lx[sel]))
+        hi[sel] = s + np.searchsorted(rx[s:e], lx[sel] + window, side="right")
+        if not within:
+            lo[sel] = s + np.searchsorted(rx[s:e], lx[sel] - window, side="left")
+    count = hi - lo
     before = np.cumsum(count) - count
-    out_a, out_b = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
+    out_a, out_b = [empty], [empty]
     i0 = 0
-    while i0 < n:
+    while i0 < len(left):
         i1 = max(i0 + 1, int(np.searchsorted(before, before[i0] + _PAIR_CHUNK)))
         c = count[i0:i1]
-        f = np.repeat(np.arange(i0, i1), c)
-        s = np.arange(len(f)) + np.repeat(np.arange(i0 + 1, i1 + 1) - (np.cumsum(c) - c), c)
-        oz = np.minimum(z_hi[f], z_hi[s]) - np.maximum(z_lo[f], z_lo[s])
-        ok = oz > 0.0
-        if flat[i0:i1].any():  # identical zero-height boxes still score 1.0
-            ok |= flat[f] & (cols.key[perm[f]] == cols.key[perm[s]]).all(axis=1)
-        f, s = f[ok], s[ok]
-        ok = _within_reach(x[f] - x[s], y[f] - y[s], r[f] + r[s])
-        f, s = perm[f[ok]], perm[s[ok]]
-        out_a.append(np.minimum(f, s))
-        out_b.append(np.maximum(f, s))
+        a = np.repeat(left[i0:i1], c)
+        b = right[np.arange(len(a)) + np.repeat(lo[i0:i1] - (np.cumsum(c) - c), c)]
+        if within:
+            a, b = np.minimum(a, b), np.maximum(a, b)
+        else:
+            a, b = a[a < b], b[a < b]
+        ok = np.minimum(cols.z_hi[a], cols.z_hi[b]) - np.maximum(cols.z_lo[a], cols.z_lo[b]) > 0.0
+        flat = ~(cols.z_hi[a] > cols.z_lo[a])
+        if flat.any():  # identical zero-height boxes still score 1.0
+            ok |= flat & (cols.key[a] == cols.key[b]).all(axis=1)
+        a, b = a[ok], b[ok]
+        ok = _within_reach(cols.x[a] - cols.x[b], cols.y[a] - cols.y[b],
+                           cols.radius[a] + cols.radius[b])
+        out_a.append(a[ok])
+        out_b.append(b[ok])
         i0 = i1
     return np.concatenate(out_a), np.concatenate(out_b)
 
@@ -328,16 +362,21 @@ def nms(dets: Detections, iou_threshold: float) -> list[int]:
     index); one is suppressed iff its rotated IoU with an already-kept
     detection of the same class strictly exceeds the threshold.
 
-    The greedy's decisions come from a few batched IoU calls. Rows are
-    ranked by visit order, and candidate pairs are the same-class pairs
-    rotated IoU could score above 0. Each of _EXACT_ROUNDS rounds keeps
-    every open row with no open higher-ranked partner, then suppresses
-    that row's open partners above the threshold, as the greedy would.
-    One more call scores the pairs still open, and the greedy finishes in
-    rank order on those verdicts. A row's fate depends only on the kept
-    rows ranked above it that it could overlap, and every IoU is the
-    greedy's (higher-ranked, lower-ranked) one bit for bit, so the kept
-    list is the greedy's exactly.
+    The greedy's decisions come from a few batched IoU calls over rows
+    ranked by visit order; candidate pairs are the same-class pairs rotated
+    IoU could score above 0. While more than _PREFIX rows are open, a
+    prefix pass takes the first _PREFIX open rows: every open row ranked
+    above one of them is among them, so the pairs inside the prefix show
+    which rows have no open higher-ranked partner. Those are kept, and
+    their open lower-ranked partners above the threshold are suppressed.
+    A pass that decides fewer than _PREFIX // 8 rows ends the passes. The
+    rows still open then get up to _EXACT_ROUNDS rounds of the same rule
+    over their pairs, while more than _ROUND_PAIRS are open; one call
+    scores the pairs left, and the greedy finishes in rank order on those
+    verdicts. A row's fate depends only on the kept rows ranked above it
+    that it could overlap, and every IoU is the greedy's (higher-ranked,
+    lower-ranked) one bit for bit, so the kept list is the greedy's
+    exactly.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {iou_threshold}")
@@ -345,12 +384,26 @@ def nms(dets: Detections, iou_threshold: float) -> list[int]:
         return []
     order = np.argsort(-dets.scores, kind="stable")
     n = len(order)
-    ranked = Boxes(dets.centers[order], dets.sizes[order], dets.yaws[order],
-                   dets.class_ids[order])
-    cols = _columns(ranked)
-    a, b = _candidate_pairs(cols, ranked.class_ids)
+    cls = dets.class_ids[order]
+    cols = _columns(Boxes(dets.centers[order], dets.sizes[order], dets.yaws[order], cls))
     fate = np.zeros(n, dtype=np.int8)  # by rank: 0 open, 1 kept, -1 suppressed
+    rows = np.arange(n, dtype=np.int32)  # the open rows, by rank
+    while len(rows) > _PREFIX:
+        prefix = rows[:_PREFIX]
+        _, b = _candidate_pairs(cols, cls, prefix, prefix)
+        blocked = np.zeros(n, dtype=bool)
+        blocked[b] = True
+        keep = prefix[~blocked[prefix]]
+        fate[keep] = 1
+        a, b = _candidate_pairs(cols, cls, keep, rows[fate[rows] == 0])
+        fate[b[_ious(cols, a, cols, b) > iou_threshold]] = -1
+        n_open, rows = len(rows), rows[fate[rows] == 0]
+        if n_open - len(rows) < _PREFIX // 8:
+            break
+    a, b = _candidate_pairs(cols, cls, rows, rows)
     for _ in range(_EXACT_ROUNDS):
+        if len(a) <= _ROUND_PAIRS:
+            break
         blocked = np.zeros(n, dtype=bool)
         blocked[b] = True
         keep = (fate == 0) & ~blocked

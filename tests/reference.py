@@ -12,6 +12,8 @@ kernel behind NMS, AP matching, cascade statistics, box placement and the
 one-pair iou_rotated must equal it bit for bit. pooled_ap is pooled AP as
 (class, score, hit, scene, rank) rows, ranked per class by a Python sort and
 summed in a loop; evaluate_scenes' column pass must equal it with ==.
+pairwise_reference_nms is the greedy NMS rule over one pair_ious call on
+every same-class pair, for batches too large for the scalar oracle.
 """
 
 import math
@@ -21,6 +23,7 @@ import numpy as np
 from cascadev.errors import WrongVariantError
 from cascadev.evaluation import ApResult, ThresholdResult, _scene_iou
 from cascadev.geometry import EPS, Deltas, OrientedBox, Point3, _to_canonical
+from cascadev.overlap import pair_ious
 
 
 def centerness(d: Deltas) -> float:
@@ -282,3 +285,31 @@ def pooled_ap(scene_results, iou_thresholds):
                 rows.append((cls, score, is_tp, si, di))
     results = [evaluate_pooled(rows, gt_counts, thr) for rows, thr in zip(pooled, iou_thresholds)]
     return ApResult(results=results)
+
+
+# --- NMS over one IoU call on every same-class pair ------------------------
+
+
+def pairwise_reference_nms(dets, thr):
+    """The greedy NMS rule on a Detections batch, over one pair_ious call on
+    every same-class pair.
+
+    Rows are ranked by descending score, ties by lower index, and each pair
+    is scored as (higher-ranked, lower-ranked), the order the greedy asks
+    for. It scores every pair whatever the greedy needs, so it shares no
+    pass structure with nms, and it is fast enough for batches of a
+    thousand rows, where reference_nms's scalar IoU is not.
+    """
+    order = np.array(sorted(range(len(dets)), key=lambda i: (-dets.scores[i], i)), dtype=np.int64)
+    hi, lo = np.triu_indices(len(order), 1)
+    same = dets.class_ids[order[hi]] == dets.class_ids[order[lo]]
+    hi, lo = hi[same], lo[same]
+    over = np.zeros((len(order), len(order)), dtype=bool)
+    over[hi, lo] = pair_ious(dets, order[hi], dets, order[lo]) > thr
+    alive = np.ones(len(order), dtype=bool)
+    kept = []
+    for r in range(len(order)):
+        if alive[r]:
+            kept.append(int(order[r]))
+            alive &= ~over[r]
+    return kept

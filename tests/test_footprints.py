@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from reference import (
     match_point_to_gt,
+    pairwise_reference_nms,
     scalar_bev_corners,
     scalar_intersection_area,
     scalar_iou_rotated,
@@ -254,22 +255,26 @@ def test_cascade_stats_ious_equal_scalar_iou():
         assert [iou for _, iou in stage.pairs] == want
 
 
-# --- NMS batches that take the batched path past its exact rounds -----------
+# --- NMS batches through its prefix passes and its final step ---------------
 
 
-def _speculative_pairs(monkeypatch, dets, thr):
-    """nms(dets, thr), and how many pairs its last, speculative kernel call scored."""
-    sizes = []
+def _nms_passes(monkeypatch, dets, thr):
+    """nms(dets, thr); (len(left), len(right), left is right) of each
+    _candidate_pairs call; and the pair count of each _ious call."""
+    listed, scored = [], []
 
-    def counted(a, ia, b, ib):
-        sizes.append(len(ia))
+    def list_pairs(cols, class_ids, left, right):
+        listed.append((len(left), len(right), left is right))
+        return candidate_pairs(cols, class_ids, left, right)
+
+    def score(a, ia, b, ib):
+        scored.append(len(ia))
         return ious(a, ia, b, ib)
 
-    ious = overlap._ious
-    monkeypatch.setattr(overlap, "_ious", counted)
-    kept = new_code(nms, dets, thr)
-    assert len(sizes) == overlap._EXACT_ROUNDS + 1
-    return kept, sizes[-1]
+    candidate_pairs, ious = overlap._candidate_pairs, overlap._ious
+    monkeypatch.setattr(overlap, "_candidate_pairs", list_pairs)
+    monkeypatch.setattr(overlap, "_ious", score)
+    return new_code(nms, dets, thr), listed, scored
 
 
 def test_nms_on_a_pooled_yawed_scene_equals_reference(monkeypatch):
@@ -285,8 +290,15 @@ def test_nms_on_a_pooled_yawed_scene_equals_reference(monkeypatch):
     pooled = Detections(*(np.concatenate([getattr(r.detections, f.name) for r in trace.stages])
                           for f in fields(Detections)))
     assert len(pooled) == 1536
-    kept, speculative = _speculative_pairs(monkeypatch, pooled, 0.25)
-    assert speculative > 0
+    kept, listed, scored = _nms_passes(monkeypatch, pooled, 0.25)
+    # Prefix passes: pairs inside the first _PREFIX open rows, then the
+    # kept rows against the open ones; last, the final step's open rows.
+    passes = (len(listed) - 1) // 2
+    assert passes >= 1
+    assert listed[0] == (overlap._PREFIX, overlap._PREFIX, True)
+    assert not listed[1][2] and listed[1][1] > overlap._PREFIX
+    assert listed[-1][2] and listed[-1][0] <= overlap._PREFIX
+    assert passes + 1 <= len(scored) <= passes + overlap._EXACT_ROUNDS + 1 and scored[-1] > 0
     assert kept == reference_nms(list(pooled), 0.25)
 
 
@@ -300,9 +312,75 @@ def test_nms_on_a_cluster_of_near_duplicates_with_ties_equals_reference(monkeypa
     scores = rng.choice([0.3, 0.5, 0.7, 0.9], n)
     dets = Detections(centers, sizes, yaws, np.zeros(n, dtype=np.int64), scores,
                       np.ones(n, dtype=np.int64))
-    kept, speculative = _speculative_pairs(monkeypatch, dets, thr)
-    assert speculative > 0
+    kept, listed, scored = _nms_passes(monkeypatch, dets, thr)
+    # No more than _PREFIX rows: the final step alone, over all of them.
+    assert listed == [(n, n, True)]
+    assert len(scored) <= overlap._EXACT_ROUNDS + 1 and scored[-1] > 0
     assert kept == reference_nms(list(dets), thr)
+
+
+def test_nms_passes_stay_few_when_every_row_overlaps_every_other(monkeypatch):
+    # 600 thin boxes on one center, yaws spread over pi: every row is every
+    # other row's candidate, so a prefix pass keeps only its top row and
+    # suppresses a few near-parallel ones. Such a pass ends the passes.
+    n = 600
+    rng = np.random.default_rng(0)
+    dets = Detections(np.zeros((n, 3)), np.tile([4.0, 0.01, 1.0], (n, 1)),
+                      np.linspace(0.0, math.pi, n, endpoint=False), np.zeros(n, dtype=np.int64),
+                      rng.uniform(0.0, 1.0, n), np.ones(n, dtype=np.int64))
+    kept, listed, scored = _nms_passes(monkeypatch, dets, 0.25)
+    assert len(scored) <= 1 + overlap._EXACT_ROUNDS + 1
+    assert kept == pairwise_reference_nms(dets, 0.25)
+
+
+def clustered_batch(seed, n, classes, top_class_rows):
+    """n detections on a few clusters, in `classes` classes, with score ties.
+
+    The last top_class_rows rows form one more class, spread apart and
+    scored above every other row, so they all fall inside the first prefix
+    and are all kept by its pass: that class has no open rows left when the
+    later passes list pairs.
+    """
+    rng = np.random.default_rng(seed)
+    m = n - top_class_rows
+    hubs = rng.uniform([-6.0, -6.0, 0.5], [6.0, 6.0, 2.5], (int(rng.integers(1, 30)), 3))
+    hub = rng.integers(0, len(hubs), m)
+    centers = hubs[hub] + rng.normal(0.0, rng.uniform(0.05, 0.4), (m, 3))
+    sizes = rng.uniform(0.4, 1.6, (len(hubs), 3))[hub] * rng.uniform(0.85, 1.15, (m, 3))
+    yaws = rng.uniform(-math.pi, math.pi, len(hubs))[hub] + rng.normal(0.0, 0.2, m)
+    scores = np.where(rng.random(m) < 0.5, rng.choice([0.2, 0.5, 0.8], m), rng.uniform(0.0, 0.9, m))
+    class_ids = rng.integers(0, classes, m)
+    k = np.arange(top_class_rows)
+    centers = np.concatenate([centers, np.column_stack([3.0 * k - 30.0, np.full(len(k), 20.0),
+                                                       np.ones(len(k))])])
+    sizes = np.concatenate([sizes, np.ones((len(k), 3))])
+    yaws = np.concatenate([yaws, np.zeros(len(k))])
+    scores = np.concatenate([scores, rng.choice([0.95, 1.0], len(k))])
+    class_ids = np.concatenate([class_ids, np.full(len(k), classes)])
+    return Detections(centers, sizes, yaws, class_ids, scores, np.ones(n, dtype=np.int64))
+
+
+def test_nms_when_one_class_leaves_the_first_prefix_with_no_open_rows(monkeypatch):
+    dets = clustered_batch(seed=1, n=700, classes=2, top_class_rows=40)
+    seen = []
+
+    def list_pairs(cols, class_ids, left, right):
+        seen.append((2 in class_ids[left].tolist(), 2 in class_ids[right].tolist()))
+        return candidate_pairs(cols, class_ids, left, right)
+
+    candidate_pairs = overlap._candidate_pairs
+    monkeypatch.setattr(overlap, "_candidate_pairs", list_pairs)
+    kept = new_code(nms, dets, 0.5)
+    assert (True, False) in seen  # the class's kept rows against no open row of it
+    assert kept == pairwise_reference_nms(dets, 0.5)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(520, 1000), st.integers(1, 5),
+       st.sampled_from([0, 0, 1, 64]), st.sampled_from([0.1, 0.25, 0.5, 0.7]))
+def test_nms_on_large_clustered_batches_equals_pairwise_reference(seed, n, classes, top, thr):
+    dets = clustered_batch(seed, n, classes, top)
+    assert new_code(nms, dets, thr) == pairwise_reference_nms(dets, thr)
 
 
 def test_nms_suppresses_an_identical_box_too_thin_for_its_z():
